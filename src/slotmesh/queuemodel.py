@@ -9,6 +9,13 @@ queue was non-empty at its beginning. The stationary distribution yields
 per-slot transmission probabilities, the packet acceptance probability,
 queue-level marginals and the expected queuing delay.
 
+The slot index only ever advances from ``i`` to ``i + 1``, so the chain is
+stored as its S per-slot ``(K + 1) x (K + 1)`` blocks: block ``i`` holds
+the probabilities of moving from level ``q`` in slot ``i`` to each level
+in slot ``i + 1``. The blocks and the per-node metrics are all computed
+from one ``(S, K + 1)`` table of arrival probabilities. The flattened
+sparse ``transition_matrix`` is derived from the blocks on first use.
+
 For a slotframe of length one with a single transmission slot the chain
 reduces exactly to an M/D/1/K queue.
 """
@@ -16,12 +23,11 @@ reduces exactly to an M/D/1/K queue.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy import stats
+from scipy import sparse, special
 
 from . import stationary
 
@@ -62,16 +68,28 @@ class TrafficSpec:
         return len(self.poisson_rate)
 
 
+def _arrival_table(poisson_rate, bernoulli_prob, count: int) -> np.ndarray:
+    """Probabilities of k = 0..count-1 arrivals, one row per slot.
+
+    The Poisson terms use the formula of ``scipy.stats.poisson.pmf``; the
+    Bernoulli packet shifts the Poisson part up by one.
+    """
+    lam = np.asarray(poisson_rate, dtype=float)[:, None]
+    p = np.asarray(bernoulli_prob, dtype=float)[:, None]
+    k = np.arange(count)
+    poisson = np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
+    shifted = np.zeros_like(poisson)
+    shifted[:, 1:] = poisson[:, :-1]
+    return (1.0 - p) * poisson + p * shifted
+
+
 def arrival_pmf(traffic: TrafficSpec, slot: int, k: int) -> float:
     """Probability of exactly ``k`` packets arriving during ``slot``."""
     if k < 0:
         raise ModelError("k must be non-negative")
-    lam = traffic.poisson_rate[slot]
-    p = traffic.bernoulli_prob[slot]
-    if k == 0:
-        return float((1.0 - p) * stats.poisson.pmf(0, lam))
-    return float((1.0 - p) * stats.poisson.pmf(k, lam)
-                 + p * stats.poisson.pmf(k - 1, lam))
+    table = _arrival_table([traffic.poisson_rate[slot]],
+                           [traffic.bernoulli_prob[slot]], k + 1)
+    return float(table[0, k])
 
 
 def arrival_tail(traffic: TrafficSpec, slot: int, k: int) -> float:
@@ -82,9 +100,9 @@ def arrival_tail(traffic: TrafficSpec, slot: int, k: int) -> float:
         return 1.0
     lam = traffic.poisson_rate[slot]
     p = traffic.bernoulli_prob[slot]
-    # sf(k - 1) is P[Y >= k] for the Poisson part
-    return float((1.0 - p) * stats.poisson.sf(k - 1, lam)
-                 + p * stats.poisson.sf(k - 2, lam))
+    # pdtrc(j, lam) is P[Y > j] for the Poisson part; P[Y >= 0] is one
+    forwarded = special.pdtrc(k - 2, lam) if k >= 2 else 1.0
+    return float((1.0 - p) * special.pdtrc(k - 1, lam) + p * forwarded)
 
 
 def expected_arrivals_per_slotframe(traffic: TrafficSpec) -> float:
@@ -94,16 +112,41 @@ def expected_arrivals_per_slotframe(traffic: TrafficSpec) -> float:
         for lam, p in zip(traffic.poisson_rate, traffic.bernoulli_prob))
 
 
+def _head_sums(table: np.ndarray) -> np.ndarray:
+    """Column ``r`` holds the sum of the first ``r`` entries of each row."""
+    sums = np.zeros_like(table)
+    np.cumsum(table[:, :-1], axis=1, out=sums[:, 1:])
+    return sums
+
+
+def _tails(arrivals: np.ndarray) -> np.ndarray:
+    """Column ``r`` holds the probability of ``r`` or more arrivals, taken
+    as the complement of the head so that every block row sums to one."""
+    return np.maximum(1.0 - _head_sums(arrivals), 0.0)
+
+
+def _departures(length: int, tx_slots) -> np.ndarray:
+    """One on the transmission slots, zero elsewhere."""
+    tau = np.zeros(length, dtype=int)
+    tau[list(tx_slots)] = 1
+    return tau
+
+
 @dataclass(frozen=True)
 class QueueChain:
-    """Sparse transition matrix over the ``(K + 1) * S`` states ``(q, i)``,
-    flattened as ``j = q * S + i``."""
+    """Queue chain over the ``(K + 1) * S`` states ``(q, i)``.
+
+    ``arrivals[i, k]`` is the probability of ``k`` arrivals in slot ``i``.
+    ``blocks[i, q, r]`` is the probability of moving from ``(q, i)`` to
+    ``(r, (i + 1) % S)``; no other transitions exist.
+    """
 
     capacity: int
     slotframe_length: int
     tx_slots: tuple[int, ...]
-    transition_matrix: sparse.csr_matrix
     traffic: TrafficSpec
+    arrivals: np.ndarray
+    blocks: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -112,18 +155,17 @@ class QueueChain:
     def state_index(self, q: int, i: int) -> int:
         return q * self.slotframe_length + i
 
-    def tx_indicator(self, slot: int) -> int:
-        return 1 if slot in set(self.tx_slots) else 0
-
-
-def _queueing_row(pmf_i, q, capacity):
-    """Probabilities of inserting k = 0..K-q packets given state (q, i);
-    the last entry absorbs the tail so every row sums to one exactly."""
-    room = capacity - q
-    probs = list(pmf_i[:room])
-    tail = max(0.0, 1.0 - math.fsum(probs))
-    probs.append(tail)
-    return probs
+    @cached_property
+    def transition_matrix(self) -> sparse.csr_matrix:
+        """The blocks as one sparse matrix over states flattened as
+        ``j = q * S + i``; zero probabilities are not stored."""
+        length = self.slotframe_length
+        slot, q, target = np.nonzero(self.blocks)
+        rows = q * length + slot
+        cols = target * length + (slot + 1) % length
+        n = self.n_states
+        return sparse.csr_matrix((self.blocks[slot, q, target], (rows, cols)),
+                                 shape=(n, n), dtype=float)
 
 
 def build_chain(capacity: int, slotframe_length: int, tx_slots,
@@ -132,8 +174,9 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
 
     From state ``(q, i)`` and ``k`` accepted arrivals, the chain moves to
     ``(max(q - tau_i, 0) + k, (i + 1) % S)`` where ``tau_i`` is one on
-    transmission slots. For ``q = K`` nothing can be accepted, leaving a
-    single transition of probability one.
+    transmission slots. At most ``K - q`` arrivals are accepted; the last
+    level absorbs the tail so every row sums to one. For ``q = K`` nothing
+    can be accepted, leaving a single transition of probability one.
     """
     if capacity < 1:
         raise ModelError("capacity must be at least 1")
@@ -145,26 +188,25 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
             raise ModelError(f"tx slot {s} outside [0, {slotframe_length})")
     if traffic.slots != slotframe_length:
         raise ModelError("traffic spec length must equal the slotframe length")
-    tx_set = set(tx)
-    length = slotframe_length
-    rows, cols, vals = [], [], []
-    for i in range(length):
-        pmf_i = [arrival_pmf(traffic, i, k) for k in range(capacity + 1)]
-        nxt = (i + 1) % length
-        tau = 1 if i in tx_set else 0
-        for q in range(capacity + 1):
-            src = q * length + i
-            base = max(q - tau, 0)
-            for k, pk in enumerate(_queueing_row(pmf_i, q, capacity)):
-                if pk > 0.0:
-                    rows.append(src)
-                    cols.append((base + k) * length + nxt)
-                    vals.append(pk)
-    n = (capacity + 1) * length
-    matrix = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(n, n), dtype=float)
-    return QueueChain(capacity=capacity, slotframe_length=length,
-                      tx_slots=tx, transition_matrix=matrix, traffic=traffic)
+    arrivals = _arrival_table(traffic.poisson_rate, traffic.bernoulli_prob,
+                              capacity + 1)
+    tails = _tails(arrivals)
+    tau = _departures(slotframe_length, tx)
+    q = np.arange(capacity + 1)
+    room = capacity - q
+    blocks = np.zeros((slotframe_length, capacity + 1, capacity + 1))
+    for departed in (0, 1):
+        slots = np.flatnonzero(tau == departed)[:, None]
+        base = np.maximum(q - departed, 0)
+        k = q - base[:, None]  # k[q, r]: arrivals that take level q to r
+        rows, cols = np.nonzero((k >= 0) & (k < room[:, None]))
+        blocks[slots, rows, cols] = arrivals[slots, k[rows, cols]]
+        blocks[slots, q, base + room] = tails[slots, room]
+    arrivals.flags.writeable = False
+    blocks.flags.writeable = False
+    return QueueChain(capacity=capacity, slotframe_length=slotframe_length,
+                      tx_slots=tx, traffic=traffic, arrivals=arrivals,
+                      blocks=blocks)
 
 
 def transmission_probability(chain: QueueChain, distribution: np.ndarray) -> np.ndarray:
@@ -181,18 +223,6 @@ def transmission_probability(chain: QueueChain, distribution: np.ndarray) -> np.
     return tx
 
 
-def _expected_accepted(traffic, slot, q, capacity, pmf_i=None):
-    # E[accepted | (q, i)]: the tail mass is capped at the remaining room.
-    room = capacity - q
-    if room == 0:
-        return 0.0
-    if pmf_i is None:
-        pmf_i = [arrival_pmf(traffic, slot, k) for k in range(room)]
-    head = math.fsum(k * pmf_i[k] for k in range(room))
-    tail = max(0.0, 1.0 - math.fsum(pmf_i[:room]))
-    return head + tail * room
-
-
 def acceptance_probability(chain: QueueChain, distribution: np.ndarray) -> float:
     """Overall fraction of offered packets accepted into the queue."""
     offered = expected_arrivals_per_slotframe(chain.traffic)
@@ -200,14 +230,12 @@ def acceptance_probability(chain: QueueChain, distribution: np.ndarray) -> float
         raise ModelError("no offered traffic; acceptance probability undefined")
     length = chain.slotframe_length
     grid = np.asarray(distribution).reshape(chain.capacity + 1, length)
-    accepted = 0.0
-    for i in range(length):
-        pmf_i = [arrival_pmf(chain.traffic, i, k) for k in range(chain.capacity + 1)]
-        for q in range(chain.capacity + 1):
-            if grid[q, i] > 0.0:
-                accepted += grid[q, i] * _expected_accepted(
-                    chain.traffic, i, q, chain.capacity, pmf_i)
-    return length * accepted / offered
+    arrivals = chain.arrivals
+    counts = np.arange(chain.capacity + 1)
+    # column r: E[accepted | slot i, room r], arrivals beyond r are capped at r
+    accepted = _head_sums(arrivals * counts) + _tails(arrivals) * counts
+    # state (q, i) has room K - q
+    return length * float((grid * accepted[:, ::-1].T).sum()) / offered
 
 
 def queue_marginals(distribution: np.ndarray, slotframe_length: int) -> np.ndarray:
@@ -216,16 +244,14 @@ def queue_marginals(distribution: np.ndarray, slotframe_length: int) -> np.ndarr
     return grid.sum(axis=1)
 
 
-def _slots_between(i: int, j: int, length: int) -> int:
-    return j - i if j >= i else j - i + length
+def _slots_between(i, j, length: int):
+    return (j - i) % length
 
 
-def _preceding_tx_index(tx_slots, i: int) -> int:
+def _preceding_tx_index(tx_slots, i):
     # index of the transmission slot preceding slot i (cyclically); ties at
     # i == t_g belong to the previous index (strict lower bound)
-    if i <= tx_slots[0] or i > tx_slots[-1]:
-        return len(tx_slots) - 1
-    return bisect_left(tx_slots, i) - 1
+    return (np.searchsorted(tx_slots, i) - 1) % len(tx_slots)
 
 
 def _state_delay(tx_slots, length, q, i):
@@ -234,7 +260,7 @@ def _state_delay(tx_slots, length, q, i):
     # plus one for the transmission slot itself
     count = len(tx_slots)
     frames = -(-q // count) - 1  # ceil(q / count) - 1
-    target = tx_slots[(_preceding_tx_index(tx_slots, i) + q) % count]
+    target = np.asarray(tx_slots)[(_preceding_tx_index(tx_slots, i) + q) % count]
     return frames * length + 1 + _slots_between(i, target, length)
 
 
@@ -248,15 +274,10 @@ def expected_delay(chain: QueueChain, distribution: np.ndarray) -> float:
         raise ModelError("node never transmits; delay undefined")
     length = chain.slotframe_length
     grid = np.asarray(distribution).reshape(chain.capacity + 1, length)
-    total = 0.0
-    for i in range(length):
-        tau = chain.tx_indicator(i)
-        nxt = (i + 1) % length
-        for q in range(chain.capacity + 1):
-            if grid[q, i] > 0.0:
-                g = max(q - tau, 0) + 1
-                total += grid[q, i] * _state_delay(chain.tx_slots, length, g, nxt)
-    return total
+    q = np.arange(chain.capacity + 1)[:, None]
+    position = np.maximum(q - _departures(length, chain.tx_slots), 0) + 1
+    nxt = (np.arange(length) + 1) % length
+    return float((grid * _state_delay(chain.tx_slots, length, position, nxt)).sum())
 
 
 @dataclass(frozen=True)

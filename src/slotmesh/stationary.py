@@ -1,20 +1,22 @@
 """Stationary distributions of slot-indexed finite Markov chains.
 
-The transition matrices built by :mod:`slotmesh.queuemodel` are singular
+The chains built by :mod:`slotmesh.queuemodel` are singular
 (row-stochastic) and can be reducible: states that are not in the strongly
 connected component of the empty-queue start state are never visited and
-carry no stationary mass. The solver prunes those states, computes the
-unique normalized fixed point of ``c P = c`` on the remaining irreducible
-core and verifies the residual.
+carry no stationary mass. The solver prunes those states on the chain's
+derived sparse ``transition_matrix``, computes the unique normalized fixed
+point of ``c P = c`` on the remaining irreducible core and verifies the
+residual against that matrix.
 
 Because the slot index advances deterministically, the pruned chain is
 block-cyclic: states of slot ``i`` only reach states of slot ``i + 1``.
-The default method condenses the chain to its slot-0 return map (the
-product of the per-slot blocks), runs a damped power iteration on that
-small matrix and propagates the result through the slots. A plain damped
-power iteration on the full matrix and a dense direct solve (one equation
-replaced by the normalization) are available as alternatives; the direct
-solve doubles as fallback for up to 2000 states.
+The default method takes the pruned per-slot blocks straight from the
+chain's ``blocks``, condenses them to the slot-0 return map (their
+product), runs a damped power iteration on that small matrix and
+propagates the result through the slots. A plain damped power iteration
+on the full matrix and a dense direct solve (one equation replaced by the
+normalization) are available as alternatives; the direct solve doubles
+as fallback for up to 2000 states.
 """
 
 from __future__ import annotations
@@ -131,12 +133,8 @@ def _cycle_blocks(chain, mask):
     length = chain.slotframe_length
     maskr = mask.reshape(capacity + 1, length)
     levels = [np.flatnonzero(maskr[:, i]) for i in range(length)]
-    matrix = chain.transition_matrix
-    blocks = []
-    for i in range(length):
-        rows = levels[i] * length + i
-        cols = levels[(i + 1) % length] * length + (i + 1) % length
-        blocks.append(matrix[rows].toarray()[:, cols])
+    blocks = [chain.blocks[i][np.ix_(levels[i], levels[(i + 1) % length])]
+              for i in range(length)]
     return levels, blocks
 
 

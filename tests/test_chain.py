@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chain_cases
-from slotmesh.queuemodel import ModelError, TrafficSpec, build_chain
+from slotmesh.queuemodel import ModelError, TrafficSpec, arrival_pmf, build_chain
 
 
 def _row_sums(chain):
@@ -108,3 +108,43 @@ def test_random_chains_are_stochastic(capacity, length, data):
     sums = _row_sums(chain)
     assert np.abs(sums - 1.0).max() < 1e-12
     assert chain.transition_matrix.data.min() > 0
+
+
+def _scalar_blocks(capacity, length, tx, traffic):
+    """Reference chain built row by row from scalar ``arrival_pmf`` calls:
+    from (q, i), k < K - q arrivals land on max(q - tau_i, 0) + k and the
+    last reachable level absorbs the tail."""
+    blocks = np.zeros((length, capacity + 1, capacity + 1))
+    for i in range(length):
+        pmf = [arrival_pmf(traffic, i, k) for k in range(capacity + 1)]
+        tau = 1 if i in tx else 0
+        for q in range(capacity + 1):
+            base = max(q - tau, 0)
+            room = capacity - q
+            for k in range(room):
+                blocks[i, q, base + k] = pmf[k]
+            blocks[i, q, base + room] = max(0.0, 1.0 - math.fsum(pmf[:room]))
+    return blocks
+
+
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=6),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_blocks_match_scalar_reference(capacity, length, data):
+    tx = tuple(sorted(data.draw(st.sets(st.integers(0, length - 1),
+                                        max_size=length))))
+    rates = data.draw(st.lists(st.floats(0, 3), min_size=length, max_size=length))
+    probs = data.draw(st.lists(st.floats(0, 1), min_size=length, max_size=length))
+    traffic = TrafficSpec(tuple(rates), tuple(probs))
+    chain = build_chain(capacity, length, tx, traffic)
+    reference = _scalar_blocks(capacity, length, tx, traffic)
+    assert np.abs(chain.blocks - reference).max() <= 1e-12
+    matrix = chain.transition_matrix.tocoo()
+    assert matrix.data.min() > 0
+    assert np.all(matrix.col % length == (matrix.row % length + 1) % length)
+    dense = matrix.toarray()
+    for i in range(length):
+        block = dense[i::length, (i + 1) % length::length]
+        assert np.abs(block - reference[i]).max() <= 1e-12
+    assert np.abs(_row_sums(chain) - 1.0).max() <= 1e-12

@@ -1,8 +1,13 @@
+import math
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
+from conftest import chain_cases
 from slotmesh.queuemodel import (ModelError, TrafficSpec, acceptance_probability,
-                                 build_chain, evaluate_node, expected_delay,
+                                 arrival_pmf, build_chain, evaluate_node,
+                                 expected_arrivals_per_slotframe, expected_delay,
                                  model_variant, queue_marginals,
                                  transmission_probability,
                                  _preceding_tx_index, _slots_between)
@@ -13,6 +18,50 @@ from slotmesh.stationary import solve
 def _solved(capacity, length, tx, traffic):
     chain = build_chain(capacity, length, tx, traffic)
     return chain, solve(chain).distribution
+
+
+def _loop_acceptance(chain, c):
+    # per-state loop: E[accepted | (q, i)] caps the arrivals at the room K - q
+    capacity, length = chain.capacity, chain.slotframe_length
+    grid = c.reshape(capacity + 1, length)
+    accepted = 0.0
+    for i in range(length):
+        pmf = [arrival_pmf(chain.traffic, i, k) for k in range(capacity + 1)]
+        for q in range(capacity):
+            room = capacity - q
+            head = math.fsum(k * pmf[k] for k in range(room))
+            tail = max(0.0, 1.0 - math.fsum(pmf[:room]))
+            accepted += grid[q, i] * (head + tail * room)
+    return length * accepted / expected_arrivals_per_slotframe(chain.traffic)
+
+
+def _loop_delay(chain, c):
+    # per-state loop: drain time of an arrival appended after slot i's
+    # departure, counted from slot i + 1
+    capacity, length, tx = chain.capacity, chain.slotframe_length, chain.tx_slots
+    count = len(tx)
+    grid = c.reshape(capacity + 1, length)
+    total = 0.0
+    for i in range(length):
+        nxt = (i + 1) % length
+        preceding = (count - 1 if nxt <= tx[0] or nxt > tx[-1]
+                     else bisect_left(tx, nxt) - 1)
+        for q in range(capacity + 1):
+            position = max(q - (1 if i in tx else 0), 0) + 1
+            frames = -(-position // count) - 1
+            target = tx[(preceding + position) % count]
+            wait = target - nxt if target >= nxt else target - nxt + length
+            total += grid[q, i] * (frames * length + 1 + wait)
+    return total
+
+
+def test_metrics_match_loop_formulas():
+    for capacity, length, tx, traffic in chain_cases():
+        chain, c = _solved(capacity, length, tx, traffic)
+        assert acceptance_probability(chain, c) == pytest.approx(
+            _loop_acceptance(chain, c), rel=1e-12, abs=0)
+        assert expected_delay(chain, c) == pytest.approx(
+            _loop_delay(chain, c), rel=1e-12, abs=0)
 
 
 def test_tx_zero_off_transmission_slots():

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slotmesh
 from slotmesh.queuemodel import (ModelError, TrafficSpec, arrival_pmf,
                                  arrival_tail, expected_arrivals_per_slotframe)
 
@@ -93,3 +98,14 @@ def test_expected_arrivals_matches_sampling():
               + (rng.random((frames, 3)) < prob)).sum(axis=1)
     se = totals.std(ddof=1) / math.sqrt(frames)
     assert abs(expected_arrivals_per_slotframe(spec) - totals.mean()) < 3 * se
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a second to import and the arrival layer
+    # only needs scipy.special
+    src = str(Path(slotmesh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, slotmesh; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
