@@ -7,8 +7,7 @@ discrete-event simulation make the results independently checkable.
 """
 
 from .network import (NetworkModelError, NetworkResult, NetworkScenario,
-                      concentric_topology, end_to_end, evaluate_network,
-                      max_depth_nodes, throughput)
+                      concentric_topology, evaluate_network, max_depth_nodes)
 from .queuemodel import (ModelError, NodeMetrics, QueueChain, TrafficSpec,
                          acceptance_probability, arrival_pmf, arrival_tail,
                          build_chain, evaluate_node,
@@ -26,7 +25,7 @@ from .schedulers import (ChannelExhaustionError, DescendantInfo,
 from .simulate import (MetricSummary, NetworkSimStats, QueueSimStats,
                        SimConfig, SimulationError, simulate_network,
                        simulate_queue)
-from .stationary import (ConvergenceError, StationaryError, StationaryResult,
-                         reachable_states, solve, solve_matrix)
+from .stationary import (StationaryError, StationaryResult, reachable_states,
+                         solve, solve_matrix)
 
 __version__ = "0.1.0"

@@ -158,19 +158,26 @@ def _sweep_grid(spec):
     return np.linspace(lo, hi, count)
 
 
+def _outer_ring_means(result):
+    """The SIM_METRICS of a model result: means over the outer ring and
+    the sink throughput."""
+    outer = list(max_depth_nodes(result.scenario.topology))
+    return {
+        "pdr_outer_mean": float(result.delivery_ratio[outer].mean()),
+        "delay_outer_mean_s": float(result.delay_seconds[outer].mean()),
+        "throughput_pps": result.throughput_pps,
+    }
+
+
 def _sweep_point(task):
     name, schedule, topology, variant, capacity, rate = task
     scenario = NetworkScenario(schedule=schedule, topology=topology,
                                generation_rate=rate, queue_capacity=capacity)
     result = evaluate_network(scenario, variant=variant)
-    outer = list(max_depth_nodes(topology))
     non_root = [n for n in range(topology.node_count) if n != 0]
-    values = {
-        "throughput_pps": result.throughput_pps,
-        "pdr_mean": float(result.delivery_ratio[non_root].mean()) if non_root else 1.0,
-        "pdr_outer_mean": float(result.delivery_ratio[outer].mean()),
-        "delay_outer_mean_s": float(result.delay_seconds[outer].mean()),
-    }
+    values = _outer_ring_means(result)
+    values["pdr_mean"] = (float(result.delivery_ratio[non_root].mean())
+                          if non_root else 1.0)
     return [(name, variant, capacity, rate, metric, values[metric])
             for metric in SWEEP_METRICS]
 
@@ -276,12 +283,7 @@ def cmd_simulate(args):
                      f"{s.ci_high:.9g}"))
     _write_rows(args.out, ("run", "metric", "value", "ci_low", "ci_high"), rows)
     if args.compare_model:
-        result = evaluate_network(scenario)
-        model = {
-            "pdr_outer_mean": float(result.delivery_ratio[outer].mean()),
-            "delay_outer_mean_s": float(result.delay_seconds[outer].mean()),
-            "throughput_pps": result.throughput_pps,
-        }
+        model = _outer_ring_means(evaluate_network(scenario))
         for metric in SIM_METRICS:
             s = summaries[metric]
             inside = "yes" if s.contains(model[metric], atol=1e-9) else "no"

@@ -91,8 +91,8 @@ def _evaluation_order(topology: Topology):
     return sorted(range(topology.node_count), key=lambda n: (-depths[n], n)), depths
 
 
-def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
-                     tolerance: float = 1e-10) -> NetworkResult:
+def evaluate_network(scenario: NetworkScenario, *,
+                     variant: str = "full") -> NetworkResult:
     """Solve all node models and compose network-wide metrics.
 
     The schedule must validate against the topology and every non-root
@@ -136,10 +136,7 @@ def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
                     f"node {n} receives from {source} in slot {i}, which is "
                     f"not one of its children")
             per = scenario.link_per.get((source, n), 0.0)
-            # a saturated child's transmission probability can round to
-            # exactly one, which would make the parent's empty-queue states
-            # unreachable; keep the coupling strictly below one
-            rx_prob[n, i] = min(tx_prob[source, i] * (1.0 - per), 1.0 - 1e-9)
+            rx_prob[n, i] = tx_prob[source, i] * (1.0 - per)
         if n == topology.ROOT:
             continue
         rates = (scenario.generation_rate,) * length
@@ -153,8 +150,7 @@ def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
         try:
             if variant == "md1k" and schedule.tx_slots[n]:
                 node = evaluate_node(capacity, 1, (0,),
-                                     TrafficSpec((offered,), (0.0,)),
-                                     tolerance=tolerance)
+                                     TrafficSpec((offered,), (0.0,)))
                 tx_per_frame = node.tx_probability[0]
                 # one step of the collapsed model is a whole slotframe:
                 # rescale its delay to slots and spread the per-frame
@@ -165,7 +161,7 @@ def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
                     tx_prob[n, i] = tx_per_frame / len(schedule.tx_slots[n])
                 continue
             metrics[n] = evaluate_node(capacity, length, schedule.tx_slots[n],
-                                       traffic, tolerance=tolerance)
+                                       traffic)
         except (ModelError, StationaryError) as exc:
             raise NetworkModelError(f"node {n}: {exc}") from exc
         tx_prob[n] = metrics[n].tx_probability
@@ -198,18 +194,6 @@ def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
         delay_slots=delay,
         rx_probability=rx_prob,
     )
-
-
-def throughput(result: NetworkResult) -> float:
-    """Packets per second arriving at the sink."""
-    return result.throughput_pps
-
-
-def end_to_end(result: NetworkResult, node: int) -> tuple[float, float]:
-    """Delivery ratio and end-to-end delay (in slots) of one node."""
-    if not 0 <= node < result.scenario.topology.node_count:
-        raise NetworkModelError(f"invalid node index {node}")
-    return float(result.delivery_ratio[node]), float(result.delay_slots[node])
 
 
 def max_depth_nodes(topology: Topology) -> tuple[int, ...]:

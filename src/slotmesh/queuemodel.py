@@ -297,9 +297,7 @@ class NodeMetrics:
 
 
 def evaluate_node(capacity: int, slotframe_length: int, tx_slots,
-                  traffic: TrafficSpec, *, tolerance: float = 1e-10,
-                  max_iters: int = stationary.DEFAULT_MAX_ITERS,
-                  method: str = "auto") -> NodeMetrics:
+                  traffic: TrafficSpec) -> NodeMetrics:
     """Build, solve and summarize the queue chain of one node.
 
     Nodes without offered traffic are defined to accept everything
@@ -307,9 +305,7 @@ def evaluate_node(capacity: int, slotframe_length: int, tx_slots,
     figures of the empty system.
     """
     chain = build_chain(capacity, slotframe_length, tx_slots, traffic)
-    result = stationary.solve(chain, tolerance=tolerance, max_iters=max_iters,
-                              method=method)
-    c = result.distribution
+    c = stationary.solve(chain).distribution
     offered = expected_arrivals_per_slotframe(traffic)
     if offered > 0.0:
         paccept = acceptance_probability(chain, c)
@@ -329,7 +325,7 @@ def evaluate_node(capacity: int, slotframe_length: int, tx_slots,
 
 
 def model_variant(variant: str, capacity: int, slotframe_length: int,
-                  tx_slots, traffic: TrafficSpec, **solver_options) -> NodeMetrics:
+                  tx_slots, traffic: TrafficSpec) -> NodeMetrics:
     """Evaluate a node under one of the model variants.
 
     ``full`` uses the slot-resolved traffic as given. ``distributed`` keeps
@@ -341,13 +337,10 @@ def model_variant(variant: str, capacity: int, slotframe_length: int,
     if variant not in VARIANTS:
         raise ModelError(f"unknown variant {variant!r} (expected one of {VARIANTS})")
     if variant == "full":
-        return evaluate_node(capacity, slotframe_length, tx_slots, traffic,
-                             **solver_options)
+        return evaluate_node(capacity, slotframe_length, tx_slots, traffic)
     offered = expected_arrivals_per_slotframe(traffic)
     if variant == "distributed":
         uniform = TrafficSpec.constant(slotframe_length,
                                        rate=offered / slotframe_length)
-        return evaluate_node(capacity, slotframe_length, tx_slots, uniform,
-                             **solver_options)
-    return evaluate_node(capacity, 1, (0,), TrafficSpec((offered,), (0.0,)),
-                         **solver_options)
+        return evaluate_node(capacity, slotframe_length, tx_slots, uniform)
+    return evaluate_node(capacity, 1, (0,), TrafficSpec((offered,), (0.0,)))

@@ -95,12 +95,6 @@ class Schedule:
                 if not 0 <= peer < self.node_count or peer == n:
                     raise ScheduleError(f"node {n} slot {i}: invalid peer {peer}")
 
-    def is_tx(self, node: int, slot: int) -> bool:
-        return slot in self.counterpart[node] and slot in set(self.tx_slots[node])
-
-    def peer(self, node: int, slot: int) -> int:
-        return self.counterpart[node][slot]
-
 
 @dataclass(frozen=True)
 class Topology:

@@ -1,60 +1,51 @@
 """Stationary distributions of slot-indexed finite Markov chains.
 
-The chains built by :mod:`slotmesh.queuemodel` are singular
-(row-stochastic) and can be reducible: states that are not in the strongly
-connected component of the empty-queue start state are never visited and
-carry no stationary mass. The solver prunes those states on the chain's
-derived sparse ``transition_matrix``, computes the unique normalized fixed
-point of ``c P = c`` on the remaining irreducible core and verifies the
-residual against that matrix.
+The chains built by :mod:`slotmesh.queuemodel` are row-stochastic and can
+be reducible. Their stationary distribution lives on the closed class (the
+closed communicating class) that the start state, the empty queue at slot
+0, reaches; every other state is transient or never visited and carries
+exactly zero mass. If the start state reaches more than one closed class
+the distribution is not unique and :class:`StationaryError` is raised.
 
-Because the slot index advances deterministically, the pruned chain is
-block-cyclic: states of slot ``i`` only reach states of slot ``i + 1``.
-The default method takes the pruned per-slot blocks straight from the
-chain's ``blocks``, condenses them to the slot-0 return map (their
-product), runs a damped power iteration on that small matrix and
-propagates the result through the slots. A plain damped power iteration
-on the full matrix and a dense direct solve (one equation replaced by the
-normalization) are available as alternatives; the direct solve doubles
-as fallback for up to 2000 states.
+The closed class is solved by the GTH elimination (Grassmann, Taksar and
+Heyman, Oper. Res. 33(5), 1985): Gaussian elimination that replaces the
+pivot ``1 - p_kk`` by the row sum it equals, so it never subtracts, gives
+a non-negative answer and stays accurate near saturation.
+
+The slot index advances deterministically, so a queue chain only needs
+its slot-0 return map ``F = B_0 B_1 ... B_{S-1}``, the product of its
+per-slot blocks, which is just ``(K + 1) x (K + 1)``. :func:`solve`
+solves ``c F = c`` on the closed class of ``F`` and propagates ``c``
+through the blocks to the other slots. Every answer is checked against
+``max |c P - c| <= RESIDUAL_BOUND``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 
-DEFAULT_TOLERANCE = 1e-10
-DEFAULT_MAX_ITERS = 100_000
-_DENSE_LIMIT = 2000
-_NEGATIVE_CLAMP = -1e-12
+RESIDUAL_BOUND = 1e-10
 
 
 class StationaryError(RuntimeError):
     """Raised when no valid stationary distribution can be computed."""
 
 
-class ConvergenceError(StationaryError):
-    """Iterative solve did not reach the residual tolerance."""
-
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class StationaryResult:
     """Normalized stationary distribution over all chain states.
 
-    Pruned (unreachable) states hold exactly zero. ``residual`` is the
-    infinity norm of ``c P - c`` on the full matrix.
+    States outside the closed class (``reachable``) hold exactly zero.
+    ``residual`` is the infinity norm of ``c P - c``.
     """
 
     distribution: np.ndarray
     residual: float
-    iterations: int
     reachable: np.ndarray
 
     @property
@@ -62,172 +53,97 @@ class StationaryResult:
         return int(self.reachable.sum())
 
 
-def strongly_connected_mask(matrix, start: int = 0) -> np.ndarray:
-    """Boolean mask of the strongly connected component containing ``start``.
+def _closed_class(matrix, start: int) -> np.ndarray:
+    """Mask of the unique closed class reachable from ``start``.
 
-    Edges are the non-zero entries of the sparse transition matrix.
+    Edges are the non-zero entries. ``matrix`` goes to csgraph as a sparse
+    matrix because csgraph drops dense entries up to 1e-8 as missing edges.
     """
-    _, labels = csgraph.connected_components(matrix, directed=True,
-                                             connection="strong")
-    return labels == labels[start]
-
-
-def reachable_states(chain) -> np.ndarray:
-    """States of a queue chain in the strongly connected component of the
-    empty-queue start state; everything else is pruned by the solver."""
-    return strongly_connected_mask(chain.transition_matrix, start=0)
-
-
-def _clamp_and_normalize(x: np.ndarray) -> np.ndarray:
-    low = x.min()
-    if low < 0:
-        if low < _NEGATIVE_CLAMP:
-            raise StationaryError(
-                f"solution has a negative entry {low:.3e} beyond round-off")
-        x = np.where(x < 0, 0.0, x)
-    total = x.sum()
-    if total <= 0:
-        raise StationaryError("solution vanished; chain core may not be closed")
-    return x / total
-
-
-def _power_iteration(step, n, tolerance, max_iters):
-    # Damped iteration x <- x (P + I)/2: same fixed points, but converges
-    # also for periodic chains (slot cycling makes every chain periodic).
-    x = np.full(n, 1.0 / n)
-    res = float("inf")
-    for it in range(1, max_iters + 1):
-        xp = step(x)
-        res = float(np.abs(xp - x).max())
-        x = 0.5 * (x + xp)
-        x /= x.sum()
-        if res <= tolerance:
-            return x, it
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iters} iterations "
-        f"(residual {res:.3e})", res)
-
-
-def _direct_solve(sub):
-    n = sub.shape[0]
-    if n > _DENSE_LIMIT:
+    graph = sparse.csr_matrix(matrix) != 0
+    count, labels = csgraph.connected_components(graph, directed=True,
+                                                 connection="strong")
+    rows, cols = graph.nonzero()
+    escapes = np.zeros(count, dtype=bool)
+    escapes[labels[rows[labels[rows] != labels[cols]]]] = True
+    reached = csgraph.breadth_first_order(graph, start, directed=True,
+                                          return_predecessors=False)
+    closed = np.unique(labels[reached])
+    closed = closed[~escapes[closed]]
+    if closed.size != 1:
         raise StationaryError(
-            f"dense direct solve limited to {_DENSE_LIMIT} states (got {n})")
-    a = (np.eye(n) - sub.toarray()).T
-    # the rows of (I - P)^T are linearly dependent; replace one equation
-    # with the normalization sum(c) = 1
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise StationaryError(f"direct solve failed: {exc}") from exc
+            f"state {start} reaches {closed.size} closed classes; the "
+            f"stationary distribution is not unique")
+    return labels == closed[0]
+
+
+def _gth(dense: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible stochastic matrix."""
+    a = np.array(dense, dtype=float)
+    n = a.shape[0]
+    for k in range(n - 1, 0, -1):
+        # eliminate state k; the row sum over the states left stands in
+        # for 1 - a[k, k], so nothing is subtracted
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ a[:k, k]
+        # keep the partial vector normalized: unnormalized it can overflow
+        x[:k + 1] /= x[:k + 1].sum()
     return x
 
 
-def _cycle_blocks(chain, mask):
-    # Per-slot blocks of the pruned chain: rows are the reachable queue
-    # levels of slot i, columns those of slot (i+1) % S.
-    capacity = chain.capacity
-    length = chain.slotframe_length
-    maskr = mask.reshape(capacity + 1, length)
-    levels = [np.flatnonzero(maskr[:, i]) for i in range(length)]
-    blocks = [chain.blocks[i][np.ix_(levels[i], levels[(i + 1) % length])]
-              for i in range(length)]
-    return levels, blocks
-
-
-def _cycle_solve(chain, mask, tolerance, max_iters):
-    levels, blocks = _cycle_blocks(chain, mask)
-    length = chain.slotframe_length
-    frame_map = blocks[0]
-    for b in blocks[1:]:
-        frame_map = frame_map @ b
-    x, iterations = _power_iteration(lambda v: v @ frame_map,
-                                     frame_map.shape[0],
-                                     tolerance * 0.1, max_iters)
-    parts = [x]
-    for i in range(length - 1):
-        parts.append(parts[-1] @ blocks[i])
-    full = np.zeros(mask.size)
-    for i, part in enumerate(parts):
-        full[levels[i] * length + i] = part
-    return full, iterations
-
-
-def _check_closed(sub):
-    rowsums = np.asarray(sub.sum(axis=1)).ravel()
-    if rowsums.size and rowsums.min() < 1 - 1e-9:
+def _checked(distribution, residual, reachable) -> StationaryResult:
+    if not residual <= RESIDUAL_BOUND:
         raise StationaryError(
-            "the component reachable from the empty-queue state is not "
-            "closed; the chain has no stationary distribution supported on it")
+            f"residual {residual:.3e} above {RESIDUAL_BOUND:.0e}")
+    return StationaryResult(distribution=distribution, residual=residual,
+                            reachable=reachable)
 
 
-def solve_matrix(matrix, start: int = 0, tolerance: float = DEFAULT_TOLERANCE,
-                 max_iters: int = DEFAULT_MAX_ITERS,
-                 method: str = "power") -> StationaryResult:
-    """Stationary distribution of an arbitrary sparse chain.
-
-    Prunes states outside the strongly connected component of ``start``,
-    solves on the core with ``method`` in ``{"power", "direct"}`` and embeds
-    the result back into the full state space.
-    """
-    if method not in ("power", "direct"):
-        raise ValueError(f"unknown method {method!r}")
-    matrix = matrix.tocsr()
-    mask = strongly_connected_mask(matrix, start=start)
-    sub = matrix[mask][:, mask]
-    _check_closed(sub)
-    if method == "power":
-        x, iterations = _power_iteration(lambda v: v @ sub, sub.shape[0],
-                                         tolerance, max_iters)
-    else:
-        x, iterations = _direct_solve(sub), 0
+def solve_matrix(matrix, start: int = 0) -> StationaryResult:
+    """Stationary distribution of an arbitrary sparse chain, supported on
+    the closed class that ``start`` reaches."""
+    matrix = sparse.csr_matrix(matrix)
+    mask = _closed_class(matrix, start)
     full = np.zeros(matrix.shape[0])
-    full[mask] = x
-    return _finalize(matrix, full, mask, iterations, tolerance)
-
-
-def _finalize(matrix, full, mask, iterations, tolerance) -> StationaryResult:
-    full = _clamp_and_normalize(full)
+    full[mask] = _gth(matrix[mask][:, mask].toarray())
     residual = float(np.abs(full @ matrix - full).max())
-    if residual > tolerance:
-        raise ConvergenceError(
-            f"residual {residual:.3e} above tolerance {tolerance:.1e}", residual)
-    return StationaryResult(distribution=full, residual=residual,
-                            iterations=iterations, reachable=mask)
+    return _checked(full, residual, mask)
 
 
-def solve(chain, tolerance: float = DEFAULT_TOLERANCE,
-          max_iters: int = DEFAULT_MAX_ITERS,
-          method: str = "auto") -> StationaryResult:
+def _return_map_class(chain) -> tuple[np.ndarray, np.ndarray]:
+    """The slot-0 return map of a queue chain and the chain's closed class
+    as a ``(K + 1, S)`` level-by-slot mask."""
+    frame_map = reduce(np.matmul, chain.blocks)
+    masks = np.zeros((chain.capacity + 1, chain.slotframe_length), dtype=bool)
+    masks[:, 0] = _closed_class(frame_map, 0)
+    for i in range(chain.slotframe_length - 1):
+        masks[:, i + 1] = masks[:, i] @ (chain.blocks[i] > 0)
+    return frame_map, masks
+
+
+def reachable_states(chain) -> np.ndarray:
+    """States of a queue chain in the closed class that the empty-queue
+    start state reaches; every other state carries no stationary mass."""
+    return _return_map_class(chain)[1].ravel()
+
+
+def solve(chain) -> StationaryResult:
     """Stationary distribution of a queue chain.
 
-    ``method``:
-
-    * ``"cycle"`` - power iteration on the slot-0 return map (default path,
-      exploits the block-cyclic slot structure),
-    * ``"power"`` - damped power iteration on the full pruned matrix,
-    * ``"direct"`` - dense solve with the normalization equation,
-    * ``"auto"`` - ``cycle`` with a ``direct`` fallback on non-convergence.
+    Solves the slot-0 return map on its closed class and propagates the
+    result through the per-slot blocks.
     """
-    if method in ("power", "direct"):
-        return solve_matrix(chain.transition_matrix, start=0,
-                            tolerance=tolerance, max_iters=max_iters,
-                            method=method)
-    if method not in ("auto", "cycle"):
-        raise ValueError(f"unknown method {method!r}")
-    matrix = chain.transition_matrix.tocsr()
-    mask = strongly_connected_mask(matrix, start=0)
-    sub = matrix[mask][:, mask]
-    _check_closed(sub)
-    try:
-        full, iterations = _cycle_solve(chain, mask, tolerance, max_iters)
-        return _finalize(matrix, full, mask, iterations, tolerance)
-    except ConvergenceError:
-        if method == "cycle" or sub.shape[0] > _DENSE_LIMIT:
-            raise
-        full = np.zeros(matrix.shape[0])
-        full[mask] = _direct_solve(sub)
-        return _finalize(matrix, full, mask, 0, tolerance)
+    frame_map, masks = _return_map_class(chain)
+    level = masks[:, 0]
+    grid = np.zeros(masks.shape)
+    grid[level, 0] = _gth(frame_map[np.ix_(level, level)])
+    for i in range(chain.slotframe_length - 1):
+        grid[:, i + 1] = grid[:, i] @ chain.blocks[i]
+    grid /= grid.sum()
+    # column i of moved is the mass that slot i passes to slot i + 1
+    moved = np.matmul(grid.T[:, None, :], chain.blocks)[:, 0, :].T
+    residual = float(np.abs(np.roll(moved, 1, axis=1) - grid).max())
+    return _checked(grid.ravel(), residual, masks.ravel())

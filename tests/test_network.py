@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from slotmesh.network import (NetworkModelError, NetworkScenario,
-                              concentric_topology, end_to_end,
-                              evaluate_network, max_depth_nodes, throughput)
+                              concentric_topology, evaluate_network,
+                              max_depth_nodes)
 from slotmesh.schedule import Schedule, Topology, validate
 from slotmesh.schedulers import generate, schedule_orchestra_sbd
 
@@ -31,7 +31,8 @@ def test_root_metrics_are_definitional():
     scenario = NetworkScenario(schedule=sched, topology=topo,
                                generation_rate=0.05, queue_capacity=4)
     result = evaluate_network(scenario)
-    assert end_to_end(result, 0) == (1.0, 0.0)
+    assert result.delivery_ratio[0] == 1.0
+    assert result.delay_slots[0] == 0.0
     assert result.node_metrics[0].acceptance == 1.0
 
 
@@ -45,7 +46,7 @@ def test_perfect_chain_sums_delays():
     scenario = NetworkScenario(schedule=sched, topology=topo,
                                generation_rate=1e-5, queue_capacity=8)
     result = evaluate_network(scenario)
-    r2, d2 = end_to_end(result, 2)
+    r2, d2 = result.delivery_ratio[2], result.delay_slots[2]
     assert r2 == pytest.approx(1.0, abs=1e-6)
     expected = (result.node_metrics[1].expected_delay_slots
                 + result.node_metrics[2].expected_delay_slots)
@@ -62,7 +63,7 @@ def test_flow_conservation_at_low_load():
     result = evaluate_network(scenario)
     assert all(m.acceptance > 0.999 for m in result.node_metrics)
     expected = (topo.node_count - 1) * rate / sched.slot_duration
-    assert throughput(result) == pytest.approx(expected, rel=0.01)
+    assert result.throughput_pps == pytest.approx(expected, rel=0.01)
 
 
 def test_delivery_monotone_along_paths():
@@ -107,6 +108,26 @@ def test_per_link_loss_halves_forwarding():
         0.5 * base.rx_probability[0, 1], rel=1e-12)
     assert lossy.throughput_pps == pytest.approx(0.5 * base.throughput_pps,
                                                  rel=1e-12)
+
+
+def test_saturated_child_couples_with_probability_one():
+    # node 2 is so overloaded that its transmission probability rounds to
+    # one; node 1 then receives a packet in the last slot of every frame,
+    # so its queue is never empty when a frame starts
+    topo = Topology(3, frozenset({(0, 1), (1, 2)}), (None, 0, 1))
+    sched = Schedule(node_count=3, slotframe_length=3,
+                     tx_slots=((), (0,), (2,)), rx_slots=((0,), (2,), ()),
+                     counterpart=({0: 1}, {0: 0, 2: 2}, {2: 1}),
+                     channel=({0: 11}, {0: 11, 2: 11}, {2: 11}))
+    scenario = NetworkScenario(schedule=sched, topology=topo,
+                               generation_rate=5.0, queue_capacity=4)
+    result = evaluate_network(scenario)
+    assert result.rx_probability[1, 2] == 1.0
+    parent = result.node_metrics[1]
+    assert parent.distribution[0] == 0.0  # level 0 at slot 0
+    # 15 generated plus 1 forwarded packet per frame, one sent
+    assert parent.acceptance == pytest.approx(1 / 16, abs=1e-12)
+    assert parent.tx_probability[0] == 1.0
 
 
 def test_schedule_tree_mismatch_rejected():
