@@ -8,11 +8,21 @@ transmission slot if and only if it was already queued at slot begin.
 
 Runs with different seeds are aggregated into means and 95% confidence
 intervals using the normal approximation over per-run means.
+
+Both slot loops draw their random arrivals in blocks of ``_BLOCK`` slots
+and convert each block to Python lists once, so no slot calls numpy. The
+network loop walks a per-block list of ``(node, count)`` generation events
+through a row pointer; the single-queue loop jumps over the slots of a
+block in which its queue is empty and nothing arrives. The random numbers
+drawn, and their order, are those of a plain slot-by-slot loop. Every
+network run checks its packet ledger (``RunCounts.conserved``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,43 +99,52 @@ def _arrival_arrays(rng, traffic, start_slot, count):
 
 def _simulate_queue_run(capacity, slotframe_length, tx_set, traffic, rng,
                         packets, warmup):
-    queue = []  # (arrival_slot, counted)
-    hist = np.zeros(capacity + 1, dtype=np.int64)
+    queue = deque()  # (arrival_slot, counted)
+    hist = [0] * (capacity + 1)
     arrived = accepted = 0
     delays = []
     counted_in_queue = 0
     t = 0
-    buf = np.empty(0, dtype=np.int64)
-    buf_base = 0
+    block_base = -_BLOCK
     while True:
-        if t - buf_base >= len(buf):
+        offset = t - block_base
+        if offset >= _BLOCK:
             buf = _arrival_arrays(rng, traffic, t, _BLOCK)
-            buf_base = t
-        k = int(buf[t - buf_base])
+            block = buf.tolist()
+            busy = np.flatnonzero(buf).tolist()  # offsets with arrivals
+            block_base = t
+            offset = 0
+        if not queue:
+            # Nothing can depart and ``arrived < packets`` holds (else the
+            # run would have ended), so jump to the next arrival of the
+            # block, counting the idle slots after warm-up as level 0.
+            i = bisect_left(busy, offset)
+            idle = (busy[i] if i < len(busy) else _BLOCK) - offset
+            if idle:
+                hist[0] += max(0, t + idle - max(t, warmup))
+                t += idle
+                continue
+        k = block[offset]
         q_start = len(queue)
         counting = t >= warmup and arrived < packets
         if counting:
             hist[q_start] += 1
-        departs = t % slotframe_length in tx_set and q_start > 0
-        if departs:
-            arrival_slot, counted = queue.pop(0)
+        if q_start and t % slotframe_length in tx_set:
+            arrival_slot, counted = queue.popleft()
             if counted:
                 delays.append(t - arrival_slot)
                 counted_in_queue -= 1
         if k:
-            room = capacity - q_start
-            take = min(room, k)
+            take = min(capacity - q_start, k)
             if counting:
                 arrived += k
                 accepted += take
                 counted_in_queue += take
-                queue.extend([(t, True)] * take)
-            else:
-                queue.extend([(t, False)] * take)
+            queue.extend([(t, counting)] * take)
         t += 1
         if arrived >= packets and counted_in_queue == 0:
             break
-    return arrived, accepted, delays, hist
+    return arrived, accepted, delays, np.array(hist, dtype=np.int64)
 
 
 def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
@@ -212,6 +231,19 @@ class NetworkSimStats:
         return MetricSummary.from_runs(self.throughput_pps)
 
 
+def _generation_events(rng, p_gen, n_nodes):
+    """Draw the packet generation of the next ``_BLOCK`` slots.
+
+    The ``(node, count)`` pairs of block slot ``r`` are
+    ``events[row_start[r]:row_start[r + 1]]``, in node order.
+    """
+    counts = rng.poisson(p_gen, size=(_BLOCK, n_nodes - 1))
+    rows, cols = np.nonzero(counts)
+    row_start = np.searchsorted(rows, np.arange(_BLOCK + 1)).tolist()
+    events = list(zip((cols + 1).tolist(), counts[rows, cols].tolist()))
+    return events, row_start
+
+
 def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
                           warmup):
     schedule = scenario.schedule
@@ -232,8 +264,8 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
     tagged = [packets_per_node if n == 0 else 0 for n in range(n_nodes)]
     nodes_left = n_nodes - 1
     outstanding = 0
-    delivered_tracked = np.zeros(n_nodes, dtype=np.int64)
-    delay_sums = np.zeros(n_nodes)
+    delivered_tracked = [0] * n_nodes
+    delay_sums = [0] * n_nodes
     generated = delivered = dropped = link_lost = 0
     sink_window = 0
     window_end = None
@@ -242,14 +274,14 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
     expected_window = int(packets_per_node / p_gen * 20) + 200 * length
     max_slots = warmup + expected_window + 200 * length * capacity * n_nodes
 
-    gen_counts = np.empty((0, 0))
-    gen_base = 0
+    gen_base = -_BLOCK
     t = 0
     while True:
-        if t - gen_base >= len(gen_counts):
-            gen_counts = rng.poisson(p_gen, size=(_BLOCK, n_nodes - 1))
+        r = t - gen_base
+        if r >= _BLOCK:
+            events, row_start = _generation_events(rng, p_gen, n_nodes)
             gen_base = t
-        row = gen_counts[t - gen_base]
+            r = 0
         slot = t % length
 
         inbound = []
@@ -277,12 +309,9 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
 
         arrivals = {}
         tagging = t >= warmup and nodes_left > 0
-        nz = np.nonzero(row)[0] if row.any() else ()
-        for j in nz:
-            n = int(j) + 1
-            count = int(row[j])
+        for n, count in events[row_start[r]:row_start[r + 1]]:
             generated += count
-            bucket = arrivals.setdefault(n, [])
+            bucket = arrivals[n] = []
             for _ in range(count):
                 if tagging and tagged[n] < packets_per_node:
                     tagged[n] += 1
@@ -300,7 +329,9 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
         for n, bucket in arrivals.items():
             room = capacity - (len(queues[n]) + popped.get(n, 0))
             if len(bucket) > room:
-                rng.shuffle(bucket)
+                # a one-packet shuffle draws no random numbers: skip it
+                if len(bucket) > 1:
+                    rng.shuffle(bucket)
                 for packet in bucket[room:]:
                     dropped += 1
                     if packet[2] >= 0:
@@ -316,19 +347,22 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
                 f"network simulation did not resolve tracked packets within "
                 f"{max_slots} slots")
 
+    counts = RunCounts(generated=generated, delivered=delivered,
+                       dropped=dropped, link_lost=link_lost,
+                       residual=sum(len(q) for q in queues))
+    if not counts.conserved():
+        raise SimulationError(f"packet ledger does not balance: {counts}")
     if window_end is None:
         window_end = t
     window_slots = max(window_end - warmup, 1)
     throughput = sink_window / (window_slots * schedule.slot_duration)
-    residual = sum(len(q) for q in queues)
+    delivered_tracked = np.array(delivered_tracked)
     pdr = delivered_tracked / packets_per_node
     pdr[0] = 1.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        delay = np.where(delivered_tracked > 0, delay_sums / delivered_tracked,
-                         math.nan)
+        delay = np.where(delivered_tracked > 0,
+                         np.array(delay_sums) / delivered_tracked, math.nan)
     delay[0] = 0.0
-    counts = RunCounts(generated=generated, delivered=delivered,
-                       dropped=dropped, link_lost=link_lost, residual=residual)
     return pdr, delay, throughput, counts
 
 
