@@ -13,8 +13,13 @@ The slot index only ever advances from ``i`` to ``i + 1``, so the chain is
 stored as its S per-slot ``(K + 1) x (K + 1)`` blocks: block ``i`` holds
 the probabilities of moving from level ``q`` in slot ``i`` to each level
 in slot ``i + 1``. The blocks and the per-node metrics are all computed
-from one ``(S, K + 1)`` table of arrival probabilities. The flattened
-sparse ``transition_matrix`` is derived from the blocks on first use.
+from one ``(S, K + 1)`` table of arrival probabilities. Its Poisson terms
+are ``exp(k log(lambda) - log(k!) - lambda)`` in numpy, with ``log(k!)``
+from one cumulative sum of logarithms and the ``k = 0`` term taken as
+``exp(-lambda)`` so that a zero rate gives exactly one and zeros. The
+flattened sparse ``transition_matrix`` is derived from the blocks on first
+use; it and ``arrival_tail`` are the only users of scipy, which they
+import when called.
 
 For a slotframe of length one with a single transmission slot the chain
 reduces exactly to an M/D/1/K queue.
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse, special
 
 from . import stationary
 
@@ -71,13 +75,18 @@ class TrafficSpec:
 def _arrival_table(poisson_rate, bernoulli_prob, count: int) -> np.ndarray:
     """Probabilities of k = 0..count-1 arrivals, one row per slot.
 
-    The Poisson terms use the formula of ``scipy.stats.poisson.pmf``; the
-    Bernoulli packet shifts the Poisson part up by one.
+    The Bernoulli packet shifts the Poisson part up by one.
     """
     lam = np.asarray(poisson_rate, dtype=float)[:, None]
     p = np.asarray(bernoulli_prob, dtype=float)[:, None]
     k = np.arange(count)
-    poisson = np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
+    log_factorial = np.zeros(count)
+    np.cumsum(np.log(k[1:]), out=log_factorial[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log(0) = -inf: k log(0) is -inf for k > 0 and nan for k = 0
+        exponent = k * np.log(lam)
+    exponent[:, 0] = 0.0
+    poisson = np.exp(exponent - log_factorial - lam)
     shifted = np.zeros_like(poisson)
     shifted[:, 1:] = poisson[:, :-1]
     return (1.0 - p) * poisson + p * shifted
@@ -98,6 +107,8 @@ def arrival_tail(traffic: TrafficSpec, slot: int, k: int) -> float:
         raise ModelError("k must be non-negative")
     if k == 0:
         return 1.0
+    from scipy import special
+
     lam = traffic.poisson_rate[slot]
     p = traffic.bernoulli_prob[slot]
     # pdtrc(j, lam) is P[Y > j] for the Poisson part; P[Y >= 0] is one
@@ -156,9 +167,11 @@ class QueueChain:
         return q * self.slotframe_length + i
 
     @cached_property
-    def transition_matrix(self) -> sparse.csr_matrix:
-        """The blocks as one sparse matrix over states flattened as
-        ``j = q * S + i``; zero probabilities are not stored."""
+    def transition_matrix(self):
+        """The blocks as one ``scipy.sparse.csr_matrix`` over states
+        flattened as ``j = q * S + i``; zero probabilities are not stored."""
+        from scipy import sparse
+
         length = self.slotframe_length
         slot, q, target = np.nonzero(self.blocks)
         rows = q * length + slot

@@ -40,19 +40,6 @@ class DescendantInfo:
     child_counts: tuple[dict[int, int], ...]
 
 
-class BlockTable:
-    """Per-node, per-slot sets of channels blocked by nearby allocations."""
-
-    def __init__(self, node_count: int):
-        self._blocked = [dict() for _ in range(node_count)]
-
-    def block(self, node: int, slot: int, channel: int):
-        self._blocked[node].setdefault(slot, set()).add(channel)
-
-    def blocked(self, node: int, slot: int) -> frozenset:
-        return frozenset(self._blocked[node].get(slot, ()))
-
-
 class _MessageQueue:
     """FIFO message transport shared by the distributed algorithms."""
 
@@ -233,12 +220,12 @@ def schedule_ta_multi(topology: Topology, descendants: DescendantInfo | None = N
     busy = [set() for _ in range(n_nodes)]  # slots in tx or rx of the node
     counterpart = [dict() for _ in range(n_nodes)]
     channel = [dict() for _ in range(n_nodes)]
-    blocked = BlockTable(n_nodes)
+    blocked = [dict() for _ in range(n_nodes)]  # slot -> channels blocked
     next_child = [0] * n_nodes
     queue = _MessageQueue(trace)
 
     def pick_channel(n, i):
-        taken = blocked.blocked(n, i)
+        taken = blocked[n].get(i, ())
         for c in channels:
             if c not in taken:
                 return c
@@ -287,7 +274,7 @@ def schedule_ta_multi(topology: Topology, descendants: DescendantInfo | None = N
                     queue.send("block", n, v, (i, c, True))
         elif kind == "block":
             i, c, forward = payload
-            blocked.block(n, i, c)
+            blocked[n].setdefault(i, set()).add(c)
             if forward and n != topology.ROOT:
                 queue.send("block", n, topology.parents[n], (i, c, False))
 

@@ -18,6 +18,18 @@ per-slot blocks, which is just ``(K + 1) x (K + 1)``. :func:`solve`
 solves ``c F = c`` on the closed class of ``F`` and propagates ``c``
 through the blocks to the other slots. Every answer is checked against
 ``max |c P - c| <= RESIDUAL_BOUND``.
+
+The closed class is found by a dense boolean reachability search on the
+return map, whose rows are held as Python ints used as bitsets: reach
+forward from the start; while some reached state cannot get back to the
+current state, move to that state, which strictly shrinks the reached
+set; then check that every state the start reaches can reach the class
+found. Backward searches never leave the reached set. The return map has
+at most a few hundred rows, so this beats building a sparse graph. Every
+non-zero entry counts as an edge, however small: a Poisson term of 1e-300
+is still a possible transition, and treating it as missing could make a
+recurrent state look transient and drop its mass. GTH has no trouble with
+such entries.
 """
 
 from __future__ import annotations
@@ -26,8 +38,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 RESIDUAL_BOUND = 1e-10
 
@@ -53,27 +63,45 @@ class StationaryResult:
         return int(self.reachable.sum())
 
 
-def _closed_class(matrix, start: int) -> np.ndarray:
-    """Mask of the unique closed class reachable from ``start``.
+def _bitsets(edges: np.ndarray) -> list[int]:
+    """Row ``i`` of a boolean matrix as an int with bit ``j`` set for each
+    edge ``i -> j``."""
+    packed = np.packbits(edges, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    Edges are the non-zero entries. ``matrix`` goes to csgraph as a sparse
-    matrix because csgraph drops dense entries up to 1e-8 as missing edges.
-    """
-    graph = sparse.csr_matrix(matrix) != 0
-    count, labels = csgraph.connected_components(graph, directed=True,
-                                                 connection="strong")
-    rows, cols = graph.nonzero()
-    escapes = np.zeros(count, dtype=bool)
-    escapes[labels[rows[labels[rows] != labels[cols]]]] = True
-    reached = csgraph.breadth_first_order(graph, start, directed=True,
-                                          return_predecessors=False)
-    closed = np.unique(labels[reached])
-    closed = closed[~escapes[closed]]
-    if closed.size != 1:
+
+def _reach(rows: list[int], sources: int, within: int) -> int:
+    """Bitset of the states in ``within`` that ``sources`` reach along
+    ``rows``, the sources included."""
+    reached = todo = sources
+    while todo:
+        state = todo & -todo
+        todo ^= state
+        new = rows[state.bit_length() - 1] & within & ~reached
+        reached |= new
+        todo |= new
+    return reached
+
+
+def _closed_class(matrix: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the unique closed class reachable from ``start``; every
+    non-zero entry of the dense ``matrix`` is an edge."""
+    edges = matrix != 0
+    n = len(edges)
+    forward, backward = _bitsets(edges), _bitsets(edges.T)
+    node = 1 << start
+    reached = _reach(forward, node, (1 << n) - 1)
+    found = reached
+    # move to a reached state that cannot return to the current node
+    while stuck := found & ~_reach(backward, node, found):
+        node = stuck & -stuck
+        found = _reach(forward, node, found)
+    if _reach(backward, found, reached) != reached:
         raise StationaryError(
-            f"state {start} reaches {closed.size} closed classes; the "
+            f"state {start} reaches more than one closed class; the "
             f"stationary distribution is not unique")
-    return labels == closed[0]
+    bits = np.frombuffer(found.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(bits, count=n, bitorder="little").astype(bool)
 
 
 def _gth(dense: np.ndarray) -> np.ndarray:
@@ -105,11 +133,11 @@ def _checked(distribution, residual, reachable) -> StationaryResult:
 def solve_matrix(matrix, start: int = 0) -> StationaryResult:
     """Stationary distribution of an arbitrary sparse chain, supported on
     the closed class that ``start`` reaches."""
-    matrix = sparse.csr_matrix(matrix)
-    mask = _closed_class(matrix, start)
-    full = np.zeros(matrix.shape[0])
-    full[mask] = _gth(matrix[mask][:, mask].toarray())
-    residual = float(np.abs(full @ matrix - full).max())
+    dense = matrix.toarray()
+    mask = _closed_class(dense, start)
+    full = np.zeros(len(dense))
+    full[mask] = _gth(dense[np.ix_(mask, mask)])
+    residual = float(np.abs(full @ dense - full).max())
     return _checked(full, residual, mask)
 
 

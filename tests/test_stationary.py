@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import null_space
+from scipy.sparse import csgraph
 
 from conftest import chain_cases
 from slotmesh import stationary
@@ -182,3 +184,57 @@ def test_critical_load_large_capacity():
     want = acceptance_probability(chain, grid.ravel() / length)
     assert acceptance_probability(chain, res.distribution) == pytest.approx(
         want, abs=1e-8)
+
+
+def csgraph_closed_classes(matrix, start):
+    """Reference: the closed classes reached from ``start``, as masks, from
+    scipy's strong components; a class is closed when no edge leaves it."""
+    graph = sparse.csr_matrix(matrix != 0)
+    _, labels = csgraph.connected_components(graph, directed=True,
+                                             connection="strong")
+    rows, cols = graph.nonzero()
+    open_labels = set(labels[rows[labels[rows] != labels[cols]]])
+    reached = csgraph.breadth_first_order(graph, start, directed=True,
+                                          return_predecessors=False)
+    return [labels == label for label in sorted(set(labels[reached]))
+            if label not in open_labels]
+
+
+@st.composite
+def stochastic_matrices(draw):
+    """Row-stochastic matrices with random zero patterns, some entries down
+    to 1e-12, and a random start state."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    # few edges per row make several closed classes likely
+    width = draw(st.integers(min_value=1, max_value=n))
+    weight = st.one_of(st.just(1e-12),
+                       st.floats(min_value=1e-12, max_value=1.0))
+    matrix = np.zeros((n, n))
+    for row in matrix:
+        for j in draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                               max_size=width, unique=True)):
+            row[j] = draw(weight)
+    empty = matrix.sum(axis=1) == 0.0
+    matrix[empty, np.flatnonzero(empty)] = 1.0  # an empty row absorbs
+    start = draw(st.integers(min_value=0, max_value=n - 1))
+    return matrix / matrix.sum(axis=1, keepdims=True), start
+
+
+@given(stochastic_matrices())
+@example((np.array([[0.0, 1.0, 0.0],
+                    [0.0, 0.0, 1.0],
+                    [0.0, 1.0, 0.0]]), 0))  # the start is transient
+@example((np.array([[0.5, 0.5 - 1e-12, 1e-12],
+                    [0.0, 1.0, 0.0],
+                    [0.0, 0.0, 1.0]]), 0))  # two absorbing states
+@settings(max_examples=300, deadline=None)
+def test_closed_class_matches_csgraph(case):
+    matrix, start = case
+    classes = csgraph_closed_classes(matrix, start)
+    if len(classes) > 1:
+        with pytest.raises(StationaryError, match="closed class"):
+            solve_matrix(sparse.csr_matrix(matrix), start=start)
+        return
+    res = solve_matrix(sparse.csr_matrix(matrix), start=start)
+    assert np.array_equal(res.reachable, classes[0])
+    assert np.all(res.distribution[~classes[0]] == 0.0)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slotmesh
-from slotmesh.queuemodel import (ModelError, TrafficSpec, arrival_pmf,
-                                 arrival_tail, expected_arrivals_per_slotframe)
+from slotmesh.queuemodel import (ModelError, TrafficSpec, _arrival_table,
+                                 arrival_pmf, arrival_tail,
+                                 expected_arrivals_per_slotframe)
 
 
 def test_spec_validation():
@@ -100,12 +102,45 @@ def test_expected_arrivals_matches_sampling():
     assert abs(expected_arrivals_per_slotframe(spec) - totals.mean()) < 3 * se
 
 
+_SCIPY_PROBE = """
+import sys, slotmesh
+print('scipy.stats' in sys.modules)
+topology = slotmesh.concentric_topology(1)
+schedule = slotmesh.generate("ta-mc", topology)
+scenario = slotmesh.NetworkScenario(schedule=schedule, topology=topology,
+                                    generation_rate=0.01, queue_capacity=8)
+for variant in ("full", "distributed", "md1k"):
+    slotmesh.evaluate_network(scenario, variant=variant)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of a second to import and the arrival layer
-    # only needs scipy.special
+    # scipy takes about half a second to import; the evaluation path
+    # (build_chain, the stationary solve and the metrics) needs only numpy
     src = str(Path(slotmesh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, slotmesh; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert out.stdout.split() == ["False", "[]"]
+
+
+def _lgamma_poisson(lam, k):
+    if lam == 0.0:
+        return 1.0 if k == 0 else 0.0
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 16, 512])
+def test_arrival_table_matches_lgamma_reference(capacity):
+    rates = (0.0, 1e-6, 0.05, 1.0, 16.0, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _arrival_table(rates, (0.0,) * len(rates), capacity + 1)
+    for lam, row in zip(rates, table):
+        want = np.array([_lgamma_poisson(lam, k) for k in range(capacity + 1)])
+        large = want > 1e-250
+        assert np.all(np.abs(row[large] - want[large]) <= 1e-10 * want[large])
+        assert np.all(row[~large] <= 2e-250)
+    assert table[0, 0] == 1.0 and np.all(table[0, 1:] == 0.0)
