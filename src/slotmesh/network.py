@@ -11,12 +11,12 @@ iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .queuemodel import NodeMetrics, TrafficSpec, evaluate_node, \
-    expected_arrivals_per_slotframe, ModelError
+from .queuemodel import NodeMetrics, TrafficSpec, \
+    expected_arrivals_per_slotframe, model_variant, ModelError
 from .schedule import Schedule, Topology, validate
 from .stationary import StationaryError
 
@@ -97,9 +97,9 @@ def evaluate_network(scenario: NetworkScenario, *,
 
     The schedule must validate against the topology and every non-root
     transmission must point at the routing parent. ``variant`` selects the
-    per-node model: the ``distributed`` approximation folds each node's
-    total load into uniform Poisson traffic; ``md1k`` is only meaningful
-    without forwarding and therefore restricted to single-hop trees.
+    per-node model of :func:`~slotmesh.queuemodel.model_variant`; ``md1k``
+    has no slot structure to carry forwarded traffic and is therefore
+    restricted to single-hop trees.
     """
     schedule = scenario.schedule
     topology = scenario.topology
@@ -141,27 +141,12 @@ def evaluate_network(scenario: NetworkScenario, *,
             continue
         rates = (scenario.generation_rate,) * length
         traffic = TrafficSpec(rates, tuple(rx_prob[n]))
-        offered = expected_arrivals_per_slotframe(traffic)
-        if offered > 0 and not schedule.tx_slots[n]:
+        if not schedule.tx_slots[n] and expected_arrivals_per_slotframe(traffic) > 0:
             raise NetworkModelError(
                 f"node {n} offers traffic but has no transmission slots")
-        if variant == "distributed":
-            traffic = TrafficSpec.constant(length, rate=offered / length)
         try:
-            if variant == "md1k" and schedule.tx_slots[n]:
-                node = evaluate_node(capacity, 1, (0,),
-                                     TrafficSpec((offered,), (0.0,)))
-                tx_per_frame = node.tx_probability[0]
-                # one step of the collapsed model is a whole slotframe:
-                # rescale its delay to slots and spread the per-frame
-                # transmission probability over the node's real slots
-                metrics[n] = replace(
-                    node, expected_delay_slots=node.expected_delay_slots * length)
-                for i in schedule.tx_slots[n]:
-                    tx_prob[n, i] = tx_per_frame / len(schedule.tx_slots[n])
-                continue
-            metrics[n] = evaluate_node(capacity, length, schedule.tx_slots[n],
-                                       traffic)
+            metrics[n] = model_variant(variant, capacity, length,
+                                       schedule.tx_slots[n], traffic)
         except (ModelError, StationaryError) as exc:
             raise NetworkModelError(f"node {n}: {exc}") from exc
         tx_prob[n] = metrics[n].tx_probability

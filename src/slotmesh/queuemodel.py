@@ -17,9 +17,7 @@ from one ``(S, K + 1)`` table of arrival probabilities. Its Poisson terms
 are ``exp(k log(lambda) - log(k!) - lambda)`` in numpy, with ``log(k!)``
 from one cumulative sum of logarithms and the ``k = 0`` term taken as
 ``exp(-lambda)`` so that a zero rate gives exactly one and zeros. The
-flattened sparse ``transition_matrix`` is derived from the blocks on first
-use; it and ``arrival_tail`` are the only users of scipy, which they
-import when called.
+blocks are the only form of the chain, and numpy is all it needs.
 
 For a slotframe of length one with a single transmission slot the chain
 reduces exactly to an M/D/1/K queue.
@@ -28,8 +26,7 @@ reduces exactly to an M/D/1/K queue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,18 +99,13 @@ def arrival_pmf(traffic: TrafficSpec, slot: int, k: int) -> float:
 
 
 def arrival_tail(traffic: TrafficSpec, slot: int, k: int) -> float:
-    """Probability of at least ``k`` packets arriving during ``slot``."""
+    """Probability of at least ``k`` packets arriving during ``slot``, as
+    the complement of the head that the chain's blocks use."""
     if k < 0:
         raise ModelError("k must be non-negative")
-    if k == 0:
-        return 1.0
-    from scipy import special
-
-    lam = traffic.poisson_rate[slot]
-    p = traffic.bernoulli_prob[slot]
-    # pdtrc(j, lam) is P[Y > j] for the Poisson part; P[Y >= 0] is one
-    forwarded = special.pdtrc(k - 2, lam) if k >= 2 else 1.0
-    return float((1.0 - p) * special.pdtrc(k - 1, lam) + p * forwarded)
+    table = _arrival_table([traffic.poisson_rate[slot]],
+                           [traffic.bernoulli_prob[slot]], k + 1)
+    return float(_tails(table)[0, k])
 
 
 def expected_arrivals_per_slotframe(traffic: TrafficSpec) -> float:
@@ -139,7 +131,10 @@ def _tails(arrivals: np.ndarray) -> np.ndarray:
 def _departures(length: int, tx_slots) -> np.ndarray:
     """One on the transmission slots, zero elsewhere."""
     tau = np.zeros(length, dtype=int)
-    tau[list(tx_slots)] = 1
+    for s in tx_slots:
+        if not 0 <= s < length:
+            raise ModelError(f"tx slot {s} outside [0, {length})")
+        tau[s] = 1
     return tau
 
 
@@ -166,20 +161,6 @@ class QueueChain:
     def state_index(self, q: int, i: int) -> int:
         return q * self.slotframe_length + i
 
-    @cached_property
-    def transition_matrix(self):
-        """The blocks as one ``scipy.sparse.csr_matrix`` over states
-        flattened as ``j = q * S + i``; zero probabilities are not stored."""
-        from scipy import sparse
-
-        length = self.slotframe_length
-        slot, q, target = np.nonzero(self.blocks)
-        rows = q * length + slot
-        cols = target * length + (slot + 1) % length
-        n = self.n_states
-        return sparse.csr_matrix((self.blocks[slot, q, target], (rows, cols)),
-                                 shape=(n, n), dtype=float)
-
 
 def build_chain(capacity: int, slotframe_length: int, tx_slots,
                 traffic: TrafficSpec) -> QueueChain:
@@ -196,15 +177,12 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     if slotframe_length < 1:
         raise ModelError("slotframe_length must be at least 1")
     tx = tuple(sorted(set(tx_slots)))
-    for s in tx:
-        if not 0 <= s < slotframe_length:
-            raise ModelError(f"tx slot {s} outside [0, {slotframe_length})")
+    tau = _departures(slotframe_length, tx)
     if traffic.slots != slotframe_length:
         raise ModelError("traffic spec length must equal the slotframe length")
     arrivals = _arrival_table(traffic.poisson_rate, traffic.bernoulli_prob,
                               capacity + 1)
     tails = _tails(arrivals)
-    tau = _departures(slotframe_length, tx)
     q = np.arange(capacity + 1)
     room = capacity - q
     blocks = np.zeros((slotframe_length, capacity + 1, capacity + 1))
@@ -344,16 +322,24 @@ def model_variant(variant: str, capacity: int, slotframe_length: int,
     ``full`` uses the slot-resolved traffic as given. ``distributed`` keeps
     the real transmission slots but spreads the same total load uniformly
     over all slots as pure Poisson traffic. ``md1k`` additionally collapses
-    the slotframe to a single transmission slot, so one model step
-    corresponds to a whole slotframe of the original schedule.
+    the slotframe to a single transmission slot, one model step per
+    slotframe. Every variant reports its metrics in slots of the real
+    schedule: the ``md1k`` delay is scaled by the slotframe length and its
+    per-slotframe transmission probability is spread evenly over the
+    node's transmission slots. A node without transmission slots has no
+    slotframe to collapse and is evaluated as ``distributed``.
     """
     if variant not in VARIANTS:
         raise ModelError(f"unknown variant {variant!r} (expected one of {VARIANTS})")
     if variant == "full":
         return evaluate_node(capacity, slotframe_length, tx_slots, traffic)
     offered = expected_arrivals_per_slotframe(traffic)
-    if variant == "distributed":
+    if variant == "distributed" or not tx_slots:
         uniform = TrafficSpec.constant(slotframe_length,
                                        rate=offered / slotframe_length)
         return evaluate_node(capacity, slotframe_length, tx_slots, uniform)
-    return evaluate_node(capacity, 1, (0,), TrafficSpec((offered,), (0.0,)))
+    node = evaluate_node(capacity, 1, (0,), TrafficSpec((offered,), (0.0,)))
+    tau = _departures(slotframe_length, tx_slots)
+    return replace(
+        node, tx_probability=tau * (node.tx_probability[0] / tau.sum()),
+        expected_delay_slots=node.expected_delay_slots * slotframe_length)

@@ -181,14 +181,11 @@ class Topology:
 class ConflictReport:
     """Result of validating a schedule against a topology.
 
-    ``active_links`` and ``disturbing_union`` only list slots with at least
-    one active link. ``channel_collisions`` holds one entry per unordered
-    pair of mutually disturbing links that share slot and channel.
+    ``channel_collisions`` holds one entry per unordered pair of mutually
+    disturbing links that share slot and channel; :func:`disturbing_links`
+    answers which links can disturb a given one.
     """
 
-    active_links: dict[int, frozenset[Link]]
-    disturbing: dict[tuple[int, Link], frozenset[Link]]
-    disturbing_union: dict[int, frozenset[Link]]
     channel_collisions: tuple[tuple[int, Link, Link], ...]
     invariant_violations: tuple[str, ...]
 
@@ -275,22 +272,9 @@ def validate(schedule: Schedule, topology: Topology) -> ConflictReport:
             if i not in set(schedule.tx_slots[m]) or schedule.counterpart[m].get(i) != n:
                 violations.append(f"link_consistency: node {n} rx slot {i} <- {m}")
 
-    per_slot = {}
-    disturbing = {}
-    union = {}
     collisions = []
     for slot in range(schedule.slotframe_length):
-        links = active_links(schedule, slot)
-        if not links:
-            continue
-        per_slot[slot] = frozenset(links)
-        u = set()
-        ordered = sorted(links)
-        for l1 in ordered:
-            d = {l2 for l2 in links if l2 != l1 and _disturbs(topology, l1, l2)}
-            disturbing[(slot, l1)] = frozenset(d)
-            u |= d
-        union[slot] = frozenset(u)
+        ordered = sorted(active_links(schedule, slot))
         for a, l1 in enumerate(ordered):
             for l2 in ordered[a + 1:]:
                 if not _disturbs(topology, l1, l2):
@@ -298,9 +282,6 @@ def validate(schedule: Schedule, topology: Topology) -> ConflictReport:
                 if schedule.channel[l1[0]][slot] == schedule.channel[l2[0]][slot]:
                     collisions.append((slot, l1, l2))
     return ConflictReport(
-        active_links=per_slot,
-        disturbing=disturbing,
-        disturbing_union=union,
         channel_collisions=tuple(collisions),
         invariant_violations=tuple(violations),
     )

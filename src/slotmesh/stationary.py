@@ -58,10 +58,6 @@ class StationaryResult:
     residual: float
     reachable: np.ndarray
 
-    @property
-    def reachable_count(self) -> int:
-        return int(self.reachable.sum())
-
 
 def _bitsets(edges: np.ndarray) -> list[int]:
     """Row ``i`` of a boolean matrix as an int with bit ``j`` set for each
@@ -131,9 +127,10 @@ def _checked(distribution, residual, reachable) -> StationaryResult:
 
 
 def solve_matrix(matrix, start: int = 0) -> StationaryResult:
-    """Stationary distribution of an arbitrary sparse chain, supported on
-    the closed class that ``start`` reaches."""
-    dense = matrix.toarray()
+    """Stationary distribution of an arbitrary chain, given as a dense
+    row-stochastic matrix, supported on the closed class that ``start``
+    reaches."""
+    dense = np.asarray(matrix, dtype=float)
     mask = _closed_class(dense, start)
     full = np.zeros(len(dense))
     full[mask] = _gth(dense[np.ix_(mask, mask)])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from slotmesh.queuemodel import TrafficSpec
@@ -40,3 +41,13 @@ def chain_cases():
                                       (0.3, 0.0, 0.6, 0.0, 0.0, 0.2))),
     ]
     return cases
+
+
+def dense_matrix(chain):
+    """The chain's blocks as one dense matrix over the states flattened as
+    ``q * S + i``; block ``i`` maps slot ``i`` to slot ``i + 1``."""
+    length = chain.slotframe_length
+    matrix = np.zeros((chain.n_states, chain.n_states))
+    for i, block in enumerate(chain.blocks):
+        matrix[i::length, (i + 1) % length::length] = block
+    return matrix

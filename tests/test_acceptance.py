@@ -18,7 +18,7 @@ from slotmesh.queuemodel import (TrafficSpec, build_chain, evaluate_node,
 from slotmesh.schedule import active_links, validate
 from slotmesh.schedulers import generate, proper_descendants
 from slotmesh.simulate import SimConfig, simulate_network, simulate_queue
-from slotmesh.stationary import reachable_states, solve, solve_matrix
+from slotmesh.stationary import reachable_states, solve
 
 
 def criterion(label):
@@ -243,7 +243,7 @@ def test_expected_arrivals_identity():
 
 @criterion("criterion 9: reducible chains prune exactly and solvers agree")
 def test_reducible_chain_and_solver_agreement():
-    from conftest import chain_cases
+    from conftest import chain_cases, dense_matrix
     from test_stationary import dense_null_space_oracle
 
     # forwarding in slot 0 straight into a transmission slot: a packet can
@@ -257,7 +257,7 @@ def test_reducible_chain_and_solver_agreement():
 
     for capacity, length, tx, spec in chain_cases():
         c = build_chain(capacity, length, tx, spec)
-        oracle = dense_null_space_oracle(c.transition_matrix, reachable_states(c))
+        oracle = dense_null_space_oracle(dense_matrix(c), reachable_states(c))
         solved = solve(c)
         assert np.abs(solved.distribution - oracle).max() <= 1e-8
         assert solved.residual <= 1e-10

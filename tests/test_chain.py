@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chain_cases
+from conftest import chain_cases, dense_matrix
 from slotmesh.queuemodel import ModelError, TrafficSpec, arrival_pmf, build_chain
 
 
 def _row_sums(chain):
-    return np.asarray(chain.transition_matrix.sum(axis=1)).ravel()
+    return dense_matrix(chain).sum(axis=1)
 
 
 def test_rows_sum_to_one():
@@ -20,27 +20,27 @@ def test_rows_sum_to_one():
 
 def test_transitions_only_to_next_slot():
     chain = build_chain(3, 5, (1, 4), TrafficSpec.constant(5, rate=0.4))
-    coo = chain.transition_matrix.tocoo()
-    for j, k in zip(coo.row, coo.col):
+    for j, k in zip(*np.nonzero(dense_matrix(chain))):
         assert k % 5 == (j % 5 + 1) % 5
 
 
 def test_full_queue_single_transition():
     chain = build_chain(4, 3, (1,), TrafficSpec.constant(3, rate=0.7, prob=0.2))
-    matrix = chain.transition_matrix
+    matrix = dense_matrix(chain)
     for i in range(3):
-        row = matrix.getrow(chain.state_index(4, i))
-        assert row.nnz == 1
-        assert row.data[0] == pytest.approx(1.0, abs=0)
+        row = matrix[chain.state_index(4, i)]
+        assert np.count_nonzero(row) == 1
+        target = np.flatnonzero(row)[0]
+        assert row[target] == pytest.approx(1.0, abs=0)
         target_q = 3 if i == 1 else 4
-        assert row.indices[0] == chain.state_index(target_q, (i + 1) % 3)
+        assert target == chain.state_index(target_q, (i + 1) % 3)
 
 
 def test_md1k_structure():
     # a one-slot frame with a transmission slot is exactly M/D/1/K
     lam = 0.8
     chain = build_chain(3, 1, (0,), TrafficSpec((lam,), (0.0,)))
-    p = chain.transition_matrix.toarray()
+    p = dense_matrix(chain)
     pmf = [math.exp(-lam) * lam ** k / math.factorial(k) for k in range(5)]
     # from the empty queue: k arrivals, no departure possible
     assert p[0, 0] == pytest.approx(pmf[0], abs=1e-12)
@@ -57,7 +57,7 @@ def test_md1k_structure():
 def test_five_slot_state_graph_support():
     # anchor transitions of the two-transmission-slot example
     chain = build_chain(2, 5, (1, 4), TrafficSpec.constant(5, rate=0.3))
-    p = chain.transition_matrix.toarray()
+    p = dense_matrix(chain)
     idx = chain.state_index
 
     def targets(q, i):
@@ -79,7 +79,7 @@ def test_five_slot_state_graph_support():
 
 def test_no_traffic_stays_empty():
     chain = build_chain(3, 4, (2,), TrafficSpec.constant(4))
-    p = chain.transition_matrix.toarray()
+    p = dense_matrix(chain)
     for i in range(4):
         row = p[chain.state_index(0, i)]
         assert row[chain.state_index(0, (i + 1) % 4)] == 1.0
@@ -107,7 +107,6 @@ def test_random_chains_are_stochastic(capacity, length, data):
                         TrafficSpec(tuple(rates), tuple(probs)))
     sums = _row_sums(chain)
     assert np.abs(sums - 1.0).max() < 1e-12
-    assert chain.transition_matrix.data.min() > 0
 
 
 def _scalar_blocks(capacity, length, tx, traffic):
@@ -140,10 +139,9 @@ def test_blocks_match_scalar_reference(capacity, length, data):
     chain = build_chain(capacity, length, tx, traffic)
     reference = _scalar_blocks(capacity, length, tx, traffic)
     assert np.abs(chain.blocks - reference).max() <= 1e-12
-    matrix = chain.transition_matrix.tocoo()
-    assert matrix.data.min() > 0
-    assert np.all(matrix.col % length == (matrix.row % length + 1) % length)
-    dense = matrix.toarray()
+    dense = dense_matrix(chain)
+    rows, cols = np.nonzero(dense)
+    assert np.all(cols % length == (rows % length + 1) % length)
     for i in range(length):
         block = dense[i::length, (i + 1) % length::length]
         assert np.abs(block - reference[i]).max() <= 1e-12

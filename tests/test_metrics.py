@@ -192,6 +192,9 @@ def test_variants_share_offered_load():
     for metrics in results.values():
         assert metrics.total_arrivals == pytest.approx(1.0, abs=1e-12)
     assert results["distributed"].acceptance <= results["full"].acceptance + 1e-12
+    uniform = evaluate_node(5, 5, (3,), TrafficSpec.constant(5, rate=0.2))
+    assert results["distributed"].acceptance == pytest.approx(uniform.acceptance,
+                                                              rel=1e-12)
 
 
 def test_md1k_variant_collapses_schedule():
@@ -201,6 +204,18 @@ def test_md1k_variant_collapses_schedule():
     assert collapsed.acceptance == pytest.approx(direct.acceptance, abs=1e-12)
     assert collapsed.queue_marginals == pytest.approx(direct.queue_marginals,
                                                       abs=1e-12)
+    # without a transmission slot there is no frame to collapse
+    idle = model_variant("md1k", 4, 5, (), TrafficSpec.constant(5))
+    assert np.array_equal(idle.tx_probability, np.zeros(5))
+    assert idle.queue_marginals[0] == 1.0 and idle.acceptance == 1.0
+
+
+@pytest.mark.parametrize("variant", ["md1k", "distributed", "full"])
+def test_variant_rejects_tx_slot_outside_frame(variant):
+    traffic = TrafficSpec.constant(5, rate=0.1)
+    for tx in ((5,), (-1,)):
+        with pytest.raises(ModelError, match="outside"):
+            model_variant(variant, 3, 5, tx, traffic)
 
 
 def test_unknown_variant_rejected():

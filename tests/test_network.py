@@ -4,6 +4,8 @@ import pytest
 from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network,
                               max_depth_nodes)
+from slotmesh.queuemodel import (TrafficSpec, evaluate_node,
+                                 expected_arrivals_per_slotframe)
 from slotmesh.schedule import Schedule, Topology, validate
 from slotmesh.schedulers import generate, schedule_orchestra_sbd
 
@@ -172,6 +174,71 @@ def test_md1k_variant_restricted_to_single_hop():
                                generation_rate=0.01, queue_capacity=4)
     with pytest.raises(NetworkModelError):
         evaluate_network(scenario, variant="md1k")
+
+
+def _uneven_star_schedule():
+    # one slot per node on a single channel, nodes 1 and 3 get a second one
+    tx = {1: (1, 7), 2: (2,), 3: (3, 8), 4: (4,), 5: (5,), 6: (6,)}
+    return Schedule(node_count=7, slotframe_length=9,
+                    tx_slots=((),) + tuple(tx[n] for n in range(1, 7)),
+                    rx_slots=(tuple(range(1, 9)),) + ((),) * 6,
+                    counterpart=({i: n for n in tx for i in tx[n]},)
+                    + tuple({i: 0 for i in tx[n]} for n in range(1, 7)),
+                    channel=({i: 11 for i in range(1, 9)},)
+                    + tuple({i: 11 for i in tx[n]} for n in range(1, 7)))
+
+
+@pytest.mark.parametrize("algorithm", ["sbd", "ta-mc", "uneven"])
+def test_single_hop_variants_match_node_models(algorithm):
+    topo = concentric_topology(1)
+    sched = (_uneven_star_schedule() if algorithm == "uneven"
+             else generate(algorithm, topo))
+    length, capacity = sched.slotframe_length, 5
+    scenario = NetworkScenario(schedule=sched, topology=topo,
+                               generation_rate=0.08, queue_capacity=capacity)
+    offered = expected_arrivals_per_slotframe(TrafficSpec.constant(length, rate=0.08))
+    # md1k: one step of the collapsed model is a whole slotframe
+    md1k = evaluate_network(scenario, variant="md1k")
+    collapsed = evaluate_node(capacity, 1, (0,), TrafficSpec((offered,), (0.0,)))
+    spread = np.zeros(length)
+    for n in range(1, topo.node_count):
+        tx = list(sched.tx_slots[n])
+        spread[tx] = collapsed.tx_probability[0] / len(tx)
+        node = md1k.node_metrics[n]
+        assert node.expected_delay_slots == length * collapsed.expected_delay_slots
+        assert node.acceptance == collapsed.acceptance
+        assert np.array_equal(node.queue_marginals, collapsed.queue_marginals)
+    assert np.array_equal(md1k.rx_probability[0], spread)
+    # distributed: the node's load spread evenly as Poisson traffic
+    distributed = evaluate_network(scenario, variant="distributed")
+    uniform = TrafficSpec.constant(length, rate=offered / length)
+    for n in range(1, topo.node_count):
+        want = evaluate_node(capacity, length, sched.tx_slots[n], uniform)
+        got = distributed.node_metrics[n]
+        assert got.acceptance == want.acceptance
+        assert got.expected_delay_slots == want.expected_delay_slots
+        assert np.array_equal(got.distribution, want.distribution)
+        assert np.array_equal(got.tx_probability, want.tx_probability)
+
+
+def test_distributed_variant_spreads_forwarded_load():
+    # with forwarding the slot-resolved traffic is not uniform: each node
+    # is evaluated on its total offered load spread evenly over the frame
+    topo = concentric_topology(2)
+    sched = generate("ta-mc", topo)
+    length, capacity, rate = sched.slotframe_length, 6, 0.02
+    result = evaluate_network(NetworkScenario(
+        schedule=sched, topology=topo, generation_rate=rate,
+        queue_capacity=capacity), variant="distributed")
+    for n in range(1, topo.node_count):
+        offered = expected_arrivals_per_slotframe(TrafficSpec(
+            (rate,) * length, tuple(result.rx_probability[n])))
+        want = evaluate_node(capacity, length, sched.tx_slots[n],
+                             TrafficSpec.constant(length, rate=offered / length))
+        got = result.node_metrics[n]
+        assert got.acceptance == want.acceptance
+        assert got.expected_delay_slots == want.expected_delay_slots
+        assert np.array_equal(got.tx_probability, want.tx_probability)
 
 
 def test_interval_conversion():

@@ -80,8 +80,10 @@ def test_validate_example_schedule(three_node_schedule, path_topology):
     report = validate(three_node_schedule, path_topology)
     assert report.ok
     assert report.conflict_free
-    assert report.disturbing_union == {0: frozenset(), 1: frozenset(),
-                                       2: frozenset()}
+    for slot in range(three_node_schedule.slotframe_length):
+        for link in active_links(three_node_schedule, slot):
+            assert disturbing_links(three_node_schedule, path_topology, slot,
+                                    link) == set()
 
 
 def test_validate_reports_channel_collision():

@@ -5,7 +5,7 @@ from scipy import sparse
 from scipy.linalg import null_space
 from scipy.sparse import csgraph
 
-from conftest import chain_cases
+from conftest import chain_cases, dense_matrix
 from slotmesh import stationary
 from slotmesh.queuemodel import (TrafficSpec, acceptance_probability,
                                  build_chain, evaluate_node)
@@ -16,7 +16,7 @@ from slotmesh.stationary import (StationaryError, reachable_states, solve,
 def dense_null_space_oracle(matrix, mask):
     """Independent stationary solve: null space of (I - P)^T on the pruned
     core, computed with an SVD-based dense routine."""
-    sub = matrix.toarray()[np.ix_(mask, mask)]
+    sub = matrix[np.ix_(mask, mask)]
     ns = null_space(np.eye(sub.shape[0]) - sub.T)
     assert ns.shape[1] == 1, "solution space must be one-dimensional"
     vec = ns[:, 0]
@@ -27,8 +27,7 @@ def dense_null_space_oracle(matrix, mask):
 
 
 def test_two_state_symmetric_chain():
-    p = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    res = solve_matrix(p)
+    res = solve_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert res.distribution == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
@@ -37,8 +36,7 @@ def test_residual_definition():
         chain = build_chain(capacity, length, tx, traffic)
         res = solve(chain)
         c = res.distribution
-        matrix = chain.transition_matrix
-        assert np.abs(c @ matrix - c).max() <= 1e-10
+        assert np.abs(c @ dense_matrix(chain) - c).max() <= 1e-10
         assert res.residual <= 1e-10
         assert c.sum() == pytest.approx(1.0, abs=1e-9)
         assert c.min() >= 0.0
@@ -70,8 +68,9 @@ def test_methods_agree_with_dense_oracle():
     for capacity, length, tx, traffic in chain_cases():
         chain = build_chain(capacity, length, tx, traffic)
         mask = reachable_states(chain)
-        oracle = dense_null_space_oracle(chain.transition_matrix, mask)
-        for res in (solve(chain), solve_matrix(chain.transition_matrix)):
+        dense = dense_matrix(chain)
+        oracle = dense_null_space_oracle(dense, mask)
+        for res in (solve(chain), solve_matrix(dense)):
             assert np.abs(res.distribution - oracle).max() < 1e-8
             assert np.array_equal(res.reachable, mask)
 
@@ -82,16 +81,15 @@ def test_pruned_mass_exactly_zero():
     res = solve(chain)
     pruned = ~res.reachable
     assert np.all(res.distribution[pruned] == 0.0)
-    assert res.reachable_count == res.reachable.sum()
 
 
 def test_solution_invariant_under_permutation():
     chain = build_chain(4, 3, (0, 2), TrafficSpec.constant(3, rate=0.4, prob=0.1))
-    matrix = chain.transition_matrix
+    matrix = dense_matrix(chain)
     rng = np.random.default_rng(5)
     perm = rng.permutation(matrix.shape[0])
     inv = np.argsort(perm)
-    permuted = matrix[perm][:, perm].tocsr()
+    permuted = matrix[np.ix_(perm, perm)]
     base = solve_matrix(matrix, start=0)
     shuffled = solve_matrix(permuted, start=int(inv[0]))
     assert np.abs(shuffled.distribution[inv] - base.distribution).max() < 1e-10
@@ -100,11 +98,11 @@ def test_solution_invariant_under_permutation():
 def test_unclosed_core_raises():
     # a chain whose start state is transient: everything funnels into a
     # closed pair that never returns to the start and carries all the mass
-    p = sparse.csr_matrix(np.array([
+    p = np.array([
         [0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0],
         [0.0, 1.0, 0.0],
-    ]))
+    ])
     res = solve_matrix(p)
     assert res.distribution == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
     assert res.distribution[0] == 0.0
@@ -112,13 +110,14 @@ def test_unclosed_core_raises():
     stored = sparse.csr_matrix(
         ([1.0, 1.0, 1.0, 0.0], ([0, 1, 2, 2], [1, 2, 1, 0])), shape=(3, 3))
     assert stored.nnz == 4
-    assert np.array_equal(solve_matrix(stored).distribution, res.distribution)
+    assert np.array_equal(solve_matrix(stored.toarray()).distribution,
+                          res.distribution)
     # the start splits between two absorbing states: no unique answer
-    split = sparse.csr_matrix(np.array([
+    split = np.array([
         [0.0, 0.5, 0.5],
         [0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0],
-    ]))
+    ])
     with pytest.raises(StationaryError):
         solve_matrix(split)
 
@@ -137,7 +136,7 @@ def test_nonconvergence_reports_residual(monkeypatch):
 
 def _assert_matches_oracle(chain):
     res = solve(chain)
-    oracle = dense_null_space_oracle(chain.transition_matrix, res.reachable)
+    oracle = dense_null_space_oracle(dense_matrix(chain), res.reachable)
     assert res.residual <= 1e-10
     assert np.abs(res.distribution - oracle).max() <= 1e-8
 
@@ -233,8 +232,8 @@ def test_closed_class_matches_csgraph(case):
     classes = csgraph_closed_classes(matrix, start)
     if len(classes) > 1:
         with pytest.raises(StationaryError, match="closed class"):
-            solve_matrix(sparse.csr_matrix(matrix), start=start)
+            solve_matrix(matrix, start=start)
         return
-    res = solve_matrix(sparse.csr_matrix(matrix), start=start)
+    res = solve_matrix(matrix, start=start)
     assert np.array_equal(res.reachable, classes[0])
     assert np.all(res.distribution[~classes[0]] == 0.0)

@@ -103,27 +103,46 @@ def test_expected_arrivals_matches_sampling():
 
 
 _SCIPY_PROBE = """
-import sys, slotmesh
-print('scipy.stats' in sys.modules)
+import json, os, sys, tempfile
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
+import slotmesh
+from slotmesh import cli
 topology = slotmesh.concentric_topology(1)
 schedule = slotmesh.generate("ta-mc", topology)
+assert slotmesh.validate(schedule, topology).ok
 scenario = slotmesh.NetworkScenario(schedule=schedule, topology=topology,
                                     generation_rate=0.01, queue_capacity=8)
 for variant in ("full", "distributed", "md1k"):
     slotmesh.evaluate_network(scenario, variant=variant)
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+slotmesh.arrival_tail(slotmesh.TrafficSpec((0.5,), (0.2,)), 0, 3)
+slotmesh.solve_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
+slotmesh.simulate_network(scenario, slotmesh.SimConfig(
+    seed=1, runs=1, packets=5, warmup_slots=100))
+with tempfile.TemporaryDirectory() as tmp:
+    spec = os.path.join(tmp, "spec.json")
+    with open(spec, "w") as f:
+        json.dump({"parameter": "p_gen",
+                   "grid": {"min": 0.0, "max": 0.02, "count": 2},
+                   "variants": ["full", "distributed", "md1k"],
+                   "queue_capacities": [4], "schedules": ["sbd"],
+                   "topology": {"rings": 1}}, f)
+    out = os.path.join(tmp, "out.csv")
+    assert cli.main(["sweep", "--spec", spec, "--out", out]) == 0
+print("ok")
 """
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy takes about half a second to import; the evaluation path
-    # (build_chain, the stationary solve and the metrics) needs only numpy
+    # scipy takes about half a second to import; evaluation, validation,
+    # simulation and the CLI need only numpy, so they must run with every
+    # scipy import blocked
     src = str(Path(slotmesh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
-                         check=True, capture_output=True, text=True,
-                         timeout=120)
-    assert out.stdout.split() == ["False", "[]"]
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ok"]
 
 
 def _lgamma_poisson(lam, k):
