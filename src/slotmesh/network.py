@@ -6,7 +6,8 @@ packet in reception slot ``i`` equals the transmission probability of the
 transmitting child in that slot, optionally reduced by a per-link packet
 error ratio. Because data only flows toward the sink, evaluating children
 before parents resolves all couplings in one pass without fixed-point
-iteration.
+iteration. The nodes of one depth depend only on deeper nodes, so each
+level, deepest first, is evaluated as one stack of chains.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .queuemodel import NodeMetrics, TrafficSpec, \
-    expected_arrivals_per_slotframe, model_variant, ModelError
+from .queuemodel import NodeMetrics, ModelError, _variant_stack
 from .schedule import Schedule, Topology, validate
 from .stationary import StationaryError
 
@@ -86,11 +86,6 @@ class NetworkResult:
         return float(self.rx_probability[0].sum()) / frame_seconds
 
 
-def _evaluation_order(topology: Topology):
-    depths = [topology.depth(n) for n in range(topology.node_count)]
-    return sorted(range(topology.node_count), key=lambda n: (-depths[n], n)), depths
-
-
 def evaluate_network(scenario: NetworkScenario, *,
                      variant: str = "full") -> NetworkResult:
     """Solve all node models and compose network-wide metrics.
@@ -117,7 +112,7 @@ def evaluate_network(scenario: NetworkScenario, *,
                     f"node {n} transmits to {schedule.counterpart[n][i]} in "
                     f"slot {i}, but its routing parent is {topology.parents[n]}")
 
-    order, depths = _evaluation_order(topology)
+    depths = [topology.depth(n) for n in range(n_nodes)]
     if variant == "md1k" and max(depths) > 1:
         raise NetworkModelError(
             "the md1k variant has no slot structure and cannot model "
@@ -127,29 +122,34 @@ def evaluate_network(scenario: NetworkScenario, *,
     rx_prob = np.zeros((n_nodes, length))
     metrics: list[NodeMetrics | None] = [None] * n_nodes
 
-    children = {n: set(topology.children(n)) for n in range(n_nodes)}
-    for n in order:
-        for i in schedule.rx_slots[n]:
-            source = schedule.counterpart[n][i]
-            if source not in children[n]:
+    for depth in range(max(depths), -1, -1):
+        level = [n for n in range(n_nodes) if depths[n] == depth]
+        for n in level:
+            children = topology.children(n)
+            for i in schedule.rx_slots[n]:
+                source = schedule.counterpart[n][i]
+                if source not in children:
+                    raise NetworkModelError(
+                        f"node {n} receives from {source} in slot {i}, which "
+                        f"is not one of its children")
+                per = scenario.link_per.get((source, n), 0.0)
+                rx_prob[n, i] = tx_prob[source, i] * (1.0 - per)
+            if (depth and not schedule.tx_slots[n]
+                    and (scenario.generation_rate > 0 or rx_prob[n].any())):
                 raise NetworkModelError(
-                    f"node {n} receives from {source} in slot {i}, which is "
-                    f"not one of its children")
-            per = scenario.link_per.get((source, n), 0.0)
-            rx_prob[n, i] = tx_prob[source, i] * (1.0 - per)
-        if n == topology.ROOT:
-            continue
-        rates = (scenario.generation_rate,) * length
-        traffic = TrafficSpec(rates, tuple(rx_prob[n]))
-        if not schedule.tx_slots[n] and expected_arrivals_per_slotframe(traffic) > 0:
-            raise NetworkModelError(
-                f"node {n} offers traffic but has no transmission slots")
+                    f"node {n} offers traffic but has no transmission slots")
+        if depth == 0:
+            break  # the sink consumes its packets
+        rates = np.full((len(level), length), float(scenario.generation_rate))
         try:
-            metrics[n] = model_variant(variant, capacity, length,
-                                       schedule.tx_slots[n], traffic)
+            solved = _variant_stack(variant, capacity, length,
+                                    [schedule.tx_slots[n] for n in level],
+                                    rates, rx_prob[level])
         except (ModelError, StationaryError) as exc:
-            raise NetworkModelError(f"node {n}: {exc}") from exc
-        tx_prob[n] = metrics[n].tx_probability
+            raise NetworkModelError(f"node {level[exc.index]}: {exc}") from exc
+        for n, node in zip(level, solved):
+            metrics[n] = node
+            tx_prob[n] = node.tx_probability
 
     sink_arrivals = float(rx_prob[topology.ROOT].sum())
     sink_marginals = np.zeros(capacity + 1)

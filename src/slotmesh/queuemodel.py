@@ -19,6 +19,16 @@ from one cumulative sum of logarithms and the ``k = 0`` term taken as
 ``exp(-lambda)`` so that a zero rate gives exactly one and zeros. The
 blocks are the only form of the chain, and numpy is all it needs.
 
+Chains are built, solved and summarized as stacks: B chains with the same
+S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
+probabilities and departures, checked in one vector step, and become one
+``(B, S, K + 1)`` arrival table and one ``(B, S, K + 1, K + 1)`` block
+array; every metric is a reduction that keeps the leading chain axis.
+:func:`build_chain`, :func:`evaluate_node` and :func:`model_variant` are
+the stack of one chain, and a network evaluates each tree level as one
+stack per variant. An error raised for one chain of a stack carries that
+chain's position as ``index``.
+
 For a slotframe of length one with a single transmission slot the chain
 reduces exactly to an M/D/1/K queue.
 """
@@ -31,12 +41,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import stationary
+from .stationary import _at
 
 VARIANTS = ("md1k", "distributed", "full")
 
 
 class ModelError(ValueError):
-    """Raised for invalid model inputs or undefined metrics."""
+    """Raised for invalid model inputs or undefined metrics; ``index`` is
+    the failing chain's position in its stack."""
+
+    index = 0
+
+
+def _check_traffic(rates: np.ndarray, probs: np.ndarray) -> None:
+    """Reject the first non-finite or negative rate and the first
+    probability outside [0, 1] of ``(B, S)`` traffic arrays."""
+    for values, valid, what in (
+            (rates, np.isfinite(rates) & (rates >= 0), "Poisson rate"),
+            (probs, (probs >= 0) & (probs <= 1), "Bernoulli probability")):
+        if not valid.all():
+            row, col = np.argwhere(~valid)[0]
+            raise _at(ModelError(f"invalid {what} {values[row, col]}"), row)
 
 
 @dataclass(frozen=True)
@@ -53,12 +78,7 @@ class TrafficSpec:
         if len(self.poisson_rate) != len(self.bernoulli_prob) or not self.poisson_rate:
             raise ModelError("poisson_rate and bernoulli_prob must have equal, "
                              "non-zero length")
-        for lam in self.poisson_rate:
-            if not math.isfinite(lam) or lam < 0:
-                raise ModelError(f"invalid Poisson rate {lam}")
-        for p in self.bernoulli_prob:
-            if not 0.0 <= p <= 1.0:
-                raise ModelError(f"invalid Bernoulli probability {p}")
+        _check_traffic(*self._arrays())
 
     @classmethod
     def constant(cls, length: int, rate: float = 0.0, prob: float = 0.0):
@@ -67,6 +87,11 @@ class TrafficSpec:
     @property
     def slots(self) -> int:
         return len(self.poisson_rate)
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rates and probabilities as the ``(1, S)`` arrays of a stack
+        of one."""
+        return np.array([self.poisson_rate]), np.array([self.bernoulli_prob])
 
 
 def _arrival_table(poisson_rate, bernoulli_prob, count: int) -> np.ndarray:
@@ -108,34 +133,80 @@ def arrival_tail(traffic: TrafficSpec, slot: int, k: int) -> float:
     return float(_tails(table)[0, k])
 
 
+def _offered(rates: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Expected packets offered per slotframe, one per chain of a stack,
+    each an exactly rounded sum over the slots."""
+    terms = (1.0 - probs) * rates + probs * (rates + 1.0)
+    return np.array([math.fsum(row) for row in terms.tolist()])
+
+
 def expected_arrivals_per_slotframe(traffic: TrafficSpec) -> float:
     """Expected number of packets offered to the queue per slotframe."""
-    return math.fsum(
-        (1.0 - p) * lam + p * (lam + 1.0)
-        for lam, p in zip(traffic.poisson_rate, traffic.bernoulli_prob))
+    return float(_offered(*traffic._arrays())[0])
 
 
 def _head_sums(table: np.ndarray) -> np.ndarray:
-    """Column ``r`` holds the sum of the first ``r`` entries of each row."""
+    """Entry ``r`` of the last axis holds the sum of the first ``r``
+    entries along it."""
     sums = np.zeros_like(table)
-    np.cumsum(table[:, :-1], axis=1, out=sums[:, 1:])
+    np.cumsum(table[..., :-1], axis=-1, out=sums[..., 1:])
     return sums
 
 
 def _tails(arrivals: np.ndarray) -> np.ndarray:
-    """Column ``r`` holds the probability of ``r`` or more arrivals, taken
-    as the complement of the head so that every block row sums to one."""
+    """Entry ``r`` of the last axis holds the probability of ``r`` or more
+    arrivals, taken as the complement of the head so that every block row
+    sums to one."""
     return np.maximum(1.0 - _head_sums(arrivals), 0.0)
 
 
 def _departures(length: int, tx_slots) -> np.ndarray:
-    """One on the transmission slots, zero elsewhere."""
-    tau = np.zeros(length, dtype=int)
-    for s in tx_slots:
-        if not 0 <= s < length:
-            raise ModelError(f"tx slot {s} outside [0, {length})")
-        tau[s] = 1
+    """``(B, S)`` departures of a stack: one on each chain's transmission
+    slots, zero elsewhere; ``tx_slots`` holds one slot collection per
+    chain."""
+    rows = [b for b, slots in enumerate(tx_slots) for _ in slots]
+    slots = np.array([s for chain in tx_slots for s in chain], dtype=int)
+    outside = np.flatnonzero((slots < 0) | (slots >= length))
+    if outside.size:
+        first = outside[0]
+        raise _at(ModelError(f"tx slot {slots[first]} outside [0, {length})"),
+                  rows[first])
+    tau = np.zeros((len(tx_slots), length), dtype=int)
+    tau[rows, slots] = 1
     return tau
+
+
+def _stack_chains(capacity: int, tau: np.ndarray, rates: np.ndarray,
+                  probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(B, S, K + 1)`` arrival tables and ``(B, S, K + 1, K + 1)``
+    blocks of a stack of chains given as ``(B, S)`` departures, Poisson
+    rates and Bernoulli probabilities; :func:`build_chain` gives the
+    transitions."""
+    if capacity < 1:
+        raise ModelError("capacity must be at least 1")
+    if tau.shape[1] < 1:
+        raise ModelError("slotframe_length must be at least 1")
+    if rates.shape != tau.shape or probs.shape != tau.shape:
+        raise ModelError("traffic spec length must equal the slotframe length")
+    _check_traffic(rates, probs)
+    count, length = capacity + 1, tau.shape[1]
+    # one row per (chain, slot) pair
+    arrivals = _arrival_table(rates.ravel(), probs.ravel(), count)
+    tails = _tails(arrivals)
+    q = np.arange(count)
+    room = capacity - q
+    blocks = np.zeros((tau.size, count, count))
+    for departed in (0, 1):
+        slots = np.flatnonzero(tau.ravel() == departed)[:, None]
+        base = np.maximum(q - departed, 0)
+        k = q - base[:, None]  # k[q, r]: arrivals that take level q to r
+        rows, cols = np.nonzero((k >= 0) & (k < room[:, None]))
+        blocks[slots, rows, cols] = arrivals[slots, k[rows, cols]]
+        blocks[slots, q, base + room] = tails[slots, room]
+    arrivals.flags.writeable = False
+    blocks.flags.writeable = False
+    return (arrivals.reshape(*tau.shape, count),
+            blocks.reshape(*tau.shape, count, count))
 
 
 @dataclass(frozen=True)
@@ -161,6 +232,12 @@ class QueueChain:
     def state_index(self, q: int, i: int) -> int:
         return q * self.slotframe_length + i
 
+    def _grid(self, distribution) -> np.ndarray:
+        """A distribution over the states as the ``(1, K + 1, S)`` grid of
+        a stack of one."""
+        return np.asarray(distribution).reshape(1, self.capacity + 1,
+                                                self.slotframe_length)
+
 
 def build_chain(capacity: int, slotframe_length: int, tx_slots,
                 traffic: TrafficSpec) -> QueueChain:
@@ -172,46 +249,51 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     level absorbs the tail so every row sums to one. For ``q = K`` nothing
     can be accepted, leaving a single transition of probability one.
     """
-    if capacity < 1:
-        raise ModelError("capacity must be at least 1")
-    if slotframe_length < 1:
-        raise ModelError("slotframe_length must be at least 1")
-    tx = tuple(sorted(set(tx_slots)))
-    tau = _departures(slotframe_length, tx)
-    if traffic.slots != slotframe_length:
-        raise ModelError("traffic spec length must equal the slotframe length")
-    arrivals = _arrival_table(traffic.poisson_rate, traffic.bernoulli_prob,
-                              capacity + 1)
-    tails = _tails(arrivals)
-    q = np.arange(capacity + 1)
-    room = capacity - q
-    blocks = np.zeros((slotframe_length, capacity + 1, capacity + 1))
-    for departed in (0, 1):
-        slots = np.flatnonzero(tau == departed)[:, None]
-        base = np.maximum(q - departed, 0)
-        k = q - base[:, None]  # k[q, r]: arrivals that take level q to r
-        rows, cols = np.nonzero((k >= 0) & (k < room[:, None]))
-        blocks[slots, rows, cols] = arrivals[slots, k[rows, cols]]
-        blocks[slots, q, base + room] = tails[slots, room]
-    arrivals.flags.writeable = False
-    blocks.flags.writeable = False
+    tau = _departures(slotframe_length, [tx_slots])
+    arrivals, blocks = _stack_chains(capacity, tau, *traffic._arrays())
     return QueueChain(capacity=capacity, slotframe_length=slotframe_length,
-                      tx_slots=tx, traffic=traffic, arrivals=arrivals,
-                      blocks=blocks)
+                      tx_slots=tuple(sorted(set(tx_slots))), traffic=traffic,
+                      arrivals=arrivals[0], blocks=blocks[0])
+
+
+def _tx_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    # each slot column of a solved grid carries 1/S of the mass
+    return tau * (1.0 - grid[:, 0] / grid.sum(axis=1))
+
+
+def _accepted(grid: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+    counts = np.arange(arrivals.shape[-1])
+    # entry r: E[accepted | slot i, room r], arrivals beyond r are capped at r
+    accepted = _head_sums(arrivals * counts) + _tails(arrivals) * counts
+    # state (q, i) has room K - q
+    return (grid * accepted[..., ::-1].transpose(0, 2, 1)).sum(axis=(1, 2))
+
+
+def _delay(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """:func:`expected_delay` of each chain of a stack, zero for a chain
+    without transmission slots. At queue position ``p`` from slot ``j`` on,
+    a packet leaves in the ``p``-th transmission slot at or after ``j``,
+    after ``ceil(p / count) - 1`` full slotframes."""
+    chains, levels, length = grid.shape
+    count = np.maximum(tau.sum(axis=1), 1)[:, None, None]
+    tx = np.argsort(tau == 0, axis=1, kind="stable")  # tx slots first, in order
+    nxt = (np.arange(length) + 1) % length
+    position = np.maximum(np.arange(levels)[:, None] - tau[:, None], 0) + 1
+    # transmission slots before slot nxt: the one preceding it has index
+    # before - 1 (cyclically), so the p-th one from nxt on has index
+    # before - 1 + p
+    before = (np.cumsum(tau, axis=1) - tau)[:, None, nxt]
+    target = tx[np.arange(chains)[:, None, None], (before - 1 + position) % count]
+    frames = -(-position // count) - 1
+    drain = frames * length + 1 + (target - nxt) % length
+    return np.where(tau.any(axis=1), (grid * drain).sum(axis=(1, 2)), 0.0)
 
 
 def transmission_probability(chain: QueueChain, distribution: np.ndarray) -> np.ndarray:
     """Per-slot probability of a successful transmission: on a transmission
     slot, the complementary probability of an empty queue."""
-    grid = np.asarray(distribution).reshape(chain.capacity + 1,
-                                            chain.slotframe_length)
-    column_mass = grid.sum(axis=0)
-    tx = np.zeros(chain.slotframe_length)
-    for i in chain.tx_slots:
-        if column_mass[i] <= 0.0:
-            raise ModelError(f"transmission slot {i} carries no stationary mass")
-        tx[i] = 1.0 - grid[0, i] / column_mass[i]
-    return tx
+    tau = _departures(chain.slotframe_length, [chain.tx_slots])
+    return _tx_probability(chain._grid(distribution), tau)[0]
 
 
 def acceptance_probability(chain: QueueChain, distribution: np.ndarray) -> float:
@@ -219,40 +301,14 @@ def acceptance_probability(chain: QueueChain, distribution: np.ndarray) -> float
     offered = expected_arrivals_per_slotframe(chain.traffic)
     if offered <= 0.0:
         raise ModelError("no offered traffic; acceptance probability undefined")
-    length = chain.slotframe_length
-    grid = np.asarray(distribution).reshape(chain.capacity + 1, length)
-    arrivals = chain.arrivals
-    counts = np.arange(chain.capacity + 1)
-    # column r: E[accepted | slot i, room r], arrivals beyond r are capped at r
-    accepted = _head_sums(arrivals * counts) + _tails(arrivals) * counts
-    # state (q, i) has room K - q
-    return length * float((grid * accepted[:, ::-1].T).sum()) / offered
+    accepted = _accepted(chain._grid(distribution), chain.arrivals[None])[0]
+    return chain.slotframe_length * float(accepted) / offered
 
 
 def queue_marginals(distribution: np.ndarray, slotframe_length: int) -> np.ndarray:
     """Probability of holding q packets, summed over the slot position."""
     grid = np.asarray(distribution).reshape(-1, slotframe_length)
     return grid.sum(axis=1)
-
-
-def _slots_between(i, j, length: int):
-    return (j - i) % length
-
-
-def _preceding_tx_index(tx_slots, i):
-    # index of the transmission slot preceding slot i (cyclically); ties at
-    # i == t_g belong to the previous index (strict lower bound)
-    return (np.searchsorted(tx_slots, i) - 1) % len(tx_slots)
-
-
-def _state_delay(tx_slots, length, q, i):
-    # waiting time of a packet that sits at queue position q at slot i:
-    # full slotframe iterations plus the distance to its transmission slot,
-    # plus one for the transmission slot itself
-    count = len(tx_slots)
-    frames = -(-q // count) - 1  # ceil(q / count) - 1
-    target = np.asarray(tx_slots)[(_preceding_tx_index(tx_slots, i) + q) % count]
-    return frames * length + 1 + _slots_between(i, target, length)
 
 
 def expected_delay(chain: QueueChain, distribution: np.ndarray) -> float:
@@ -263,12 +319,8 @@ def expected_delay(chain: QueueChain, distribution: np.ndarray) -> float:
     """
     if not chain.tx_slots:
         raise ModelError("node never transmits; delay undefined")
-    length = chain.slotframe_length
-    grid = np.asarray(distribution).reshape(chain.capacity + 1, length)
-    q = np.arange(chain.capacity + 1)[:, None]
-    position = np.maximum(q - _departures(length, chain.tx_slots), 0) + 1
-    nxt = (np.arange(length) + 1) % length
-    return float((grid * _state_delay(chain.tx_slots, length, position, nxt)).sum())
+    tau = _departures(chain.slotframe_length, [chain.tx_slots])
+    return float(_delay(chain._grid(distribution), tau)[0])
 
 
 @dataclass(frozen=True)
@@ -287,6 +339,31 @@ class NodeMetrics:
     total_arrivals: float
 
 
+def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
+                    probs: np.ndarray) -> list[NodeMetrics]:
+    """Build, solve and summarize a stack of chains given as ``(B, S)``
+    departures, Poisson rates and Bernoulli probabilities."""
+    arrivals, blocks = _stack_chains(capacity, tau, rates, probs)
+    grid = stationary._solve_stack(blocks)[0]
+    offered = _offered(rates, probs)
+    paccept = np.divide(tau.shape[1] * _accepted(grid, arrivals), offered,
+                        out=np.ones(len(tau)), where=offered > 0.0)
+    outside = np.flatnonzero(~((paccept >= -1e-9) & (paccept <= 1.0 + 1e-9)))
+    if outside.size:
+        raise _at(ModelError(f"acceptance probability {paccept[outside[0]]} "
+                             f"outside [0, 1]"), outside[0])
+    paccept = np.clip(paccept, 0.0, 1.0)
+    tx = _tx_probability(grid, tau)
+    delay = _delay(grid, tau)
+    marginals = grid.sum(axis=2)
+    return [NodeMetrics(distribution=grid[b].ravel(), tx_probability=tx[b],
+                        acceptance=float(paccept[b]),
+                        expected_delay_slots=float(delay[b]),
+                        queue_marginals=marginals[b],
+                        total_arrivals=float(offered[b]))
+            for b in range(len(tau))]
+
+
 def evaluate_node(capacity: int, slotframe_length: int, tx_slots,
                   traffic: TrafficSpec) -> NodeMetrics:
     """Build, solve and summarize the queue chain of one node.
@@ -295,24 +372,53 @@ def evaluate_node(capacity: int, slotframe_length: int, tx_slots,
     (vacuously); the chain is still solved for the delay and transmission
     figures of the empty system.
     """
-    chain = build_chain(capacity, slotframe_length, tx_slots, traffic)
-    c = stationary.solve(chain).distribution
-    offered = expected_arrivals_per_slotframe(traffic)
-    if offered > 0.0:
-        paccept = acceptance_probability(chain, c)
-        if not -1e-9 <= paccept <= 1.0 + 1e-9:
-            raise ModelError(f"acceptance probability {paccept} outside [0, 1]")
-        paccept = min(max(paccept, 0.0), 1.0)
-    else:
-        paccept = 1.0
-    return NodeMetrics(
-        distribution=c,
-        tx_probability=transmission_probability(chain, c),
-        acceptance=paccept,
-        expected_delay_slots=expected_delay(chain, c) if chain.tx_slots else 0.0,
-        queue_marginals=queue_marginals(c, slotframe_length),
-        total_arrivals=offered,
-    )
+    tau = _departures(slotframe_length, [tx_slots])
+    return _evaluate_stack(capacity, tau, *traffic._arrays())[0]
+
+
+def _variant_stack(variant: str, capacity: int, slotframe_length: int,
+                   tx_slots, rates: np.ndarray,
+                   probs: np.ndarray) -> list[NodeMetrics]:
+    """:func:`model_variant` for a stack of nodes that share the slotframe
+    and K, given as one transmission slot collection per node and
+    ``(B, S)`` rates and probabilities."""
+    if variant not in VARIANTS:
+        raise ModelError(f"unknown variant {variant!r} (expected one of {VARIANTS})")
+    tau = _departures(slotframe_length, tx_slots)
+    if variant == "full":
+        return _evaluate_stack(capacity, tau, rates, probs)
+    offered = _offered(rates, probs)
+    uniform = np.repeat(offered[:, None] / slotframe_length, slotframe_length,
+                        axis=1)
+    if variant == "distributed":
+        return _evaluate_stack(capacity, tau, uniform, np.zeros_like(uniform))
+    counts = tau.sum(axis=1)
+    idle, busy = np.flatnonzero(counts == 0), np.flatnonzero(counts > 0)
+    metrics: list[NodeMetrics | None] = [None] * len(tau)
+    # a node without transmission slots has no frame to collapse
+    for b, node in _evaluate_rows(idle, capacity, tau[idle], uniform[idle]):
+        metrics[b] = node
+    collapsed = _evaluate_rows(busy, capacity, np.ones((len(busy), 1), dtype=int),
+                               offered[busy, None])
+    for b, node in collapsed:
+        metrics[b] = replace(
+            node, tx_probability=tau[b] * (node.tx_probability[0] / counts[b]),
+            expected_delay_slots=node.expected_delay_slots * slotframe_length)
+    return metrics
+
+
+def _evaluate_rows(rows: np.ndarray, capacity: int, tau: np.ndarray,
+                   rates: np.ndarray):
+    """``(row, metrics)`` pairs of the chains ``rows`` of a larger stack,
+    evaluated with pure Poisson traffic as a stack of their own; an error
+    carries its chain's row in the larger stack."""
+    if not len(rows):
+        return []
+    try:
+        return zip(rows, _evaluate_stack(capacity, tau, rates,
+                                         np.zeros_like(rates)))
+    except (ModelError, stationary.StationaryError) as exc:
+        raise _at(exc, rows[exc.index])
 
 
 def model_variant(variant: str, capacity: int, slotframe_length: int,
@@ -329,17 +435,5 @@ def model_variant(variant: str, capacity: int, slotframe_length: int,
     node's transmission slots. A node without transmission slots has no
     slotframe to collapse and is evaluated as ``distributed``.
     """
-    if variant not in VARIANTS:
-        raise ModelError(f"unknown variant {variant!r} (expected one of {VARIANTS})")
-    if variant == "full":
-        return evaluate_node(capacity, slotframe_length, tx_slots, traffic)
-    offered = expected_arrivals_per_slotframe(traffic)
-    if variant == "distributed" or not tx_slots:
-        uniform = TrafficSpec.constant(slotframe_length,
-                                       rate=offered / slotframe_length)
-        return evaluate_node(capacity, slotframe_length, tx_slots, uniform)
-    node = evaluate_node(capacity, 1, (0,), TrafficSpec((offered,), (0.0,)))
-    tau = _departures(slotframe_length, tx_slots)
-    return replace(
-        node, tx_probability=tau * (node.tx_probability[0] / tau.sum()),
-        expected_delay_slots=node.expected_delay_slots * slotframe_length)
+    return _variant_stack(variant, capacity, slotframe_length, [tx_slots],
+                          *traffic._arrays())[0]

@@ -14,10 +14,14 @@ a non-negative answer and stays accurate near saturation.
 
 The slot index advances deterministically, so a queue chain only needs
 its slot-0 return map ``F = B_0 B_1 ... B_{S-1}``, the product of its
-per-slot blocks, which is just ``(K + 1) x (K + 1)``. :func:`solve`
-solves ``c F = c`` on the closed class of ``F`` and propagates ``c``
-through the blocks to the other slots. Every answer is checked against
-``max |c P - c| <= RESIDUAL_BOUND``.
+per-slot blocks, which is just ``(K + 1) x (K + 1)``. Chains are solved as
+stacks: B chains with the same S and K share one ``(B, S, K + 1, K + 1)``
+block array, their return maps come from one batched product per slot,
+GTH runs once over all chains whose closed classes coincide, and the
+solutions are propagated through the blocks as one stack. Every chain's
+answer is checked against ``max |c P - c| <= RESIDUAL_BOUND``, and an
+error raised for one chain of a stack carries that chain's position as
+``index``. :func:`solve` is the stack of one chain.
 
 The closed class is found by a dense boolean reachability search on the
 return map, whose rows are held as Python ints used as bitsets: reach
@@ -25,9 +29,10 @@ forward from the start; while some reached state cannot get back to the
 current state, move to that state, which strictly shrinks the reached
 set; then check that every state the start reaches can reach the class
 found. Backward searches never leave the reached set. The return map has
-at most a few hundred rows, so this beats building a sparse graph. Every
-non-zero entry counts as an edge, however small: a Poisson term of 1e-300
-is still a possible transition, and treating it as missing could make a
+at most a few hundred rows, so this beats building a sparse graph, and a
+stack runs the search once per distinct edge pattern. Every non-zero
+entry counts as an edge, however small: a Poisson term of 1e-300 is
+still a possible transition, and treating it as missing could make a
 recurrent state look transient and drop its mass. GTH has no trouble with
 such entries.
 """
@@ -35,7 +40,6 @@ such entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -43,7 +47,17 @@ RESIDUAL_BOUND = 1e-10
 
 
 class StationaryError(RuntimeError):
-    """Raised when no valid stationary distribution can be computed."""
+    """Raised when no valid stationary distribution can be computed;
+    ``index`` is the failing chain's position in its stack."""
+
+    index = 0
+
+
+def _at(error: Exception, index) -> Exception:
+    """``error`` tagged with the position of the failing chain in its
+    stack."""
+    error.index = int(index)
+    return error
 
 
 @dataclass(frozen=True)
@@ -79,10 +93,9 @@ def _reach(rows: list[int], sources: int, within: int) -> int:
     return reached
 
 
-def _closed_class(matrix: np.ndarray, start: int) -> np.ndarray:
-    """Mask of the unique closed class reachable from ``start``; every
-    non-zero entry of the dense ``matrix`` is an edge."""
-    edges = matrix != 0
+def _closed_class(edges: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the unique closed class reachable from ``start`` along the
+    boolean matrix ``edges``."""
     n = len(edges)
     forward, backward = _bitsets(edges), _bitsets(edges.T)
     node = 1 << start
@@ -101,29 +114,32 @@ def _closed_class(matrix: np.ndarray, start: int) -> np.ndarray:
 
 
 def _gth(dense: np.ndarray) -> np.ndarray:
-    """Stationary vector of an irreducible stochastic matrix."""
+    """Stationary vectors of a ``(B, n, n)`` stack of irreducible
+    stochastic matrices, one row each."""
     a = np.array(dense, dtype=float)
-    n = a.shape[0]
+    n = a.shape[-1]
     for k in range(n - 1, 0, -1):
         # eliminate state k; the row sum over the states left stands in
         # for 1 - a[k, k], so nothing is subtracted
-        a[:k, k] /= a[k, :k].sum()
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    x = np.zeros(n)
-    x[0] = 1.0
+        a[:, :k, k] /= a[:, k, :k].sum(axis=1)[:, None]
+        a[:, :k, :k] += a[:, :k, k, None] * a[:, None, k, :k]
+    x = np.zeros(a.shape[:2])
+    x[:, 0] = 1.0
     for k in range(1, n):
-        x[k] = x[:k] @ a[:k, k]
+        x[:, k] = (x[:, None, :k] @ a[:, :k, k, None])[:, 0, 0]
         # keep the partial vector normalized: unnormalized it can overflow
-        x[:k + 1] /= x[:k + 1].sum()
+        x[:, :k + 1] /= x[:, :k + 1].sum(axis=1, keepdims=True)
     return x
 
 
-def _checked(distribution, residual, reachable) -> StationaryResult:
-    if not residual <= RESIDUAL_BOUND:
-        raise StationaryError(
-            f"residual {residual:.3e} above {RESIDUAL_BOUND:.0e}")
-    return StationaryResult(distribution=distribution, residual=residual,
-                            reachable=reachable)
+def _check_residuals(residual: np.ndarray) -> None:
+    """Raise for the first chain whose residual is above the bound or
+    not a number."""
+    failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))
+    if failed.size:
+        raise _at(StationaryError(
+            f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
+            failed[0])
 
 
 def solve_matrix(matrix, start: int = 0) -> StationaryResult:
@@ -131,44 +147,92 @@ def solve_matrix(matrix, start: int = 0) -> StationaryResult:
     row-stochastic matrix, supported on the closed class that ``start``
     reaches."""
     dense = np.asarray(matrix, dtype=float)
-    mask = _closed_class(dense, start)
+    mask = _closed_class(dense != 0, start)
     full = np.zeros(len(dense))
-    full[mask] = _gth(dense[np.ix_(mask, mask)])
-    residual = float(np.abs(full @ dense - full).max())
-    return _checked(full, residual, mask)
+    full[mask] = _gth(dense[np.ix_(mask, mask)][None])[0]
+    residual = np.abs(full @ dense - full).max(keepdims=True)
+    _check_residuals(residual)
+    return StationaryResult(distribution=full, residual=float(residual[0]),
+                            reachable=mask)
 
 
-def _return_map_class(chain) -> tuple[np.ndarray, np.ndarray]:
-    """The slot-0 return map of a queue chain and the chain's closed class
-    as a ``(K + 1, S)`` level-by-slot mask."""
-    frame_map = reduce(np.matmul, chain.blocks)
-    masks = np.zeros((chain.capacity + 1, chain.slotframe_length), dtype=bool)
-    masks[:, 0] = _closed_class(frame_map, 0)
-    for i in range(chain.slotframe_length - 1):
-        masks[:, i + 1] = masks[:, i] @ (chain.blocks[i] > 0)
-    return frame_map, masks
+def _return_maps(blocks: np.ndarray) -> np.ndarray:
+    """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a ``(B, S, K + 1,
+    K + 1)`` block stack, one batched product per slot."""
+    frame_map = blocks[:, 0]
+    for i in range(1, blocks.shape[1]):
+        frame_map = frame_map @ blocks[:, i]
+    return frame_map
+
+
+def _closed_classes(frame_maps: np.ndarray) -> np.ndarray:
+    """``(B, K + 1)`` masks of the slot-0 closed classes of a stack of
+    return maps, each distinct edge pattern searched once."""
+    edges = frame_maps != 0
+    level = np.empty(edges.shape[:2], dtype=bool)
+    found = {}
+    for b, pattern in enumerate(edges):
+        key = pattern.tobytes()
+        if key not in found:
+            try:
+                found[key] = _closed_class(pattern, 0)
+            except StationaryError as exc:
+                raise _at(exc, b)
+        level[b] = found[key]
+    return level
+
+
+def _reachable(blocks: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """``(B, K + 1, S)`` level-by-slot masks of the closed classes: the
+    slot-0 masks ``level`` carried through the blocks."""
+    masks = np.empty(blocks.shape[:3], dtype=bool)
+    masks[:, 0] = level
+    for i in range(blocks.shape[1] - 1):
+        masks[:, i + 1] = (masks[:, i, None] @ (blocks[:, i] > 0))[:, 0]
+    return masks.transpose(0, 2, 1)
+
+
+def _solve_stack(blocks: np.ndarray):
+    """Stationary distributions of a ``(B, S, K + 1, K + 1)`` stack of
+    queue chains as ``(B, K + 1, S)`` level-by-slot grids, with the
+    residuals and the ``(B, K + 1)`` slot-0 closed classes.
+
+    Solves the return maps on their closed classes, GTH once per group of
+    chains with the same class, and propagates the results through the
+    blocks.
+    """
+    frame_maps = _return_maps(blocks)
+    level = _closed_classes(frame_maps)
+    groups = {}
+    for b, mask in enumerate(level):
+        groups.setdefault(mask.tobytes(), []).append(b)
+    # columns[b, i] is the distribution over the levels at slot i
+    columns = np.zeros(blocks.shape[:3])
+    for members in groups.values():
+        states = np.flatnonzero(level[members[0]])
+        columns[np.ix_(members, [0], states)] = _gth(
+            frame_maps[np.ix_(members, states, states)])[:, None]
+    for i in range(blocks.shape[1] - 1):
+        columns[:, i + 1] = (columns[:, i, None] @ blocks[:, i])[:, 0]
+    columns /= columns.sum(axis=(1, 2), keepdims=True)
+    # row i of moved is the mass that slot i passes to slot i + 1
+    moved = (columns[:, :, None] @ blocks)[:, :, 0]
+    residual = np.abs(np.roll(moved, 1, axis=1) - columns).max(axis=(1, 2))
+    _check_residuals(residual)
+    return np.ascontiguousarray(columns.transpose(0, 2, 1)), residual, level
 
 
 def reachable_states(chain) -> np.ndarray:
     """States of a queue chain in the closed class that the empty-queue
     start state reaches; every other state carries no stationary mass."""
-    return _return_map_class(chain)[1].ravel()
+    blocks = chain.blocks[None]
+    return _reachable(blocks, _closed_classes(_return_maps(blocks)))[0].ravel()
 
 
 def solve(chain) -> StationaryResult:
-    """Stationary distribution of a queue chain.
-
-    Solves the slot-0 return map on its closed class and propagates the
-    result through the per-slot blocks.
-    """
-    frame_map, masks = _return_map_class(chain)
-    level = masks[:, 0]
-    grid = np.zeros(masks.shape)
-    grid[level, 0] = _gth(frame_map[np.ix_(level, level)])
-    for i in range(chain.slotframe_length - 1):
-        grid[:, i + 1] = grid[:, i] @ chain.blocks[i]
-    grid /= grid.sum()
-    # column i of moved is the mass that slot i passes to slot i + 1
-    moved = np.matmul(grid.T[:, None, :], chain.blocks)[:, 0, :].T
-    residual = float(np.abs(np.roll(moved, 1, axis=1) - grid).max())
-    return _checked(grid.ravel(), residual, masks.ravel())
+    """Stationary distribution of a queue chain: the stack of one."""
+    blocks = chain.blocks[None]
+    grid, residual, level = _solve_stack(blocks)
+    return StationaryResult(distribution=grid[0].ravel(),
+                            residual=float(residual[0]),
+                            reachable=_reachable(blocks, level)[0].ravel())

@@ -9,8 +9,7 @@ from slotmesh.queuemodel import (ModelError, TrafficSpec, acceptance_probability
                                  arrival_pmf, build_chain, evaluate_node,
                                  expected_arrivals_per_slotframe, expected_delay,
                                  model_variant, queue_marginals,
-                                 transmission_probability,
-                                 _preceding_tx_index, _slots_between)
+                                 transmission_probability)
 from slotmesh.simulate import SimConfig, simulate_queue
 from slotmesh.stationary import solve
 
@@ -121,21 +120,6 @@ def test_queue_marginals_full_level_dip():
     chain, c = _solved(10, 5, (0,), TrafficSpec.constant(5, rate=0.2))
     marg = queue_marginals(c, 5)
     assert marg[10] < marg[9]
-
-
-def test_slots_between_wraps():
-    assert _slots_between(4, 1, 5) == 2
-    assert _slots_between(0, 0, 5) == 0
-    assert _slots_between(2, 4, 5) == 2
-
-
-def test_preceding_tx_index_edges():
-    tx = (1, 4)
-    assert _preceding_tx_index(tx, 0) == 1
-    assert _preceding_tx_index(tx, 1) == 1  # tie belongs to the last index
-    assert _preceding_tx_index(tx, 2) == 0
-    assert _preceding_tx_index(tx, 4) == 0  # tie again
-    assert _preceding_tx_index(tx, 5) == 1
 
 
 def test_delay_single_slot_frame():

@@ -5,7 +5,7 @@ from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network,
                               max_depth_nodes)
 from slotmesh.queuemodel import (TrafficSpec, evaluate_node,
-                                 expected_arrivals_per_slotframe)
+                                 expected_arrivals_per_slotframe, model_variant)
 from slotmesh.schedule import Schedule, Topology, validate
 from slotmesh.schedulers import generate, schedule_orchestra_sbd
 
@@ -239,6 +239,54 @@ def test_distributed_variant_spreads_forwarded_load():
         assert got.acceptance == want.acceptance
         assert got.expected_delay_slots == want.expected_delay_slots
         assert np.array_equal(got.tx_probability, want.tx_probability)
+
+
+@pytest.mark.parametrize("algorithm", ["sbd", "ta-sc", "ta-mc"])
+def test_levels_match_per_node_variants(algorithm):
+    # each tree level is solved as one stack; every node must still get
+    # what model_variant gives it on its own traffic, so a mixed-up batch
+    # index or mask group shows
+    topo = concentric_topology(2)
+    sched = generate(algorithm, topo)
+    length = sched.slotframe_length
+    for rate in (0.004, 0.06):
+        for capacity in (6, 16):
+            scenario = NetworkScenario(schedule=sched, topology=topo,
+                                       generation_rate=rate,
+                                       queue_capacity=capacity)
+            for variant in ("full", "distributed"):
+                result = evaluate_network(scenario, variant=variant)
+                for n in range(1, topo.node_count):
+                    traffic = TrafficSpec((rate,) * length,
+                                          tuple(result.rx_probability[n]))
+                    want = model_variant(variant, capacity, length,
+                                         sched.tx_slots[n], traffic)
+                    got = result.node_metrics[n]
+                    for field in ("distribution", "tx_probability",
+                                  "acceptance", "expected_delay_slots",
+                                  "queue_marginals", "total_arrivals"):
+                        np.testing.assert_allclose(
+                            getattr(got, field), getattr(want, field),
+                            rtol=1e-12, atol=0,
+                            err_msg=f"{variant} node {n} {field}")
+
+
+@pytest.mark.parametrize("rings", [2, 3])
+def test_sink_flow_balance(rings):
+    # without link loss every accepted packet reaches the sink: arrivals
+    # there per slotframe equal the generated load times each node's PDR
+    topo = concentric_topology(rings)
+    for algorithm in ("sbd", "ta-sc", "ta-mc"):
+        sched = generate(algorithm, topo)
+        for rate in (0.004, 0.06):
+            for capacity in (6, 16):
+                result = evaluate_network(NetworkScenario(
+                    schedule=sched, topology=topo, generation_rate=rate,
+                    queue_capacity=capacity))
+                generated = rate * sched.slotframe_length
+                delivered = generated * result.delivery_ratio[1:].sum()
+                assert result.rx_probability[0].sum() == pytest.approx(
+                    delivered, rel=1e-9, abs=0), (algorithm, rate, capacity)
 
 
 def test_interval_conversion():

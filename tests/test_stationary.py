@@ -7,8 +7,12 @@ from scipy.sparse import csgraph
 
 from conftest import chain_cases, dense_matrix
 from slotmesh import stationary
+from slotmesh.network import (NetworkModelError, NetworkScenario,
+                              concentric_topology, evaluate_network)
 from slotmesh.queuemodel import (TrafficSpec, acceptance_probability,
                                  build_chain, evaluate_node)
+from slotmesh.schedule import Schedule, Topology
+from slotmesh.schedulers import generate
 from slotmesh.stationary import (StationaryError, reachable_states, solve,
                                  solve_matrix)
 
@@ -127,11 +131,81 @@ def test_nonconvergence_reports_residual(monkeypatch):
     exact = stationary._gth
 
     def perturbed(dense):
-        return exact(dense) * np.linspace(0.9, 1.1, len(dense))
+        return exact(dense) * np.linspace(0.9, 1.1, dense.shape[-1])
 
     monkeypatch.setattr(stationary, "_gth", perturbed)
     with pytest.raises(StationaryError, match="residual"):
         solve(chain)
+
+
+def test_mixed_stack_matches_single_solves():
+    # the always-full queue leaves level 0 for good, the light-load chains
+    # visit every level: one stack, two closed classes
+    chains = [build_chain(2, 3, (2,), TrafficSpec((0, 0, 0), (1, 1, 0))),
+              build_chain(2, 3, (2,), TrafficSpec.constant(3, rate=0.05)),
+              build_chain(2, 3, (0, 1), TrafficSpec.constant(3, rate=0.1, prob=0.2)),
+              build_chain(2, 3, (1,), TrafficSpec((0.0, 0.02, 0.0), (0.3, 0.0, 0.0)))]
+    grids, residuals, _ = stationary._solve_stack(
+        np.stack([chain.blocks for chain in chains]))
+    classes = {tuple(reachable_states(chain)) for chain in chains}
+    assert len(classes) > 1
+    for chain, grid, residual in zip(chains, grids, residuals):
+        single = solve(chain)
+        assert np.array_equal(grid.ravel(), single.distribution)
+        assert residual == single.residual
+        assert np.all(grid.ravel()[~single.reachable] == 0.0)
+
+
+def test_perturbed_chain_names_its_node(monkeypatch):
+    # spoil one chain of the outer level's stack: the error names its node
+    topo = concentric_topology(2)
+    sched = generate("sbd", topo)
+    length, capacity, rate, target = sched.slotframe_length, 6, 0.06, 11
+    scenario = NetworkScenario(schedule=sched, topology=topo,
+                               generation_rate=rate, queue_capacity=capacity)
+    traffic = TrafficSpec((rate,) * length,
+                          tuple(evaluate_network(scenario).rx_probability[target]))
+    chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
+    level = reachable_states(chain).reshape(capacity + 1, length)[:, 0]
+    frame_map = stationary._return_maps(chain.blocks[None])[0][np.ix_(level, level)]
+    exact = stationary._gth
+
+    def perturbed(dense):
+        x = exact(dense)
+        for b, matrix in enumerate(dense):
+            if matrix.shape == frame_map.shape and np.array_equal(matrix, frame_map):
+                x[b] *= np.linspace(0.9, 1.1, x.shape[1])
+        return x
+
+    monkeypatch.setattr(stationary, "_gth", perturbed)
+    with pytest.raises(NetworkModelError, match=f"^node {target}: residual"):
+        evaluate_network(scenario)
+
+
+def test_failed_md1k_chain_names_its_node(monkeypatch):
+    # under md1k, node 1 (no tx slots) goes to a stack of its own, so the
+    # collapsed stack holds nodes 2, 3 and 4; spoiling its second chain
+    # must name node 3
+    topo = Topology(5, frozenset({(0, n) for n in range(1, 5)}),
+                    (None, 0, 0, 0, 0))
+    sched = Schedule(node_count=5, slotframe_length=4,
+                     tx_slots=((), (), (1,), (2,), (3,)),
+                     rx_slots=((1, 2, 3), (), (), (), ()),
+                     counterpart=({1: 2, 2: 3, 3: 4}, {}, {1: 0}, {2: 0}, {3: 0}),
+                     channel=({1: 11, 2: 11, 3: 11}, {}, {1: 11}, {2: 11}, {3: 11}))
+    exact = stationary._gth
+
+    def spoiled(dense):
+        x = exact(dense)
+        if len(x) == 3:
+            x[1] = np.nan
+        return x
+
+    monkeypatch.setattr(stationary, "_gth", spoiled)
+    with pytest.raises(NetworkModelError, match="^node 3: residual"):
+        evaluate_network(NetworkScenario(schedule=sched, topology=topo,
+                                         generation_rate=0.0, queue_capacity=3),
+                         variant="md1k")
 
 
 def _assert_matches_oracle(chain):
