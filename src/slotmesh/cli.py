@@ -140,10 +140,19 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _sweep_grid(spec):
-    grid = spec["grid"]
-    count = grid["count"]
-    lo, hi = grid["min"], grid["max"]
+    grid = spec.get("grid")
+    if not isinstance(grid, dict):
+        raise _InputError("sweep spec needs a 'grid' object")
+    count, lo, hi = grid.get("count"), grid.get("min"), grid.get("max")
+    if not _is_int(count):
+        raise _InputError("sweep grid 'count' must be an integer")
+    if not all(_is_int(v) or isinstance(v, float) for v in (lo, hi)):
+        raise _InputError("sweep grid 'min' and 'max' must be numbers")
     if count < 2:
         raise _InputError("sweep grid needs at least 2 points")
     if not lo < hi:
@@ -183,6 +192,8 @@ def _sweep_point(task):
 
 
 def _sweep_tasks(spec):
+    if not isinstance(spec, dict):
+        raise _InputError("sweep spec must be a JSON object")
     allowed = {"parameter", "grid", "queue_capacities", "schedules",
                "variants", "topology", "slot_duration_s"}
     unknown = set(spec) - allowed
@@ -200,6 +211,9 @@ def _sweep_tasks(spec):
     else:
         raise _InputError("sweep topology needs 'rings' or 'file'")
     grid = _sweep_grid(spec)
+    capacities = spec.get("queue_capacities", [16])
+    if not (isinstance(capacities, list) and all(map(_is_int, capacities))):
+        raise _InputError("sweep queue_capacities must be a list of integers")
     if parameter == "interval":
         if grid[0] <= 0:
             raise _InputError("interval sweeps need positive intervals")
@@ -223,7 +237,7 @@ def _sweep_tasks(spec):
         for variant in spec.get("variants", ["full"]):
             if variant not in VARIANTS:
                 raise _InputError(f"unknown variant {variant!r}")
-            for capacity in spec.get("queue_capacities", [16]):
+            for capacity in capacities:
                 for rate in rates:
                     tasks.append((name, schedule, topology, variant,
                                   capacity, rate))

@@ -8,6 +8,9 @@ error ratio. Because data only flows toward the sink, evaluating children
 before parents resolves all couplings in one pass without fixed-point
 iteration. The nodes of one depth depend only on deeper nodes, so each
 level, deepest first, is evaluated as one stack of chains.
+
+A :class:`NetworkScenario` is checked once, when it is built, so the model
+and the simulator accept the same scenarios.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .stationary import StationaryError
 
 
 class NetworkModelError(ValueError):
-    """Raised when a scenario cannot be evaluated."""
+    """Raised when a scenario is invalid or cannot be evaluated."""
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,12 @@ class NetworkScenario:
     (node 0) generates at this rate in every slot. ``link_per`` optionally
     maps directed links ``(transmitter, receiver)`` to a static packet
     error ratio.
+
+    Construction raises :class:`NetworkModelError` unless the schedule
+    validates against the topology, every transmission (the sink's
+    included) goes to the sender's routing parent, and, at a positive
+    rate, every node except the sink has transmission slots. Given
+    consistent links, every reception then comes from a child.
     """
 
     schedule: Schedule
@@ -50,6 +59,20 @@ class NetworkScenario:
         for link, per in self.link_per.items():
             if not 0.0 <= per <= 1.0:
                 raise NetworkModelError(f"PER of link {link} outside [0, 1]")
+        report = validate(self.schedule, self.topology)
+        if not report.ok:
+            raise NetworkModelError("schedule does not validate:\n"
+                                    + report.summary())
+        schedule, parents = self.schedule, self.topology.parents
+        for n, slots in enumerate(schedule.tx_slots):
+            for i in slots:
+                if schedule.counterpart[n][i] != parents[n]:
+                    raise NetworkModelError(
+                        f"node {n} transmits to {schedule.counterpart[n][i]} "
+                        f"in slot {i}, but its routing parent is {parents[n]}")
+            if n and not slots and self.generation_rate > 0:
+                raise NetworkModelError(
+                    f"node {n} offers traffic but has no transmission slots")
 
     @classmethod
     def from_interval(cls, schedule, topology, interval_s: float,
@@ -90,28 +113,16 @@ def evaluate_network(scenario: NetworkScenario, *,
                      variant: str = "full") -> NetworkResult:
     """Solve all node models and compose network-wide metrics.
 
-    The schedule must validate against the topology and every non-root
-    transmission must point at the routing parent. ``variant`` selects the
+    The scenario is valid by construction. ``variant`` selects the
     per-node model of :func:`~slotmesh.queuemodel.model_variant`; ``md1k``
     has no slot structure to carry forwarded traffic and is therefore
     restricted to single-hop trees.
     """
     schedule = scenario.schedule
     topology = scenario.topology
-    report = validate(schedule, topology)
-    if not report.ok:
-        raise NetworkModelError("schedule does not validate:\n" + report.summary())
     capacity = scenario.queue_capacity
     length = schedule.slotframe_length
     n_nodes = topology.node_count
-
-    for n in range(1, n_nodes):
-        for i in schedule.tx_slots[n]:
-            if schedule.counterpart[n][i] != topology.parents[n]:
-                raise NetworkModelError(
-                    f"node {n} transmits to {schedule.counterpart[n][i]} in "
-                    f"slot {i}, but its routing parent is {topology.parents[n]}")
-
     depths = [topology.depth(n) for n in range(n_nodes)]
     if variant == "md1k" and max(depths) > 1:
         raise NetworkModelError(
@@ -125,19 +136,10 @@ def evaluate_network(scenario: NetworkScenario, *,
     for depth in range(max(depths), -1, -1):
         level = [n for n in range(n_nodes) if depths[n] == depth]
         for n in level:
-            children = topology.children(n)
             for i in schedule.rx_slots[n]:
                 source = schedule.counterpart[n][i]
-                if source not in children:
-                    raise NetworkModelError(
-                        f"node {n} receives from {source} in slot {i}, which "
-                        f"is not one of its children")
                 per = scenario.link_per.get((source, n), 0.0)
                 rx_prob[n, i] = tx_prob[source, i] * (1.0 - per)
-            if (depth and not schedule.tx_slots[n]
-                    and (scenario.generation_rate > 0 or rx_prob[n].any())):
-                raise NetworkModelError(
-                    f"node {n} offers traffic but has no transmission slots")
         if depth == 0:
             break  # the sink consumes its packets
         rates = np.full((len(level), length), float(scenario.generation_rate))

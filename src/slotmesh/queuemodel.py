@@ -26,8 +26,8 @@ probabilities and departures, checked in one vector step, and become one
 array; every metric is a reduction that keeps the leading chain axis.
 :func:`build_chain`, :func:`evaluate_node` and :func:`model_variant` are
 the stack of one chain, and a network evaluates each tree level as one
-stack per variant. An error raised for one chain of a stack carries that
-chain's position as ``index``.
+stack under every variant. An error raised for one chain of a stack
+carries that chain's position as ``index``.
 
 For a slotframe of length one with a single transmission slot the chain
 reduces exactly to an M/D/1/K queue.
@@ -388,37 +388,20 @@ def _variant_stack(variant: str, capacity: int, slotframe_length: int,
     if variant == "full":
         return _evaluate_stack(capacity, tau, rates, probs)
     offered = _offered(rates, probs)
-    uniform = np.repeat(offered[:, None] / slotframe_length, slotframe_length,
-                        axis=1)
     if variant == "distributed":
+        uniform = np.repeat(offered[:, None] / slotframe_length,
+                            slotframe_length, axis=1)
         return _evaluate_stack(capacity, tau, uniform, np.zeros_like(uniform))
+    # one model step per slotframe, with one departure if the node has any
     counts = tau.sum(axis=1)
-    idle, busy = np.flatnonzero(counts == 0), np.flatnonzero(counts > 0)
-    metrics: list[NodeMetrics | None] = [None] * len(tau)
-    # a node without transmission slots has no frame to collapse
-    for b, node in _evaluate_rows(idle, capacity, tau[idle], uniform[idle]):
-        metrics[b] = node
-    collapsed = _evaluate_rows(busy, capacity, np.ones((len(busy), 1), dtype=int),
-                               offered[busy, None])
-    for b, node in collapsed:
-        metrics[b] = replace(
-            node, tx_probability=tau[b] * (node.tx_probability[0] / counts[b]),
-            expected_delay_slots=node.expected_delay_slots * slotframe_length)
-    return metrics
-
-
-def _evaluate_rows(rows: np.ndarray, capacity: int, tau: np.ndarray,
-                   rates: np.ndarray):
-    """``(row, metrics)`` pairs of the chains ``rows`` of a larger stack,
-    evaluated with pure Poisson traffic as a stack of their own; an error
-    carries its chain's row in the larger stack."""
-    if not len(rows):
-        return []
-    try:
-        return zip(rows, _evaluate_stack(capacity, tau, rates,
-                                         np.zeros_like(rates)))
-    except (ModelError, stationary.StationaryError) as exc:
-        raise _at(exc, rows[exc.index])
+    collapsed = _evaluate_stack(capacity, (counts > 0).astype(int)[:, None],
+                                offered[:, None], np.zeros((len(tau), 1)))
+    return [replace(node,
+                    tx_probability=tau[b] * (node.tx_probability[0]
+                                             / max(counts[b], 1)),
+                    expected_delay_slots=node.expected_delay_slots
+                    * slotframe_length)
+            for b, node in enumerate(collapsed)]
 
 
 def model_variant(variant: str, capacity: int, slotframe_length: int,
@@ -432,8 +415,8 @@ def model_variant(variant: str, capacity: int, slotframe_length: int,
     slotframe. Every variant reports its metrics in slots of the real
     schedule: the ``md1k`` delay is scaled by the slotframe length and its
     per-slotframe transmission probability is spread evenly over the
-    node's transmission slots. A node without transmission slots has no
-    slotframe to collapse and is evaluated as ``distributed``.
+    node's transmission slots. Under ``md1k`` a node without transmission
+    slots collapses to a single slot without departures.
     """
     return _variant_stack(variant, capacity, slotframe_length, [tx_slots],
                           *traffic._arrays())[0]

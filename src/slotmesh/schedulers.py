@@ -140,8 +140,7 @@ def schedule_orchestra_sbd(topology: Topology, *,
                      slot_duration)
 
 
-def schedule_ta_single(topology: Topology, descendants: DescendantInfo | None = None,
-                       trace=None, *,
+def schedule_ta_single(topology: Topology, trace=None, *,
                        slot_duration=DEFAULT_SLOT_DURATION) -> Schedule:
     """Traffic-aware single-channel schedule.
 
@@ -150,10 +149,8 @@ def schedule_ta_single(topology: Topology, descendants: DescendantInfo | None = 
     in its subtree, starting at the running offset carried by the token.
     At most one link is active per slot in the whole network.
     """
-    if descendants is None:
-        descendants = proper_descendants(topology)
     n_nodes = topology.node_count
-    gamma = descendants.counts
+    gamma = proper_descendants(topology).counts
     length = 1 + sum(gamma[n] + 1 for n in range(1, n_nodes))
     tx = [[] for _ in range(n_nodes)]
     rx = [[] for _ in range(n_nodes)]
@@ -191,8 +188,7 @@ def schedule_ta_single(topology: Topology, descendants: DescendantInfo | None = 
                      slot_duration)
 
 
-def schedule_ta_multi(topology: Topology, descendants: DescendantInfo | None = None,
-                      channels=CHANNELS_2_4GHZ, trace=None, *,
+def schedule_ta_multi(topology: Topology, channels=CHANNELS_2_4GHZ, trace=None, *,
                       slot_duration=DEFAULT_SLOT_DURATION) -> Schedule:
     """Traffic-aware multi-channel schedule.
 
@@ -205,8 +201,7 @@ def schedule_ta_multi(topology: Topology, descendants: DescendantInfo | None = N
     need arbitrarily many colors, exhaustion of the channel set is an
     error.
     """
-    if descendants is None:
-        descendants = proper_descendants(topology)
+    descendants = proper_descendants(topology)
     channels = tuple(sorted(channels))
     if not channels:
         raise SchedulerError("channel set must not be empty")

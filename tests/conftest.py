@@ -51,3 +51,25 @@ def dense_matrix(chain):
     for i, block in enumerate(chain.blocks):
         matrix[i::length, (i + 1) % length::length] = block
     return matrix
+
+
+def invalid_networks():
+    """Schedules that no scenario accepts, with their topologies, by name.
+
+    ``collision``: node 1 sends to the sink in the slot in which node 2
+    sends to it, on the same channel. ``past_parent``: node 2 sends to the
+    sink although its routing parent is node 1.
+    """
+    collision = (
+        Schedule(node_count=3, slotframe_length=2,
+                 tx_slots=((), (0,), (0,)), rx_slots=((0,), (0,), ()),
+                 counterpart=({0: 1}, {0: 0}, {0: 1}),
+                 channel=({0: 11}, {0: 11}, {0: 11})),
+        Topology(3, frozenset({(0, 1), (1, 2)}), (None, 0, 1)))
+    past_parent = (
+        Schedule(node_count=3, slotframe_length=4,
+                 tx_slots=((), (1,), (2,)), rx_slots=((1, 2), (), ()),
+                 counterpart=({1: 1, 2: 2}, {1: 0}, {2: 0}),
+                 channel=({1: 11, 2: 11}, {1: 11}, {2: 11})),
+        Topology(3, frozenset({(0, 1), (1, 2), (0, 2)}), (None, 0, 1)))
+    return {"collision": collision, "past_parent": past_parent}

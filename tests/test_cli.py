@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import invalid_networks
 from slotmesh.cli import main
 from slotmesh.network import concentric_topology
 from slotmesh.schedule import (load_schedule, save_schedule, save_topology,
@@ -202,13 +203,47 @@ def test_sweep(tmp_path):
     assert zero and all(float(r[5]) == 0.0 for r in zero)
 
 
-def test_sweep_rejects_bad_grid(tmp_path, capsys):
+def test_sweep_workers_match_serial(tmp_path):
+    # the process pool returns the points in task order
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps({
-        "grid": {"min": 0.1, "max": 0.01, "count": 3},
+        "grid": {"min": 0.0, "max": 0.1, "count": 3},
+        "schedules": ["sbd", "ta-mc"],
+        "variants": ["full", "md1k"],
         "topology": {"rings": 1},
     }))
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"sweep{workers}.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out),
+                     "--workers", workers]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + 2 * 2 * 3 * 4
+
+
+_GRID = {"min": 0.0, "max": 0.01, "count": 3}
+
+
+@pytest.mark.parametrize("spec", [
+    {"grid": {"min": 0.1, "max": 0.01, "count": 3}, "topology": {"rings": 1}},
+    {"grid": _GRID, "queue_capacities": ["16"], "topology": {"rings": 1}},
+    {"grid": _GRID, "queue_capacities": [2.5], "topology": {"rings": 1}},
+    {"grid": _GRID, "queue_capacities": [True], "topology": {"rings": 1}},
+    {"grid": {"min": 0.0, "max": 0.01}, "topology": {"rings": 1}},
+    {"grid": {**_GRID, "count": 2.5}, "topology": {"rings": 1}},
+    {"grid": {**_GRID, "count": True}, "topology": {"rings": 1}},
+    {"grid": {**_GRID, "min": "0"}, "topology": {"rings": 1}},
+    {"grid": [0.0, 0.01, 3], "topology": {"rings": 1}},
+    [1, 2],
+], ids=["min_above_max", "capacity_string", "capacity_float",
+        "capacity_bool", "count_missing", "count_float", "count_bool",
+        "min_string", "grid_list", "spec_list"])
+def test_sweep_rejects_bad_grid(tmp_path, capsys, spec):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
     assert main(["sweep", "--spec", str(spec_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_simulate_csv_shape(tmp_path, capsys):
@@ -249,6 +284,21 @@ def test_simulate_deterministic(tmp_path):
               "--queue", "4", "--seed", "3", "--runs", "2",
               "--packets", "30", "--warmup-slots", "300", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["collision", "past_parent"])
+def test_simulate_rejects_invalid_scenario(tmp_path, capsys, name):
+    # what analyze rejects, simulate rejects too
+    sched, topo = invalid_networks()[name]
+    topo_path = tmp_path / "t.json"
+    sched_path = tmp_path / "s.json"
+    save_topology(topo, topo_path)
+    save_schedule(sched, sched_path)
+    code = main(["simulate", "--schedule", str(sched_path),
+                 "--topology", str(topo_path), "--rate", "0.01",
+                 "--queue", "4", "--runs", "1", "--packets", "10"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_missing_file_is_input_error(capsys):

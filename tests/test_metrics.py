@@ -188,10 +188,17 @@ def test_md1k_variant_collapses_schedule():
     assert collapsed.acceptance == pytest.approx(direct.acceptance, abs=1e-12)
     assert collapsed.queue_marginals == pytest.approx(direct.queue_marginals,
                                                       abs=1e-12)
-    # without a transmission slot there is no frame to collapse
+    # a node without a transmission slot collapses to a slot that never drains
     idle = model_variant("md1k", 4, 5, (), TrafficSpec.constant(5))
     assert np.array_equal(idle.tx_probability, np.zeros(5))
     assert idle.queue_marginals[0] == 1.0 and idle.acceptance == 1.0
+
+
+def test_md1k_loaded_node_without_tx_slots_fills_up():
+    loaded = model_variant("md1k", 4, 5, (), TrafficSpec.constant(5, rate=0.2))
+    assert np.array_equal(loaded.distribution, [0.0, 0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(loaded.tx_probability, np.zeros(5))
+    assert loaded.acceptance == 0.0 and loaded.expected_delay_slots == 0.0
 
 
 @pytest.mark.parametrize("variant", ["md1k", "distributed", "full"])

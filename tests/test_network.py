@@ -139,10 +139,9 @@ def test_schedule_tree_mismatch_rejected():
                      tx_slots=((), (1,), (2,)), rx_slots=((1, 2), (), ()),
                      counterpart=({1: 1, 2: 2}, {1: 0}, {2: 0}),
                      channel=({1: 11, 2: 11}, {1: 11}, {2: 11}))
-    scenario = NetworkScenario(schedule=sched, topology=topo,
-                               generation_rate=0.01, queue_capacity=4)
-    with pytest.raises(NetworkModelError):
-        evaluate_network(scenario)
+    with pytest.raises(NetworkModelError, match="routing parent is 1"):
+        NetworkScenario(schedule=sched, topology=topo,
+                        generation_rate=0.01, queue_capacity=4)
 
 
 def test_traffic_without_tx_slots_rejected():
@@ -150,10 +149,9 @@ def test_traffic_without_tx_slots_rejected():
     sched = Schedule(node_count=2, slotframe_length=2,
                      tx_slots=((), ()), rx_slots=((), ()),
                      counterpart=({}, {}), channel=({}, {}))
-    scenario = NetworkScenario(schedule=sched, topology=topo,
-                               generation_rate=0.01, queue_capacity=4)
-    with pytest.raises(NetworkModelError):
-        evaluate_network(scenario)
+    with pytest.raises(NetworkModelError, match="node 1 offers traffic"):
+        NetworkScenario(schedule=sched, topology=topo,
+                        generation_rate=0.01, queue_capacity=4)
 
 
 def test_invalid_schedule_rejected():
@@ -161,10 +159,23 @@ def test_invalid_schedule_rejected():
     sched = Schedule(node_count=2, slotframe_length=2,
                      tx_slots=((), (1,)), rx_slots=((), ()),
                      counterpart=({}, {1: 0}), channel=({}, {1: 11}))
-    scenario = NetworkScenario(schedule=sched, topology=topo,
-                               generation_rate=0.01, queue_capacity=4)
+    with pytest.raises(NetworkModelError, match="does not validate"):
+        NetworkScenario(schedule=sched, topology=topo,
+                        generation_rate=0.01, queue_capacity=4)
+
+
+def test_sink_transmission_rejected():
+    # the sink has no routing parent, so it must not transmit
+    topo = Topology(2, frozenset({(0, 1)}), (None, 0))
+    sched = Schedule(node_count=2, slotframe_length=2,
+                     tx_slots=((0,), (1,)), rx_slots=((1,), (0,)),
+                     counterpart=({0: 1, 1: 1}, {0: 0, 1: 0}),
+                     channel=({0: 11, 1: 11}, {0: 11, 1: 11}))
+    assert validate(sched, topo).ok
     with pytest.raises(NetworkModelError):
-        evaluate_network(scenario)
+        evaluate_network(NetworkScenario(schedule=sched, topology=topo,
+                                         generation_rate=0.01,
+                                         queue_capacity=4))
 
 
 def test_md1k_variant_restricted_to_single_hop():

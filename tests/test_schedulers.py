@@ -87,7 +87,7 @@ def test_sbd_three_node_path():
 def test_ta_single_slot_counts():
     topo = concentric_topology(2)
     info = proper_descendants(topo)
-    sched = schedule_ta_single(topo, info)
+    sched = schedule_ta_single(topo)
     assert sched.slotframe_length == 31
     assert len(sched.rx_slots[0]) == 18
     for n in range(1, 19):
@@ -113,7 +113,7 @@ def test_ta_single_leaf_under_root():
 def test_ta_single_larger_network_length_formula():
     topo = concentric_topology(3)
     info = proper_descendants(topo)
-    sched = schedule_ta_single(topo, info)
+    sched = schedule_ta_single(topo)
     assert sched.slotframe_length == 1 + sum(
         info.counts[n] + 1 for n in range(1, topo.node_count))
     assert sched.slotframe_length == 85
@@ -133,7 +133,7 @@ def test_ta_multi_slot_counts_and_validity():
     for rings in (1, 2, 3):
         topo = concentric_topology(rings)
         info = proper_descendants(topo)
-        sched = schedule_ta_multi(topo, info)
+        sched = schedule_ta_multi(topo)
         report = validate(sched, topo)
         assert report.ok
         assert not report.channel_collisions

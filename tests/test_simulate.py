@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from slotmesh.network import NetworkScenario, concentric_topology
+from conftest import invalid_networks
+from slotmesh.network import (NetworkModelError, NetworkScenario,
+                              concentric_topology)
 from slotmesh.queuemodel import TrafficSpec, evaluate_node
 from slotmesh.schedule import Schedule, Topology
 from slotmesh.schedulers import generate, schedule_orchestra_sbd
@@ -254,6 +256,17 @@ def test_network_sim_per_link_loss():
                                               warmup_slots=500))
     assert stats.delivery[0, 1] == 0.0
     assert stats.counts[0].link_lost > 0
+
+
+@pytest.mark.parametrize("name", ["collision", "past_parent"])
+def test_network_sim_rejects_invalid_scenario(name):
+    # the simulator runs only scenarios that the model accepts
+    sched, topo = invalid_networks()[name]
+    with pytest.raises(NetworkModelError):
+        simulate_network(NetworkScenario(schedule=sched, topology=topo,
+                                         generation_rate=0.01,
+                                         queue_capacity=4),
+                         SimConfig(seed=1, runs=1, packets=10))
 
 
 def test_sim_config_validation():

@@ -183,9 +183,8 @@ def test_perturbed_chain_names_its_node(monkeypatch):
 
 
 def test_failed_md1k_chain_names_its_node(monkeypatch):
-    # under md1k, node 1 (no tx slots) goes to a stack of its own, so the
-    # collapsed stack holds nodes 2, 3 and 4; spoiling its second chain
-    # must name node 3
+    # under md1k the level collapses to one stack of nodes 1-4, node 1
+    # (no tx slots) included; spoiling its third chain must name node 3
     topo = Topology(5, frozenset({(0, n) for n in range(1, 5)}),
                     (None, 0, 0, 0, 0))
     sched = Schedule(node_count=5, slotframe_length=4,
@@ -197,8 +196,8 @@ def test_failed_md1k_chain_names_its_node(monkeypatch):
 
     def spoiled(dense):
         x = exact(dense)
-        if len(x) == 3:
-            x[1] = np.nan
+        if len(x) == 4:
+            x[2] = np.nan
         return x
 
     monkeypatch.setattr(stationary, "_gth", spoiled)
