@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -72,12 +73,6 @@ def _write_rows(path, header, rows):
             fh.close()
 
 
-def _rate_from_args(args, slot_duration):
-    if args.rate is not None:
-        return args.rate
-    return slot_duration / args.interval
-
-
 def cmd_validate(args):
     schedule = _load(load_schedule, args.schedule, "schedule")
     topology = _load(load_topology, args.topology, "topology")
@@ -109,17 +104,24 @@ def cmd_schedule(args):
     return EXIT_OK
 
 
-def cmd_analyze(args):
+def _scenario(args):
+    """The scenario of ``analyze`` and ``simulate``: the schedule and
+    topology files, ``--rate`` or ``--interval``, and ``--queue``."""
     schedule = _load(load_schedule, args.schedule, "schedule")
     topology = _load(load_topology, args.topology, "topology")
-    rate = _rate_from_args(args, schedule.slot_duration)
-    scenario = NetworkScenario(schedule=schedule, topology=topology,
-                               generation_rate=rate,
-                               queue_capacity=args.queue)
+    if args.rate is None:
+        return NetworkScenario.from_interval(schedule, topology, args.interval,
+                                             args.queue)
+    return NetworkScenario(schedule=schedule, topology=topology,
+                           generation_rate=args.rate, queue_capacity=args.queue)
+
+
+def cmd_analyze(args):
+    scenario = _scenario(args)
     result = evaluate_network(scenario, variant=args.variant)
-    slot = schedule.slot_duration
+    slot = scenario.schedule.slot_duration
     rows = []
-    for n in range(topology.node_count):
+    for n in range(scenario.topology.node_count):
         m = result.node_metrics[n]
         rows.append((n, f"{m.acceptance:.9f}",
                      f"{m.expected_delay_slots:.6f}",
@@ -132,7 +134,7 @@ def cmd_analyze(args):
     _write_rows(args.out, ANALYZE_COLUMNS, rows)
     if args.marginals:
         mrows = []
-        for n in range(topology.node_count):
+        for n in range(scenario.topology.node_count):
             marg = result.node_metrics[n].queue_marginals
             for q, p in enumerate(marg):
                 mrows.append((n, q, f"{p:.9f}"))
@@ -144,6 +146,10 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
 def _sweep_grid(spec):
     grid = spec.get("grid")
     if not isinstance(grid, dict):
@@ -151,7 +157,7 @@ def _sweep_grid(spec):
     count, lo, hi = grid.get("count"), grid.get("min"), grid.get("max")
     if not _is_int(count):
         raise _InputError("sweep grid 'count' must be an integer")
-    if not all(_is_int(v) or isinstance(v, float) for v in (lo, hi)):
+    if not all(map(_is_number, (lo, hi))):
         raise _InputError("sweep grid 'min' and 'max' must be numbers")
     if count < 2:
         raise _InputError("sweep grid needs at least 2 points")
@@ -203,13 +209,19 @@ def _sweep_tasks(spec):
     if parameter not in ("p_gen", "interval"):
         raise _InputError("sweep parameter must be 'p_gen' or 'interval'")
     slot_duration = spec.get("slot_duration_s", 0.010)
+    if not (_is_number(slot_duration) and 0 < slot_duration < math.inf):
+        raise _InputError("sweep slot_duration_s must be a positive number")
     topo_spec = spec.get("topology", {})
+    if not isinstance(topo_spec, dict):
+        raise _InputError("sweep topology must be an object")
     if "rings" in topo_spec:
+        if not _is_int(topo_spec["rings"]):
+            raise _InputError("sweep topology 'rings' must be an integer")
         topology = concentric_topology(topo_spec["rings"])
-    elif "file" in topo_spec:
+    elif isinstance(topo_spec.get("file"), str):
         topology = _load(load_topology, topo_spec["file"], "topology")
     else:
-        raise _InputError("sweep topology needs 'rings' or 'file'")
+        raise _InputError("sweep topology needs 'rings' or a 'file' name")
     grid = _sweep_grid(spec)
     capacities = spec.get("queue_capacities", [16])
     if not (isinstance(capacities, list) and all(map(_is_int, capacities))):
@@ -222,19 +234,23 @@ def _sweep_tasks(spec):
         rates = [float(v) for v in grid]
     if any(r < 0 for r in rates):
         raise _InputError("sweep rates must be non-negative")
+    entries = spec.get("schedules", ["sbd"])
+    variants = spec.get("variants", ["full"])
+    if not (isinstance(entries, list) and isinstance(variants, list)):
+        raise _InputError("sweep schedules and variants must be lists")
     schedules = []
-    for entry in spec.get("schedules", ["sbd"]):
+    for entry in entries:
         if isinstance(entry, str) and entry in ALGORITHMS:
             schedules.append((entry, generate(entry, topology,
                                               slot_duration=slot_duration)))
-        elif isinstance(entry, dict) and "file" in entry:
+        elif isinstance(entry, dict) and isinstance(entry.get("file"), str):
             loaded = _load(load_schedule, entry["file"], "schedule")
             schedules.append((entry.get("name", entry["file"]), loaded))
         else:
             raise _InputError(f"sweep schedule entry {entry!r} not understood")
     tasks = []
     for name, schedule in schedules:
-        for variant in spec.get("variants", ["full"]):
+        for variant in variants:
             if variant not in VARIANTS:
                 raise _InputError(f"unknown variant {variant!r}")
             for capacity in capacities:
@@ -269,21 +285,16 @@ def cmd_sweep(args):
 
 
 def cmd_simulate(args):
-    schedule = _load(load_schedule, args.schedule, "schedule")
-    topology = _load(load_topology, args.topology, "topology")
-    rate = _rate_from_args(args, schedule.slot_duration)
-    scenario = NetworkScenario(schedule=schedule, topology=topology,
-                               generation_rate=rate,
-                               queue_capacity=args.queue)
+    scenario = _scenario(args)
     config = sim.SimConfig(seed=args.seed, runs=args.runs,
                            packets=args.packets,
                            warmup_slots=args.warmup_slots)
     stats = sim.simulate_network(scenario, config)
-    outer = list(max_depth_nodes(topology))
+    outer = list(max_depth_nodes(scenario.topology))
     summaries = {
         "pdr_outer_mean": stats.delivery_summary(outer),
         "delay_outer_mean_s": sim.MetricSummary.from_runs(
-            [d * schedule.slot_duration
+            [d * scenario.schedule.slot_duration
              for d in stats.delay_summary(outer).per_run]),
         "throughput_pps": stats.throughput_summary(),
     }

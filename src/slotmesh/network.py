@@ -15,6 +15,7 @@ and the simulator accept the same scenarios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,9 @@ class NetworkScenario:
     link_per: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.generation_rate >= 0:
-            raise NetworkModelError("generation_rate must be non-negative")
+        if not 0 <= self.generation_rate < math.inf:
+            raise NetworkModelError(
+                "generation_rate must be finite and non-negative")
         if self.queue_capacity < 1:
             raise NetworkModelError("queue_capacity must be at least 1")
         object.__setattr__(self, "link_per", dict(self.link_per))
@@ -114,9 +116,10 @@ def evaluate_network(scenario: NetworkScenario, *,
     """Solve all node models and compose network-wide metrics.
 
     The scenario is valid by construction. ``variant`` selects the
-    per-node model of :func:`~slotmesh.queuemodel.model_variant`; ``md1k``
-    has no slot structure to carry forwarded traffic and is therefore
-    restricted to single-hop trees.
+    per-node model, as in :func:`~slotmesh.queuemodel.evaluate_node`, and
+    each tree level is solved as one stack under it; ``md1k`` has no slot
+    structure to carry forwarded traffic and is therefore restricted to
+    single-hop trees.
     """
     schedule = scenario.schedule
     topology = scenario.topology

@@ -19,12 +19,20 @@ from one cumulative sum of logarithms and the ``k = 0`` term taken as
 ``exp(-lambda)`` so that a zero rate gives exactly one and zeros. The
 blocks are the only form of the chain, and numpy is all it needs.
 
+Every block follows one rule. Without a departure, row ``q`` is the
+arrival row shifted right by ``q``: ``arrivals[r - q]`` in column
+``r < K`` and the tail ``P(A >= K - q)`` in column ``K``, so the rows are
+read as one reversed sliding window over the zero-padded table. A
+transmission slot then shifts every row ``q >= 1`` one column to the left,
+its packet leaving before the arrivals; row 0 stays, since an empty
+queue sends nothing.
+
 Chains are built, solved and summarized as stacks: B chains with the same
 S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
 probabilities and departures, checked in one vector step, and become one
 ``(B, S, K + 1)`` arrival table and one ``(B, S, K + 1, K + 1)`` block
 array; every metric is a reduction that keeps the leading chain axis.
-:func:`build_chain`, :func:`evaluate_node` and :func:`model_variant` are
+:func:`build_chain` and :func:`evaluate_node` (under any ``variant``) are
 the stack of one chain, and a network evaluates each tree level as one
 stack under every variant. An error raised for one chain of a stack
 carries that chain's position as ``index``.
@@ -39,6 +47,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stationary
 from .stationary import _at
@@ -123,16 +132,6 @@ def arrival_pmf(traffic: TrafficSpec, slot: int, k: int) -> float:
     return float(table[0, k])
 
 
-def arrival_tail(traffic: TrafficSpec, slot: int, k: int) -> float:
-    """Probability of at least ``k`` packets arriving during ``slot``, as
-    the complement of the head that the chain's blocks use."""
-    if k < 0:
-        raise ModelError("k must be non-negative")
-    table = _arrival_table([traffic.poisson_rate[slot]],
-                           [traffic.bernoulli_prob[slot]], k + 1)
-    return float(_tails(table)[0, k])
-
-
 def _offered(rates: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Expected packets offered per slotframe, one per chain of a stack,
     each an exactly rounded sum over the slots."""
@@ -189,20 +188,21 @@ def _stack_chains(capacity: int, tau: np.ndarray, rates: np.ndarray,
     if rates.shape != tau.shape or probs.shape != tau.shape:
         raise ModelError("traffic spec length must equal the slotframe length")
     _check_traffic(rates, probs)
-    count, length = capacity + 1, tau.shape[1]
+    count = capacity + 1
     # one row per (chain, slot) pair
     arrivals = _arrival_table(rates.ravel(), probs.ravel(), count)
-    tails = _tails(arrivals)
-    q = np.arange(count)
-    room = capacity - q
-    blocks = np.zeros((tau.size, count, count))
-    for departed in (0, 1):
-        slots = np.flatnonzero(tau.ravel() == departed)[:, None]
-        base = np.maximum(q - departed, 0)
-        k = q - base[:, None]  # k[q, r]: arrivals that take level q to r
-        rows, cols = np.nonzero((k >= 0) & (k < room[:, None]))
-        blocks[slots, rows, cols] = arrivals[slots, k[rows, cols]]
-        blocks[slots, q, base + room] = tails[slots, room]
+    # window j of the padded table holds arrivals[j - K .. j - 1], so
+    # window K - q is row q below column K: arrivals[r - q] for r < K
+    padded = np.concatenate([np.zeros((tau.size, capacity)),
+                             arrivals[:, :capacity]], axis=1)
+    blocks = np.empty((tau.size, count, count))
+    blocks[:, :, :capacity] = sliding_window_view(
+        padded, capacity, axis=1)[:, ::-1]
+    blocks[:, :, capacity] = _tails(arrivals)[:, ::-1]  # P(A >= K - q)
+    # a transmission slot first sends one packet from a non-empty queue
+    sends = tau.ravel() == 1
+    blocks[sends, 1:, :capacity] = blocks[sends, 1:, 1:]
+    blocks[sends, 1:, capacity] = 0.0
     arrivals.flags.writeable = False
     blocks.flags.writeable = False
     return (arrivals.reshape(*tau.shape, count),
@@ -364,22 +364,10 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
             for b in range(len(tau))]
 
 
-def evaluate_node(capacity: int, slotframe_length: int, tx_slots,
-                  traffic: TrafficSpec) -> NodeMetrics:
-    """Build, solve and summarize the queue chain of one node.
-
-    Nodes without offered traffic are defined to accept everything
-    (vacuously); the chain is still solved for the delay and transmission
-    figures of the empty system.
-    """
-    tau = _departures(slotframe_length, [tx_slots])
-    return _evaluate_stack(capacity, tau, *traffic._arrays())[0]
-
-
 def _variant_stack(variant: str, capacity: int, slotframe_length: int,
                    tx_slots, rates: np.ndarray,
                    probs: np.ndarray) -> list[NodeMetrics]:
-    """:func:`model_variant` for a stack of nodes that share the slotframe
+    """:func:`evaluate_node` for a stack of nodes that share the slotframe
     and K, given as one transmission slot collection per node and
     ``(B, S)`` rates and probabilities."""
     if variant not in VARIANTS:
@@ -404,9 +392,10 @@ def _variant_stack(variant: str, capacity: int, slotframe_length: int,
             for b, node in enumerate(collapsed)]
 
 
-def model_variant(variant: str, capacity: int, slotframe_length: int,
-                  tx_slots, traffic: TrafficSpec) -> NodeMetrics:
-    """Evaluate a node under one of the model variants.
+def evaluate_node(capacity: int, slotframe_length: int, tx_slots,
+                  traffic: TrafficSpec, *, variant: str = "full") -> NodeMetrics:
+    """Build, solve and summarize the queue chain of one node under one of
+    the model variants.
 
     ``full`` uses the slot-resolved traffic as given. ``distributed`` keeps
     the real transmission slots but spreads the same total load uniformly
@@ -417,6 +406,10 @@ def model_variant(variant: str, capacity: int, slotframe_length: int,
     per-slotframe transmission probability is spread evenly over the
     node's transmission slots. Under ``md1k`` a node without transmission
     slots collapses to a single slot without departures.
+
+    Nodes without offered traffic are defined to accept everything
+    (vacuously); the chain is still solved for the delay and transmission
+    figures of the empty system.
     """
     return _variant_stack(variant, capacity, slotframe_length, [tx_slots],
                           *traffic._arrays())[0]

@@ -15,7 +15,6 @@ node id, so identical inputs produce byte-identical schedules.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .schedule import CHANNELS_2_4GHZ, DEFAULT_SLOT_DURATION, Schedule, Topology
 
@@ -28,16 +27,6 @@ class SchedulerError(RuntimeError):
 
 class ChannelExhaustionError(SchedulerError):
     """No free channel was left for a slot allocation."""
-
-
-@dataclass(frozen=True)
-class DescendantInfo:
-    """Proper-descendant counts: ``counts[n]`` is the number of nodes
-    strictly below ``n``; ``child_counts[n]`` maps each child to its own
-    count."""
-
-    counts: tuple[int, ...]
-    child_counts: tuple[dict[int, int], ...]
 
 
 class _MessageQueue:
@@ -59,8 +48,9 @@ class _MessageQueue:
             handler(kind, src, dst, payload)
 
 
-def proper_descendants(topology: Topology, trace=None) -> DescendantInfo:
-    """Count proper descendants with a message-driven depth-first pass.
+def proper_descendants(topology: Topology, trace=None) -> tuple[int, ...]:
+    """Count proper descendants with a message-driven depth-first pass:
+    entry ``n`` is the number of nodes strictly below ``n``.
 
     A node receiving ``forward`` starts counting; leaves reply with
     ``backtrack`` carrying their subtree size, which parents accumulate.
@@ -69,7 +59,6 @@ def proper_descendants(topology: Topology, trace=None) -> DescendantInfo:
     """
     n_nodes = topology.node_count
     gamma = [0] * n_nodes
-    child_counts = [dict() for _ in range(n_nodes)]
     next_child = [0] * n_nodes
     queue = _MessageQueue(trace)
 
@@ -88,7 +77,6 @@ def proper_descendants(topology: Topology, trace=None) -> DescendantInfo:
             handle_node(dst)
         elif kind == "backtrack":
             (size,) = payload
-            child_counts[dst][src] = size - 1
             gamma[dst] += size
             handle_node(dst)
 
@@ -96,8 +84,7 @@ def proper_descendants(topology: Topology, trace=None) -> DescendantInfo:
     queue.run(dispatch)
     if gamma[topology.ROOT] != n_nodes - 1:
         raise SchedulerError("descendant pass did not cover the whole tree")
-    return DescendantInfo(counts=tuple(gamma),
-                          child_counts=tuple(child_counts))
+    return tuple(gamma)
 
 
 def _assemble(topology, length, tx, rx, counterpart, channel,
@@ -150,7 +137,7 @@ def schedule_ta_single(topology: Topology, trace=None, *,
     At most one link is active per slot in the whole network.
     """
     n_nodes = topology.node_count
-    gamma = proper_descendants(topology).counts
+    gamma = proper_descendants(topology)
     length = 1 + sum(gamma[n] + 1 for n in range(1, n_nodes))
     tx = [[] for _ in range(n_nodes)]
     rx = [[] for _ in range(n_nodes)]
@@ -201,12 +188,11 @@ def schedule_ta_multi(topology: Topology, channels=CHANNELS_2_4GHZ, trace=None, 
     need arbitrarily many colors, exhaustion of the channel set is an
     error.
     """
-    descendants = proper_descendants(topology)
+    gamma = proper_descendants(topology)
     channels = tuple(sorted(channels))
     if not channels:
         raise SchedulerError("channel set must not be empty")
     n_nodes = topology.node_count
-    gamma = descendants.counts
     per_node = [gamma[n] if n == topology.ROOT else 2 * gamma[n] + 1
                 for n in range(n_nodes)]
     length = 1 + max(per_node)
@@ -235,7 +221,7 @@ def schedule_ta_multi(topology: Topology, channels=CHANNELS_2_4GHZ, trace=None, 
             if next_child[n] < len(kids):
                 u = kids[next_child[n]]
                 next_child[n] += 1
-                remaining = descendants.child_counts[n][u] + 1
+                remaining = gamma[u] + 1
                 for i in range(1, length):  # slot 0 is reserved
                     if i in busy[n]:
                         continue

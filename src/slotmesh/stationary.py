@@ -142,20 +142,6 @@ def _check_residuals(residual: np.ndarray) -> None:
             failed[0])
 
 
-def solve_matrix(matrix, start: int = 0) -> StationaryResult:
-    """Stationary distribution of an arbitrary chain, given as a dense
-    row-stochastic matrix, supported on the closed class that ``start``
-    reaches."""
-    dense = np.asarray(matrix, dtype=float)
-    mask = _closed_class(dense != 0, start)
-    full = np.zeros(len(dense))
-    full[mask] = _gth(dense[np.ix_(mask, mask)][None])[0]
-    residual = np.abs(full @ dense - full).max(keepdims=True)
-    _check_residuals(residual)
-    return StationaryResult(distribution=full, residual=float(residual[0]),
-                            reachable=mask)
-
-
 def _return_maps(blocks: np.ndarray) -> np.ndarray:
     """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a ``(B, S, K + 1,
     K + 1)`` block stack, one batched product per slot."""

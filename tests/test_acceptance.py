@@ -13,8 +13,7 @@ import pytest
 from slotmesh.network import (NetworkScenario, concentric_topology,
                               evaluate_network, max_depth_nodes)
 from slotmesh.queuemodel import (TrafficSpec, build_chain, evaluate_node,
-                                 expected_arrivals_per_slotframe,
-                                 model_variant)
+                                 expected_arrivals_per_slotframe)
 from slotmesh.schedule import active_links, validate
 from slotmesh.schedulers import generate, proper_descendants
 from slotmesh.simulate import SimConfig, simulate_network, simulate_queue
@@ -142,8 +141,9 @@ def test_single_node_model_vs_simulation():
     config = SimConfig(seed=11, runs=10, packets=10_000)
     for p_gen in np.linspace(0.0, 0.3, 10):
         traffic = TrafficSpec((float(p_gen),) * length, probs)
-        full = model_variant("full", capacity, length, tx, traffic)
-        dist = model_variant("distributed", capacity, length, tx, traffic)
+        full = evaluate_node(capacity, length, tx, traffic, variant="full")
+        dist = evaluate_node(capacity, length, tx, traffic,
+                             variant="distributed")
         stats = simulate_queue(capacity, length, tx, traffic, config)
         assert stats.acceptance.contains(full.acceptance, atol=1e-6), p_gen
         assert dist.acceptance <= full.acceptance + 1e-12, p_gen
@@ -183,7 +183,7 @@ def test_schedule_properties():
         assert report.ok and not report.channel_collisions, algorithm
         if algorithm != "sbd":
             for n in range(1, topology.node_count):
-                assert len(schedule.tx_slots[n]) == info.counts[n] + 1
+                assert len(schedule.tx_slots[n]) == info[n] + 1
     assert lengths == {"sbd": 19, "ta-sc": 31, "ta-mc": 19}
     tamc = generate("ta-mc", topology)
     first_data_slot = {tamc.channel[v][1] for v, _ in active_links(tamc, 1)}

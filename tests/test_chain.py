@@ -126,7 +126,7 @@ def _scalar_blocks(capacity, length, tx, traffic):
     return blocks
 
 
-@given(st.integers(min_value=1, max_value=6),
+@given(st.integers(min_value=1, max_value=40),
        st.integers(min_value=1, max_value=6),
        st.data())
 @settings(max_examples=60, deadline=None)

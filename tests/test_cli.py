@@ -236,9 +236,18 @@ _GRID = {"min": 0.0, "max": 0.01, "count": 3}
     {"grid": {**_GRID, "min": "0"}, "topology": {"rings": 1}},
     {"grid": [0.0, 0.01, 3], "topology": {"rings": 1}},
     [1, 2],
+    {"grid": _GRID, "topology": {"rings": "2"}},
+    {"grid": _GRID, "topology": "rings"},
+    {"grid": _GRID, "topology": {"rings": 1}, "slot_duration_s": "x"},
+    {"grid": _GRID, "topology": {"rings": 1}, "schedules": [{"file": 3}]},
+    {"grid": _GRID, "topology": {"file": 3}},
+    {"grid": _GRID, "topology": {"rings": 1}, "variants": "full"},
+    {"grid": _GRID, "topology": {"rings": 1}, "schedules": "sbd"},
 ], ids=["min_above_max", "capacity_string", "capacity_float",
         "capacity_bool", "count_missing", "count_float", "count_bool",
-        "min_string", "grid_list", "spec_list"])
+        "min_string", "grid_list", "spec_list", "rings_string",
+        "topology_string", "slot_duration_string", "schedule_file_int",
+        "topology_file_int", "variants_string", "schedules_string"])
 def test_sweep_rejects_bad_grid(tmp_path, capsys, spec):
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps(spec))
@@ -286,19 +295,33 @@ def test_simulate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["collision", "past_parent"])
+@pytest.mark.parametrize("name", ["collision", "past_parent", "rate_inf"])
 def test_simulate_rejects_invalid_scenario(tmp_path, capsys, name):
     # what analyze rejects, simulate rejects too
-    sched, topo = invalid_networks()[name]
+    if name == "rate_inf":
+        topo = concentric_topology(1)
+        sched, rate = schedule_orchestra_sbd(topo), "inf"
+    else:
+        (sched, topo), rate = invalid_networks()[name], "0.01"
     topo_path = tmp_path / "t.json"
     sched_path = tmp_path / "s.json"
     save_topology(topo, topo_path)
     save_schedule(sched, sched_path)
     code = main(["simulate", "--schedule", str(sched_path),
-                 "--topology", str(topo_path), "--rate", "0.01",
+                 "--topology", str(topo_path), "--rate", rate,
                  "--queue", "4", "--runs", "1", "--packets", "10"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("interval", ["0", "-1"])
+def test_nonpositive_interval_is_domain_error(files, capsys, command, interval):
+    _, sched, topo = files
+    assert main([command, "--schedule", sched, "--topology", topo,
+                 "--interval", interval, "--queue", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_missing_file_is_input_error(capsys):

@@ -8,8 +8,7 @@ from conftest import chain_cases
 from slotmesh.queuemodel import (ModelError, TrafficSpec, acceptance_probability,
                                  arrival_pmf, build_chain, evaluate_node,
                                  expected_arrivals_per_slotframe, expected_delay,
-                                 model_variant, queue_marginals,
-                                 transmission_probability)
+                                 queue_marginals, transmission_probability)
 from slotmesh.simulate import SimConfig, simulate_queue
 from slotmesh.stationary import solve
 
@@ -171,7 +170,7 @@ def test_node_metrics_invariants():
 
 def test_variants_share_offered_load():
     traffic = TrafficSpec((0.1,) * 5, (0.5, 0.0, 0.0, 0.0, 0.0))
-    results = {v: model_variant(v, 5, 5, (3,), traffic)
+    results = {v: evaluate_node(5, 5, (3,), traffic, variant=v)
                for v in ("md1k", "distributed", "full")}
     for metrics in results.values():
         assert metrics.total_arrivals == pytest.approx(1.0, abs=1e-12)
@@ -183,19 +182,20 @@ def test_variants_share_offered_load():
 
 def test_md1k_variant_collapses_schedule():
     traffic = TrafficSpec((0.2,) * 5, (0.0,) * 5)
-    collapsed = model_variant("md1k", 4, 5, (1,), traffic)
+    collapsed = evaluate_node(4, 5, (1,), traffic, variant="md1k")
     direct = evaluate_node(4, 1, (0,), TrafficSpec((1.0,), (0.0,)))
     assert collapsed.acceptance == pytest.approx(direct.acceptance, abs=1e-12)
     assert collapsed.queue_marginals == pytest.approx(direct.queue_marginals,
                                                       abs=1e-12)
     # a node without a transmission slot collapses to a slot that never drains
-    idle = model_variant("md1k", 4, 5, (), TrafficSpec.constant(5))
+    idle = evaluate_node(4, 5, (), TrafficSpec.constant(5), variant="md1k")
     assert np.array_equal(idle.tx_probability, np.zeros(5))
     assert idle.queue_marginals[0] == 1.0 and idle.acceptance == 1.0
 
 
 def test_md1k_loaded_node_without_tx_slots_fills_up():
-    loaded = model_variant("md1k", 4, 5, (), TrafficSpec.constant(5, rate=0.2))
+    loaded = evaluate_node(4, 5, (), TrafficSpec.constant(5, rate=0.2),
+                           variant="md1k")
     assert np.array_equal(loaded.distribution, [0.0, 0.0, 0.0, 0.0, 1.0])
     assert np.array_equal(loaded.tx_probability, np.zeros(5))
     assert loaded.acceptance == 0.0 and loaded.expected_delay_slots == 0.0
@@ -206,9 +206,10 @@ def test_variant_rejects_tx_slot_outside_frame(variant):
     traffic = TrafficSpec.constant(5, rate=0.1)
     for tx in ((5,), (-1,)):
         with pytest.raises(ModelError, match="outside"):
-            model_variant(variant, 3, 5, tx, traffic)
+            evaluate_node(3, 5, tx, traffic, variant=variant)
 
 
 def test_unknown_variant_rejected():
     with pytest.raises(ModelError):
-        model_variant("fancy", 3, 2, (0,), TrafficSpec.constant(2, rate=0.1))
+        evaluate_node(3, 2, (0,), TrafficSpec.constant(2, rate=0.1),
+                      variant="fancy")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network,
                               max_depth_nodes)
 from slotmesh.queuemodel import (TrafficSpec, evaluate_node,
-                                 expected_arrivals_per_slotframe, model_variant)
+                                 expected_arrivals_per_slotframe)
 from slotmesh.schedule import Schedule, Topology, validate
 from slotmesh.schedulers import generate, schedule_orchestra_sbd
 
@@ -255,7 +257,7 @@ def test_distributed_variant_spreads_forwarded_load():
 @pytest.mark.parametrize("algorithm", ["sbd", "ta-sc", "ta-mc"])
 def test_levels_match_per_node_variants(algorithm):
     # each tree level is solved as one stack; every node must still get
-    # what model_variant gives it on its own traffic, so a mixed-up batch
+    # what evaluate_node gives it on its own traffic, so a mixed-up batch
     # index or mask group shows
     topo = concentric_topology(2)
     sched = generate(algorithm, topo)
@@ -270,8 +272,9 @@ def test_levels_match_per_node_variants(algorithm):
                 for n in range(1, topo.node_count):
                     traffic = TrafficSpec((rate,) * length,
                                           tuple(result.rx_probability[n]))
-                    want = model_variant(variant, capacity, length,
-                                         sched.tx_slots[n], traffic)
+                    want = evaluate_node(capacity, length,
+                                         sched.tx_slots[n], traffic,
+                                         variant=variant)
                     got = result.node_metrics[n]
                     for field in ("distribution", "tx_probability",
                                   "acceptance", "expected_delay_slots",
@@ -305,6 +308,14 @@ def test_interval_conversion():
     scenario = NetworkScenario.from_interval(sched, topo, interval_s=1.0,
                                              queue_capacity=4)
     assert scenario.generation_rate == pytest.approx(0.01, abs=1e-15)
+
+
+@pytest.mark.parametrize("rate", [-0.01, math.nan, math.inf])
+def test_invalid_rate_rejected(rate):
+    sched, topo = _two_node()
+    with pytest.raises(NetworkModelError, match="generation_rate"):
+        NetworkScenario(schedule=sched, topology=topo, generation_rate=rate,
+                        queue_capacity=4)
 
 
 def test_concentric_node_counts():

@@ -24,32 +24,33 @@ def path_topology(n):
 
 def test_descendants_single_node():
     topo = Topology(1, frozenset(), (None,))
-    assert proper_descendants(topo).counts == (0,)
+    assert proper_descendants(topo) == (0,)
 
 
 def test_descendants_path():
-    info = proper_descendants(path_topology(3))
-    assert info.counts == (2, 1, 0)
-    assert info.child_counts[0] == {1: 1}
-    assert info.child_counts[1] == {2: 0}
+    topo = path_topology(3)
+    counts = proper_descendants(topo)
+    assert counts == (2, 1, 0)
+    assert topo.children(0) == (1,) and counts[1] == 1
+    assert topo.children(1) == (2,) and counts[2] == 0
 
 
 def test_descendants_concentric_matches_recursive_oracle():
     for rings in (1, 2, 3):
         topo = concentric_topology(rings)
         info = proper_descendants(topo)
-        assert info.counts == subtree_sizes(topo)
-        assert info.counts[0] == topo.node_count - 1
+        assert info == subtree_sizes(topo)
+        assert info[0] == topo.node_count - 1
         for n in range(topo.node_count):
-            assert info.counts[n] == sum(g + 1 for g in
-                                         info.child_counts[n].values())
+            assert info[n] == sum(info[child] + 1
+                                  for child in topo.children(n))
 
 
 def test_descendants_concentric_19():
     info = proper_descendants(concentric_topology(2))
-    assert info.counts[0] == 18
-    assert all(info.counts[n] == 2 for n in range(1, 7))
-    assert all(info.counts[n] == 0 for n in range(7, 19))
+    assert info[0] == 18
+    assert all(info[n] == 2 for n in range(1, 7))
+    assert all(info[n] == 0 for n in range(7, 19))
 
 
 def test_descendant_pass_message_count():
@@ -91,7 +92,7 @@ def test_ta_single_slot_counts():
     assert sched.slotframe_length == 31
     assert len(sched.rx_slots[0]) == 18
     for n in range(1, 19):
-        assert len(sched.tx_slots[n]) == info.counts[n] + 1
+        assert len(sched.tx_slots[n]) == info[n] + 1
     assert validate(sched, topo).ok
 
 
@@ -115,7 +116,7 @@ def test_ta_single_larger_network_length_formula():
     info = proper_descendants(topo)
     sched = schedule_ta_single(topo)
     assert sched.slotframe_length == 1 + sum(
-        info.counts[n] + 1 for n in range(1, topo.node_count))
+        info[n] + 1 for n in range(1, topo.node_count))
     assert sched.slotframe_length == 85
     assert validate(sched, topo).ok
 
@@ -138,7 +139,7 @@ def test_ta_multi_slot_counts_and_validity():
         assert report.ok
         assert not report.channel_collisions
         for n in range(1, topo.node_count):
-            assert len(sched.tx_slots[n]) == info.counts[n] + 1
+            assert len(sched.tx_slots[n]) == info[n] + 1
 
 
 def test_ta_multi_first_slot_coloring():

@@ -13,8 +13,7 @@ from slotmesh.queuemodel import (TrafficSpec, acceptance_probability,
                                  build_chain, evaluate_node)
 from slotmesh.schedule import Schedule, Topology
 from slotmesh.schedulers import generate
-from slotmesh.stationary import (StationaryError, reachable_states, solve,
-                                 solve_matrix)
+from slotmesh.stationary import StationaryError, reachable_states, solve
 
 
 def dense_null_space_oracle(matrix, mask):
@@ -30,9 +29,20 @@ def dense_null_space_oracle(matrix, mask):
     return full
 
 
+def closed_class_solution(matrix, start=0):
+    """What the return-map path runs, on any row-stochastic matrix: the
+    closed class that ``start`` reaches and its GTH solution, zero
+    elsewhere, checked against the solver's residual bound."""
+    mask = stationary._closed_class(matrix != 0, start)
+    full = np.zeros(len(matrix))
+    full[mask] = stationary._gth(matrix[np.ix_(mask, mask)][None])[0]
+    assert np.abs(full @ matrix - full).max() <= stationary.RESIDUAL_BOUND
+    return full, mask
+
+
 def test_two_state_symmetric_chain():
-    res = solve_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert res.distribution == pytest.approx([0.5, 0.5], abs=1e-12)
+    distribution, _ = closed_class_solution(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert distribution == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_residual_definition():
@@ -74,9 +84,11 @@ def test_methods_agree_with_dense_oracle():
         mask = reachable_states(chain)
         dense = dense_matrix(chain)
         oracle = dense_null_space_oracle(dense, mask)
-        for res in (solve(chain), solve_matrix(dense)):
-            assert np.abs(res.distribution - oracle).max() < 1e-8
-            assert np.array_equal(res.reachable, mask)
+        res = solve(chain)
+        for distribution, reachable in ((res.distribution, res.reachable),
+                                        closed_class_solution(dense)):
+            assert np.abs(distribution - oracle).max() < 1e-8
+            assert np.array_equal(reachable, mask)
 
 
 def test_pruned_mass_exactly_zero():
@@ -94,9 +106,9 @@ def test_solution_invariant_under_permutation():
     perm = rng.permutation(matrix.shape[0])
     inv = np.argsort(perm)
     permuted = matrix[np.ix_(perm, perm)]
-    base = solve_matrix(matrix, start=0)
-    shuffled = solve_matrix(permuted, start=int(inv[0]))
-    assert np.abs(shuffled.distribution[inv] - base.distribution).max() < 1e-10
+    base, _ = closed_class_solution(matrix, start=0)
+    shuffled, _ = closed_class_solution(permuted, start=int(inv[0]))
+    assert np.abs(shuffled[inv] - base).max() < 1e-10
 
 
 def test_unclosed_core_raises():
@@ -107,15 +119,15 @@ def test_unclosed_core_raises():
         [0.0, 0.0, 1.0],
         [0.0, 1.0, 0.0],
     ])
-    res = solve_matrix(p)
-    assert res.distribution == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
-    assert res.distribution[0] == 0.0
+    distribution, _ = closed_class_solution(p)
+    assert distribution == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
+    assert distribution[0] == 0.0
     # a stored zero is not an edge: 2 -> 0 does not close the loop
     stored = sparse.csr_matrix(
         ([1.0, 1.0, 1.0, 0.0], ([0, 1, 2, 2], [1, 2, 1, 0])), shape=(3, 3))
     assert stored.nnz == 4
-    assert np.array_equal(solve_matrix(stored.toarray()).distribution,
-                          res.distribution)
+    assert np.array_equal(closed_class_solution(stored.toarray())[0],
+                          distribution)
     # the start splits between two absorbing states: no unique answer
     split = np.array([
         [0.0, 0.5, 0.5],
@@ -123,7 +135,7 @@ def test_unclosed_core_raises():
         [0.0, 0.0, 1.0],
     ])
     with pytest.raises(StationaryError):
-        solve_matrix(split)
+        closed_class_solution(split)
 
 
 def test_nonconvergence_reports_residual(monkeypatch):
@@ -305,8 +317,8 @@ def test_closed_class_matches_csgraph(case):
     classes = csgraph_closed_classes(matrix, start)
     if len(classes) > 1:
         with pytest.raises(StationaryError, match="closed class"):
-            solve_matrix(matrix, start=start)
+            closed_class_solution(matrix, start=start)
         return
-    res = solve_matrix(matrix, start=start)
-    assert np.array_equal(res.reachable, classes[0])
-    assert np.all(res.distribution[~classes[0]] == 0.0)
+    distribution, reachable = closed_class_solution(matrix, start=start)
+    assert np.array_equal(reachable, classes[0])
+    assert np.all(distribution[~classes[0]] == 0.0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import slotmesh
 from slotmesh.queuemodel import (ModelError, TrafficSpec, _arrival_table,
-                                 arrival_pmf, arrival_tail,
+                                 arrival_pmf, build_chain,
                                  expected_arrivals_per_slotframe)
 
 
@@ -36,7 +36,8 @@ def test_pmf_certain_single_packet():
     spec = TrafficSpec((0.0,), (1.0,))
     assert arrival_pmf(spec, 0, 1) == 1.0
     assert arrival_pmf(spec, 0, 0) == 0.0
-    assert arrival_tail(spec, 0, 1) == 1.0
+    # the tail column of the empty queue's row holds P(A >= 1)
+    assert build_chain(1, 1, (), spec).blocks[0, 0, 1] == 1.0
 
 
 def test_pmf_mixture_value():
@@ -60,7 +61,8 @@ def test_pmf_mixture_monte_carlo():
 
 def test_tail_zero_is_one():
     spec = TrafficSpec((2.0,), (0.3,))
-    assert arrival_tail(spec, 0, 0) == 1.0
+    # the full queue's row ends in P(A >= 0)
+    assert build_chain(3, 1, (), spec).blocks[0, 3, 3] == 1.0
 
 
 @given(st.floats(min_value=0.0, max_value=4.0),
@@ -70,7 +72,9 @@ def test_tail_zero_is_one():
 def test_tail_is_complement_of_pmf_sum(lam, prob, k):
     spec = TrafficSpec((lam,), (prob,))
     head = sum(arrival_pmf(spec, 0, j) for j in range(k))
-    assert arrival_tail(spec, 0, k) == pytest.approx(1.0 - head, abs=1e-12)
+    # without a departure, row K - k of a block ends in P(A >= k)
+    tail = build_chain(12, 1, (), spec).blocks[0, 12 - k, 12]
+    assert tail == pytest.approx(1.0 - head, abs=1e-12)
 
 
 def test_expected_arrivals_trivial():
@@ -105,7 +109,6 @@ def test_expected_arrivals_matches_sampling():
 _SCIPY_PROBE = """
 import json, os, sys, tempfile
 sys.modules["scipy"] = None  # every scipy import now raises ImportError
-import numpy as np
 import slotmesh
 from slotmesh import cli
 topology = slotmesh.concentric_topology(1)
@@ -115,8 +118,8 @@ scenario = slotmesh.NetworkScenario(schedule=schedule, topology=topology,
                                     generation_rate=0.01, queue_capacity=8)
 for variant in ("full", "distributed", "md1k"):
     slotmesh.evaluate_network(scenario, variant=variant)
-slotmesh.arrival_tail(slotmesh.TrafficSpec((0.5,), (0.2,)), 0, 3)
-slotmesh.solve_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
+slotmesh.solve(slotmesh.build_chain(3, 2, (1,), slotmesh.TrafficSpec(
+    (0.5, 0.0), (0.2, 0.0))))
 slotmesh.simulate_network(scenario, slotmesh.SimConfig(
     seed=1, runs=1, packets=5, warmup_slots=100))
 with tempfile.TemporaryDirectory() as tmp:
