@@ -215,8 +215,8 @@ def _sweep_tasks(spec):
     if not isinstance(topo_spec, dict):
         raise _InputError("sweep topology must be an object")
     if "rings" in topo_spec:
-        if not _is_int(topo_spec["rings"]):
-            raise _InputError("sweep topology 'rings' must be an integer")
+        if not (_is_int(topo_spec["rings"]) and topo_spec["rings"] >= 1):
+            raise _InputError("sweep topology 'rings' must be a positive integer")
         topology = concentric_topology(topo_spec["rings"])
     elif isinstance(topo_spec.get("file"), str):
         topology = _load(load_topology, topo_spec["file"], "topology")
@@ -224,8 +224,10 @@ def _sweep_tasks(spec):
         raise _InputError("sweep topology needs 'rings' or a 'file' name")
     grid = _sweep_grid(spec)
     capacities = spec.get("queue_capacities", [16])
-    if not (isinstance(capacities, list) and all(map(_is_int, capacities))):
-        raise _InputError("sweep queue_capacities must be a list of integers")
+    if not (isinstance(capacities, list) and capacities
+            and all(_is_int(c) and c >= 1 for c in capacities)):
+        raise _InputError("sweep queue_capacities must be a non-empty list "
+                          "of positive integers")
     if parameter == "interval":
         if grid[0] <= 0:
             raise _InputError("interval sweeps need positive intervals")
@@ -236,8 +238,9 @@ def _sweep_tasks(spec):
         raise _InputError("sweep rates must be non-negative")
     entries = spec.get("schedules", ["sbd"])
     variants = spec.get("variants", ["full"])
-    if not (isinstance(entries, list) and isinstance(variants, list)):
-        raise _InputError("sweep schedules and variants must be lists")
+    if not (isinstance(entries, list) and isinstance(variants, list)
+            and entries and variants):
+        raise _InputError("sweep schedules and variants must be non-empty lists")
     schedules = []
     for entry in entries:
         if isinstance(entry, str) and entry in ALGORITHMS:

@@ -2,9 +2,10 @@
 
 A schedule assigns transmission and reception slots within a repeating
 slotframe to every node, together with the peer node (counterpart) and
-the frequency channel of each assignment. Validation checks that no two
-links that can disturb each other are active in the same slot on the
-same channel.
+the frequency channel of each assignment. Validation files every
+transmission under its (slot, channel) and checks that no two links in
+one group can disturb each other: an endpoint of one is a neighbour of an
+endpoint of the other.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ class Topology:
     parents: tuple[int | None, ...]
     _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _neighbor_sets: tuple[frozenset[int], ...] = field(init=False, repr=False)
 
     ROOT = 0
 
@@ -124,6 +126,12 @@ class Topology:
                 raise ScheduleError(f"invalid edge {e}")
             norm.add((min(v, w), max(v, w)))
         object.__setattr__(self, "edges", frozenset(norm))
+        nbrs = [set() for _ in range(self.node_count)]
+        for v, w in norm:
+            nbrs[v].add(w)
+            nbrs[w].add(v)
+        object.__setattr__(self, "_neighbor_sets", tuple(map(frozenset, nbrs)))
+        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(s)) for s in nbrs))
         parents = tuple(self.parents)
         object.__setattr__(self, "parents", parents)
         if len(parents) != self.node_count:
@@ -153,15 +161,14 @@ class Topology:
             if p is not None:
                 children[p].append(n)
         object.__setattr__(self, "_children", tuple(tuple(sorted(c)) for c in children))
-        nbrs = [set() for _ in range(self.node_count)]
-        for v, w in self.edges:
-            nbrs[v].add(w)
-            nbrs[w].add(v)
-        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(s)) for s in nbrs))
 
     def in_range(self, v: int, w: int) -> bool:
         """Whether a transmission of ``v`` can disturb a reception at ``w``."""
-        return (min(v, w), max(v, w)) in self.edges
+        return w in self._near(v)
+
+    def _near(self, node: int) -> frozenset[int]:
+        # a node id the topology lacks has no neighbours
+        return self._neighbor_sets[node] if 0 <= node < self.node_count else frozenset()
 
     def children(self, node: int) -> tuple[int, ...]:
         return self._children[node]
@@ -214,23 +221,17 @@ def active_links(schedule: Schedule, slot: int) -> set[Link]:
     """All links (transmitter, receiver) active during ``slot``."""
     if not 0 <= slot < schedule.slotframe_length:
         raise ScheduleError(f"slot {slot} outside [0, {schedule.slotframe_length})")
-    links = set()
-    for n in range(schedule.node_count):
-        if slot in schedule.counterpart[n] and slot in set(schedule.tx_slots[n]):
-            links.add((n, schedule.counterpart[n][slot]))
-    return links
+    return {(n, schedule.counterpart[n][slot]) for n in range(schedule.node_count)
+            if slot in schedule.tx_slots[n]}
 
 
 def _disturbs(topology: Topology, l1: Link, l2: Link) -> bool:
-    # The four constellations in which link 2 can disturb link 1: any
-    # endpoint of link 2 within range of any endpoint of link 1 (data and
-    # acknowledgment directions both considered).
-    v1, w1 = l1
+    # Link 2 can disturb link 1 when either of its endpoints is a neighbour
+    # of either endpoint of link 1 (data and acknowledgment directions both
+    # considered). The callers pass links of distinct transmitters.
     v2, w2 = l2
-    if v1 == v2:
-        return False
-    return (topology.in_range(v2, v1) or topology.in_range(v2, w1)
-            or topology.in_range(w2, v1) or topology.in_range(w2, w1))
+    near_v1, near_w1 = topology._near(l1[0]), topology._near(l1[1])
+    return v2 in near_v1 or v2 in near_w1 or w2 in near_v1 or w2 in near_w1
 
 
 def disturbing_links(schedule: Schedule, topology: Topology, slot: int,
@@ -249,42 +250,41 @@ def validate(schedule: Schedule, topology: Topology) -> ConflictReport:
     """Check a schedule for conflicts and invariant violations.
 
     Never raises for semantic problems; everything is collected in the
-    report. A schedule is conflict-free when no two mutually disturbing
-    links in any slot share a frequency channel.
+    report. One pass over each node's cells checks TX/RX exclusivity and
+    link consistency and files each transmission under its (slot,
+    transmitter channel). A schedule is conflict-free when no two links of
+    one group disturb each other; collisions are reported sorted by slot
+    and link pair.
     """
     violations = []
     if schedule.node_count != topology.node_count:
         violations.append(
             f"node_count_mismatch: schedule has {schedule.node_count} nodes, "
             f"topology has {topology.node_count}")
+    tx_sets = [set(t) for t in schedule.tx_slots]
+    rx_sets = [set(r) for r in schedule.rx_slots]
+    groups: dict[tuple[int, int], list[Link]] = {}
     for n in range(schedule.node_count):
-        overlap = set(schedule.tx_slots[n]) & set(schedule.rx_slots[n])
-        for i in sorted(overlap):
+        peer, channel = schedule.counterpart[n], schedule.channel[n]
+        for i in sorted(tx_sets[n] & rx_sets[n]):
             violations.append(f"tx_rx_overlap: node {n} slot {i}")
         for i in schedule.tx_slots[n]:
-            m = schedule.counterpart[n][i]
-            if i not in set(schedule.rx_slots[m]) or schedule.counterpart[m].get(i) != n:
+            m = peer[i]
+            if i not in rx_sets[m] or schedule.counterpart[m].get(i) != n:
                 violations.append(f"link_consistency: node {n} tx slot {i} -> {m}")
-            elif schedule.channel[n][i] != schedule.channel[m][i]:
+            elif channel[i] != schedule.channel[m][i]:
                 violations.append(f"channel_mismatch: link ({n},{m}) slot {i}")
+            # nodes come in ascending order, so every group stays sorted
+            groups.setdefault((i, channel[i]), []).append((n, m))
         for i in schedule.rx_slots[n]:
-            m = schedule.counterpart[n][i]
-            if i not in set(schedule.tx_slots[m]) or schedule.counterpart[m].get(i) != n:
+            m = peer[i]
+            if i not in tx_sets[m] or schedule.counterpart[m].get(i) != n:
                 violations.append(f"link_consistency: node {n} rx slot {i} <- {m}")
-
-    collisions = []
-    for slot in range(schedule.slotframe_length):
-        ordered = sorted(active_links(schedule, slot))
-        for a, l1 in enumerate(ordered):
-            for l2 in ordered[a + 1:]:
-                if not _disturbs(topology, l1, l2):
-                    continue
-                if schedule.channel[l1[0]][slot] == schedule.channel[l2[0]][slot]:
-                    collisions.append((slot, l1, l2))
-    return ConflictReport(
-        channel_collisions=tuple(collisions),
-        invariant_violations=tuple(violations),
-    )
+    collisions = sorted((slot, l1, l2) for (slot, _), links in groups.items()
+                        for a, l1 in enumerate(links) for l2 in links[a + 1:]
+                        if _disturbs(topology, l1, l2))
+    return ConflictReport(channel_collisions=tuple(collisions),
+                          invariant_violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +367,6 @@ def schedule_from_dict(data: dict) -> Schedule:
             channel=tuple(ch),
             slot_duration=data.get("slot_duration_s", DEFAULT_SLOT_DURATION),
         )
-    except ScheduleFormatError:
-        raise
     except ScheduleError as exc:
         raise ScheduleFormatError(f"schedule: {exc}") from exc
 
@@ -403,8 +401,6 @@ def topology_from_dict(data: dict) -> Topology:
             edges=frozenset(pairs),
             parents=tuple(parents),
         )
-    except ScheduleFormatError:
-        raise
     except ScheduleError as exc:
         raise ScheduleFormatError(f"topology: {exc}") from exc
 

@@ -243,11 +243,18 @@ _GRID = {"min": 0.0, "max": 0.01, "count": 3}
     {"grid": _GRID, "topology": {"file": 3}},
     {"grid": _GRID, "topology": {"rings": 1}, "variants": "full"},
     {"grid": _GRID, "topology": {"rings": 1}, "schedules": "sbd"},
+    {"grid": _GRID, "topology": {"rings": 1}, "queue_capacities": []},
+    {"grid": _GRID, "topology": {"rings": 1}, "variants": []},
+    {"grid": _GRID, "topology": {"rings": 1}, "schedules": []},
+    {"grid": _GRID, "topology": {"rings": 0}},
+    {"grid": _GRID, "topology": {"rings": 1}, "queue_capacities": [0]},
 ], ids=["min_above_max", "capacity_string", "capacity_float",
         "capacity_bool", "count_missing", "count_float", "count_bool",
         "min_string", "grid_list", "spec_list", "rings_string",
         "topology_string", "slot_duration_string", "schedule_file_int",
-        "topology_file_int", "variants_string", "schedules_string"])
+        "topology_file_int", "variants_string", "schedules_string",
+        "capacities_empty", "variants_empty", "schedules_empty",
+        "rings_zero", "capacity_zero"])
 def test_sweep_rejects_bad_grid(tmp_path, capsys, spec):
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps(spec))

@@ -236,3 +236,76 @@ def test_disturbing_links_symmetric(scenario):
                 d1 = disturbing_links(schedule, topology, slot, l1)
                 d2 = disturbing_links(schedule, topology, slot, l2)
                 assert (l2 in d1) == (l1 in d2)
+
+
+@st.composite
+def _multi_transmitter_scenario(draw):
+    # several disjoint links per slot on channels 11/12, over a random tree
+    # with random extra edges
+    n = draw(st.integers(min_value=2, max_value=9))
+    length = draw(st.integers(min_value=1, max_value=5))
+    parents = [None] + [draw(st.integers(min_value=0, max_value=k - 1))
+                        for k in range(1, n)]
+    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))
+    edges = {(p, k) for k, p in enumerate(parents) if p is not None}
+    edges |= {(v, w) for v, w in extra if v != w}
+    tx = [[] for _ in range(n)]
+    rx = [[] for _ in range(n)]
+    cp = [dict() for _ in range(n)]
+    ch = [dict() for _ in range(n)]
+    for slot in range(length):
+        order = draw(st.permutations(range(n)))
+        for k in range(draw(st.integers(min_value=0, max_value=n // 2))):
+            v, w = order[2 * k], order[2 * k + 1]
+            channel = draw(st.sampled_from((11, 12)))
+            tx[v].append(slot)
+            rx[w].append(slot)
+            cp[v][slot], cp[w][slot] = w, v
+            ch[v][slot] = ch[w][slot] = channel
+    schedule = Schedule(node_count=n, slotframe_length=length,
+                        tx_slots=tuple(tuple(t) for t in tx),
+                        rx_slots=tuple(tuple(r) for r in rx),
+                        counterpart=tuple(cp), channel=tuple(ch))
+    return schedule, Topology(n, frozenset(edges), tuple(parents))
+
+
+@given(_multi_transmitter_scenario())
+@settings(max_examples=150, deadline=None)
+def test_collisions_match_brute_force(scenario):
+    schedule, topology = scenario
+    expected = []
+    for slot in range(schedule.slotframe_length):
+        links = sorted((v, schedule.counterpart[v][slot])
+                       for v in range(schedule.node_count)
+                       if slot in schedule.tx_slots[v])
+        for a, l1 in enumerate(links):
+            for l2 in links[a + 1:]:
+                same_channel = (schedule.channel[l1[0]][slot]
+                                == schedule.channel[l2[0]][slot])
+                near = any((min(x, y), max(x, y)) in topology.edges
+                           for x in l1 for y in l2)
+                if same_channel and near:
+                    expected.append((slot, l1, l2))
+    report = validate(schedule, topology)
+    assert report.channel_collisions == tuple(expected)
+    assert report.invariant_violations == ()
+
+
+def test_validate_schedule_larger_than_topology():
+    # node 5 exists only in the schedule: it has no neighbours, so link
+    # 2->5 disturbs nothing, while 2->1 and 4->3 still collide via (1, 4)
+    sched = Schedule(
+        node_count=6, slotframe_length=2,
+        tx_slots=((), (), (0, 1), (), (0, 1), ()),
+        rx_slots=((), (0,), (), (0, 1), (), (1,)),
+        counterpart=({}, {0: 2}, {0: 1, 1: 5}, {0: 4, 1: 4}, {0: 3, 1: 3},
+                     {1: 2}),
+        channel=({}, {0: 11}, {0: 11, 1: 11}, {0: 11, 1: 11}, {0: 11, 1: 11},
+                 {1: 11}))
+    topo = _branch_topology(extra={(1, 4)})
+    report = validate(sched, topo)
+    assert report.invariant_violations == (
+        "node_count_mismatch: schedule has 6 nodes, topology has 5",)
+    assert report.channel_collisions == ((0, (2, 1), (4, 3)),)
+    assert not topo.in_range(2, 5) and not topo.in_range(5, 2)
