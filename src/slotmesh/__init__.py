@@ -8,11 +8,8 @@ discrete-event simulation make the results independently checkable.
 
 from .network import (NetworkModelError, NetworkResult, NetworkScenario,
                       concentric_topology, evaluate_network, max_depth_nodes)
-from .queuemodel import (ModelError, NodeMetrics, QueueChain, TrafficSpec,
-                         acceptance_probability, arrival_pmf, build_chain,
-                         evaluate_node, expected_arrivals_per_slotframe,
-                         expected_delay, queue_marginals,
-                         transmission_probability)
+from .queuemodel import (ModelError, NodeMetrics, TrafficSpec, build_chain,
+                         evaluate_node, expected_arrivals_per_slotframe)
 from .schedule import (CHANNELS_2_4GHZ, ConflictReport, Schedule,
                        ScheduleError, ScheduleFormatError, Topology,
                        active_links, disturbing_links, load_schedule,
@@ -23,7 +20,6 @@ from .schedulers import (ChannelExhaustionError, SchedulerError, generate,
 from .simulate import (MetricSummary, NetworkSimStats, QueueSimStats,
                        SimConfig, SimulationError, simulate_network,
                        simulate_queue)
-from .stationary import (StationaryError, StationaryResult, reachable_states,
-                         solve)
+from .stationary import StationaryError, reachable_states, solve
 
 __version__ = "0.1.0"

@@ -228,13 +228,10 @@ def _sweep_tasks(spec):
             and all(_is_int(c) and c >= 1 for c in capacities)):
         raise _InputError("sweep queue_capacities must be a non-empty list "
                           "of positive integers")
-    if parameter == "interval":
-        if grid[0] <= 0:
-            raise _InputError("interval sweeps need positive intervals")
-        rates = [slot_duration / v for v in grid]
-    else:
-        rates = [float(v) for v in grid]
-    if any(r < 0 for r in rates):
+    # grids ascend, so their first point is the smallest
+    if parameter == "interval" and grid[0] <= 0:
+        raise _InputError("interval sweeps need positive intervals")
+    if grid[0] < 0:
         raise _InputError("sweep rates must be non-negative")
     entries = spec.get("schedules", ["sbd"])
     variants = spec.get("variants", ["full"])
@@ -253,6 +250,9 @@ def _sweep_tasks(spec):
             raise _InputError(f"sweep schedule entry {entry!r} not understood")
     tasks = []
     for name, schedule in schedules:
+        # a schedule file carries its own slot duration
+        rates = ([schedule.slot_duration / v for v in grid]
+                 if parameter == "interval" else [float(v) for v in grid])
         for variant in variants:
             if variant not in VARIANTS:
                 raise _InputError(f"unknown variant {variant!r}")

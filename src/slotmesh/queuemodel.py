@@ -30,12 +30,16 @@ queue sends nothing.
 Chains are built, solved and summarized as stacks: B chains with the same
 S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
 probabilities and departures, checked in one vector step, and become one
-``(B, S, K + 1)`` arrival table and one ``(B, S, K + 1, K + 1)`` block
-array; every metric is a reduction that keeps the leading chain axis.
-:func:`build_chain` and :func:`evaluate_node` (under any ``variant``) are
-the stack of one chain, and a network evaluates each tree level as one
-stack under every variant. An error raised for one chain of a stack
-carries that chain's position as ``index``.
+``(B, S, K + 1)`` arrival table (:func:`arrival_pmf`) and one
+``(B, S, K + 1, K + 1)`` block array. Each per-node metric has one
+function, a reduction of the solved ``(B, K + 1, S)`` distribution grid
+that keeps the leading chain axis: :func:`transmission_probability`,
+:func:`acceptance_probability`, :func:`expected_delay` and
+:func:`queue_marginals`. :func:`build_chain` and :func:`evaluate_node`
+(under any ``variant``) are the stack of one chain, and a network
+evaluates each tree level as one stack under every variant. An error
+raised for one chain of a stack carries that chain's position as
+``index``.
 
 For a slotframe of length one with a single transmission slot the chain
 reduces exactly to an M/D/1/K queue.
@@ -103,7 +107,7 @@ class TrafficSpec:
         return np.array([self.poisson_rate]), np.array([self.bernoulli_prob])
 
 
-def _arrival_table(poisson_rate, bernoulli_prob, count: int) -> np.ndarray:
+def arrival_pmf(poisson_rate, bernoulli_prob, count: int) -> np.ndarray:
     """Probabilities of k = 0..count-1 arrivals, one row per slot.
 
     The Bernoulli packet shifts the Poisson part up by one.
@@ -121,15 +125,6 @@ def _arrival_table(poisson_rate, bernoulli_prob, count: int) -> np.ndarray:
     shifted = np.zeros_like(poisson)
     shifted[:, 1:] = poisson[:, :-1]
     return (1.0 - p) * poisson + p * shifted
-
-
-def arrival_pmf(traffic: TrafficSpec, slot: int, k: int) -> float:
-    """Probability of exactly ``k`` packets arriving during ``slot``."""
-    if k < 0:
-        raise ModelError("k must be non-negative")
-    table = _arrival_table([traffic.poisson_rate[slot]],
-                           [traffic.bernoulli_prob[slot]], k + 1)
-    return float(table[0, k])
 
 
 def _offered(rates: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -190,7 +185,7 @@ def _stack_chains(capacity: int, tau: np.ndarray, rates: np.ndarray,
     _check_traffic(rates, probs)
     count = capacity + 1
     # one row per (chain, slot) pair
-    arrivals = _arrival_table(rates.ravel(), probs.ravel(), count)
+    arrivals = arrival_pmf(rates.ravel(), probs.ravel(), count)
     # window j of the padded table holds arrivals[j - K .. j - 1], so
     # window K - q is row q below column K: arrivals[r - q] for r < K
     padded = np.concatenate([np.zeros((tau.size, capacity)),
@@ -232,12 +227,6 @@ class QueueChain:
     def state_index(self, q: int, i: int) -> int:
         return q * self.slotframe_length + i
 
-    def _grid(self, distribution) -> np.ndarray:
-        """A distribution over the states as the ``(1, K + 1, S)`` grid of
-        a stack of one."""
-        return np.asarray(distribution).reshape(1, self.capacity + 1,
-                                                self.slotframe_length)
-
 
 def build_chain(capacity: int, slotframe_length: int, tx_slots,
                 traffic: TrafficSpec) -> QueueChain:
@@ -256,24 +245,42 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
                       arrivals=arrivals[0], blocks=blocks[0])
 
 
-def _tx_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Per-slot probability of a successful transmission, one row per
+    chain: on a transmission slot, the complementary probability of an
+    empty queue, zero elsewhere."""
     # each slot column of a solved grid carries 1/S of the mass
     return tau * (1.0 - grid[:, 0] / grid.sum(axis=1))
 
 
-def _accepted(grid: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+def acceptance_probability(grid: np.ndarray, arrivals: np.ndarray,
+                           offered: np.ndarray) -> np.ndarray:
+    """Fraction of the packets offered per slotframe that is accepted into
+    the queue, one per chain; a chain without offered traffic accepts
+    everything (vacuously)."""
     counts = np.arange(arrivals.shape[-1])
     # entry r: E[accepted | slot i, room r], arrivals beyond r are capped at r
-    accepted = _head_sums(arrivals * counts) + _tails(arrivals) * counts
+    by_room = _head_sums(arrivals * counts) + _tails(arrivals) * counts
     # state (q, i) has room K - q
-    return (grid * accepted[..., ::-1].transpose(0, 2, 1)).sum(axis=(1, 2))
+    accepted = (grid * by_room[..., ::-1].transpose(0, 2, 1)).sum(axis=(1, 2))
+    paccept = np.divide(grid.shape[2] * accepted, offered,
+                        out=np.ones(len(grid)), where=offered > 0.0)
+    outside = np.flatnonzero(~((paccept >= -1e-9) & (paccept <= 1.0 + 1e-9)))
+    if outside.size:
+        raise _at(ModelError(f"acceptance probability {paccept[outside[0]]} "
+                             f"outside [0, 1]"), outside[0])
+    return np.clip(paccept, 0.0, 1.0)
 
 
-def _delay(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """:func:`expected_delay` of each chain of a stack, zero for a chain
-    without transmission slots. At queue position ``p`` from slot ``j`` on,
-    a packet leaves in the ``p``-th transmission slot at or after ``j``,
-    after ``ceil(p / count) - 1`` full slotframes."""
+def expected_delay(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Expected queuing delay in slots of an arriving packet, one per
+    chain, zero for a chain without transmission slots.
+
+    Averages the deterministic drain time over the state reached after the
+    arrival itself is appended to the queue. At queue position ``p`` from
+    slot ``j`` on, a packet leaves in the ``p``-th transmission slot at or
+    after ``j``, after ``ceil(p / count) - 1`` full slotframes.
+    """
     chains, levels, length = grid.shape
     count = np.maximum(tau.sum(axis=1), 1)[:, None, None]
     tx = np.argsort(tau == 0, axis=1, kind="stable")  # tx slots first, in order
@@ -289,38 +296,10 @@ def _delay(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.where(tau.any(axis=1), (grid * drain).sum(axis=(1, 2)), 0.0)
 
 
-def transmission_probability(chain: QueueChain, distribution: np.ndarray) -> np.ndarray:
-    """Per-slot probability of a successful transmission: on a transmission
-    slot, the complementary probability of an empty queue."""
-    tau = _departures(chain.slotframe_length, [chain.tx_slots])
-    return _tx_probability(chain._grid(distribution), tau)[0]
-
-
-def acceptance_probability(chain: QueueChain, distribution: np.ndarray) -> float:
-    """Overall fraction of offered packets accepted into the queue."""
-    offered = expected_arrivals_per_slotframe(chain.traffic)
-    if offered <= 0.0:
-        raise ModelError("no offered traffic; acceptance probability undefined")
-    accepted = _accepted(chain._grid(distribution), chain.arrivals[None])[0]
-    return chain.slotframe_length * float(accepted) / offered
-
-
-def queue_marginals(distribution: np.ndarray, slotframe_length: int) -> np.ndarray:
-    """Probability of holding q packets, summed over the slot position."""
-    grid = np.asarray(distribution).reshape(-1, slotframe_length)
-    return grid.sum(axis=1)
-
-
-def expected_delay(chain: QueueChain, distribution: np.ndarray) -> float:
-    """Expected queuing delay in slots for an arriving packet.
-
-    Averages the deterministic drain time over the state reached after the
-    arrival itself is appended to the queue.
-    """
-    if not chain.tx_slots:
-        raise ModelError("node never transmits; delay undefined")
-    tau = _departures(chain.slotframe_length, [chain.tx_slots])
-    return float(_delay(chain._grid(distribution), tau)[0])
+def queue_marginals(grid: np.ndarray) -> np.ndarray:
+    """Probability of holding ``q`` packets, summed over the slot
+    position, one row per chain."""
+    return grid.sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -346,16 +325,10 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
     arrivals, blocks = _stack_chains(capacity, tau, rates, probs)
     grid = stationary._solve_stack(blocks)[0]
     offered = _offered(rates, probs)
-    paccept = np.divide(tau.shape[1] * _accepted(grid, arrivals), offered,
-                        out=np.ones(len(tau)), where=offered > 0.0)
-    outside = np.flatnonzero(~((paccept >= -1e-9) & (paccept <= 1.0 + 1e-9)))
-    if outside.size:
-        raise _at(ModelError(f"acceptance probability {paccept[outside[0]]} "
-                             f"outside [0, 1]"), outside[0])
-    paccept = np.clip(paccept, 0.0, 1.0)
-    tx = _tx_probability(grid, tau)
-    delay = _delay(grid, tau)
-    marginals = grid.sum(axis=2)
+    paccept = acceptance_probability(grid, arrivals, offered)
+    tx = transmission_probability(grid, tau)
+    delay = expected_delay(grid, tau)
+    marginals = queue_marginals(grid)
     return [NodeMetrics(distribution=grid[b].ravel(), tx_probability=tx[b],
                         acceptance=float(paccept[b]),
                         expected_delay_slots=float(delay[b]),

@@ -110,12 +110,14 @@ def test_random_chains_are_stochastic(capacity, length, data):
 
 
 def _scalar_blocks(capacity, length, tx, traffic):
-    """Reference chain built row by row from scalar ``arrival_pmf`` calls:
+    """Reference chain built row by row from the ``arrival_pmf`` table:
     from (q, i), k < K - q arrivals land on max(q - tau_i, 0) + k and the
     last reachable level absorbs the tail."""
     blocks = np.zeros((length, capacity + 1, capacity + 1))
+    table = arrival_pmf(traffic.poisson_rate, traffic.bernoulli_prob,
+                        capacity + 1)
     for i in range(length):
-        pmf = [arrival_pmf(traffic, i, k) for k in range(capacity + 1)]
+        pmf = list(table[i])
         tau = 1 if i in tx else 0
         for q in range(capacity + 1):
             base = max(q - tau, 0)

@@ -72,6 +72,69 @@ def test_validate_tx_rx_overlap_names_invariant(files, capsys):
     assert "tx_rx_overlap" in capsys.readouterr().out
 
 
+def test_validate_channel_mismatch_names_invariant(files, capsys):
+    tmp_path, _, topo = files
+    bad = {
+        "slotframe_length": 2,
+        "slot_duration_s": 0.01,
+        "nodes": [
+            {"id": 0, "tx": [], "rx": [{"slot": 0, "peer": 1, "channel": 11}]},
+            {"id": 1, "tx": [{"slot": 0, "peer": 0, "channel": 12}], "rx": []},
+            {"id": 2, "tx": [], "rx": []},
+        ],
+    }
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(bad))
+    code = main(["validate", "--schedule", str(path), "--topology", topo])
+    assert code == 1
+    assert "channel_mismatch: link (1,0) slot 0" in capsys.readouterr().out
+
+
+_TX = {"slot": 0, "peer": 1, "channel": 11}
+_NODES = [{"id": 0, "tx": [], "rx": []}]
+
+
+@pytest.mark.parametrize("kind,content", [
+    ("schedule", []),
+    ("schedule", {"slotframe_length": 2, "nodes": _NODES, "extra": 1}),
+    ("schedule", {"nodes": _NODES}),
+    ("schedule", {"slotframe_length": 2, "nodes": []}),
+    ("schedule", {"slotframe_length": 2, "nodes": [3]}),
+    ("schedule", {"slotframe_length": 2, "nodes": [{"id": 0, "tx": []}]}),
+    ("schedule", {"slotframe_length": 2, "nodes": _NODES * 2}),
+    ("schedule", {"slotframe_length": 2,
+                  "nodes": [{"id": 0, "tx": {}, "rx": []}]}),
+    ("schedule", {"slotframe_length": 2,
+                  "nodes": [{"id": 0, "tx": [0], "rx": []}]}),
+    ("schedule", {"slotframe_length": 2,
+                  "nodes": [{"id": 0, "tx": [{"slot": 0}], "rx": []}]}),
+    ("schedule", {"slotframe_length": 2,
+                  "nodes": [{"id": 0, "tx": [_TX],
+                             "rx": [{**_TX, "channel": 12}]}]}),
+    ("schedule", {"slotframe_length": 0, "nodes": _NODES}),
+    ("topology", []),
+    ("topology", {"nodes": 3, "edges": []}),
+    ("topology", {"nodes": 3, "edges": {}, "parents": [None, 0, 1]}),
+    ("topology", {"nodes": 3, "edges": [[0]], "parents": [None, 0, 1]}),
+    ("topology", {"nodes": 3, "edges": [[0, 1], [1, 2]], "parents": None}),
+    ("topology", {"nodes": 3, "edges": [[0, 1], [1, 2]], "parents": [None, 0]}),
+], ids=["schedule_list", "schedule_unknown_key", "schedule_missing_key",
+        "nodes_empty", "node_not_object", "node_missing_key", "node_id_twice",
+        "tx_not_list", "cell_not_object", "cell_missing_key",
+        "slot_conflicting_peer", "slotframe_zero", "topology_list",
+        "topology_missing_key", "edges_not_list", "edge_short",
+        "parents_not_list", "parents_short"])
+def test_malformed_file_is_input_error(files, capsys, kind, content):
+    tmp_path, sched, topo = files
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(content))
+    paths = {"schedule": sched, "topology": topo, kind: str(path)}
+    code = main(["validate", "--schedule", paths["schedule"],
+                 "--topology", paths["topology"]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {kind} file")
+
+
 def test_malformed_json_is_input_error(files, capsys):
     tmp_path, _, topo = files
     path = tmp_path / "broken.json"
@@ -222,6 +285,56 @@ def test_sweep_workers_match_serial(tmp_path):
     assert len(outputs[0].splitlines()) == 1 + 2 * 2 * 3 * 4
 
 
+def _sbd_files(tmp_path, slot_duration):
+    """A rings-1 sbd schedule file with the given slot duration, and its
+    topology file."""
+    topo = concentric_topology(1)
+    sched_path, topo_path = tmp_path / "s.json", tmp_path / "t.json"
+    save_schedule(schedule_orchestra_sbd(topo, slot_duration=slot_duration),
+                  sched_path)
+    save_topology(topo, topo_path)
+    return str(sched_path), str(topo_path)
+
+
+def test_sweep_log_grid_over_files(tmp_path):
+    sched, topo = _sbd_files(tmp_path, 0.01)
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "grid": {"min": 0.001, "max": 0.1, "count": 3, "scale": "log"},
+        "schedules": [{"file": sched, "name": "from-file"}, "sbd"],
+        "topology": {"file": topo},
+    }))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 0
+    body = _read_csv(out)[1:]
+    assert len(body) == 2 * 3 * 4  # schedules x grid x metrics
+    assert [r[0] for r in body[::12]] == ["from-file", "sbd"]
+    assert [float(r[3]) for r in body[:12:4]] == pytest.approx([0.001, 0.01, 0.1])
+    # the file holds the schedule the sweep generates
+    assert [r[4:] for r in body[:12]] == [r[4:] for r in body[12:]]
+
+
+def test_interval_sweep_uses_schedule_slot_duration(tmp_path):
+    sched, topo = _sbd_files(tmp_path, 0.015)
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "parameter": "interval",
+        "grid": {"min": 1.0, "max": 2.0, "count": 2},
+        "schedules": [{"file": sched}],
+        "topology": {"file": topo},
+    }))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 0
+    swept = [r for r in _read_csv(out)[1:] if r[4] == "throughput_pps"]
+    assert float(swept[0][3]) == pytest.approx(0.015)
+    analyzed = tmp_path / "analyze.csv"
+    assert main(["analyze", "--schedule", sched, "--topology", topo,
+                 "--interval", "1.0", "--queue", "16",
+                 "--out", str(analyzed)]) == 0
+    want = float(_read_csv(analyzed)[-1][1])
+    assert float(swept[0][5]) == pytest.approx(want, abs=1e-6)
+
+
 _GRID = {"min": 0.0, "max": 0.01, "count": 3}
 
 
@@ -248,30 +361,51 @@ _GRID = {"min": 0.0, "max": 0.01, "count": 3}
     {"grid": _GRID, "topology": {"rings": 1}, "schedules": []},
     {"grid": _GRID, "topology": {"rings": 0}},
     {"grid": _GRID, "topology": {"rings": 1}, "queue_capacities": [0]},
+    {"grid": {**_GRID, "scale": "log"}, "topology": {"rings": 1}},
+    {"grid": {**_GRID, "scale": "cubic"}, "topology": {"rings": 1}},
+    {"grid": {**_GRID, "count": 1}, "topology": {"rings": 1}},
+    {"grid": _GRID, "topology": {"rings": 1}, "rate": 0.01},
+    {"grid": _GRID, "topology": {"rings": 1}, "parameter": "rate"},
+    {"grid": _GRID, "topology": {"rings": 1}, "variants": ["fancy"]},
+    {"grid": _GRID, "topology": {"rings": 1}, "parameter": "interval"},
+    {"grid": {**_GRID, "min": -0.01}, "topology": {"rings": 1}},
+    {"grid": _GRID, "topology": {"file": "missing.json"}},
+    {"grid": _GRID, "topology": {"rings": 1},
+     "schedules": [{"file": "missing.json"}]},
 ], ids=["min_above_max", "capacity_string", "capacity_float",
         "capacity_bool", "count_missing", "count_float", "count_bool",
         "min_string", "grid_list", "spec_list", "rings_string",
         "topology_string", "slot_duration_string", "schedule_file_int",
         "topology_file_int", "variants_string", "schedules_string",
         "capacities_empty", "variants_empty", "schedules_empty",
-        "rings_zero", "capacity_zero"])
-def test_sweep_rejects_bad_grid(tmp_path, capsys, spec):
+        "rings_zero", "capacity_zero", "log_min_zero", "scale_unknown",
+        "count_one", "key_unknown", "parameter_unknown", "variant_unknown",
+        "interval_zero", "rate_negative", "topology_file_missing",
+        "schedule_file_missing"])
+def test_sweep_rejects_bad_grid(tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)  # the file names in the specs do not exist
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps(spec))
     assert main(["sweep", "--spec", str(spec_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [None, "{ not json"],
+                         ids=["missing", "unparsable"])
+def test_sweep_rejects_unreadable_spec(tmp_path, capsys, text):
+    spec_path = tmp_path / "sweep.json"
+    if text is not None:
+        spec_path.write_text(text)
+    assert main(["sweep", "--spec", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sweep spec {str(spec_path)!r}")
+
+
 def test_simulate_csv_shape(tmp_path, capsys):
-    topo = concentric_topology(1)
-    sched = schedule_orchestra_sbd(topo)
-    topo_path = tmp_path / "t.json"
-    sched_path = tmp_path / "s.json"
-    save_topology(topo, topo_path)
-    save_schedule(sched, sched_path)
+    sched_path, topo_path = _sbd_files(tmp_path, 0.01)
     out = tmp_path / "sim.csv"
-    code = main(["simulate", "--schedule", str(sched_path),
-                 "--topology", str(topo_path), "--rate", "0.02",
+    code = main(["simulate", "--schedule", sched_path,
+                 "--topology", topo_path, "--rate", "0.02",
                  "--queue", "4", "--seed", "1", "--runs", "5",
                  "--packets", "50", "--warmup-slots", "500",
                  "--out", str(out), "--compare-model"])
@@ -286,17 +420,12 @@ def test_simulate_csv_shape(tmp_path, capsys):
 
 
 def test_simulate_deterministic(tmp_path):
-    topo = concentric_topology(1)
-    sched = schedule_orchestra_sbd(topo)
-    topo_path = tmp_path / "t.json"
-    sched_path = tmp_path / "s.json"
-    save_topology(topo, topo_path)
-    save_schedule(sched, sched_path)
+    sched_path, topo_path = _sbd_files(tmp_path, 0.01)
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     for out in (a, b):
-        main(["simulate", "--schedule", str(sched_path),
-              "--topology", str(topo_path), "--rate", "0.02",
+        main(["simulate", "--schedule", sched_path,
+              "--topology", topo_path, "--rate", "0.02",
               "--queue", "4", "--seed", "3", "--runs", "2",
               "--packets", "30", "--warmup-slots", "300", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()

@@ -5,17 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import chain_cases
-from slotmesh.queuemodel import (ModelError, TrafficSpec, acceptance_probability,
-                                 arrival_pmf, build_chain, evaluate_node,
-                                 expected_arrivals_per_slotframe, expected_delay,
-                                 queue_marginals, transmission_probability)
+from slotmesh.queuemodel import (ModelError, TrafficSpec, build_chain,
+                                 evaluate_node, expected_arrivals_per_slotframe)
 from slotmesh.simulate import SimConfig, simulate_queue
-from slotmesh.stationary import solve
-
-
-def _solved(capacity, length, tx, traffic):
-    chain = build_chain(capacity, length, tx, traffic)
-    return chain, solve(chain).distribution
 
 
 def _loop_acceptance(chain, c):
@@ -24,7 +16,7 @@ def _loop_acceptance(chain, c):
     grid = c.reshape(capacity + 1, length)
     accepted = 0.0
     for i in range(length):
-        pmf = [arrival_pmf(chain.traffic, i, k) for k in range(capacity + 1)]
+        pmf = chain.arrivals[i]
         for q in range(capacity):
             room = capacity - q
             head = math.fsum(k * pmf[k] for k in range(room))
@@ -55,49 +47,48 @@ def _loop_delay(chain, c):
 
 def test_metrics_match_loop_formulas():
     for capacity, length, tx, traffic in chain_cases():
-        chain, c = _solved(capacity, length, tx, traffic)
-        assert acceptance_probability(chain, c) == pytest.approx(
+        chain = build_chain(capacity, length, tx, traffic)
+        metrics = evaluate_node(capacity, length, tx, traffic)
+        c = metrics.distribution
+        assert metrics.acceptance == pytest.approx(
             _loop_acceptance(chain, c), rel=1e-12, abs=0)
-        assert expected_delay(chain, c) == pytest.approx(
+        assert metrics.expected_delay_slots == pytest.approx(
             _loop_delay(chain, c), rel=1e-12, abs=0)
 
 
 def test_tx_zero_off_transmission_slots():
-    chain, c = _solved(3, 4, (1,), TrafficSpec.constant(4, rate=0.4))
-    tx = transmission_probability(chain, c)
+    tx = evaluate_node(3, 4, (1,), TrafficSpec.constant(4, rate=0.4)).tx_probability
     assert tx[0] == 0.0 and tx[2] == 0.0 and tx[3] == 0.0
     assert 0.0 < tx[1] < 1.0
 
 
 def test_tx_saturates_at_high_load():
-    chain, c = _solved(8, 4, (0, 2), TrafficSpec.constant(4, rate=10.0))
-    tx = transmission_probability(chain, c)
+    tx = evaluate_node(8, 4, (0, 2),
+                       TrafficSpec.constant(4, rate=10.0)).tx_probability
     assert tx[0] == pytest.approx(1.0, abs=1e-3)
     assert tx[2] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_tx_zero_without_traffic():
-    chain, c = _solved(3, 4, (1, 3), TrafficSpec.constant(4))
-    assert np.all(transmission_probability(chain, c) == 0.0)
+    metrics = evaluate_node(3, 4, (1, 3), TrafficSpec.constant(4))
+    assert np.all(metrics.tx_probability == 0.0)
 
 
-def test_acceptance_requires_offered_traffic():
-    chain, c = _solved(3, 2, (0,), TrafficSpec.constant(2))
-    with pytest.raises(ModelError):
-        acceptance_probability(chain, c)
+def test_acceptance_vacuous_without_offered_traffic():
+    metrics = evaluate_node(3, 2, (0,), TrafficSpec.constant(2))
+    assert metrics.total_arrivals == 0.0 and metrics.acceptance == 1.0
 
 
 def test_acceptance_lossless_forwarding_exact():
     # no generation, forwarding only, at least as many transmission as
     # reception slots: nothing is ever dropped
     traffic = TrafficSpec((0.0,) * 6, (0.8, 0.0, 0.3, 0.0, 0.0, 0.0))
-    chain, c = _solved(4, 6, (1, 3, 5), traffic)
-    assert acceptance_probability(chain, c) == pytest.approx(1.0, abs=1e-9)
+    metrics = evaluate_node(4, 6, (1, 3, 5), traffic)
+    assert metrics.acceptance == pytest.approx(1.0, abs=1e-9)
 
 
 def test_queue_marginals_trivial():
-    chain, c = _solved(3, 4, (1,), TrafficSpec.constant(4))
-    marg = queue_marginals(c, 4)
+    marg = evaluate_node(3, 4, (1,), TrafficSpec.constant(4)).queue_marginals
     assert marg[0] == pytest.approx(1.0, abs=1e-12)
     assert marg.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -107,30 +98,28 @@ def test_queue_marginals_low_load_decay():
     # about a percent of the mass and acceptance rounds to 1.00
     for traffic in (TrafficSpec.constant(5, rate=0.1),
                     TrafficSpec.constant(5, prob=0.1)):
-        chain, c = _solved(10, 5, (0,), traffic)
-        marg = queue_marginals(c, 5)
-        assert marg[4:].sum() < 1e-2
-        assert round(acceptance_probability(chain, c), 2) == 1.0
+        metrics = evaluate_node(10, 5, (0,), traffic)
+        assert metrics.queue_marginals[4:].sum() < 1e-2
+        assert round(metrics.acceptance, 2) == 1.0
 
 
 def test_queue_marginals_full_level_dip():
     # at balanced load the full level is visited less than its neighbor:
     # a full queue on a transmission slot always steps down
-    chain, c = _solved(10, 5, (0,), TrafficSpec.constant(5, rate=0.2))
-    marg = queue_marginals(c, 5)
+    marg = evaluate_node(10, 5, (0,),
+                         TrafficSpec.constant(5, rate=0.2)).queue_marginals
     assert marg[10] < marg[9]
 
 
 def test_delay_single_slot_frame():
     # an arrival into an empty one-slot system waits exactly one slot
-    chain, c = _solved(4, 1, (0,), TrafficSpec((1e-12,), (0.0,)))
-    assert expected_delay(chain, c) == pytest.approx(1.0, abs=1e-9)
+    metrics = evaluate_node(4, 1, (0,), TrafficSpec((1e-12,), (0.0,)))
+    assert metrics.expected_delay_slots == pytest.approx(1.0, abs=1e-9)
 
 
-def test_delay_requires_tx_slot():
-    bare = build_chain(2, 3, (), TrafficSpec.constant(3))
-    with pytest.raises(ModelError):
-        expected_delay(bare, solve(bare).distribution)
+def test_delay_zero_without_tx_slot():
+    bare = evaluate_node(2, 3, (), TrafficSpec.constant(3))
+    assert bare.expected_delay_slots == 0.0
 
 
 def test_delay_matches_simulation_at_low_load():

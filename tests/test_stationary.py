@@ -10,7 +10,8 @@ from slotmesh import stationary
 from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network)
 from slotmesh.queuemodel import (TrafficSpec, acceptance_probability,
-                                 build_chain, evaluate_node)
+                                 build_chain, evaluate_node,
+                                 expected_arrivals_per_slotframe)
 from slotmesh.schedule import Schedule, Topology
 from slotmesh.schedulers import generate
 from slotmesh.stationary import StationaryError, reachable_states, solve
@@ -249,8 +250,8 @@ def test_always_full_queue_has_transient_empty_state():
 
 def test_critical_load_large_capacity():
     length = 19
-    chain = build_chain(256, length, (0,),
-                        TrafficSpec.constant(length, rate=1.0 / length))
+    traffic = TrafficSpec.constant(length, rate=1.0 / length)
+    chain = build_chain(256, length, (0,), traffic)
     res = solve(chain)
     assert res.residual <= 1e-10
     # independent answer: c F = c with one equation replaced by sum(c) = 1
@@ -265,8 +266,10 @@ def test_critical_load_large_capacity():
     grid[:, 0] = np.linalg.solve(a, b)
     for i in range(length - 1):
         grid[:, i + 1] = grid[:, i] @ chain.blocks[i]
-    want = acceptance_probability(chain, grid.ravel() / length)
-    assert acceptance_probability(chain, res.distribution) == pytest.approx(
+    offered = np.array([expected_arrivals_per_slotframe(traffic)])
+    want = acceptance_probability(grid[None] / length, chain.arrivals[None],
+                                  offered)[0]
+    assert evaluate_node(256, length, (0,), traffic).acceptance == pytest.approx(
         want, abs=1e-8)
 
 

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slotmesh
-from slotmesh.queuemodel import (ModelError, TrafficSpec, _arrival_table,
-                                 arrival_pmf, build_chain,
-                                 expected_arrivals_per_slotframe)
+from slotmesh.queuemodel import (ModelError, TrafficSpec, arrival_pmf,
+                                 build_chain, expected_arrivals_per_slotframe)
 
 
 def test_spec_validation():
@@ -27,17 +26,17 @@ def test_spec_validation():
 
 
 def test_pmf_no_traffic():
-    spec = TrafficSpec((0.0,), (0.0,))
-    assert arrival_pmf(spec, 0, 0) == 1.0
-    assert arrival_pmf(spec, 0, 1) == 0.0
+    arrivals = build_chain(1, 1, (), TrafficSpec((0.0,), (0.0,))).arrivals
+    assert arrivals[0, 0] == 1.0
+    assert arrivals[0, 1] == 0.0
 
 
 def test_pmf_certain_single_packet():
-    spec = TrafficSpec((0.0,), (1.0,))
-    assert arrival_pmf(spec, 0, 1) == 1.0
-    assert arrival_pmf(spec, 0, 0) == 0.0
+    chain = build_chain(1, 1, (), TrafficSpec((0.0,), (1.0,)))
+    assert chain.arrivals[0, 1] == 1.0
+    assert chain.arrivals[0, 0] == 0.0
     # the tail column of the empty queue's row holds P(A >= 1)
-    assert build_chain(1, 1, (), spec).blocks[0, 0, 1] == 1.0
+    assert chain.blocks[0, 0, 1] == 1.0
 
 
 def test_pmf_mixture_value():
@@ -45,18 +44,19 @@ def test_pmf_mixture_value():
     # one generated" and "forwarded packet, none generated"
     spec = TrafficSpec((0.3,), (0.4,))
     expected = 0.4 * math.exp(-0.3) + 0.6 * 0.3 * math.exp(-0.3)
-    assert arrival_pmf(spec, 0, 1) == pytest.approx(expected, abs=1e-15)
+    assert build_chain(1, 1, (), spec).arrivals[0, 1] == pytest.approx(
+        expected, abs=1e-15)
 
 
 def test_pmf_mixture_monte_carlo():
-    spec = TrafficSpec((0.3,), (0.4,))
+    arrivals = build_chain(3, 1, (), TrafficSpec((0.3,), (0.4,))).arrivals
     rng = np.random.default_rng(1234)
     n = 400_000
     samples = rng.poisson(0.3, n) + (rng.random(n) < 0.4)
     for k in range(4):
         frac = float(np.mean(samples == k))
         se = math.sqrt(frac * (1 - frac) / n)
-        assert abs(arrival_pmf(spec, 0, k) - frac) < 4 * se + 1e-9
+        assert abs(arrivals[0, k] - frac) < 4 * se + 1e-9
 
 
 def test_tail_zero_is_one():
@@ -70,10 +70,10 @@ def test_tail_zero_is_one():
        st.integers(min_value=0, max_value=12))
 @settings(max_examples=200)
 def test_tail_is_complement_of_pmf_sum(lam, prob, k):
-    spec = TrafficSpec((lam,), (prob,))
-    head = sum(arrival_pmf(spec, 0, j) for j in range(k))
+    chain = build_chain(12, 1, (), TrafficSpec((lam,), (prob,)))
+    head = sum(chain.arrivals[0, j] for j in range(k))
     # without a departure, row K - k of a block ends in P(A >= k)
-    tail = build_chain(12, 1, (), spec).blocks[0, 12 - k, 12]
+    tail = chain.blocks[0, 12 - k, 12]
     assert tail == pytest.approx(1.0 - head, abs=1e-12)
 
 
@@ -159,7 +159,7 @@ def test_arrival_table_matches_lgamma_reference(capacity):
     rates = (0.0, 1e-6, 0.05, 1.0, 16.0, 100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = _arrival_table(rates, (0.0,) * len(rates), capacity + 1)
+        table = arrival_pmf(rates, (0.0,) * len(rates), capacity + 1)
     for lam, row in zip(rates, table):
         want = np.array([_lgamma_poisson(lam, k) for k in range(capacity + 1)])
         large = want > 1e-250
