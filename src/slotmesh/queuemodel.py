@@ -215,8 +215,6 @@ class QueueChain:
 
     capacity: int
     slotframe_length: int
-    tx_slots: tuple[int, ...]
-    traffic: TrafficSpec
     arrivals: np.ndarray
     blocks: np.ndarray
 
@@ -241,7 +239,6 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     tau = _departures(slotframe_length, [tx_slots])
     arrivals, blocks = _stack_chains(capacity, tau, *traffic._arrays())
     return QueueChain(capacity=capacity, slotframe_length=slotframe_length,
-                      tx_slots=tuple(sorted(set(tx_slots))), traffic=traffic,
                       arrivals=arrivals[0], blocks=blocks[0])
 
 

@@ -412,8 +412,7 @@ def load_schedule(path) -> Schedule:
 
 def save_schedule(schedule: Schedule, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schedule_to_dict(schedule), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(schedule_to_dict(schedule)) + "\n")
 
 
 def load_topology(path) -> Topology:
@@ -423,5 +422,4 @@ def load_topology(path) -> Topology:
 
 def save_topology(topology: Topology, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(topology_to_dict(topology), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(topology_to_dict(topology)) + "\n")

@@ -16,6 +16,16 @@ through a row pointer; the single-queue loop jumps over the slots of a
 block in which its queue is empty and nothing arrives. The random numbers
 drawn, and their order, are those of a plain slot-by-slot loop. Every
 network run checks its packet ledger (``RunCounts.conserved``).
+
+No packet is tracked during the network warm-up, so it runs on one
+integer queue level per node and hands over to the packet loop with one
+untracked placeholder packet per queued level, inside the current
+generation block. It draws what the packet loop would: the same blocks,
+one ``rng.random()`` per transmission on a lossy link, and, for each
+overflowing bucket of ``m >= 2`` packets, a shuffle of a throwaway list
+of length ``m`` (numpy's list shuffle draws depend on the length only),
+buckets in the packet loop's order. Results are those of running the
+packet loop from slot zero.
 """
 
 from __future__ import annotations
@@ -244,6 +254,59 @@ def _generation_events(rng, p_gen, n_nodes):
     return events, row_start
 
 
+def _warm_up(rng, links_by_slot, capacity, p_gen, n_nodes, warmup):
+    """Run slots ``0 .. warmup - 1`` on one queue level per node, drawing
+    the random numbers of the packet loop (see the module docstring).
+
+    Returns the levels, the generation block that slot ``warmup`` reads
+    from, as ``(events, row_start, gen_base)``, and the counts
+    ``(generated, delivered, dropped, link_lost)`` so far.
+    """
+    length = len(links_by_slot)
+    level = [0] * n_nodes
+    generated = delivered = dropped = link_lost = 0
+    events, row_start, gen_base = None, None, -_BLOCK  # no block drawn yet
+    for gen_base in range(0, warmup, _BLOCK):
+        events, row_start = _generation_events(rng, p_gen, n_nodes)
+        end = min(gen_base + _BLOCK, warmup)
+        generated += sum(count for _, count in
+                         events[:row_start[end - gen_base]])
+        for t in range(gen_base, end):
+            sent = []
+            inbound = []
+            for v, w, per in links_by_slot[t % length]:
+                if level[v]:
+                    sent.append(v)
+                    if per and rng.random() < per:
+                        link_lost += 1
+                    elif w == 0:
+                        delivered += 1
+                    else:
+                        inbound.append(w)
+            r = t - gen_base
+            buckets = events[row_start[r]:row_start[r + 1]]
+            if inbound:
+                # a forwarded packet joins its receiver's bucket, opening
+                # one after the generated buckets if there is none
+                sizes = dict(buckets)
+                for w in inbound:
+                    sizes[w] = sizes.get(w, 0) + 1
+                buckets = sizes.items()
+            # ``level`` still holds the levels at slot begin
+            for n, m in buckets:
+                room = capacity - level[n]
+                if m > room:
+                    if m > 1:
+                        rng.shuffle([None] * m)
+                    dropped += m - room
+                    m = room
+                level[n] += m
+            for v in sent:
+                level[v] -= 1
+    return (level, (events, row_start, gen_base),
+            (generated, delivered, dropped, link_lost))
+
+
 def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
                           warmup):
     schedule = scenario.schedule
@@ -260,13 +323,16 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
             links_by_slot[i].append(
                 (n, peer, scenario.link_per.get((n, peer), 0.0)))
 
-    queues = [[] for _ in range(n_nodes)]  # packets: [origin, gen_slot, tracked]
+    level, (events, row_start, gen_base), counts = _warm_up(
+        rng, links_by_slot, capacity, p_gen, n_nodes, warmup)
+    generated, delivered, dropped, link_lost = counts
+    # packets: [origin, gen_slot, tracked]; the warm-up's are untracked
+    queues = [[[n, 0, -1]] * level[n] for n in range(n_nodes)]
     tagged = [packets_per_node if n == 0 else 0 for n in range(n_nodes)]
     nodes_left = n_nodes - 1
     outstanding = 0
     delivered_tracked = [0] * n_nodes
     delay_sums = [0] * n_nodes
-    generated = delivered = dropped = link_lost = 0
     sink_window = 0
     window_end = None
 
@@ -274,8 +340,7 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
     expected_window = int(packets_per_node / p_gen * 20) + 200 * length
     max_slots = warmup + expected_window + 200 * length * capacity * n_nodes
 
-    gen_base = -_BLOCK
-    t = 0
+    t = warmup
     while True:
         r = t - gen_base
         if r >= _BLOCK:
@@ -297,7 +362,7 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
                     continue
                 if w == 0:
                     delivered += 1
-                    if warmup <= t and (window_end is None or t < window_end):
+                    if window_end is None or t < window_end:
                         sink_window += 1
                     if packet[2] >= 0:
                         origin = packet[0]
@@ -308,12 +373,11 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
                     inbound.append((w, packet))
 
         arrivals = {}
-        tagging = t >= warmup and nodes_left > 0
         for n, count in events[row_start[r]:row_start[r + 1]]:
             generated += count
             bucket = arrivals[n] = []
             for _ in range(count):
-                if tagging and tagged[n] < packets_per_node:
+                if tagged[n] < packets_per_node:
                     tagged[n] += 1
                     outstanding += 1
                     bucket.append([n, t, 1])

@@ -10,7 +10,7 @@ from slotmesh.queuemodel import (ModelError, TrafficSpec, build_chain,
 from slotmesh.simulate import SimConfig, simulate_queue
 
 
-def _loop_acceptance(chain, c):
+def _loop_acceptance(chain, traffic, c):
     # per-state loop: E[accepted | (q, i)] caps the arrivals at the room K - q
     capacity, length = chain.capacity, chain.slotframe_length
     grid = c.reshape(capacity + 1, length)
@@ -22,13 +22,14 @@ def _loop_acceptance(chain, c):
             head = math.fsum(k * pmf[k] for k in range(room))
             tail = max(0.0, 1.0 - math.fsum(pmf[:room]))
             accepted += grid[q, i] * (head + tail * room)
-    return length * accepted / expected_arrivals_per_slotframe(chain.traffic)
+    return length * accepted / expected_arrivals_per_slotframe(traffic)
 
 
-def _loop_delay(chain, c):
+def _loop_delay(chain, tx_slots, c):
     # per-state loop: drain time of an arrival appended after slot i's
     # departure, counted from slot i + 1
-    capacity, length, tx = chain.capacity, chain.slotframe_length, chain.tx_slots
+    capacity, length = chain.capacity, chain.slotframe_length
+    tx = sorted(set(tx_slots))
     count = len(tx)
     grid = c.reshape(capacity + 1, length)
     total = 0.0
@@ -51,9 +52,9 @@ def test_metrics_match_loop_formulas():
         metrics = evaluate_node(capacity, length, tx, traffic)
         c = metrics.distribution
         assert metrics.acceptance == pytest.approx(
-            _loop_acceptance(chain, c), rel=1e-12, abs=0)
+            _loop_acceptance(chain, traffic, c), rel=1e-12, abs=0)
         assert metrics.expected_delay_slots == pytest.approx(
-            _loop_delay(chain, c), rel=1e-12, abs=0)
+            _loop_delay(chain, tx, c), rel=1e-12, abs=0)
 
 
 def test_tx_zero_off_transmission_slots():

@@ -7,7 +7,7 @@ from slotmesh.schedule import (Schedule, ScheduleError, ScheduleFormatError,
                                Topology, active_links, disturbing_links,
                                load_schedule, load_topology, save_schedule,
                                save_topology, schedule_from_dict,
-                               schedule_to_dict, validate)
+                               schedule_to_dict, topology_to_dict, validate)
 
 
 def test_active_links_example_schedule(three_node_schedule):
@@ -168,6 +168,19 @@ def test_topology_roundtrip(tmp_path, path_topology):
     path = tmp_path / "topo.json"
     save_topology(path_topology, path)
     assert load_topology(path) == path_topology
+
+
+def test_load_reads_indented_files(tmp_path, three_node_schedule,
+                                   path_topology):
+    # files written with ``indent=2``, as earlier versions saved them
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(
+        json.dumps(schedule_to_dict(three_node_schedule), indent=2) + "\n")
+    assert load_schedule(sched_path) == three_node_schedule
+    topo_path = tmp_path / "topo.json"
+    topo_path.write_text(
+        json.dumps(topology_to_dict(path_topology), indent=2) + "\n")
+    assert load_topology(topo_path) == path_topology
 
 
 def test_schedule_file_rejects_unknown_keys(three_node_schedule):

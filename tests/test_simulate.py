@@ -116,15 +116,15 @@ def test_queue_sim_golden_replay(case):
 
 
 NETWORK_GOLDEN = [
-    # (rings, algorithm, p_gen, PER of every uplink, K, seed, per run:
-    #  (RunCounts fields, tracked deliveries of nodes 1.., their delay sums
-    #   in slots, sink throughput))
-    (1, "sbd", 0.3, 0.2, 4, 3, [
+    # (rings, algorithm, p_gen, PER of every uplink, K, warm-up slots, seed,
+    #  per run: (RunCounts fields, tracked deliveries of nodes 1.., their
+    #  delay sums in slots, sink throughput))
+    (1, "sbd", 0.3, 0.2, 4, 500, 3, [
         ((1321, 490, 672, 138, 21), [23, 14, 17, 16, 17, 22],
          [519, 331, 419, 369, 439, 499], 64.62264150943396),
         ((1353, 509, 690, 136, 18), [18, 26, 22, 14, 17, 25],
          [452, 533, 510, 333, 442, 469], 67.37288135593221)]),
-    (2, "ta-mc", 0.08, 0.1, 8, 5, [
+    (2, "ta-mc", 0.08, 0.1, 8, 500, 5, [
         ((2000, 1141, 538, 216, 105),
          [36, 42, 41, 36, 31, 28, 24, 31, 22, 23, 27, 28, 21, 23, 23, 27, 31,
           29],
@@ -135,7 +135,7 @@ NETWORK_GOLDEN = [
           28],
          [1006, 1379, 1250, 1251, 1538, 1209, 3918, 3782, 3608, 3426, 4457,
           4227, 4938, 3847, 5051, 4491, 4810, 4668], 85.58201058201058)]),
-    (2, "sbd", 0.5, 0.0, 8, 9, [
+    (2, "sbd", 0.5, 0.0, 8, 500, 9, [
         ((7612, 274, 7196, 0, 142),
          [5, 4, 5, 4, 6, 5, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
          [750, 599, 748, 599, 894, 746, 0, 0, 0, 0, 0, 0, 0, 0, 293, 0, 0, 0],
@@ -144,6 +144,23 @@ NETWORK_GOLDEN = [
          [4, 4, 5, 5, 8, 5, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
          [601, 594, 749, 748, 1193, 752, 0, 0, 292, 0, 0, 0, 0, 0, 0, 0, 0, 0],
          31.15942028985507)]),
+    # saturated lossy uplinks with K = 4: the warm-up overflows buckets of
+    # several packets and hands over non-empty queues, at a block boundary
+    # (4096) and inside the third block (10,000)
+    (1, "sbd", 0.3, 0.2, 4, 4096, 7, [
+        ((7995, 2993, 4288, 697, 17), [18, 23, 19, 17, 19, 19],
+         [449, 529, 483, 432, 417, 452], 67.5257731958763),
+        ((7768, 2975, 4052, 722, 19), [23, 24, 16, 17, 18, 21],
+         [512, 563, 356, 425, 444, 468], 65.67164179104476)]),
+    (2, "ta-sc", 0.3, 0.2, 4, 10_000, 8, [
+        ((55416, 4796, 48533, 2022, 65),
+         [15, 11, 10, 17, 13, 13, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         [524, 367, 341, 617, 435, 393, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         48.45360824742268),
+        ((56134, 4811, 49310, 1949, 64),
+         [13, 15, 13, 16, 19, 13, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],
+         [438, 557, 485, 610, 667, 464, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 127,
+          155], 49.056603773584904)]),
 ]
 
 
@@ -157,11 +174,11 @@ def _golden_scenario(rings, algorithm, rate, per, capacity):
 
 @pytest.mark.parametrize("case", NETWORK_GOLDEN)
 def test_network_sim_golden_replay(case):
-    rings, algorithm, rate, per, capacity, seed, runs = case
+    rings, algorithm, rate, per, capacity, warmup, seed, runs = case
     packets = 50
     stats = simulate_network(
         _golden_scenario(rings, algorithm, rate, per, capacity),
-        SimConfig(seed=seed, runs=2, packets=packets, warmup_slots=500))
+        SimConfig(seed=seed, runs=2, packets=packets, warmup_slots=warmup))
     for run, (counts, tracked, delay_sums, throughput) in enumerate(runs):
         assert stats.counts[run] == RunCounts(*counts)
         assert stats.delivery[run].tolist() == [1.0] + [
@@ -182,6 +199,19 @@ def test_one_item_shuffle_draws_nothing():
         assert rng.bit_generator.state == before
         rng.shuffle([[1, 0, -1], [2, 0, -1]])
         assert rng.bit_generator.state != before
+
+
+def test_shuffle_draws_depend_on_length_only():
+    # the warm-up shuffles a throwaway list of the overflowing bucket's
+    # length, which keeps the random stream of shuffling the packets
+    for seed in range(4):
+        for m in range(2, 41):
+            packets = np.random.default_rng(seed)
+            packets.shuffle([[n, 0, -1] for n in range(m)])
+            placeholders = np.random.default_rng(seed)
+            placeholders.shuffle([None] * m)
+            assert (packets.bit_generator.state
+                    == placeholders.bit_generator.state)
 
 
 def test_network_sim_checks_ledger_every_run(monkeypatch):
