@@ -20,6 +20,6 @@ from .schedulers import (ChannelExhaustionError, SchedulerError, generate,
 from .simulate import (MetricSummary, NetworkSimStats, QueueSimStats,
                        SimConfig, SimulationError, simulate_network,
                        simulate_queue)
-from .stationary import StationaryError, reachable_states, solve
+from .stationary import StationaryError, solve
 
 __version__ = "0.1.0"

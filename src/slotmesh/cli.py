@@ -22,8 +22,9 @@ from . import simulate as sim
 from .network import (NetworkModelError, NetworkScenario, concentric_topology,
                       evaluate_network, max_depth_nodes)
 from .queuemodel import VARIANTS, ModelError
-from .schedule import (ScheduleError, ScheduleFormatError, load_schedule,
-                       load_topology, save_schedule, save_topology, validate)
+from .schedule import (ScheduleError, ScheduleFormatError, _ints,
+                       _is_number, _read_json, load_schedule, load_topology,
+                       save_schedule, save_topology, validate)
 from .schedulers import ALGORITHMS, SchedulerError, generate
 from .stationary import StationaryError
 
@@ -44,16 +45,23 @@ class _InputError(Exception):
 
 
 def _load(loader, path, what):
+    """``loader(path)``, with every way of failing to read the file named
+    ``what`` raised as an input error."""
     try:
         return loader(path)
     except FileNotFoundError:
-        raise _InputError(f"{what} file {path!r} not found")
+        raise _InputError(f"{what} {path!r} not found")
+    except OSError as exc:
+        raise _InputError(f"{what} {path!r}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{what} {path!r}: not UTF-8 text ({exc.reason} "
+                          f"at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise _InputError(
-            f"{what} file {path!r}: parse error at line {exc.lineno} "
+            f"{what} {path!r}: parse error at line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}")
     except ScheduleFormatError as exc:
-        raise _InputError(f"{what} file {path!r}: {exc}")
+        raise _InputError(f"{what} {path!r}: {exc}")
 
 
 def _open_out(path):
@@ -74,8 +82,8 @@ def _write_rows(path, header, rows):
 
 
 def cmd_validate(args):
-    schedule = _load(load_schedule, args.schedule, "schedule")
-    topology = _load(load_topology, args.topology, "topology")
+    schedule = _load(load_schedule, args.schedule, "schedule file")
+    topology = _load(load_topology, args.topology, "topology file")
     report = validate(schedule, topology)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_DOMAIN
@@ -87,7 +95,7 @@ def cmd_schedule(args):
         if args.topology_out:
             save_topology(topology, args.topology_out)
     else:
-        topology = _load(load_topology, args.topology, "topology")
+        topology = _load(load_topology, args.topology, "topology file")
     trace = [] if args.trace else None
     schedule = generate(args.algorithm, topology, trace=trace,
                         slot_duration=args.slot_duration)
@@ -107,8 +115,8 @@ def cmd_schedule(args):
 def _scenario(args):
     """The scenario of ``analyze`` and ``simulate``: the schedule and
     topology files, ``--rate`` or ``--interval``, and ``--queue``."""
-    schedule = _load(load_schedule, args.schedule, "schedule")
-    topology = _load(load_topology, args.topology, "topology")
+    schedule = _load(load_schedule, args.schedule, "schedule file")
+    topology = _load(load_topology, args.topology, "topology file")
     if args.rate is None:
         return NetworkScenario.from_interval(schedule, topology, args.interval,
                                              args.queue)
@@ -142,20 +150,12 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return _is_int(value) or isinstance(value, float)
-
-
 def _sweep_grid(spec):
     grid = spec.get("grid")
     if not isinstance(grid, dict):
         raise _InputError("sweep spec needs a 'grid' object")
     count, lo, hi = grid.get("count"), grid.get("min"), grid.get("max")
-    if not _is_int(count):
+    if not _ints(count):
         raise _InputError("sweep grid 'count' must be an integer")
     if not all(map(_is_number, (lo, hi))):
         raise _InputError("sweep grid 'min' and 'max' must be numbers")
@@ -215,17 +215,17 @@ def _sweep_tasks(spec):
     if not isinstance(topo_spec, dict):
         raise _InputError("sweep topology must be an object")
     if "rings" in topo_spec:
-        if not (_is_int(topo_spec["rings"]) and topo_spec["rings"] >= 1):
+        if not (_ints(topo_spec["rings"]) and topo_spec["rings"] >= 1):
             raise _InputError("sweep topology 'rings' must be a positive integer")
         topology = concentric_topology(topo_spec["rings"])
     elif isinstance(topo_spec.get("file"), str):
-        topology = _load(load_topology, topo_spec["file"], "topology")
+        topology = _load(load_topology, topo_spec["file"], "topology file")
     else:
         raise _InputError("sweep topology needs 'rings' or a 'file' name")
     grid = _sweep_grid(spec)
     capacities = spec.get("queue_capacities", [16])
     if not (isinstance(capacities, list) and capacities
-            and all(_is_int(c) and c >= 1 for c in capacities)):
+            and all(_ints(c) and c >= 1 for c in capacities)):
         raise _InputError("sweep queue_capacities must be a non-empty list "
                           "of positive integers")
     # grids ascend, so their first point is the smallest
@@ -244,7 +244,7 @@ def _sweep_tasks(spec):
             schedules.append((entry, generate(entry, topology,
                                               slot_duration=slot_duration)))
         elif isinstance(entry, dict) and isinstance(entry.get("file"), str):
-            loaded = _load(load_schedule, entry["file"], "schedule")
+            loaded = _load(load_schedule, entry["file"], "schedule file")
             schedules.append((entry.get("name", entry["file"]), loaded))
         else:
             raise _InputError(f"sweep schedule entry {entry!r} not understood")
@@ -264,15 +264,7 @@ def _sweep_tasks(spec):
 
 
 def cmd_sweep(args):
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except FileNotFoundError:
-        raise _InputError(f"sweep spec {args.spec!r} not found")
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"sweep spec {args.spec!r}: parse error at line "
-                          f"{exc.lineno} column {exc.colno}: {exc.msg}")
-    tasks = _sweep_tasks(spec)
+    tasks = _sweep_tasks(_load(_read_json, args.spec, "sweep spec"))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             blocks = list(pool.map(_sweep_point, tasks))

@@ -31,9 +31,10 @@ Chains are built, solved and summarized as stacks: B chains with the same
 S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
 probabilities and departures, checked in one vector step, and become one
 ``(B, S, K + 1)`` arrival table (:func:`arrival_pmf`) and one
-``(B, S, K + 1, K + 1)`` block array. Each per-node metric has one
-function, a reduction of the solved ``(B, K + 1, S)`` distribution grid
-that keeps the leading chain axis: :func:`transmission_probability`,
+``(B, S, K + 1, K + 1)`` block array. The solved stack is a ``(B, S,
+K + 1)`` grid, slot-major like the blocks (:meth:`QueueChain.state_index`).
+Each per-node metric has one function, a reduction of that grid that
+keeps the leading chain axis: :func:`transmission_probability`,
 :func:`acceptance_probability`, :func:`expected_delay` and
 :func:`queue_marginals`. :func:`build_chain` and :func:`evaluate_node`
 (under any ``variant``) are the stack of one chain, and a network
@@ -206,7 +207,7 @@ def _stack_chains(capacity: int, tau: np.ndarray, rates: np.ndarray,
 
 @dataclass(frozen=True)
 class QueueChain:
-    """Queue chain over the ``(K + 1) * S`` states ``(q, i)``.
+    """Queue chain over the states ``(q, i)`` at ``i * (K + 1) + q``.
 
     ``arrivals[i, k]`` is the probability of ``k`` arrivals in slot ``i``.
     ``blocks[i, q, r]`` is the probability of moving from ``(q, i)`` to
@@ -223,7 +224,7 @@ class QueueChain:
         return (self.capacity + 1) * self.slotframe_length
 
     def state_index(self, q: int, i: int) -> int:
-        return q * self.slotframe_length + i
+        return i * (self.capacity + 1) + q
 
 
 def build_chain(capacity: int, slotframe_length: int, tx_slots,
@@ -246,8 +247,9 @@ def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Per-slot probability of a successful transmission, one row per
     chain: on a transmission slot, the complementary probability of an
     empty queue, zero elsewhere."""
-    # each slot column of a solved grid carries 1/S of the mass
-    return tau * (1.0 - grid[:, 0] / grid.sum(axis=1))
+    # each slot of a solved grid carries 1/S of the mass, summed here in
+    # level order: parent chains amplify a last-bit change in the result
+    return tau * (1.0 - grid[:, :, 0] / np.cumsum(grid, axis=2)[:, :, -1])
 
 
 def acceptance_probability(grid: np.ndarray, arrivals: np.ndarray,
@@ -259,8 +261,8 @@ def acceptance_probability(grid: np.ndarray, arrivals: np.ndarray,
     # entry r: E[accepted | slot i, room r], arrivals beyond r are capped at r
     by_room = _head_sums(arrivals * counts) + _tails(arrivals) * counts
     # state (q, i) has room K - q
-    accepted = (grid * by_room[..., ::-1].transpose(0, 2, 1)).sum(axis=(1, 2))
-    paccept = np.divide(grid.shape[2] * accepted, offered,
+    accepted = (grid * by_room[..., ::-1]).sum(axis=(1, 2))
+    paccept = np.divide(grid.shape[1] * accepted, offered,
                         out=np.ones(len(grid)), where=offered > 0.0)
     outside = np.flatnonzero(~((paccept >= -1e-9) & (paccept <= 1.0 + 1e-9)))
     if outside.size:
@@ -278,25 +280,25 @@ def expected_delay(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
     slot ``j`` on, a packet leaves in the ``p``-th transmission slot at or
     after ``j``, after ``ceil(p / count) - 1`` full slotframes.
     """
-    chains, levels, length = grid.shape
+    chains, length, levels = grid.shape
     count = np.maximum(tau.sum(axis=1), 1)[:, None, None]
     tx = np.argsort(tau == 0, axis=1, kind="stable")  # tx slots first, in order
     nxt = (np.arange(length) + 1) % length
-    position = np.maximum(np.arange(levels)[:, None] - tau[:, None], 0) + 1
+    position = np.maximum(np.arange(levels) - tau[:, :, None], 0) + 1
     # transmission slots before slot nxt: the one preceding it has index
     # before - 1 (cyclically), so the p-th one from nxt on has index
     # before - 1 + p
-    before = (np.cumsum(tau, axis=1) - tau)[:, None, nxt]
+    before = (np.cumsum(tau, axis=1) - tau)[:, nxt, None]
     target = tx[np.arange(chains)[:, None, None], (before - 1 + position) % count]
     frames = -(-position // count) - 1
-    drain = frames * length + 1 + (target - nxt) % length
+    drain = frames * length + 1 + (target - nxt[:, None]) % length
     return np.where(tau.any(axis=1), (grid * drain).sum(axis=(1, 2)), 0.0)
 
 
 def queue_marginals(grid: np.ndarray) -> np.ndarray:
     """Probability of holding ``q`` packets, summed over the slot
     position, one row per chain."""
-    return grid.sum(axis=2)
+    return grid.sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,19 @@ class ScheduleFormatError(ScheduleError):
     """Raised when a schedule or topology file does not have the expected layout."""
 
 
+def _ints(*values) -> bool:
+    """Whether every one of ``values`` is an integer; a bool is not one,
+    though Python counts it as one."""
+    return {int}.issuperset(map(type, values))
+
+
+def _is_number(value) -> bool:
+    return _ints(value) or isinstance(value, float)
+
+
 def _check_slot_tuple(slots, length, what):
     prev = -1
     for s in slots:
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise ScheduleError(f"{what}: slot index {s!r} is not an integer")
         if not 0 <= s < length:
             raise ScheduleError(f"{what}: slot {s} outside [0, {length})")
         if s <= prev:
@@ -51,11 +59,11 @@ class Schedule:
     ``channel[n][i]`` the channel used. All containers are treated as
     immutable after construction.
 
-    The constructor enforces structural well-formedness only (index ranges,
-    ordering, counterpart/channel domains). Semantic invariants such as
-    TX/RX exclusivity and link consistency are checked by :func:`validate`,
-    which reports violations instead of raising, so schedules read from
-    untrusted files can be diagnosed.
+    The constructor enforces structural well-formedness only (field types,
+    index ranges, ordering, counterpart/channel domains). Semantic
+    invariants such as TX/RX exclusivity and link consistency are checked
+    by :func:`validate`, which reports violations instead of raising, so
+    schedules read from untrusted files can be diagnosed.
     """
 
     node_count: int
@@ -67,12 +75,12 @@ class Schedule:
     slot_duration: float = DEFAULT_SLOT_DURATION
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ScheduleError("node_count must be positive")
-        if self.slotframe_length < 1:
-            raise ScheduleError("slotframe_length must be positive")
-        if not self.slot_duration > 0:
-            raise ScheduleError("slot_duration must be positive")
+        if not _ints(self.node_count) or self.node_count < 1:
+            raise ScheduleError("node_count must be a positive integer")
+        if not _ints(self.slotframe_length) or self.slotframe_length < 1:
+            raise ScheduleError("slotframe_length must be a positive integer")
+        if not (_is_number(self.slot_duration) and self.slot_duration > 0):
+            raise ScheduleError("slot_duration must be a positive number")
         object.__setattr__(self, "tx_slots", tuple(tuple(t) for t in self.tx_slots))
         object.__setattr__(self, "rx_slots", tuple(tuple(r) for r in self.rx_slots))
         object.__setattr__(self, "counterpart", tuple(dict(c) for c in self.counterpart))
@@ -81,6 +89,10 @@ class Schedule:
             if len(getattr(self, name)) != self.node_count:
                 raise ScheduleError(f"{name} must have one entry per node")
         for n in range(self.node_count):
+            if not _ints(*self.tx_slots[n], *self.rx_slots[n],
+                         *self.counterpart[n].values(), *self.channel[n].values()):
+                raise ScheduleError(
+                    f"node {n}: slots, peers and channels must be integers")
             _check_slot_tuple(self.tx_slots[n], self.slotframe_length, f"node {n} tx")
             _check_slot_tuple(self.rx_slots[n], self.slotframe_length, f"node {n} rx")
             active = set(self.tx_slots[n]) | set(self.rx_slots[n])
@@ -91,8 +103,6 @@ class Schedule:
                         f"node {n}: {label} must be defined exactly on its "
                         f"TX and RX slots")
             for i, peer in self.counterpart[n].items():
-                if not isinstance(peer, int) or isinstance(peer, bool):
-                    raise ScheduleError(f"node {n} slot {i}: peer must be an integer")
                 if not 0 <= peer < self.node_count or peer == n:
                     raise ScheduleError(f"node {n} slot {i}: invalid peer {peer}")
 
@@ -117,12 +127,13 @@ class Topology:
     ROOT = 0
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ScheduleError("node_count must be positive")
+        if not _ints(self.node_count) or self.node_count < 1:
+            raise ScheduleError("node_count must be a positive integer")
         norm = set()
         for e in self.edges:
             v, w = e
-            if not (0 <= v < self.node_count and 0 <= w < self.node_count) or v == w:
+            if not (_ints(v, w) and 0 <= v < self.node_count
+                    and 0 <= w < self.node_count) or v == w:
                 raise ScheduleError(f"invalid edge {e}")
             norm.add((min(v, w), max(v, w)))
         object.__setattr__(self, "edges", frozenset(norm))
@@ -141,7 +152,7 @@ class Topology:
         for n, p in enumerate(parents):
             if n == self.ROOT:
                 continue
-            if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < self.node_count:
+            if not _ints(p) or not 0 <= p < self.node_count:
                 raise ScheduleError(f"node {n}: invalid parent {p!r}")
             if p == n:
                 raise ScheduleError(f"node {n}: node cannot be its own parent")
@@ -334,7 +345,7 @@ def schedule_from_dict(data: dict) -> Schedule:
             raise ScheduleFormatError("schedule: node entries must be objects")
         _require_keys(entry, {"id", "tx", "rx"}, {"id", "tx", "rx"}, "schedule node")
         n = entry["id"]
-        if not isinstance(n, int) or not 0 <= n < count or tx[n] is not None:
+        if not _ints(n) or not 0 <= n < count or tx[n] is not None:
             raise ScheduleFormatError(
                 f"schedule: node ids must cover 0..{count - 1} exactly once (got {n!r})")
         tx[n], rx[n], cp[n], ch[n] = [], [], {}, {}
@@ -389,7 +400,7 @@ def topology_from_dict(data: dict) -> Topology:
         raise ScheduleFormatError("topology: 'edges' must be a list")
     pairs = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
+        if not isinstance(e, list) or len(e) != 2 or not _ints(*e):
             raise ScheduleFormatError(f"topology: bad edge {e!r}")
         pairs.append((e[0], e[1]))
     parents = data["parents"]
@@ -405,9 +416,13 @@ def topology_from_dict(data: dict) -> Topology:
         raise ScheduleFormatError(f"topology: {exc}") from exc
 
 
-def load_schedule(path) -> Schedule:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_dict(json.load(fh))
+        return json.load(fh)
+
+
+def load_schedule(path) -> Schedule:
+    return schedule_from_dict(_read_json(path))
 
 
 def save_schedule(schedule: Schedule, path):
@@ -416,8 +431,7 @@ def save_schedule(schedule: Schedule, path):
 
 
 def load_topology(path) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return topology_from_dict(json.load(fh))
+    return topology_from_dict(_read_json(path))
 
 
 def save_topology(topology: Topology, path):

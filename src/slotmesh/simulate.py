@@ -61,6 +61,8 @@ class SimConfig:
             raise SimulationError("runs must be at least 1")
         if self.packets < 1:
             raise SimulationError("packets must be at least 1")
+        if self.warmup_slots is not None and self.warmup_slots < 0:
+            raise SimulationError("warmup_slots must not be negative")
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,13 @@ per-slot blocks, which is just ``(K + 1) x (K + 1)``. Chains are solved as
 stacks: B chains with the same S and K share one ``(B, S, K + 1, K + 1)``
 block array, their return maps come from one batched product per slot,
 GTH runs once over all chains whose closed classes coincide, and the
-solutions are propagated through the blocks as one stack. Every chain's
-answer is checked against ``max |c P - c| <= RESIDUAL_BOUND``, and an
-error raised for one chain of a stack carries that chain's position as
-``index``. :func:`solve` is the stack of one chain.
+slot-0 solutions are propagated once through the blocks into a ``(B, S,
+K + 1)`` grid, slot-major like the blocks, one chain's states flattened
+as ``i * (K + 1) + q``. Every chain's answer is checked against
+``max |c P - c| <= RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i`` times
+``B_i``, so only the wrap-around term ``c_{S-1} B_{S-1} - c_0`` can be
+non-zero. An error raised for one chain of a stack carries that chain's
+position as ``index``. :func:`solve` is the stack of one chain.
 
 The closed class is found by a dense boolean reachability search on the
 return map, whose rows are held as Python ints used as bitsets: reach
@@ -62,7 +65,7 @@ def _at(error: Exception, index) -> Exception:
 
 @dataclass(frozen=True)
 class StationaryResult:
-    """Normalized stationary distribution over all chain states.
+    """Normalized stationary distribution over the states ``i * (K + 1) + q``.
 
     States outside the closed class (``reachable``) hold exactly zero.
     ``residual`` is the infinity norm of ``c P - c``.
@@ -132,16 +135,6 @@ def _gth(dense: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_residuals(residual: np.ndarray) -> None:
-    """Raise for the first chain whose residual is above the bound or
-    not a number."""
-    failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))
-    if failed.size:
-        raise _at(StationaryError(
-            f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
-            failed[0])
-
-
 def _return_maps(blocks: np.ndarray) -> np.ndarray:
     """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a ``(B, S, K + 1,
     K + 1)`` block stack, one batched product per slot."""
@@ -169,50 +162,46 @@ def _closed_classes(frame_maps: np.ndarray) -> np.ndarray:
 
 
 def _reachable(blocks: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """``(B, K + 1, S)`` level-by-slot masks of the closed classes: the
+    """``(B, S, K + 1)`` slot-by-level masks of the closed classes: the
     slot-0 masks ``level`` carried through the blocks."""
     masks = np.empty(blocks.shape[:3], dtype=bool)
     masks[:, 0] = level
     for i in range(blocks.shape[1] - 1):
         masks[:, i + 1] = (masks[:, i, None] @ (blocks[:, i] > 0))[:, 0]
-    return masks.transpose(0, 2, 1)
+    return masks
 
 
 def _solve_stack(blocks: np.ndarray):
     """Stationary distributions of a ``(B, S, K + 1, K + 1)`` stack of
-    queue chains as ``(B, K + 1, S)`` level-by-slot grids, with the
+    queue chains as ``(B, S, K + 1)`` slot-by-level grids, with the
     residuals and the ``(B, K + 1)`` slot-0 closed classes.
 
     Solves the return maps on their closed classes, GTH once per group of
-    chains with the same class, and propagates the results through the
-    blocks.
+    chains with the same class, and propagates the results once through
+    all S blocks, back to slot 0, whose change is the residual.
     """
     frame_maps = _return_maps(blocks)
     level = _closed_classes(frame_maps)
     groups = {}
     for b, mask in enumerate(level):
         groups.setdefault(mask.tobytes(), []).append(b)
-    # columns[b, i] is the distribution over the levels at slot i
-    columns = np.zeros(blocks.shape[:3])
+    chains, length, count = blocks.shape[:3]
+    # slot S is slot 0 carried once round the slotframe
+    grid = np.zeros((chains, length + 1, count))
     for members in groups.values():
         states = np.flatnonzero(level[members[0]])
-        columns[np.ix_(members, [0], states)] = _gth(
+        grid[np.ix_(members, [0], states)] = _gth(
             frame_maps[np.ix_(members, states, states)])[:, None]
-    for i in range(blocks.shape[1] - 1):
-        columns[:, i + 1] = (columns[:, i, None] @ blocks[:, i])[:, 0]
-    columns /= columns.sum(axis=(1, 2), keepdims=True)
-    # row i of moved is the mass that slot i passes to slot i + 1
-    moved = (columns[:, :, None] @ blocks)[:, :, 0]
-    residual = np.abs(np.roll(moved, 1, axis=1) - columns).max(axis=(1, 2))
-    _check_residuals(residual)
-    return np.ascontiguousarray(columns.transpose(0, 2, 1)), residual, level
-
-
-def reachable_states(chain) -> np.ndarray:
-    """States of a queue chain in the closed class that the empty-queue
-    start state reaches; every other state carries no stationary mass."""
-    blocks = chain.blocks[None]
-    return _reachable(blocks, _closed_classes(_return_maps(blocks)))[0].ravel()
+    for i in range(length):
+        grid[:, i + 1] = (grid[:, i, None] @ blocks[:, i])[:, 0]
+    grid /= grid[:, :length].sum(axis=(1, 2), keepdims=True)
+    residual = np.abs(grid[:, length] - grid[:, 0]).max(axis=1)
+    failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))  # nan fails too
+    if failed.size:
+        raise _at(StationaryError(
+            f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
+            failed[0])
+    return grid[:, :length], residual, level
 
 
 def solve(chain) -> StationaryResult:

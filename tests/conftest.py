@@ -44,12 +44,14 @@ def chain_cases():
 
 
 def dense_matrix(chain):
-    """The chain's blocks as one dense matrix over the states flattened as
-    ``q * S + i``; block ``i`` maps slot ``i`` to slot ``i + 1``."""
-    length = chain.slotframe_length
+    """The chain's blocks as one block-cyclic dense matrix over the states
+    flattened as ``i * (K + 1) + q``: block ``i`` sits at block row ``i``
+    and block column ``i + 1``, mapping slot ``i`` to slot ``i + 1``."""
+    length, count = chain.slotframe_length, chain.capacity + 1
     matrix = np.zeros((chain.n_states, chain.n_states))
     for i, block in enumerate(chain.blocks):
-        matrix[i::length, (i + 1) % length::length] = block
+        col = (i + 1) % length * count
+        matrix[i * count:(i + 1) * count, col:col + count] = block
     return matrix
 
 

@@ -17,7 +17,7 @@ from slotmesh.queuemodel import (TrafficSpec, build_chain, evaluate_node,
 from slotmesh.schedule import active_links, validate
 from slotmesh.schedulers import generate, proper_descendants
 from slotmesh.simulate import SimConfig, simulate_network, simulate_queue
-from slotmesh.stationary import reachable_states, solve
+from slotmesh.stationary import solve
 
 
 def criterion(label):
@@ -252,12 +252,12 @@ def test_reducible_chain_and_solver_agreement():
     chain = build_chain(1, 3, (1,), traffic)
     result = solve(chain)
     assert result.distribution[chain.state_index(1, 2)] == 0.0
-    assert not reachable_states(chain)[chain.state_index(1, 2)]
+    assert not result.reachable[chain.state_index(1, 2)]
     assert result.residual <= 1e-10
 
     for capacity, length, tx, spec in chain_cases():
         c = build_chain(capacity, length, tx, spec)
-        oracle = dense_null_space_oracle(dense_matrix(c), reachable_states(c))
         solved = solve(c)
+        oracle = dense_null_space_oracle(dense_matrix(c), solved.reachable)
         assert np.abs(solved.distribution - oracle).max() <= 1e-8
         assert solved.residual <= 1e-10

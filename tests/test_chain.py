@@ -20,8 +20,9 @@ def test_rows_sum_to_one():
 
 def test_transitions_only_to_next_slot():
     chain = build_chain(3, 5, (1, 4), TrafficSpec.constant(5, rate=0.4))
+    count = chain.capacity + 1
     for j, k in zip(*np.nonzero(dense_matrix(chain))):
-        assert k % 5 == (j % 5 + 1) % 5
+        assert k // count == (j // count + 1) % 5
 
 
 def test_full_queue_single_transition():
@@ -143,8 +144,10 @@ def test_blocks_match_scalar_reference(capacity, length, data):
     assert np.abs(chain.blocks - reference).max() <= 1e-12
     dense = dense_matrix(chain)
     rows, cols = np.nonzero(dense)
-    assert np.all(cols % length == (rows % length + 1) % length)
+    count = capacity + 1
+    assert np.all(cols // count == (rows // count + 1) % length)
     for i in range(length):
-        block = dense[i::length, (i + 1) % length::length]
+        col = (i + 1) % length * count
+        block = dense[i * count:(i + 1) * count, col:col + count]
         assert np.abs(block - reference[i]).max() <= 1e-12
     assert np.abs(_row_sums(chain) - 1.0).max() <= 1e-12

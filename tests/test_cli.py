@@ -92,6 +92,15 @@ def test_validate_channel_mismatch_names_invariant(files, capsys):
 
 _TX = {"slot": 0, "peer": 1, "channel": 11}
 _NODES = [{"id": 0, "tx": [], "rx": []}]
+_DIRECTORY = object()  # the path is made a directory
+
+
+def _link(channel):
+    """Nodes 0 and 1 of a two-node schedule linked in slot 0 on
+    ``channel``, set on both ends."""
+    return {"slotframe_length": 2, "nodes": [
+        {"id": 0, "tx": [{**_TX, "channel": channel}], "rx": []},
+        {"id": 1, "tx": [], "rx": [{"slot": 0, "peer": 0, "channel": channel}]}]}
 
 
 @pytest.mark.parametrize("kind,content", [
@@ -112,27 +121,52 @@ _NODES = [{"id": 0, "tx": [], "rx": []}]
                   "nodes": [{"id": 0, "tx": [_TX],
                              "rx": [{**_TX, "channel": 12}]}]}),
     ("schedule", {"slotframe_length": 0, "nodes": _NODES}),
+    ("schedule", {"slotframe_length": 7.0, "nodes": _NODES}),
+    ("schedule", {"slotframe_length": 2, "slot_duration_s": "0.01",
+                  "nodes": _NODES}),
+    ("schedule", _link("x")),
+    ("schedule", _link(None)),
+    ("schedule", {"slotframe_length": 2,
+                  "nodes": [_NODES[0], {"id": True, "tx": [], "rx": []}]}),
+    ("schedule", _DIRECTORY),
+    ("schedule", b"\xff\xfe\x00"),
     ("topology", []),
     ("topology", {"nodes": 3, "edges": []}),
     ("topology", {"nodes": 3, "edges": {}, "parents": [None, 0, 1]}),
     ("topology", {"nodes": 3, "edges": [[0]], "parents": [None, 0, 1]}),
     ("topology", {"nodes": 3, "edges": [[0, 1], [1, 2]], "parents": None}),
     ("topology", {"nodes": 3, "edges": [[0, 1], [1, 2]], "parents": [None, 0]}),
+    ("topology", {"nodes": 7.0, "edges": [], "parents": [None]}),
+    ("topology", {"nodes": "7", "edges": [], "parents": [None]}),
+    ("topology", {"nodes": 2, "edges": [[0.0, 1]], "parents": [None, 0]}),
+    ("topology", {"nodes": 2, "edges": [["a", 1]], "parents": [None, 0]}),
+    ("topology", {"nodes": 2, "edges": [[[0], 1]], "parents": [None, 0]}),
+    ("topology", _DIRECTORY),
 ], ids=["schedule_list", "schedule_unknown_key", "schedule_missing_key",
         "nodes_empty", "node_not_object", "node_missing_key", "node_id_twice",
         "tx_not_list", "cell_not_object", "cell_missing_key",
-        "slot_conflicting_peer", "slotframe_zero", "topology_list",
-        "topology_missing_key", "edges_not_list", "edge_short",
-        "parents_not_list", "parents_short"])
+        "slot_conflicting_peer", "slotframe_zero", "slotframe_float",
+        "slot_duration_string", "channel_string", "channel_null", "id_bool",
+        "schedule_directory", "schedule_not_utf8",
+        "topology_list", "topology_missing_key", "edges_not_list",
+        "edge_short", "parents_not_list", "parents_short", "nodes_float",
+        "nodes_string", "edge_float", "edge_string", "edge_list",
+        "topology_directory"])
 def test_malformed_file_is_input_error(files, capsys, kind, content):
     tmp_path, sched, topo = files
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(content))
+    if content is _DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
     paths = {"schedule": sched, "topology": topo, kind: str(path)}
     code = main(["validate", "--schedule", paths["schedule"],
                  "--topology", paths["topology"]])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {kind} file")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file") and len(err.splitlines()) == 1
 
 
 def test_malformed_json_is_input_error(files, capsys):
@@ -390,11 +424,16 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys, monkeypatch, spec):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("text", [None, "{ not json"],
-                         ids=["missing", "unparsable"])
+@pytest.mark.parametrize("text", [None, "{ not json", _DIRECTORY,
+                                  b"\xff\xfe\x00"],
+                         ids=["missing", "unparsable", "directory", "not_utf8"])
 def test_sweep_rejects_unreadable_spec(tmp_path, capsys, text):
     spec_path = tmp_path / "sweep.json"
-    if text is not None:
+    if text is _DIRECTORY:
+        spec_path.mkdir()
+    elif isinstance(text, bytes):
+        spec_path.write_bytes(text)
+    elif text is not None:
         spec_path.write_text(text)
     assert main(["sweep", "--spec", str(spec_path)]) == 2
     err = capsys.readouterr().err
@@ -456,6 +495,15 @@ def test_nonpositive_interval_is_domain_error(files, capsys, command, interval):
     _, sched, topo = files
     assert main([command, "--schedule", sched, "--topology", topo,
                  "--interval", interval, "--queue", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_negative_warmup_is_domain_error(files, capsys):
+    _, sched, topo = files
+    assert main(["simulate", "--schedule", sched, "--topology", topo,
+                 "--rate", "0.01", "--queue", "4", "--runs", "1",
+                 "--packets", "10", "--warmup-slots", "-5000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
 

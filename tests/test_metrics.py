@@ -13,7 +13,7 @@ from slotmesh.simulate import SimConfig, simulate_queue
 def _loop_acceptance(chain, traffic, c):
     # per-state loop: E[accepted | (q, i)] caps the arrivals at the room K - q
     capacity, length = chain.capacity, chain.slotframe_length
-    grid = c.reshape(capacity + 1, length)
+    grid = c.reshape(length, capacity + 1)
     accepted = 0.0
     for i in range(length):
         pmf = chain.arrivals[i]
@@ -21,7 +21,7 @@ def _loop_acceptance(chain, traffic, c):
             room = capacity - q
             head = math.fsum(k * pmf[k] for k in range(room))
             tail = max(0.0, 1.0 - math.fsum(pmf[:room]))
-            accepted += grid[q, i] * (head + tail * room)
+            accepted += grid[i, q] * (head + tail * room)
     return length * accepted / expected_arrivals_per_slotframe(traffic)
 
 
@@ -31,7 +31,7 @@ def _loop_delay(chain, tx_slots, c):
     capacity, length = chain.capacity, chain.slotframe_length
     tx = sorted(set(tx_slots))
     count = len(tx)
-    grid = c.reshape(capacity + 1, length)
+    grid = c.reshape(length, capacity + 1)
     total = 0.0
     for i in range(length):
         nxt = (i + 1) % length
@@ -42,7 +42,7 @@ def _loop_delay(chain, tx_slots, c):
             frames = -(-position // count) - 1
             target = tx[(preceding + position) % count]
             wait = target - nxt if target >= nxt else target - nxt + length
-            total += grid[q, i] * (frames * length + 1 + wait)
+            total += grid[i, q] * (frames * length + 1 + wait)
     return total
 
 

@@ -304,3 +304,6 @@ def test_sim_config_validation():
         SimConfig(runs=0)
     with pytest.raises(SimulationError):
         SimConfig(packets=0)
+    with pytest.raises(SimulationError):
+        SimConfig(warmup_slots=-7)
+    assert SimConfig(warmup_slots=0).warmup_slots == 0

@@ -14,7 +14,7 @@ from slotmesh.queuemodel import (TrafficSpec, acceptance_probability,
                                  expected_arrivals_per_slotframe)
 from slotmesh.schedule import Schedule, Topology
 from slotmesh.schedulers import generate
-from slotmesh.stationary import StationaryError, reachable_states, solve
+from slotmesh.stationary import StationaryError, solve
 
 
 def dense_null_space_oracle(matrix, mask):
@@ -57,35 +57,51 @@ def test_residual_definition():
         assert c.min() >= 0.0
 
 
+def test_residual_matches_dense_definition(monkeypatch):
+    # a slightly spoiled slot-0 vector leaves a residual near 1e-13, well
+    # inside the bound; it must be max |c P - c| over the whole chain
+    exact = stationary._gth
+
+    def spoiled(dense):
+        return exact(dense) * np.linspace(1 - 1e-12, 1 + 1e-12, dense.shape[-1])
+
+    monkeypatch.setattr(stationary, "_gth", spoiled)
+    for capacity, length, tx, traffic in chain_cases():
+        chain = build_chain(capacity, length, tx, traffic)
+        res = solve(chain)
+        c = res.distribution
+        want = np.abs(c @ dense_matrix(chain) - c).max()
+        assert res.residual == pytest.approx(want, rel=1e-6, abs=0)
+
+
 def test_reducible_chain_prunes_unreachable_state():
     # three slots, capacity one, forwarding only in slot 0 followed by a
     # transmission slot: a packet can never still be queued in slot 2
     traffic = TrafficSpec((0.0, 0.0, 0.0), (0.5, 0.0, 0.0))
     chain = build_chain(1, 3, (1,), traffic)
-    mask = reachable_states(chain)
-    assert not mask[chain.state_index(1, 2)]
     res = solve(chain)
+    assert not res.reachable[chain.state_index(1, 2)]
     assert res.distribution[chain.state_index(1, 2)] == 0.0
     assert res.residual <= 1e-10
 
 
 def test_fully_loaded_chain_is_irreducible():
     chain = build_chain(3, 4, (2,), TrafficSpec.constant(4, rate=0.5))
-    assert reachable_states(chain).all()
+    assert solve(chain).reachable.all()
 
 
 def test_md1k_chain_all_reachable():
     chain = build_chain(5, 1, (0,), TrafficSpec((0.6,), (0.0,)))
-    assert reachable_states(chain).all()
+    assert solve(chain).reachable.all()
 
 
 def test_methods_agree_with_dense_oracle():
     for capacity, length, tx, traffic in chain_cases():
         chain = build_chain(capacity, length, tx, traffic)
-        mask = reachable_states(chain)
+        res = solve(chain)
+        mask = res.reachable
         dense = dense_matrix(chain)
         oracle = dense_null_space_oracle(dense, mask)
-        res = solve(chain)
         for distribution, reachable in ((res.distribution, res.reachable),
                                         closed_class_solution(dense)):
             assert np.abs(distribution - oracle).max() < 1e-8
@@ -160,7 +176,7 @@ def test_mixed_stack_matches_single_solves():
               build_chain(2, 3, (1,), TrafficSpec((0.0, 0.02, 0.0), (0.3, 0.0, 0.0)))]
     grids, residuals, _ = stationary._solve_stack(
         np.stack([chain.blocks for chain in chains]))
-    classes = {tuple(reachable_states(chain)) for chain in chains}
+    classes = {tuple(solve(chain).reachable) for chain in chains}
     assert len(classes) > 1
     for chain, grid, residual in zip(chains, grids, residuals):
         single = solve(chain)
@@ -179,7 +195,7 @@ def test_perturbed_chain_names_its_node(monkeypatch):
     traffic = TrafficSpec((rate,) * length,
                           tuple(evaluate_network(scenario).rx_probability[target]))
     chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
-    level = reachable_states(chain).reshape(capacity + 1, length)[:, 0]
+    level = solve(chain).reachable.reshape(length, capacity + 1)[0]
     frame_map = stationary._return_maps(chain.blocks[None])[0][np.ix_(level, level)]
     exact = stationary._gth
 
@@ -245,7 +261,7 @@ def test_always_full_queue_has_transient_empty_state():
     assert metrics.acceptance == pytest.approx(0.5, abs=1e-12)
     assert metrics.expected_delay_slots == pytest.approx(6.0, abs=1e-12)
     chain = build_chain(2, 3, (2,), traffic)
-    assert not reachable_states(chain)[chain.state_index(0, 0)]
+    assert not solve(chain).reachable[chain.state_index(0, 0)]
 
 
 def test_critical_load_large_capacity():
@@ -262,10 +278,10 @@ def test_critical_load_large_capacity():
     a[-1, :] = 1.0
     b = np.zeros(chain.capacity + 1)
     b[-1] = 1.0
-    grid = np.zeros((chain.capacity + 1, length))
-    grid[:, 0] = np.linalg.solve(a, b)
+    grid = np.zeros((length, chain.capacity + 1))
+    grid[0] = np.linalg.solve(a, b)
     for i in range(length - 1):
-        grid[:, i + 1] = grid[:, i] @ chain.blocks[i]
+        grid[i + 1] = grid[i] @ chain.blocks[i]
     offered = np.array([expected_arrivals_per_slotframe(traffic)])
     want = acceptance_probability(grid[None] / length, chain.arrivals[None],
                                   offered)[0]
