@@ -4,7 +4,7 @@ Subcommands: ``validate``, ``schedule``, ``analyze``, ``sweep`` and
 ``simulate``. All commands are deterministic given their inputs (and the
 seed, where one applies) and emit CSV for downstream plotting. Exit codes:
 0 success, 1 domain error (conflicts, solver or scheduler failures),
-2 input error (unreadable or malformed files).
+2 input error (unreadable, malformed or unwritable files).
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -64,14 +66,24 @@ def _load(loader, path, what):
         raise _InputError(f"{what} {path!r}: {exc}")
 
 
-def _open_out(path):
+def _save(writer, path, what):
+    """``writer(path)``, with a failure to write the file named ``what``
+    raised as an input error."""
+    try:
+        return writer(path)
+    except OSError as exc:
+        raise _InputError(f"{what} {path!r}: {exc.strerror or exc}")
+
+
+def _open_out(path, what):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+    return _save(partial(open, mode="w", newline="", encoding="utf-8"),
+                 path, what), True
 
 
-def _write_rows(path, header, rows):
-    fh, close = _open_out(path)
+def _write_rows(path, what, header, rows):
+    fh, close = _open_out(path, what)
     try:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -93,16 +105,18 @@ def cmd_schedule(args):
     if args.rings is not None:
         topology = concentric_topology(args.rings)
         if args.topology_out:
-            save_topology(topology, args.topology_out)
+            _save(partial(save_topology, topology), args.topology_out,
+                  "topology output")
     else:
         topology = _load(load_topology, args.topology, "topology file")
     trace = [] if args.trace else None
     schedule = generate(args.algorithm, topology, trace=trace,
                         slot_duration=args.slot_duration)
-    save_schedule(schedule, args.out)
+    _save(partial(save_schedule, schedule), args.out, "schedule output")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(trace) + ("\n" if trace else ""))
+        text = "\n".join(trace) + ("\n" if trace else "")
+        _save(lambda path: Path(path).write_text(text, encoding="utf-8"),
+              args.trace, "trace file")
     root_rx = len(schedule.rx_slots[0])
     print(f"slotframe_length={schedule.slotframe_length}")
     print(f"root_rx_slots={root_rx}")
@@ -139,14 +153,15 @@ def cmd_analyze(args):
                      f"{result.delay_slots[n] * slot:.6f}"))
     rows.append(("throughput_pps", f"{result.throughput_pps:.6f}",
                  "", "", "", "", ""))
-    _write_rows(args.out, ANALYZE_COLUMNS, rows)
+    _write_rows(args.out, "output file", ANALYZE_COLUMNS, rows)
     if args.marginals:
         mrows = []
         for n in range(scenario.topology.node_count):
             marg = result.node_metrics[n].queue_marginals
             for q, p in enumerate(marg):
                 mrows.append((n, q, f"{p:.9f}"))
-        _write_rows(args.marginals, ("node", "q", "probability"), mrows)
+        _write_rows(args.marginals, "marginals file",
+                    ("node", "q", "probability"), mrows)
     return EXIT_OK
 
 
@@ -275,7 +290,7 @@ def cmd_sweep(args):
         for name, variant, capacity, rate, metric, value in block:
             rows.append((name, variant, capacity, f"{rate:.9g}", metric,
                          f"{value:.9g}"))
-    _write_rows(args.out, SWEEP_COLUMNS, rows)
+    _write_rows(args.out, "output file", SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -301,7 +316,8 @@ def cmd_simulate(args):
         s = summaries[metric]
         rows.append(("agg", metric, f"{s.mean:.9g}", f"{s.ci_low:.9g}",
                      f"{s.ci_high:.9g}"))
-    _write_rows(args.out, ("run", "metric", "value", "ci_low", "ci_high"), rows)
+    _write_rows(args.out, "output file",
+                ("run", "metric", "value", "ci_low", "ci_high"), rows)
     if args.compare_model:
         model = _outer_ring_means(evaluate_network(scenario))
         for metric in SIM_METRICS:

@@ -302,12 +302,12 @@ def validate(schedule: Schedule, topology: Topology) -> ConflictReport:
 # file formats (JSON, strict about unknown keys)
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScheduleFormatError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ScheduleFormatError(f"{where}: missing keys {sorted(missing)}")
+    if not obj.keys() <= allowed:
+        raise ScheduleFormatError(
+            f"{where}: unknown keys {sorted(obj.keys() - allowed)}")
+    if not required <= obj.keys():
+        raise ScheduleFormatError(
+            f"{where}: missing keys {sorted(required - obj.keys())}")
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:
@@ -348,26 +348,34 @@ def schedule_from_dict(data: dict) -> Schedule:
         if not _ints(n) or not 0 <= n < count or tx[n] is not None:
             raise ScheduleFormatError(
                 f"schedule: node ids must cover 0..{count - 1} exactly once (got {n!r})")
-        tx[n], rx[n], cp[n], ch[n] = [], [], {}, {}
+        tx[n], rx[n] = [], []
+        cells = []
         for kind, target in (("tx", tx[n]), ("rx", rx[n])):
-            cells = entry[kind]
-            if not isinstance(cells, list):
+            listed = entry[kind]
+            if not isinstance(listed, list):
                 raise ScheduleFormatError(f"schedule node {n}: '{kind}' must be a list")
-            for cell in cells:
+            for cell in listed:
                 if not isinstance(cell, dict):
                     raise ScheduleFormatError(f"schedule node {n}: {kind} cells must be objects")
                 _require_keys(cell, {"slot", "peer", "channel"},
                               {"slot", "peer", "channel"}, f"schedule node {n} {kind} cell")
-                i = cell["slot"]
-                target.append(i)
-                if i in cp[n] and (cp[n][i], ch[n][i]) != (cell["peer"], cell["channel"]):
-                    # a slot listed under both tx and rx is representable (and
-                    # reported by validate) only while peer and channel agree
-                    raise ScheduleFormatError(
-                        f"schedule node {n}: slot {i} assigned twice with "
-                        f"conflicting peer or channel")
-                cp[n][i] = cell["peer"]
-                ch[n][i] = cell["channel"]
+                target.append(cell["slot"])
+            cells += listed
+        # slots are dict keys below, so they are checked first
+        if not _ints(*tx[n], *rx[n]):
+            raise ScheduleFormatError(f"schedule node {n}: slots must be integers")
+        peers = cp[n] = {}
+        channels = ch[n] = {}
+        for cell in cells:
+            i = cell["slot"]
+            if i in peers and (peers[i], channels[i]) != (cell["peer"], cell["channel"]):
+                # a slot listed under both tx and rx is representable (and
+                # reported by validate) only while peer and channel agree
+                raise ScheduleFormatError(
+                    f"schedule node {n}: slot {i} assigned twice with "
+                    f"conflicting peer or channel")
+            peers[i] = cell["peer"]
+            channels[i] = cell["channel"]
     try:
         return Schedule(
             node_count=count,

@@ -17,15 +17,11 @@ block in which its queue is empty and nothing arrives. The random numbers
 drawn, and their order, are those of a plain slot-by-slot loop. Every
 network run checks its packet ledger (``RunCounts.conserved``).
 
-No packet is tracked during the network warm-up, so it runs on one
-integer queue level per node and hands over to the packet loop with one
-untracked placeholder packet per queued level, inside the current
-generation block. It draws what the packet loop would: the same blocks,
-one ``rng.random()`` per transmission on a lossy link, and, for each
-overflowing bucket of ``m >= 2`` packets, a shuffle of a throwaway list
-of length ``m`` (numpy's list shuffle draws depend on the length only),
-buckets in the packet loop's order. Results are those of running the
-packet loop from slot zero.
+The network loop keeps one integer queue level per node from slot zero,
+warm-up included. A tracked packet rides on the levels as a FIFO ticket,
+its node's departure count plus the packets queued ahead of it, and
+leaves with the departure that finds the count equal to its ticket, so
+the count need only run while a tracked packet is queued.
 """
 
 from __future__ import annotations
@@ -235,8 +231,13 @@ class NetworkSimStats:
 
     def delay_summary(self, nodes=None) -> MetricSummary:
         cols = list(nodes) if nodes is not None else slice(None)
+        delays = self.delay_slots[:, cols]
+        delivered = ~np.isnan(delays)
+        # ``np.nanmean``'s sum and count, without its warning for a run in
+        # which no selected node delivered (whose mean is NaN)
         with np.errstate(invalid="ignore"):
-            per_run = np.nanmean(self.delay_slots[:, cols], axis=1)
+            per_run = (np.where(delivered, delays, 0.0).sum(axis=1)
+                       / delivered.sum(axis=1))
         return MetricSummary.from_runs(per_run)
 
     def throughput_summary(self) -> MetricSummary:
@@ -256,59 +257,6 @@ def _generation_events(rng, p_gen, n_nodes):
     return events, row_start
 
 
-def _warm_up(rng, links_by_slot, capacity, p_gen, n_nodes, warmup):
-    """Run slots ``0 .. warmup - 1`` on one queue level per node, drawing
-    the random numbers of the packet loop (see the module docstring).
-
-    Returns the levels, the generation block that slot ``warmup`` reads
-    from, as ``(events, row_start, gen_base)``, and the counts
-    ``(generated, delivered, dropped, link_lost)`` so far.
-    """
-    length = len(links_by_slot)
-    level = [0] * n_nodes
-    generated = delivered = dropped = link_lost = 0
-    events, row_start, gen_base = None, None, -_BLOCK  # no block drawn yet
-    for gen_base in range(0, warmup, _BLOCK):
-        events, row_start = _generation_events(rng, p_gen, n_nodes)
-        end = min(gen_base + _BLOCK, warmup)
-        generated += sum(count for _, count in
-                         events[:row_start[end - gen_base]])
-        for t in range(gen_base, end):
-            sent = []
-            inbound = []
-            for v, w, per in links_by_slot[t % length]:
-                if level[v]:
-                    sent.append(v)
-                    if per and rng.random() < per:
-                        link_lost += 1
-                    elif w == 0:
-                        delivered += 1
-                    else:
-                        inbound.append(w)
-            r = t - gen_base
-            buckets = events[row_start[r]:row_start[r + 1]]
-            if inbound:
-                # a forwarded packet joins its receiver's bucket, opening
-                # one after the generated buckets if there is none
-                sizes = dict(buckets)
-                for w in inbound:
-                    sizes[w] = sizes.get(w, 0) + 1
-                buckets = sizes.items()
-            # ``level`` still holds the levels at slot begin
-            for n, m in buckets:
-                room = capacity - level[n]
-                if m > room:
-                    if m > 1:
-                        rng.shuffle([None] * m)
-                    dropped += m - room
-                    m = room
-                level[n] += m
-            for v in sent:
-                level[v] -= 1
-    return (level, (events, row_start, gen_base),
-            (generated, delivered, dropped, link_lost))
-
-
 def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
                           warmup):
     schedule = scenario.schedule
@@ -325,101 +273,122 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
             links_by_slot[i].append(
                 (n, peer, scenario.link_per.get((n, peer), 0.0)))
 
-    level, (events, row_start, gen_base), counts = _warm_up(
-        rng, links_by_slot, capacity, p_gen, n_nodes, warmup)
-    generated, delivered, dropped, link_lost = counts
-    # packets: [origin, gen_slot, tracked]; the warm-up's are untracked
-    queues = [[[n, 0, -1]] * level[n] for n in range(n_nodes)]
+    level = [0] * n_nodes
+    # the tracked packets queued at each node as (ticket, origin, gen_slot)
+    # in FIFO order; ``served`` counts departures while any is queued
+    waiting = [deque() for _ in range(n_nodes)]
+    served = [0] * n_nodes
+    outstanding = 0  # tracked packets queued
+    marks = {}  # node -> leading entries of its bucket: tracked packet or None
     tagged = [packets_per_node if n == 0 else 0 for n in range(n_nodes)]
     nodes_left = n_nodes - 1
-    outstanding = 0
+    generated = delivered = dropped = link_lost = sink_window = 0
     delivered_tracked = [0] * n_nodes
     delay_sums = [0] * n_nodes
-    sink_window = 0
     window_end = None
+    events, row_start, gen_base = [], None, -_BLOCK
 
     # safety bound: warm-up, the tagging window and a drain allowance
     expected_window = int(packets_per_node / p_gen * 20) + 200 * length
     max_slots = warmup + expected_window + 200 * length * capacity * n_nodes
 
-    t = warmup
-    while True:
+    for t in range(max_slots + 1):
         r = t - gen_base
         if r >= _BLOCK:
+            generated += sum(c for _, c in events)
             events, row_start = _generation_events(rng, p_gen, n_nodes)
             gen_base = t
             r = 0
-        slot = t % length
 
+        sent = []
         inbound = []
-        popped = {}
-        for v, w, per in links_by_slot[slot]:
-            if queues[v]:
-                packet = queues[v].pop(0)
-                popped[v] = 1
+        for v, w, per in links_by_slot[t % length]:
+            if level[v]:
+                sent.append(v)
+                queue = waiting[v]
+                packet = None
+                if queue and queue[0][0] == served[v]:
+                    packet = queue.popleft()[1:]
+                    outstanding -= 1
                 if per and rng.random() < per:
                     link_lost += 1
-                    if packet[2] >= 0:
-                        outstanding -= 1
-                    continue
-                if w == 0:
+                elif w == 0:
                     delivered += 1
-                    if window_end is None or t < window_end:
+                    if window_end is None and t >= warmup:
                         sink_window += 1
-                    if packet[2] >= 0:
-                        origin = packet[0]
+                    if packet:
+                        origin, gen_slot = packet
                         delivered_tracked[origin] += 1
-                        delay_sums[origin] += t - packet[1]
-                        outstanding -= 1
+                        delay_sums[origin] += t - gen_slot
                 else:
                     inbound.append((w, packet))
 
-        arrivals = {}
-        for n, count in events[row_start[r]:row_start[r + 1]]:
-            generated += count
-            bucket = arrivals[n] = []
-            for _ in range(count):
-                if tagged[n] < packets_per_node:
-                    tagged[n] += 1
-                    outstanding += 1
-                    bucket.append([n, t, 1])
+        # a node's bucket of arrivals: its tracked generated packets, its
+        # untracked ones, then forwarded packets in link order
+        buckets = events[row_start[r]:row_start[r + 1]]
+        if t >= warmup and nodes_left:
+            for n, m in buckets:
+                tag = min(m, packets_per_node - tagged[n])
+                if tag > 0:
+                    marks[n] = [(n, t)] * tag
+                    tagged[n] += tag
                     if tagged[n] == packets_per_node:
                         nodes_left -= 1
-                        if nodes_left == 0:
+                        if not nodes_left:
                             window_end = t + 1
-                else:
-                    bucket.append([n, t, -1])
-        for w, packet in inbound:
-            arrivals.setdefault(w, []).append(packet)
-
-        for n, bucket in arrivals.items():
-            room = capacity - (len(queues[n]) + popped.get(n, 0))
-            if len(bucket) > room:
-                # a one-packet shuffle draws no random numbers: skip it
-                if len(bucket) > 1:
+        if inbound:
+            # a forwarded packet opens a bucket after the generated ones
+            # if its receiver has none
+            sizes = dict(buckets)
+            for w, packet in inbound:
+                m = sizes.get(w, 0)
+                if packet:
+                    held = marks.setdefault(w, [])
+                    held += [None] * (m - len(held))
+                    held.append(packet)
+                sizes[w] = m + 1
+            buckets = sizes.items()
+        # ``level`` still holds the levels at slot begin
+        for n, m in buckets:
+            room = capacity - level[n]
+            held = marks.pop(n, ()) if marks else ()
+            if m > room:
+                # pad the marks to the bucket, shuffle, drop the tail
+                if m > 1:  # a one-packet shuffle draws nothing
+                    bucket = [*held, *[None] * (m - len(held))]
                     rng.shuffle(bucket)
-                for packet in bucket[room:]:
-                    dropped += 1
-                    if packet[2] >= 0:
-                        outstanding -= 1
-                bucket = bucket[:room]
-            queues[n].extend(bucket)
-
-        t += 1
-        if nodes_left == 0 and outstanding == 0:
+                    if held:
+                        held = bucket
+                dropped += m - room
+                m = room
+            if held:
+                queued = served[n] + level[n]
+                for j, packet in enumerate(held[:m]):
+                    if packet:
+                        waiting[n].append((queued + j, *packet))
+                        outstanding += 1
+            level[n] += m
+        for v in sent:
+            level[v] -= 1
+        if outstanding:
+            for v in sent:
+                served[v] += 1
+        elif not nodes_left:
             break
-        if t > max_slots:
-            raise SimulationError(
-                f"network simulation did not resolve tracked packets within "
-                f"{max_slots} slots")
+    else:
+        raise SimulationError(
+            f"network simulation did not resolve tracked packets within "
+            f"{max_slots} slots")
 
+    slots = t + 1
+    generated += sum(c for _, c in events[:row_start[slots - gen_base]])
     counts = RunCounts(generated=generated, delivered=delivered,
                        dropped=dropped, link_lost=link_lost,
-                       residual=sum(len(q) for q in queues))
+                       residual=sum(level))
     if not counts.conserved():
         raise SimulationError(f"packet ledger does not balance: {counts}")
     if window_end is None:
-        window_end = t
+        window_end = slots
     window_slots = max(window_end - warmup, 1)
     throughput = sink_window / (window_slots * schedule.slot_duration)
     delivered_tracked = np.array(delivered_tracked)

@@ -128,6 +128,8 @@ def _link(channel):
     ("schedule", _link(None)),
     ("schedule", {"slotframe_length": 2,
                   "nodes": [_NODES[0], {"id": True, "tx": [], "rx": []}]}),
+    ("schedule", {"slotframe_length": 2,
+                  "nodes": [{"id": 0, "tx": [{**_TX, "slot": [0]}], "rx": []}]}),
     ("schedule", _DIRECTORY),
     ("schedule", b"\xff\xfe\x00"),
     ("topology", []),
@@ -147,7 +149,7 @@ def _link(channel):
         "tx_not_list", "cell_not_object", "cell_missing_key",
         "slot_conflicting_peer", "slotframe_zero", "slotframe_float",
         "slot_duration_string", "channel_string", "channel_null", "id_bool",
-        "schedule_directory", "schedule_not_utf8",
+        "slot_list", "schedule_directory", "schedule_not_utf8",
         "topology_list", "topology_missing_key", "edges_not_list",
         "edge_short", "parents_not_list", "parents_short", "nodes_float",
         "nodes_string", "edge_float", "edge_string", "edge_list",
@@ -167,6 +169,29 @@ def test_malformed_file_is_input_error(files, capsys, kind, content):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {kind} file") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,option", [
+    ("analyze", "--out"), ("analyze", "--marginals"), ("simulate", "--out"),
+    ("schedule", "--out"), ("schedule", "--topology-out"),
+    ("schedule", "--trace")])
+def test_unwritable_output_is_input_error(files, capsys, command, option):
+    tmp_path, sched, topo = files
+    target = tmp_path / "a_directory"
+    target.mkdir()
+    if command == "schedule":
+        argv = ["schedule", "--algorithm", "sbd", "--rings", "1",
+                "--out", str(tmp_path / "s.json")]
+    else:
+        argv = [command, "--schedule", sched, "--topology", topo,
+                "--rate", "0.01", "--queue", "4"]
+    if command == "simulate":
+        argv += ["--runs", "1", "--packets", "5", "--warmup-slots", "10"]
+    # a repeated --out replaces the earlier one
+    assert main(argv + [option, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert repr(str(target)) in err
 
 
 def test_malformed_json_is_input_error(files, capsys):

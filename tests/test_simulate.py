@@ -9,8 +9,8 @@ from slotmesh.network import (NetworkModelError, NetworkScenario,
 from slotmesh.queuemodel import TrafficSpec, evaluate_node
 from slotmesh.schedule import Schedule, Topology
 from slotmesh.schedulers import generate, schedule_orchestra_sbd
-from slotmesh.simulate import (MetricSummary, RunCounts, SimConfig,
-                               SimulationError, simulate_network,
+from slotmesh.simulate import (MetricSummary, NetworkSimStats, RunCounts,
+                               SimConfig, SimulationError, simulate_network,
                                simulate_queue)
 
 
@@ -144,8 +144,8 @@ NETWORK_GOLDEN = [
          [4, 4, 5, 5, 8, 5, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
          [601, 594, 749, 748, 1193, 752, 0, 0, 292, 0, 0, 0, 0, 0, 0, 0, 0, 0],
          31.15942028985507)]),
-    # saturated lossy uplinks with K = 4: the warm-up overflows buckets of
-    # several packets and hands over non-empty queues, at a block boundary
+    # saturated lossy uplinks with K = 4: the warm-up ends with overflowing
+    # buckets of several packets and non-empty queues, at a block boundary
     # (4096) and inside the third block (10,000)
     (1, "sbd", 0.3, 0.2, 4, 4096, 7, [
         ((7995, 2993, 4288, 697, 17), [18, 23, 19, 17, 19, 19],
@@ -161,6 +161,17 @@ NETWORK_GOLDEN = [
          [13, 15, 13, 16, 19, 13, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],
          [438, 557, 485, 610, 667, 464, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 127,
           155], 49.056603773584904)]),
+    # no warm-up: tracking starts at slot 0 on empty queues, and tracked
+    # packets forwarded by the inner ring land in overflowing buckets
+    (2, "ta-sc", 0.3, 0.2, 4, 0, 6, [
+        ((1666, 135, 1398, 66, 67),
+         [16, 19, 14, 14, 15, 14, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+         [539, 609, 434, 415, 465, 476, 0, 0, 8, 8, 0, 0, 0, 0, 0, 0, 0, 0],
+         43.56435643564357),
+        ((1682, 152, 1419, 43, 68),
+         [16, 16, 18, 19, 16, 13, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0],
+         [526, 498, 539, 565, 486, 444, 4, 0, 0, 37, 41, 0, 0, 0, 0, 0, 0, 0],
+         51.64835164835165)]),
 ]
 
 
@@ -202,8 +213,8 @@ def test_one_item_shuffle_draws_nothing():
 
 
 def test_shuffle_draws_depend_on_length_only():
-    # the warm-up shuffles a throwaway list of the overflowing bucket's
-    # length, which keeps the random stream of shuffling the packets
+    # the network loop shuffles an overflowing bucket's marks padded with
+    # None, which keeps the random stream of shuffling the packets
     for seed in range(4):
         for m in range(2, 41):
             packets = np.random.default_rng(seed)
@@ -212,6 +223,20 @@ def test_shuffle_draws_depend_on_length_only():
             placeholders.shuffle([None] * m)
             assert (packets.bit_generator.state
                     == placeholders.bit_generator.state)
+
+
+def test_delay_summary_of_run_without_deliveries_is_nan():
+    # a run in which no selected node delivered has no delay, which must
+    # not raise numpy's empty-slice warning (an error in this suite)
+    stats = NetworkSimStats(
+        delivery=np.zeros((2, 3)),
+        delay_slots=np.array([[0.0, math.nan, math.nan],
+                              [0.0, 4.0, math.nan]]),
+        throughput_pps=np.zeros(2), counts=(), slot_duration=0.01)
+    summary = stats.delay_summary([1, 2])
+    assert math.isnan(summary.per_run[0]) and summary.per_run[1] == 4.0
+    assert summary.mean == 4.0
+    assert stats.delay_summary().per_run == (0.0, 2.0)
 
 
 def test_network_sim_checks_ledger_every_run(monkeypatch):
