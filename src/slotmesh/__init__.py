@@ -15,8 +15,7 @@ from .schedule import (CHANNELS_2_4GHZ, ConflictReport, Schedule,
                        active_links, disturbing_links, load_schedule,
                        load_topology, save_schedule, save_topology, validate)
 from .schedulers import (ChannelExhaustionError, SchedulerError, generate,
-                         proper_descendants, schedule_orchestra_sbd,
-                         schedule_ta_multi, schedule_ta_single)
+                         proper_descendants)
 from .simulate import (MetricSummary, NetworkSimStats, QueueSimStats,
                        SimConfig, SimulationError, simulate_network,
                        simulate_queue)

@@ -279,6 +279,8 @@ def _sweep_tasks(spec):
 
 
 def cmd_sweep(args):
+    if args.workers < 1:
+        raise _InputError("--workers must be at least 1")
     tasks = _sweep_tasks(_load(_read_json, args.spec, "sweep spec"))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .queuemodel import NodeMetrics, ModelError, _variant_stack
-from .schedule import Schedule, Topology, validate
+from .schedule import Schedule, Topology, _ints, validate
 from .stationary import StationaryError
 
 
@@ -55,8 +55,9 @@ class NetworkScenario:
         if not 0 <= self.generation_rate < math.inf:
             raise NetworkModelError(
                 "generation_rate must be finite and non-negative")
-        if self.queue_capacity < 1:
-            raise NetworkModelError("queue_capacity must be at least 1")
+        if not (_ints(self.queue_capacity) and self.queue_capacity >= 1):
+            raise NetworkModelError(
+                "queue_capacity must be a positive integer")
         object.__setattr__(self, "link_per", dict(self.link_per))
         for link, per in self.link_per.items():
             if not 0.0 <= per <= 1.0:

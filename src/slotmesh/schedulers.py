@@ -1,9 +1,10 @@
 """Schedule generators for data-collection trees.
 
-Three generators are provided: a sender-based dedicated baseline (one
-transmission slot per node, slotframe length equal to the node count), a
-traffic-aware single-channel schedule and a traffic-aware multi-channel
-schedule. The traffic-aware generators give every node one transmission
+``generate(algorithm, topology)`` builds one of three schedules: a
+sender-based dedicated baseline (``sbd``: one transmission slot per node,
+slotframe length equal to the node count), a traffic-aware single-channel
+schedule (``ta-sc``) and a traffic-aware multi-channel schedule
+(``ta-mc``). The traffic-aware generators give every node one transmission
 slot per node in its subtree, so forwarding capacity matches offered load.
 
 The traffic-aware algorithms are executed as deterministic message-driven
@@ -17,8 +18,6 @@ from __future__ import annotations
 from collections import deque
 
 from .schedule import CHANNELS_2_4GHZ, DEFAULT_SLOT_DURATION, Schedule, Topology
-
-ALGORITHMS = ("sbd", "ta-sc", "ta-mc")
 
 
 class SchedulerError(RuntimeError):
@@ -48,6 +47,41 @@ class _MessageQueue:
             handler(kind, src, dst, payload)
 
 
+def _child_walk(topology: Topology) -> list:
+    """One iterator over the children of each node, in ascending id: the
+    depth-first token's next child at ``n`` is ``next(walk[n], None)``."""
+    return [iter(topology.children(n)) for n in range(topology.node_count)]
+
+
+class _Cells:
+    """The tx and rx slots of each node, with the peer and channel of
+    every slot, as a generator fills them in."""
+
+    def __init__(self, n_nodes):
+        self.tx = [[] for _ in range(n_nodes)]
+        self.rx = [[] for _ in range(n_nodes)]
+        self.peer = [{} for _ in range(n_nodes)]
+        self.channel = [{} for _ in range(n_nodes)]
+
+    def add(self, slots, n, i, peer, channel=CHANNELS_2_4GHZ[0]):
+        """Give node ``n`` slot ``i`` in ``slots`` (``self.tx`` or
+        ``self.rx``) toward ``peer`` on ``channel``."""
+        slots[n].append(i)
+        self.peer[n][i] = peer
+        self.channel[n][i] = channel
+
+    def schedule(self, length, slot_duration) -> Schedule:
+        return Schedule(
+            node_count=len(self.tx),
+            slotframe_length=length,
+            tx_slots=tuple(tuple(sorted(t)) for t in self.tx),
+            rx_slots=tuple(tuple(sorted(r)) for r in self.rx),
+            counterpart=tuple(self.peer),
+            channel=tuple(self.channel),
+            slot_duration=slot_duration,
+        )
+
+
 def proper_descendants(topology: Topology, trace=None) -> tuple[int, ...]:
     """Count proper descendants with a message-driven depth-first pass:
     entry ``n`` is the number of nodes strictly below ``n``.
@@ -57,51 +91,27 @@ def proper_descendants(topology: Topology, trace=None) -> tuple[int, ...]:
     Exactly ``2 (N - 1)`` messages are exchanged on a tree of ``N`` nodes
     (the initial activation of the root is not counted).
     """
-    n_nodes = topology.node_count
-    gamma = [0] * n_nodes
-    next_child = [0] * n_nodes
+    gamma = [0] * topology.node_count
+    children = _child_walk(topology)
     queue = _MessageQueue(trace)
 
-    def handle_node(n):
-        kids = topology.children(n)
-        if next_child[n] < len(kids):
-            u = kids[next_child[n]]
-            next_child[n] += 1
+    def dispatch(kind, src, n, payload):
+        if kind == "backtrack":
+            gamma[n] += payload[0]
+        u = next(children[n], None)
+        if u is not None:
             queue.send("forward", n, u)
         elif n != topology.ROOT:
             queue.send("backtrack", n, topology.parents[n], (gamma[n] + 1,))
 
-    def dispatch(kind, src, dst, payload):
-        if kind == "forward":
-            gamma[dst] = 0
-            handle_node(dst)
-        elif kind == "backtrack":
-            (size,) = payload
-            gamma[dst] += size
-            handle_node(dst)
-
     queue.send("forward", -1, topology.ROOT, record=False)
     queue.run(dispatch)
-    if gamma[topology.ROOT] != n_nodes - 1:
+    if gamma[topology.ROOT] != topology.node_count - 1:
         raise SchedulerError("descendant pass did not cover the whole tree")
     return tuple(gamma)
 
 
-def _assemble(topology, length, tx, rx, counterpart, channel,
-              slot_duration) -> Schedule:
-    return Schedule(
-        node_count=topology.node_count,
-        slotframe_length=length,
-        tx_slots=tuple(tuple(sorted(t)) for t in tx),
-        rx_slots=tuple(tuple(sorted(r)) for r in rx),
-        counterpart=tuple(counterpart),
-        channel=tuple(channel),
-        slot_duration=slot_duration,
-    )
-
-
-def schedule_orchestra_sbd(topology: Topology, *,
-                           slot_duration=DEFAULT_SLOT_DURATION) -> Schedule:
+def _orchestra_sbd(topology, trace, slot_duration) -> Schedule:
     """Sender-based dedicated baseline: node ``n`` transmits to its parent
     in slot ``n`` of a slotframe of length ``N``.
 
@@ -109,26 +119,17 @@ def schedule_orchestra_sbd(topology: Topology, *,
     transmits. With one link per slot the schedule is trivially
     conflict-free; a single channel is used throughout (channel hopping
     for interference mitigation is orthogonal to the slot assignment).
+    No messages are exchanged, so ``trace`` stays empty.
     """
-    n_nodes = topology.node_count
-    tx = [[] for _ in range(n_nodes)]
-    rx = [[] for _ in range(n_nodes)]
-    counterpart = [dict() for _ in range(n_nodes)]
-    channel = [dict() for _ in range(n_nodes)]
-    for n in range(1, n_nodes):
+    cells = _Cells(topology.node_count)
+    for n in range(1, topology.node_count):
         p = topology.parents[n]
-        tx[n].append(n)
-        counterpart[n][n] = p
-        channel[n][n] = CHANNELS_2_4GHZ[0]
-        rx[p].append(n)
-        counterpart[p][n] = n
-        channel[p][n] = CHANNELS_2_4GHZ[0]
-    return _assemble(topology, n_nodes, tx, rx, counterpart, channel,
-                     slot_duration)
+        cells.add(cells.tx, n, n, p)
+        cells.add(cells.rx, p, n, n)
+    return cells.schedule(topology.node_count, slot_duration)
 
 
-def schedule_ta_single(topology: Topology, trace=None, *,
-                       slot_duration=DEFAULT_SLOT_DURATION) -> Schedule:
+def _ta_single(topology, trace, slot_duration) -> Schedule:
     """Traffic-aware single-channel schedule.
 
     A depth-first token walks the tree; on the way back up, every non-root
@@ -136,47 +137,33 @@ def schedule_ta_single(topology: Topology, trace=None, *,
     in its subtree, starting at the running offset carried by the token.
     At most one link is active per slot in the whole network.
     """
-    n_nodes = topology.node_count
     gamma = proper_descendants(topology)
-    length = 1 + sum(gamma[n] + 1 for n in range(1, n_nodes))
-    tx = [[] for _ in range(n_nodes)]
-    rx = [[] for _ in range(n_nodes)]
-    counterpart = [dict() for _ in range(n_nodes)]
-    channel = [dict() for _ in range(n_nodes)]
-    next_child = [0] * n_nodes
+    length = 1 + sum(g + 1 for g in gamma[1:])
+    cells = _Cells(topology.node_count)
+    children = _child_walk(topology)
     queue = _MessageQueue(trace)
 
-    def dispatch(kind, src, dst, payload):
-        n = dst
-        if kind == "track":
-            (z,) = payload
-            kids = topology.children(n)
-            if next_child[n] < len(kids):
-                u = kids[next_child[n]]
-                next_child[n] += 1
-                queue.send("track", n, u, (z,))
-            elif n != topology.ROOT:
-                p = topology.parents[n]
-                for i in range(z, z + gamma[n] + 1):
-                    tx[n].append(i)
-                    counterpart[n][i] = p
-                    channel[n][i] = CHANNELS_2_4GHZ[0]
-                    queue.send("assign_rx", n, p, (i,))
-                queue.send("track", n, p, (z + gamma[n] + 1,))
-        elif kind == "assign_rx":
-            (i,) = payload
-            rx[n].append(i)
-            counterpart[n][i] = src
-            channel[n][i] = CHANNELS_2_4GHZ[0]
+    def dispatch(kind, src, n, payload):
+        if kind == "assign_rx":
+            cells.add(cells.rx, n, payload[0], src)
+            return
+        (z,) = payload
+        u = next(children[n], None)
+        if u is not None:
+            queue.send("track", n, u, (z,))
+        elif n != topology.ROOT:
+            p = topology.parents[n]
+            for i in range(z, z + gamma[n] + 1):
+                cells.add(cells.tx, n, i, p)
+                queue.send("assign_rx", n, p, (i,))
+            queue.send("track", n, p, (z + gamma[n] + 1,))
 
     queue.send("track", -1, topology.ROOT, (1,), record=False)
     queue.run(dispatch)
-    return _assemble(topology, length, tx, rx, counterpart, channel,
-                     slot_duration)
+    return cells.schedule(length, slot_duration)
 
 
-def schedule_ta_multi(topology: Topology, channels=CHANNELS_2_4GHZ, trace=None, *,
-                      slot_duration=DEFAULT_SLOT_DURATION) -> Schedule:
+def _ta_multi(topology, trace, slot_duration) -> Schedule:
     """Traffic-aware multi-channel schedule.
 
     Parents allocate reception slots for each child in turn, reusing time
@@ -184,75 +171,60 @@ def schedule_ta_multi(topology: Topology, channels=CHANNELS_2_4GHZ, trace=None, 
     Every allocation is announced to the one-hop neighborhoods of both
     endpoints, and each neighbor forwards the announcement once to its own
     parent, which blocks the channel in the two-hop surrounding. The
-    smallest non-blocked channel is chosen; since the conflict graph can
-    need arbitrarily many colors, exhaustion of the channel set is an
-    error.
+    smallest non-blocked channel of ``CHANNELS_2_4GHZ`` is chosen; since
+    the conflict graph can need arbitrarily many colors, exhaustion of the
+    channel set is an error.
     """
     gamma = proper_descendants(topology)
-    channels = tuple(sorted(channels))
-    if not channels:
-        raise SchedulerError("channel set must not be empty")
-    n_nodes = topology.node_count
-    per_node = [gamma[n] if n == topology.ROOT else 2 * gamma[n] + 1
-                for n in range(n_nodes)]
-    length = 1 + max(per_node)
-    tx = [[] for _ in range(n_nodes)]
-    rx = [[] for _ in range(n_nodes)]
-    busy = [set() for _ in range(n_nodes)]  # slots in tx or rx of the node
-    counterpart = [dict() for _ in range(n_nodes)]
-    channel = [dict() for _ in range(n_nodes)]
-    blocked = [dict() for _ in range(n_nodes)]  # slot -> channels blocked
-    next_child = [0] * n_nodes
+    # a list, so that a one-node tree (no gamma[1:]) still has a maximum
+    length = 1 + max([gamma[0], *(2 * g + 1 for g in gamma[1:])])
+    cells = _Cells(topology.node_count)
+    # per node: slot -> channels blocked there
+    blocked = [{} for _ in range(topology.node_count)]
+    children = _child_walk(topology)
     queue = _MessageQueue(trace)
 
     def pick_channel(n, i):
         taken = blocked[n].get(i, ())
-        for c in channels:
+        for c in CHANNELS_2_4GHZ:
             if c not in taken:
                 return c
         raise ChannelExhaustionError(
             f"no free channel for node {n} in slot {i}; "
-            f"all {len(channels)} channels are blocked")
+            f"all {len(CHANNELS_2_4GHZ)} channels are blocked")
 
-    def dispatch(kind, src, dst, payload):
-        n = dst
+    def announce(n, peer, i, c):
+        for v in topology.neighbors(n):
+            if v != peer:
+                queue.send("block", n, v, (i, c, True))
+
+    def dispatch(kind, src, n, payload):
         if kind == "track":
-            kids = topology.children(n)
-            if next_child[n] < len(kids):
-                u = kids[next_child[n]]
-                next_child[n] += 1
-                remaining = gamma[u] + 1
-                for i in range(1, length):  # slot 0 is reserved
-                    if i in busy[n]:
-                        continue
-                    rx[n].append(i)
-                    busy[n].add(i)
-                    counterpart[n][i] = u
-                    c = pick_channel(n, i)
-                    channel[n][i] = c
-                    queue.send("assign_tx", n, u, (i, c))
-                    for v in topology.neighbors(n):
-                        if v != u:
-                            queue.send("block", n, v, (i, c, True))
-                    remaining -= 1
-                    if remaining == 0:
-                        break
-                else:
-                    raise SchedulerError(
-                        f"node {n} ran out of slots while allocating for "
-                        f"child {u}")
-                queue.send("track", n, u)
-            elif n != topology.ROOT:
-                queue.send("track", n, topology.parents[n])
+            u = next(children[n], None)
+            if u is None:
+                if n != topology.ROOT:
+                    queue.send("track", n, topology.parents[n])
+                return
+            remaining = gamma[u] + 1
+            for i in range(1, length):  # slot 0 is reserved
+                if i in cells.peer[n]:
+                    continue
+                c = pick_channel(n, i)
+                cells.add(cells.rx, n, i, u, c)
+                queue.send("assign_tx", n, u, (i, c))
+                announce(n, u, i, c)
+                remaining -= 1
+                if remaining == 0:
+                    break
+            else:
+                raise SchedulerError(
+                    f"node {n} ran out of slots while allocating for "
+                    f"child {u}")
+            queue.send("track", n, u)
         elif kind == "assign_tx":
             i, c = payload
-            tx[n].append(i)
-            busy[n].add(i)
-            counterpart[n][i] = src
-            channel[n][i] = c
-            for v in topology.neighbors(n):
-                if v != src:
-                    queue.send("block", n, v, (i, c, True))
+            cells.add(cells.tx, n, i, src, c)
+            announce(n, src, i, c)
         elif kind == "block":
             i, c, forward = payload
             blocked[n].setdefault(i, set()).add(c)
@@ -261,20 +233,19 @@ def schedule_ta_multi(topology: Topology, channels=CHANNELS_2_4GHZ, trace=None, 
 
     queue.send("track", -1, topology.ROOT, record=False)
     queue.run(dispatch)
-    return _assemble(topology, length, tx, rx, counterpart, channel,
-                     slot_duration)
+    return cells.schedule(length, slot_duration)
+
+
+_GENERATORS = {"sbd": _orchestra_sbd, "ta-sc": _ta_single, "ta-mc": _ta_multi}
+ALGORITHMS = tuple(_GENERATORS)
 
 
 def generate(algorithm: str, topology: Topology, trace=None, *,
              slot_duration=DEFAULT_SLOT_DURATION) -> Schedule:
-    """Dispatch by algorithm name (``sbd``, ``ta-sc`` or ``ta-mc``)."""
-    if algorithm == "sbd":
-        return schedule_orchestra_sbd(topology, slot_duration=slot_duration)
-    if algorithm == "ta-sc":
-        return schedule_ta_single(topology, trace=trace,
-                                  slot_duration=slot_duration)
-    if algorithm == "ta-mc":
-        return schedule_ta_multi(topology, trace=trace,
-                                 slot_duration=slot_duration)
-    raise SchedulerError(f"unknown algorithm {algorithm!r} "
-                         f"(expected one of {ALGORITHMS})")
+    """Build the schedule of ``algorithm`` (one of :data:`ALGORITHMS`) for
+    ``topology``. The messages a generator exchanges are appended to the
+    list ``trace``, if one is given, one line per message."""
+    if algorithm not in ALGORITHMS:
+        raise SchedulerError(f"unknown algorithm {algorithm!r} "
+                             f"(expected one of {ALGORITHMS})")
+    return _GENERATORS[algorithm](topology, trace, slot_duration)

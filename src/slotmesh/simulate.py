@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkScenario
+from .schedule import _ints
 
 Z95 = 1.96
 _BLOCK = 4096
@@ -53,6 +54,12 @@ class SimConfig:
     warmup_slots: int | None = None
 
     def __post_init__(self):
+        warmup = () if self.warmup_slots is None else (self.warmup_slots,)
+        if not _ints(self.seed, self.runs, self.packets, *warmup):
+            raise SimulationError(
+                "seed, runs, packets and warmup_slots must be integers")
+        if self.seed < 0:
+            raise SimulationError("seed must not be negative")
         if self.runs < 1:
             raise SimulationError("runs must be at least 1")
         if self.packets < 1:
@@ -247,14 +254,15 @@ class NetworkSimStats:
 def _generation_events(rng, p_gen, n_nodes):
     """Draw the packet generation of the next ``_BLOCK`` slots.
 
-    The ``(node, count)`` pairs of block slot ``r`` are
-    ``events[row_start[r]:row_start[r + 1]]``, in node order.
+    ``per_slot[r]`` packets are generated in block slot ``r``, given as
+    ``(node, count)`` pairs in node order by
+    ``events[row_start[r]:row_start[r + 1]]``.
     """
     counts = rng.poisson(p_gen, size=(_BLOCK, n_nodes - 1))
     rows, cols = np.nonzero(counts)
     row_start = np.searchsorted(rows, np.arange(_BLOCK + 1)).tolist()
     events = list(zip((cols + 1).tolist(), counts[rows, cols].tolist()))
-    return events, row_start
+    return counts.sum(axis=1), events, row_start
 
 
 def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
@@ -286,7 +294,7 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
     delivered_tracked = [0] * n_nodes
     delay_sums = [0] * n_nodes
     window_end = None
-    events, row_start, gen_base = [], None, -_BLOCK
+    gen_base = -_BLOCK  # slot 0 draws the first block
 
     # safety bound: warm-up, the tagging window and a drain allowance
     expected_window = int(packets_per_node / p_gen * 20) + 200 * length
@@ -295,8 +303,9 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
     for t in range(max_slots + 1):
         r = t - gen_base
         if r >= _BLOCK:
-            generated += sum(c for _, c in events)
-            events, row_start = _generation_events(rng, p_gen, n_nodes)
+            per_slot, events, row_start = _generation_events(rng, p_gen,
+                                                             n_nodes)
+            generated += int(per_slot.sum())
             gen_base = t
             r = 0
 
@@ -381,7 +390,8 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
             f"{max_slots} slots")
 
     slots = t + 1
-    generated += sum(c for _, c in events[:row_start[slots - gen_base]])
+    # the last block was drawn whole, but its slots after ``t`` never ran
+    generated -= int(per_slot[slots - gen_base:].sum())
     counts = RunCounts(generated=generated, delivered=delivered,
                        dropped=dropped, link_lost=link_lost,
                        residual=sum(level))

@@ -8,7 +8,7 @@ from slotmesh.cli import main
 from slotmesh.network import concentric_topology
 from slotmesh.schedule import (load_schedule, save_schedule, save_topology,
                                schedule_to_dict)
-from slotmesh.schedulers import schedule_orchestra_sbd
+from slotmesh.schedulers import generate
 
 
 @pytest.fixture
@@ -349,7 +349,7 @@ def _sbd_files(tmp_path, slot_duration):
     topology file."""
     topo = concentric_topology(1)
     sched_path, topo_path = tmp_path / "s.json", tmp_path / "t.json"
-    save_schedule(schedule_orchestra_sbd(topo, slot_duration=slot_duration),
+    save_schedule(generate("sbd", topo, slot_duration=slot_duration),
                   sched_path)
     save_topology(topo, topo_path)
     return str(sched_path), str(topo_path)
@@ -500,7 +500,7 @@ def test_simulate_rejects_invalid_scenario(tmp_path, capsys, name):
     # what analyze rejects, simulate rejects too
     if name == "rate_inf":
         topo = concentric_topology(1)
-        sched, rate = schedule_orchestra_sbd(topo), "inf"
+        sched, rate = generate("sbd", topo), "inf"
     else:
         (sched, topo), rate = invalid_networks()[name], "0.01"
     topo_path = tmp_path / "t.json"
@@ -531,6 +531,29 @@ def test_negative_warmup_is_domain_error(files, capsys):
                  "--packets", "10", "--warmup-slots", "-5000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_negative_seed_is_domain_error(files, capsys):
+    _, sched, topo = files
+    assert main(["simulate", "--schedule", sched, "--topology", topo,
+                 "--rate", "0.01", "--queue", "4", "--runs", "1",
+                 "--packets", "10", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must not be negative\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_rejects_nonpositive_workers(tmp_path, capsys, workers):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "grid": {"min": 0.0, "max": 0.1, "count": 3},
+        "topology": {"rings": 1},
+    }))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(out),
+                 "--workers", workers]) == 2
+    assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+    assert not out.exists()
 
 
 def test_missing_file_is_input_error(capsys):

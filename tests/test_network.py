@@ -9,7 +9,7 @@ from slotmesh.network import (NetworkModelError, NetworkScenario,
 from slotmesh.queuemodel import (TrafficSpec, evaluate_node,
                                  expected_arrivals_per_slotframe)
 from slotmesh.schedule import Schedule, Topology, validate
-from slotmesh.schedulers import generate, schedule_orchestra_sbd
+from slotmesh.schedulers import generate
 
 
 def _two_node():
@@ -60,7 +60,7 @@ def test_perfect_chain_sums_delays():
 
 def test_flow_conservation_at_low_load():
     topo = concentric_topology(2)
-    sched = schedule_orchestra_sbd(topo)
+    sched = generate("sbd", topo)
     rate = 0.001
     scenario = NetworkScenario(schedule=sched, topology=topo,
                                generation_rate=rate, queue_capacity=16)
@@ -72,7 +72,7 @@ def test_flow_conservation_at_low_load():
 
 def test_delivery_monotone_along_paths():
     topo = concentric_topology(2)
-    sched = schedule_orchestra_sbd(topo)
+    sched = generate("sbd", topo)
     scenario = NetworkScenario(schedule=sched, topology=topo,
                                generation_rate=0.017, queue_capacity=6)
     result = evaluate_network(scenario)
@@ -82,7 +82,7 @@ def test_delivery_monotone_along_paths():
 
 def test_throughput_monotone_in_rate():
     topo = concentric_topology(2)
-    sched = schedule_orchestra_sbd(topo)
+    sched = generate("sbd", topo)
     last = -1.0
     for rate in np.linspace(0.0, 0.05, 8):
         scenario = NetworkScenario(schedule=sched, topology=topo,
@@ -182,7 +182,7 @@ def test_sink_transmission_rejected():
 
 def test_md1k_variant_restricted_to_single_hop():
     topo = concentric_topology(2)
-    sched = schedule_orchestra_sbd(topo)
+    sched = generate("sbd", topo)
     scenario = NetworkScenario(schedule=sched, topology=topo,
                                generation_rate=0.01, queue_capacity=4)
     with pytest.raises(NetworkModelError):
@@ -316,6 +316,14 @@ def test_invalid_rate_rejected(rate):
     with pytest.raises(NetworkModelError, match="generation_rate"):
         NetworkScenario(schedule=sched, topology=topo, generation_rate=rate,
                         queue_capacity=4)
+
+
+@pytest.mark.parametrize("capacity", [2.5, 3.0, True])
+def test_non_integer_capacity_rejected(capacity):
+    sched, topo = _two_node()
+    with pytest.raises(NetworkModelError, match="queue_capacity"):
+        NetworkScenario(schedule=sched, topology=topo, generation_rate=0.01,
+                        queue_capacity=capacity)
 
 
 def test_concentric_node_counts():

@@ -1,12 +1,15 @@
+import hashlib
+import itertools
+import json
+import random
+
 import pytest
 
 from slotmesh.network import concentric_topology
 from slotmesh.schedule import (Schedule, Topology, active_links,
                                schedule_to_dict, validate)
-from slotmesh.schedulers import (ChannelExhaustionError, SchedulerError,
-                                 generate, proper_descendants,
-                                 schedule_orchestra_sbd, schedule_ta_multi,
-                                 schedule_ta_single)
+from slotmesh.schedulers import (ALGORITHMS, ChannelExhaustionError,
+                                 SchedulerError, generate, proper_descendants)
 
 
 def subtree_sizes(topology):
@@ -66,7 +69,7 @@ def test_descendant_pass_message_count():
 
 def test_sbd_structure():
     topo = concentric_topology(2)
-    sched = schedule_orchestra_sbd(topo)
+    sched = generate("sbd", topo)
     assert sched.slotframe_length == 19
     assert len(sched.rx_slots[0]) == 6
     for n in range(1, 19):
@@ -78,7 +81,7 @@ def test_sbd_structure():
 
 def test_sbd_three_node_path():
     topo = path_topology(3)
-    sched = schedule_orchestra_sbd(topo)
+    sched = generate("sbd", topo)
     assert sched.slotframe_length == 3
     assert sched.tx_slots == ((), (1,), (2,))
     assert sched.counterpart[1][1] == 0 and sched.counterpart[2][2] == 1
@@ -88,7 +91,7 @@ def test_sbd_three_node_path():
 def test_ta_single_slot_counts():
     topo = concentric_topology(2)
     info = proper_descendants(topo)
-    sched = schedule_ta_single(topo)
+    sched = generate("ta-sc", topo)
     assert sched.slotframe_length == 31
     assert len(sched.rx_slots[0]) == 18
     for n in range(1, 19):
@@ -98,7 +101,7 @@ def test_ta_single_slot_counts():
 
 def test_ta_single_one_link_per_slot():
     topo = concentric_topology(2)
-    sched = schedule_ta_single(topo)
+    sched = generate("ta-sc", topo)
     for slot in range(sched.slotframe_length):
         assert len(active_links(sched, slot)) <= 1
     assert active_links(sched, 0) == set()
@@ -106,7 +109,7 @@ def test_ta_single_one_link_per_slot():
 
 def test_ta_single_leaf_under_root():
     topo = path_topology(2)
-    sched = schedule_ta_single(topo)
+    sched = generate("ta-sc", topo)
     assert sched.slotframe_length == 2
     assert sched.tx_slots[1] == (1,)
 
@@ -114,7 +117,7 @@ def test_ta_single_leaf_under_root():
 def test_ta_single_larger_network_length_formula():
     topo = concentric_topology(3)
     info = proper_descendants(topo)
-    sched = schedule_ta_single(topo)
+    sched = generate("ta-sc", topo)
     assert sched.slotframe_length == 1 + sum(
         info[n] + 1 for n in range(1, topo.node_count))
     assert sched.slotframe_length == 85
@@ -123,18 +126,18 @@ def test_ta_single_larger_network_length_formula():
 
 def test_ta_multi_slotframe_lengths():
     topo = concentric_topology(2)
-    sched = schedule_ta_multi(topo)
+    sched = generate("ta-mc", topo)
     assert sched.slotframe_length == 19
     assert len(sched.rx_slots[0]) == 18
     topo3 = concentric_topology(3)
-    assert schedule_ta_multi(topo3).slotframe_length == 37
+    assert generate("ta-mc", topo3).slotframe_length == 37
 
 
 def test_ta_multi_slot_counts_and_validity():
     for rings in (1, 2, 3):
         topo = concentric_topology(rings)
         info = proper_descendants(topo)
-        sched = schedule_ta_multi(topo)
+        sched = generate("ta-mc", topo)
         report = validate(sched, topo)
         assert report.ok
         assert not report.channel_collisions
@@ -143,7 +146,7 @@ def test_ta_multi_slot_counts_and_validity():
 
 
 def test_ta_multi_first_slot_coloring():
-    sched = schedule_ta_multi(concentric_topology(2))
+    sched = generate("ta-mc", concentric_topology(2))
     channels = {sched.channel[v][1] for v, _ in active_links(sched, 1)}
     assert len(channels) == 3
 
@@ -153,7 +156,7 @@ def test_ta_multi_first_slot_conflict_graph_shape():
     # its conflict graph is connected and contains triangles
     from slotmesh.schedule import disturbing_links
     topo = concentric_topology(2)
-    sched = schedule_ta_multi(topo)
+    sched = generate("ta-mc", topo)
     links = sorted(active_links(sched, 1))
     adj = {l: disturbing_links(sched, topo, 1, l) for l in links}
     seen = {links[0]}
@@ -170,7 +173,7 @@ def test_ta_multi_first_slot_conflict_graph_shape():
 
 def test_ta_multi_disturbers_on_distinct_channels():
     topo = concentric_topology(2)
-    sched = schedule_ta_multi(topo)
+    sched = generate("ta-mc", topo)
     from slotmesh.schedule import disturbing_links
     for slot in range(1, sched.slotframe_length):
         for link in active_links(sched, slot):
@@ -179,10 +182,15 @@ def test_ta_multi_disturbers_on_distinct_channels():
 
 
 def test_ta_multi_channel_exhaustion():
-    topo = concentric_topology(2)
-    with pytest.raises(ChannelExhaustionError) as err:
-        schedule_ta_multi(topo, channels=(11,))
-    assert "slot" in str(err.value)
+    # complete radio graph: the root, 17 children of the root and one leaf
+    # under each; the 17 receptions the root's children schedule in slot 1
+    # all disturb one another, one more than the 16 channels
+    parents = (None,) + (0,) * 17 + tuple(range(1, 18))
+    topo = Topology(35, frozenset(itertools.combinations(range(35), 2)),
+                    parents)
+    with pytest.raises(ChannelExhaustionError,
+                       match="no free channel for node 17 in slot 1"):
+        generate("ta-mc", topo)
 
 
 def test_generators_deterministic():
@@ -203,3 +211,123 @@ def test_shared_slot_left_free():
     for alg in ("sbd", "ta-sc", "ta-mc"):
         sched = generate(alg, topo)
         assert active_links(sched, 0) == set()
+
+
+def random_tree(seed, n):
+    """A routing tree on ``n`` nodes with shuffled ids and ``n`` extra
+    random radio links."""
+    rng = random.Random(seed)
+    ids = [0] + rng.sample(range(1, n), n - 1)
+    parents = [None] * n
+    for k in range(1, n):
+        parents[ids[k]] = ids[rng.randrange(k)]
+    edges = {(min(v, p), max(v, p)) for v, p in enumerate(parents) if v}
+    for _ in range(n):
+        v, w = sorted(rng.sample(range(n), 2))
+        edges.add((v, w))
+    return Topology(n, frozenset(edges), tuple(parents))
+
+
+GOLDEN_TOPOLOGIES = {
+    "rings1": lambda: concentric_topology(1),
+    "rings2": lambda: concentric_topology(2),
+    "rings3": lambda: concentric_topology(3),
+    "single": lambda: Topology(1, frozenset(), (None,)),
+    "tree12": lambda: random_tree(1, 12),
+    "tree25": lambda: random_tree(2, 25),
+    "tree40": lambda: random_tree(3, 40),
+}
+
+
+def golden_digest(algorithm, topology):
+    """sha256 of the schedule file body and the message trace."""
+    trace = []
+    if algorithm == "descendants":
+        body = json.dumps(proper_descendants(topology, trace=trace))
+    else:
+        body = json.dumps(schedule_to_dict(
+            generate(algorithm, topology, trace=trace)), sort_keys=True)
+    return hashlib.sha256("\n".join([body, *trace]).encode()).hexdigest()
+
+
+# sha256 of golden_digest, recorded when the generators were last
+# rewritten; a change here means a schedule or a message order changed
+GOLDEN = {
+    "rings1": {
+        "descendants":
+            "2f84e271566edb4b9a193da9e85df11e9645c9bffa70c993172ead01947b1c2f",
+        "sbd":
+            "77f7cd59dc70d23bef9e6162840fe764e5a3c3a261c92a68dce1f8659272fce7",
+        "ta-sc":
+            "643248ffb9af2c03a34079f7a28d5d1d05b317bcde1517d6292320d1cef40c5a",
+        "ta-mc":
+            "8d0661eb5207ed2912b86b597aea0269295246e35b2d9ecfef604868fadeb43b",
+    },
+    "rings2": {
+        "descendants":
+            "e21a780ba114a30e98c7b7d8ed7c58c12bf13d2b3919dfa8b6fd1e19758202fb",
+        "sbd":
+            "d9628a1bde35a47c73ad635b2e3d20a6be0da09f6d5c4587abfadf35cf2ba268",
+        "ta-sc":
+            "be4b34412f98a9a80ec6f1620a607b5d2454d9d79120137ebdbd7c2e65c8d46c",
+        "ta-mc":
+            "7b5b8876a71be264d12c4b13113b8716028196ca5421305f62fa402b9fa753bd",
+    },
+    "rings3": {
+        "descendants":
+            "14bbd7e0b6181afd653eececeb426725166171073cf6dce687073870f58ba842",
+        "sbd":
+            "03eddeefc514ff0b17a2545adc3fb44a8c4aa7f1d3358a8d15f8a2b868962262",
+        "ta-sc":
+            "8679f186f9bd45e9ae64763e2d5f6d6ffc30cb593dce872a1614a3d8fa7f474f",
+        "ta-mc":
+            "038bdb40538d4efb9a892814367a7990d358036bcce77998399ac24028a81198",
+    },
+    "single": {
+        "descendants":
+            "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
+        "sbd":
+            "c6ea8f08df5afd6b4c085cd12e0c6e84e041b2723e9ed147384a2c8c2df69e7a",
+        "ta-sc":
+            "c6ea8f08df5afd6b4c085cd12e0c6e84e041b2723e9ed147384a2c8c2df69e7a",
+        "ta-mc":
+            "c6ea8f08df5afd6b4c085cd12e0c6e84e041b2723e9ed147384a2c8c2df69e7a",
+    },
+    "tree12": {
+        "descendants":
+            "5017d63e479cc3097d368c51e9d03ceb893ca541556adcbd1ad900b91a18ac17",
+        "sbd":
+            "3e788988a4fb49e06b3ab3802a03f1f69a25a5bb19623b923e22f37b40398e4f",
+        "ta-sc":
+            "edb37c96eb97f580980f9e5d5c8af88eb6e71ac79e673694d4caf0bde6513f66",
+        "ta-mc":
+            "97e964972b203f09160fa41dfdafc147aa9ee0661a319d897055289e1f93c35a",
+    },
+    "tree25": {
+        "descendants":
+            "9f337c47cff60ce14bbdf3175bdc538d1340038356ac8581f6e96d4a21882b9d",
+        "sbd":
+            "d52316ff5884ef90e991c51ca2ac7f4b7ef6afa4fff098ed12fd2a3c1360dc25",
+        "ta-sc":
+            "5c616be60daa2d8241505074d13cf082a28e3ef855eb1cb1a16f19bab9633c2a",
+        "ta-mc":
+            "423bf7ea18cea60acd718b72696ea66cc42209eb2717fae9504bef544096d45e",
+    },
+    "tree40": {
+        "descendants":
+            "4a390d3288a8e101fb175689b182f79c70d897627757466f1f36f0870f42d6be",
+        "sbd":
+            "b3800950592b074bc77f993cc2fe59d0b069840003987e28860d978045ce5b96",
+        "ta-sc":
+            "4097495337445f7a044ba41c4a4f6fe24a7c27f66eb12536009ba8516988e141",
+        "ta-mc":
+            "32d28ef3de89e7d85755f93280aa78d9508653917a03c4361c43df326141fd78",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_generators_golden(case):
+    topology = GOLDEN_TOPOLOGIES[case]()
+    assert {algorithm: golden_digest(algorithm, topology)
+            for algorithm in ("descendants", *ALGORITHMS)} == GOLDEN[case]

@@ -8,7 +8,7 @@ from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology)
 from slotmesh.queuemodel import TrafficSpec, evaluate_node
 from slotmesh.schedule import Schedule, Topology
-from slotmesh.schedulers import generate, schedule_orchestra_sbd
+from slotmesh.schedulers import generate
 from slotmesh.simulate import (MetricSummary, NetworkSimStats, RunCounts,
                                SimConfig, SimulationError, simulate_network,
                                simulate_queue)
@@ -259,7 +259,7 @@ def test_network_sim_two_nodes_low_rate():
 
 def test_network_sim_conservation():
     topo = concentric_topology(2)
-    sched = schedule_orchestra_sbd(topo)
+    sched = generate("sbd", topo)
     scenario = NetworkScenario(schedule=sched, topology=topo,
                                generation_rate=0.02, queue_capacity=4)
     stats = simulate_network(scenario, SimConfig(seed=11, runs=2, packets=40,
@@ -322,6 +322,14 @@ def test_network_sim_rejects_invalid_scenario(name):
                                          generation_rate=0.01,
                                          queue_capacity=4),
                          SimConfig(seed=1, runs=1, packets=10))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 1.0), ("runs", 2.5), ("runs", True),
+    ("packets", 10.0), ("warmup_slots", 3.0)])
+def test_sim_config_rejects_non_integers(field, value):
+    with pytest.raises(SimulationError, match=field.split("_")[0]):
+        SimConfig(**{field: value})
 
 
 def test_sim_config_validation():
