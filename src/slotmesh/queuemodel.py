@@ -21,11 +21,12 @@ blocks are the only form of the chain, and numpy is all it needs.
 
 Every block follows one rule. Without a departure, row ``q`` is the
 arrival row shifted right by ``q``: ``arrivals[r - q]`` in column
-``r < K`` and the tail ``P(A >= K - q)`` in column ``K``, so the rows are
-read as one reversed sliding window over the zero-padded table. A
-transmission slot then shifts every row ``q >= 1`` one column to the left,
-its packet leaving before the arrivals; row 0 stays, since an empty
-queue sends nothing.
+``r < K`` and the tail ``P(A >= K - q)`` in column ``K``, taken as one
+minus the head so that the row sums to one. The solver expands the quiet
+runs of its return maps into blocks of the same form, so both use
+:func:`slotmesh.stationary._capped_blocks`. A transmission slot then
+shifts every row ``q >= 1`` one column to the left, its packet leaving
+before the arrivals; row 0 stays, since an empty queue sends nothing.
 
 Chains are built, solved and summarized as stacks: B chains with the same
 S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
@@ -52,10 +53,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stationary
-from .stationary import _at
+from .stationary import _at, _capped_blocks
 
 VARIANTS = ("md1k", "distributed", "full")
 
@@ -143,8 +143,8 @@ def expected_arrivals_per_slotframe(traffic: TrafficSpec) -> float:
 def _head_sums(table: np.ndarray) -> np.ndarray:
     """Entry ``r`` of the last axis holds the sum of the first ``r``
     entries along it."""
-    sums = np.zeros_like(table)
-    np.cumsum(table[..., :-1], axis=-1, out=sums[..., 1:])
+    sums = np.zeros(table.shape)
+    np.add.accumulate(table[..., :-1], axis=-1, out=sums[..., 1:])
     return sums
 
 
@@ -152,7 +152,8 @@ def _tails(arrivals: np.ndarray) -> np.ndarray:
     """Entry ``r`` of the last axis holds the probability of ``r`` or more
     arrivals, taken as the complement of the head so that every block row
     sums to one."""
-    return np.maximum(1.0 - _head_sums(arrivals), 0.0)
+    tails = np.subtract(1.0, _head_sums(arrivals))
+    return np.maximum(tails, 0.0, out=tails)
 
 
 def _departures(length: int, tx_slots) -> np.ndarray:
@@ -187,14 +188,7 @@ def _stack_chains(capacity: int, tau: np.ndarray, rates: np.ndarray,
     count = capacity + 1
     # one row per (chain, slot) pair
     arrivals = arrival_pmf(rates.ravel(), probs.ravel(), count)
-    # window j of the padded table holds arrivals[j - K .. j - 1], so
-    # window K - q is row q below column K: arrivals[r - q] for r < K
-    padded = np.concatenate([np.zeros((tau.size, capacity)),
-                             arrivals[:, :capacity]], axis=1)
-    blocks = np.empty((tau.size, count, count))
-    blocks[:, :, :capacity] = sliding_window_view(
-        padded, capacity, axis=1)[:, ::-1]
-    blocks[:, :, capacity] = _tails(arrivals)[:, ::-1]  # P(A >= K - q)
+    blocks = _capped_blocks(arrivals, _tails(arrivals))
     # a transmission slot first sends one packet from a non-empty queue
     sends = tau.ravel() == 1
     blocks[sends, 1:, :capacity] = blocks[sends, 1:, 1:]
@@ -211,13 +205,15 @@ class QueueChain:
 
     ``arrivals[i, k]`` is the probability of ``k`` arrivals in slot ``i``.
     ``blocks[i, q, r]`` is the probability of moving from ``(q, i)`` to
-    ``(r, (i + 1) % S)``; no other transitions exist.
+    ``(r, (i + 1) % S)``; no other transitions exist. ``departures[i]`` is
+    one on transmission slots, zero elsewhere.
     """
 
     capacity: int
     slotframe_length: int
     arrivals: np.ndarray
     blocks: np.ndarray
+    departures: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -240,7 +236,8 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     tau = _departures(slotframe_length, [tx_slots])
     arrivals, blocks = _stack_chains(capacity, tau, *traffic._arrays())
     return QueueChain(capacity=capacity, slotframe_length=slotframe_length,
-                      arrivals=arrivals[0], blocks=blocks[0])
+                      arrivals=arrivals[0], blocks=blocks[0],
+                      departures=tau[0])
 
 
 def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -322,7 +319,7 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
     """Build, solve and summarize a stack of chains given as ``(B, S)``
     departures, Poisson rates and Bernoulli probabilities."""
     arrivals, blocks = _stack_chains(capacity, tau, rates, probs)
-    grid = stationary._solve_stack(blocks)[0]
+    grid = stationary._solve_stack(blocks, tau)[0]
     offered = _offered(rates, probs)
     paccept = acceptance_probability(grid, arrivals, offered)
     tx = transmission_probability(grid, tau)

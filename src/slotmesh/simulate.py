@@ -259,9 +259,12 @@ def _generation_events(rng, p_gen, n_nodes):
     ``events[row_start[r]:row_start[r + 1]]``.
     """
     counts = rng.poisson(p_gen, size=(_BLOCK, n_nodes - 1))
-    rows, cols = np.nonzero(counts)
+    # the flat indices of a C-ordered block, split by row length, are the
+    # (slot, node) pairs of np.nonzero at about half its cost
+    flat = np.flatnonzero(counts)
+    rows, cols = divmod(flat, n_nodes - 1)
     row_start = np.searchsorted(rows, np.arange(_BLOCK + 1)).tolist()
-    events = list(zip((cols + 1).tolist(), counts[rows, cols].tolist()))
+    events = list(zip((cols + 1).tolist(), counts.ravel()[flat].tolist()))
     return counts.sum(axis=1), events, row_start
 
 

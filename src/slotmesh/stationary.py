@@ -14,17 +14,36 @@ a non-negative answer and stays accurate near saturation.
 
 The slot index advances deterministically, so a queue chain only needs
 its slot-0 return map ``F = B_0 B_1 ... B_{S-1}``, the product of its
-per-slot blocks, which is just ``(K + 1) x (K + 1)``. Chains are solved as
-stacks: B chains with the same S and K share one ``(B, S, K + 1, K + 1)``
-block array, their return maps come from one batched product per slot,
-GTH runs once over all chains whose closed classes coincide, and the
-slot-0 solutions are propagated once through the blocks into a ``(B, S,
-K + 1)`` grid, slot-major like the blocks, one chain's states flattened
-as ``i * (K + 1) + q``. Every chain's answer is checked against
-``max |c P - c| <= RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i`` times
-``B_i``, so only the wrap-around term ``c_{S-1} B_{S-1} - c_0`` can be
-non-zero. An error raised for one chain of a stack carries that chain's
-position as ``index``. :func:`solve` is the stack of one chain.
+per-slot blocks, which is just ``(K + 1) x (K + 1)``. Quiet slots compose
+exactly, since ``min(min(q + a, K) + b, K) = min(q + a + b, K)``: a run of
+them is one block whose row ``q`` is its row 0 moved ``q`` levels up, the
+mass at K and beyond in column K, the form of a single quiet block
+(:func:`_capped_blocks` builds both). A transmission slot maps ``q`` to
+``min(q + a, K) - [q >= 1]`` and stays a factor of its own. So ``F`` is
+``R_0 X_1 R_1 ... X_T R_T`` for a chain with T transmission blocks
+``X_t``, where ``R_t`` is the run after ``X_t``, expanded from a row 0
+that one row product per slot composes: 2T dense products instead of S.
+A single block takes its column K as one minus the head, so that its rows
+sum to one; a run sums it from the top of its row 0, whose last entry
+already holds the mass at K and beyond, so small tails keep their size.
+
+Chains are solved as stacks: B chains with the same S and K share one
+``(B, S, K + 1, K + 1)`` block array, their run rows come from one batched
+row product per slot, and a chain with fewer transmission slots than the
+widest gets identity factors, which keep its bits as they are alone. GTH
+runs once over all chains whose closed classes coincide. A slotframe
+lowers the queue by at most T levels, so ``F`` has lower bandwidth ``L <=
+T``, which GTH from the top state keeps: state k is eliminated over the
+``L`` columns below it only, ``O(n^2 L)`` work instead of ``O(n^3)``,
+with the bits of the full elimination since the entries it skips are
+exact zeros. The slot-0 solutions are propagated once through the blocks
+into a ``(B, S, K + 1)`` grid, slot-major like the blocks, one chain's
+states flattened as ``i * (K + 1) + q``. Every chain's answer is checked
+against ``max |c P - c| <= RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i``
+times ``B_i``, so only the wrap-around term ``c_{S-1} B_{S-1} - c_0``,
+taken from the normalized grid, can be non-zero. An error raised for one
+chain of a stack carries that chain's position as ``index``.
+:func:`solve` is the stack of one chain.
 
 The closed class is found by a dense boolean reachability search on the
 return map, whose rows are held as Python ints used as bitsets: reach
@@ -80,7 +99,9 @@ def _bitsets(edges: np.ndarray) -> list[int]:
     """Row ``i`` of a boolean matrix as an int with bit ``j`` set for each
     edge ``i -> j``."""
     packed = np.packbits(edges, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
 
 
 def _reach(rows: list[int], sources: int, within: int) -> int:
@@ -118,29 +139,107 @@ def _closed_class(edges: np.ndarray, start: int) -> np.ndarray:
 
 def _gth(dense: np.ndarray) -> np.ndarray:
     """Stationary vectors of a ``(B, n, n)`` stack of irreducible
-    stochastic matrices, one row each."""
-    a = np.array(dense, dtype=float)
+    stochastic matrices, one row each.
+
+    No state moves more than ``L`` states down in any of the matrices, and
+    eliminating from the top keeps that band: state ``k`` only changes
+    columns ``k - L .. k - 1``, and every entry left out is an exact zero,
+    so the answer has the bits of the elimination over all columns.
+    """
+    a = np.array(dense, dtype=float, order="C")
     n = a.shape[-1]
+    rows, cols = np.nonzero(a.any(axis=0))
+    lower = int((rows - cols).max())
+    # ufunc calls, not methods and operators: the loops are call-bound
     for k in range(n - 1, 0, -1):
         # eliminate state k; the row sum over the states left stands in
         # for 1 - a[k, k], so nothing is subtracted
-        a[:, :k, k] /= a[:, k, :k].sum(axis=1)[:, None]
-        a[:, :k, :k] += a[:, :k, k, None] * a[:, None, k, :k]
-    x = np.zeros(a.shape[:2])
-    x[:, 0] = 1.0
+        pivot, band = a[:, :k, k], slice(max(k - lower, 0), k)
+        np.divide(pivot, np.add.reduce(a[:, k, :k], axis=1, keepdims=True),
+                  out=pivot)
+        update = a[:, :k, band]
+        np.add(update, np.multiply(pivot[:, :, None], a[:, None, k, band]),
+               out=update)
+    x = np.zeros((len(a), 1, n))
+    x[:, 0, 0] = 1.0
     for k in range(1, n):
-        x[:, k] = (x[:, None, :k] @ a[:, :k, k, None])[:, 0, 0]
+        np.matmul(x[:, :, :k], a[:, :k, k, None], out=x[:, :, k:k + 1])
         # keep the partial vector normalized: unnormalized it can overflow
-        x[:, :k + 1] /= x[:, :k + 1].sum(axis=1, keepdims=True)
-    return x
+        head = x[:, :, :k + 1]
+        np.divide(head, np.add.reduce(head, axis=2, keepdims=True), out=head)
+    return x[:, 0]
 
 
-def _return_maps(blocks: np.ndarray) -> np.ndarray:
+def _capped_blocks(pmfs: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """``(..., K + 1, K + 1)`` blocks that add arrivals to the level,
+    capped at K, from the ``(..., K + 1)`` pmfs of the arrivals and their
+    tails ``P(A >= r)``: row ``q`` is the pmf moved ``q`` levels up,
+    ``pmf[r - q]`` in column ``r < K``, and ``tails[K - q]`` in column
+    K."""
+    count = pmfs.shape[-1]
+    padded = np.zeros((*pmfs.shape[:-1], 2 * count - 1))
+    padded[..., count - 1:] = pmfs
+    # entry (q, r) is padded[K + r - q], the pmf's r - q or a zero: a view
+    # that steps back one entry per row, copied
+    step = padded.itemsize
+    blocks = np.ndarray((*pmfs.shape, count), buffer=padded,
+                        offset=(count - 1) * step,
+                        strides=(*padded.strides[:-1], -step, step)).copy()
+    blocks[..., -1] = tails[..., ::-1]
+    return blocks
+
+
+def _return_maps(blocks: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a ``(B, S, K + 1,
-    K + 1)`` block stack, one batched product per slot."""
-    frame_map = blocks[:, 0]
-    for i in range(1, blocks.shape[1]):
-        frame_map = frame_map @ blocks[:, i]
+    K + 1)`` block stack with ``(B, S)`` departures ``tau``, each as ``R_0
+    X_1 R_1 ... X_T R_T``.
+
+    ``X_t`` is the block of a chain's t-th transmission slot and ``R_t``
+    the quiet run after it, expanded by :func:`_capped_blocks` from its row
+    0, which one batched row product per slot composes for the whole
+    stack. A chain with fewer transmission slots than another in its stack
+    gets identity factors, and a run that is empty in every chain is left
+    out: a product with the identity is exact, so each chain gets the bits
+    it gets alone. One factor of each kind is alive at a time.
+    """
+    chains, length, count = blocks.shape[:3]
+    sends = tau != 0
+    # ends[:, t]: the slot of each chain's transmission t + 1, or S past
+    # its last; run t ends there and starts after transmission t, run 0 at
+    # slot 0
+    sent = np.add.accumulate(sends, axis=1)
+    counts, widest = sent[:, -1], int(sent[:, -1].max())
+    ends = (sent[:, :, None] <= np.arange(widest + 1)).sum(axis=1)
+    # an empty run reads rows[0], whose block is the identity
+    runs = ends.copy()
+    runs[:, 1:][ends[:, 1:] <= ends[:, :-1] + 1] = 0
+    # rows[i]: row 0 of the quiet run that ends before slot i, up to the
+    # last run used; runs start at slot 0 and after each transmission slot
+    rows = np.zeros((runs.max() + 1, chains, count))
+    rows[0, :, 0] = 1.0
+    start = rows[0, :, None]
+    for row, block, after, restart, any_restart in zip(
+            rows[:-1, :, None], blocks.swapaxes(0, 1), rows[1:, :, None],
+            sends.T[:, :, None, None], sends.any(axis=0).tolist()):
+        np.matmul(row, block, out=after)
+        if any_restart:
+            np.copyto(after, start, where=restart)
+    chain, fewest = np.arange(chains), counts.min()
+    frame_map = None
+    for t, used in enumerate(runs.any(axis=0).tolist()):
+        if used:
+            row = rows[runs[:, t], chain]
+            # P(A >= r) summed from the top: entry K already holds the mass
+            # at K and beyond, and a sum of small terms keeps their size
+            run = _capped_blocks(row, np.add.accumulate(
+                row[:, ::-1], axis=1)[:, ::-1])
+            frame_map = run if frame_map is None else frame_map @ run
+        if t < widest:
+            send = blocks[chain, ends[:, t] % length]
+            # past its last transmission slot a chain gets the identity
+            if t >= fewest:
+                send[counts <= t] = np.eye(count)
+            frame_map = send if frame_map is None else frame_map @ send
     return frame_map
 
 
@@ -171,43 +270,46 @@ def _reachable(blocks: np.ndarray, level: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _solve_stack(blocks: np.ndarray):
+def _solve_stack(blocks: np.ndarray, tau: np.ndarray):
     """Stationary distributions of a ``(B, S, K + 1, K + 1)`` stack of
-    queue chains as ``(B, S, K + 1)`` slot-by-level grids, with the
-    residuals and the ``(B, K + 1)`` slot-0 closed classes.
+    queue chains with ``(B, S)`` departures ``tau`` as ``(B, S, K + 1)``
+    slot-by-level grids, with the residuals and the ``(B, K + 1)`` slot-0
+    closed classes.
 
     Solves the return maps on their closed classes, GTH once per group of
     chains with the same class, and propagates the results once through
     all S blocks, back to slot 0, whose change is the residual.
     """
-    frame_maps = _return_maps(blocks)
+    frame_maps = _return_maps(blocks, tau)
     level = _closed_classes(frame_maps)
     groups = {}
     for b, mask in enumerate(level):
         groups.setdefault(mask.tobytes(), []).append(b)
     chains, length, count = blocks.shape[:3]
-    # slot S is slot 0 carried once round the slotframe
-    grid = np.zeros((chains, length + 1, count))
+    grid = np.zeros((chains, length, count))
     for members in groups.values():
         states = np.flatnonzero(level[members[0]])
-        grid[np.ix_(members, [0], states)] = _gth(
-            frame_maps[np.ix_(members, states, states)])[:, None]
-    for i in range(length):
+        members = np.array(members)[:, None]
+        grid[members, 0, states] = _gth(
+            frame_maps[members[:, :, None], states[:, None], states])
+    for i in range(length - 1):
         grid[:, i + 1] = (grid[:, i, None] @ blocks[:, i])[:, 0]
-    grid /= grid[:, :length].sum(axis=(1, 2), keepdims=True)
-    residual = np.abs(grid[:, length] - grid[:, 0]).max(axis=1)
+    grid /= grid.sum(axis=(1, 2), keepdims=True)
+    # slot 0 carried once round the slotframe, from the normalized grid
+    wrap = (grid[:, -1, None] @ blocks[:, -1])[:, 0]
+    residual = np.abs(wrap - grid[:, 0]).max(axis=1)
     failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))  # nan fails too
     if failed.size:
         raise _at(StationaryError(
             f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
             failed[0])
-    return grid[:, :length], residual, level
+    return grid, residual, level
 
 
 def solve(chain) -> StationaryResult:
     """Stationary distribution of a queue chain: the stack of one."""
     blocks = chain.blocks[None]
-    grid, residual, level = _solve_stack(blocks)
+    grid, residual, level = _solve_stack(blocks, chain.departures[None])
     return StationaryResult(distribution=grid[0].ravel(),
                             residual=float(residual[0]),
                             reachable=_reachable(blocks, level)[0].ravel())

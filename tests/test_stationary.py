@@ -9,6 +9,7 @@ from conftest import chain_cases, dense_matrix
 from slotmesh import stationary
 from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network)
+from slotmesh import queuemodel
 from slotmesh.queuemodel import (TrafficSpec, acceptance_probability,
                                  build_chain, evaluate_node,
                                  expected_arrivals_per_slotframe)
@@ -175,7 +176,8 @@ def test_mixed_stack_matches_single_solves():
               build_chain(2, 3, (0, 1), TrafficSpec.constant(3, rate=0.1, prob=0.2)),
               build_chain(2, 3, (1,), TrafficSpec((0.0, 0.02, 0.0), (0.3, 0.0, 0.0)))]
     grids, residuals, _ = stationary._solve_stack(
-        np.stack([chain.blocks for chain in chains]))
+        np.stack([chain.blocks for chain in chains]),
+        np.stack([chain.departures for chain in chains]))
     classes = {tuple(solve(chain).reachable) for chain in chains}
     assert len(classes) > 1
     for chain, grid, residual in zip(chains, grids, residuals):
@@ -196,7 +198,8 @@ def test_perturbed_chain_names_its_node(monkeypatch):
                           tuple(evaluate_network(scenario).rx_probability[target]))
     chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
     level = solve(chain).reachable.reshape(length, capacity + 1)[0]
-    frame_map = stationary._return_maps(chain.blocks[None])[0][np.ix_(level, level)]
+    frame_map = stationary._return_maps(
+        chain.blocks[None], chain.departures[None])[0][np.ix_(level, level)]
     exact = stationary._gth
 
     def perturbed(dense):
@@ -287,6 +290,141 @@ def test_critical_load_large_capacity():
                                   offered)[0]
     assert evaluate_node(256, length, (0,), traffic).acceptance == pytest.approx(
         want, abs=1e-8)
+
+
+def test_critical_load_capacity_1024(monkeypatch):
+    # the solver ladder's near-critical node at four times its largest K,
+    # in one evaluate_node call
+    residuals = []
+    solve_stack = stationary._solve_stack
+
+    def recorded(blocks, tau):
+        grid, residual, level = solve_stack(blocks, tau)
+        residuals.append(residual)
+        return grid, residual, level
+
+    monkeypatch.setattr(stationary, "_solve_stack", recorded)
+    metrics = evaluate_node(1024, 19, (0,), TrafficSpec.constant(19, rate=1 / 19))
+    assert len(residuals) == 1
+    assert residuals[0].max() <= stationary.RESIDUAL_BOUND
+    assert metrics.acceptance == pytest.approx(0.99951185256, abs=1e-9)
+
+
+def plain_return_map(blocks):
+    """A chain's slot-0 return map as the product of its blocks in slot
+    order."""
+    frame_map = np.eye(blocks.shape[-1])
+    for block in blocks:
+        frame_map = frame_map @ block
+    return frame_map
+
+
+def stack_blocks(capacity, tx_slots, rates, probs):
+    """The ``(B, S, K + 1, K + 1)`` blocks and ``(B, S)`` departures of a
+    stack of chains."""
+    tau = queuemodel._departures(len(rates[0]), tx_slots)
+    return queuemodel._stack_chains(capacity, tau, np.array(rates, dtype=float),
+                                    np.array(probs, dtype=float))[1], tau
+
+
+@st.composite
+def chain_stacks(draw):
+    """Stacks of chains that share S and K, each with its own transmission
+    slots (none, one or several, anywhere in the slotframe), Poisson rates
+    that can be zero and Bernoulli probabilities that can be one."""
+    length = draw(st.integers(min_value=1, max_value=8))
+    capacity = draw(st.integers(min_value=1, max_value=12))
+    chains = draw(st.integers(min_value=1, max_value=4))
+    slots = st.integers(min_value=0, max_value=length - 1)
+    rate = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0))
+    prob = st.one_of(st.just(0.0), st.just(1.0),
+                     st.floats(min_value=0.0, max_value=1.0))
+    return (capacity,
+            [sorted(draw(st.sets(slots))) for _ in range(chains)],
+            [[draw(rate) for _ in range(length)] for _ in range(chains)],
+            [[draw(prob) for _ in range(length)] for _ in range(chains)])
+
+
+@given(chain_stacks())
+# slot 0, slot S - 1, adjacent slots, every slot and none, in one stack
+@example((6, [[0], [4], [1, 2], [0, 1, 2, 3, 4], [], [0, 4]],
+          [[0.3] * 5] * 6, [[0.0] * 5] * 6))
+# zero rates with certain forwarding, and a quiet run of certain arrivals
+@example((3, [[2], [0, 3]], [[0.0] * 4, [0.0, 0.5, 0.0, 0.0]],
+          [[1.0, 1.0, 0.0, 1.0], [1.0] * 4]))
+@example((4, [[0]], [[0.2]], [[0.0]]))  # a one-slot frame
+@example((2, [[], []], [[0.1, 0.0]] * 2, [[0.0, 1.0]] * 2))  # no sender
+@settings(max_examples=150, deadline=None)
+def test_return_map_matches_block_product(case):
+    blocks, tau = stack_blocks(*case)
+    frame_maps = stationary._return_maps(blocks, tau)
+    for chain_blocks, frame_map in zip(blocks, frame_maps):
+        assert np.abs(frame_map - plain_return_map(chain_blocks)).max() <= 1e-13
+
+
+def dense_gth(matrix):
+    """GTH elimination over all columns, as the solver did before it used
+    the band; the reference for the banded elimination."""
+    a = np.array(matrix, dtype=float)
+    n = len(a)
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += a[:k, k, None] * a[None, k, :k]
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ a[:k, k]
+        x[:k + 1] /= x[:k + 1].sum()
+    return x
+
+
+@st.composite
+def banded_matrices(draw):
+    """Irreducible stochastic matrices that move at most ``L`` states
+    down, ``L`` from 1 to ``n - 1``, with random zeros above the band's
+    first subdiagonal."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    width = draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    levels = np.arange(n)
+    down = levels[:, None] - levels
+    matrix = rng.random((n, n)) * (rng.random((n, n)) < 0.7) * (down <= width)
+    matrix[levels[1:], levels[:-1]] += 0.1  # every state can move down one
+    matrix[levels[:-1], levels[1:]] += 0.1  # and up one
+    return matrix / matrix.sum(axis=1, keepdims=True), width
+
+
+@given(banded_matrices())
+@settings(max_examples=100, deadline=None)
+def test_banded_gth_matches_dense_elimination(case):
+    matrix, width = case
+    x = stationary._gth(matrix[None])[0]
+    # the entries the band leaves out are exact zeros: the same bits
+    assert np.array_equal(x, dense_gth(matrix))
+    a = (np.eye(len(matrix)) - matrix).T
+    a[-1] = 1.0
+    b = np.zeros(len(matrix))
+    b[-1] = 1.0
+    assert x == pytest.approx(np.linalg.solve(a, b), rel=1e-9, abs=1e-15)
+
+
+def test_stacked_chain_solves_as_alone():
+    # one transmission slot, none, adjacent ones, every slot and ten: the
+    # stack pads every chain to ten transmission factors, and the GTH
+    # groups mix band widths
+    length, capacity = 12, 20
+    tx_slots = [[5], [], [0, 1], list(range(length)), [1, 2, 3, 4, 5, 6, 7, 8, 9, 11],
+                [11], [3, 7]]
+    rates = [[0.06] * length] * len(tx_slots)
+    probs = [[0.2 * (i % 3 == 0) for i in range(length)]] * len(tx_slots)
+    blocks, tau = stack_blocks(capacity, tx_slots, rates, probs)
+    grids, residuals, levels = stationary._solve_stack(blocks, tau)
+    for b in range(len(tx_slots)):
+        grid, residual, level = stationary._solve_stack(blocks[b:b + 1],
+                                                        tau[b:b + 1])
+        assert np.array_equal(grids[b], grid[0])
+        assert residuals[b] == residual[0]
+        assert np.array_equal(levels[b], level[0])
 
 
 def csgraph_closed_classes(matrix, start):
