@@ -19,14 +19,16 @@ from one cumulative sum of logarithms and the ``k = 0`` term taken as
 ``exp(-lambda)`` so that a zero rate gives exactly one and zeros. The
 blocks are the only form of the chain, and numpy is all it needs.
 
-Every block follows one rule. Without a departure, row ``q`` is the
-arrival row shifted right by ``q``: ``arrivals[r - q]`` in column
-``r < K`` and the tail ``P(A >= K - q)`` in column ``K``, taken as one
-minus the head so that the row sums to one. The solver expands the quiet
-runs of its return maps into blocks of the same form, so both use
-:func:`slotmesh.stationary._capped_blocks`. A transmission slot then
-shifts every row ``q >= 1`` one column to the left, its packet leaving
-before the arrivals; row 0 stays, since an empty queue sends nothing.
+Every tail ``P(A >= r)`` has one rule. A stack caps each arrival row once,
+entry K holding the mass at K and beyond as one minus the head, the only
+tail taken as a complement; every tail is a top sum of a capped row.
+Without a departure, row ``q`` of a block is the capped row shifted right
+by ``q``, ending in ``P(A >= K - q)``, the form of the solver's run blocks
+too: both use :func:`slotmesh.stationary._capped_blocks`. A transmission
+slot then shifts every row ``q >= 1`` one column to the left, its packet
+leaving before the arrivals. Row 0 stays, since an empty queue sends
+nothing, so it is the slot's capped row, whose top sums give
+:func:`acceptance_probability` the expected arrivals that fit.
 
 Chains are built, solved and summarized as stacks: B chains with the same
 S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
@@ -55,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import stationary
-from .stationary import _at, _capped_blocks
+from .stationary import _at, _capped_blocks, _top_sums
 
 VARIANTS = ("md1k", "distributed", "full")
 
@@ -140,22 +142,6 @@ def expected_arrivals_per_slotframe(traffic: TrafficSpec) -> float:
     return float(_offered(*traffic._arrays())[0])
 
 
-def _head_sums(table: np.ndarray) -> np.ndarray:
-    """Entry ``r`` of the last axis holds the sum of the first ``r``
-    entries along it."""
-    sums = np.zeros(table.shape)
-    np.add.accumulate(table[..., :-1], axis=-1, out=sums[..., 1:])
-    return sums
-
-
-def _tails(arrivals: np.ndarray) -> np.ndarray:
-    """Entry ``r`` of the last axis holds the probability of ``r`` or more
-    arrivals, taken as the complement of the head so that every block row
-    sums to one."""
-    tails = np.subtract(1.0, _head_sums(arrivals))
-    return np.maximum(tails, 0.0, out=tails)
-
-
 def _departures(length: int, tx_slots) -> np.ndarray:
     """``(B, S)`` departures of a stack: one on each chain's transmission
     slots, zero elsewhere; ``tx_slots`` holds one slot collection per
@@ -188,7 +174,12 @@ def _stack_chains(capacity: int, tau: np.ndarray, rates: np.ndarray,
     count = capacity + 1
     # one row per (chain, slot) pair
     arrivals = arrival_pmf(rates.ravel(), probs.ravel(), count)
-    blocks = _capped_blocks(arrivals, _tails(arrivals))
+    # the model's one complement: the mass at K and beyond, one minus the
+    # head summed in order
+    rows = arrivals.copy()
+    head = np.add.accumulate(arrivals[:, :-1], axis=1)[:, -1]
+    rows[:, -1] = np.maximum(1.0 - head, 0.0)
+    blocks = _capped_blocks(rows)
     # a transmission slot first sends one packet from a non-empty queue
     sends = tau.ravel() == 1
     blocks[sends, 1:, :capacity] = blocks[sends, 1:, 1:]
@@ -249,14 +240,14 @@ def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return tau * (1.0 - grid[:, :, 0] / np.cumsum(grid, axis=2)[:, :, -1])
 
 
-def acceptance_probability(grid: np.ndarray, arrivals: np.ndarray,
+def acceptance_probability(grid: np.ndarray, rows: np.ndarray,
                            offered: np.ndarray) -> np.ndarray:
     """Fraction of the packets offered per slotframe that is accepted into
-    the queue, one per chain; a chain without offered traffic accepts
-    everything (vacuously)."""
-    counts = np.arange(arrivals.shape[-1])
-    # entry r: E[accepted | slot i, room r], arrivals beyond r are capped at r
-    by_room = _head_sums(arrivals * counts) + _tails(arrivals) * counts
+    the queue, one per chain, from the capped arrival rows, row 0 of the
+    blocks; a chain without offered traffic accepts everything (vacuously)."""
+    # entry r: E[min(A, r) | slot i], the sum of P(A >= j) over j = 1..r
+    by_room = np.zeros(rows.shape)
+    np.add.accumulate(_top_sums(rows)[..., 1:], axis=-1, out=by_room[..., 1:])
     # state (q, i) has room K - q
     accepted = (grid * by_room[..., ::-1]).sum(axis=(1, 2))
     paccept = np.divide(grid.shape[1] * accepted, offered,
@@ -318,10 +309,11 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
                     probs: np.ndarray) -> list[NodeMetrics]:
     """Build, solve and summarize a stack of chains given as ``(B, S)``
     departures, Poisson rates and Bernoulli probabilities."""
-    arrivals, blocks = _stack_chains(capacity, tau, rates, probs)
+    blocks = _stack_chains(capacity, tau, rates, probs)[1]
     grid = stationary._solve_stack(blocks, tau)[0]
     offered = _offered(rates, probs)
-    paccept = acceptance_probability(grid, arrivals, offered)
+    # row 0 of a block is its slot's capped arrival row
+    paccept = acceptance_probability(grid, blocks[:, :, 0], offered)
     tx = transmission_probability(grid, tau)
     delay = expected_delay(grid, tau)
     marginals = queue_marginals(grid)

@@ -18,14 +18,14 @@ per-slot blocks, which is just ``(K + 1) x (K + 1)``. Quiet slots compose
 exactly, since ``min(min(q + a, K) + b, K) = min(q + a + b, K)``: a run of
 them is one block whose row ``q`` is its row 0 moved ``q`` levels up, the
 mass at K and beyond in column K, the form of a single quiet block
-(:func:`_capped_blocks` builds both). A transmission slot maps ``q`` to
-``min(q + a, K) - [q >= 1]`` and stays a factor of its own. So ``F`` is
-``R_0 X_1 R_1 ... X_T R_T`` for a chain with T transmission blocks
-``X_t``, where ``R_t`` is the run after ``X_t``, expanded from a row 0
-that one row product per slot composes: 2T dense products instead of S.
-A single block takes its column K as one minus the head, so that its rows
-sum to one; a run sums it from the top of its row 0, whose last entry
-already holds the mass at K and beyond, so small tails keep their size.
+(:func:`_capped_blocks` builds both). Both read column K as the top sums
+of their row 0, whose last entry holds the mass at K and beyond
+(:func:`_top_sums`), so small tails keep their size. A transmission slot
+maps ``q`` to ``min(q + a, K) - [q >= 1]`` and stays a factor of its own.
+So ``F`` is ``R_0 X_1 R_1 ... X_T R_T`` for a chain with T transmission
+blocks ``X_t``, where ``R_t`` is the run after ``X_t``, expanded from a
+row 0 that one row product per slot composes: 2T dense products instead
+of S.
 
 Chains are solved as stacks: B chains with the same S and K share one
 ``(B, S, K + 1, K + 1)`` block array, their run rows come from one batched
@@ -170,22 +170,31 @@ def _gth(dense: np.ndarray) -> np.ndarray:
     return x[:, 0]
 
 
-def _capped_blocks(pmfs: np.ndarray, tails: np.ndarray) -> np.ndarray:
+def _top_sums(rows: np.ndarray) -> np.ndarray:
+    """Entry ``r`` of the last axis holds the sum of entries ``r`` and
+    beyond of the capped arrival rows ``rows``, ``P(A >= r)``, with
+    ``P(A >= 0)`` exactly one."""
+    sums = np.add.accumulate(rows[..., ::-1], axis=-1)[..., ::-1]
+    sums[..., 0] = 1.0
+    return sums
+
+
+def _capped_blocks(rows: np.ndarray) -> np.ndarray:
     """``(..., K + 1, K + 1)`` blocks that add arrivals to the level,
-    capped at K, from the ``(..., K + 1)`` pmfs of the arrivals and their
-    tails ``P(A >= r)``: row ``q`` is the pmf moved ``q`` levels up,
-    ``pmf[r - q]`` in column ``r < K``, and ``tails[K - q]`` in column
-    K."""
-    count = pmfs.shape[-1]
-    padded = np.zeros((*pmfs.shape[:-1], 2 * count - 1))
-    padded[..., count - 1:] = pmfs
-    # entry (q, r) is padded[K + r - q], the pmf's r - q or a zero: a view
+    capped at K, from ``(..., K + 1)`` capped arrival rows, whose entry K
+    holds the mass at K and beyond: row ``q`` is the arrival row moved
+    ``q`` levels up, ``rows[r - q]`` in column ``r < K``, and the top sum
+    ``P(A >= K - q)`` in column K."""
+    count = rows.shape[-1]
+    padded = np.zeros((*rows.shape[:-1], 2 * count - 1))
+    padded[..., count - 1:] = rows
+    # entry (q, r) is padded[K + r - q], the row's r - q or a zero: a view
     # that steps back one entry per row, copied
     step = padded.itemsize
-    blocks = np.ndarray((*pmfs.shape, count), buffer=padded,
+    blocks = np.ndarray((*rows.shape, count), buffer=padded,
                         offset=(count - 1) * step,
                         strides=(*padded.strides[:-1], -step, step)).copy()
-    blocks[..., -1] = tails[..., ::-1]
+    blocks[..., -1] = _top_sums(rows)[..., ::-1]
     return blocks
 
 
@@ -228,11 +237,7 @@ def _return_maps(blocks: np.ndarray, tau: np.ndarray) -> np.ndarray:
     frame_map = None
     for t, used in enumerate(runs.any(axis=0).tolist()):
         if used:
-            row = rows[runs[:, t], chain]
-            # P(A >= r) summed from the top: entry K already holds the mass
-            # at K and beyond, and a sum of small terms keeps their size
-            run = _capped_blocks(row, np.add.accumulate(
-                row[:, ::-1], axis=1)[:, ::-1])
+            run = _capped_blocks(rows[runs[:, t], chain])
             frame_map = run if frame_map is None else frame_map @ run
         if t < widest:
             send = blocks[chain, ends[:, t] % length]
@@ -241,23 +246,6 @@ def _return_maps(blocks: np.ndarray, tau: np.ndarray) -> np.ndarray:
                 send[counts <= t] = np.eye(count)
             frame_map = send if frame_map is None else frame_map @ send
     return frame_map
-
-
-def _closed_classes(frame_maps: np.ndarray) -> np.ndarray:
-    """``(B, K + 1)`` masks of the slot-0 closed classes of a stack of
-    return maps, each distinct edge pattern searched once."""
-    edges = frame_maps != 0
-    level = np.empty(edges.shape[:2], dtype=bool)
-    found = {}
-    for b, pattern in enumerate(edges):
-        key = pattern.tobytes()
-        if key not in found:
-            try:
-                found[key] = _closed_class(pattern, 0)
-            except StationaryError as exc:
-                raise _at(exc, b)
-        level[b] = found[key]
-    return level
 
 
 def _reachable(blocks: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -281,10 +269,18 @@ def _solve_stack(blocks: np.ndarray, tau: np.ndarray):
     all S blocks, back to slot 0, whose change is the residual.
     """
     frame_maps = _return_maps(blocks, tau)
-    level = _closed_classes(frame_maps)
-    groups = {}
-    for b, mask in enumerate(level):
-        groups.setdefault(mask.tobytes(), []).append(b)
+    # one search per distinct edge pattern, one GTH group per closed class
+    level = np.empty(frame_maps.shape[:2], dtype=bool)
+    classes, groups = {}, {}
+    for b, pattern in enumerate(frame_maps != 0):
+        key = pattern.tobytes()
+        if key not in classes:
+            try:
+                classes[key] = _closed_class(pattern, 0)
+            except StationaryError as exc:
+                raise _at(exc, b)
+        level[b] = classes[key]
+        groups.setdefault(level[b].tobytes(), []).append(b)
     chains, length, count = blocks.shape[:3]
     grid = np.zeros((chains, length, count))
     for members in groups.values():

@@ -96,7 +96,7 @@ def test_md1k_chain_all_reachable():
     assert solve(chain).reachable.all()
 
 
-def test_methods_agree_with_dense_oracle():
+def test_solve_and_closed_class_gth_match_null_space():
     for capacity, length, tx, traffic in chain_cases():
         chain = build_chain(capacity, length, tx, traffic)
         res = solve(chain)
@@ -156,7 +156,7 @@ def test_unclosed_core_raises():
         closed_class_solution(split)
 
 
-def test_nonconvergence_reports_residual(monkeypatch):
+def test_inexact_solution_fails_residual_check(monkeypatch):
     chain = build_chain(6, 4, (1,), TrafficSpec.constant(4, rate=0.3))
     exact = stationary._gth
 
@@ -246,12 +246,12 @@ def _assert_matches_oracle(chain):
     assert np.abs(res.distribution - oracle).max() <= 1e-8
 
 
-def test_auto_falls_back_to_direct():
+def test_one_tx_slot_chain_matches_null_space():
     _assert_matches_oracle(
         build_chain(6, 4, (1,), TrafficSpec.constant(4, rate=0.3)))
 
 
-def test_iterations_are_counted():
+def test_two_slot_chain_matches_null_space():
     _assert_matches_oracle(
         build_chain(3, 2, (0,), TrafficSpec.constant(2, rate=0.5)))
 

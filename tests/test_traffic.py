@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slotmesh
-from slotmesh.queuemodel import (ModelError, TrafficSpec, arrival_pmf,
+from slotmesh.queuemodel import (ModelError, TrafficSpec,
+                                 acceptance_probability, arrival_pmf,
                                  build_chain, expected_arrivals_per_slotframe)
 
 
@@ -75,6 +76,55 @@ def test_tail_is_complement_of_pmf_sum(lam, prob, k):
     # without a departure, row K - k of a block ends in P(A >= k)
     tail = chain.blocks[0, 12 - k, 12]
     assert tail == pytest.approx(1.0 - head, abs=1e-12)
+
+
+def _long_tails(rate, prob, count):
+    """``P(A >= r)`` for r = 0..count-1 in long double: the pmf from its
+    recurrence, summed from the top over 200 terms past the table, where
+    a rate of at most 8 leaves nothing that long double can hold."""
+    poisson = np.empty(count + 200, dtype=np.longdouble)
+    poisson[0] = np.exp(-np.longdouble(rate))
+    for k in range(1, len(poisson)):
+        poisson[k] = poisson[k - 1] * np.longdouble(rate) / k
+    shifted = np.concatenate([[np.longdouble(0)], poisson[:-1]])
+    pmf = (1 - np.longdouble(prob)) * poisson + np.longdouble(prob) * shifted
+    return np.cumsum(pmf[::-1])[::-1][:count]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float")
+def test_tails_and_room_table_match_long_double():
+    # column K of the slot blocks and the acceptance room table
+    # E[min(A, r)] of 400 random tables, in absolute error
+    rng = np.random.default_rng(17)
+    worst_tail = worst_room = 0.0
+    for _ in range(400):
+        capacity = int(rng.choice([1, 2, 6, 16, 64]))
+        length = int(rng.integers(1, 5))
+        rates, probs = rng.uniform(0, 8, length), rng.uniform(0, 1, length)
+        chain = build_chain(capacity, length, (),
+                            TrafficSpec(tuple(rates), tuple(probs)))
+        count = capacity + 1
+        rooms = np.arange(count)
+        # room r as a one-slot chain at level K - r; dividing by an offered
+        # 128 and multiplying back is exact
+        grid = np.zeros((count, 1, count))
+        grid[rooms, 0, capacity - rooms] = 1.0
+        for i in range(length):
+            tails = _long_tails(rates[i], probs[i], count)
+            # without a departure, row K - r of a block ends in P(A >= r)
+            worst_tail = max(worst_tail, float(np.abs(
+                chain.blocks[i, ::-1, -1] - tails).max()))
+            # row 0 of a block is the slot's capped arrival row
+            rows = np.broadcast_to(chain.blocks[i, 0], (count, 1, count))
+            room = 128.0 * acceptance_probability(grid, rows,
+                                                  np.full(count, 128.0))
+            want = np.concatenate([[0], np.cumsum(tails[1:])])
+            worst_room = max(worst_room, float(np.abs(room - want).max()))
+    assert worst_tail <= 4e-15
+    # twice the 1.561e-13 that the room table read as head plus complement
+    # reached; the error is mostly the arrival pmf's own
+    assert worst_room <= 3.12e-13
 
 
 def test_expected_arrivals_trivial():
