@@ -9,33 +9,17 @@ queue was non-empty at its beginning. The stationary distribution yields
 per-slot transmission probabilities, the packet acceptance probability,
 queue-level marginals and the expected queuing delay.
 
-The slot index only ever advances from ``i`` to ``i + 1``, so the chain is
-stored as its S per-slot ``(K + 1) x (K + 1)`` blocks: block ``i`` holds
-the probabilities of moving from level ``q`` in slot ``i`` to each level
-in slot ``i + 1``. The blocks and the per-node metrics are all computed
-from one ``(S, K + 1)`` table of arrival probabilities. Its Poisson terms
-are ``exp(k log(lambda) - log(k!) - lambda)`` in numpy, with ``log(k!)``
-from one cumulative sum of logarithms and the ``k = 0`` term taken as
-``exp(-lambda)`` so that a zero rate gives exactly one and zeros. The
-blocks are the only form of the chain, and numpy is all it needs.
-
-Every tail ``P(A >= r)`` has one rule. A stack caps each arrival row once,
-entry K holding the mass at K and beyond as one minus the head, the only
-tail taken as a complement; every tail is a top sum of a capped row.
-Without a departure, row ``q`` of a block is the capped row shifted right
-by ``q``, ending in ``P(A >= K - q)``, the form of the solver's run blocks
-too: both use :func:`slotmesh.stationary._capped_blocks`. A transmission
-slot then shifts every row ``q >= 1`` one column to the left, its packet
-leaving before the arrivals. Row 0 stays, since an empty queue sends
-nothing, so it is the slot's capped row, whose top sums give
-:func:`acceptance_probability` the expected arrivals that fit.
-
 Chains are built, solved and summarized as stacks: B chains with the same
 S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
-probabilities and departures, checked in one vector step, and become one
-``(B, S, K + 1)`` arrival table (:func:`arrival_pmf`) and one
-``(B, S, K + 1, K + 1)`` block array. The solved stack is a ``(B, S,
-K + 1)`` grid, slot-major like the blocks (:meth:`QueueChain.state_index`).
+probabilities and departures, checked in one vector step. A stack is its
+``(B, S, K + 1)`` arrival rows from :func:`arrival_pmf`, each capped once
+so that entry K holds the mass at K and beyond, and its departures;
+:mod:`slotmesh.stationary` alone builds the slot blocks from them, and
+its docstring gives their format and the tail rule. The Poisson terms
+are ``exp(k log(lambda) - log(k!) - lambda)`` in numpy, ``log(k!)`` from
+one cumulative sum of logarithms and the ``k = 0`` term ``exp(-lambda)``,
+so that a zero rate gives exactly one and zeros. The solved stack is a
+``(B, S, K + 1)`` grid, slot-major (:meth:`QueueChain.state_index`).
 Each per-node metric has one function, a reduction of that grid that
 keeps the leading chain axis: :func:`transmission_probability`,
 :func:`acceptance_probability`, :func:`expected_delay` and
@@ -53,11 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import stationary
-from .stationary import _at, _capped_blocks, _top_sums
+from .stationary import _at, _top_sums
 
 VARIANTS = ("md1k", "distributed", "full")
 
@@ -155,15 +140,15 @@ def _departures(length: int, tx_slots) -> np.ndarray:
                   rows[first])
     tau = np.zeros((len(tx_slots), length), dtype=int)
     tau[rows, slots] = 1
+    tau.flags.writeable = False
     return tau
 
 
-def _stack_chains(capacity: int, tau: np.ndarray, rates: np.ndarray,
-                  probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(B, S, K + 1)`` arrival tables and ``(B, S, K + 1, K + 1)``
-    blocks of a stack of chains given as ``(B, S)`` departures, Poisson
-    rates and Bernoulli probabilities; :func:`build_chain` gives the
-    transitions."""
+def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
+                 probs: np.ndarray) -> np.ndarray:
+    """The read-only ``(B, S, K + 1)`` capped arrival rows of a stack of
+    chains given as ``(B, S)`` departures, Poisson rates and Bernoulli
+    probabilities, entry K holding the mass at K and beyond."""
     if capacity < 1:
         raise ModelError("capacity must be at least 1")
     if tau.shape[1] < 1:
@@ -171,40 +156,35 @@ def _stack_chains(capacity: int, tau: np.ndarray, rates: np.ndarray,
     if rates.shape != tau.shape or probs.shape != tau.shape:
         raise ModelError("traffic spec length must equal the slotframe length")
     _check_traffic(rates, probs)
-    count = capacity + 1
     # one row per (chain, slot) pair
-    arrivals = arrival_pmf(rates.ravel(), probs.ravel(), count)
+    rows = arrival_pmf(rates.ravel(), probs.ravel(), capacity + 1)
     # the model's one complement: the mass at K and beyond, one minus the
     # head summed in order
-    rows = arrivals.copy()
-    head = np.add.accumulate(arrivals[:, :-1], axis=1)[:, -1]
+    head = np.add.accumulate(rows[:, :-1], axis=1)[:, -1]
     rows[:, -1] = np.maximum(1.0 - head, 0.0)
-    blocks = _capped_blocks(rows)
-    # a transmission slot first sends one packet from a non-empty queue
-    sends = tau.ravel() == 1
-    blocks[sends, 1:, :capacity] = blocks[sends, 1:, 1:]
-    blocks[sends, 1:, capacity] = 0.0
-    arrivals.flags.writeable = False
-    blocks.flags.writeable = False
-    return (arrivals.reshape(*tau.shape, count),
-            blocks.reshape(*tau.shape, count, count))
+    rows.flags.writeable = False
+    return rows.reshape(*tau.shape, capacity + 1)
 
 
 @dataclass(frozen=True)
 class QueueChain:
     """Queue chain over the states ``(q, i)`` at ``i * (K + 1) + q``.
 
-    ``arrivals[i, k]`` is the probability of ``k`` arrivals in slot ``i``.
-    ``blocks[i, q, r]`` is the probability of moving from ``(q, i)`` to
-    ``(r, (i + 1) % S)``; no other transitions exist. ``departures[i]`` is
-    one on transmission slots, zero elsewhere.
+    ``rows[i, k]`` is the probability of ``k`` arrivals in slot ``i`` for
+    ``k < K``, ``rows[i, K]`` that of K or more. ``departures[i]`` is one
+    on transmission slots, zero elsewhere. ``blocks[i, q, r]``, derived
+    from the two on first use, is the probability of moving from ``(q,
+    i)`` to ``(r, (i + 1) % S)``; no other transitions exist.
     """
 
     capacity: int
     slotframe_length: int
-    arrivals: np.ndarray
-    blocks: np.ndarray
+    rows: np.ndarray
     departures: np.ndarray
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        return stationary._slot_blocks(self.rows, self.departures)
 
     @property
     def n_states(self) -> int:
@@ -225,10 +205,9 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     can be accepted, leaving a single transition of probability one.
     """
     tau = _departures(slotframe_length, [tx_slots])
-    arrivals, blocks = _stack_chains(capacity, tau, *traffic._arrays())
+    rows = _capped_rows(capacity, tau, *traffic._arrays())
     return QueueChain(capacity=capacity, slotframe_length=slotframe_length,
-                      arrivals=arrivals[0], blocks=blocks[0],
-                      departures=tau[0])
+                      rows=rows[0], departures=tau[0])
 
 
 def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -243,8 +222,8 @@ def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
 def acceptance_probability(grid: np.ndarray, rows: np.ndarray,
                            offered: np.ndarray) -> np.ndarray:
     """Fraction of the packets offered per slotframe that is accepted into
-    the queue, one per chain, from the capped arrival rows, row 0 of the
-    blocks; a chain without offered traffic accepts everything (vacuously)."""
+    the queue, one per chain, from the capped arrival rows; a chain
+    without offered traffic accepts everything (vacuously)."""
     # entry r: E[min(A, r) | slot i], the sum of P(A >= j) over j = 1..r
     by_room = np.zeros(rows.shape)
     np.add.accumulate(_top_sums(rows)[..., 1:], axis=-1, out=by_room[..., 1:])
@@ -266,7 +245,9 @@ def expected_delay(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
     Averages the deterministic drain time over the state reached after the
     arrival itself is appended to the queue. At queue position ``p`` from
     slot ``j`` on, a packet leaves in the ``p``-th transmission slot at or
-    after ``j``, after ``ceil(p / count) - 1`` full slotframes.
+    after ``j``, after ``ceil(p / count) - 1`` full slotframes. A network
+    adds these up along the route, the paper's drain-time sum, which
+    misses the simulated multi-hop delay (see the README).
     """
     chains, length, levels = grid.shape
     count = np.maximum(tau.sum(axis=1), 1)[:, None, None]
@@ -309,11 +290,10 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
                     probs: np.ndarray) -> list[NodeMetrics]:
     """Build, solve and summarize a stack of chains given as ``(B, S)``
     departures, Poisson rates and Bernoulli probabilities."""
-    blocks = _stack_chains(capacity, tau, rates, probs)[1]
-    grid = stationary._solve_stack(blocks, tau)[0]
+    rows = _capped_rows(capacity, tau, rates, probs)
+    grid = stationary._solve_stack(rows, tau)[0]
     offered = _offered(rates, probs)
-    # row 0 of a block is its slot's capped arrival row
-    paccept = acceptance_probability(grid, blocks[:, :, 0], offered)
+    paccept = acceptance_probability(grid, rows, offered)
     tx = transmission_probability(grid, tau)
     delay = expected_delay(grid, tau)
     marginals = queue_marginals(grid)

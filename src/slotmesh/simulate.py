@@ -230,7 +230,6 @@ class NetworkSimStats:
     delay_slots: np.ndarray     # (runs, nodes), NaN without deliveries
     throughput_pps: np.ndarray  # (runs,)
     counts: tuple[RunCounts, ...]
-    slot_duration: float
 
     def delivery_summary(self, nodes=None) -> MetricSummary:
         cols = list(nodes) if nodes is not None else slice(None)
@@ -430,8 +429,7 @@ def simulate_network(scenario: NetworkScenario, config: SimConfig) -> NetworkSim
         counts = tuple(RunCounts(0, 0, 0, 0, 0) for _ in range(config.runs))
         return NetworkSimStats(delivery=delivery, delay_slots=delay,
                                throughput_pps=np.zeros(config.runs),
-                               counts=counts,
-                               slot_duration=scenario.schedule.slot_duration)
+                               counts=counts)
     warmup = (config.warmup_slots if config.warmup_slots is not None
               else int(round(NETWORK_WARMUP_SECONDS
                              / scenario.schedule.slot_duration)))
@@ -445,5 +443,4 @@ def simulate_network(scenario: NetworkScenario, config: SimConfig) -> NetworkSim
             scenario, rng, config.packets, warmup)
         counts.append(c)
     return NetworkSimStats(delivery=pdr, delay_slots=delay,
-                           throughput_pps=throughput, counts=tuple(counts),
-                           slot_duration=scenario.schedule.slot_duration)
+                           throughput_pps=throughput, counts=tuple(counts))

@@ -1,49 +1,58 @@
 """Stationary distributions of slot-indexed finite Markov chains.
 
-The chains built by :mod:`slotmesh.queuemodel` are row-stochastic and can
-be reducible. Their stationary distribution lives on the closed class (the
-closed communicating class) that the start state, the empty queue at slot
-0, reaches; every other state is transient or never visited and carries
-exactly zero mass. If the start state reaches more than one closed class
-the distribution is not unique and :class:`StationaryError` is raised.
+A queue chain of :mod:`slotmesh.queuemodel` comes here as ``(S, K + 1)``
+capped arrival rows and ``(S,)`` departures, one on transmission slots.
+Entry ``k < K`` of row ``i`` is the probability of ``k`` arrivals in slot
+``i``, and entry K, one minus the head, the mass at K and beyond: the
+model's only tail taken as a complement. Every tail ``P(A >= r)`` is a
+top sum of a capped row (:func:`_top_sums`), so small tails keep their
+size. The slot index only advances from ``i`` to ``i + 1``, so the chain
+is its S per-slot ``(K + 1) x (K + 1)`` blocks, built
+(:func:`_slot_blocks`) and read only here: block ``i`` holds the
+probabilities of moving from level ``q`` in slot ``i`` to each level in
+slot ``i + 1``. Without a departure, row ``q`` is the capped row moved
+``q`` levels up, ending in ``P(A >= K - q)`` (:func:`_capped_blocks`). A
+transmission slot shifts every row ``q >= 1`` one column to the left, its
+packet leaving before the arrivals; row 0, the empty queue, stays the
+slot's capped row.
+
+The chains are row-stochastic and can be reducible. Their stationary
+distribution lives on the closed class (the closed communicating class)
+that the start state, the empty queue at slot 0, reaches; every other
+state is transient or never visited and carries exactly zero mass. If the
+start state reaches more than one closed class the distribution is not
+unique and :class:`StationaryError` is raised.
 
 The closed class is solved by the GTH elimination (Grassmann, Taksar and
 Heyman, Oper. Res. 33(5), 1985): Gaussian elimination that replaces the
 pivot ``1 - p_kk`` by the row sum it equals, so it never subtracts, gives
 a non-negative answer and stays accurate near saturation.
 
-The slot index advances deterministically, so a queue chain only needs
-its slot-0 return map ``F = B_0 B_1 ... B_{S-1}``, the product of its
-per-slot blocks, which is just ``(K + 1) x (K + 1)``. Quiet slots compose
-exactly, since ``min(min(q + a, K) + b, K) = min(q + a + b, K)``: a run of
-them is one block whose row ``q`` is its row 0 moved ``q`` levels up, the
-mass at K and beyond in column K, the form of a single quiet block
-(:func:`_capped_blocks` builds both). Both read column K as the top sums
-of their row 0, whose last entry holds the mass at K and beyond
-(:func:`_top_sums`), so small tails keep their size. A transmission slot
-maps ``q`` to ``min(q + a, K) - [q >= 1]`` and stays a factor of its own.
-So ``F`` is ``R_0 X_1 R_1 ... X_T R_T`` for a chain with T transmission
-blocks ``X_t``, where ``R_t`` is the run after ``X_t``, expanded from a
-row 0 that one row product per slot composes: 2T dense products instead
-of S.
+A chain only needs its slot-0 return map ``F = B_0 B_1 ... B_{S-1}``,
+just ``(K + 1) x (K + 1)``. Quiet slots compose exactly, since
+``min(min(q + a, K) + b, K) = min(q + a + b, K)``: a run of them is a
+quiet block built from the row 0 its slots compose. A transmission slot
+maps ``q`` to ``min(q + a, K) - [q >= 1]`` and stays a factor of its
+own. So ``F`` is ``R_0 X_1 R_1 ... X_T R_T`` for T transmission blocks
+``X_t``, ``R_t`` the run after ``X_t``: 2T dense products instead of S.
 
-Chains are solved as stacks: B chains with the same S and K share one
-``(B, S, K + 1, K + 1)`` block array, their run rows come from one batched
-row product per slot, and a chain with fewer transmission slots than the
-widest gets identity factors, which keep its bits as they are alone. GTH
-runs once over all chains whose closed classes coincide. A slotframe
-lowers the queue by at most T levels, so ``F`` has lower bandwidth ``L <=
-T``, which GTH from the top state keeps: state k is eliminated over the
-``L`` columns below it only, ``O(n^2 L)`` work instead of ``O(n^3)``,
-with the bits of the full elimination since the entries it skips are
-exact zeros. The slot-0 solutions are propagated once through the blocks
-into a ``(B, S, K + 1)`` grid, slot-major like the blocks, one chain's
-states flattened as ``i * (K + 1) + q``. Every chain's answer is checked
-against ``max |c P - c| <= RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i``
-times ``B_i``, so only the wrap-around term ``c_{S-1} B_{S-1} - c_0``,
-taken from the normalized grid, can be non-zero. An error raised for one
-chain of a stack carries that chain's position as ``index``.
-:func:`solve` is the stack of one chain.
+Chains are solved as stacks of B chains with the same S and K: one
+batched row product per slot composes their run rows, and a chain with
+fewer transmission slots than the widest gets identity factors, which
+keep its bits as they are alone. GTH runs once over all chains whose
+closed classes coincide. A slotframe lowers the queue by at most T
+levels, so ``F`` has lower bandwidth ``L <= T``, which GTH from the top
+state keeps: state k is eliminated over the ``L`` columns below it only,
+``O(n^2 L)`` work instead of ``O(n^3)``, with the bits of the full
+elimination since the entries it skips are exact zeros. The slot-0
+solutions are propagated once through the blocks into a ``(B, S, K + 1)``
+grid, slot-major like the blocks, one chain's states flattened as ``i *
+(K + 1) + q``. Every chain's answer is checked against ``max |c P - c| <=
+RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i`` times ``B_i``, so only the
+wrap-around term ``c_{S-1} B_{S-1} - c_0``, taken from the normalized
+grid, can be non-zero. An error raised for one chain of a stack carries
+that chain's position as ``index``. :func:`solve` is the stack of one
+chain.
 
 The closed class is found by a dense boolean reachability search on the
 return map, whose rows are held as Python ints used as bitsets: reach
@@ -198,6 +207,19 @@ def _capped_blocks(rows: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def _slot_blocks(rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Read-only ``(..., S, K + 1, K + 1)`` slot blocks of chains given as
+    ``(..., S, K + 1)`` capped arrival rows and ``(..., S)`` departures
+    ``tau``: the blocks of :func:`_capped_blocks`, with rows ``q >= 1``
+    of a transmission slot shifted one column to the left."""
+    blocks = _capped_blocks(rows)
+    sends = tau != 0
+    blocks[sends, 1:, :-1] = blocks[sends, 1:, 1:]
+    blocks[sends, 1:, -1] = 0.0
+    blocks.flags.writeable = False
+    return blocks
+
+
 def _return_maps(blocks: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a ``(B, S, K + 1,
     K + 1)`` block stack with ``(B, S)`` departures ``tau``, each as ``R_0
@@ -258,16 +280,17 @@ def _reachable(blocks: np.ndarray, level: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _solve_stack(blocks: np.ndarray, tau: np.ndarray):
-    """Stationary distributions of a ``(B, S, K + 1, K + 1)`` stack of
-    queue chains with ``(B, S)`` departures ``tau`` as ``(B, S, K + 1)``
-    slot-by-level grids, with the residuals and the ``(B, K + 1)`` slot-0
-    closed classes.
+def _solve_stack(rows: np.ndarray, tau: np.ndarray):
+    """Stationary distributions of a stack of queue chains given as
+    ``(B, S, K + 1)`` capped arrival rows and ``(B, S)`` departures
+    ``tau``, as ``(B, S, K + 1)`` slot-by-level grids, with the residuals
+    and the ``(B, K + 1)`` slot-0 closed classes.
 
     Solves the return maps on their closed classes, GTH once per group of
     chains with the same class, and propagates the results once through
     all S blocks, back to slot 0, whose change is the residual.
     """
+    blocks = _slot_blocks(rows, tau)
     frame_maps = _return_maps(blocks, tau)
     # one search per distinct edge pattern, one GTH group per closed class
     level = np.empty(frame_maps.shape[:2], dtype=bool)
@@ -304,8 +327,8 @@ def _solve_stack(blocks: np.ndarray, tau: np.ndarray):
 
 def solve(chain) -> StationaryResult:
     """Stationary distribution of a queue chain: the stack of one."""
-    blocks = chain.blocks[None]
-    grid, residual, level = _solve_stack(blocks, chain.departures[None])
-    return StationaryResult(distribution=grid[0].ravel(),
-                            residual=float(residual[0]),
-                            reachable=_reachable(blocks, level)[0].ravel())
+    grid, residual, level = _solve_stack(chain.rows[None],
+                                         chain.departures[None])
+    return StationaryResult(
+        distribution=grid[0].ravel(), residual=float(residual[0]),
+        reachable=_reachable(chain.blocks[None], level)[0].ravel())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chain_cases, dense_matrix
+from slotmesh import stationary
 from slotmesh.queuemodel import ModelError, TrafficSpec, arrival_pmf, build_chain
 
 
@@ -85,6 +86,20 @@ def test_no_traffic_stays_empty():
         row = p[chain.state_index(0, i)]
         assert row[chain.state_index(0, (i + 1) % 4)] == 1.0
         assert row.sum() == 1.0
+
+
+def test_chain_tables_are_read_only_and_blocks_derived():
+    # a chain is its capped rows and departures; the blocks are the
+    # solver's view of the two, built on first use
+    for capacity, length, tx, traffic in chain_cases():
+        chain = build_chain(capacity, length, tx, traffic)
+        for table in (chain.rows, chain.departures, chain.blocks):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert chain.blocks is chain.blocks
+        assert np.array_equal(
+            chain.blocks, stationary._slot_blocks(chain.rows, chain.departures))
 
 
 def test_build_chain_validation():

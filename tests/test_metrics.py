@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import chain_cases
-from slotmesh.queuemodel import (ModelError, TrafficSpec, build_chain,
-                                 evaluate_node, expected_arrivals_per_slotframe)
+from slotmesh.queuemodel import (ModelError, TrafficSpec, arrival_pmf,
+                                 build_chain, evaluate_node,
+                                 expected_arrivals_per_slotframe)
 from slotmesh.simulate import SimConfig, simulate_queue
 
 
@@ -14,9 +15,11 @@ def _loop_acceptance(chain, traffic, c):
     # per-state loop: E[accepted | (q, i)] caps the arrivals at the room K - q
     capacity, length = chain.capacity, chain.slotframe_length
     grid = c.reshape(length, capacity + 1)
+    table = arrival_pmf(traffic.poisson_rate, traffic.bernoulli_prob,
+                        capacity + 1)
     accepted = 0.0
     for i in range(length):
-        pmf = chain.arrivals[i]
+        pmf = table[i]
         for q in range(capacity):
             room = capacity - q
             head = math.fsum(k * pmf[k] for k in range(room))

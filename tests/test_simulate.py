@@ -232,7 +232,7 @@ def test_delay_summary_of_run_without_deliveries_is_nan():
         delivery=np.zeros((2, 3)),
         delay_slots=np.array([[0.0, math.nan, math.nan],
                               [0.0, 4.0, math.nan]]),
-        throughput_pps=np.zeros(2), counts=(), slot_duration=0.01)
+        throughput_pps=np.zeros(2), counts=())
     summary = stats.delay_summary([1, 2])
     assert math.isnan(summary.per_run[0]) and summary.per_run[1] == 4.0
     assert summary.mean == 4.0

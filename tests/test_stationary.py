@@ -176,7 +176,7 @@ def test_mixed_stack_matches_single_solves():
               build_chain(2, 3, (0, 1), TrafficSpec.constant(3, rate=0.1, prob=0.2)),
               build_chain(2, 3, (1,), TrafficSpec((0.0, 0.02, 0.0), (0.3, 0.0, 0.0)))]
     grids, residuals, _ = stationary._solve_stack(
-        np.stack([chain.blocks for chain in chains]),
+        np.stack([chain.rows for chain in chains]),
         np.stack([chain.departures for chain in chains]))
     classes = {tuple(solve(chain).reachable) for chain in chains}
     assert len(classes) > 1
@@ -286,7 +286,7 @@ def test_critical_load_large_capacity():
     for i in range(length - 1):
         grid[i + 1] = grid[i] @ chain.blocks[i]
     offered = np.array([expected_arrivals_per_slotframe(traffic)])
-    want = acceptance_probability(grid[None] / length, chain.arrivals[None],
+    want = acceptance_probability(grid[None] / length, chain.rows[None],
                                   offered)[0]
     assert evaluate_node(256, length, (0,), traffic).acceptance == pytest.approx(
         want, abs=1e-8)
@@ -298,8 +298,8 @@ def test_critical_load_capacity_1024(monkeypatch):
     residuals = []
     solve_stack = stationary._solve_stack
 
-    def recorded(blocks, tau):
-        grid, residual, level = solve_stack(blocks, tau)
+    def recorded(rows, tau):
+        grid, residual, level = solve_stack(rows, tau)
         residuals.append(residual)
         return grid, residual, level
 
@@ -319,12 +319,12 @@ def plain_return_map(blocks):
     return frame_map
 
 
-def stack_blocks(capacity, tx_slots, rates, probs):
-    """The ``(B, S, K + 1, K + 1)`` blocks and ``(B, S)`` departures of a
-    stack of chains."""
+def stack_rows(capacity, tx_slots, rates, probs):
+    """The ``(B, S, K + 1)`` capped arrival rows and ``(B, S)`` departures
+    of a stack of chains."""
     tau = queuemodel._departures(len(rates[0]), tx_slots)
-    return queuemodel._stack_chains(capacity, tau, np.array(rates, dtype=float),
-                                    np.array(probs, dtype=float))[1], tau
+    return queuemodel._capped_rows(capacity, tau, np.array(rates, dtype=float),
+                                   np.array(probs, dtype=float)), tau
 
 
 @st.composite
@@ -356,7 +356,8 @@ def chain_stacks(draw):
 @example((2, [[], []], [[0.1, 0.0]] * 2, [[0.0, 1.0]] * 2))  # no sender
 @settings(max_examples=150, deadline=None)
 def test_return_map_matches_block_product(case):
-    blocks, tau = stack_blocks(*case)
+    rows, tau = stack_rows(*case)
+    blocks = stationary._slot_blocks(rows, tau)
     frame_maps = stationary._return_maps(blocks, tau)
     for chain_blocks, frame_map in zip(blocks, frame_maps):
         assert np.abs(frame_map - plain_return_map(chain_blocks)).max() <= 1e-13
@@ -417,10 +418,10 @@ def test_stacked_chain_solves_as_alone():
                 [11], [3, 7]]
     rates = [[0.06] * length] * len(tx_slots)
     probs = [[0.2 * (i % 3 == 0) for i in range(length)]] * len(tx_slots)
-    blocks, tau = stack_blocks(capacity, tx_slots, rates, probs)
-    grids, residuals, levels = stationary._solve_stack(blocks, tau)
+    rows, tau = stack_rows(capacity, tx_slots, rates, probs)
+    grids, residuals, levels = stationary._solve_stack(rows, tau)
     for b in range(len(tx_slots)):
-        grid, residual, level = stationary._solve_stack(blocks[b:b + 1],
+        grid, residual, level = stationary._solve_stack(rows[b:b + 1],
                                                         tau[b:b + 1])
         assert np.array_equal(grids[b], grid[0])
         assert residuals[b] == residual[0]

@@ -27,15 +27,16 @@ def test_spec_validation():
 
 
 def test_pmf_no_traffic():
-    arrivals = build_chain(1, 1, (), TrafficSpec((0.0,), (0.0,))).arrivals
+    arrivals = arrival_pmf([0.0], [0.0], 2)
     assert arrivals[0, 0] == 1.0
     assert arrivals[0, 1] == 0.0
 
 
 def test_pmf_certain_single_packet():
+    arrivals = arrival_pmf([0.0], [1.0], 2)
+    assert arrivals[0, 1] == 1.0
+    assert arrivals[0, 0] == 0.0
     chain = build_chain(1, 1, (), TrafficSpec((0.0,), (1.0,)))
-    assert chain.arrivals[0, 1] == 1.0
-    assert chain.arrivals[0, 0] == 0.0
     # the tail column of the empty queue's row holds P(A >= 1)
     assert chain.blocks[0, 0, 1] == 1.0
 
@@ -43,14 +44,13 @@ def test_pmf_certain_single_packet():
 def test_pmf_mixture_value():
     # direct evaluation of the mixture: k=1 combines "no forwarded packet,
     # one generated" and "forwarded packet, none generated"
-    spec = TrafficSpec((0.3,), (0.4,))
     expected = 0.4 * math.exp(-0.3) + 0.6 * 0.3 * math.exp(-0.3)
-    assert build_chain(1, 1, (), spec).arrivals[0, 1] == pytest.approx(
+    assert arrival_pmf([0.3], [0.4], 2)[0, 1] == pytest.approx(
         expected, abs=1e-15)
 
 
 def test_pmf_mixture_monte_carlo():
-    arrivals = build_chain(3, 1, (), TrafficSpec((0.3,), (0.4,))).arrivals
+    arrivals = arrival_pmf([0.3], [0.4], 4)
     rng = np.random.default_rng(1234)
     n = 400_000
     samples = rng.poisson(0.3, n) + (rng.random(n) < 0.4)
@@ -72,7 +72,7 @@ def test_tail_zero_is_one():
 @settings(max_examples=200)
 def test_tail_is_complement_of_pmf_sum(lam, prob, k):
     chain = build_chain(12, 1, (), TrafficSpec((lam,), (prob,)))
-    head = sum(chain.arrivals[0, j] for j in range(k))
+    head = sum(arrival_pmf([lam], [prob], 13)[0, :k])
     # without a departure, row K - k of a block ends in P(A >= k)
     tail = chain.blocks[0, 12 - k, 12]
     assert tail == pytest.approx(1.0 - head, abs=1e-12)
@@ -115,8 +115,7 @@ def test_tails_and_room_table_match_long_double():
             # without a departure, row K - r of a block ends in P(A >= r)
             worst_tail = max(worst_tail, float(np.abs(
                 chain.blocks[i, ::-1, -1] - tails).max()))
-            # row 0 of a block is the slot's capped arrival row
-            rows = np.broadcast_to(chain.blocks[i, 0], (count, 1, count))
+            rows = np.broadcast_to(chain.rows[i], (count, 1, count))
             room = 128.0 * acceptance_probability(grid, rows,
                                                   np.full(count, 128.0))
             want = np.concatenate([[0], np.cumsum(tails[1:])])
