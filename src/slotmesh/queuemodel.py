@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -172,19 +171,14 @@ class QueueChain:
 
     ``rows[i, k]`` is the probability of ``k`` arrivals in slot ``i`` for
     ``k < K``, ``rows[i, K]`` that of K or more. ``departures[i]`` is one
-    on transmission slots, zero elsewhere. ``blocks[i, q, r]``, derived
-    from the two on first use, is the probability of moving from ``(q,
-    i)`` to ``(r, (i + 1) % S)``; no other transitions exist.
+    on transmission slots, zero elsewhere. The two are the whole chain:
+    only :mod:`slotmesh.stationary` builds its slot blocks from them.
     """
 
     capacity: int
     slotframe_length: int
     rows: np.ndarray
     departures: np.ndarray
-
-    @cached_property
-    def blocks(self) -> np.ndarray:
-        return stationary._slot_blocks(self.rows, self.departures)
 
     @property
     def n_states(self) -> int:

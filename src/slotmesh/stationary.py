@@ -45,14 +45,15 @@ levels, so ``F`` has lower bandwidth ``L <= T``, which GTH from the top
 state keeps: state k is eliminated over the ``L`` columns below it only,
 ``O(n^2 L)`` work instead of ``O(n^3)``, with the bits of the full
 elimination since the entries it skips are exact zeros. The slot-0
-solutions are propagated once through the blocks into a ``(B, S, K + 1)``
-grid, slot-major like the blocks, one chain's states flattened as ``i *
-(K + 1) + q``. Every chain's answer is checked against ``max |c P - c| <=
-RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i`` times ``B_i``, so only the
-wrap-around term ``c_{S-1} B_{S-1} - c_0``, taken from the normalized
-grid, can be non-zero. An error raised for one chain of a stack carries
-that chain's position as ``index``. :func:`solve` is the stack of one
-chain.
+solutions are carried once through the blocks (:func:`_carry`) into a
+``(B, S, K + 1)`` grid, slot-major like the blocks, one chain's states
+flattened as ``i * (K + 1) + q``. Every chain's answer is checked against
+``max |c P - c| <= RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i`` times
+``B_i``, so only the wrap-around term ``c_{S-1} B_{S-1} - c_0``, taken
+from the normalized grid, can be non-zero. An error raised for one chain
+of a stack carries that chain's position as ``index``. :func:`solve` is
+the stack of one chain; it carries the slot-0 closed class along the
+edges of the same blocks to mark the class in every slot.
 
 The closed class is found by a dense boolean reachability search on the
 return map, whose rows are held as Python ints used as bitsets: reach
@@ -270,25 +271,26 @@ def _return_maps(blocks: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return frame_map
 
 
-def _reachable(blocks: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """``(B, S, K + 1)`` slot-by-level masks of the closed classes: the
-    slot-0 masks ``level`` carried through the blocks."""
-    masks = np.empty(blocks.shape[:3], dtype=bool)
-    masks[:, 0] = level
+def _carry(first: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``(B, S, K + 1)`` grid of a ``(B, S, K + 1, K + 1)`` block stack,
+    boolean or not: slot 0 is ``first``, slot ``i + 1`` slot ``i`` times
+    block ``i``."""
+    grid = np.empty(blocks.shape[:3], dtype=first.dtype)
+    grid[:, 0] = first
     for i in range(blocks.shape[1] - 1):
-        masks[:, i + 1] = (masks[:, i, None] @ (blocks[:, i] > 0))[:, 0]
-    return masks
+        grid[:, i + 1] = (grid[:, i, None] @ blocks[:, i])[:, 0]
+    return grid
 
 
 def _solve_stack(rows: np.ndarray, tau: np.ndarray):
     """Stationary distributions of a stack of queue chains given as
     ``(B, S, K + 1)`` capped arrival rows and ``(B, S)`` departures
-    ``tau``, as ``(B, S, K + 1)`` slot-by-level grids, with the residuals
-    and the ``(B, K + 1)`` slot-0 closed classes.
+    ``tau``, as ``(B, S, K + 1)`` slot-by-level grids, with the residuals,
+    the ``(B, K + 1)`` slot-0 closed classes and the slot blocks.
 
     Solves the return maps on their closed classes, GTH once per group of
-    chains with the same class, and propagates the results once through
-    all S blocks, back to slot 0, whose change is the residual.
+    chains with the same class, and carries the results once through all
+    S blocks, back to slot 0, whose change is the residual.
     """
     blocks = _slot_blocks(rows, tau)
     frame_maps = _return_maps(blocks, tau)
@@ -304,15 +306,13 @@ def _solve_stack(rows: np.ndarray, tau: np.ndarray):
                 raise _at(exc, b)
         level[b] = classes[key]
         groups.setdefault(level[b].tobytes(), []).append(b)
-    chains, length, count = blocks.shape[:3]
-    grid = np.zeros((chains, length, count))
+    first = np.zeros(level.shape)
     for members in groups.values():
         states = np.flatnonzero(level[members[0]])
         members = np.array(members)[:, None]
-        grid[members, 0, states] = _gth(
+        first[members, states] = _gth(
             frame_maps[members[:, :, None], states[:, None], states])
-    for i in range(length - 1):
-        grid[:, i + 1] = (grid[:, i, None] @ blocks[:, i])[:, 0]
+    grid = _carry(first, blocks)
     grid /= grid.sum(axis=(1, 2), keepdims=True)
     # slot 0 carried once round the slotframe, from the normalized grid
     wrap = (grid[:, -1, None] @ blocks[:, -1])[:, 0]
@@ -322,13 +322,13 @@ def _solve_stack(rows: np.ndarray, tau: np.ndarray):
         raise _at(StationaryError(
             f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
             failed[0])
-    return grid, residual, level
+    return grid, residual, level, blocks
 
 
 def solve(chain) -> StationaryResult:
     """Stationary distribution of a queue chain: the stack of one."""
-    grid, residual, level = _solve_stack(chain.rows[None],
-                                         chain.departures[None])
+    grid, residual, level, blocks = _solve_stack(chain.rows[None],
+                                                 chain.departures[None])
     return StationaryResult(
         distribution=grid[0].ravel(), residual=float(residual[0]),
-        reachable=_reachable(chain.blocks[None], level)[0].ravel())
+        reachable=_carry(level, blocks > 0)[0].ravel())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slotmesh import stationary
 from slotmesh.queuemodel import TrafficSpec
 from slotmesh.schedule import Schedule, Topology
 
@@ -43,13 +44,19 @@ def chain_cases():
     return cases
 
 
+def slot_blocks(chain):
+    """The chain's read-only ``(S, K + 1, K + 1)`` slot blocks: block ``i``
+    maps level ``q`` in slot ``i`` to each level in slot ``i + 1``."""
+    return stationary._slot_blocks(chain.rows, chain.departures)
+
+
 def dense_matrix(chain):
     """The chain's blocks as one block-cyclic dense matrix over the states
     flattened as ``i * (K + 1) + q``: block ``i`` sits at block row ``i``
     and block column ``i + 1``, mapping slot ``i`` to slot ``i + 1``."""
     length, count = chain.slotframe_length, chain.capacity + 1
     matrix = np.zeros((chain.n_states, chain.n_states))
-    for i, block in enumerate(chain.blocks):
+    for i, block in enumerate(slot_blocks(chain)):
         col = (i + 1) % length * count
         matrix[i * count:(i + 1) * count, col:col + count] = block
     return matrix

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chain_cases, dense_matrix
-from slotmesh import stationary
+from conftest import chain_cases, dense_matrix, slot_blocks
 from slotmesh.queuemodel import ModelError, TrafficSpec, arrival_pmf, build_chain
 
 
@@ -89,17 +88,15 @@ def test_no_traffic_stays_empty():
 
 
 def test_chain_tables_are_read_only_and_blocks_derived():
-    # a chain is its capped rows and departures; the blocks are the
-    # solver's view of the two, built on first use
+    # a chain is its capped rows and departures; only the solver derives
+    # the slot blocks from the two, read-only
     for capacity, length, tx, traffic in chain_cases():
         chain = build_chain(capacity, length, tx, traffic)
-        for table in (chain.rows, chain.departures, chain.blocks):
+        for table in (chain.rows, chain.departures, slot_blocks(chain)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
-        assert chain.blocks is chain.blocks
-        assert np.array_equal(
-            chain.blocks, stationary._slot_blocks(chain.rows, chain.departures))
+        assert not hasattr(chain, "blocks")
 
 
 def test_build_chain_validation():
@@ -156,7 +153,7 @@ def test_blocks_match_scalar_reference(capacity, length, data):
     traffic = TrafficSpec(tuple(rates), tuple(probs))
     chain = build_chain(capacity, length, tx, traffic)
     reference = _scalar_blocks(capacity, length, tx, traffic)
-    assert np.abs(chain.blocks - reference).max() <= 1e-12
+    assert np.abs(slot_blocks(chain) - reference).max() <= 1e-12
     dense = dense_matrix(chain)
     rows, cols = np.nonzero(dense)
     count = capacity + 1

@@ -483,6 +483,31 @@ def test_simulate_csv_shape(tmp_path, capsys):
     assert printed.count("inside CI:") == 3
 
 
+@pytest.mark.parametrize("runs", [3, 1])
+def test_compare_model_verdicts_at_zero_width(tmp_path, capsys, runs):
+    # every run delivers every tracked packet, a CI of zero width that the
+    # sbd model's delivery ratio of 0.9999999989 lies within one packet
+    # of; a single run gives no CI at all
+    topo = concentric_topology(2)
+    sched_path, topo_path = tmp_path / "s.json", tmp_path / "t.json"
+    save_schedule(generate("sbd", topo), sched_path)
+    save_topology(topo, topo_path)
+    assert main(["simulate", "--schedule", str(sched_path),
+                 "--topology", str(topo_path), "--rate", "0.01",
+                 "--queue", "16", "--seed", "1", "--runs", str(runs),
+                 "--packets", "50", "--warmup-slots", "500",
+                 "--out", str(tmp_path / "sim.csv"), "--compare-model"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = {line.split(":")[0]: line.split()[-1] for line in lines}
+    assert list(verdicts) == ["pdr_outer_mean", "delay_outer_mean_s",
+                              "throughput_pps"]
+    if runs == 1:
+        assert set(verdicts.values()) == {"n/a"}
+    else:
+        assert "ci=[1, 1]" in lines[0]
+        assert verdicts["pdr_outer_mean"] == "yes"
+
+
 def test_simulate_deterministic(tmp_path):
     sched_path, topo_path = _sbd_files(tmp_path, 0.01)
     a = tmp_path / "a.csv"

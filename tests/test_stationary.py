@@ -5,7 +5,7 @@ from scipy import sparse
 from scipy.linalg import null_space
 from scipy.sparse import csgraph
 
-from conftest import chain_cases, dense_matrix
+from conftest import chain_cases, dense_matrix, slot_blocks
 from slotmesh import stationary
 from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network)
@@ -175,7 +175,7 @@ def test_mixed_stack_matches_single_solves():
               build_chain(2, 3, (2,), TrafficSpec.constant(3, rate=0.05)),
               build_chain(2, 3, (0, 1), TrafficSpec.constant(3, rate=0.1, prob=0.2)),
               build_chain(2, 3, (1,), TrafficSpec((0.0, 0.02, 0.0), (0.3, 0.0, 0.0)))]
-    grids, residuals, _ = stationary._solve_stack(
+    grids, residuals, _, _ = stationary._solve_stack(
         np.stack([chain.rows for chain in chains]),
         np.stack([chain.departures for chain in chains]))
     classes = {tuple(solve(chain).reachable) for chain in chains}
@@ -185,6 +185,23 @@ def test_mixed_stack_matches_single_solves():
         assert np.array_equal(grid.ravel(), single.distribution)
         assert residual == single.residual
         assert np.all(grid.ravel()[~single.reachable] == 0.0)
+
+
+def test_solve_builds_the_slot_blocks_once(monkeypatch):
+    # the grid and the closed class in every slot come from one block stack
+    calls = []
+    slot_blocks_of = stationary._slot_blocks
+
+    def counted(rows, tau):
+        calls.append(rows.shape)
+        return slot_blocks_of(rows, tau)
+
+    monkeypatch.setattr(stationary, "_slot_blocks", counted)
+    for capacity, length, tx, traffic in chain_cases():
+        chain = build_chain(capacity, length, tx, traffic)
+        calls.clear()
+        solve(chain)
+        assert len(calls) == 1
 
 
 def test_perturbed_chain_names_its_node(monkeypatch):
@@ -199,7 +216,7 @@ def test_perturbed_chain_names_its_node(monkeypatch):
     chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
     level = solve(chain).reachable.reshape(length, capacity + 1)[0]
     frame_map = stationary._return_maps(
-        chain.blocks[None], chain.departures[None])[0][np.ix_(level, level)]
+        slot_blocks(chain)[None], chain.departures[None])[0][np.ix_(level, level)]
     exact = stationary._gth
 
     def perturbed(dense):
@@ -274,8 +291,8 @@ def test_critical_load_large_capacity():
     res = solve(chain)
     assert res.residual <= 1e-10
     # independent answer: c F = c with one equation replaced by sum(c) = 1
-    frame_map = np.eye(chain.capacity + 1)
-    for block in chain.blocks:
+    frame_map, blocks = np.eye(chain.capacity + 1), slot_blocks(chain)
+    for block in blocks:
         frame_map = frame_map @ block
     a = (np.eye(chain.capacity + 1) - frame_map).T
     a[-1, :] = 1.0
@@ -284,7 +301,7 @@ def test_critical_load_large_capacity():
     grid = np.zeros((length, chain.capacity + 1))
     grid[0] = np.linalg.solve(a, b)
     for i in range(length - 1):
-        grid[i + 1] = grid[i] @ chain.blocks[i]
+        grid[i + 1] = grid[i] @ blocks[i]
     offered = np.array([expected_arrivals_per_slotframe(traffic)])
     want = acceptance_probability(grid[None] / length, chain.rows[None],
                                   offered)[0]
@@ -299,9 +316,9 @@ def test_critical_load_capacity_1024(monkeypatch):
     solve_stack = stationary._solve_stack
 
     def recorded(rows, tau):
-        grid, residual, level = solve_stack(rows, tau)
+        grid, residual, level, blocks = solve_stack(rows, tau)
         residuals.append(residual)
-        return grid, residual, level
+        return grid, residual, level, blocks
 
     monkeypatch.setattr(stationary, "_solve_stack", recorded)
     metrics = evaluate_node(1024, 19, (0,), TrafficSpec.constant(19, rate=1 / 19))
@@ -419,10 +436,10 @@ def test_stacked_chain_solves_as_alone():
     rates = [[0.06] * length] * len(tx_slots)
     probs = [[0.2 * (i % 3 == 0) for i in range(length)]] * len(tx_slots)
     rows, tau = stack_rows(capacity, tx_slots, rates, probs)
-    grids, residuals, levels = stationary._solve_stack(rows, tau)
+    grids, residuals, levels, _ = stationary._solve_stack(rows, tau)
     for b in range(len(tx_slots)):
-        grid, residual, level = stationary._solve_stack(rows[b:b + 1],
-                                                        tau[b:b + 1])
+        grid, residual, level, _ = stationary._solve_stack(rows[b:b + 1],
+                                                           tau[b:b + 1])
         assert np.array_equal(grids[b], grid[0])
         assert residuals[b] == residual[0]
         assert np.array_equal(levels[b], level[0])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slotmesh
+from conftest import slot_blocks
 from slotmesh.queuemodel import (ModelError, TrafficSpec,
                                  acceptance_probability, arrival_pmf,
                                  build_chain, expected_arrivals_per_slotframe)
@@ -38,7 +39,7 @@ def test_pmf_certain_single_packet():
     assert arrivals[0, 0] == 0.0
     chain = build_chain(1, 1, (), TrafficSpec((0.0,), (1.0,)))
     # the tail column of the empty queue's row holds P(A >= 1)
-    assert chain.blocks[0, 0, 1] == 1.0
+    assert slot_blocks(chain)[0, 0, 1] == 1.0
 
 
 def test_pmf_mixture_value():
@@ -63,7 +64,7 @@ def test_pmf_mixture_monte_carlo():
 def test_tail_zero_is_one():
     spec = TrafficSpec((2.0,), (0.3,))
     # the full queue's row ends in P(A >= 0)
-    assert build_chain(3, 1, (), spec).blocks[0, 3, 3] == 1.0
+    assert slot_blocks(build_chain(3, 1, (), spec))[0, 3, 3] == 1.0
 
 
 @given(st.floats(min_value=0.0, max_value=4.0),
@@ -74,7 +75,7 @@ def test_tail_is_complement_of_pmf_sum(lam, prob, k):
     chain = build_chain(12, 1, (), TrafficSpec((lam,), (prob,)))
     head = sum(arrival_pmf([lam], [prob], 13)[0, :k])
     # without a departure, row K - k of a block ends in P(A >= k)
-    tail = chain.blocks[0, 12 - k, 12]
+    tail = slot_blocks(chain)[0, 12 - k, 12]
     assert tail == pytest.approx(1.0 - head, abs=1e-12)
 
 
@@ -104,7 +105,7 @@ def test_tails_and_room_table_match_long_double():
         rates, probs = rng.uniform(0, 8, length), rng.uniform(0, 1, length)
         chain = build_chain(capacity, length, (),
                             TrafficSpec(tuple(rates), tuple(probs)))
-        count = capacity + 1
+        blocks, count = slot_blocks(chain), capacity + 1
         rooms = np.arange(count)
         # room r as a one-slot chain at level K - r; dividing by an offered
         # 128 and multiplying back is exact
@@ -114,7 +115,7 @@ def test_tails_and_room_table_match_long_double():
             tails = _long_tails(rates[i], probs[i], count)
             # without a departure, row K - r of a block ends in P(A >= r)
             worst_tail = max(worst_tail, float(np.abs(
-                chain.blocks[i, ::-1, -1] - tails).max()))
+                blocks[i, ::-1, -1] - tails).max()))
             rows = np.broadcast_to(chain.rows[i], (count, 1, count))
             room = 128.0 * acceptance_probability(grid, rows,
                                                   np.full(count, 128.0))
@@ -155,9 +156,7 @@ def test_expected_arrivals_matches_sampling():
     assert abs(expected_arrivals_per_slotframe(spec) - totals.mean()) < 3 * se
 
 
-_SCIPY_PROBE = """
-import json, os, sys, tempfile
-sys.modules["scipy"] = None  # every scipy import now raises ImportError
+_RUNTIME_WORK = """
 import slotmesh
 from slotmesh import cli
 topology = slotmesh.concentric_topology(1)
@@ -181,20 +180,43 @@ with tempfile.TemporaryDirectory() as tmp:
                    "topology": {"rings": 1}}, f)
     out = os.path.join(tmp, "out.csv")
     assert cli.main(["sweep", "--spec", spec, "--out", out]) == 0
-print("ok")
 """
+
+
+def _runtime_probe(before: str, after: str) -> list[str]:
+    """The words printed by a fresh interpreter, ``src/`` on its path, that
+    runs ``before``, the evaluation, validation, simulation and sweep
+    above, then ``after``."""
+    src = str(Path(slotmesh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "\n".join(["import json, os, sys, tempfile", before,
+                      _RUNTIME_WORK, after])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
 
 
 def test_import_does_not_load_scipy_stats():
     # scipy takes about half a second to import; evaluation, validation,
     # simulation and the CLI need only numpy, so they must run with every
     # scipy import blocked
-    src = str(Path(slotmesh.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ok"]
+    assert _runtime_probe(
+        'sys.modules["scipy"] = None  # every scipy import now raises '
+        'ImportError', 'print("ok")') == ["ok"]
+
+
+def test_runtime_loads_numpy_only():
+    # the test modules import scipy themselves, so only a fresh process
+    # shows what the package loads: of the installed packages, numpy alone
+    third_party = _runtime_probe("import site\nbefore = set(sys.modules)", """
+sites = tuple(site.getsitepackages() + [site.getusersitepackages()])
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+print(*sorted({name.split(".")[0] for name, module in sys.modules.items()
+               if name not in before
+               and (getattr(module, "__file__", None) or "").startswith(sites)}))
+""")
+    assert third_party == ["numpy"]
 
 
 def _lgamma_poisson(lam, k):
