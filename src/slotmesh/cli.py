@@ -320,7 +320,7 @@ def cmd_simulate(args):
         for metric in SIM_METRICS:
             s = summaries[metric]
             atol = step if metric == "pdr_outer_mean" else 1e-9
-            inside = ("n/a" if np.count_nonzero(~np.isnan(s.per_run)) < 2
+            inside = ("n/a" if math.isnan(s.ci_low)
                       else "yes" if s.contains(model[metric], atol) else "no")
             print(f"{metric}: model={model[metric]:.6g} "
                   f"ci=[{s.ci_low:.6g}, {s.ci_high:.6g}] inside CI: {inside}")

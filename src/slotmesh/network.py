@@ -1,13 +1,14 @@
 """Multi-hop composition of per-node queue models.
 
 Every node of a data-collection tree gets its own queue chain. Forwarded
-traffic couples the chains: the probability that node ``n`` receives a
-packet in reception slot ``i`` equals the transmission probability of the
-transmitting child in that slot, optionally reduced by a per-link packet
-error ratio. Because data only flows toward the sink, evaluating children
-before parents resolves all couplings in one pass without fixed-point
-iteration. The nodes of one depth depend only on deeper nodes, so each
-level, deepest first, is evaluated as one stack of chains.
+traffic couples the chains: the probability that a node's parent receives
+a packet in one of the node's transmission slots equals the node's
+transmission probability in that slot, optionally reduced by a per-link
+packet error ratio. Because data only flows toward the sink, evaluating
+children before parents resolves all couplings in one pass without
+fixed-point iteration. The tree's levels (``Topology.levels``) are
+evaluated deepest first, each as one stack of chains, and each solved
+node hands its transmission probabilities to its parent.
 
 A :class:`NetworkScenario` is checked once, when it is built, so the model
 and the simulator accept the same scenarios.
@@ -127,35 +128,29 @@ def evaluate_network(scenario: NetworkScenario, *,
     capacity = scenario.queue_capacity
     length = schedule.slotframe_length
     n_nodes = topology.node_count
-    depths = [topology.depth(n) for n in range(n_nodes)]
-    if variant == "md1k" and max(depths) > 1:
+    levels = topology.levels
+    if variant == "md1k" and len(levels) > 2:
         raise NetworkModelError(
             "the md1k variant has no slot structure and cannot model "
             "forwarding; it is limited to single-hop topologies")
 
-    tx_prob = np.zeros((n_nodes, length))
     rx_prob = np.zeros((n_nodes, length))
     metrics: list[NodeMetrics | None] = [None] * n_nodes
 
-    for depth in range(max(depths), -1, -1):
-        level = [n for n in range(n_nodes) if depths[n] == depth]
-        for n in level:
-            for i in schedule.rx_slots[n]:
-                source = schedule.counterpart[n][i]
-                per = scenario.link_per.get((source, n), 0.0)
-                rx_prob[n, i] = tx_prob[source, i] * (1.0 - per)
-        if depth == 0:
-            break  # the sink consumes its packets
+    for level in reversed(levels[1:]):
         rates = np.full((len(level), length), float(scenario.generation_rate))
         try:
             solved = _variant_stack(variant, capacity, length,
                                     [schedule.tx_slots[n] for n in level],
-                                    rates, rx_prob[level])
+                                    rates, rx_prob[list(level)])
         except (ModelError, StationaryError) as exc:
             raise NetworkModelError(f"node {level[exc.index]}: {exc}") from exc
         for n, node in zip(level, solved):
             metrics[n] = node
-            tx_prob[n] = node.tx_probability
+            p = topology.parents[n]
+            per = scenario.link_per.get((n, p), 0.0)
+            for i in schedule.tx_slots[n]:
+                rx_prob[p, i] = node.tx_probability[i] * (1.0 - per)
 
     sink_arrivals = float(rx_prob[topology.ROOT].sum())
     sink_marginals = np.zeros(capacity + 1)
@@ -171,12 +166,11 @@ def evaluate_network(scenario: NetworkScenario, *,
 
     delivery = np.ones(n_nodes)
     delay = np.zeros(n_nodes)
-    for n in sorted(range(n_nodes), key=lambda m: depths[m]):
-        if n == topology.ROOT:
-            continue
-        p = topology.parents[n]
-        delivery[n] = delivery[p] * metrics[n].acceptance
-        delay[n] = delay[p] + metrics[n].expected_delay_slots
+    for level in levels[1:]:
+        for n in level:
+            p = topology.parents[n]
+            delivery[n] = delivery[p] * metrics[n].acceptance
+            delay[n] = delay[p] + metrics[n].expected_delay_slots
 
     return NetworkResult(
         scenario=scenario,
@@ -190,9 +184,7 @@ def evaluate_network(scenario: NetworkScenario, *,
 def max_depth_nodes(topology: Topology) -> tuple[int, ...]:
     """Nodes at maximum hop distance from the sink (the outer ring of a
     concentric network)."""
-    depths = [topology.depth(n) for n in range(topology.node_count)]
-    top = max(depths)
-    return tuple(n for n, d in enumerate(depths) if d == top)
+    return topology.levels[-1]
 
 
 def concentric_topology(rings: int) -> Topology:

@@ -115,11 +115,16 @@ class Topology:
     endpoint can disturb a reception at the other). ``parents`` encodes a
     routing tree rooted at node 0, the sink. The constructor verifies the
     tree shape and that every parent link is also a radio link.
+
+    ``levels`` groups the nodes by hop distance from the sink: the sink
+    first, ascending ids within a level. The one pass that builds it is
+    also the cycle check.
     """
 
     node_count: int
     edges: frozenset[tuple[int, int]]
     parents: tuple[int | None, ...]
+    levels: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _neighbor_sets: tuple[frozenset[int], ...] = field(init=False, repr=False)
@@ -149,6 +154,7 @@ class Topology:
             raise ScheduleError("parents must have one entry per node")
         if parents[self.ROOT] is not None:
             raise ScheduleError("root (node 0) must have no parent")
+        children = [[] for _ in range(self.node_count)]
         for n, p in enumerate(parents):
             if n == self.ROOT:
                 continue
@@ -158,20 +164,22 @@ class Topology:
                 raise ScheduleError(f"node {n}: node cannot be its own parent")
             if not self.in_range(p, n):
                 raise ScheduleError(f"node {n}: parent {p} is not within radio range")
-        # every node must reach the root without cycles
-        for n in range(self.node_count):
-            seen = set()
-            v = n
-            while v != self.ROOT:
-                if v in seen:
-                    raise ScheduleError(f"parent pointers contain a cycle through node {v}")
+            children[p].append(n)
+        object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        # one pass down the tree; a node it never reaches lies on or behind
+        # a parent cycle, named where the walk from the smallest one repeats
+        levels, level = [], (self.ROOT,)
+        while level:
+            levels.append(level)
+            level = tuple(sorted(c for n in level for c in children[n]))
+        unreached = set(range(self.node_count)).difference(*levels)
+        if unreached:
+            v, seen = min(unreached), set()
+            while v not in seen:
                 seen.add(v)
                 v = parents[v]
-        children = [[] for _ in range(self.node_count)]
-        for n, p in enumerate(parents):
-            if p is not None:
-                children[p].append(n)
-        object.__setattr__(self, "_children", tuple(tuple(sorted(c)) for c in children))
+            raise ScheduleError(f"parent pointers contain a cycle through node {v}")
+        object.__setattr__(self, "levels", tuple(levels))
 
     def in_range(self, v: int, w: int) -> bool:
         """Whether a transmission of ``v`` can disturb a reception at ``w``."""
@@ -186,13 +194,6 @@ class Topology:
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self._neighbors[node]
-
-    def depth(self, node: int) -> int:
-        d = 0
-        while node != self.ROOT:
-            node = self.parents[node]
-            d += 1
-        return d
 
 
 @dataclass(frozen=True)

@@ -79,13 +79,11 @@ class MetricSummary:
     def from_runs(cls, values):
         values = [float(v) for v in values]
         clean = [v for v in values if not math.isnan(v)]
-        if not clean:
-            return cls(math.nan, math.nan, math.nan, tuple(values))
+        if len(clean) < 2:  # no interval from fewer than two values
+            mean = clean[0] if clean else math.nan
+            return cls(mean, math.nan, math.nan, tuple(values))
         mean = float(np.mean(clean))
-        if len(clean) > 1:
-            half = Z95 * float(np.std(clean, ddof=1)) / math.sqrt(len(clean))
-        else:
-            half = 0.0
+        half = Z95 * float(np.std(clean, ddof=1)) / math.sqrt(len(clean))
         return cls(mean, mean - half, mean + half, tuple(values))
 
     def contains(self, value: float, atol: float = 1e-9) -> bool:
@@ -425,7 +423,8 @@ def simulate_network(scenario: NetworkScenario, config: SimConfig) -> NetworkSim
     n_nodes = scenario.topology.node_count
     if scenario.generation_rate == 0:
         delivery = np.ones((config.runs, n_nodes))
-        delay = np.zeros((config.runs, n_nodes))
+        delay = np.full((config.runs, n_nodes), math.nan)
+        delay[:, 0] = 0.0  # no deliveries, no delay; a run sets the sink to 0
         counts = tuple(RunCounts(0, 0, 0, 0, 0) for _ in range(config.runs))
         return NetworkSimStats(delivery=delivery, delay_slots=delay,
                                throughput_pps=np.zeros(config.runs),

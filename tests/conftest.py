@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,18 @@ def invalid_networks():
                  channel=({1: 11, 2: 11}, {1: 11}, {2: 11})),
         Topology(3, frozenset({(0, 1), (1, 2), (0, 2)}), (None, 0, 1)))
     return {"collision": collision, "past_parent": past_parent}
+
+
+def random_tree(seed, n):
+    """A routing tree on ``n`` nodes with shuffled ids and ``n`` extra
+    random radio links."""
+    rng = random.Random(seed)
+    ids = [0] + rng.sample(range(1, n), n - 1)
+    parents = [None] * n
+    for k in range(1, n):
+        parents[ids[k]] = ids[rng.randrange(k)]
+    edges = {(min(v, p), max(v, p)) for v, p in enumerate(parents) if v}
+    for _ in range(n):
+        v, w = sorted(rng.sample(range(n), 2))
+        edges.add((v, w))
+    return Topology(n, frozenset(edges), tuple(parents))

@@ -106,6 +106,8 @@ def test_build_chain_validation():
         build_chain(2, 3, (5,), TrafficSpec.constant(3))
     with pytest.raises(ModelError):
         build_chain(2, 3, (0,), TrafficSpec.constant(4))
+    with pytest.raises(ModelError, match="slotframe_length"):
+        build_chain(3, 0, (), TrafficSpec.constant(1))
 
 
 @given(st.integers(min_value=1, max_value=6),

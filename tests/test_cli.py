@@ -219,6 +219,20 @@ def test_schedule_generation(tmp_path, capsys):
                  "--topology", str(topo_out)]) == 0
 
 
+@pytest.mark.parametrize("algorithm", ["sbd", "ta-sc", "ta-mc"])
+def test_schedule_from_topology_file_matches_rings(tmp_path, capsys,
+                                                   algorithm):
+    rings, from_file = tmp_path / "rings.json", tmp_path / "file.json"
+    topo = tmp_path / "topo.json"
+    assert main(["schedule", "--algorithm", algorithm, "--rings", "2",
+                 "--out", str(rings), "--topology-out", str(topo)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["schedule", "--algorithm", algorithm, "--topology", str(topo),
+                 "--out", str(from_file)]) == 0
+    assert capsys.readouterr().out == printed
+    assert from_file.read_bytes() == rings.read_bytes()
+
+
 def test_schedule_prints_ta_sc_length(tmp_path, capsys):
     out = tmp_path / "tasc.json"
     main(["schedule", "--algorithm", "ta-sc", "--rings", "2", "--out", str(out)])
@@ -506,6 +520,21 @@ def test_compare_model_verdicts_at_zero_width(tmp_path, capsys, runs):
     else:
         assert "ci=[1, 1]" in lines[0]
         assert verdicts["pdr_outer_mean"] == "yes"
+
+
+def test_single_run_has_no_ci(tmp_path):
+    # one run gives a mean but no 95 % interval, so the bounds are NaN
+    sched_path, topo_path = _sbd_files(tmp_path, 0.01)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--schedule", sched_path,
+                 "--topology", topo_path, "--rate", "0.02", "--queue", "4",
+                 "--seed", "1", "--runs", "1", "--packets", "50",
+                 "--warmup-slots", "500", "--out", str(out)]) == 0
+    agg = [r for r in _read_csv(out)[1:] if r[0] == "agg"]
+    assert [r[1] for r in agg] == ["pdr_outer_mean", "delay_outer_mean_s",
+                                   "throughput_pps"]
+    for _, _, mean, low, high in agg:
+        assert mean != "nan" and low == high == "nan"
 
 
 def test_simulate_deterministic(tmp_path):

@@ -326,6 +326,19 @@ def test_non_integer_capacity_rejected(capacity):
                         queue_capacity=capacity)
 
 
+@pytest.mark.parametrize("per", [-0.1, 1.5, math.nan])
+def test_invalid_per_rejected(per):
+    sched, topo = _two_node()
+    with pytest.raises(NetworkModelError, match="PER of link"):
+        NetworkScenario(schedule=sched, topology=topo, generation_rate=0.01,
+                        queue_capacity=4, link_per={(1, 0): per})
+
+
+def test_concentric_needs_a_ring():
+    with pytest.raises(NetworkModelError, match="rings"):
+        concentric_topology(0)
+
+
 def test_concentric_node_counts():
     assert concentric_topology(1).node_count == 7
     assert concentric_topology(2).node_count == 19

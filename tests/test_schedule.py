@@ -3,6 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_tree
+from slotmesh.network import concentric_topology
 from slotmesh.schedule import (Schedule, ScheduleError, ScheduleFormatError,
                                Topology, active_links, disturbing_links,
                                load_schedule, load_topology, save_schedule,
@@ -142,6 +144,16 @@ def test_schedule_constructor_rejects_malformed():
         Schedule(node_count=2, slotframe_length=2, tx_slots=((), (0,)),
                  rx_slots=((0,), ()), counterpart=({}, {0: 0}),
                  channel=({0: 11}, {0: 11}))
+    with pytest.raises(ScheduleError, match="node_count"):
+        Schedule(node_count=0, slotframe_length=2, tx_slots=(), rx_slots=(),
+                 counterpart=(), channel=())
+    with pytest.raises(ScheduleError, match="channel must have one entry"):
+        Schedule(node_count=2, slotframe_length=2, tx_slots=((), ()),
+                 rx_slots=((), ()), counterpart=({}, {}), channel=({},))
+    with pytest.raises(ScheduleError, match="invalid peer 2"):
+        Schedule(node_count=2, slotframe_length=2, tx_slots=((), (0,)),
+                 rx_slots=((0,), ()), counterpart=({0: 1}, {0: 2}),
+                 channel=({0: 11}, {0: 11}))
 
 
 def test_topology_rejects_broken_trees():
@@ -151,6 +163,52 @@ def test_topology_rejects_broken_trees():
         Topology(3, frozenset({(1, 2), (0, 1)}), (None, 2, 1))  # cycle
     with pytest.raises(ScheduleError):
         Topology(2, frozenset({(0, 1)}), (0, 0))  # root with a parent
+    with pytest.raises(ScheduleError, match="invalid edge"):
+        Topology(2, frozenset({(0, 2)}), (None, 0))
+    with pytest.raises(ScheduleError, match="invalid parent 2"):
+        Topology(2, frozenset({(0, 1)}), (None, 2))
+    with pytest.raises(ScheduleError, match="cannot be its own parent"):
+        Topology(2, frozenset({(0, 1)}), (None, 1))
+
+
+@pytest.mark.parametrize("parents, node", [
+    ((None, 2, 1), 1),
+    # node 2 hangs behind the cycle 3 -> 4 -> 3, which its walk enters at 3
+    ((None, 0, 3, 4, 3), 3),
+    # nodes 1 and 6 reach the sink; the walk from 2 returns to 2
+    ((None, 0, 5, 2, 3, 4, 1), 2),
+])
+def test_topology_names_the_cycle(parents, node):
+    edges = frozenset((n, p) for n, p in enumerate(parents)
+                      if p is not None and p != n)
+    with pytest.raises(ScheduleError, match=(
+            f"^parent pointers contain a cycle through node {node}$")):
+        Topology(len(parents), edges, parents)
+
+
+def _brute_force_levels(topology):
+    depths = []
+    for n in range(topology.node_count):
+        d = 0
+        while n != Topology.ROOT:
+            n, d = topology.parents[n], d + 1
+        depths.append(d)
+    return tuple(tuple(n for n, d in enumerate(depths) if d == level)
+                 for level in range(max(depths) + 1))
+
+
+def test_levels_group_nodes_by_depth():
+    topologies = [concentric_topology(rings) for rings in range(1, 9)]
+    topologies += [random_tree(seed, 2 + seed) for seed in range(50)]
+    for topo in topologies:
+        assert topo.levels == _brute_force_levels(topo)
+
+
+def test_long_path_builds():
+    count = 5000
+    topo = Topology(count, frozenset((n, n + 1) for n in range(count - 1)),
+                    (None, *range(count - 1)))
+    assert topo.levels == tuple((n,) for n in range(count))
 
 
 def test_schedule_roundtrip(tmp_path, three_node_schedule):

@@ -1,10 +1,10 @@
 import hashlib
 import itertools
 import json
-import random
 
 import pytest
 
+from conftest import random_tree
 from slotmesh.network import concentric_topology
 from slotmesh.schedule import (Schedule, Topology, active_links,
                                schedule_to_dict, validate)
@@ -211,21 +211,6 @@ def test_shared_slot_left_free():
     for alg in ("sbd", "ta-sc", "ta-mc"):
         sched = generate(alg, topo)
         assert active_links(sched, 0) == set()
-
-
-def random_tree(seed, n):
-    """A routing tree on ``n`` nodes with shuffled ids and ``n`` extra
-    random radio links."""
-    rng = random.Random(seed)
-    ids = [0] + rng.sample(range(1, n), n - 1)
-    parents = [None] * n
-    for k in range(1, n):
-        parents[ids[k]] = ids[rng.randrange(k)]
-    edges = {(min(v, p), max(v, p)) for v, p in enumerate(parents) if v}
-    for _ in range(n):
-        v, w = sorted(rng.sample(range(n), 2))
-        edges.add((v, w))
-    return Topology(n, frozenset(edges), tuple(parents))
 
 
 GOLDEN_TOPOLOGIES = {

@@ -18,8 +18,18 @@ def test_metric_summary_brackets_mean():
     s = MetricSummary.from_runs([1.0, 2.0, 3.0])
     assert s.ci_low <= s.mean <= s.ci_high
     assert s.mean == pytest.approx(2.0)
+    # one value gives a mean but no interval
     single = MetricSummary.from_runs([4.0])
-    assert single.ci_low == single.ci_high == 4.0
+    assert single.mean == 4.0
+    assert math.isnan(single.ci_low) and math.isnan(single.ci_high)
+
+
+@pytest.mark.parametrize("length, tx_slots, match", [
+    (4, (1,), "traffic spec length"), (3, (), "never transmits")])
+def test_queue_sim_rejects_bad_input(length, tx_slots, match):
+    with pytest.raises(SimulationError, match=match):
+        simulate_queue(4, 3, tx_slots, TrafficSpec.constant(length, rate=0.1),
+                       SimConfig(seed=0, runs=1, packets=10))
 
 
 def test_queue_sim_no_traffic():
@@ -285,6 +295,23 @@ def test_network_sim_zero_rate():
     stats = simulate_network(scenario, SimConfig(seed=0, runs=2, packets=10))
     assert np.all(stats.throughput_pps == 0.0)
     assert np.all(stats.delivery == 1.0)
+    # nothing was delivered, so no node but the sink has a delay
+    assert np.all(stats.delay_slots[:, 0] == 0.0)
+    assert np.all(np.isnan(stats.delay_slots[:, 1:]))
+
+
+def test_network_sim_sink_only():
+    # nothing to track: delivery 1, no throughput, and an empty ledger
+    topo = Topology(1, frozenset(), (None,))
+    sched = Schedule(node_count=1, slotframe_length=2, tx_slots=((),),
+                     rx_slots=((),), counterpart=({},), channel=({},))
+    scenario = NetworkScenario(schedule=sched, topology=topo,
+                               generation_rate=0.1, queue_capacity=4)
+    stats = simulate_network(scenario, SimConfig(seed=0, runs=2, packets=10,
+                                                 warmup_slots=5))
+    assert np.all(stats.delivery == 1.0)
+    assert np.all(stats.throughput_pps == 0.0)
+    assert all(c.conserved() and c.generated == 0 for c in stats.counts)
 
 
 def test_network_sim_delay_covers_hops():
