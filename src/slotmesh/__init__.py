@@ -7,7 +7,7 @@ discrete-event simulation make the results independently checkable.
 """
 
 from .network import (NetworkModelError, NetworkResult, NetworkScenario,
-                      concentric_topology, evaluate_network, max_depth_nodes)
+                      concentric_topology, evaluate_network)
 from .queuemodel import (ModelError, NodeMetrics, TrafficSpec, build_chain,
                          evaluate_node, expected_arrivals_per_slotframe)
 from .schedule import (CHANNELS_2_4GHZ, ConflictReport, Schedule,

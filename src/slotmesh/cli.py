@@ -23,7 +23,7 @@ import numpy as np
 
 from . import simulate as sim
 from .network import (NetworkModelError, NetworkScenario, concentric_topology,
-                      evaluate_network, max_depth_nodes)
+                      evaluate_network)
 from .queuemodel import VARIANTS, ModelError
 from .schedule import (ScheduleError, ScheduleFormatError, _ints,
                        _is_number, _read_json, load_schedule, load_topology,
@@ -183,7 +183,7 @@ def _sweep_grid(spec):
 def _outer_ring_means(result):
     """The SIM_METRICS of a model result: means over the outer ring and
     the sink throughput."""
-    outer = list(max_depth_nodes(result.scenario.topology))
+    outer = list(result.scenario.topology.levels[-1])
     return {
         "pdr_outer_mean": float(result.delivery_ratio[outer].mean()),
         "delay_outer_mean_s": float(result.delay_seconds[outer].mean()),
@@ -294,7 +294,7 @@ def cmd_simulate(args):
                            packets=args.packets,
                            warmup_slots=args.warmup_slots)
     stats = sim.simulate_network(scenario, config)
-    outer = list(max_depth_nodes(scenario.topology))
+    outer = list(scenario.topology.levels[-1])
     summaries = {
         "pdr_outer_mean": stats.delivery_summary(outer),
         "delay_outer_mean_s": sim.MetricSummary.from_runs(

@@ -80,15 +80,14 @@ class NetworkScenario:
 
     @classmethod
     def from_interval(cls, schedule, topology, interval_s: float,
-                      queue_capacity: int, link_per=None):
+                      queue_capacity: int):
         """Build a scenario from a mean packet generation interval in
         seconds; the rate is slot_duration / interval."""
         if not interval_s > 0:
             raise NetworkModelError("interval must be positive")
         return cls(schedule=schedule, topology=topology,
                    generation_rate=schedule.slot_duration / interval_s,
-                   queue_capacity=queue_capacity,
-                   link_per=link_per or {})
+                   queue_capacity=queue_capacity)
 
 
 @dataclass(frozen=True)
@@ -179,12 +178,6 @@ def evaluate_network(scenario: NetworkScenario, *,
         delay_slots=delay,
         rx_probability=rx_prob,
     )
-
-
-def max_depth_nodes(topology: Topology) -> tuple[int, ...]:
-    """Nodes at maximum hop distance from the sink (the outer ring of a
-    concentric network)."""
-    return topology.levels[-1]
 
 
 def concentric_topology(rings: int) -> Topology:

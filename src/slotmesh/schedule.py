@@ -116,17 +116,19 @@ class Topology:
     routing tree rooted at node 0, the sink. The constructor verifies the
     tree shape and that every parent link is also a radio link.
 
-    ``levels`` groups the nodes by hop distance from the sink: the sink
-    first, ascending ids within a level. The one pass that builds it is
-    also the cycle check.
+    ``children[n]`` and ``neighbors[n]`` list a node's routing children
+    and radio neighbours in ascending id. ``levels`` groups the nodes by
+    hop distance from the sink: the sink first, ascending ids within a
+    level, so ``levels[-1]`` is the outer ring. The one pass that builds
+    it is also the cycle check.
     """
 
     node_count: int
     edges: frozenset[tuple[int, int]]
     parents: tuple[int | None, ...]
     levels: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    children: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _neighbor_sets: tuple[frozenset[int], ...] = field(init=False, repr=False)
 
     ROOT = 0
@@ -147,7 +149,7 @@ class Topology:
             nbrs[v].add(w)
             nbrs[w].add(v)
         object.__setattr__(self, "_neighbor_sets", tuple(map(frozenset, nbrs)))
-        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(s)) for s in nbrs))
+        object.__setattr__(self, "neighbors", tuple(tuple(sorted(s)) for s in nbrs))
         parents = tuple(self.parents)
         object.__setattr__(self, "parents", parents)
         if len(parents) != self.node_count:
@@ -165,7 +167,7 @@ class Topology:
             if not self.in_range(p, n):
                 raise ScheduleError(f"node {n}: parent {p} is not within radio range")
             children[p].append(n)
-        object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        object.__setattr__(self, "children", tuple(map(tuple, children)))
         # one pass down the tree; a node it never reaches lies on or behind
         # a parent cycle, named where the walk from the smallest one repeats
         levels, level = [], (self.ROOT,)
@@ -189,12 +191,6 @@ class Topology:
         # a node id the topology lacks has no neighbours
         return self._neighbor_sets[node] if 0 <= node < self.node_count else frozenset()
 
-    def children(self, node: int) -> tuple[int, ...]:
-        return self._children[node]
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self._neighbors[node]
-
 
 @dataclass(frozen=True)
 class ConflictReport:
@@ -207,10 +203,6 @@ class ConflictReport:
 
     channel_collisions: tuple[tuple[int, Link, Link], ...]
     invariant_violations: tuple[str, ...]
-
-    @property
-    def conflict_free(self) -> bool:
-        return not self.channel_collisions
 
     @property
     def ok(self) -> bool:

@@ -35,8 +35,8 @@ class _MessageQueue:
         self._pending = deque()
         self.trace = trace
 
-    def send(self, kind, src, dst, payload=(), record=True):
-        if self.trace is not None and record:
+    def send(self, kind, src, dst, payload=()):
+        if self.trace is not None:
             rendered = " ".join(str(p) for p in payload)
             self.trace.append(f"{kind} {src}->{dst}" + (f" {rendered}" if rendered else ""))
         self._pending.append((kind, src, dst, payload))
@@ -45,12 +45,6 @@ class _MessageQueue:
         while self._pending:
             kind, src, dst, payload = self._pending.popleft()
             handler(kind, src, dst, payload)
-
-
-def _child_walk(topology: Topology) -> list:
-    """One iterator over the children of each node, in ascending id: the
-    depth-first token's next child at ``n`` is ``next(walk[n], None)``."""
-    return [iter(topology.children(n)) for n in range(topology.node_count)]
 
 
 class _Cells:
@@ -92,7 +86,7 @@ def proper_descendants(topology: Topology, trace=None) -> tuple[int, ...]:
     (the initial activation of the root is not counted).
     """
     gamma = [0] * topology.node_count
-    children = _child_walk(topology)
+    children = [iter(c) for c in topology.children]
     queue = _MessageQueue(trace)
 
     def dispatch(kind, src, n, payload):
@@ -104,7 +98,7 @@ def proper_descendants(topology: Topology, trace=None) -> tuple[int, ...]:
         elif n != topology.ROOT:
             queue.send("backtrack", n, topology.parents[n], (gamma[n] + 1,))
 
-    queue.send("forward", -1, topology.ROOT, record=False)
+    dispatch("forward", -1, topology.ROOT, ())
     queue.run(dispatch)
     if gamma[topology.ROOT] != topology.node_count - 1:
         raise SchedulerError("descendant pass did not cover the whole tree")
@@ -140,7 +134,7 @@ def _ta_single(topology, trace, slot_duration) -> Schedule:
     gamma = proper_descendants(topology)
     length = 1 + sum(g + 1 for g in gamma[1:])
     cells = _Cells(topology.node_count)
-    children = _child_walk(topology)
+    children = [iter(c) for c in topology.children]
     queue = _MessageQueue(trace)
 
     def dispatch(kind, src, n, payload):
@@ -158,7 +152,7 @@ def _ta_single(topology, trace, slot_duration) -> Schedule:
                 queue.send("assign_rx", n, p, (i,))
             queue.send("track", n, p, (z + gamma[n] + 1,))
 
-    queue.send("track", -1, topology.ROOT, (1,), record=False)
+    dispatch("track", -1, topology.ROOT, (1,))
     queue.run(dispatch)
     return cells.schedule(length, slot_duration)
 
@@ -181,7 +175,7 @@ def _ta_multi(topology, trace, slot_duration) -> Schedule:
     cells = _Cells(topology.node_count)
     # per node: slot -> channels blocked there
     blocked = [{} for _ in range(topology.node_count)]
-    children = _child_walk(topology)
+    children = [iter(c) for c in topology.children]
     queue = _MessageQueue(trace)
 
     def pick_channel(n, i):
@@ -194,7 +188,7 @@ def _ta_multi(topology, trace, slot_duration) -> Schedule:
             f"all {len(CHANNELS_2_4GHZ)} channels are blocked")
 
     def announce(n, peer, i, c):
-        for v in topology.neighbors(n):
+        for v in topology.neighbors[n]:
             if v != peer:
                 queue.send("block", n, v, (i, c, True))
 
@@ -231,7 +225,7 @@ def _ta_multi(topology, trace, slot_duration) -> Schedule:
             if forward and n != topology.ROOT:
                 queue.send("block", n, topology.parents[n], (i, c, False))
 
-    queue.send("track", -1, topology.ROOT, record=False)
+    dispatch("track", -1, topology.ROOT, ())
     queue.run(dispatch)
     return cells.schedule(length, slot_duration)
 

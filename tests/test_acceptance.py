@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from slotmesh.network import (NetworkScenario, concentric_topology,
-                              evaluate_network, max_depth_nodes)
+                              evaluate_network)
 from slotmesh.queuemodel import (TrafficSpec, build_chain, evaluate_node,
                                  expected_arrivals_per_slotframe)
 from slotmesh.schedule import active_links, validate
@@ -155,7 +155,7 @@ def test_multihop_model_vs_simulation():
     start = time.perf_counter()
     topology = concentric_topology(2)
     schedule = generate("sbd", topology)
-    outer = list(max_depth_nodes(topology))
+    outer = list(topology.levels[-1])
     config = SimConfig(seed=7, runs=5, packets=100)  # default 15-min warm-up
     for rate in (0.004, 0.008, 0.010, 0.012, 0.016, 0.018):
         scenario = NetworkScenario(schedule=schedule, topology=topology,

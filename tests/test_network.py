@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from slotmesh.network import (NetworkModelError, NetworkScenario,
-                              concentric_topology, evaluate_network,
-                              max_depth_nodes)
+                              concentric_topology, evaluate_network)
 from slotmesh.queuemodel import (TrafficSpec, evaluate_node,
                                  expected_arrivals_per_slotframe)
 from slotmesh.schedule import Schedule, Topology, validate
@@ -348,12 +347,12 @@ def test_concentric_node_counts():
 def test_concentric_star_for_one_ring():
     topo = concentric_topology(1)
     assert all(topo.parents[n] == 0 for n in range(1, 7))
-    assert max_depth_nodes(topo) == tuple(range(1, 7))
+    assert topo.levels[-1] == tuple(range(1, 7))
 
 
 def test_concentric_balanced_two_rings():
     topo = concentric_topology(2)
-    assert sorted(len(topo.children(n)) for n in range(1, 7)) == [2] * 6
-    assert max_depth_nodes(topo) == tuple(range(7, 19))
+    assert sorted(len(topo.children[n]) for n in range(1, 7)) == [2] * 6
+    assert topo.levels[-1] == tuple(range(7, 19))
     for n in range(7, 19):
         assert topo.in_range(topo.parents[n], n)

@@ -81,7 +81,7 @@ def test_disturbing_never_contains_query_link():
 def test_validate_example_schedule(three_node_schedule, path_topology):
     report = validate(three_node_schedule, path_topology)
     assert report.ok
-    assert report.conflict_free
+    assert not report.channel_collisions
     for slot in range(three_node_schedule.slotframe_length):
         for link in active_links(three_node_schedule, slot):
             assert disturbing_links(three_node_schedule, path_topology, slot,
@@ -92,7 +92,7 @@ def test_validate_reports_channel_collision():
     sched = _two_link_schedule(ch1=11, ch2=11)
     topo = _branch_topology(extra={(1, 4)})
     report = validate(sched, topo)
-    assert not report.conflict_free
+    assert report.channel_collisions
     assert len(report.channel_collisions) == 1
     slot, l1, l2 = report.channel_collisions[0]
     assert slot == 0 and {l1, l2} == {(2, 1), (4, 3)}
@@ -101,7 +101,7 @@ def test_validate_reports_channel_collision():
 def test_validate_frequency_diversity_resolves_conflict():
     sched = _two_link_schedule(ch1=11, ch2=12)
     topo = _branch_topology(extra={(1, 4)})
-    assert validate(sched, topo).conflict_free
+    assert not validate(sched, topo).channel_collisions
 
 
 def test_validate_reports_tx_rx_overlap():
@@ -127,7 +127,7 @@ def test_single_link_per_slot_validates_everywhere(three_node_schedule):
     # any schedule with at most one active link per slot is conflict-free
     # against every topology
     full = Topology(3, frozenset({(0, 1), (0, 2), (1, 2)}), (None, 0, 0))
-    assert validate(three_node_schedule, full).conflict_free
+    assert not validate(three_node_schedule, full).channel_collisions
 
 
 def test_schedule_constructor_rejects_malformed():

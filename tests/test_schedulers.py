@@ -15,7 +15,7 @@ from slotmesh.schedulers import (ALGORITHMS, ChannelExhaustionError,
 def subtree_sizes(topology):
     """Independent recursive count of proper descendants."""
     def count(n):
-        return sum(1 + count(c) for c in topology.children(n))
+        return sum(1 + count(c) for c in topology.children[n])
     return tuple(count(n) for n in range(topology.node_count))
 
 
@@ -34,8 +34,8 @@ def test_descendants_path():
     topo = path_topology(3)
     counts = proper_descendants(topo)
     assert counts == (2, 1, 0)
-    assert topo.children(0) == (1,) and counts[1] == 1
-    assert topo.children(1) == (2,) and counts[2] == 0
+    assert topo.children[0] == (1,) and counts[1] == 1
+    assert topo.children[1] == (2,) and counts[2] == 0
 
 
 def test_descendants_concentric_matches_recursive_oracle():
@@ -46,7 +46,7 @@ def test_descendants_concentric_matches_recursive_oracle():
         assert info[0] == topo.node_count - 1
         for n in range(topo.node_count):
             assert info[n] == sum(info[child] + 1
-                                  for child in topo.children(n))
+                                  for child in topo.children[n])
 
 
 def test_descendants_concentric_19():
