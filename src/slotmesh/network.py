@@ -3,10 +3,11 @@
 Every node of a data-collection tree gets its own queue chain. Forwarded
 traffic couples the chains: the probability that a node's parent receives
 a packet in one of the node's transmission slots equals the node's
-transmission probability in that slot, optionally reduced by a per-link
-packet error ratio. Because data only flows toward the sink, evaluating
-children before parents resolves all couplings in one pass without
-fixed-point iteration. The tree's levels (``Topology.levels``) are
+transmission probability in that slot, optionally reduced by the packet
+error ratio of the node's uplink; a packet lost there also counts against
+the node's delivery ratio. Because data only flows toward the sink,
+evaluating children before parents resolves all couplings in one pass
+without fixed-point iteration. The tree's levels (``Topology.levels``) are
 evaluated deepest first, each as one stack of chains, and each solved
 node hands its transmission probabilities to its parent.
 
@@ -36,8 +37,8 @@ class NetworkScenario:
 
     ``generation_rate`` is in packets per slot; every node except the sink
     (node 0) generates at this rate in every slot. ``link_per`` optionally
-    maps directed links ``(transmitter, receiver)`` to a static packet
-    error ratio.
+    maps routing uplinks ``(node, parent)`` to a static packet error
+    ratio.
 
     Construction raises :class:`NetworkModelError` unless the schedule
     validates against the topology, every transmission (the sink's
@@ -60,7 +61,12 @@ class NetworkScenario:
             raise NetworkModelError(
                 "queue_capacity must be a positive integer")
         object.__setattr__(self, "link_per", dict(self.link_per))
+        uplinks = set(enumerate(self.topology.parents[1:], start=1))
         for link, per in self.link_per.items():
+            if link not in uplinks:
+                raise NetworkModelError(
+                    f"link {link} of link_per is not a routing uplink "
+                    f"(node, parent)")
             if not 0.0 <= per <= 1.0:
                 raise NetworkModelError(f"PER of link {link} outside [0, 1]")
         report = validate(self.schedule, self.topology)
@@ -135,6 +141,10 @@ def evaluate_network(scenario: NetworkScenario, *,
 
     rx_prob = np.zeros((n_nodes, length))
     metrics: list[NodeMetrics | None] = [None] * n_nodes
+    # the share of a node's transmissions that reaches its parent
+    hop = np.ones(n_nodes)
+    for (n, _), per in scenario.link_per.items():
+        hop[n] = 1.0 - per
 
     for level in reversed(levels[1:]):
         rates = np.full((len(level), length), float(scenario.generation_rate))
@@ -147,9 +157,8 @@ def evaluate_network(scenario: NetworkScenario, *,
         for n, node in zip(level, solved):
             metrics[n] = node
             p = topology.parents[n]
-            per = scenario.link_per.get((n, p), 0.0)
             for i in schedule.tx_slots[n]:
-                rx_prob[p, i] = node.tx_probability[i] * (1.0 - per)
+                rx_prob[p, i] = node.tx_probability[i] * hop[n]
 
     sink_arrivals = float(rx_prob[topology.ROOT].sum())
     sink_marginals = np.zeros(capacity + 1)
@@ -168,7 +177,7 @@ def evaluate_network(scenario: NetworkScenario, *,
     for level in levels[1:]:
         for n in level:
             p = topology.parents[n]
-            delivery[n] = delivery[p] * metrics[n].acceptance
+            delivery[n] = delivery[p] * metrics[n].acceptance * hop[n]
             delay[n] = delay[p] + metrics[n].expected_delay_slots
 
     return NetworkResult(

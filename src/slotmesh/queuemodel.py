@@ -157,10 +157,24 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     _check_traffic(rates, probs)
     # one row per (chain, slot) pair
     rows = arrival_pmf(rates.ravel(), probs.ravel(), capacity + 1)
-    # the model's one complement: the mass at K and beyond, one minus the
-    # head summed in order
+    # the mass at K and beyond: one minus the head summed in order while
+    # that is at least 1/2; a smaller complement would be mostly the head's
+    # rounding noise, which the room table counts up to K times
     head = np.add.accumulate(rows[:, :-1], axis=1)[:, -1]
-    rows[:, -1] = np.maximum(1.0 - head, 0.0)
+    upper = head > 0.5
+    rows[~upper, -1] = 1.0 - head[~upper]
+    # there the upper sum from the top: P(A >= K) is the pmf at K plus
+    # P(Poisson = K) (p + sum over j >= 1 of prod_{i <= j} lam / (K + i)).
+    # A head above 1/2 means lam < K, where 12 sqrt(K + 1) terms leave
+    # less than 2^-53 of the sum (11.6 sqrt(K + 1) at lam = K = 4, the
+    # most any K from 1 to 16384 needs).
+    lam, p = rates.ravel()[upper], probs.ravel()[upper]
+    terms = math.ceil(12 * math.sqrt(capacity + 1))
+    steps = capacity + np.arange(1, terms + 1)
+    series = np.cumprod(lam[:, None] / steps, axis=1).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        at_cap = np.exp(capacity * np.log(lam) - math.lgamma(capacity + 1) - lam)
+    rows[upper, -1] += at_cap * (p + series)
     rows.flags.writeable = False
     return rows.reshape(*tau.shape, capacity + 1)
 

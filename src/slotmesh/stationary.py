@@ -3,12 +3,12 @@
 A queue chain of :mod:`slotmesh.queuemodel` comes here as ``(S, K + 1)``
 capped arrival rows and ``(S,)`` departures, one on transmission slots.
 Entry ``k < K`` of row ``i`` is the probability of ``k`` arrivals in slot
-``i``, and entry K, one minus the head, the mass at K and beyond: the
-model's only tail taken as a complement. Every tail ``P(A >= r)`` is a
-top sum of a capped row (:func:`_top_sums`), so small tails keep their
-size. The slot index only advances from ``i`` to ``i + 1``, so the chain
-is its S per-slot ``(K + 1) x (K + 1)`` blocks, built
-(:func:`_slot_blocks`) and read only here: block ``i`` holds the
+``i``, and entry K the mass at K and beyond: one minus the head where
+that is at least 1/2, the pmf's upper sum below it. Every tail
+``P(A >= r)`` is a top sum of a capped row (:func:`_top_sums`), so small
+tails keep their size. The slot index only advances from ``i`` to
+``i + 1``, so the chain is its S per-slot ``(K + 1) x (K + 1)`` blocks,
+built (:func:`_slot_blocks`) and read only here: block ``i`` holds the
 probabilities of moving from level ``q`` in slot ``i`` to each level in
 slot ``i + 1``. Without a departure, row ``q`` is the capped row moved
 ``q`` levels up, ending in ``P(A >= K - q)`` (:func:`_capped_blocks`). A

@@ -284,22 +284,52 @@ def test_levels_match_per_node_variants(algorithm):
                             err_msg=f"{variant} node {n} {field}")
 
 
+@pytest.mark.parametrize("per", [0.0, 0.3])
 @pytest.mark.parametrize("rings", [2, 3])
-def test_sink_flow_balance(rings):
-    # without link loss every accepted packet reaches the sink: arrivals
-    # there per slotframe equal the generated load times each node's PDR
+def test_sink_flow_balance(rings, per):
+    # a packet reaches the sink unless a queue drops it or an uplink loses
+    # it: arrivals there per slotframe equal the generated load times each
+    # node's PDR, which counts both
     topo = concentric_topology(rings)
+    uplinks = {(n, topo.parents[n]): per for n in range(1, topo.node_count)}
     for algorithm in ("sbd", "ta-sc", "ta-mc"):
         sched = generate(algorithm, topo)
         for rate in (0.004, 0.06):
             for capacity in (6, 16):
                 result = evaluate_network(NetworkScenario(
                     schedule=sched, topology=topo, generation_rate=rate,
-                    queue_capacity=capacity))
+                    queue_capacity=capacity, link_per=uplinks))
                 generated = rate * sched.slotframe_length
                 delivered = generated * result.delivery_ratio[1:].sum()
                 assert result.rx_probability[0].sum() == pytest.approx(
                     delivered, rel=1e-9, abs=0), (algorithm, rate, capacity)
+
+
+def test_light_load_accepts_everything():
+    # P(A >= 16) is about 1e-128 here; read as one minus the head it was
+    # 1.1e-16 of rounding noise, which the acceptance room table counted
+    # 16 times, and node 1 reported an acceptance of 1 + 1.8e-8
+    topo = concentric_topology(1)
+    result = evaluate_network(NetworkScenario(
+        schedule=generate("sbd", topo), topology=topo, generation_rate=1e-7,
+        queue_capacity=16))
+    for node in result.node_metrics:
+        assert node.acceptance == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ["sbd", "ta-sc", "ta-mc"])
+@pytest.mark.parametrize("rings", [1, 2])
+def test_light_loads_solve(rings, algorithm):
+    topo = concentric_topology(rings)
+    sched = generate(algorithm, topo)
+    for variant in ("full", "distributed"):
+        for rate in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            for capacity in (2, 16, 128):
+                result = evaluate_network(NetworkScenario(
+                    schedule=sched, topology=topo, generation_rate=rate,
+                    queue_capacity=capacity), variant=variant)
+                assert result.delivery_ratio.min() > 1.0 - 1e-6, (
+                    variant, rate, capacity)
 
 
 def test_interval_conversion():
@@ -323,6 +353,14 @@ def test_non_integer_capacity_rejected(capacity):
     with pytest.raises(NetworkModelError, match="queue_capacity"):
         NetworkScenario(schedule=sched, topology=topo, generation_rate=0.01,
                         queue_capacity=capacity)
+
+
+def test_per_off_the_routing_tree_rejected():
+    # node 0 never transmits to node 1: a PER there would be ignored
+    sched, topo = _two_node()
+    with pytest.raises(NetworkModelError, match=r"link \(0, 1\) .* uplink"):
+        NetworkScenario(schedule=sched, topology=topo, generation_rate=0.01,
+                        queue_capacity=4, link_per={(0, 1): 0.5})
 
 
 @pytest.mark.parametrize("per", [-0.1, 1.5, math.nan])
