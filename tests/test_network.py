@@ -284,25 +284,27 @@ def test_levels_match_per_node_variants(algorithm):
                             err_msg=f"{variant} node {n} {field}")
 
 
-@pytest.mark.parametrize("per", [0.0, 0.3])
 @pytest.mark.parametrize("rings", [2, 3])
-def test_sink_flow_balance(rings, per):
+def test_sink_flow_balance(rings):
     # a packet reaches the sink unless a queue drops it or an uplink loses
     # it: arrivals there per slotframe equal the generated load times each
     # node's PDR, which counts both
     topo = concentric_topology(rings)
-    uplinks = {(n, topo.parents[n]): per for n in range(1, topo.node_count)}
     for algorithm in ("sbd", "ta-sc", "ta-mc"):
         sched = generate(algorithm, topo)
-        for rate in (0.004, 0.06):
-            for capacity in (6, 16):
-                result = evaluate_network(NetworkScenario(
-                    schedule=sched, topology=topo, generation_rate=rate,
-                    queue_capacity=capacity, link_per=uplinks))
-                generated = rate * sched.slotframe_length
-                delivered = generated * result.delivery_ratio[1:].sum()
-                assert result.rx_probability[0].sum() == pytest.approx(
-                    delivered, rel=1e-9, abs=0), (algorithm, rate, capacity)
+        for per in (0.0, 0.3):
+            uplinks = {(n, topo.parents[n]): per
+                       for n in range(1, topo.node_count)}
+            for rate in (0.004, 0.06):
+                for capacity in (6, 16):
+                    result = evaluate_network(NetworkScenario(
+                        schedule=sched, topology=topo, generation_rate=rate,
+                        queue_capacity=capacity, link_per=uplinks))
+                    generated = rate * sched.slotframe_length
+                    delivered = generated * result.delivery_ratio[1:].sum()
+                    assert result.rx_probability[0].sum() == pytest.approx(
+                        delivered, rel=1e-9, abs=0), (algorithm, per, rate,
+                                                      capacity)
 
 
 def test_light_load_accepts_everything():
