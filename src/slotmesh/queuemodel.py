@@ -165,11 +165,17 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     rows[~upper, -1] = 1.0 - head[~upper]
     # there the upper sum from the top: P(A >= K) is the pmf at K plus
     # P(Poisson = K) (p + sum over j >= 1 of prod_{i <= j} lam / (K + i)).
-    # A head above 1/2 means lam < K, where 12 sqrt(K + 1) terms leave
-    # less than 2^-53 of the sum (11.6 sqrt(K + 1) at lam = K = 4, the
-    # most any K from 1 to 16384 needs).
+    # A head above 1/2 means lam < K + 1, so rho = lam / (K + 1) < 1 for
+    # the largest lam. Term j is at most rho^j and the sum at least rho:
+    # after n terms the rest is at most rho^n / (1 - rho) of the sum, less
+    # than e^-37 < 2^-53 for the n below. 12 sqrt(K + 1) terms are always
+    # enough (11.6 sqrt(K + 1) at lam = K = 4, the most any K from 1 to
+    # 16384 needs); a zero rate needs none.
     lam, p = rates.ravel()[upper], probs.ravel()[upper]
-    terms = math.ceil(12 * math.sqrt(capacity + 1))
+    rho = lam.max(initial=0.0) / (capacity + 1)
+    terms = 0 if rho == 0.0 else min(
+        math.ceil(12 * math.sqrt(capacity + 1)),
+        math.ceil((37 - math.log1p(-rho)) / -math.log(rho)))
     steps = capacity + np.arange(1, terms + 1)
     series = np.cumprod(lam[:, None] / steps, axis=1).sum(axis=1)
     with np.errstate(divide="ignore"):
@@ -220,11 +226,14 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
 
 def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Per-slot probability of a successful transmission, one row per
-    chain: on a transmission slot, the complementary probability of an
-    empty queue, zero elsewhere."""
-    # each slot of a solved grid carries 1/S of the mass, summed here in
-    # level order: parent chains amplify a last-bit change in the result
-    return tau * (1.0 - grid[:, :, 0] / np.cumsum(grid, axis=2)[:, :, -1])
+    chain: on a transmission slot, the probability of a non-empty queue,
+    zero elsewhere."""
+    # each slot of a solved grid carries 1/S of the mass. The non-empty
+    # mass over it, both summed from the top level down: not one minus the
+    # empty share, so that a light load keeps its digits, and never above
+    # one.
+    sums = np.add.accumulate(grid[:, :, ::-1], axis=2)
+    return tau * (sums[:, :, -2] / sums[:, :, -1])
 
 
 def acceptance_probability(grid: np.ndarray, rows: np.ndarray,

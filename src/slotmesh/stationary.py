@@ -45,7 +45,7 @@ levels, so ``F`` has lower bandwidth ``L <= T``, which GTH from the top
 state keeps: state k is eliminated over the ``L`` columns below it only,
 ``O(n^2 L)`` work instead of ``O(n^3)``, with the bits of the full
 elimination since the entries it skips are exact zeros. The slot-0
-solutions are carried once through the blocks (:func:`_carry`) into a
+solutions are carried through the blocks (:func:`_carry`) into a
 ``(B, S, K + 1)`` grid, slot-major like the blocks, one chain's states
 flattened as ``i * (K + 1) + q``. Every chain's answer is checked against
 ``max |c P - c| <= RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i`` times
@@ -53,7 +53,18 @@ flattened as ``i * (K + 1) + q``. Every chain's answer is checked against
 from the normalized grid, can be non-zero. An error raised for one chain
 of a stack carries that chain's position as ``index``. :func:`solve` is
 the stack of one chain; it carries the slot-0 closed class along the
-edges of the same blocks to mark the class in every slot.
+edges of the blocks to mark the class in every slot.
+
+Every consumer reads the blocks one slot at a time: the run rows, the
+factors ``X_t``, the carry and the wrap-around term. So a stack never
+holds all its ``B S (K + 1)^2`` block entries: :func:`_walk` builds them
+a chunk of consecutive slots at a time, each chunk within
+``_CHUNK_BYTES`` (one MiB) or a single slot, into one buffer, and a chunk
+is still in the cache when its slots are read. The blocks are then built
+twice, once for the return maps and once for the carry, and the factors
+``X_t`` are built from their gathered rows, a chunk of them at a time. A
+stack that fits in one chunk, every level of a small network, is built
+once and its factors indexed from it.
 
 The closed class is found by a dense boolean reachability search on the
 return map, whose rows are held as Python ints used as bitsets: reach
@@ -71,11 +82,15 @@ such entries.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 RESIDUAL_BOUND = 1e-10
+# bytes of slot blocks built at once: a chunk of slots small enough to be
+# read again from the cache by the next consumer
+_CHUNK_BYTES = 1 << 20
 
 
 class StationaryError(RuntimeError):
@@ -189,31 +204,36 @@ def _top_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _capped_blocks(rows: np.ndarray) -> np.ndarray:
+def _capped_blocks(rows: np.ndarray, out=None) -> np.ndarray:
     """``(..., K + 1, K + 1)`` blocks that add arrivals to the level,
     capped at K, from ``(..., K + 1)`` capped arrival rows, whose entry K
     holds the mass at K and beyond: row ``q`` is the arrival row moved
     ``q`` levels up, ``rows[r - q]`` in column ``r < K``, and the top sum
-    ``P(A >= K - q)`` in column K."""
+    ``P(A >= K - q)`` in column K; written into ``out`` if given."""
     count = rows.shape[-1]
     padded = np.zeros((*rows.shape[:-1], 2 * count - 1))
     padded[..., count - 1:] = rows
     # entry (q, r) is padded[K + r - q], the row's r - q or a zero: a view
     # that steps back one entry per row, copied
     step = padded.itemsize
-    blocks = np.ndarray((*rows.shape, count), buffer=padded,
-                        offset=(count - 1) * step,
-                        strides=(*padded.strides[:-1], -step, step)).copy()
-    blocks[..., -1] = _top_sums(rows)[..., ::-1]
-    return blocks
+    view = np.ndarray((*rows.shape, count), buffer=padded,
+                      offset=(count - 1) * step,
+                      strides=(*padded.strides[:-1], -step, step))
+    if out is None:
+        out = view.copy()
+    else:
+        out[...] = view
+    out[..., -1] = _top_sums(rows)[..., ::-1]
+    return out
 
 
-def _slot_blocks(rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _slot_blocks(rows: np.ndarray, tau: np.ndarray, out=None) -> np.ndarray:
     """Read-only ``(..., S, K + 1, K + 1)`` slot blocks of chains given as
     ``(..., S, K + 1)`` capped arrival rows and ``(..., S)`` departures
-    ``tau``: the blocks of :func:`_capped_blocks`, with rows ``q >= 1``
-    of a transmission slot shifted one column to the left."""
-    blocks = _capped_blocks(rows)
+    ``tau``: the blocks of :func:`_capped_blocks`, written into ``out`` if
+    given, with rows ``q >= 1`` of a transmission slot shifted one column
+    to the left."""
+    blocks = _capped_blocks(rows, out)
     sends = tau != 0
     blocks[sends, 1:, :-1] = blocks[sends, 1:, 1:]
     blocks[sends, 1:, -1] = 0.0
@@ -221,10 +241,37 @@ def _slot_blocks(rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _return_maps(blocks: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a ``(B, S, K + 1,
-    K + 1)`` block stack with ``(B, S)`` departures ``tau``, each as ``R_0
-    X_1 R_1 ... X_T R_T``.
+def _chunk_slots(rows: np.ndarray) -> int:
+    """Slots per chunk of a stack given as ``(B, S, K + 1)`` capped
+    arrival rows: as many as keep the chunk's ``(B, c, K + 1, K + 1)``
+    blocks within ``_CHUNK_BYTES``, and at least one."""
+    chains, _, count = rows.shape
+    return max(_CHUNK_BYTES // (chains * count * count * 8), 1)
+
+
+def _walk(rows: np.ndarray, tau: np.ndarray, blocks=None):
+    """The ``(B, K + 1, K + 1)`` slot blocks of a stack in slot order:
+    those of ``blocks``, the stack's blocks built whole, if given, else
+    built (:func:`_slot_blocks`) from the capped rows and departures a
+    chunk of consecutive slots at a time, as far as they are read."""
+    if blocks is not None:
+        return iter(blocks.swapaxes(0, 1))
+    size = _chunk_slots(rows)
+    chains, length, count = rows.shape
+    # every chunk reuses one buffer: a new array per chunk would be paged
+    # in afresh whenever the allocator has handed the last one back
+    buffer = np.empty((chains, min(size, length), count, count))
+    return itertools.chain.from_iterable(
+        _slot_blocks(rows[:, start:start + size], tau[:, start:start + size],
+                     buffer[:, :length - start]).swapaxes(0, 1)
+        for start in range(0, length, size))
+
+
+def _return_maps(rows: np.ndarray, tau: np.ndarray, blocks=None) -> np.ndarray:
+    """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a stack given as
+    ``(B, S, K + 1)`` capped arrival rows and ``(B, S)`` departures
+    ``tau``, each as ``R_0 X_1 R_1 ... X_T R_T``; ``blocks`` are the
+    stack's slot blocks if they were built whole.
 
     ``X_t`` is the block of a chain's t-th transmission slot and ``R_t``
     the quiet run after it, expanded by :func:`_capped_blocks` from its row
@@ -232,9 +279,10 @@ def _return_maps(blocks: np.ndarray, tau: np.ndarray) -> np.ndarray:
     stack. A chain with fewer transmission slots than another in its stack
     gets identity factors, and a run that is empty in every chain is left
     out: a product with the identity is exact, so each chain gets the bits
-    it gets alone. One factor of each kind is alive at a time.
+    it gets alone. The factors ``X_t`` are indexed from ``blocks``, or
+    built from their gathered rows a chunk at a time.
     """
-    chains, length, count = blocks.shape[:3]
+    chains, length, count = rows.shape
     sends = tau != 0
     # ends[:, t]: the slot of each chain's transmission t + 1, or S past
     # its last; run t ends there and starts after transmission t, run 0 at
@@ -242,58 +290,72 @@ def _return_maps(blocks: np.ndarray, tau: np.ndarray) -> np.ndarray:
     sent = np.add.accumulate(sends, axis=1)
     counts, widest = sent[:, -1], int(sent[:, -1].max())
     ends = (sent[:, :, None] <= np.arange(widest + 1)).sum(axis=1)
-    # an empty run reads rows[0], whose block is the identity
+    # an empty run reads heads[0], whose block is the identity
     runs = ends.copy()
     runs[:, 1:][ends[:, 1:] <= ends[:, :-1] + 1] = 0
-    # rows[i]: row 0 of the quiet run that ends before slot i, up to the
+    # heads[i]: row 0 of the quiet run that ends before slot i, up to the
     # last run used; runs start at slot 0 and after each transmission slot
-    rows = np.zeros((runs.max() + 1, chains, count))
-    rows[0, :, 0] = 1.0
-    start = rows[0, :, None]
+    heads = np.zeros((runs.max() + 1, chains, count))
+    heads[0, :, 0] = 1.0
+    start = heads[0, :, None]
     for row, block, after, restart, any_restart in zip(
-            rows[:-1, :, None], blocks.swapaxes(0, 1), rows[1:, :, None],
+            heads[:-1, :, None], _walk(rows, tau, blocks), heads[1:, :, None],
             sends.T[:, :, None, None], sends.any(axis=0).tolist()):
         np.matmul(row, block, out=after)
         if any_restart:
             np.copyto(after, start, where=restart)
-    chain, fewest = np.arange(chains), counts.min()
+    chain = np.arange(chains)[:, None]
+    # past its last transmission slot a chain gets the identity factor
+    past = counts[:, None] <= np.arange(widest)
+    slots = ends[:, :widest] % length
+    if blocks is None:
+        # the row of no arrivals, without a departure, builds the identity
+        factors = rows[chain, slots]
+        factors[past] = heads[0, 0]
+        factors = _walk(factors, ~past)
+    else:
+        factors = blocks[chain, slots]
+        if counts.min() < widest:
+            factors[past] = np.eye(count)
+        factors = iter(factors.swapaxes(0, 1))
     frame_map = None
     for t, used in enumerate(runs.any(axis=0).tolist()):
         if used:
-            run = _capped_blocks(rows[runs[:, t], chain])
+            run = _capped_blocks(heads[runs[:, t], chain[:, 0]])
             frame_map = run if frame_map is None else frame_map @ run
         if t < widest:
-            send = blocks[chain, ends[:, t] % length]
-            # past its last transmission slot a chain gets the identity
-            if t >= fewest:
-                send[counts <= t] = np.eye(count)
+            send = next(factors)
             frame_map = send if frame_map is None else frame_map @ send
     return frame_map
 
 
-def _carry(first: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """``(B, S, K + 1)`` grid of a ``(B, S, K + 1, K + 1)`` block stack,
-    boolean or not: slot 0 is ``first``, slot ``i + 1`` slot ``i`` times
-    block ``i``."""
-    grid = np.empty(blocks.shape[:3], dtype=first.dtype)
+def _carry(first: np.ndarray, blocks, length: int) -> np.ndarray:
+    """``(B, S, K + 1)`` grid, boolean or not, of a stack whose ``(B, K +
+    1, K + 1)`` slot blocks the iterator ``blocks`` yields in slot order:
+    slot 0 is ``first``, slot ``i + 1`` slot ``i`` times block ``i``. Reads
+    the first S - 1 blocks only."""
+    grid = np.empty((len(first), length, first.shape[-1]), dtype=first.dtype)
     grid[:, 0] = first
-    for i in range(blocks.shape[1] - 1):
-        grid[:, i + 1] = (grid[:, i, None] @ blocks[:, i])[:, 0]
+    for i, block in zip(range(length - 1), blocks):
+        grid[:, i + 1] = (grid[:, i, None] @ block)[:, 0]
     return grid
 
 
 def _solve_stack(rows: np.ndarray, tau: np.ndarray):
     """Stationary distributions of a stack of queue chains given as
     ``(B, S, K + 1)`` capped arrival rows and ``(B, S)`` departures
-    ``tau``, as ``(B, S, K + 1)`` slot-by-level grids, with the residuals,
-    the ``(B, K + 1)`` slot-0 closed classes and the slot blocks.
+    ``tau``, as ``(B, S, K + 1)`` slot-by-level grids, with the residuals
+    and the ``(B, K + 1)`` slot-0 closed classes.
 
     Solves the return maps on their closed classes, GTH once per group of
-    chains with the same class, and carries the results once through all
-    S blocks, back to slot 0, whose change is the residual.
+    chains with the same class, and carries the results through all S
+    blocks, back to slot 0, whose change is the residual. The blocks are
+    built a chunk at a time, twice, unless the whole stack fits in one
+    chunk, which is then built once.
     """
-    blocks = _slot_blocks(rows, tau)
-    frame_maps = _return_maps(blocks, tau)
+    blocks = (_slot_blocks(rows, tau)
+              if _chunk_slots(rows) >= rows.shape[1] else None)
+    frame_maps = _return_maps(rows, tau, blocks)
     # one search per distinct edge pattern, one GTH group per closed class
     level = np.empty(frame_maps.shape[:2], dtype=bool)
     classes, groups = {}, {}
@@ -312,23 +374,25 @@ def _solve_stack(rows: np.ndarray, tau: np.ndarray):
         members = np.array(members)[:, None]
         first[members, states] = _gth(
             frame_maps[members[:, :, None], states[:, None], states])
-    grid = _carry(first, blocks)
+    walk = _walk(rows, tau, blocks)
+    grid = _carry(first, walk, rows.shape[1])
     grid /= grid.sum(axis=(1, 2), keepdims=True)
     # slot 0 carried once round the slotframe, from the normalized grid
-    wrap = (grid[:, -1, None] @ blocks[:, -1])[:, 0]
+    wrap = (grid[:, -1, None] @ next(walk))[:, 0]
     residual = np.abs(wrap - grid[:, 0]).max(axis=1)
     failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))  # nan fails too
     if failed.size:
         raise _at(StationaryError(
             f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
             failed[0])
-    return grid, residual, level, blocks
+    return grid, residual, level
 
 
 def solve(chain) -> StationaryResult:
     """Stationary distribution of a queue chain: the stack of one."""
-    grid, residual, level, blocks = _solve_stack(chain.rows[None],
-                                                 chain.departures[None])
+    rows, tau = chain.rows[None], chain.departures[None]
+    grid, residual, level = _solve_stack(rows, tau)
+    edges = (block > 0 for block in _walk(rows, tau))
     return StationaryResult(
         distribution=grid[0].ravel(), residual=float(residual[0]),
-        reachable=_carry(level, blocks > 0)[0].ravel())
+        reachable=_carry(level, edges, len(tau[0]))[0].ravel())

@@ -307,6 +307,20 @@ def test_sink_flow_balance(rings):
                                                       capacity)
 
 
+def test_light_load_sink_flow_balance():
+    # at p_gen 1e-9 a queue is non-empty about 1e-8 of the time; read as
+    # one minus the empty share, that mass kept only half its digits, and
+    # the sink's arrivals missed the delivered load by 3.4e-9 relative
+    topo = concentric_topology(1)
+    sched = generate("sbd", topo)
+    rate = 1e-9
+    result = evaluate_network(NetworkScenario(
+        schedule=sched, topology=topo, generation_rate=rate, queue_capacity=2))
+    delivered = rate * sched.slotframe_length * result.delivery_ratio[1:].sum()
+    assert result.rx_probability[0].sum() == pytest.approx(
+        delivered, rel=1e-12, abs=0)
+
+
 def test_light_load_accepts_everything():
     # P(A >= 16) is about 1e-128 here; read as one minus the head it was
     # 1.1e-16 of rounding noise, which the acceptance room table counted

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -175,7 +177,7 @@ def test_mixed_stack_matches_single_solves():
               build_chain(2, 3, (2,), TrafficSpec.constant(3, rate=0.05)),
               build_chain(2, 3, (0, 1), TrafficSpec.constant(3, rate=0.1, prob=0.2)),
               build_chain(2, 3, (1,), TrafficSpec((0.0, 0.02, 0.0), (0.3, 0.0, 0.0)))]
-    grids, residuals, _, _ = stationary._solve_stack(
+    grids, residuals, _ = stationary._solve_stack(
         np.stack([chain.rows for chain in chains]),
         np.stack([chain.departures for chain in chains]))
     classes = {tuple(solve(chain).reachable) for chain in chains}
@@ -187,21 +189,76 @@ def test_mixed_stack_matches_single_solves():
         assert np.all(grid.ravel()[~single.reachable] == 0.0)
 
 
-def test_solve_builds_the_slot_blocks_once(monkeypatch):
-    # the grid and the closed class in every slot come from one block stack
+def level_stack(rings, algorithm, capacity, rate):
+    """The capped rows and departures of the outer level of a concentric
+    network, with the traffic its children forward."""
+    topo = concentric_topology(rings)
+    sched = generate(algorithm, topo)
+    result = evaluate_network(NetworkScenario(
+        schedule=sched, topology=topo, generation_rate=rate,
+        queue_capacity=capacity))
+    level = topo.levels[-1]
+    rates = [[rate] * sched.slotframe_length] * len(level)
+    return stack_rows(capacity, [sched.tx_slots[n] for n in level], rates,
+                      result.rx_probability[list(level)])
+
+
+def test_slot_blocks_are_built_in_chunks(monkeypatch):
+    # a stack within the byte budget builds its blocks in one call; a
+    # larger one builds chunks of consecutive slots, none above the budget
+    # unless it is a single slot
+    rows, tau = level_stack(2, "ta-sc", 16, 0.01)
     calls = []
     slot_blocks_of = stationary._slot_blocks
 
-    def counted(rows, tau):
-        calls.append(rows.shape)
-        return slot_blocks_of(rows, tau)
+    def counted(rows, tau, out=None):
+        blocks = slot_blocks_of(rows, tau, out)
+        calls.append((blocks.shape[1], blocks.nbytes))
+        return blocks
 
     monkeypatch.setattr(stationary, "_slot_blocks", counted)
-    for capacity, length, tx, traffic in chain_cases():
-        chain = build_chain(capacity, length, tx, traffic)
+    stationary._solve_stack(rows, tau)
+    assert calls == [(rows.shape[1], rows.nbytes * rows.shape[-1])]
+    for capacity, length in ((128, 19), (512, 19)):
+        traffic = TrafficSpec.constant(length, rate=0.95 / length)
+        chain = build_chain(capacity, length, (0,), traffic)
         calls.clear()
-        solve(chain)
-        assert len(calls) == 1
+        stationary._solve_stack(chain.rows[None], chain.departures[None])
+        assert len(calls) > 1
+        assert all(nbytes <= stationary._CHUNK_BYTES or slots == 1
+                   for slots, nbytes in calls)
+
+
+# one slot per chunk, and chunks of three slots of the level stack
+@pytest.mark.parametrize("budget", [0, 100_000])
+def test_chunks_give_the_bits_of_the_whole_stack(monkeypatch, budget):
+    chains = [build_chain(*case) for case in chain_cases()]
+    stacks = [(chain.rows[None], chain.departures[None]) for chain in chains]
+    stacks.append(level_stack(2, "ta-mc", 16, 0.03))
+    whole = [stationary._solve_stack(*stack) for stack in stacks]
+    solved = [solve(chain) for chain in chains]
+    monkeypatch.setattr(stationary, "_CHUNK_BYTES", budget)
+    for stack, want in zip(stacks, whole):
+        for got, expected in zip(stationary._solve_stack(*stack), want):
+            assert np.array_equal(got, expected)
+    for chain, want in zip(chains, solved):
+        got = solve(chain)
+        assert np.array_equal(got.distribution, want.distribution)
+        assert got.residual == want.residual
+        assert np.array_equal(got.reachable, want.reachable)
+
+
+def test_large_capacity_solve_stays_small():
+    # the solver ladder's K = 512 node: its 19 slot blocks take 40 MB, and
+    # the solve holds a few of them at a time
+    traffic = TrafficSpec.constant(19, rate=0.95 / 19)
+    tracemalloc.start()
+    try:
+        evaluate_node(512, 19, (0,), traffic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2**20
 
 
 def test_perturbed_chain_names_its_node(monkeypatch):
@@ -216,7 +273,7 @@ def test_perturbed_chain_names_its_node(monkeypatch):
     chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
     level = solve(chain).reachable.reshape(length, capacity + 1)[0]
     frame_map = stationary._return_maps(
-        slot_blocks(chain)[None], chain.departures[None])[0][np.ix_(level, level)]
+        chain.rows[None], chain.departures[None])[0][np.ix_(level, level)]
     exact = stationary._gth
 
     def perturbed(dense):
@@ -316,9 +373,9 @@ def test_critical_load_capacity_1024(monkeypatch):
     solve_stack = stationary._solve_stack
 
     def recorded(rows, tau):
-        grid, residual, level, blocks = solve_stack(rows, tau)
+        grid, residual, level = solve_stack(rows, tau)
         residuals.append(residual)
-        return grid, residual, level, blocks
+        return grid, residual, level
 
     monkeypatch.setattr(stationary, "_solve_stack", recorded)
     metrics = evaluate_node(1024, 19, (0,), TrafficSpec.constant(19, rate=1 / 19))
@@ -375,8 +432,11 @@ def chain_stacks(draw):
 def test_return_map_matches_block_product(case):
     rows, tau = stack_rows(*case)
     blocks = stationary._slot_blocks(rows, tau)
-    frame_maps = stationary._return_maps(blocks, tau)
-    for chain_blocks, frame_map in zip(blocks, frame_maps):
+    # from the blocks built whole, and from chunks built as they are read
+    built = stationary._return_maps(rows, tau, blocks)
+    chunked = stationary._return_maps(rows, tau)
+    assert np.array_equal(built, chunked)
+    for chain_blocks, frame_map in zip(blocks, built):
         assert np.abs(frame_map - plain_return_map(chain_blocks)).max() <= 1e-13
 
 
@@ -436,10 +496,10 @@ def test_stacked_chain_solves_as_alone():
     rates = [[0.06] * length] * len(tx_slots)
     probs = [[0.2 * (i % 3 == 0) for i in range(length)]] * len(tx_slots)
     rows, tau = stack_rows(capacity, tx_slots, rates, probs)
-    grids, residuals, levels, _ = stationary._solve_stack(rows, tau)
+    grids, residuals, levels = stationary._solve_stack(rows, tau)
     for b in range(len(tx_slots)):
-        grid, residual, level, _ = stationary._solve_stack(rows[b:b + 1],
-                                                           tau[b:b + 1])
+        grid, residual, level = stationary._solve_stack(rows[b:b + 1],
+                                                        tau[b:b + 1])
         assert np.array_equal(grids[b], grid[0])
         assert residuals[b] == residual[0]
         assert np.array_equal(levels[b], level[0])
