@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
@@ -275,6 +274,8 @@ def cmd_sweep(args):
         raise _InputError("--workers must be at least 1")
     tasks = _sweep_tasks(_load(_read_json, args.spec, "sweep spec"))
     if args.workers > 1:
+        # imported here: loading the process pool slows every other command
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             blocks = list(pool.map(_sweep_point, tasks))
     else:

@@ -10,12 +10,23 @@ Runs with different seeds are aggregated into means and 95% confidence
 intervals using the normal approximation over per-run means.
 
 Both slot loops draw their random arrivals in blocks of ``_BLOCK`` slots
-and convert each block to Python lists once, so no slot calls numpy. The
-network loop walks a per-block list of ``(node, count)`` generation events
-through a row pointer; the single-queue loop jumps over the slots of a
-block in which its queue is empty and nothing arrives. The random numbers
-drawn, and their order, are those of a plain slot-by-slot loop. Every
-network run checks its packet ledger (``RunCounts.conserved``).
+and convert each block to Python lists once, so no slot calls numpy. A
+network block is a ``(_BLOCK, nodes - 1)`` Poisson draw read in CSR form:
+its nonzero ``(node, count)`` pairs in (slot, node) order and a row
+pointer of ``_BLOCK + 1`` offsets into them, built from a ``bincount``
+of the rows; the block's total is the sum of the pairs' counts. The
+single-queue loop jumps over the slots of a block in which its queue is
+empty and nothing arrives. The random numbers drawn, and their order,
+are those of a plain slot-by-slot loop. Every network run checks its
+packet ledger (``RunCounts.conserved``).
+
+Most network slots are cheap. A quiet slot, in which nothing is
+generated and no link sends, ends after its link pass. A slot's only
+forwarded packet, if untracked and its receiver has no generated bucket,
+is added to the receiver's level directly, since a one-packet bucket
+draws nothing and touches no other bucket. The buckets are merged into a
+dict only when a forwarded packet meets a generated bucket, is tracked,
+or has a sibling in the same slot.
 
 The network loop keeps one integer queue level per node from slot zero,
 warm-up included. A tracked packet rides on the levels as a FIFO ticket,
@@ -30,6 +41,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -251,18 +263,21 @@ class NetworkSimStats:
 def _generation_events(rng, p_gen, n_nodes):
     """Draw the packet generation of the next ``_BLOCK`` slots.
 
-    ``per_slot[r]`` packets are generated in block slot ``r``, given as
-    ``(node, count)`` pairs in node order by
-    ``events[row_start[r]:row_start[r + 1]]``.
+    Returns ``(events, row_start, total)``: the packets generated in block
+    slot ``r`` are the ``(node, count)`` pairs
+    ``events[row_start[r]:row_start[r + 1]]`` in node order, and ``total``
+    packets are generated in the whole block.
     """
     counts = rng.poisson(p_gen, size=(_BLOCK, n_nodes - 1))
     # the flat indices of a C-ordered block, split by row length, are the
     # (slot, node) pairs of np.nonzero at about half its cost
-    flat = np.flatnonzero(counts)
-    rows, cols = divmod(flat, n_nodes - 1)
-    row_start = np.searchsorted(rows, np.arange(_BLOCK + 1)).tolist()
-    events = list(zip((cols + 1).tolist(), counts.ravel()[flat].tolist()))
-    return counts.sum(axis=1), events, row_start
+    flat = np.flatnonzero(counts != 0)
+    values = counts.ravel()[flat]
+    rows, cols = np.divmod(flat, n_nodes - 1)
+    row_start = np.zeros(_BLOCK + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=_BLOCK), out=row_start[1:])
+    events = list(zip((cols + 1).tolist(), values.tolist()))
+    return events, row_start.tolist(), int(values.sum())
 
 
 def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
@@ -300,20 +315,21 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
     expected_window = int(packets_per_node / p_gen * 20) + 200 * length
     max_slots = warmup + expected_window + 200 * length * capacity * n_nodes
 
-    for t in range(max_slots + 1):
+    for t, links in zip(range(max_slots + 1), cycle(links_by_slot)):
         r = t - gen_base
-        if r >= _BLOCK:
-            per_slot, events, row_start = _generation_events(rng, p_gen,
-                                                             n_nodes)
-            generated += int(per_slot.sum())
+        if r == _BLOCK:
+            events, row_start, total = _generation_events(rng, p_gen,
+                                                          n_nodes)
+            generated += total
             gen_base = t
-            r = 0
+            r = hi = 0
+        lo = hi  # this slot generates events[lo:hi]
+        hi = row_start[r + 1]
 
-        sent = []
-        inbound = []
-        for v, w, per in links_by_slot[t % length]:
+        sent = inbound = ()  # empty tuples: a quiet slot allocates nothing
+        for v, w, per in links:
             if level[v]:
-                sent.append(v)
+                sent += (v,)
                 queue = waiting[v]
                 packet = None
                 if queue and queue[0][0] == served[v]:
@@ -330,21 +346,38 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
                         delivered_tracked[origin] += 1
                         delay_sums[origin] += t - gen_slot
                 else:
-                    inbound.append((w, packet))
-
-        # a node's bucket of arrivals: its tracked generated packets, its
-        # untracked ones, then forwarded packets in link order
-        buckets = events[row_start[r]:row_start[r + 1]]
-        if t >= warmup and nodes_left:
-            for n, m in buckets:
-                tag = min(m, packets_per_node - tagged[n])
-                if tag > 0:
-                    marks[n] = [(n, t)] * tag
-                    tagged[n] += tag
-                    if tagged[n] == packets_per_node:
-                        nodes_left -= 1
-                        if not nodes_left:
-                            window_end = t + 1
+                    inbound += ((w, packet),)
+        if lo == hi:
+            if not sent:
+                continue  # a quiet slot: nothing generated, nothing sent
+            buckets = ()
+        else:
+            # a node's bucket of arrivals: its tracked generated packets,
+            # its untracked ones, then forwarded packets in link order
+            buckets = events[lo:hi]
+            if t >= warmup and nodes_left:
+                for n, m in buckets:
+                    tag = min(m, packets_per_node - tagged[n])
+                    if tag > 0:
+                        marks[n] = [(n, t)] * tag
+                        tagged[n] += tag
+                        if tagged[n] == packets_per_node:
+                            nodes_left -= 1
+                            if not nodes_left:
+                                window_end = t + 1
+        if len(inbound) == 1 and not inbound[0][1]:
+            # a lone untracked forwarded packet whose receiver has no
+            # generated bucket is a bucket of its own, which draws nothing
+            w = inbound[0][0]
+            for n, _ in buckets:
+                if n == w:
+                    break
+            else:
+                if level[w] < capacity:
+                    level[w] += 1
+                else:
+                    dropped += 1
+                inbound = ()
         if inbound:
             # a forwarded packet opens a bucket after the generated ones
             # if its receiver has none
@@ -391,7 +424,7 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
 
     slots = t + 1
     # the last block was drawn whole, but its slots after ``t`` never ran
-    generated -= int(per_slot[slots - gen_base:].sum())
+    generated -= sum(m for _, m in events[row_start[slots - gen_base]:])
     counts = RunCounts(generated=generated, delivered=delivered,
                        dropped=dropped, link_lost=link_lost,
                        residual=sum(level))
@@ -421,7 +454,9 @@ def simulate_network(scenario: NetworkScenario, config: SimConfig) -> NetworkSim
     window. The default warm-up is 15 simulated minutes.
     """
     n_nodes = scenario.topology.node_count
-    if scenario.generation_rate == 0:
+    # nothing to track: no generation, or a sink alone, whose slots would
+    # all be quiet, and a quiet slot never ends the run
+    if scenario.generation_rate == 0 or n_nodes == 1:
         delivery = np.ones((config.runs, n_nodes))
         delay = np.full((config.runs, n_nodes), math.nan)
         delay[:, 0] = 0.0  # no deliveries, no delay; a run sets the sink to 0

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slotmesh
 from conftest import invalid_networks
 from slotmesh.cli import main
 from slotmesh.network import concentric_topology
@@ -356,6 +361,19 @@ def test_sweep_workers_match_serial(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 1 + 2 * 2 * 3 * 4
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only ``sweep --workers N`` with N > 1 needs the process pool, whose
+    # import would slow every command's start
+    src = str(Path(slotmesh.__file__).resolve().parents[1])
+    code = ("import sys, slotmesh.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 def _sbd_files(tmp_path, slot_duration):

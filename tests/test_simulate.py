@@ -9,8 +9,9 @@ from slotmesh.network import (NetworkModelError, NetworkScenario,
 from slotmesh.queuemodel import TrafficSpec, evaluate_node
 from slotmesh.schedule import Schedule, Topology
 from slotmesh.schedulers import generate
-from slotmesh.simulate import (MetricSummary, NetworkSimStats, RunCounts,
-                               SimConfig, SimulationError, simulate_network,
+from slotmesh.simulate import (_BLOCK, MetricSummary, NetworkSimStats,
+                               RunCounts, SimConfig, SimulationError,
+                               _generation_events, simulate_network,
                                simulate_queue)
 
 
@@ -182,6 +183,20 @@ NETWORK_GOLDEN = [
          [16, 16, 18, 19, 16, 13, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0],
          [526, 498, 539, 565, 486, 444, 4, 0, 0, 37, 41, 0, 0, 0, 0, 0, 0, 0],
          51.64835164835165)]),
+    # light load on lossy uplinks: most slots are quiet (nothing generated,
+    # nothing sent) and hold no tracked packet, so this pins the loop's
+    # cheap paths together with the PER draws
+    (2, "sbd", 0.01, 0.2, 16, 4096, 12, [
+        ((1810, 1270, 0, 535, 5),
+         [41, 42, 42, 43, 37, 43, 26, 36, 32, 24, 35, 29, 31, 37, 31, 29, 33,
+          32],
+         [834, 794, 847, 796, 731, 742, 830, 978, 1084, 777, 1029, 850, 787,
+          1224, 762, 704, 761, 916], 12.905968372725727),
+        ((1800, 1260, 0, 538, 2),
+         [41, 42, 43, 40, 41, 40, 39, 34, 33, 38, 34, 33, 32, 38, 27, 36, 31,
+          31],
+         [675, 590, 863, 639, 696, 829, 1230, 1109, 803, 1126, 1035, 1231,
+          806, 1269, 802, 930, 1060, 1066], 12.514858210222448)]),
 ]
 
 
@@ -208,6 +223,25 @@ def test_network_sim_golden_replay(case):
         assert np.array_equal(stats.delay_slots[run], [0.0] + delay,
                               equal_nan=True)
         assert stats.throughput_pps[run] == throughput
+
+
+@pytest.mark.parametrize("p_gen, n_nodes", [(0.3, 7), (0.5, 2)])
+def test_generation_block_matches_nonzero(p_gen, n_nodes):
+    # the block's events, row pointer and total read the same draw as a
+    # plain np.nonzero over the (slot, node) counts, and draw nothing more
+    rng = np.random.default_rng(5)
+    events, row_start, total = _generation_events(rng, p_gen, n_nodes)
+    replay = np.random.default_rng(5)
+    counts = replay.poisson(p_gen, size=(_BLOCK, n_nodes - 1))
+    assert rng.bit_generator.state == replay.bit_generator.state
+    rows, cols = np.nonzero(counts)
+    assert events == [(c + 1, counts[r, c]) for r, c in zip(rows, cols)]
+    assert row_start == [int(np.sum(rows < r)) for r in range(_BLOCK + 1)]
+    assert total == counts.sum()
+    per_row = np.diff(row_start)
+    assert per_row.min() == 0 and counts.max() > 1  # empty rows, counts > 1
+    if n_nodes > 2:
+        assert per_row.max() > 1  # rows with several events
 
 
 def test_one_item_shuffle_draws_nothing():
