@@ -270,18 +270,9 @@ def _sweep_tasks(spec):
 
 
 def cmd_sweep(args):
-    if args.workers < 1:
-        raise _InputError("--workers must be at least 1")
     tasks = _sweep_tasks(_load(_read_json, args.spec, "sweep spec"))
-    if args.workers > 1:
-        # imported here: loading the process pool slows every other command
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            blocks = list(pool.map(_sweep_point, tasks))
-    else:
-        blocks = [_sweep_point(task) for task in tasks]
     rows = []
-    for block in blocks:
+    for block in sim._in_processes(_sweep_point, tasks, args.workers):
         for name, variant, capacity, rate, metric, value in block:
             rows.append((name, variant, capacity, f"{rate:.9g}", metric,
                          f"{value:.9g}"))
@@ -294,7 +285,7 @@ def cmd_simulate(args):
     config = sim.SimConfig(seed=args.seed, runs=args.runs,
                            packets=args.packets,
                            warmup_slots=args.warmup_slots)
-    stats = sim.simulate_network(scenario, config)
+    stats = sim.simulate_network(scenario, config, workers=args.workers)
     outer = list(scenario.topology.levels[-1])
     summaries = {
         "pdr_outer_mean": stats.delivery_summary(outer),
@@ -385,6 +376,9 @@ def build_parser():
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--packets", type=int, default=100)
     p.add_argument("--warmup-slots", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes for the runs (default: one per run up "
+                        "to the usable CPUs; 1 runs them in this process)")
     p.add_argument("--compare-model", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

@@ -38,9 +38,11 @@ the count need only run while a tracked packet is queued.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import cycle
 
 import numpy as np
@@ -56,6 +58,41 @@ NETWORK_WARMUP_SECONDS = 900.0  # 15 simulated minutes
 
 class SimulationError(RuntimeError):
     """Raised when a simulation cannot complete."""
+
+
+def _worker_count(workers, tasks):
+    """The processes to run ``tasks`` calls in: ``workers``, or for
+    ``None`` the CPUs this process may use, and never more than ``tasks``."""
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    elif not (_ints(workers) and workers >= 1):
+        raise SimulationError("workers must be an integer of at least 1")
+    return min(workers, tasks)
+
+
+def _in_processes(fn, items, workers):
+    """``[fn(item) for item in items]``, the calls spread over
+    ``_worker_count(workers, len(items))`` processes.
+
+    ``fn`` and the items must pickle (``fn`` by its import path). With one
+    worker the calls run in this process. Otherwise every worker has been
+    joined when this returns or raises, and an exception raised by a call
+    reaches the caller with its type and message.
+    """
+    workers = _worker_count(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # imported here: loading the process pool slows every import of slotmesh
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # on a 2-core host a forked pool of two starts in about 15 ms and a
+    # spawned one in 0.4 s, since each spawned worker imports numpy and
+    # slotmesh again; the pool forks its workers before it starts a thread
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -122,8 +159,9 @@ def _arrival_arrays(rng, traffic, start_slot, count):
     return arrivals
 
 
-def _simulate_queue_run(capacity, slotframe_length, tx_set, traffic, rng,
-                        packets, warmup):
+def _simulate_queue_run(capacity, slotframe_length, tx_set, traffic, packets,
+                        warmup, seed):
+    rng = np.random.default_rng(seed)
     queue = deque()  # (arrival_slot, counted)
     hist = [0] * (capacity + 1)
     arrived = accepted = 0
@@ -173,14 +211,17 @@ def _simulate_queue_run(capacity, slotframe_length, tx_set, traffic, rng,
 
 
 def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
-                   traffic, config: SimConfig) -> QueueSimStats:
+                   traffic, config: SimConfig, *,
+                   workers: int | None = None) -> QueueSimStats:
     """Simulate a single queue until ``config.packets`` packets arrived
     per run (counted after warm-up), then drain the counted packets.
 
     Acceptance is the fraction of counted arrivals that were admitted;
     delays are measured from the arrival slot to the end of the
-    transmitting slot, in slots.
+    transmitting slot, in slots. The runs go to ``workers`` processes
+    (``None``: one per run up to the usable CPUs; ``1``: this process).
     """
+    _worker_count(workers, config.runs)  # a bad value fails on every path
     if traffic.slots != slotframe_length:
         raise SimulationError("traffic spec length must equal the slotframe length")
     offered = sum(traffic.poisson_rate) + sum(traffic.bernoulli_prob)
@@ -198,11 +239,11 @@ def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
     hist = np.zeros(capacity + 1, dtype=np.int64)
     ratios, delay_means = [], []
     arrived_total = accepted_total = 0
-    for run in range(config.runs):
-        rng = np.random.default_rng([config.seed, run])
-        arrived, accepted, delays, h = _simulate_queue_run(
-            capacity, slotframe_length, tx_set, traffic, rng,
-            config.packets, warmup)
+    runs = _in_processes(
+        partial(_simulate_queue_run, capacity, slotframe_length, tx_set,
+                traffic, config.packets, warmup),
+        [[config.seed, run] for run in range(config.runs)], workers)
+    for arrived, accepted, delays, h in runs:
         hist += h
         arrived_total += arrived
         accepted_total += accepted
@@ -280,8 +321,9 @@ def _generation_events(rng, p_gen, n_nodes):
     return events, row_start.tolist(), int(values.sum())
 
 
-def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
-                          warmup):
+def _simulate_network_run(scenario: NetworkScenario, packets_per_node, warmup,
+                          seed):
+    rng = np.random.default_rng(seed)
     schedule = scenario.schedule
     topology = scenario.topology
     n_nodes = topology.node_count
@@ -398,6 +440,7 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
                 # pad the marks to the bucket, shuffle, drop the tail
                 if m > 1:  # a one-packet shuffle draws nothing
                     bucket = [*held, *[None] * (m - len(held))]
+                    # a list shuffles faster than an ndarray, same draws
                     rng.shuffle(bucket)
                     if held:
                         held = bucket
@@ -444,15 +487,19 @@ def _simulate_network_run(scenario: NetworkScenario, rng, packets_per_node,
     return pdr, delay, throughput, counts
 
 
-def simulate_network(scenario: NetworkScenario, config: SimConfig) -> NetworkSimStats:
+def simulate_network(scenario: NetworkScenario, config: SimConfig, *,
+                     workers: int | None = None) -> NetworkSimStats:
     """Slot-synchronous simulation of the whole network.
 
     After the warm-up, the next ``config.packets`` packets generated at
     each node are tracked until they are delivered at the sink or dropped;
     per-node delivery ratios and end-to-end delays are computed from the
     tracked packets only. Sink throughput is measured over the tagging
-    window. The default warm-up is 15 simulated minutes.
+    window. The default warm-up is 15 simulated minutes. The runs go to
+    ``workers`` processes (``None``: one per run up to the usable CPUs;
+    ``1``: this process).
     """
+    _worker_count(workers, config.runs)  # a bad value fails on every path
     n_nodes = scenario.topology.node_count
     # nothing to track: no generation, or a sink alone, whose slots would
     # all be quiet, and a quiet slot never ends the run
@@ -467,14 +514,10 @@ def simulate_network(scenario: NetworkScenario, config: SimConfig) -> NetworkSim
     warmup = (config.warmup_slots if config.warmup_slots is not None
               else int(round(NETWORK_WARMUP_SECONDS
                              / scenario.schedule.slot_duration)))
-    pdr = np.zeros((config.runs, n_nodes))
-    delay = np.zeros((config.runs, n_nodes))
-    throughput = np.zeros(config.runs)
-    counts = []
-    for run in range(config.runs):
-        rng = np.random.default_rng([config.seed, run])
-        pdr[run], delay[run], throughput[run], c = _simulate_network_run(
-            scenario, rng, config.packets, warmup)
-        counts.append(c)
-    return NetworkSimStats(delivery=pdr, delay_slots=delay,
-                           throughput_pps=throughput, counts=tuple(counts))
+    runs = _in_processes(
+        partial(_simulate_network_run, scenario, config.packets, warmup),
+        [[config.seed, run] for run in range(config.runs)], workers)
+    pdr, delay, throughput, counts = zip(*runs)
+    return NetworkSimStats(delivery=np.array(pdr), delay_slots=np.array(delay),
+                           throughput_pps=np.array(throughput),
+                           counts=counts)

@@ -364,16 +364,18 @@ def test_sweep_workers_match_serial(tmp_path):
 
 
 def test_cli_import_leaves_process_pool_out():
-    # only ``sweep --workers N`` with N > 1 needs the process pool, whose
+    # only runs spread over several workers need the process pool, whose
     # import would slow every command's start
     src = str(Path(slotmesh.__file__).resolve().parents[1])
-    code = ("import sys, slotmesh.cli; "
+    code = ("import sys, slotmesh.simulate; "
+            "print('concurrent.futures.process' in sys.modules); "
+            "import slotmesh.cli; "
             "print('concurrent.futures.process' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
 
 
 def _sbd_files(tmp_path, slot_duration):
@@ -615,16 +617,26 @@ def test_negative_seed_is_domain_error(files, capsys):
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
-def test_sweep_rejects_nonpositive_workers(tmp_path, capsys, workers):
+def test_sweep_rejects_nonpositive_workers(files, capsys, workers):
+    # sweep and simulate check --workers in one place, as a domain error
+    tmp_path, sched, topo = files
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps({
         "grid": {"min": 0.0, "max": 0.1, "count": 3},
         "topology": {"rings": 1},
     }))
+    message = "error: workers must be an integer of at least 1\n"
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--spec", str(spec_path), "--out", str(out),
-                 "--workers", workers]) == 2
-    assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+                 "--workers", workers]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--schedule", sched, "--topology", topo,
+                 "--rate", "0.01", "--queue", "4", "--runs", "2",
+                 "--packets", "10", "--workers", workers,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

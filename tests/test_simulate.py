@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -117,9 +118,20 @@ QUEUE_GOLDEN = [
 def test_queue_sim_golden_replay(case):
     (capacity, frame, tx, traffic, packets, warmup, seed,
      hist, arrived, accepted, acceptance, delay) = case
-    stats = simulate_queue(capacity, frame, tx, traffic,
-                           SimConfig(seed=seed, runs=2, packets=packets,
-                                     warmup_slots=warmup))
+    config = SimConfig(seed=seed, runs=2, packets=packets,
+                       warmup_slots=warmup)
+    # each run draws from its own generator, so the runs give the same
+    # bits in worker processes as in this one
+    stats, *pooled = [simulate_queue(capacity, frame, tx, traffic, config,
+                                     workers=workers)
+                      for workers in (1, 2, None)]
+    assert not multiprocessing.active_children()
+    for other in pooled:
+        for field in ("acceptance", "delay_slots"):
+            assert (np.array(getattr(other, field).per_run).tobytes()
+                    == np.array(getattr(stats, field).per_run).tobytes())
+        assert other.queue_histogram.tobytes() == stats.queue_histogram.tobytes()
+        assert (other.arrived, other.accepted) == (stats.arrived, stats.accepted)
     assert stats.queue_histogram.tolist() == hist
     assert (stats.arrived, stats.accepted) == (arrived, accepted)
     assert stats.acceptance.per_run == acceptance
@@ -197,6 +209,19 @@ NETWORK_GOLDEN = [
           31],
          [675, 590, 863, 639, 696, 829, 1230, 1109, 803, 1126, 1035, 1231,
           806, 1269, 802, 930, 1060, 1066], 12.514858210222448)]),
+    # a relay at K - 1 below saturation (about 2 % dropped): a lone
+    # untracked forwarded packet must still be accepted into its last place
+    (2, "ta-mc", 0.02, 0.0, 3, 500, 2, [
+        ((1328, 1293, 23, 0, 12),
+         [48, 49, 49, 49, 48, 48, 50, 50, 50, 50, 49, 50, 49, 49, 46, 49, 50,
+          49],
+         [412, 405, 539, 421, 446, 452, 1443, 1664, 954, 768, 1150, 1085,
+          1208, 1302, 1397, 1233, 1541, 1430], 35.260663507109),
+        ((1455, 1424, 22, 0, 9),
+         [47, 50, 49, 50, 49, 48, 50, 50, 49, 50, 49, 50, 49, 50, 49, 50, 50,
+          50],
+         [403, 447, 359, 457, 441, 434, 1462, 1718, 900, 649, 1078, 971, 1156,
+          1135, 1435, 1315, 1679, 1548], 35.49107142857142)]),
 ]
 
 
@@ -212,9 +237,16 @@ def _golden_scenario(rings, algorithm, rate, per, capacity):
 def test_network_sim_golden_replay(case):
     rings, algorithm, rate, per, capacity, warmup, seed, runs = case
     packets = 50
-    stats = simulate_network(
-        _golden_scenario(rings, algorithm, rate, per, capacity),
-        SimConfig(seed=seed, runs=2, packets=packets, warmup_slots=warmup))
+    scenario = _golden_scenario(rings, algorithm, rate, per, capacity)
+    config = SimConfig(seed=seed, runs=2, packets=packets, warmup_slots=warmup)
+    stats, *pooled = [simulate_network(scenario, config, workers=workers)
+                      for workers in (1, 2, None)]
+    assert not multiprocessing.active_children()
+    for other in pooled:
+        assert other.counts == stats.counts
+        for field in ("delivery", "delay_slots", "throughput_pps"):
+            assert (getattr(other, field).tobytes()
+                    == getattr(stats, field).tobytes())
     for run, (counts, tracked, delay_sums, throughput) in enumerate(runs):
         assert stats.counts[run] == RunCounts(*counts)
         assert stats.delivery[run].tolist() == [1.0] + [
@@ -289,6 +321,35 @@ def test_network_sim_checks_ledger_every_run(monkeypatch):
         simulate_network(_two_node_scenario(),
                          SimConfig(seed=1, runs=1, packets=10,
                                    warmup_slots=100))
+
+
+def test_worker_error_reaches_caller_unchanged(monkeypatch):
+    # the patch is in place before the pool forks, so the worker's run
+    # raises, and its error must come back as the in-process one does
+    monkeypatch.setattr(RunCounts, "conserved", lambda self: False)
+    config = SimConfig(seed=1, runs=2, packets=10, warmup_slots=100)
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(SimulationError) as caught:
+            simulate_network(_two_node_scenario(), config, workers=workers)
+        assert not multiprocessing.active_children()
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith("packet ledger does not balance")
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.0, True, "2"])
+def test_simulators_reject_bad_worker_counts(workers):
+    # every path checks the value, the zero-rate one included
+    config = SimConfig(seed=0, runs=2, packets=10)
+    for rate in (0.02, 0.0):
+        with pytest.raises(SimulationError, match="workers must be"):
+            simulate_network(_two_node_scenario(rate=rate), config,
+                             workers=workers)
+    for rate in (0.2, 0.0):
+        with pytest.raises(SimulationError, match="workers must be"):
+            simulate_queue(3, 3, (0,), TrafficSpec.constant(3, rate=rate),
+                           config, workers=workers)
 
 
 def test_network_sim_two_nodes_low_rate():
