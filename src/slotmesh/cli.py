@@ -270,9 +270,10 @@ def _sweep_tasks(spec):
 
 
 def cmd_sweep(args):
+    sim.check_workers(args.workers)
     tasks = _sweep_tasks(_load(_read_json, args.spec, "sweep spec"))
     rows = []
-    for block in sim._in_processes(_sweep_point, tasks, args.workers):
+    for block in sim.map_in_processes(_sweep_point, tasks, args.workers):
         for name, variant, capacity, rate, metric, value in block:
             rows.append((name, variant, capacity, f"{rate:.9g}", metric,
                          f"{value:.9g}"))
@@ -378,7 +379,8 @@ def build_parser():
     p.add_argument("--warmup-slots", type=int, default=None)
     p.add_argument("--workers", type=int, default=None,
                    help="processes for the runs (default: one per run up "
-                        "to the usable CPUs; 1 runs them in this process)")
+                        "to the usable CPUs, or 1 for short runs; 1 runs "
+                        "them in this process)")
     p.add_argument("--compare-model", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

@@ -60,38 +60,48 @@ class SimulationError(RuntimeError):
     """Raised when a simulation cannot complete."""
 
 
-def _worker_count(workers, tasks):
-    """The processes to run ``tasks`` calls in: ``workers``, or for
-    ``None`` the CPUs this process may use, and never more than ``tasks``."""
-    if workers is None:
-        workers = (len(os.sched_getaffinity(0))
-                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    elif not (_ints(workers) and workers >= 1):
+# The node-slots of network runs (warm-up plus the ``packets / p_gen``
+# slots of the tagging window, times nodes) that pay for the 15-20 ms a
+# pool of two takes to start: this process runs a light-load network at
+# 75-140 ns per node-slot, a saturated one slower.
+_POOL_MIN_NODE_SLOTS = 200_000
+
+
+def check_workers(workers):
+    """Raise ``SimulationError`` unless ``workers`` is an integer of at
+    least 1."""
+    if not (_ints(workers) and workers >= 1):
         raise SimulationError("workers must be an integer of at least 1")
-    return min(workers, tasks)
 
 
-def _in_processes(fn, items, workers):
-    """``[fn(item) for item in items]``, the calls spread over
-    ``_worker_count(workers, len(items))`` processes.
+def _default_workers(runs, node_slots):
+    """The usable CPUs, up to ``runs``, if the runs that a pool takes off
+    this process span ``_POOL_MIN_NODE_SLOTS`` node-slots in all; else 1."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, runs)
+    spared = runs - math.ceil(runs / workers)
+    return workers if spared * node_slots >= _POOL_MIN_NODE_SLOTS else 1
+
+
+def map_in_processes(fn, items, workers):
+    """``[fn(item) for item in items]``, the calls spread over up to
+    ``workers`` processes (an integer of at least 1).
 
     ``fn`` and the items must pickle (``fn`` by its import path). With one
-    worker the calls run in this process. Otherwise every worker has been
-    joined when this returns or raises, and an exception raised by a call
-    reaches the caller with its type and message.
+    worker, or one item, the calls run in this process. Otherwise every
+    worker has been joined when this returns or raises, and an exception
+    raised by a call reaches the caller with its type and message.
     """
-    workers = _worker_count(workers, len(items))
+    workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    # imported here: loading the process pool slows every import of slotmesh
-    import multiprocessing
+    # imported here: loading the process pool slows every import of slotmesh.
+    # The pool takes the platform's default start method: fork on Linux
+    # before Python 3.14, spawn or forkserver where forking a process that
+    # runs threads is unsafe
     from concurrent.futures import ProcessPoolExecutor
-    # on a 2-core host a forked pool of two starts in about 15 ms and a
-    # spawned one in 0.4 s, since each spawned worker imports numpy and
-    # slotmesh again; the pool forks its workers before it starts a thread
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -159,9 +169,8 @@ def _arrival_arrays(rng, traffic, start_slot, count):
     return arrivals
 
 
-def _simulate_queue_run(capacity, slotframe_length, tx_set, traffic, packets,
-                        warmup, seed):
-    rng = np.random.default_rng(seed)
+def _simulate_queue_run(capacity, slotframe_length, tx_set, traffic, rng,
+                        packets, warmup):
     queue = deque()  # (arrival_slot, counted)
     hist = [0] * (capacity + 1)
     arrived = accepted = 0
@@ -211,17 +220,14 @@ def _simulate_queue_run(capacity, slotframe_length, tx_set, traffic, packets,
 
 
 def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
-                   traffic, config: SimConfig, *,
-                   workers: int | None = None) -> QueueSimStats:
+                   traffic, config: SimConfig) -> QueueSimStats:
     """Simulate a single queue until ``config.packets`` packets arrived
     per run (counted after warm-up), then drain the counted packets.
 
     Acceptance is the fraction of counted arrivals that were admitted;
     delays are measured from the arrival slot to the end of the
-    transmitting slot, in slots. The runs go to ``workers`` processes
-    (``None``: one per run up to the usable CPUs; ``1``: this process).
+    transmitting slot, in slots.
     """
-    _worker_count(workers, config.runs)  # a bad value fails on every path
     if traffic.slots != slotframe_length:
         raise SimulationError("traffic spec length must equal the slotframe length")
     offered = sum(traffic.poisson_rate) + sum(traffic.bernoulli_prob)
@@ -239,11 +245,11 @@ def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
     hist = np.zeros(capacity + 1, dtype=np.int64)
     ratios, delay_means = [], []
     arrived_total = accepted_total = 0
-    runs = _in_processes(
-        partial(_simulate_queue_run, capacity, slotframe_length, tx_set,
-                traffic, config.packets, warmup),
-        [[config.seed, run] for run in range(config.runs)], workers)
-    for arrived, accepted, delays, h in runs:
+    for run in range(config.runs):
+        rng = np.random.default_rng([config.seed, run])
+        arrived, accepted, delays, h = _simulate_queue_run(
+            capacity, slotframe_length, tx_set, traffic, rng,
+            config.packets, warmup)
         hist += h
         arrived_total += arrived
         accepted_total += accepted
@@ -496,10 +502,12 @@ def simulate_network(scenario: NetworkScenario, config: SimConfig, *,
     per-node delivery ratios and end-to-end delays are computed from the
     tracked packets only. Sink throughput is measured over the tagging
     window. The default warm-up is 15 simulated minutes. The runs go to
-    ``workers`` processes (``None``: one per run up to the usable CPUs;
-    ``1``: this process).
+    up to ``workers`` processes (``1``: this process). ``None`` gives one
+    process per run up to the usable CPUs when the runs are long enough to
+    pay for the pool's start (``_default_workers``), else this process.
     """
-    _worker_count(workers, config.runs)  # a bad value fails on every path
+    if workers is not None:
+        check_workers(workers)
     n_nodes = scenario.topology.node_count
     # nothing to track: no generation, or a sink alone, whose slots would
     # all be quiet, and a quiet slot never ends the run
@@ -514,7 +522,11 @@ def simulate_network(scenario: NetworkScenario, config: SimConfig, *,
     warmup = (config.warmup_slots if config.warmup_slots is not None
               else int(round(NETWORK_WARMUP_SECONDS
                              / scenario.schedule.slot_duration)))
-    runs = _in_processes(
+    if workers is None:
+        workers = _default_workers(
+            config.runs,
+            (warmup + config.packets / scenario.generation_rate) * n_nodes)
+    runs = map_in_processes(
         partial(_simulate_network_run, scenario, config.packets, warmup),
         [[config.seed, run] for run in range(config.runs)], workers)
     pdr, delay, throughput, counts = zip(*runs)

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology)
 from slotmesh.queuemodel import TrafficSpec, evaluate_node
 from slotmesh.schedule import Schedule, Topology
+from slotmesh import simulate
 from slotmesh.schedulers import generate
 from slotmesh.simulate import (_BLOCK, MetricSummary, NetworkSimStats,
                                RunCounts, SimConfig, SimulationError,
@@ -118,20 +120,9 @@ QUEUE_GOLDEN = [
 def test_queue_sim_golden_replay(case):
     (capacity, frame, tx, traffic, packets, warmup, seed,
      hist, arrived, accepted, acceptance, delay) = case
-    config = SimConfig(seed=seed, runs=2, packets=packets,
-                       warmup_slots=warmup)
-    # each run draws from its own generator, so the runs give the same
-    # bits in worker processes as in this one
-    stats, *pooled = [simulate_queue(capacity, frame, tx, traffic, config,
-                                     workers=workers)
-                      for workers in (1, 2, None)]
-    assert not multiprocessing.active_children()
-    for other in pooled:
-        for field in ("acceptance", "delay_slots"):
-            assert (np.array(getattr(other, field).per_run).tobytes()
-                    == np.array(getattr(stats, field).per_run).tobytes())
-        assert other.queue_histogram.tobytes() == stats.queue_histogram.tobytes()
-        assert (other.arrived, other.accepted) == (stats.arrived, stats.accepted)
+    stats = simulate_queue(capacity, frame, tx, traffic,
+                           SimConfig(seed=seed, runs=2, packets=packets,
+                                     warmup_slots=warmup))
     assert stats.queue_histogram.tolist() == hist
     assert (stats.arrived, stats.accepted) == (arrived, accepted)
     assert stats.acceptance.per_run == acceptance
@@ -239,14 +230,16 @@ def test_network_sim_golden_replay(case):
     packets = 50
     scenario = _golden_scenario(rings, algorithm, rate, per, capacity)
     config = SimConfig(seed=seed, runs=2, packets=packets, warmup_slots=warmup)
-    stats, *pooled = [simulate_network(scenario, config, workers=workers)
-                      for workers in (1, 2, None)]
+    # each run draws from its own generator, so the runs give the same bits
+    # in worker processes as in this one (the default runs cases this short
+    # here, see test_default_workers_follow_run_size)
+    stats, pooled = [simulate_network(scenario, config, workers=workers)
+                     for workers in (1, 2)]
     assert not multiprocessing.active_children()
-    for other in pooled:
-        assert other.counts == stats.counts
-        for field in ("delivery", "delay_slots", "throughput_pps"):
-            assert (getattr(other, field).tobytes()
-                    == getattr(stats, field).tobytes())
+    assert pooled.counts == stats.counts
+    for field in ("delivery", "delay_slots", "throughput_pps"):
+        assert (getattr(pooled, field).tobytes()
+                == getattr(stats, field).tobytes())
     for run, (counts, tracked, delay_sums, throughput) in enumerate(runs):
         assert stats.counts[run] == RunCounts(*counts)
         assert stats.delivery[run].tolist() == [1.0] + [
@@ -323,6 +316,8 @@ def test_network_sim_checks_ledger_every_run(monkeypatch):
                                    warmup_slots=100))
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked worker sees the patched class")
 def test_worker_error_reaches_caller_unchanged(monkeypatch):
     # the patch is in place before the pool forks, so the worker's run
     # raises, and its error must come back as the in-process one does
@@ -339,17 +334,40 @@ def test_worker_error_reaches_caller_unchanged(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.0, True, "2"])
-def test_simulators_reject_bad_worker_counts(workers):
+def test_network_sim_rejects_bad_worker_counts(workers):
     # every path checks the value, the zero-rate one included
     config = SimConfig(seed=0, runs=2, packets=10)
     for rate in (0.02, 0.0):
         with pytest.raises(SimulationError, match="workers must be"):
             simulate_network(_two_node_scenario(rate=rate), config,
                              workers=workers)
-    for rate in (0.2, 0.0):
-        with pytest.raises(SimulationError, match="workers must be"):
-            simulate_queue(3, 3, (0,), TrafficSpec.constant(3, rate=rate),
-                           config, workers=workers)
+
+
+def test_default_workers_follow_run_size(monkeypatch):
+    # a pool pays only when the runs it takes off this process are long:
+    # 2 runs on 4 CPUs spare one run, 5 runs spare three
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    assert simulate._default_workers(2, 199_999) == 1
+    assert simulate._default_workers(2, 200_000) == 2
+    assert simulate._default_workers(5, 66_666) == 1
+    assert simulate._default_workers(5, 66_667) == 4
+    assert simulate._default_workers(1, 10**9) == 1
+
+    class Chosen(Exception):
+        pass
+
+    def choose(fn, items, workers):
+        raise Chosen(workers)
+
+    # the run size is warm-up plus packets / p_gen slots, times nodes
+    monkeypatch.setattr(simulate, "map_in_processes", choose)
+    for warmup, workers in ((98_999, 1), (99_000, 2)):
+        with pytest.raises(Chosen) as chosen:
+            simulate_network(_two_node_scenario(rate=0.01),
+                             SimConfig(seed=1, runs=2, packets=10,
+                                       warmup_slots=warmup))
+        assert chosen.value.args == (workers,)
 
 
 def test_network_sim_two_nodes_low_rate():
