@@ -12,8 +12,8 @@ from .queuemodel import (ModelError, NodeMetrics, TrafficSpec, build_chain,
                          evaluate_node, expected_arrivals_per_slotframe)
 from .schedule import (CHANNELS_2_4GHZ, ConflictReport, Schedule,
                        ScheduleError, ScheduleFormatError, Topology,
-                       active_links, disturbing_links, load_schedule,
-                       load_topology, save_schedule, save_topology, validate)
+                       load_schedule, load_topology, save_schedule,
+                       save_topology, validate)
 from .schedulers import (ChannelExhaustionError, SchedulerError, generate,
                          proper_descendants)
 from .simulate import (MetricSummary, NetworkSimStats, QueueSimStats,

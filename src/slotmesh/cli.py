@@ -24,9 +24,10 @@ from . import simulate as sim
 from .network import (NetworkModelError, NetworkScenario, concentric_topology,
                       evaluate_network)
 from .queuemodel import VARIANTS, ModelError
-from .schedule import (ScheduleError, ScheduleFormatError, _ints,
-                       _is_number, _read_json, load_schedule, load_topology,
-                       save_schedule, save_topology, validate)
+from .schedule import (DEFAULT_SLOT_DURATION, ScheduleError,
+                       ScheduleFormatError, _ints, _is_number, _read_json,
+                       load_schedule, load_topology, save_schedule,
+                       save_topology, validate)
 from .schedulers import ALGORITHMS, SchedulerError, generate
 from .stationary import StationaryError
 
@@ -191,16 +192,14 @@ def _outer_ring_means(result):
 
 
 def _sweep_point(task):
-    name, schedule, topology, variant, capacity, rate = task
-    scenario = NetworkScenario(schedule=schedule, topology=topology,
-                               generation_rate=rate, queue_capacity=capacity)
+    name, variant, scenario = task
     result = evaluate_network(scenario, variant=variant)
-    non_root = [n for n in range(topology.node_count) if n != 0]
+    non_root = list(range(1, scenario.topology.node_count))
     values = _outer_ring_means(result)
     values["pdr_mean"] = (float(result.delivery_ratio[non_root].mean())
                           if non_root else 1.0)
-    return [(name, variant, capacity, rate, metric, values[metric])
-            for metric in SWEEP_METRICS]
+    return [(name, variant, scenario.queue_capacity, scenario.generation_rate,
+             metric, values[metric]) for metric in SWEEP_METRICS]
 
 
 def _sweep_tasks(spec):
@@ -214,7 +213,7 @@ def _sweep_tasks(spec):
     parameter = spec.get("parameter", "p_gen")
     if parameter not in ("p_gen", "interval"):
         raise _InputError("sweep parameter must be 'p_gen' or 'interval'")
-    slot_duration = spec.get("slot_duration_s", 0.010)
+    slot_duration = spec.get("slot_duration_s", DEFAULT_SLOT_DURATION)
     if not (_is_number(slot_duration) and 0 < slot_duration < math.inf):
         raise _InputError("sweep slot_duration_s must be a positive number")
     topo_spec = spec.get("topology", {})
@@ -254,18 +253,21 @@ def _sweep_tasks(spec):
             schedules.append((entry.get("name", entry["file"]), loaded))
         else:
             raise _InputError(f"sweep schedule entry {entry!r} not understood")
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise _InputError(f"unknown variant {variant!r}")
     tasks = []
     for name, schedule in schedules:
-        # a schedule file carries its own slot duration
-        rates = ([schedule.slot_duration / v for v in grid]
-                 if parameter == "interval" else [float(v) for v in grid])
-        for variant in variants:
-            if variant not in VARIANTS:
-                raise _InputError(f"unknown variant {variant!r}")
-            for capacity in capacities:
-                for rate in rates:
-                    tasks.append((name, schedule, topology, variant,
-                                  capacity, rate))
+        # the variants share a point's scenario; a schedule file converts
+        # an interval with its own slot duration
+        points = [NetworkScenario.from_interval(schedule, topology, v, capacity)
+                  if parameter == "interval" else
+                  NetworkScenario(schedule=schedule, topology=topology,
+                                  generation_rate=float(v),
+                                  queue_capacity=capacity)
+                  for capacity in capacities for v in grid]
+        tasks += [(name, variant, scenario) for variant in variants
+                  for scenario in points]
     return tasks
 
 
@@ -348,7 +350,8 @@ def build_parser():
     p.add_argument("--topology-out", help="write the generated topology here")
     p.add_argument("--out", required=True, help="schedule JSON output")
     p.add_argument("--trace", help="write the message trace to this file")
-    p.add_argument("--slot-duration", type=float, default=0.010)
+    p.add_argument("--slot-duration", type=float,
+                   default=DEFAULT_SLOT_DURATION)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("analyze", help="evaluate the analytical model")

@@ -199,8 +199,8 @@ def concentric_topology(rings: int) -> Topology:
     reconstruction of the usual concentric benchmark network: 2 rings give
     19 nodes, 3 rings give 37.
     """
-    if rings < 1:
-        raise NetworkModelError("rings must be at least 1")
+    if not (_ints(rings) and rings >= 1):
+        raise NetworkModelError("rings must be a positive integer")
     counts = [1] + [6 * k for k in range(1, rings + 1)]
     offsets = np.cumsum([0] + counts)
     n_nodes = int(offsets[-1])

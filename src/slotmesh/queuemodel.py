@@ -84,10 +84,6 @@ class TrafficSpec:
     def constant(cls, length: int, rate: float = 0.0, prob: float = 0.0):
         return cls((rate,) * length, (prob,) * length)
 
-    @property
-    def slots(self) -> int:
-        return len(self.poisson_rate)
-
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The rates and probabilities as the ``(1, S)`` arrays of a stack
         of one."""
@@ -260,24 +256,21 @@ def expected_delay(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
     chain, zero for a chain without transmission slots.
 
     Averages the deterministic drain time over the state reached after the
-    arrival itself is appended to the queue. At queue position ``p`` from
-    slot ``j`` on, a packet leaves in the ``p``-th transmission slot at or
-    after ``j``, after ``ceil(p / count) - 1`` full slotframes. A network
+    arrival itself is appended to the queue. Numbered from 0 on the
+    schedule unrolled over slotframes, with ``tx`` the ``T`` transmission
+    slots in order, a packet that arrives in state ``(q, i)`` leaves in
+    transmission ``k = cumsum(tau)[i] + max(q - tau_i, 0)``, at slot
+    ``tx[k mod T] + (k div T) S``, and waits that slot minus ``i``. A network
     adds these up along the route, the paper's drain-time sum, which
     misses the simulated multi-hop delay (see the README).
     """
     chains, length, levels = grid.shape
     count = np.maximum(tau.sum(axis=1), 1)[:, None, None]
     tx = np.argsort(tau == 0, axis=1, kind="stable")  # tx slots first, in order
-    nxt = (np.arange(length) + 1) % length
-    position = np.maximum(np.arange(levels) - tau[:, :, None], 0) + 1
-    # transmission slots before slot nxt: the one preceding it has index
-    # before - 1 (cyclically), so the p-th one from nxt on has index
-    # before - 1 + p
-    before = (np.cumsum(tau, axis=1) - tau)[:, nxt, None]
-    target = tx[np.arange(chains)[:, None, None], (before - 1 + position) % count]
-    frames = -(-position // count) - 1
-    drain = frames * length + 1 + (target - nxt[:, None]) % length
+    k = (np.cumsum(tau, axis=1)[:, :, None]
+         + np.maximum(np.arange(levels) - tau[:, :, None], 0))
+    leave = tx[np.arange(chains)[:, None, None], k % count] + k // count * length
+    drain = leave - np.arange(length)[:, None]
     return np.where(tau.any(axis=1), (grid * drain).sum(axis=(1, 2)), 0.0)
 
 

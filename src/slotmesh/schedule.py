@@ -138,11 +138,10 @@ class Topology:
             raise ScheduleError("node_count must be a positive integer")
         norm = set()
         for e in self.edges:
-            v, w = e
-            if not (_ints(v, w) and 0 <= v < self.node_count
-                    and 0 <= w < self.node_count) or v == w:
+            if not (isinstance(e, tuple) and len(e) == 2 and _ints(*e)
+                    and 0 <= min(e) < max(e) < self.node_count):
                 raise ScheduleError(f"invalid edge {e}")
-            norm.add((min(v, w), max(v, w)))
+            norm.add((min(e), max(e)))
         object.__setattr__(self, "edges", frozenset(norm))
         nbrs = [set() for _ in range(self.node_count)]
         for v, w in norm:
@@ -164,7 +163,7 @@ class Topology:
                 raise ScheduleError(f"node {n}: invalid parent {p!r}")
             if p == n:
                 raise ScheduleError(f"node {n}: node cannot be its own parent")
-            if not self.in_range(p, n):
+            if p not in nbrs[n]:
                 raise ScheduleError(f"node {n}: parent {p} is not within radio range")
             children[p].append(n)
         object.__setattr__(self, "children", tuple(map(tuple, children)))
@@ -183,10 +182,6 @@ class Topology:
             raise ScheduleError(f"parent pointers contain a cycle through node {v}")
         object.__setattr__(self, "levels", tuple(levels))
 
-    def in_range(self, v: int, w: int) -> bool:
-        """Whether a transmission of ``v`` can disturb a reception at ``w``."""
-        return w in self._near(v)
-
     def _near(self, node: int) -> frozenset[int]:
         # a node id the topology lacks has no neighbours
         return self._neighbor_sets[node] if 0 <= node < self.node_count else frozenset()
@@ -197,8 +192,9 @@ class ConflictReport:
     """Result of validating a schedule against a topology.
 
     ``channel_collisions`` holds one entry per unordered pair of mutually
-    disturbing links that share slot and channel; :func:`disturbing_links`
-    answers which links can disturb a given one.
+    disturbing links that share slot and channel; two links disturb each
+    other when an endpoint of one is a neighbour of an endpoint of the
+    other.
     """
 
     channel_collisions: tuple[tuple[int, Link, Link], ...]
@@ -236,18 +232,6 @@ def _disturbs(topology: Topology, l1: Link, l2: Link) -> bool:
     v2, w2 = l2
     near_v1, near_w1 = topology._near(l1[0]), topology._near(l1[1])
     return v2 in near_v1 or v2 in near_w1 or w2 in near_v1 or w2 in near_w1
-
-
-def disturbing_links(schedule: Schedule, topology: Topology, slot: int,
-                     link: Link) -> set[Link]:
-    """Other links active in ``slot`` that can disturb ``link``.
-
-    ``link`` must itself be active in the slot.
-    """
-    links = active_links(schedule, slot)
-    if link not in links:
-        raise ScheduleError(f"link {link} is not active in slot {slot}")
-    return {l2 for l2 in links if l2 != link and _disturbs(topology, link, l2)}
 
 
 def validate(schedule: Schedule, topology: Topology) -> ConflictReport:

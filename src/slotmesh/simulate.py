@@ -161,7 +161,7 @@ class QueueSimStats:
 
 
 def _arrival_arrays(rng, traffic, start_slot, count):
-    idx = (start_slot + np.arange(count)) % traffic.slots
+    idx = (start_slot + np.arange(count)) % len(traffic.poisson_rate)
     lam = np.asarray(traffic.poisson_rate)[idx]
     prob = np.asarray(traffic.bernoulli_prob)[idx]
     arrivals = rng.poisson(lam)
@@ -228,7 +228,7 @@ def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
     delays are measured from the arrival slot to the end of the
     transmitting slot, in slots.
     """
-    if traffic.slots != slotframe_length:
+    if len(traffic.poisson_rate) != slotframe_length:
         raise SimulationError("traffic spec length must equal the slotframe length")
     offered = sum(traffic.poisson_rate) + sum(traffic.bernoulli_prob)
     if offered == 0:

@@ -428,6 +428,27 @@ def test_interval_sweep_uses_schedule_slot_duration(tmp_path):
     assert float(swept[0][5]) == pytest.approx(want, abs=1e-6)
 
 
+def test_interval_sweep_matches_p_gen_sweep(tmp_path):
+    # an interval v sweeps the point p_gen = slot_duration / v
+    slot, lo, hi = 0.02, 0.5, 4.0
+    common = {"queue_capacities": [3, 8], "schedules": ["sbd", "ta-mc"],
+              "variants": ["full", "distributed"], "topology": {"rings": 1},
+              "slot_duration_s": slot}
+    rows = []
+    for name, extra in (
+            ("interval", {"parameter": "interval",
+                          "grid": {"min": lo, "max": hi, "count": 2}}),
+            ("p_gen", {"grid": {"min": slot / hi, "max": slot / lo,
+                                "count": 2}})):
+        spec_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        spec_path.write_text(json.dumps({**common, **extra}))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 0
+        rows.append(_read_csv(out)[1:])
+    assert len(rows[0]) == 2 * 2 * 2 * 2 * 4
+    assert sorted(rows[0]) == sorted(rows[1])
+    assert [r[3] for r in rows[0][:8:4]] == ["0.04", "0.005"]
+
+
 _GRID = {"min": 0.0, "max": 0.01, "count": 3}
 
 

@@ -392,6 +392,11 @@ def test_concentric_needs_a_ring():
         concentric_topology(0)
 
 
+def test_concentric_rejects_fractional_rings():
+    with pytest.raises(NetworkModelError, match="rings must be a positive integer"):
+        concentric_topology(1.5)
+
+
 def test_concentric_node_counts():
     assert concentric_topology(1).node_count == 7
     assert concentric_topology(2).node_count == 19
@@ -409,4 +414,4 @@ def test_concentric_balanced_two_rings():
     assert sorted(len(topo.children[n]) for n in range(1, 7)) == [2] * 6
     assert topo.levels[-1] == tuple(range(7, 19))
     for n in range(7, 19):
-        assert topo.in_range(topo.parents[n], n)
+        assert topo.parents[n] in topo.neighbors[n]

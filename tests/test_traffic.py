@@ -24,7 +24,7 @@ def test_spec_validation():
     with pytest.raises(ModelError):
         TrafficSpec((0.1, 0.2), (0.0,))
     spec = TrafficSpec.constant(4, rate=0.3, prob=0.1)
-    assert spec.slots == 4
+    assert len(spec.poisson_rate) == 4
 
 
 def test_pmf_no_traffic():
