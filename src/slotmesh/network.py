@@ -96,6 +96,16 @@ class NetworkScenario:
                    queue_capacity=queue_capacity)
 
 
+def _check_variant(variant: str, topology: Topology) -> None:
+    """Raise :class:`NetworkModelError` if the model ``variant`` cannot
+    evaluate ``topology``: ``md1k`` has no slot structure to carry
+    forwarded traffic and is therefore restricted to single-hop trees."""
+    if variant == "md1k" and len(topology.levels) > 2:
+        raise NetworkModelError(
+            "the md1k variant has no slot structure and cannot model "
+            "forwarding; it is limited to single-hop topologies")
+
+
 @dataclass(frozen=True)
 class NetworkResult:
     """Per-node metrics plus network-wide delivery figures."""
@@ -124,9 +134,8 @@ def evaluate_network(scenario: NetworkScenario, *,
 
     The scenario is valid by construction. ``variant`` selects the
     per-node model, as in :func:`~slotmesh.queuemodel.evaluate_node`, and
-    each tree level is solved as one stack under it; ``md1k`` has no slot
-    structure to carry forwarded traffic and is therefore restricted to
-    single-hop trees.
+    each tree level is solved as one stack under it; ``md1k`` is
+    restricted to single-hop trees (:func:`_check_variant`).
     """
     schedule = scenario.schedule
     topology = scenario.topology
@@ -134,10 +143,7 @@ def evaluate_network(scenario: NetworkScenario, *,
     length = schedule.slotframe_length
     n_nodes = topology.node_count
     levels = topology.levels
-    if variant == "md1k" and len(levels) > 2:
-        raise NetworkModelError(
-            "the md1k variant has no slot structure and cannot model "
-            "forwarding; it is limited to single-hop topologies")
+    _check_variant(variant, topology)
 
     rx_prob = np.zeros((n_nodes, length))
     metrics: list[NodeMetrics | None] = [None] * n_nodes

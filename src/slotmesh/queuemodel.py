@@ -12,9 +12,15 @@ queue-level marginals and the expected queuing delay.
 Chains are built, solved and summarized as stacks: B chains with the same
 S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
 probabilities and departures, checked in one vector step. A stack is its
-``(B, S, K + 1)`` arrival rows from :func:`arrival_pmf`, each capped once
-so that entry K holds the mass at K and beyond, and its departures;
-:mod:`slotmesh.stationary` alone builds the slot blocks from them, and
+``(B, S, K + 1)`` slot rows from :func:`arrival_pmf`, each capped once so
+that entry K holds the mass at K and beyond, its departures, and one run
+row per quiet run between transmission slots, ``(B, T + 1, K + 1)`` for
+the stack's widest transmission count T. A quiet slot only adds
+arrivals, so a run adds a Poisson of the run's summed rate plus one
+Bernoulli packet per forwarded slot: its row is the capped Poisson row of
+that rate, built in the same :func:`arrival_pmf` call and tail pass as
+the slot rows, then one non-negative two-term step per forwarded slot.
+:mod:`slotmesh.stationary` alone builds the blocks from these rows, and
 its docstring gives their format and the tail rule. The Poisson terms
 are ``exp(k log(lambda) - log(k!) - lambda)`` in numpy, ``log(k!)`` from
 one cumulative sum of logarithms and the ``k = 0`` term ``exp(-lambda)``,
@@ -140,10 +146,19 @@ def _departures(length: int, tx_slots) -> np.ndarray:
 
 
 def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
-                 probs: np.ndarray) -> np.ndarray:
-    """The read-only ``(B, S, K + 1)`` capped arrival rows of a stack of
-    chains given as ``(B, S)`` departures, Poisson rates and Bernoulli
-    probabilities, entry K holding the mass at K and beyond."""
+                 probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only capped arrival rows of a stack of chains given as
+    ``(B, S)`` departures, Poisson rates and Bernoulli probabilities,
+    entry K holding the mass at K and beyond: ``(B, S, K + 1)`` slot rows
+    and ``(B, T + 1, K + 1)`` run rows, T the most transmission slots of
+    any chain.
+
+    Run row ``t`` holds the arrivals of a chain's quiet run after its t-th
+    transmission slot, run 0 from slot 0: a Poisson row of the run's
+    summed rate, then one Bernoulli packet per forwarded slot of the run.
+    An empty run, and every run past a chain's last, is the row of no
+    arrivals.
+    """
     if capacity < 1:
         raise ModelError("capacity must be at least 1")
     if tau.shape[1] < 1:
@@ -151,8 +166,20 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     if rates.shape != tau.shape or probs.shape != tau.shape:
         raise ModelError("traffic spec length must equal the slotframe length")
     _check_traffic(rates, probs)
-    # one row per (chain, slot) pair
-    rows = arrival_pmf(rates.ravel(), probs.ravel(), capacity + 1)
+    chains, length = tau.shape
+    quiet = tau == 0
+    # run[b, i]: the run of slot i, numbered over the whole stack; the runs
+    # of a chain start at slot 0 and after each transmission slot
+    run = np.add.accumulate(~quiet, axis=1)
+    width = int(run[:, -1].max()) + 1
+    run += np.arange(0, chains * width, width)[:, None]
+    # a transmission slot's rate counts as a zero in the run after it
+    summed = np.bincount(run.ravel(), weights=(rates * quiet).ravel(),
+                         minlength=chains * width)
+    # one row per (chain, slot) pair, then one per run, in one pass
+    lam = np.concatenate((rates.ravel(), summed))
+    p = np.concatenate((probs.ravel(), np.zeros(chains * width)))
+    rows = arrival_pmf(lam, p, capacity + 1)
     # the mass at K and beyond: one minus the head summed in order while
     # that is at least 1/2; a smaller complement would be mostly the head's
     # rounding noise, which the room table counts up to K times
@@ -167,7 +194,7 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     # than e^-37 < 2^-53 for the n below. 12 sqrt(K + 1) terms are always
     # enough (11.6 sqrt(K + 1) at lam = K = 4, the most any K from 1 to
     # 16384 needs); a zero rate needs none.
-    lam, p = rates.ravel()[upper], probs.ravel()[upper]
+    lam, p = lam[upper], p[upper]
     rho = lam.max(initial=0.0) / (capacity + 1)
     terms = 0 if rho == 0.0 else min(
         math.ceil(12 * math.sqrt(capacity + 1)),
@@ -177,8 +204,25 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     with np.errstate(divide="ignore"):
         at_cap = np.exp(capacity * np.log(lam) - math.lgamma(capacity + 1) - lam)
     rows[upper, -1] += at_cap * (p + series)
+    runs = rows[chains * length:]
+    # each forwarded quiet slot adds a Bernoulli packet to its run's row h,
+    # in slot order: (1 - p) h + p h shifted one level up, entry K
+    # h[K] + p h[K - 1]. Step j takes the j-th tap of every run.
+    taps = quiet & (probs != 0)
+    if taps.any():
+        count = np.add.accumulate(taps, axis=1)
+        rank = count - np.maximum.accumulate(np.where(quiet, 0, count), axis=1)
+        for j in range(1, int(rank[taps].max()) + 1):
+            on = taps & (rank == j)
+            ids, q = run[on], probs[on, None]
+            h = runs[ids]
+            step = (1.0 - q) * h
+            step[:, 1:] += q * h[:, :-1]
+            step[:, -1] = h[:, -1] + q[:, 0] * h[:, -2]
+            runs[ids] = step
     rows.flags.writeable = False
-    return rows.reshape(*tau.shape, capacity + 1)
+    return (rows[:chains * length].reshape(chains, length, capacity + 1),
+            rows[chains * length:].reshape(chains, width, capacity + 1))
 
 
 @dataclass(frozen=True)
@@ -186,14 +230,17 @@ class QueueChain:
     """Queue chain over the states ``(q, i)`` at ``i * (K + 1) + q``.
 
     ``rows[i, k]`` is the probability of ``k`` arrivals in slot ``i`` for
-    ``k < K``, ``rows[i, K]`` that of K or more. ``departures[i]`` is one
-    on transmission slots, zero elsewhere. The two are the whole chain:
-    only :mod:`slotmesh.stationary` builds its slot blocks from them.
+    ``k < K``, ``rows[i, K]`` that of K or more. ``runs[t]`` is the same
+    for the quiet run after the t-th transmission slot, run 0 from slot 0.
+    ``departures[i]`` is one on transmission slots, zero elsewhere. The
+    three are the whole chain: only :mod:`slotmesh.stationary` builds its
+    slot blocks from them.
     """
 
     capacity: int
     slotframe_length: int
     rows: np.ndarray
+    runs: np.ndarray
     departures: np.ndarray
 
     @property
@@ -215,9 +262,9 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     can be accepted, leaving a single transition of probability one.
     """
     tau = _departures(slotframe_length, [tx_slots])
-    rows = _capped_rows(capacity, tau, *traffic._arrays())
+    rows, runs = _capped_rows(capacity, tau, *traffic._arrays())
     return QueueChain(capacity=capacity, slotframe_length=slotframe_length,
-                      rows=rows[0], departures=tau[0])
+                      rows=rows[0], runs=runs[0], departures=tau[0])
 
 
 def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -300,8 +347,8 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
                     probs: np.ndarray) -> list[NodeMetrics]:
     """Build, solve and summarize a stack of chains given as ``(B, S)``
     departures, Poisson rates and Bernoulli probabilities."""
-    rows = _capped_rows(capacity, tau, rates, probs)
-    grid = stationary._solve_stack(rows, tau)[0]
+    rows, runs = _capped_rows(capacity, tau, rates, probs)
+    grid = stationary._solve_stack(rows, runs, tau)[0]
     offered = _offered(rates, probs)
     paccept = acceptance_probability(grid, rows, offered)
     tx = transmission_probability(grid, tau)

@@ -1,7 +1,9 @@
 """Stationary distributions of slot-indexed finite Markov chains.
 
 A queue chain of :mod:`slotmesh.queuemodel` comes here as ``(S, K + 1)``
-capped arrival rows and ``(S,)`` departures, one on transmission slots.
+capped arrival rows, ``(T + 1, K + 1)`` run rows of the quiet runs
+between its T transmission slots, and ``(S,)`` departures, one on
+transmission slots.
 Entry ``k < K`` of row ``i`` is the probability of ``k`` arrivals in slot
 ``i``, and entry K the mass at K and beyond: one minus the head where
 that is at least 1/2, the pmf's upper sum below it. Every tail
@@ -12,9 +14,10 @@ built (:func:`_slot_blocks`) and read only here: block ``i`` holds the
 probabilities of moving from level ``q`` in slot ``i`` to each level in
 slot ``i + 1``. Without a departure, row ``q`` is the capped row moved
 ``q`` levels up, ending in ``P(A >= K - q)`` (:func:`_capped_blocks`). A
-transmission slot shifts every row ``q >= 1`` one column to the left, its
-packet leaving before the arrivals; row 0, the empty queue, stays the
-slot's capped row.
+transmission slot has every row ``q >= 1`` one column further left, its
+packet leaving before the arrivals, built so from the capped row without
+moving the block's entries; row 0, the empty queue, stays the slot's
+capped row.
 
 The chains are row-stochastic and can be reducible. Their stationary
 distribution lives on the closed class (the closed communicating class)
@@ -30,41 +33,44 @@ a non-negative answer and stays accurate near saturation.
 
 A chain only needs its slot-0 return map ``F = B_0 B_1 ... B_{S-1}``,
 just ``(K + 1) x (K + 1)``. Quiet slots compose exactly, since
-``min(min(q + a, K) + b, K) = min(q + a + b, K)``: a run of them is a
-quiet block built from the row 0 its slots compose. A transmission slot
-maps ``q`` to ``min(q + a, K) - [q >= 1]`` and stays a factor of its
-own. So ``F`` is ``R_0 X_1 R_1 ... X_T R_T`` for T transmission blocks
-``X_t``, ``R_t`` the run after ``X_t``: 2T dense products instead of S.
+``min(min(q + a, K) + b, K) = min(q + a + b, K)``: a run of them adds the
+run's arrivals, capped at K, and is the quiet block of the run row that
+:mod:`slotmesh.queuemodel` builds in closed form with the slot rows (a
+Poisson row of the run's summed rate, one Bernoulli packet per forwarded
+slot). A transmission slot maps ``q`` to ``min(q + a, K) - [q >= 1]`` and
+stays a factor of its own. So ``F`` is ``R_0 X_1 R_1 ... X_T R_T`` for T
+transmission blocks ``X_t``, ``R_t`` the run after ``X_t``: 2T dense
+products instead of S, and no quiet slot is composed on its own.
 
-Chains are solved as stacks of B chains with the same S and K: one
-batched row product per slot composes their run rows, and a chain with
-fewer transmission slots than the widest gets identity factors, which
-keep its bits as they are alone. GTH runs once over all chains whose
-closed classes coincide. A slotframe lowers the queue by at most T
-levels, so ``F`` has lower bandwidth ``L <= T``, which GTH from the top
-state keeps: state k is eliminated over the ``L`` columns below it only,
-``O(n^2 L)`` work instead of ``O(n^3)``, with the bits of the full
-elimination since the entries it skips are exact zeros. The slot-0
-solutions are carried through the blocks (:func:`_carry`) into a
-``(B, S, K + 1)`` grid, slot-major like the blocks, one chain's states
-flattened as ``i * (K + 1) + q``. Every chain's answer is checked against
+Chains are solved as stacks of B chains with the same S and K: a chain
+with fewer transmission slots than the widest gets identity factors and
+runs of no arrivals, which keep its bits as they are alone. GTH runs once
+over all chains whose closed classes coincide. A slotframe lowers the
+queue by at most T levels, T the stack's widest transmission count, so
+``F`` has lower bandwidth at most T, which GTH from the top state keeps:
+state k is eliminated over the T columns below it only, ``O(n^2 T)`` work
+instead of ``O(n^3)``, with the bits of the full elimination since the
+entries it skips are exact zeros. The slot-0 solutions are carried
+through the real blocks (:func:`_carry`) into a ``(B, S, K + 1)`` grid,
+slot-major like the blocks, one chain's states flattened as
+``i * (K + 1) + q``. Every chain's answer is checked against
 ``max |c P - c| <= RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i`` times
 ``B_i``, so only the wrap-around term ``c_{S-1} B_{S-1} - c_0``, taken
-from the normalized grid, can be non-zero. An error raised for one chain
-of a stack carries that chain's position as ``index``. :func:`solve` is
-the stack of one chain; it carries the slot-0 closed class along the
-edges of the blocks to mark the class in every slot.
+from the normalized grid, can be non-zero; since the carry never reads
+the run rows, it also checks their closed form. An error raised for one
+chain of a stack carries that chain's position as ``index``.
+:func:`solve` is the stack of one chain; it carries the slot-0 closed
+class along the edges of the blocks to mark the class in every slot.
 
-Every consumer reads the blocks one slot at a time: the run rows, the
-factors ``X_t``, the carry and the wrap-around term. So a stack never
-holds all its ``B S (K + 1)^2`` block entries: :func:`_walk` builds them
-a chunk of consecutive slots at a time, each chunk within
-``_CHUNK_BYTES`` (one MiB) or a single slot, into one buffer, and a chunk
-is still in the cache when its slots are read. The blocks are then built
-twice, once for the return maps and once for the carry, and the factors
-``X_t`` are built from their gathered rows, a chunk of them at a time. A
-stack that fits in one chunk, every level of a small network, is built
-once and its factors indexed from it.
+The carry and the wrap-around term read the blocks one slot at a time,
+so a stack never holds all its ``B S (K + 1)^2`` block entries:
+:func:`_walk` builds them a chunk of consecutive slots at a time, each
+chunk within ``_CHUNK_BYTES`` (one MiB) or a single slot, into one
+buffer, and a chunk is still in the cache when its slots are read. Each
+slot block is built once per solve; the factors ``X_t`` come from their
+gathered rows, a chunk of them at a time, before the carry. A stack that
+fits in one chunk, every level of a small network, is built whole once
+and its factors indexed from it.
 
 The closed class is found by a dense boolean reachability search on the
 return map, whose rows are held as Python ints used as bitsets: reach
@@ -162,19 +168,18 @@ def _closed_class(edges: np.ndarray, start: int) -> np.ndarray:
     return np.unpackbits(bits, count=n, bitorder="little").astype(bool)
 
 
-def _gth(dense: np.ndarray) -> np.ndarray:
+def _gth(dense: np.ndarray, lower: int) -> np.ndarray:
     """Stationary vectors of a ``(B, n, n)`` stack of irreducible
-    stochastic matrices, one row each.
+    stochastic matrices, one row each, eliminated in ``dense`` itself.
 
-    No state moves more than ``L`` states down in any of the matrices, and
-    eliminating from the top keeps that band: state ``k`` only changes
-    columns ``k - L .. k - 1``, and every entry left out is an exact zero,
-    so the answer has the bits of the elimination over all columns.
+    No state moves more than ``lower`` states down in any of the matrices,
+    and eliminating from the top keeps that band: state ``k`` only changes
+    columns ``k - lower .. k - 1``. Every entry left out is an exact zero,
+    and so is every entry of a band wider than the matrices need: the
+    answer has the bits of the elimination over all columns.
     """
-    a = np.array(dense, dtype=float, order="C")
+    a = dense
     n = a.shape[-1]
-    rows, cols = np.nonzero(a.any(axis=0))
-    lower = int((rows - cols).max())
     # ufunc calls, not methods and operators: the loops are call-bound
     for k in range(n - 1, 0, -1):
         # eliminate state k; the row sum over the states left stands in
@@ -204,15 +209,24 @@ def _top_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _capped_blocks(rows: np.ndarray, out=None) -> np.ndarray:
+def _capped_blocks(rows: np.ndarray, sends=None, out=None) -> np.ndarray:
     """``(..., K + 1, K + 1)`` blocks that add arrivals to the level,
     capped at K, from ``(..., K + 1)`` capped arrival rows, whose entry K
     holds the mass at K and beyond: row ``q`` is the arrival row moved
     ``q`` levels up, ``rows[r - q]`` in column ``r < K``, and the top sum
-    ``P(A >= K - q)`` in column K; written into ``out`` if given."""
+    ``P(A >= K - q)`` in column K. Where the boolean ``sends`` is set, a
+    packet leaves first: rows ``q >= 1`` sit one column to the left,
+    ending in ``P(A >= K - q)`` in column K - 1. Written into ``out`` if
+    given."""
     count = rows.shape[-1]
+    top = _top_sums(rows)[..., ::-1]
     padded = np.zeros((*rows.shape[:-1], 2 * count - 1))
     padded[..., count - 1:] = rows
+    if sends is not None:
+        # a sending row sits one entry to the left, so that its rows q >= 1
+        # read one column on; its row 0 is written back below
+        padded[sends, count - 2:-1] = rows[sends]
+        padded[sends, -1] = 0.0
     # entry (q, r) is padded[K + r - q], the row's r - q or a zero: a view
     # that steps back one entry per row, copied
     step = padded.itemsize
@@ -223,7 +237,11 @@ def _capped_blocks(rows: np.ndarray, out=None) -> np.ndarray:
         out = view.copy()
     else:
         out[...] = view
-    out[..., -1] = _top_sums(rows)[..., ::-1]
+    out[..., -1] = top
+    if sends is not None:
+        out[sends, 0] = rows[sends]
+        out[sends, 1:, -2] = top[sends, 1:]
+        out[sends, 1:, -1] = 0.0
     return out
 
 
@@ -231,12 +249,8 @@ def _slot_blocks(rows: np.ndarray, tau: np.ndarray, out=None) -> np.ndarray:
     """Read-only ``(..., S, K + 1, K + 1)`` slot blocks of chains given as
     ``(..., S, K + 1)`` capped arrival rows and ``(..., S)`` departures
     ``tau``: the blocks of :func:`_capped_blocks`, written into ``out`` if
-    given, with rows ``q >= 1`` of a transmission slot shifted one column
-    to the left."""
-    blocks = _capped_blocks(rows, out)
-    sends = tau != 0
-    blocks[sends, 1:, :-1] = blocks[sends, 1:, 1:]
-    blocks[sends, 1:, -1] = 0.0
+    given, a packet leaving first on transmission slots."""
+    blocks = _capped_blocks(rows, tau != 0, out)
     blocks.flags.writeable = False
     return blocks
 
@@ -267,66 +281,51 @@ def _walk(rows: np.ndarray, tau: np.ndarray, blocks=None):
         for start in range(0, length, size))
 
 
-def _return_maps(rows: np.ndarray, tau: np.ndarray, blocks=None) -> np.ndarray:
+def _return_maps(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
+                 blocks=None) -> np.ndarray:
     """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a stack given as
-    ``(B, S, K + 1)`` capped arrival rows and ``(B, S)`` departures
-    ``tau``, each as ``R_0 X_1 R_1 ... X_T R_T``; ``blocks`` are the
-    stack's slot blocks if they were built whole.
+    ``(B, S, K + 1)`` capped arrival rows, ``(B, T + 1, K + 1)`` run rows
+    and ``(B, S)`` departures ``tau``, each as ``R_0 X_1 R_1 ... X_T R_T``;
+    ``blocks`` are the stack's slot blocks if they were built whole. The
+    maps are a new array, which GTH may eliminate in.
 
     ``X_t`` is the block of a chain's t-th transmission slot and ``R_t``
-    the quiet run after it, expanded by :func:`_capped_blocks` from its row
-    0, which one batched row product per slot composes for the whole
-    stack. A chain with fewer transmission slots than another in its stack
-    gets identity factors, and a run that is empty in every chain is left
-    out: a product with the identity is exact, so each chain gets the bits
-    it gets alone. The factors ``X_t`` are indexed from ``blocks``, or
-    built from their gathered rows a chunk at a time.
+    the quiet run after it, expanded by :func:`_capped_blocks` from its run
+    row. A chain with fewer transmission slots than another in its stack
+    gets identity factors and runs of no arrivals, and a run without
+    arrivals in every chain is left out: a product with the identity is
+    exact, so each chain gets the bits it gets alone. The factors ``X_t``
+    are indexed from ``blocks``, or built from their gathered rows a chunk
+    at a time.
     """
-    chains, length, count = rows.shape
+    chains, _, count = rows.shape
+    widest = runs.shape[1] - 1
     sends = tau != 0
-    # ends[:, t]: the slot of each chain's transmission t + 1, or S past
-    # its last; run t ends there and starts after transmission t, run 0 at
-    # slot 0
-    sent = np.add.accumulate(sends, axis=1)
-    counts, widest = sent[:, -1], int(sent[:, -1].max())
-    ends = (sent[:, :, None] <= np.arange(widest + 1)).sum(axis=1)
-    # an empty run reads heads[0], whose block is the identity
-    runs = ends.copy()
-    runs[:, 1:][ends[:, 1:] <= ends[:, :-1] + 1] = 0
-    # heads[i]: row 0 of the quiet run that ends before slot i, up to the
-    # last run used; runs start at slot 0 and after each transmission slot
-    heads = np.zeros((runs.max() + 1, chains, count))
-    heads[0, :, 0] = 1.0
-    start = heads[0, :, None]
-    for row, block, after, restart, any_restart in zip(
-            heads[:-1, :, None], _walk(rows, tau, blocks), heads[1:, :, None],
-            sends.T[:, :, None, None], sends.any(axis=0).tolist()):
-        np.matmul(row, block, out=after)
-        if any_restart:
-            np.copyto(after, start, where=restart)
+    # the slot of each chain's t-th transmission; past its last, a chain
+    # gets the identity factor
+    slots = np.argsort(~sends, axis=1, kind="stable")[:, :widest]
+    past = sends.sum(axis=1)[:, None] <= np.arange(widest)
     chain = np.arange(chains)[:, None]
-    # past its last transmission slot a chain gets the identity factor
-    past = counts[:, None] <= np.arange(widest)
-    slots = ends[:, :widest] % length
     if blocks is None:
         # the row of no arrivals, without a departure, builds the identity
         factors = rows[chain, slots]
-        factors[past] = heads[0, 0]
+        factors[past] = np.eye(1, count)
         factors = _walk(factors, ~past)
     else:
         factors = blocks[chain, slots]
-        if counts.min() < widest:
-            factors[past] = np.eye(count)
+        factors[past] = np.eye(count)
         factors = iter(factors.swapaxes(0, 1))
     frame_map = None
-    for t, used in enumerate(runs.any(axis=0).tolist()):
-        if used:
-            run = _capped_blocks(heads[runs[:, t], chain[:, 0]])
+    # a chain without transmission slots is its one run
+    for t, used in enumerate(runs[:, :, 1:].any(axis=(0, 2)).tolist()):
+        if used or not widest:
+            run = _capped_blocks(runs[:, t])
             frame_map = run if frame_map is None else frame_map @ run
         if t < widest:
             send = next(factors)
             frame_map = send if frame_map is None else frame_map @ send
-    return frame_map
+    # a lone factor is a read-only block
+    return frame_map if frame_map.flags.writeable else frame_map.copy()
 
 
 def _carry(first: np.ndarray, blocks, length: int) -> np.ndarray:
@@ -341,21 +340,23 @@ def _carry(first: np.ndarray, blocks, length: int) -> np.ndarray:
     return grid
 
 
-def _solve_stack(rows: np.ndarray, tau: np.ndarray):
+def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray):
     """Stationary distributions of a stack of queue chains given as
-    ``(B, S, K + 1)`` capped arrival rows and ``(B, S)`` departures
-    ``tau``, as ``(B, S, K + 1)`` slot-by-level grids, with the residuals
-    and the ``(B, K + 1)`` slot-0 closed classes.
+    ``(B, S, K + 1)`` capped arrival rows, ``(B, T + 1, K + 1)`` run rows
+    and ``(B, S)`` departures ``tau``, as ``(B, S, K + 1)`` slot-by-level
+    grids, with the residuals and the ``(B, K + 1)`` slot-0 closed classes.
 
     Solves the return maps on their closed classes, GTH once per group of
-    chains with the same class, and carries the results through all S
-    blocks, back to slot 0, whose change is the residual. The blocks are
-    built a chunk at a time, twice, unless the whole stack fits in one
-    chunk, which is then built once.
+    chains with the same class, inside the band of the T levels a frame
+    can lower the queue by, and carries the results through all S blocks,
+    back to slot 0, whose change is the residual. Each slot block is built
+    once, a chunk at a time unless the whole stack fits in one chunk, and
+    the T factors of the return maps once more unless it does.
     """
     blocks = (_slot_blocks(rows, tau)
               if _chunk_slots(rows) >= rows.shape[1] else None)
-    frame_maps = _return_maps(rows, tau, blocks)
+    frame_maps = _return_maps(rows, runs, tau, blocks)
+    lower = runs.shape[1] - 1
     # one search per distinct edge pattern, one GTH group per closed class
     level = np.empty(frame_maps.shape[:2], dtype=bool)
     classes, groups = {}, {}
@@ -368,12 +369,16 @@ def _solve_stack(rows: np.ndarray, tau: np.ndarray):
                 raise _at(exc, b)
         level[b] = classes[key]
         groups.setdefault(level[b].tobytes(), []).append(b)
-    first = np.zeros(level.shape)
-    for members in groups.values():
-        states = np.flatnonzero(level[members[0]])
-        members = np.array(members)[:, None]
-        first[members, states] = _gth(
-            frame_maps[members[:, :, None], states[:, None], states])
+    if len(groups) == 1 and level.all():
+        # every chain on every state: GTH eliminates in the maps themselves
+        first = _gth(frame_maps, lower)
+    else:
+        first = np.zeros(level.shape)
+        for members in groups.values():
+            states = np.flatnonzero(level[members[0]])
+            members = np.array(members)[:, None]
+            first[members, states] = _gth(
+                frame_maps[members[:, :, None], states[:, None], states], lower)
     walk = _walk(rows, tau, blocks)
     grid = _carry(first, walk, rows.shape[1])
     grid /= grid.sum(axis=(1, 2), keepdims=True)
@@ -391,7 +396,7 @@ def _solve_stack(rows: np.ndarray, tau: np.ndarray):
 def solve(chain) -> StationaryResult:
     """Stationary distribution of a queue chain: the stack of one."""
     rows, tau = chain.rows[None], chain.departures[None]
-    grid, residual, level = _solve_stack(rows, tau)
+    grid, residual, level = _solve_stack(rows, chain.runs[None], tau)
     edges = (block > 0 for block in _walk(rows, tau))
     return StationaryResult(
         distribution=grid[0].ravel(), residual=float(residual[0]),

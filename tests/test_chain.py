@@ -92,7 +92,8 @@ def test_chain_tables_are_read_only_and_blocks_derived():
     # the slot blocks from the two, read-only
     for capacity, length, tx, traffic in chain_cases():
         chain = build_chain(capacity, length, tx, traffic)
-        for table in (chain.rows, chain.departures, slot_blocks(chain)):
+        for table in (chain.rows, chain.runs, chain.departures,
+                      slot_blocks(chain)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0

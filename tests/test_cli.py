@@ -9,6 +9,7 @@ import pytest
 
 import slotmesh
 from conftest import invalid_networks
+from slotmesh import cli
 from slotmesh.cli import main
 from slotmesh.network import concentric_topology
 from slotmesh.schedule import (load_schedule, save_schedule, save_topology,
@@ -502,6 +503,22 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys, monkeypatch, spec):
     spec_path.write_text(json.dumps(spec))
     assert main(["sweep", "--spec", str(spec_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_rejects_multihop_md1k_before_any_point(tmp_path, capsys,
+                                                     monkeypatch):
+    # md1k is single-hop only: a rings-2 spec fails before its first point
+    evaluated = []
+    monkeypatch.setattr(cli, "evaluate_network",
+                        lambda *args, **kwargs: evaluated.append(args))
+    spec_path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    spec_path.write_text(json.dumps({"grid": _GRID, "topology": {"rings": 2},
+                                     "variants": ["full", "md1k"]}))
+    assert main(["sweep", "--spec", str(spec_path), "--out", str(out),
+                 "--workers", "1"]) == 1
+    assert "md1k" in capsys.readouterr().err
+    assert not out.exists()
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("text", [None, "{ not json", _DIRECTORY,

@@ -39,7 +39,8 @@ def closed_class_solution(matrix, start=0):
     elsewhere, checked against the solver's residual bound."""
     mask = stationary._closed_class(matrix != 0, start)
     full = np.zeros(len(matrix))
-    full[mask] = stationary._gth(matrix[np.ix_(mask, mask)][None])[0]
+    closed = matrix[np.ix_(mask, mask)]
+    full[mask] = stationary._gth(closed[None], len(closed) - 1)[0]
     assert np.abs(full @ matrix - full).max() <= stationary.RESIDUAL_BOUND
     return full, mask
 
@@ -65,8 +66,9 @@ def test_residual_matches_dense_definition(monkeypatch):
     # inside the bound; it must be max |c P - c| over the whole chain
     exact = stationary._gth
 
-    def spoiled(dense):
-        return exact(dense) * np.linspace(1 - 1e-12, 1 + 1e-12, dense.shape[-1])
+    def spoiled(dense, lower):
+        return exact(dense, lower) * np.linspace(1 - 1e-12, 1 + 1e-12,
+                                                 dense.shape[-1])
 
     monkeypatch.setattr(stationary, "_gth", spoiled)
     for capacity, length, tx, traffic in chain_cases():
@@ -162,8 +164,8 @@ def test_inexact_solution_fails_residual_check(monkeypatch):
     chain = build_chain(6, 4, (1,), TrafficSpec.constant(4, rate=0.3))
     exact = stationary._gth
 
-    def perturbed(dense):
-        return exact(dense) * np.linspace(0.9, 1.1, dense.shape[-1])
+    def perturbed(dense, lower):
+        return exact(dense, lower) * np.linspace(0.9, 1.1, dense.shape[-1])
 
     monkeypatch.setattr(stationary, "_gth", perturbed)
     with pytest.raises(StationaryError, match="residual"):
@@ -177,9 +179,7 @@ def test_mixed_stack_matches_single_solves():
               build_chain(2, 3, (2,), TrafficSpec.constant(3, rate=0.05)),
               build_chain(2, 3, (0, 1), TrafficSpec.constant(3, rate=0.1, prob=0.2)),
               build_chain(2, 3, (1,), TrafficSpec((0.0, 0.02, 0.0), (0.3, 0.0, 0.0)))]
-    grids, residuals, _ = stationary._solve_stack(
-        np.stack([chain.rows for chain in chains]),
-        np.stack([chain.departures for chain in chains]))
+    grids, residuals, _ = stationary._solve_stack(*stacked(chains))
     classes = {tuple(solve(chain).reachable) for chain in chains}
     assert len(classes) > 1
     for chain, grid, residual in zip(chains, grids, residuals):
@@ -189,8 +189,21 @@ def test_mixed_stack_matches_single_solves():
         assert np.all(grid.ravel()[~single.reachable] == 0.0)
 
 
+def stacked(chains):
+    """The capped rows, run rows and departures of separately built chains
+    with the same S and K as one stack; a chain with fewer transmission
+    slots gets run rows of no arrivals."""
+    runs = np.zeros((len(chains), max(len(chain.runs) for chain in chains),
+                     chains[0].capacity + 1))
+    runs[:, :, 0] = 1.0
+    for b, chain in enumerate(chains):
+        runs[b, :len(chain.runs)] = chain.runs
+    return (np.stack([chain.rows for chain in chains]), runs,
+            np.stack([chain.departures for chain in chains]))
+
+
 def level_stack(rings, algorithm, capacity, rate):
-    """The capped rows and departures of the outer level of a concentric
+    """The capped rows, run rows and departures of the outer level of a concentric
     network, with the traffic its children forward."""
     topo = concentric_topology(rings)
     sched = generate(algorithm, topo)
@@ -207,7 +220,7 @@ def test_slot_blocks_are_built_in_chunks(monkeypatch):
     # a stack within the byte budget builds its blocks in one call; a
     # larger one builds chunks of consecutive slots, none above the budget
     # unless it is a single slot
-    rows, tau = level_stack(2, "ta-sc", 16, 0.01)
+    rows, runs, tau = level_stack(2, "ta-sc", 16, 0.01)
     calls = []
     slot_blocks_of = stationary._slot_blocks
 
@@ -217,23 +230,44 @@ def test_slot_blocks_are_built_in_chunks(monkeypatch):
         return blocks
 
     monkeypatch.setattr(stationary, "_slot_blocks", counted)
-    stationary._solve_stack(rows, tau)
+    stationary._solve_stack(rows, runs, tau)
     assert calls == [(rows.shape[1], rows.nbytes * rows.shape[-1])]
     for capacity, length in ((128, 19), (512, 19)):
         traffic = TrafficSpec.constant(length, rate=0.95 / length)
         chain = build_chain(capacity, length, (0,), traffic)
         calls.clear()
-        stationary._solve_stack(chain.rows[None], chain.departures[None])
+        stationary._solve_stack(*stacked([chain]))
         assert len(calls) > 1
         assert all(nbytes <= stationary._CHUNK_BYTES or slots == 1
                    for slots, nbytes in calls)
+
+
+def test_each_slot_block_is_built_once_per_solve(monkeypatch):
+    # over the chunk budget (K = 512, S = 19) the carry builds each slot's
+    # block once and the return map only its T transmission factors: no
+    # quiet run is composed slot by slot
+    built = []
+    slot_blocks_of = stationary._slot_blocks
+
+    def counted(rows, tau, out=None):
+        built.append(rows.shape[1])
+        return slot_blocks_of(rows, tau, out)
+
+    monkeypatch.setattr(stationary, "_slot_blocks", counted)
+    traffic = TrafficSpec.constant(19, rate=0.95 / 19)
+    for tx_slots in ((0,), (3, 11), ()):
+        chain = build_chain(512, 19, tx_slots, traffic)
+        built.clear()
+        stationary._solve_stack(*stacked([chain]))
+        assert max(built) == 1  # one slot per chunk
+        assert sum(built) == 19 + len(tx_slots)
 
 
 # one slot per chunk, and chunks of three slots of the level stack
 @pytest.mark.parametrize("budget", [0, 100_000])
 def test_chunks_give_the_bits_of_the_whole_stack(monkeypatch, budget):
     chains = [build_chain(*case) for case in chain_cases()]
-    stacks = [(chain.rows[None], chain.departures[None]) for chain in chains]
+    stacks = [stacked([chain]) for chain in chains]
     stacks.append(level_stack(2, "ta-mc", 16, 0.03))
     whole = [stationary._solve_stack(*stack) for stack in stacks]
     solved = [solve(chain) for chain in chains]
@@ -273,14 +307,15 @@ def test_perturbed_chain_names_its_node(monkeypatch):
     chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
     level = solve(chain).reachable.reshape(length, capacity + 1)[0]
     frame_map = stationary._return_maps(
-        chain.rows[None], chain.departures[None])[0][np.ix_(level, level)]
+        *stacked([chain]))[0][np.ix_(level, level)]
     exact = stationary._gth
 
-    def perturbed(dense):
-        x = exact(dense)
-        for b, matrix in enumerate(dense):
-            if matrix.shape == frame_map.shape and np.array_equal(matrix, frame_map):
-                x[b] *= np.linspace(0.9, 1.1, x.shape[1])
+    def perturbed(dense, lower):
+        # GTH eliminates in dense: find the node's map first
+        spoil = [matrix.shape == frame_map.shape
+                 and np.array_equal(matrix, frame_map) for matrix in dense]
+        x = exact(dense, lower)
+        x[spoil] *= np.linspace(0.9, 1.1, x.shape[1])
         return x
 
     monkeypatch.setattr(stationary, "_gth", perturbed)
@@ -300,8 +335,8 @@ def test_failed_md1k_chain_names_its_node(monkeypatch):
                      channel=({1: 11, 2: 11, 3: 11}, {}, {1: 11}, {2: 11}, {3: 11}))
     exact = stationary._gth
 
-    def spoiled(dense):
-        x = exact(dense)
+    def spoiled(dense, lower):
+        x = exact(dense, lower)
         if len(x) == 4:
             x[2] = np.nan
         return x
@@ -372,8 +407,8 @@ def test_critical_load_capacity_1024(monkeypatch):
     residuals = []
     solve_stack = stationary._solve_stack
 
-    def recorded(rows, tau):
-        grid, residual, level = solve_stack(rows, tau)
+    def recorded(rows, runs, tau):
+        grid, residual, level = solve_stack(rows, runs, tau)
         residuals.append(residual)
         return grid, residual, level
 
@@ -394,20 +429,20 @@ def plain_return_map(blocks):
 
 
 def stack_rows(capacity, tx_slots, rates, probs):
-    """The ``(B, S, K + 1)`` capped arrival rows and ``(B, S)`` departures
-    of a stack of chains."""
+    """The ``(B, S, K + 1)`` capped arrival rows, ``(B, T + 1, K + 1)`` run
+    rows and ``(B, S)`` departures of a stack of chains."""
     tau = queuemodel._departures(len(rates[0]), tx_slots)
-    return queuemodel._capped_rows(capacity, tau, np.array(rates, dtype=float),
-                                   np.array(probs, dtype=float)), tau
+    return (*queuemodel._capped_rows(capacity, tau, np.array(rates, dtype=float),
+                                     np.array(probs, dtype=float)), tau)
 
 
 @st.composite
-def chain_stacks(draw):
+def chain_stacks(draw, max_length=8, max_capacity=12):
     """Stacks of chains that share S and K, each with its own transmission
     slots (none, one or several, anywhere in the slotframe), Poisson rates
     that can be zero and Bernoulli probabilities that can be one."""
-    length = draw(st.integers(min_value=1, max_value=8))
-    capacity = draw(st.integers(min_value=1, max_value=12))
+    length = draw(st.integers(min_value=1, max_value=max_length))
+    capacity = draw(st.integers(min_value=1, max_value=max_capacity))
     chains = draw(st.integers(min_value=1, max_value=4))
     slots = st.integers(min_value=0, max_value=length - 1)
     rate = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0))
@@ -430,14 +465,91 @@ def chain_stacks(draw):
 @example((2, [[], []], [[0.1, 0.0]] * 2, [[0.0, 1.0]] * 2))  # no sender
 @settings(max_examples=150, deadline=None)
 def test_return_map_matches_block_product(case):
-    rows, tau = stack_rows(*case)
+    rows, runs, tau = stack_rows(*case)
     blocks = stationary._slot_blocks(rows, tau)
     # from the blocks built whole, and from chunks built as they are read
-    built = stationary._return_maps(rows, tau, blocks)
-    chunked = stationary._return_maps(rows, tau)
+    built = stationary._return_maps(rows, runs, tau, blocks)
+    chunked = stationary._return_maps(rows, runs, tau)
     assert np.array_equal(built, chunked)
     for chain_blocks, frame_map in zip(blocks, built):
         assert np.abs(frame_map - plain_return_map(chain_blocks)).max() <= 1e-13
+
+
+@given(chain_stacks())
+@settings(max_examples=100, deadline=None)
+def test_transmission_blocks_are_shifted_quiet_blocks(case):
+    # a packet leaving first moves rows q >= 1 of the quiet block one
+    # column to the left, bit for bit
+    rows, _, tau = stack_rows(*case)
+    quiet = stationary._capped_blocks(rows)
+    want = quiet.copy()
+    for b, i in zip(*np.nonzero(tau)):
+        want[b, i, 1:, :-1] = quiet[b, i, 1:, 1:]
+        want[b, i, 1:, -1] = 0.0
+    assert np.array_equal(stationary._slot_blocks(rows, tau), want)
+
+
+def run_slots(tau):
+    """The slots of each quiet run of one chain, run 0 from slot 0 and one
+    more after each transmission slot."""
+    runs = [[]]
+    for i, sends in enumerate(tau):
+        if sends:
+            runs.append([])
+        else:
+            runs[-1].append(i)
+    return runs
+
+
+def long_double_run_row(rates, probs, capacity):
+    """A quiet run's capped arrival row in long double: the Poisson pmf of
+    the run's rates summed directly, one Bernoulli packet per slot
+    composed onto it, then entry K summed over the tail from the top."""
+    lam = np.longdouble(0)
+    for rate in rates:
+        lam += np.longdouble(rate)
+    k = np.arange(capacity + 1 + 200 + len(probs))
+    pmf = np.zeros(len(k), dtype=np.longdouble)
+    if lam == 0:
+        pmf[0] = 1
+    else:
+        log_factorial = np.concatenate(
+            ([0], np.cumsum(np.log(k[1:].astype(np.longdouble)))))
+        pmf[:] = np.exp(k * np.log(lam) - log_factorial - lam)
+    for p in map(np.longdouble, probs):
+        pmf[1:] = (1 - p) * pmf[1:] + p * pmf[:-1]
+        pmf[0] *= 1 - p
+    row = pmf[:capacity + 1].copy()
+    row[-1] = pmf[capacity:][::-1].sum()
+    return row
+
+
+@given(chain_stacks(max_length=10, max_capacity=64))
+# several taps per run, certain ones among them, and empty runs
+@example((64, [[0, 5], [], [9], [1, 2]], [[0.3] * 10] * 4,
+          [[1.0, 0.5, 0.0, 1.0, 0.2, 0.0, 0.7, 0.7, 0.1, 0.0]] * 4))
+@example((5, [[3], [0, 1, 2]], [[0.0] * 4] * 2, [[0.4, 1.0, 0.9, 1.0]] * 2))
+@example((1, [[0]], [[0.0]], [[1.0]]))  # a one-slot frame, K = 1
+@example((64, [[]], [[2.0]], [[0.5]]))  # a one-slot frame, K = 64
+@settings(max_examples=150, deadline=None)
+def test_run_rows_match_slot_composition(case):
+    capacity, _, rates, probs = case
+    rows, runs, tau = stack_rows(*case)
+    blocks = stationary._slot_blocks(rows, tau)
+    assert runs.shape[1] == tau.sum(axis=1).max() + 1
+    for b, chain_runs in enumerate(runs):
+        slots = run_slots(tau[b])
+        for t, row in enumerate(chain_runs):
+            # runs past a chain's last are empty
+            members = slots[t] if t < len(slots) else []
+            # row 0 of the run's block product, the identity if empty
+            composed = plain_return_map(blocks[b, members])[0]
+            assert np.abs(row - composed).max() <= 1e-13
+            want = long_double_run_row([rates[b][i] for i in members],
+                                       [probs[b][i] for i in members],
+                                       capacity)
+            big = want >= 1e-250
+            assert np.all(np.abs(row[big] - want[big]) <= 1e-12 * want[big])
 
 
 def dense_gth(matrix):
@@ -476,7 +588,7 @@ def banded_matrices(draw):
 @settings(max_examples=100, deadline=None)
 def test_banded_gth_matches_dense_elimination(case):
     matrix, width = case
-    x = stationary._gth(matrix[None])[0]
+    x = stationary._gth(matrix[None].copy(), width)[0]
     # the entries the band leaves out are exact zeros: the same bits
     assert np.array_equal(x, dense_gth(matrix))
     a = (np.eye(len(matrix)) - matrix).T
@@ -484,6 +596,17 @@ def test_banded_gth_matches_dense_elimination(case):
     b = np.zeros(len(matrix))
     b[-1] = 1.0
     assert x == pytest.approx(np.linalg.solve(a, b), rel=1e-9, abs=1e-15)
+
+
+@given(banded_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_wider_gth_band_gives_the_same_bits(case, data):
+    # the solver's band is the widest transmission count of the stack, at
+    # least the true one; the entries it adds are exact zeros
+    matrix, width = case
+    wider = data.draw(st.integers(min_value=width, max_value=len(matrix) + 2))
+    want = stationary._gth(matrix[None].copy(), width)
+    assert np.array_equal(stationary._gth(matrix[None].copy(), wider), want)
 
 
 def test_stacked_chain_solves_as_alone():
@@ -495,11 +618,11 @@ def test_stacked_chain_solves_as_alone():
                 [11], [3, 7]]
     rates = [[0.06] * length] * len(tx_slots)
     probs = [[0.2 * (i % 3 == 0) for i in range(length)]] * len(tx_slots)
-    rows, tau = stack_rows(capacity, tx_slots, rates, probs)
-    grids, residuals, levels = stationary._solve_stack(rows, tau)
+    rows, runs, tau = stack_rows(capacity, tx_slots, rates, probs)
+    grids, residuals, levels = stationary._solve_stack(rows, runs, tau)
     for b in range(len(tx_slots)):
-        grid, residual, level = stationary._solve_stack(rows[b:b + 1],
-                                                        tau[b:b + 1])
+        grid, residual, level = stationary._solve_stack(
+            rows[b:b + 1], runs[b:b + 1], tau[b:b + 1])
         assert np.array_equal(grids[b], grid[0])
         assert residuals[b] == residual[0]
         assert np.array_equal(levels[b], level[0])
