@@ -170,7 +170,7 @@ def _closed_class(edges: np.ndarray, start: int) -> np.ndarray:
 
 def _gth(dense: np.ndarray, lower: int) -> np.ndarray:
     """Stationary vectors of a ``(B, n, n)`` stack of irreducible
-    stochastic matrices, one row each, eliminated in ``dense`` itself.
+    stochastic matrices, one row each.
 
     No state moves more than ``lower`` states down in any of the matrices,
     and eliminating from the top keeps that band: state ``k`` only changes
@@ -178,7 +178,7 @@ def _gth(dense: np.ndarray, lower: int) -> np.ndarray:
     and so is every entry of a band wider than the matrices need: the
     answer has the bits of the elimination over all columns.
     """
-    a = dense
+    a = np.array(dense, dtype=float, order="C")
     n = a.shape[-1]
     # ufunc calls, not methods and operators: the loops are call-bound
     for k in range(n - 1, 0, -1):
@@ -286,8 +286,7 @@ def _return_maps(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
     """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a stack given as
     ``(B, S, K + 1)`` capped arrival rows, ``(B, T + 1, K + 1)`` run rows
     and ``(B, S)`` departures ``tau``, each as ``R_0 X_1 R_1 ... X_T R_T``;
-    ``blocks`` are the stack's slot blocks if they were built whole. The
-    maps are a new array, which GTH may eliminate in.
+    ``blocks`` are the stack's slot blocks if they were built whole.
 
     ``X_t`` is the block of a chain's t-th transmission slot and ``R_t``
     the quiet run after it, expanded by :func:`_capped_blocks` from its run
@@ -323,9 +322,10 @@ def _return_maps(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
             frame_map = run if frame_map is None else frame_map @ run
         if t < widest:
             send = next(factors)
-            frame_map = send if frame_map is None else frame_map @ send
-    # a lone factor is a read-only block
-    return frame_map if frame_map.flags.writeable else frame_map.copy()
+            # a built factor is a view of the walk's buffer, which the next
+            # chunk overwrites
+            frame_map = send.copy() if frame_map is None else frame_map @ send
+    return frame_map
 
 
 def _carry(first: np.ndarray, blocks, length: int) -> np.ndarray:
@@ -369,16 +369,12 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray):
                 raise _at(exc, b)
         level[b] = classes[key]
         groups.setdefault(level[b].tobytes(), []).append(b)
-    if len(groups) == 1 and level.all():
-        # every chain on every state: GTH eliminates in the maps themselves
-        first = _gth(frame_maps, lower)
-    else:
-        first = np.zeros(level.shape)
-        for members in groups.values():
-            states = np.flatnonzero(level[members[0]])
-            members = np.array(members)[:, None]
-            first[members, states] = _gth(
-                frame_maps[members[:, :, None], states[:, None], states], lower)
+    first = np.zeros(level.shape)
+    for members in groups.values():
+        states = np.flatnonzero(level[members[0]])
+        members = np.array(members)[:, None]
+        first[members, states] = _gth(
+            frame_maps[members[:, :, None], states[:, None], states], lower)
     walk = _walk(rows, tau, blocks)
     grid = _carry(first, walk, rows.shape[1])
     grid /= grid.sum(axis=(1, 2), keepdims=True)

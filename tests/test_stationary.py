@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -311,11 +312,10 @@ def test_perturbed_chain_names_its_node(monkeypatch):
     exact = stationary._gth
 
     def perturbed(dense, lower):
-        # GTH eliminates in dense: find the node's map first
-        spoil = [matrix.shape == frame_map.shape
-                 and np.array_equal(matrix, frame_map) for matrix in dense]
         x = exact(dense, lower)
-        x[spoil] *= np.linspace(0.9, 1.1, x.shape[1])
+        for b, matrix in enumerate(dense):
+            if matrix.shape == frame_map.shape and np.array_equal(matrix, frame_map):
+                x[b] *= np.linspace(0.9, 1.1, x.shape[1])
         return x
 
     monkeypatch.setattr(stationary, "_gth", perturbed)
@@ -469,8 +469,10 @@ def test_return_map_matches_block_product(case):
     blocks = stationary._slot_blocks(rows, tau)
     # from the blocks built whole, and from chunks built as they are read
     built = stationary._return_maps(rows, runs, tau, blocks)
-    chunked = stationary._return_maps(rows, runs, tau)
-    assert np.array_equal(built, chunked)
+    assert np.array_equal(built, stationary._return_maps(rows, runs, tau))
+    # chunks of one slot each, in one reused buffer
+    with mock.patch.object(stationary, "_CHUNK_BYTES", 0):
+        assert np.array_equal(built, stationary._return_maps(rows, runs, tau))
     for chain_blocks, frame_map in zip(blocks, built):
         assert np.abs(frame_map - plain_return_map(chain_blocks)).max() <= 1e-13
 
@@ -588,7 +590,7 @@ def banded_matrices(draw):
 @settings(max_examples=100, deadline=None)
 def test_banded_gth_matches_dense_elimination(case):
     matrix, width = case
-    x = stationary._gth(matrix[None].copy(), width)[0]
+    x = stationary._gth(matrix[None], width)[0]
     # the entries the band leaves out are exact zeros: the same bits
     assert np.array_equal(x, dense_gth(matrix))
     a = (np.eye(len(matrix)) - matrix).T
@@ -605,14 +607,30 @@ def test_wider_gth_band_gives_the_same_bits(case, data):
     # least the true one; the entries it adds are exact zeros
     matrix, width = case
     wider = data.draw(st.integers(min_value=width, max_value=len(matrix) + 2))
-    want = stationary._gth(matrix[None].copy(), width)
-    assert np.array_equal(stationary._gth(matrix[None].copy(), wider), want)
+    want = stationary._gth(matrix[None], width)
+    assert np.array_equal(stationary._gth(matrix[None], wider), want)
+
+
+# transmission slots 0 and 2 around a run without arrivals, and adjacent
+# ones: at K = 300 each factor is a chunk of its own, built into the
+# buffer of the one before
+@pytest.mark.parametrize("tx", [(0, 2), (0, 1)])
+def test_factors_in_one_slot_chunks_match_dense_solve(tx):
+    chain = build_chain(300, 4, tx, TrafficSpec((0.5, 0, 0.1, 0), (0,) * 4))
+    assert stationary._chunk_slots(chain.rows[None]) == 1
+    frame_map = stationary._return_maps(*stacked([chain]))[0]
+    want = plain_return_map(slot_blocks(chain))
+    assert np.abs(frame_map - want).max() <= 1e-13
+    matrix = dense_matrix(chain)
+    res = solve(chain)
+    assert np.abs(res.distribution
+                  - dense_null_space_oracle(matrix, res.reachable)).max() <= 1e-10
 
 
 def test_stacked_chain_solves_as_alone():
     # one transmission slot, none, adjacent ones, every slot and ten: the
-    # stack pads every chain to ten transmission factors, and the GTH
-    # groups mix band widths
+    # stack pads every chain to ten transmission factors and solves it in a
+    # band of ten levels; alone, a chain has its own factors and band
     length, capacity = 12, 20
     tx_slots = [[5], [], [0, 1], list(range(length)), [1, 2, 3, 4, 5, 6, 7, 8, 9, 11],
                 [11], [3, 7]]
@@ -621,8 +639,8 @@ def test_stacked_chain_solves_as_alone():
     rows, runs, tau = stack_rows(capacity, tx_slots, rates, probs)
     grids, residuals, levels = stationary._solve_stack(rows, runs, tau)
     for b in range(len(tx_slots)):
-        grid, residual, level = stationary._solve_stack(
-            rows[b:b + 1], runs[b:b + 1], tau[b:b + 1])
+        grid, residual, level = stationary._solve_stack(*stack_rows(
+            capacity, tx_slots[b:b + 1], rates[b:b + 1], probs[b:b + 1]))
         assert np.array_equal(grids[b], grid[0])
         assert residuals[b] == residual[0]
         assert np.array_equal(levels[b], level[0])
