@@ -13,15 +13,20 @@ Chains are built, solved and summarized as stacks: B chains with the same
 S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
 probabilities and departures, checked in one vector step. A stack is its
 ``(B, S, K + 1)`` slot rows from :func:`arrival_pmf`, each capped once so
-that entry K holds the mass at K and beyond, its departures, and one run
-row per quiet run between transmission slots, ``(B, T + 1, K + 1)`` for
-the stack's widest transmission count T. A quiet slot only adds
-arrivals, so a run adds a Poisson of the run's summed rate plus one
-Bernoulli packet per forwarded slot: its row is the capped Poisson row of
-that rate, built in the same :func:`arrival_pmf` call and tail pass as
-the slot rows, then one non-negative two-term step per forwarded slot.
-:mod:`slotmesh.stationary` alone builds the blocks from these rows, and
-its docstring gives their format and the tail rule. The Poisson terms
+that entry K holds the mass at K and beyond, its departures, and two
+factor rows per transmission slot, ``(B, T, 2, K + 1)`` for the stack's
+widest transmission count T (at least one). The solver takes each chain
+in its frame from s, the slot after its last transmission slot, where
+every quiet run ends in a transmission slot; a factor is one such run
+and the slot that ends it. Its row 0 holds the arrivals of the run
+alone, its row 1 those of the run and the transmission slot together. A
+quiet slot only adds arrivals, so either row is a Poisson of the summed
+rate plus one Bernoulli packet per forwarded slot: the capped Poisson
+row of that rate, built in the same :func:`arrival_pmf` call and tail
+pass as the slot rows, then one non-negative two-term step per forwarded
+slot. :mod:`slotmesh.stationary` alone builds the blocks from these
+rows, and its docstring gives their format, the tail rule and how the
+factors make up a frame. The Poisson terms
 are ``exp(k log(lambda) - log(k!) - lambda)`` in numpy, ``log(k!)`` from
 one cumulative sum of logarithms and the ``k = 0`` term ``exp(-lambda)``,
 so that a zero rate gives exactly one and zeros. The solved stack is a
@@ -128,12 +133,26 @@ def expected_arrivals_per_slotframe(traffic: TrafficSpec) -> float:
     return float(_offered(*traffic._arrays())[0])
 
 
+def _integers(*values) -> bool:
+    """Whether every one of ``values`` is a Python or numpy integer; a
+    bool is not one, though Python counts it as one."""
+    return all(issubclass(kind, (int, np.integer)) and kind is not bool
+               for kind in set(map(type, values)))
+
+
 def _departures(length: int, tx_slots) -> np.ndarray:
     """``(B, S)`` departures of a stack: one on each chain's transmission
-    slots, zero elsewhere; ``tx_slots`` holds one slot collection per
-    chain."""
+    slots, zero elsewhere; ``tx_slots`` holds one collection of distinct
+    integer slots per chain."""
+    if not _integers(length):
+        raise ModelError(f"slotframe_length must be an integer, not {length!r}")
     rows = [b for b, slots in enumerate(tx_slots) for _ in slots]
-    slots = np.array([s for chain in tx_slots for s in chain], dtype=int)
+    slots = [s for chain in tx_slots for s in chain]
+    if not _integers(*slots):
+        b, slot = next((b, slot) for b, slot in zip(rows, slots)
+                       if not _integers(slot))
+        raise _at(ModelError(f"tx slot {slot!r} is not an integer"), b)
+    slots = np.array(slots, dtype=int)
     outside = np.flatnonzero((slots < 0) | (slots >= length))
     if outside.size:
         first = outside[0]
@@ -141,6 +160,10 @@ def _departures(length: int, tx_slots) -> np.ndarray:
                   rows[first])
     tau = np.zeros((len(tx_slots), length), dtype=int)
     tau[rows, slots] = 1
+    if tau.sum() < len(slots):
+        b, chain = next((b, chain) for b, chain in enumerate(tx_slots)
+                        if len(set(chain)) < len(chain))
+        raise _at(ModelError(f"tx slots {list(chain)} repeat a slot"), b)
     tau.flags.writeable = False
     return tau
 
@@ -150,15 +173,20 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     """The read-only capped arrival rows of a stack of chains given as
     ``(B, S)`` departures, Poisson rates and Bernoulli probabilities,
     entry K holding the mass at K and beyond: ``(B, S, K + 1)`` slot rows
-    and ``(B, T + 1, K + 1)`` run rows, T the most transmission slots of
-    any chain.
+    and ``(B, T, 2, K + 1)`` factor rows, T the most transmission slots of
+    any chain and at least one.
 
-    Run row ``t`` holds the arrivals of a chain's quiet run after its t-th
-    transmission slot, run 0 from slot 0: a Poisson row of the run's
-    summed rate, then one Bernoulli packet per forwarded slot of the run.
-    An empty run, and every run past a chain's last, is the row of no
-    arrivals.
+    Factor t covers quiet run t of a chain's frame from s, the slot after
+    its last transmission slot (:func:`slotmesh.stationary._rotation`),
+    and the transmission slot that ends it: row 0 holds the arrivals of
+    the run alone, row 1 those of the run and its transmission slot. Each
+    is a Poisson row of the summed rate, then one Bernoulli packet per
+    forwarded slot. A chain without transmission slots has its whole
+    frame in both rows of factor 0, and every factor past a chain's last
+    is the row of no arrivals.
     """
+    if not _integers(capacity):
+        raise ModelError(f"capacity must be an integer, not {capacity!r}")
     if capacity < 1:
         raise ModelError("capacity must be at least 1")
     if tau.shape[1] < 1:
@@ -167,18 +195,23 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
         raise ModelError("traffic spec length must equal the slotframe length")
     _check_traffic(rates, probs)
     chains, length = tau.shape
-    quiet = tau == 0
-    # run[b, i]: the run of slot i, numbered over the whole stack; the runs
-    # of a chain start at slot 0 and after each transmission slot
-    run = np.add.accumulate(~quiet, axis=1)
-    width = int(run[:, -1].max()) + 1
-    run += np.arange(0, chains * width, width)[:, None]
-    # a transmission slot's rate counts as a zero in the run after it
-    summed = np.bincount(run.ravel(), weights=(rates * quiet).ravel(),
-                         minlength=chains * width)
-    # one row per (chain, slot) pair, then one per run, in one pass
+    sends = tau != 0
+    sent = np.add.accumulate(sends, axis=1)
+    width = max(int(sent[:, -1].max()), 1)
+    # factor[b, i]: the factor of slot i, numbered over the whole stack:
+    # the transmission slots before it, where the slots after the last,
+    # which begin the frame from s, count none. Its run row is row
+    # 2 factor of the factor rows, its merged row the one after.
+    factor = 2 * ((sent - sends) % np.maximum(sent[:, -1:], 1)
+                  + np.arange(0, chains * width, width)[:, None])
+    # a transmission slot's rate counts in its merged row only
+    summed = np.bincount(
+        np.concatenate((factor.ravel(), factor.ravel() + 1)),
+        weights=np.concatenate(((rates * ~sends).ravel(), rates.ravel())),
+        minlength=2 * chains * width)
+    # one row per (chain, slot) pair, then the factor rows, in one pass
     lam = np.concatenate((rates.ravel(), summed))
-    p = np.concatenate((probs.ravel(), np.zeros(chains * width)))
+    p = np.concatenate((probs.ravel(), np.zeros(summed.size)))
     rows = arrival_pmf(lam, p, capacity + 1)
     # the mass at K and beyond: one minus the head summed in order while
     # that is at least 1/2; a smaller complement would be mostly the head's
@@ -204,25 +237,28 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     with np.errstate(divide="ignore"):
         at_cap = np.exp(capacity * np.log(lam) - math.lgamma(capacity + 1) - lam)
     rows[upper, -1] += at_cap * (p + series)
-    runs = rows[chains * length:]
-    # each forwarded quiet slot adds a Bernoulli packet to its run's row h,
-    # in slot order: (1 - p) h + p h shifted one level up, entry K
-    # h[K] + p h[K - 1]. Step j takes the j-th tap of every run.
-    taps = quiet & (probs != 0)
+    # each forwarded slot adds a Bernoulli packet to its factor's rows h:
+    # (1 - p) h + p h shifted one level up, entry K h[K] + p h[K - 1].
+    # Step j takes the j-th tap of every chain, so no row twice.
+    taps = probs != 0
     if taps.any():
-        count = np.add.accumulate(taps, axis=1)
-        rank = count - np.maximum.accumulate(np.where(quiet, 0, count), axis=1)
-        for j in range(1, int(rank[taps].max()) + 1):
+        rank = np.add.accumulate(taps, axis=1)
+        base = chains * length
+        for j in range(1, int(rank[:, -1].max()) + 1):
             on = taps & (rank == j)
-            ids, q = run[on], probs[on, None]
-            h = runs[ids]
+            # a quiet slot's packet joins both rows, a transmission slot's
+            # the merged row only
+            alone = on & ~sends
+            ids = base + np.concatenate((factor[alone], factor[on] + 1))
+            q = np.concatenate((probs[alone], probs[on]))[:, None]
+            h = rows[ids]
             step = (1.0 - q) * h
             step[:, 1:] += q * h[:, :-1]
             step[:, -1] = h[:, -1] + q[:, 0] * h[:, -2]
-            runs[ids] = step
+            rows[ids] = step
     rows.flags.writeable = False
     return (rows[:chains * length].reshape(chains, length, capacity + 1),
-            rows[chains * length:].reshape(chains, width, capacity + 1))
+            rows[chains * length:].reshape(chains, width, 2, capacity + 1))
 
 
 @dataclass(frozen=True)
@@ -230,11 +266,12 @@ class QueueChain:
     """Queue chain over the states ``(q, i)`` at ``i * (K + 1) + q``.
 
     ``rows[i, k]`` is the probability of ``k`` arrivals in slot ``i`` for
-    ``k < K``, ``rows[i, K]`` that of K or more. ``runs[t]`` is the same
-    for the quiet run after the t-th transmission slot, run 0 from slot 0.
-    ``departures[i]`` is one on transmission slots, zero elsewhere. The
-    three are the whole chain: only :mod:`slotmesh.stationary` builds its
-    slot blocks from them.
+    ``k < K``, ``rows[i, K]`` that of K or more. ``runs[t, 0]`` is the
+    same for the t-th quiet run of the frame from s, the slot after the
+    last transmission slot, and ``runs[t, 1]`` for that run and the
+    transmission slot that ends it. ``departures[i]`` is one on
+    transmission slots, zero elsewhere. The three are the whole chain:
+    only :mod:`slotmesh.stationary` builds its slot blocks from them.
     """
 
     capacity: int

@@ -1,8 +1,8 @@
 """Stationary distributions of slot-indexed finite Markov chains.
 
 A queue chain of :mod:`slotmesh.queuemodel` comes here as ``(S, K + 1)``
-capped arrival rows, ``(T + 1, K + 1)`` run rows of the quiet runs
-between its T transmission slots, and ``(S,)`` departures, one on
+capped arrival rows, ``(T, 2, K + 1)`` factor rows, one pair per
+transmission slot (:func:`_return_maps`), and ``(S,)`` departures, one on
 transmission slots.
 Entry ``k < K`` of row ``i`` is the probability of ``k`` arrivals in slot
 ``i``, and entry K the mass at K and beyond: one minus the head where
@@ -21,46 +21,61 @@ capped row.
 
 The chains are row-stochastic and can be reducible. Their stationary
 distribution lives on the closed class (the closed communicating class)
-that the start state, the empty queue at slot 0, reaches; every other
-state is transient or never visited and carries exactly zero mass. If the
-start state reaches more than one closed class the distribution is not
-unique and :class:`StationaryError` is raised.
+that the start state reaches; every other state is transient or never
+visited and carries exactly zero mass. If the start state reaches more
+than one closed class the distribution is not unique and
+:class:`StationaryError` is raised. Each chain is solved in its frame
+from s, the slot after its last transmission slot (slot 0 without one,
+:func:`_rotation`), and the start state is the empty queue at s. On
+every chain of up to three slots and K up to three, with any
+transmission slots and forwarding probabilities 0, 1/2 and 1, it reaches
+the classes that the empty queue at slot 0 reaches (a test checks this).
 
 The closed class is solved by the GTH elimination (Grassmann, Taksar and
 Heyman, Oper. Res. 33(5), 1985): Gaussian elimination that replaces the
-pivot ``1 - p_kk`` by the row sum it equals, so it never subtracts, gives
-a non-negative answer and stays accurate near saturation.
+pivot ``1 - p_kk`` by the row sum ``s_k`` it equals, so it never
+subtracts, gives a non-negative answer and stays accurate near
+saturation. Eliminating state k scales its row by ``1 / s_k``, and the
+pivot columns are divided by their ``s_k`` once, after the loop.
 
-A chain only needs its slot-0 return map ``F = B_0 B_1 ... B_{S-1}``,
-just ``(K + 1) x (K + 1)``. Quiet slots compose exactly, since
-``min(min(q + a, K) + b, K) = min(q + a + b, K)``: a run of them adds the
-run's arrivals, capped at K, and is the quiet block of the run row that
+A chain only needs its return map at s, ``G = B_s ... B_{S-1} B_0 ...
+B_{s-1}``, just ``(K + 1) x (K + 1)``. In the frame from s every quiet
+run ends in a transmission slot, so ``G`` is ``Y_1 ... Y_T``, one
+run-then-send factor per transmission slot. Quiet slots compose exactly,
+since ``min(min(q + a, K) + b, K) = min(q + a + b, K)``, and a level
+``q >= 1`` stays above zero through the run, so its packet leaves:
+rows ``q >= 1`` of ``Y_t`` are the transmission rows of the merged row,
+the arrivals of run t and of its transmission slot, which
 :mod:`slotmesh.queuemodel` builds in closed form with the slot rows (a
-Poisson row of the run's summed rate, one Bernoulli packet per forwarded
-slot). A transmission slot maps ``q`` to ``min(q + a, K) - [q >= 1]`` and
-stays a factor of its own. So ``F`` is ``R_0 X_1 R_1 ... X_T R_T`` for T
-transmission blocks ``X_t``, ``R_t`` the run after ``X_t``: 2T dense
-products instead of S, and no quiet slot is composed on its own.
+Poisson row of the summed rate, one Bernoulli packet per forwarded
+slot). Only the empty queue can stay empty through the run and send
+nothing: row 0 is the run's own row times the transmission block
+``X_t``. That is T - 1 dense products, none for a node with one
+transmission slot per frame, and no quiet slot is composed on its own.
 
 Chains are solved as stacks of B chains with the same S and K: a chain
-with fewer transmission slots than the widest gets identity factors and
-runs of no arrivals, which keep its bits as they are alone. GTH runs once
-over all chains whose closed classes coincide. A slotframe lowers the
-queue by at most T levels, T the stack's widest transmission count, so
-``F`` has lower bandwidth at most T, which GTH from the top state keeps:
-state k is eliminated over the T columns below it only, ``O(n^2 T)`` work
-instead of ``O(n^3)``, with the bits of the full elimination since the
-entries it skips are exact zeros. The slot-0 solutions are carried
-through the real blocks (:func:`_carry`) into a ``(B, S, K + 1)`` grid,
-slot-major like the blocks, one chain's states flattened as
-``i * (K + 1) + q``. Every chain's answer is checked against
-``max |c P - c| <= RESIDUAL_BOUND``: slot ``i + 1`` is slot ``i`` times
-``B_i``, so only the wrap-around term ``c_{S-1} B_{S-1} - c_0``, taken
-from the normalized grid, can be non-zero; since the carry never reads
-the run rows, it also checks their closed form. An error raised for one
-chain of a stack carries that chain's position as ``index``.
-:func:`solve` is the stack of one chain; it carries the slot-0 closed
-class along the edges of the blocks to mark the class in every slot.
+with fewer transmission slots than the widest gets identity factors,
+which keep its bits as they are alone, and a chain without any gets the
+quiet block of its whole frame. GTH runs once over all chains whose
+closed classes coincide. A slotframe lowers the queue by at most T
+levels, T the stack's widest transmission count, so ``G`` has lower
+bandwidth at most T, which GTH from the top state keeps: state k is
+eliminated over the T columns below it only, ``O(n^2 T)`` work instead of
+``O(n^3)``, with the bits of the full elimination since the entries it
+skips are exact zeros. In a band of one, the ladder node's and every
+stack of one-slot senders, the scaled row is exactly one and the
+elimination is the suffix sums of the columns, one accumulation. The
+solutions at s are carried through the real blocks of the frame
+(:func:`_carry`) and gathered back into a ``(B, S, K + 1)`` grid in slot
+order, one chain's states flattened as ``i * (K + 1) + q``. Every
+chain's answer is checked against ``max |c P - c| <= RESIDUAL_BOUND``:
+each slot is the one before it times its block, so only the wrap-around
+term ``c_{s-1} B_{s-1} - c_s``, taken from the normalized grid, can be
+non-zero; since the carry never reads the factor rows, it also checks
+their closed form. An error raised for one chain of a stack carries that
+chain's position as ``index``. :func:`solve` is the stack of one chain;
+its carry also takes the closed class at s along the edges of the blocks
+to mark the class in every slot.
 
 The carry and the wrap-around term read the blocks one slot at a time,
 so a stack never holds all its ``B S (K + 1)^2`` block entries:
@@ -85,7 +100,6 @@ still a possible transition, and treating it as missing could make a
 recurrent state look transient and drop its mass. GTH has no trouble with
 such entries.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -152,7 +166,8 @@ def _closed_class(edges: np.ndarray, start: int) -> np.ndarray:
     """Mask of the unique closed class reachable from ``start`` along the
     boolean matrix ``edges``."""
     n = len(edges)
-    forward, backward = _bitsets(edges), _bitsets(edges.T)
+    # packed from a copy: packing the transposed view is several times slower
+    forward, backward = _bitsets(edges), _bitsets(edges.T.copy())
     node = 1 << start
     reached = _reach(forward, node, (1 << n) - 1)
     found = reached
@@ -160,7 +175,7 @@ def _closed_class(edges: np.ndarray, start: int) -> np.ndarray:
     while stuck := found & ~_reach(backward, node, found):
         node = stuck & -stuck
         found = _reach(forward, node, found)
-    if _reach(backward, found, reached) != reached:
+    if found != reached and _reach(backward, found, reached) != reached:
         raise StationaryError(
             f"state {start} reaches more than one closed class; the "
             f"stationary distribution is not unique")
@@ -176,20 +191,35 @@ def _gth(dense: np.ndarray, lower: int) -> np.ndarray:
     and eliminating from the top keeps that band: state ``k`` only changes
     columns ``k - lower .. k - 1``. Every entry left out is an exact zero,
     and so is every entry of a band wider than the matrices need: the
-    answer has the bits of the elimination over all columns.
+    answer has the bits of the elimination over all columns. Eliminating
+    ``k`` scales its row band by ``1 / s_k``, ``s_k`` the row sum over the
+    states left, and the pivot columns are divided by their ``s_k`` once,
+    after the loop. In a band of one the scaled band is exactly one, so
+    the elimination adds each column to the one before it: column ``k``
+    ends as the suffix sum of the columns from ``k`` on, taken in one
+    accumulation with the same bits.
     """
-    a = np.array(dense, dtype=float, order="C")
-    n = a.shape[-1]
-    # ufunc calls, not methods and operators: the loops are call-bound
-    for k in range(n - 1, 0, -1):
-        # eliminate state k; the row sum over the states left stands in
-        # for 1 - a[k, k], so nothing is subtracted
-        pivot, band = a[:, :k, k], slice(max(k - lower, 0), k)
-        np.divide(pivot, np.add.reduce(a[:, k, :k], axis=1, keepdims=True),
-                  out=pivot)
-        update = a[:, :k, band]
-        np.add(update, np.multiply(pivot[:, :, None], a[:, None, k, band]),
-               out=update)
+    n = dense.shape[-1]
+    if lower == 1:
+        # s_k is the one entry below the diagonal, never changed
+        sums = np.diagonal(dense, offset=-1, axis1=1, axis2=2)
+        a = np.add.accumulate(dense[:, :, ::-1], axis=2)[:, :, ::-1]
+    else:
+        a = np.array(dense, dtype=float, order="C")
+        sums = np.empty((len(a), n - 1))
+        # ufunc calls, not methods and operators: the loops are call-bound
+        for k in range(n - 1, 0, -1):
+            # eliminate state k; the row sum over the states left stands in
+            # for 1 - a[k, k], so nothing is subtracted
+            band = slice(max(k - lower, 0), k)
+            row = a[:, k, band]
+            np.add.reduce(a[:, k, :k], axis=1, out=sums[:, k - 1])
+            np.divide(row, sums[:, k - 1, None], out=row)
+            update = a[:, :k, band]
+            np.add(update, np.multiply(a[:, :k, k, None], row[:, None]),
+                   out=update)
+    # only the entries above the diagonal are read on
+    np.divide(a[:, :, 1:], sums[:, None], out=a[:, :, 1:])
     x = np.zeros((len(a), 1, n))
     x[:, 0, 0] = 1.0
     for k in range(1, n):
@@ -281,82 +311,113 @@ def _walk(rows: np.ndarray, tau: np.ndarray, blocks=None):
         for start in range(0, length, size))
 
 
+def _rotation(tau: np.ndarray) -> np.ndarray:
+    """``(B, S)`` slots of each chain of a stack given as ``(B, S)``
+    departures, zero or one, in the order of its frame from s, the slot after its last
+    transmission slot (slot 0 without one): every quiet run of that frame
+    ends in a transmission slot."""
+    length = tau.shape[1]
+    # the last transmission slot is slot S - 1 - back, and back is 0 when
+    # there is none
+    back = np.argmax(tau[:, ::-1], axis=1)
+    return (np.arange(length) - back[:, None]) % length
+
+
 def _return_maps(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
                  blocks=None) -> np.ndarray:
-    """Slot-0 return maps ``B_0 B_1 ... B_{S-1}`` of a stack given as
-    ``(B, S, K + 1)`` capped arrival rows, ``(B, T + 1, K + 1)`` run rows
-    and ``(B, S)`` departures ``tau``, each as ``R_0 X_1 R_1 ... X_T R_T``;
-    ``blocks`` are the stack's slot blocks if they were built whole.
+    """Frame-start return maps ``B_0 B_1 ... B_{S-1}`` of a stack given
+    in its frames from s (:func:`_rotation`) as ``(B, S, K + 1)`` capped
+    arrival rows and ``(B, S)`` departures ``tau``, with the ``(B, T, 2,
+    K + 1)`` factor rows ``runs``, each as ``Y_1 ... Y_T``; ``blocks`` are
+    the stack's slot blocks if they were built whole.
 
-    ``X_t`` is the block of a chain's t-th transmission slot and ``R_t``
-    the quiet run after it, expanded by :func:`_capped_blocks` from its run
-    row. A chain with fewer transmission slots than another in its stack
-    gets identity factors and runs of no arrivals, and a run without
-    arrivals in every chain is left out: a product with the identity is
-    exact, so each chain gets the bits it gets alone. The factors ``X_t``
-    are indexed from ``blocks``, or built from their gathered rows a chunk
-    at a time.
+    ``Y_t`` is quiet run t and the transmission slot ``X_t`` that ends
+    it. Rows ``q >= 1`` never empty the queue before the packet leaves,
+    so they are the transmission rows of the merged row ``runs[:, t, 1]``;
+    row 0 is the run's own row ``runs[:, t, 0]`` times ``X_t``. A factor
+    that sends nothing is the quiet block of its merged row: the whole
+    frame of a chain without transmission slots, and the identity past a
+    chain's last, which keeps each chain's bits as they are alone. The
+    factors ``X_t`` are indexed from ``blocks``, or built from their
+    gathered rows a chunk at a time.
     """
     chains, _, count = rows.shape
-    widest = runs.shape[1] - 1
     sends = tau != 0
+    widest = int(sends.sum(axis=1).max())
+    if not widest:
+        return _capped_blocks(runs[:, 0, 1])
     # the slot of each chain's t-th transmission; past its last, a chain
     # gets the identity factor
     slots = np.argsort(~sends, axis=1, kind="stable")[:, :widest]
-    past = sends.sum(axis=1)[:, None] <= np.arange(widest)
+    sending = sends.sum(axis=1)[:, None] > np.arange(widest)
     chain = np.arange(chains)[:, None]
     if blocks is None:
         # the row of no arrivals, without a departure, builds the identity
         factors = rows[chain, slots]
-        factors[past] = np.eye(1, count)
-        factors = _walk(factors, ~past)
+        factors[~sending] = np.eye(1, count)
+        factors = _walk(factors, sending)
     else:
         factors = blocks[chain, slots]
-        factors[past] = np.eye(count)
+        factors[~sending] = np.eye(count)
         factors = iter(factors.swapaxes(0, 1))
     frame_map = None
-    # a chain without transmission slots is its one run
-    for t, used in enumerate(runs[:, :, 1:].any(axis=(0, 2)).tolist()):
-        if used or not widest:
-            run = _capped_blocks(runs[:, t])
-            frame_map = run if frame_map is None else frame_map @ run
-        if t < widest:
-            send = next(factors)
-            # a built factor is a view of the walk's buffer, which the next
-            # chunk overwrites
-            frame_map = send.copy() if frame_map is None else frame_map @ send
+    for t, send in zip(range(widest), factors):
+        factor = _capped_blocks(runs[:, t, 1], sending[:, t])
+        # taken at once: a built X_t is a view of the walk's buffer, which
+        # the next chunk overwrites
+        np.matmul(runs[:, t, 0, None], send, out=factor[:, :1])
+        frame_map = (factor if frame_map is None
+                     else np.matmul(frame_map, factor))
     return frame_map
 
 
-def _carry(first: np.ndarray, blocks, length: int) -> np.ndarray:
-    """``(B, S, K + 1)`` grid, boolean or not, of a stack whose ``(B, K +
-    1, K + 1)`` slot blocks the iterator ``blocks`` yields in slot order:
-    slot 0 is ``first``, slot ``i + 1`` slot ``i`` times block ``i``. Reads
-    the first S - 1 blocks only."""
-    grid = np.empty((len(first), length, first.shape[-1]), dtype=first.dtype)
-    grid[:, 0] = first
+def _carry(first: np.ndarray, blocks, length: int, level=None):
+    """Slot-major ``(S, B, 1, K + 1)`` grid of a stack whose ``(B, K + 1,
+    K + 1)`` slot blocks the iterator ``blocks`` yields in slot order:
+    slot 0 is the ``(B, 1, K + 1)`` ``first``, slot ``i + 1`` slot ``i``
+    times block ``i``. Given the boolean ``level`` of ``first``'s shape,
+    also the states it reaches in each slot along the blocks' non-zero
+    entries, in a second such grid of zeros and ones. Reads the first
+    S - 1 blocks only."""
+    grid = np.empty((length, *first.shape))
+    grid[0] = first
+    reach = None
+    if level is not None:
+        reach = np.empty(grid.shape)
+        reach[0] = level
     for i, block in zip(range(length - 1), blocks):
-        grid[:, i + 1] = (grid[:, i, None] @ block)[:, 0]
-    return grid
+        np.matmul(grid[i], block, out=grid[i + 1])
+        if reach is not None:
+            # a sum of non-negative terms is positive if any term is
+            np.greater(np.matmul(reach[i], block), 0.0, out=reach[i + 1])
+    return grid, reach
 
 
-def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray):
+def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
+                 reach: bool = False):
     """Stationary distributions of a stack of queue chains given as
-    ``(B, S, K + 1)`` capped arrival rows, ``(B, T + 1, K + 1)`` run rows
-    and ``(B, S)`` departures ``tau``, as ``(B, S, K + 1)`` slot-by-level
-    grids, with the residuals and the ``(B, K + 1)`` slot-0 closed classes.
+    ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 2, K + 1)`` factor
+    rows and ``(B, S)`` departures ``tau``, as ``(B, S, K + 1)``
+    slot-by-level grids, with the residuals and the closed classes: the
+    ``(B, K + 1)`` classes at each chain's frame start s, or with
+    ``reach`` the ``(B, S, K + 1)`` classes in every slot.
 
-    Solves the return maps on their closed classes, GTH once per group of
-    chains with the same class, inside the band of the T levels a frame
-    can lower the queue by, and carries the results through all S blocks,
-    back to slot 0, whose change is the residual. Each slot block is built
-    once, a chunk at a time unless the whole stack fits in one chunk, and
-    the T factors of the return maps once more unless it does.
+    Solves each chain in its frame from s (:func:`_rotation`): the return
+    maps on their closed classes, which the empty queue at s reaches, GTH
+    once per group of chains with the same class, inside the band of the
+    T levels a frame can lower the queue by, and carries the results
+    through all S blocks, back to s, whose change is the residual; then
+    the grid goes back to slot order. Each slot block is built once, a
+    chunk at a time unless the whole stack fits in one chunk, and the T
+    factors of the return maps once more unless it does.
     """
+    length = tau.shape[1]
+    frame = _rotation(tau)
+    chain = np.arange(len(tau))[:, None]
+    rows, tau = rows[chain, frame], tau[chain, frame]
     blocks = (_slot_blocks(rows, tau)
-              if _chunk_slots(rows) >= rows.shape[1] else None)
+              if _chunk_slots(rows) >= length else None)
     frame_maps = _return_maps(rows, runs, tau, blocks)
-    lower = runs.shape[1] - 1
     # one search per distinct edge pattern, one GTH group per closed class
     level = np.empty(frame_maps.shape[:2], dtype=bool)
     classes, groups = {}, {}
@@ -372,28 +433,38 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray):
     first = np.zeros(level.shape)
     for members in groups.values():
         states = np.flatnonzero(level[members[0]])
-        members = np.array(members)[:, None]
-        first[members, states] = _gth(
-            frame_maps[members[:, :, None], states[:, None], states], lower)
+        members = np.array(members)
+        # the class's span as a slice, often the whole class: indexing
+        # every entry costs many times more
+        low, high = states[0], states[-1] + 1
+        maps = frame_maps[members, low:high, low:high]
+        if len(states) < high - low:
+            maps = maps[:, states[:, None] - low, states - low]
+        first[members[:, None], states] = _gth(maps, runs.shape[1])
     walk = _walk(rows, tau, blocks)
-    grid = _carry(first, walk, rows.shape[1])
+    carried, reached = _carry(first[:, None], walk, length,
+                              level[:, None] if reach else None)
+    # back to slot order: slot i is step (i - s) mod S of the frame
+    steps = (np.arange(length) - frame[:, :1]) % length
+    grid = carried[steps, chain, 0]
     grid /= grid.sum(axis=(1, 2), keepdims=True)
-    # slot 0 carried once round the slotframe, from the normalized grid
-    wrap = (grid[:, -1, None] @ next(walk))[:, 0]
-    residual = np.abs(wrap - grid[:, 0]).max(axis=1)
+    # s carried once round the slotframe, from the normalized grid
+    wrap = (grid[chain, frame[:, -1:]] @ next(walk))[:, 0]
+    residual = np.abs(wrap - grid[chain[:, 0], frame[:, 0]]).max(axis=1)
     failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))  # nan fails too
     if failed.size:
         raise _at(StationaryError(
             f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
             failed[0])
+    if reach:
+        level = reached[steps, chain, 0] != 0
     return grid, residual, level
 
 
 def solve(chain) -> StationaryResult:
     """Stationary distribution of a queue chain: the stack of one."""
-    rows, tau = chain.rows[None], chain.departures[None]
-    grid, residual, level = _solve_stack(rows, chain.runs[None], tau)
-    edges = (block > 0 for block in _walk(rows, tau))
+    grid, residual, reachable = _solve_stack(
+        chain.rows[None], chain.runs[None], chain.departures[None], reach=True)
     return StationaryResult(
         distribution=grid[0].ravel(), residual=float(residual[0]),
-        reachable=_carry(level, edges, len(tau[0]))[0].ravel())
+        reachable=reachable[0].ravel())

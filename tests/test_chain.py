@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chain_cases, dense_matrix, slot_blocks
-from slotmesh.queuemodel import ModelError, TrafficSpec, arrival_pmf, build_chain
+from slotmesh.queuemodel import (ModelError, TrafficSpec, arrival_pmf,
+                                 build_chain, evaluate_node)
 
 
 def _row_sums(chain):
@@ -109,6 +110,36 @@ def test_build_chain_validation():
         build_chain(2, 3, (0,), TrafficSpec.constant(4))
     with pytest.raises(ModelError, match="slotframe_length"):
         build_chain(3, 0, (), TrafficSpec.constant(1))
+
+
+# (capacity, slotframe_length, tx_slots): each once read as a valid node
+@pytest.mark.parametrize("node", [
+    pytest.param((2, 3, (1.5,)), id="float_slot"),
+    pytest.param((2, 3, ("1",)), id="string_slot"),
+    pytest.param((2, 3, (True,)), id="bool_slot"),
+    pytest.param((2, 3, (1, 1)), id="repeated_slot"),
+    pytest.param((True, 3, (1,)), id="bool_capacity"),
+    pytest.param((4.0, 3, (1,)), id="float_capacity"),
+    pytest.param((2, 3.0, (1,)), id="float_length"),
+])
+def test_bad_node_inputs_raise_model_error(node):
+    traffic = TrafficSpec.constant(3, rate=0.1)
+    with pytest.raises(ModelError):
+        build_chain(*node, traffic)
+    for variant in ("full", "distributed", "md1k"):
+        with pytest.raises(ModelError):
+            evaluate_node(*node, traffic, variant=variant)
+
+
+def test_numpy_integers_are_node_inputs():
+    traffic = TrafficSpec.constant(3, rate=0.1)
+    chain = build_chain(np.int64(2), np.int32(3), (np.int64(1),), traffic)
+    want = build_chain(2, 3, (1,), traffic)
+    for got, expected in ((chain.rows, want.rows), (chain.runs, want.runs),
+                          (chain.departures, want.departures)):
+        assert np.array_equal(got, expected)
+    assert (evaluate_node(np.int64(2), np.int64(3), [np.int16(1)], traffic)
+            .acceptance == evaluate_node(2, 3, (1,), traffic).acceptance)
 
 
 @given(st.integers(min_value=1, max_value=6),

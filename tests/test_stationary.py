@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -191,12 +192,12 @@ def test_mixed_stack_matches_single_solves():
 
 
 def stacked(chains):
-    """The capped rows, run rows and departures of separately built chains
-    with the same S and K as one stack; a chain with fewer transmission
-    slots gets run rows of no arrivals."""
+    """The capped rows, factor rows and departures of separately built
+    chains with the same S and K as one stack; a chain with fewer
+    transmission slots gets factor rows of no arrivals."""
     runs = np.zeros((len(chains), max(len(chain.runs) for chain in chains),
-                     chains[0].capacity + 1))
-    runs[:, :, 0] = 1.0
+                     2, chains[0].capacity + 1))
+    runs[..., 0] = 1.0
     for b, chain in enumerate(chains):
         runs[b, :len(chain.runs)] = chain.runs
     return (np.stack([chain.rows for chain in chains]), runs,
@@ -204,7 +205,7 @@ def stacked(chains):
 
 
 def level_stack(rings, algorithm, capacity, rate):
-    """The capped rows, run rows and departures of the outer level of a concentric
+    """The capped rows, factor rows and departures of the outer level of a concentric
     network, with the traffic its children forward."""
     topo = concentric_topology(rings)
     sched = generate(algorithm, topo)
@@ -246,7 +247,8 @@ def test_slot_blocks_are_built_in_chunks(monkeypatch):
 def test_each_slot_block_is_built_once_per_solve(monkeypatch):
     # over the chunk budget (K = 512, S = 19) the carry builds each slot's
     # block once and the return map only its T transmission factors: no
-    # quiet run is composed slot by slot
+    # quiet run is composed slot by slot. solve carries the closed class
+    # in the same walk as the grid.
     built = []
     slot_blocks_of = stationary._slot_blocks
 
@@ -258,10 +260,12 @@ def test_each_slot_block_is_built_once_per_solve(monkeypatch):
     traffic = TrafficSpec.constant(19, rate=0.95 / 19)
     for tx_slots in ((0,), (3, 11), ()):
         chain = build_chain(512, 19, tx_slots, traffic)
-        built.clear()
-        stationary._solve_stack(*stacked([chain]))
-        assert max(built) == 1  # one slot per chunk
-        assert sum(built) == 19 + len(tx_slots)
+        for solved in (lambda: stationary._solve_stack(*stacked([chain])),
+                       lambda: solve(chain)):
+            built.clear()
+            solved()
+            assert max(built) == 1  # one slot per chunk
+            assert sum(built) == 19 + len(tx_slots)
 
 
 # one slot per chunk, and chunks of three slots of the level stack
@@ -297,18 +301,23 @@ def test_large_capacity_solve_stays_small():
 
 
 def test_perturbed_chain_names_its_node(monkeypatch):
-    # spoil one chain of the outer level's stack: the error names its node
+    # spoil one chain of the relay level's stack: the error names its node.
+    # In their frames from s the relays' chains are all one chain, so a
+    # lossy link from a child sets the target's traffic apart
     topo = concentric_topology(2)
     sched = generate("sbd", topo)
-    length, capacity, rate, target = sched.slotframe_length, 6, 0.06, 11
+    length, capacity, rate, target = sched.slotframe_length, 6, 0.06, 3
     scenario = NetworkScenario(schedule=sched, topology=topo,
-                               generation_rate=rate, queue_capacity=capacity)
+                               generation_rate=rate, queue_capacity=capacity,
+                               link_per={(11, target): 0.2})
     traffic = TrafficSpec((rate,) * length,
                           tuple(evaluate_network(scenario).rx_probability[target]))
     chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
-    level = solve(chain).reachable.reshape(length, capacity + 1)[0]
-    frame_map = stationary._return_maps(
-        *stacked([chain]))[0][np.ix_(level, level)]
+    # the return map at the frame start s, on its closed class there
+    rows, runs, tau = in_frame(*stacked([chain]))
+    start = stationary._rotation(chain.departures[None])[0, 0]
+    level = solve(chain).reachable.reshape(length, capacity + 1)[start]
+    frame_map = stationary._return_maps(rows, runs, tau)[0][np.ix_(level, level)]
     exact = stationary._gth
 
     def perturbed(dense, lower):
@@ -429,11 +438,20 @@ def plain_return_map(blocks):
 
 
 def stack_rows(capacity, tx_slots, rates, probs):
-    """The ``(B, S, K + 1)`` capped arrival rows, ``(B, T + 1, K + 1)`` run
-    rows and ``(B, S)`` departures of a stack of chains."""
+    """The ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 2, K + 1)``
+    factor rows and ``(B, S)`` departures of a stack of chains."""
     tau = queuemodel._departures(len(rates[0]), tx_slots)
     return (*queuemodel._capped_rows(capacity, tau, np.array(rates, dtype=float),
                                      np.array(probs, dtype=float)), tau)
+
+
+def in_frame(rows, runs, tau):
+    """A stack's capped rows and departures in each chain's frame from s,
+    as :func:`stationary._return_maps` takes them, with its factor
+    rows."""
+    frame = stationary._rotation(tau)
+    return (np.take_along_axis(rows, frame[:, :, None], axis=1), runs,
+            np.take_along_axis(tau, frame, axis=1))
 
 
 @st.composite
@@ -454,7 +472,7 @@ def chain_stacks(draw, max_length=8, max_capacity=12):
             [[draw(prob) for _ in range(length)] for _ in range(chains)])
 
 
-@given(chain_stacks())
+@given(chain_stacks(max_capacity=64))
 # slot 0, slot S - 1, adjacent slots, every slot and none, in one stack
 @example((6, [[0], [4], [1, 2], [0, 1, 2, 3, 4], [], [0, 4]],
           [[0.3] * 5] * 6, [[0.0] * 5] * 6))
@@ -463,9 +481,13 @@ def chain_stacks(draw, max_length=8, max_capacity=12):
           [[1.0, 1.0, 0.0, 1.0], [1.0] * 4]))
 @example((4, [[0]], [[0.2]], [[0.0]]))  # a one-slot frame
 @example((2, [[], []], [[0.1, 0.0]] * 2, [[0.0, 1.0]] * 2))  # no sender
+# arrivals and taps in the transmission slots, runs of none, K = 64
+@example((64, [[1, 5, 6], [7], []], [[0.9, 0.4, 0.0, 0.0, 1.3, 0.2, 0.0, 0.5]] * 3,
+          [[0.0, 0.7, 0.0, 1.0, 0.0, 0.3, 0.6, 0.0]] * 3))
 @settings(max_examples=150, deadline=None)
 def test_return_map_matches_block_product(case):
-    rows, runs, tau = stack_rows(*case)
+    # run-then-send factors against the slot blocks taken from s
+    rows, runs, tau = in_frame(*stack_rows(*case))
     blocks = stationary._slot_blocks(rows, tau)
     # from the blocks built whole, and from chunks built as they are read
     built = stationary._return_maps(rows, runs, tau, blocks)
@@ -491,16 +513,16 @@ def test_transmission_blocks_are_shifted_quiet_blocks(case):
     assert np.array_equal(stationary._slot_blocks(rows, tau), want)
 
 
-def run_slots(tau):
-    """The slots of each quiet run of one chain, run 0 from slot 0 and one
-    more after each transmission slot."""
-    runs = [[]]
-    for i, sends in enumerate(tau):
-        if sends:
-            runs.append([])
-        else:
-            runs[-1].append(i)
-    return runs
+def factor_slots(tau):
+    """The slots of each factor of one chain in its frame from s, in frame
+    order: a quiet run and, last, the transmission slot that ends it; the
+    whole frame without transmission slots."""
+    factors = [[]]
+    for i in stationary._rotation(np.asarray(tau)[None])[0]:
+        factors[-1].append(int(i))
+        if tau[i]:
+            factors.append([])
+    return factors[:-1] if len(factors) > 1 else factors
 
 
 def long_double_run_row(rates, probs, capacity):
@@ -535,33 +557,43 @@ def long_double_run_row(rates, probs, capacity):
 @example((64, [[]], [[2.0]], [[0.5]]))  # a one-slot frame, K = 64
 @settings(max_examples=150, deadline=None)
 def test_run_rows_match_slot_composition(case):
+    # row 0 of a factor holds the arrivals of its quiet run, row 1 those of
+    # the run and its transmission slot
     capacity, _, rates, probs = case
     rows, runs, tau = stack_rows(*case)
-    blocks = stationary._slot_blocks(rows, tau)
-    assert runs.shape[1] == tau.sum(axis=1).max() + 1
+    arrivals = stationary._capped_blocks(rows)  # no packet leaves
+    assert runs.shape[1] == max(tau.sum(axis=1).max(), 1)
     for b, chain_runs in enumerate(runs):
-        slots = run_slots(tau[b])
-        for t, row in enumerate(chain_runs):
-            # runs past a chain's last are empty
-            members = slots[t] if t < len(slots) else []
-            # row 0 of the run's block product, the identity if empty
-            composed = plain_return_map(blocks[b, members])[0]
-            assert np.abs(row - composed).max() <= 1e-13
-            want = long_double_run_row([rates[b][i] for i in members],
-                                       [probs[b][i] for i in members],
-                                       capacity)
-            big = want >= 1e-250
-            assert np.all(np.abs(row[big] - want[big]) <= 1e-12 * want[big])
+        slots = factor_slots(tau[b])
+        for t, pair in enumerate(chain_runs):
+            # factors past a chain's last are empty
+            merged = slots[t] if t < len(slots) else []
+            alone = merged[:-1] if merged and tau[b, merged[-1]] else merged
+            for row, members in zip(pair, (alone, merged)):
+                # row 0 of the slots' block product, the identity if empty
+                composed = plain_return_map(arrivals[b, members])[0]
+                assert np.abs(row - composed).max() <= 1e-13
+                want = long_double_run_row([rates[b][i] for i in members],
+                                           [probs[b][i] for i in members],
+                                           capacity)
+                big = want >= 1e-250
+                assert np.all(np.abs(row[big] - want[big])
+                              <= 1e-12 * want[big])
 
 
 def dense_gth(matrix):
     """GTH elimination over all columns, as the solver did before it used
-    the band; the reference for the banded elimination."""
+    the band: each eliminated row scaled by its sum, each pivot column
+    divided by that sum after the loop. The reference for the banded
+    elimination."""
     a = np.array(matrix, dtype=float)
     n = len(a)
+    sums = np.ones(n)
     for k in range(n - 1, 0, -1):
-        a[:k, k] /= a[k, :k].sum()
+        sums[k] = a[k, :k].sum()
+        a[k, :k] /= sums[k]
         a[:k, :k] += a[:k, k, None] * a[None, k, :k]
+    a /= sums
     x = np.zeros(n)
     x[0] = 1.0
     for k in range(1, n):
@@ -618,8 +650,9 @@ def test_wider_gth_band_gives_the_same_bits(case, data):
 def test_factors_in_one_slot_chunks_match_dense_solve(tx):
     chain = build_chain(300, 4, tx, TrafficSpec((0.5, 0, 0.1, 0), (0,) * 4))
     assert stationary._chunk_slots(chain.rows[None]) == 1
-    frame_map = stationary._return_maps(*stacked([chain]))[0]
-    want = plain_return_map(slot_blocks(chain))
+    rows, runs, tau = in_frame(*stacked([chain]))
+    frame_map = stationary._return_maps(rows, runs, tau)[0]
+    want = plain_return_map(stationary._slot_blocks(rows, tau)[0])
     assert np.abs(frame_map - want).max() <= 1e-13
     matrix = dense_matrix(chain)
     res = solve(chain)
@@ -644,6 +677,61 @@ def test_stacked_chain_solves_as_alone():
         assert np.array_equal(grids[b], grid[0])
         assert residuals[b] == residual[0]
         assert np.array_equal(levels[b], level[0])
+
+
+def test_return_maps_take_t_minus_one_dense_products(monkeypatch):
+    # a frame of T run-then-send factors is T - 1 dense products: none for
+    # the solver ladder's one-slot node, and none without transmissions
+    products = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, *args, **kwargs):
+            if a.shape[-2] == a.shape[-1] == b.shape[-2] == b.shape[-1]:
+                products.append(a.shape)
+            return np.matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(stationary, "np", CountingNumpy())
+    ladder = build_chain(512, 19, (0,), TrafficSpec.constant(19, rate=0.05))
+    stacks = [(in_frame(*stacked([ladder])), 0)]
+    for tx_slots, widest in (([[2], [], [0, 3, 4]], 3), ([[], []], 0),
+                             ([[1], [0, 1, 2, 3, 4, 5]], 6)):
+        rates = [[0.2] * 6] * len(tx_slots)
+        probs = [[0.3, 0, 0, 0.5, 0, 0]] * len(tx_slots)
+        stacks.append((in_frame(*stack_rows(4, tx_slots, rates, probs)),
+                       widest))
+    for stack, widest in stacks:
+        products.clear()
+        stationary._return_maps(*stack)
+        assert len(products) == max(widest - 1, 0)
+
+
+def test_frame_start_reaches_the_classes_of_slot_0():
+    # the solver searches from the empty queue at s, the slot after the
+    # last transmission slot, not at slot 0: on every small chain both
+    # reach the same closed classes, and solve marks that class
+    for length in (1, 2, 3):
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(length), r)
+            for r in range(length + 1))
+        for tx, probs, rate, capacity in itertools.product(
+                subsets, itertools.product((0.0, 0.5, 1.0), repeat=length),
+                (0.0, 0.7), (1, 3)):
+            chain = build_chain(capacity, length, tx,
+                                TrafficSpec((rate,) * length, probs))
+            matrix = dense_matrix(chain)
+            start = stationary._rotation(chain.departures[None])[0, 0]
+            classes = [csgraph_closed_classes(matrix, state) for state in
+                       (0, chain.state_index(0, start))]
+            assert np.array_equal(classes[0], classes[1]), (tx, probs, rate)
+            if len(classes[0]) > 1:
+                with pytest.raises(StationaryError, match="closed class"):
+                    solve(chain)
+            else:
+                assert np.array_equal(solve(chain).reachable, classes[0][0])
 
 
 def csgraph_closed_classes(matrix, start):
