@@ -198,10 +198,11 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     sends = tau != 0
     sent = np.add.accumulate(sends, axis=1)
     width = max(int(sent[:, -1].max()), 1)
-    # factor[b, i]: the factor of slot i, numbered over the whole stack:
-    # the transmission slots before it, where the slots after the last,
-    # which begin the frame from s, count none. Its run row is row
-    # 2 factor of the factor rows, its merged row the one after.
+    # factor[b, i]: the factor of slot i, numbered over the whole stack.
+    # It counts the transmission slots before slot i in the frame from s,
+    # so none for the slots after the last one, which open that frame.
+    # Row 2 factor of the factor rows is its run row, the next its merged
+    # row.
     factor = 2 * ((sent - sends) % np.maximum(sent[:, -1:], 1)
                   + np.arange(0, chains * width, width)[:, None])
     # a transmission slot's rate counts in its merged row only

@@ -313,9 +313,9 @@ def _walk(rows: np.ndarray, tau: np.ndarray, blocks=None):
 
 def _rotation(tau: np.ndarray) -> np.ndarray:
     """``(B, S)`` slots of each chain of a stack given as ``(B, S)``
-    departures, zero or one, in the order of its frame from s, the slot after its last
-    transmission slot (slot 0 without one): every quiet run of that frame
-    ends in a transmission slot."""
+    departures, zero or one, in the order of its frame from s, the slot
+    after its last transmission slot (slot 0 without one): every quiet run
+    of that frame ends in a transmission slot."""
     length = tau.shape[1]
     # the last transmission slot is slot S - 1 - back, and back is 0 when
     # there is none
@@ -325,11 +325,11 @@ def _rotation(tau: np.ndarray) -> np.ndarray:
 
 def _return_maps(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
                  blocks=None) -> np.ndarray:
-    """Frame-start return maps ``B_0 B_1 ... B_{S-1}`` of a stack given
-    in its frames from s (:func:`_rotation`) as ``(B, S, K + 1)`` capped
-    arrival rows and ``(B, S)`` departures ``tau``, with the ``(B, T, 2,
-    K + 1)`` factor rows ``runs``, each as ``Y_1 ... Y_T``; ``blocks`` are
-    the stack's slot blocks if they were built whole.
+    """Return maps ``B_0 B_1 ... B_{S-1}`` of a stack given in its frames
+    from s (:func:`_rotation`) as ``(B, S, K + 1)`` capped arrival rows and
+    ``(B, S)`` departures ``tau``, with the ``(B, T, 2, K + 1)`` factor
+    rows ``runs``, each as ``Y_1 ... Y_T``; ``blocks`` are the stack's
+    slot blocks if they were built whole.
 
     ``Y_t`` is quiet run t and the transmission slot ``X_t`` that ends
     it. Rows ``q >= 1`` never empty the queue before the packet leaves,
@@ -343,13 +343,14 @@ def _return_maps(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
     """
     chains, _, count = rows.shape
     sends = tau != 0
-    widest = int(sends.sum(axis=1).max())
+    counts = sends.sum(axis=1)
+    widest = int(counts.max())
     if not widest:
         return _capped_blocks(runs[:, 0, 1])
     # the slot of each chain's t-th transmission; past its last, a chain
     # gets the identity factor
     slots = np.argsort(~sends, axis=1, kind="stable")[:, :widest]
-    sending = sends.sum(axis=1)[:, None] > np.arange(widest)
+    sending = counts[:, None] > np.arange(widest)
     chain = np.arange(chains)[:, None]
     if blocks is None:
         # the row of no arrivals, without a departure, builds the identity

@@ -429,8 +429,8 @@ def test_critical_load_capacity_1024(monkeypatch):
 
 
 def plain_return_map(blocks):
-    """A chain's slot-0 return map as the product of its blocks in slot
-    order."""
+    """The product of a chain's blocks in the order given: its return map
+    at the first block's slot when they are a whole frame."""
     frame_map = np.eye(blocks.shape[-1])
     for block in blocks:
         frame_map = frame_map @ block
