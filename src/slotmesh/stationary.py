@@ -26,10 +26,11 @@ visited and carries exactly zero mass. If the start state reaches more
 than one closed class the distribution is not unique and
 :class:`StationaryError` is raised. Each chain is solved in its frame
 from s, the slot after its last transmission slot (slot 0 without one,
-:func:`_rotation`), and the start state is the empty queue at s. On
-every chain of up to three slots and K up to three, with any
-transmission slots and forwarding probabilities 0, 1/2 and 1, it reaches
-the classes that the empty queue at slot 0 reaches (a test checks this).
+:func:`_rotation`), and the start state is the empty queue at s. It
+reaches the closed classes that the empty queue at slot 0 reaches on
+every chain a test tries: up to three slots, K one or three, any
+transmission slots, a rate of 0 or 0.7 and forwarding probabilities 0,
+1/2 and 1 in any slot.
 
 The closed class is solved by the GTH elimination (Grassmann, Taksar and
 Heyman, Oper. Res. 33(5), 1985): Gaussian elimination that replaces the

@@ -64,8 +64,9 @@ def test_residual_definition():
 
 
 def test_residual_matches_dense_definition(monkeypatch):
-    # a slightly spoiled slot-0 vector leaves a residual near 1e-13, well
-    # inside the bound; it must be max |c P - c| over the whole chain
+    # a slightly spoiled vector at the frame start leaves a residual near
+    # 1e-13, well inside the bound; it must be max |c P - c| over the whole
+    # chain
     exact = stationary._gth
 
     def spoiled(dense, lower):
