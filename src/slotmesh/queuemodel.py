@@ -298,6 +298,10 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     transmission slots. At most ``K - q`` arrivals are accepted; the last
     level absorbs the tail so every row sums to one. For ``q = K`` nothing
     can be accepted, leaving a single transition of probability one.
+
+    ``capacity``, ``slotframe_length`` and each of ``tx_slots`` must be a
+    Python or numpy integer, not a bool, and the slots distinct; anything
+    else raises :class:`ModelError`, here and in :func:`evaluate_node`.
     """
     tau = _departures(slotframe_length, [tx_slots])
     rows, runs = _capped_rows(capacity, tau, *traffic._arrays())

@@ -333,9 +333,10 @@ def _return_maps(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
     slot blocks if they were built whole.
 
     ``Y_t`` is quiet run t and the transmission slot ``X_t`` that ends
-    it. Rows ``q >= 1`` never empty the queue before the packet leaves,
-    so they are the transmission rows of the merged row ``runs[:, t, 1]``;
-    row 0 is the run's own row ``runs[:, t, 0]`` times ``X_t``. A factor
+    it. A queue of ``q >= 1`` packets is not empty when the slot comes,
+    so rows ``q >= 1`` are the transmission rows of the merged row
+    ``runs[:, t, 1]``; row 0 is the run's own row ``runs[:, t, 0]`` times
+    ``X_t``. A factor
     that sends nothing is the quiet block of its merged row: the whole
     frame of a chain without transmission slots, and the identity past a
     chain's last, which keeps each chain's bits as they are alone. The

@@ -735,6 +735,35 @@ def test_frame_start_reaches_the_classes_of_slot_0():
                 assert np.array_equal(solve(chain).reachable, classes[0][0])
 
 
+def test_class_with_gaps_gives_gth_its_states(monkeypatch):
+    # no queue chain tried has a closed class with gaps in its levels, so
+    # drop a middle state from one: GTH must still get just its states
+    chain = build_chain(6, 4, (1,), TrafficSpec.constant(4, rate=0.3))
+    frame_map = stationary._return_maps(*in_frame(*stacked([chain])))[0]
+    closed = stationary._closed_class
+
+    def gapped(edges, start):
+        mask = closed(edges, start)
+        mask[3] = False
+        return mask
+
+    taken = []
+
+    def recorded(dense, lower):
+        taken.append(dense)
+        return np.full(dense.shape[:2], 1.0 / dense.shape[-1])
+
+    monkeypatch.setattr(stationary, "_closed_class", gapped)
+    monkeypatch.setattr(stationary, "_gth", recorded)
+    try:
+        stationary._solve_stack(*stacked([chain]))
+    except StationaryError:
+        pass  # a class with a state dropped is not closed
+    states = np.flatnonzero(gapped(frame_map != 0, 0))
+    assert len(states) < states[-1] - states[0] + 1
+    assert np.array_equal(taken[0][0], frame_map[np.ix_(states, states)])
+
+
 def csgraph_closed_classes(matrix, start):
     """Reference: the closed classes reached from ``start``, as masks, from
     scipy's strong components; a class is closed when no edge leaves it."""
