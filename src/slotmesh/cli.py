@@ -25,7 +25,7 @@ from .network import (NetworkModelError, NetworkScenario, _check_variant,
                       concentric_topology, evaluate_network)
 from .queuemodel import VARIANTS, ModelError
 from .schedule import (DEFAULT_SLOT_DURATION, ScheduleError,
-                       ScheduleFormatError, _ints, _is_number, _read_json,
+                       ScheduleFormatError, _ints, _is_finite, _read_json,
                        load_schedule, load_topology, save_schedule,
                        save_topology, validate)
 from .schedulers import ALGORITHMS, SchedulerError, generate
@@ -164,8 +164,8 @@ def _sweep_grid(spec):
     count, lo, hi = grid.get("count"), grid.get("min"), grid.get("max")
     if not _ints(count):
         raise _InputError("sweep grid 'count' must be an integer")
-    if not all(map(_is_number, (lo, hi))):
-        raise _InputError("sweep grid 'min' and 'max' must be numbers")
+    if not all(map(_is_finite, (lo, hi))):
+        raise _InputError("sweep grid 'min' and 'max' must be finite numbers")
     if count < 2:
         raise _InputError("sweep grid needs at least 2 points")
     if not lo < hi:
@@ -214,8 +214,8 @@ def _sweep_tasks(spec):
     if parameter not in ("p_gen", "interval"):
         raise _InputError("sweep parameter must be 'p_gen' or 'interval'")
     slot_duration = spec.get("slot_duration_s", DEFAULT_SLOT_DURATION)
-    if not (_is_number(slot_duration) and 0 < slot_duration < math.inf):
-        raise _InputError("sweep slot_duration_s must be a positive number")
+    if not (_is_finite(slot_duration) and slot_duration > 0):
+        raise _InputError("sweep slot_duration_s must be a finite positive number")
     topo_spec = spec.get("topology", {})
     if not isinstance(topo_spec, dict):
         raise _InputError("sweep topology must be an object")

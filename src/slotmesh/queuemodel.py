@@ -13,20 +13,23 @@ Chains are built, solved and summarized as stacks: B chains with the same
 S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
 probabilities and departures, checked in one vector step. A stack is its
 ``(B, S, K + 1)`` slot rows from :func:`arrival_pmf`, each capped once so
-that entry K holds the mass at K and beyond, its departures, and two
-factor rows per transmission slot, ``(B, T, 2, K + 1)`` for the stack's
+that entry K holds the mass at K and beyond, its departures, and three
+factor rows per transmission slot, ``(B, T, 3, K + 1)`` for the stack's
 widest transmission count T (at least one). The solver takes each chain
 in its frame from s, the slot after its last transmission slot, where
 every quiet run ends in a transmission slot; a factor is one such run
 and the slot that ends it. Its row 0 holds the arrivals of the run
-alone, its row 1 those of the run and the transmission slot together. A
-quiet slot only adds arrivals, so either row is a Poisson of the summed
-rate plus one Bernoulli packet per forwarded slot: the capped Poisson
-row of that rate, built in the same :func:`arrival_pmf` call and tail
-pass as the slot rows, then one non-negative two-term step per forwarded
-slot. :mod:`slotmesh.stationary` alone builds the blocks from these
-rows, and its docstring gives their format, the tail rule and how the
-factors make up a frame. The Poisson terms
+alone, its row 1 those of the run and the transmission slot together,
+and its row 2 those of the transmission slot alone. A quiet slot only
+adds arrivals, so rows 0 and 1 are a Poisson of the summed rate plus
+one Bernoulli packet per forwarded slot: the capped Poisson row of that
+rate, built in the same :func:`arrival_pmf` call and tail pass as the
+slot rows, then one non-negative two-term step per forwarded slot. Row
+2 is built in that pass as its slot row is, with the slot's rate and
+Bernoulli probability, and has the slot row's bits.
+:mod:`slotmesh.stationary` alone builds the blocks from these rows, and
+its docstring gives their format, the tail rule and how the factors
+make up a frame. The Poisson terms
 are ``exp(k log(lambda) - log(k!) - lambda)`` in numpy, ``log(k!)`` from
 one cumulative sum of logarithms and the ``k = 0`` term ``exp(-lambda)``,
 so that a zero rate gives exactly one and zeros. The solved stack is a
@@ -173,17 +176,18 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     """The read-only capped arrival rows of a stack of chains given as
     ``(B, S)`` departures, Poisson rates and Bernoulli probabilities,
     entry K holding the mass at K and beyond: ``(B, S, K + 1)`` slot rows
-    and ``(B, T, 2, K + 1)`` factor rows, T the most transmission slots of
+    and ``(B, T, 3, K + 1)`` factor rows, T the most transmission slots of
     any chain and at least one.
 
     Factor t covers quiet run t of a chain's frame from s, the slot after
     its last transmission slot (:func:`slotmesh.stationary._rotation`),
     and the transmission slot that ends it: row 0 holds the arrivals of
-    the run alone, row 1 those of the run and its transmission slot. Each
-    is a Poisson row of the summed rate, then one Bernoulli packet per
-    forwarded slot. A chain without transmission slots has its whole
-    frame in both rows of factor 0, and every factor past a chain's last
-    is the row of no arrivals.
+    the run alone, row 1 those of the run and its transmission slot, and
+    row 2 those of the transmission slot alone, the bits of its slot row.
+    Rows 0 and 1 are a Poisson row of the summed rate, then one Bernoulli
+    packet per forwarded slot. A chain without transmission slots has its
+    whole frame in rows 0 and 1 of factor 0, and every other row without
+    a slot is the row of no arrivals.
     """
     if not _integers(capacity):
         raise ModelError(f"capacity must be an integer, not {capacity!r}")
@@ -201,18 +205,24 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     # factor[b, i]: the factor of slot i, numbered over the whole stack.
     # It counts the transmission slots before slot i in the frame from s,
     # so none for the slots after the last one, which open that frame.
-    # Row 2 factor of the factor rows is its run row, the next its merged
-    # row.
-    factor = 2 * ((sent - sends) % np.maximum(sent[:, -1:], 1)
+    # Factor row 3 factor is its run row, the next two its merged row and
+    # its transmission slot's row.
+    factor = 3 * ((sent - sends) % np.maximum(sent[:, -1:], 1)
                   + np.arange(0, chains * width, width)[:, None])
-    # a transmission slot's rate counts in its merged row only
+    own = factor[sends] + 2
+    # a transmission slot's rate counts in its merged row and its own row;
+    # the latter sums one rate, so it is that slot's rate exactly
     summed = np.bincount(
-        np.concatenate((factor.ravel(), factor.ravel() + 1)),
-        weights=np.concatenate(((rates * ~sends).ravel(), rates.ravel())),
-        minlength=2 * chains * width)
-    # one row per (chain, slot) pair, then the factor rows, in one pass
+        np.concatenate((factor.ravel(), factor.ravel() + 1, own)),
+        weights=np.concatenate(((rates * ~sends).ravel(), rates.ravel(),
+                                rates[sends])),
+        minlength=3 * chains * width)
+    # one row per (chain, slot) pair, then the factor rows, in one pass. A
+    # transmission slot's own row takes its Bernoulli packet here, as its
+    # slot row does, so the two get the same bits
     lam = np.concatenate((rates.ravel(), summed))
     p = np.concatenate((probs.ravel(), np.zeros(summed.size)))
+    p[chains * length + own] = probs[sends]
     rows = arrival_pmf(lam, p, capacity + 1)
     # the mass at K and beyond: one minus the head summed in order while
     # that is at least 1/2; a smaller complement would be mostly the head's
@@ -238,9 +248,10 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     with np.errstate(divide="ignore"):
         at_cap = np.exp(capacity * np.log(lam) - math.lgamma(capacity + 1) - lam)
     rows[upper, -1] += at_cap * (p + series)
-    # each forwarded slot adds a Bernoulli packet to its factor's rows h:
-    # (1 - p) h + p h shifted one level up, entry K h[K] + p h[K - 1].
-    # Step j takes the j-th tap of every chain, so no row twice.
+    # each forwarded slot adds a Bernoulli packet to its factor's run and
+    # merged rows h: (1 - p) h + p h shifted one level up, entry K
+    # h[K] + p h[K - 1]. Step j takes the j-th tap of every chain, so no
+    # row twice.
     taps = probs != 0
     if taps.any():
         rank = np.add.accumulate(taps, axis=1)
@@ -259,7 +270,7 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
             rows[ids] = step
     rows.flags.writeable = False
     return (rows[:chains * length].reshape(chains, length, capacity + 1),
-            rows[chains * length:].reshape(chains, width, 2, capacity + 1))
+            rows[chains * length:].reshape(chains, width, 3, capacity + 1))
 
 
 @dataclass(frozen=True)
@@ -269,8 +280,9 @@ class QueueChain:
     ``rows[i, k]`` is the probability of ``k`` arrivals in slot ``i`` for
     ``k < K``, ``rows[i, K]`` that of K or more. ``runs[t, 0]`` is the
     same for the t-th quiet run of the frame from s, the slot after the
-    last transmission slot, and ``runs[t, 1]`` for that run and the
-    transmission slot that ends it. ``departures[i]`` is one on
+    last transmission slot, ``runs[t, 1]`` for that run and the
+    transmission slot that ends it, and ``runs[t, 2]`` for that slot
+    alone. ``departures[i]`` is one on
     transmission slots, zero elsewhere. The three are the whole chain:
     only :mod:`slotmesh.stationary` builds its slot blocks from them.
     """

@@ -11,6 +11,7 @@ endpoint of the other.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 # IEEE 802.15.4 channel numbers in the 2.4 GHz band.
@@ -36,8 +37,11 @@ def _ints(*values) -> bool:
     return {int}.issuperset(map(type, values))
 
 
-def _is_number(value) -> bool:
-    return _ints(value) or isinstance(value, float)
+def _is_finite(value) -> bool:
+    """Whether ``value`` is an integer or float that converts to a finite
+    float; a bool is neither."""
+    return ((_ints(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
 
 
 def _check_slot_tuple(slots, length, what):
@@ -79,8 +83,8 @@ class Schedule:
             raise ScheduleError("node_count must be a positive integer")
         if not _ints(self.slotframe_length) or self.slotframe_length < 1:
             raise ScheduleError("slotframe_length must be a positive integer")
-        if not (_is_number(self.slot_duration) and self.slot_duration > 0):
-            raise ScheduleError("slot_duration must be a positive number")
+        if not (_is_finite(self.slot_duration) and self.slot_duration > 0):
+            raise ScheduleError("slot_duration must be a finite positive number")
         object.__setattr__(self, "tx_slots", tuple(tuple(t) for t in self.tx_slots))
         object.__setattr__(self, "rx_slots", tuple(tuple(r) for r in self.rx_slots))
         object.__setattr__(self, "counterpart", tuple(dict(c) for c in self.counterpart))
@@ -215,14 +219,6 @@ class ConflictReport:
                 f"channel collision in slot {slot}: link {l1[0]}->{l1[1]} and "
                 f"link {l2[0]}->{l2[1]} share channel")
         return "\n".join(lines)
-
-
-def active_links(schedule: Schedule, slot: int) -> set[Link]:
-    """All links (transmitter, receiver) active during ``slot``."""
-    if not 0 <= slot < schedule.slotframe_length:
-        raise ScheduleError(f"slot {slot} outside [0, {schedule.slotframe_length})")
-    return {(n, schedule.counterpart[n][slot]) for n in range(schedule.node_count)
-            if slot in schedule.tx_slots[n]}
 
 
 def _disturbs(topology: Topology, l1: Link, l2: Link) -> bool:

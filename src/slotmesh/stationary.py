@@ -1,7 +1,7 @@
 """Stationary distributions of slot-indexed finite Markov chains.
 
 A queue chain of :mod:`slotmesh.queuemodel` comes here as ``(S, K + 1)``
-capped arrival rows, ``(T, 2, K + 1)`` factor rows, one pair per
+capped arrival rows, ``(T, 3, K + 1)`` factor rows, three per
 transmission slot (:func:`_return_maps`), and ``(S,)`` departures, one on
 transmission slots.
 Entry ``k < K`` of row ``i`` is the probability of ``k`` arrivals in slot
@@ -51,8 +51,11 @@ the arrivals of run t and of its transmission slot, which
 Poisson row of the summed rate, one Bernoulli packet per forwarded
 slot). Only the empty queue can stay empty through the run and send
 nothing: row 0 is the run's own row times the transmission block
-``X_t``. That is T - 1 dense products, none for a node with one
-transmission slot per frame, and no quiet slot is composed on its own.
+``X_t``, built from the factor's third row, the transmission slot's own
+arrivals with the bits of its slot row. Row 0 of the ``Y_t`` is one
+batched product per chunk of factors (below), and the rest T - 1 dense
+products, none for a node with one transmission slot per frame: no quiet
+slot is composed on its own.
 
 Chains are solved as stacks of B chains with the same S and K: a chain
 with fewer transmission slots than the widest gets identity factors,
@@ -80,13 +83,14 @@ to mark the class in every slot.
 
 The carry and the wrap-around term read the blocks one slot at a time,
 so a stack never holds all its ``B S (K + 1)^2`` block entries:
-:func:`_walk` builds them a chunk of consecutive slots at a time, each
-chunk within ``_CHUNK_BYTES`` (one MiB) or a single slot, into one
-buffer, and a chunk is still in the cache when its slots are read. Each
-slot block is built once per solve; the factors ``X_t`` come from their
-gathered rows, a chunk of them at a time, before the carry. A stack that
-fits in one chunk, every level of a small network, is built whole once
-and its factors indexed from it.
+:func:`_walk`, the one place that builds slot blocks, builds them a chunk
+of consecutive slots at a time, each chunk within ``_CHUNK_BYTES`` (one
+MiB) or a single slot, into one buffer, and a chunk is still in the cache
+when its slots are read. Each slot block is built once per solve. The
+return maps build their 2T factor blocks, ``Y_t`` and ``X_t``, from the
+factor rows alone, a chunk of factors at a time within the same budget or
+a single factor; each chunk is a new array, so no factor is overwritten
+while a later one is built.
 
 The closed class is found by a dense boolean reachability search on the
 return map, whose rows are held as Python ints used as bitsets: reach
@@ -240,7 +244,8 @@ def _top_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _capped_blocks(rows: np.ndarray, sends=None, out=None) -> np.ndarray:
+def _capped_blocks(rows: np.ndarray, sends: np.ndarray,
+                   out=None) -> np.ndarray:
     """``(..., K + 1, K + 1)`` blocks that add arrivals to the level,
     capped at K, from ``(..., K + 1)`` capped arrival rows, whose entry K
     holds the mass at K and beyond: row ``q`` is the arrival row moved
@@ -253,11 +258,11 @@ def _capped_blocks(rows: np.ndarray, sends=None, out=None) -> np.ndarray:
     top = _top_sums(rows)[..., ::-1]
     padded = np.zeros((*rows.shape[:-1], 2 * count - 1))
     padded[..., count - 1:] = rows
-    if sends is not None:
-        # a sending row sits one entry to the left, so that its rows q >= 1
-        # read one column on; its row 0 is written back below
-        padded[sends, count - 2:-1] = rows[sends]
-        padded[sends, -1] = 0.0
+    # a sending row sits one entry to the left, so that its rows q >= 1
+    # read one column on; its row 0 is written back below
+    sent = rows[sends]
+    padded[sends, count - 2:-1] = sent
+    padded[sends, -1] = 0.0
     # entry (q, r) is padded[K + r - q], the row's r - q or a zero: a view
     # that steps back one entry per row, copied
     step = padded.itemsize
@@ -269,10 +274,9 @@ def _capped_blocks(rows: np.ndarray, sends=None, out=None) -> np.ndarray:
     else:
         out[...] = view
     out[..., -1] = top
-    if sends is not None:
-        out[sends, 0] = rows[sends]
-        out[sends, 1:, -2] = top[sends, 1:]
-        out[sends, 1:, -1] = 0.0
+    out[sends, 0] = sent
+    out[sends, 1:, -2] = top[sends, 1:]
+    out[sends, 1:, -1] = 0.0
     return out
 
 
@@ -287,20 +291,17 @@ def _slot_blocks(rows: np.ndarray, tau: np.ndarray, out=None) -> np.ndarray:
 
 
 def _chunk_slots(rows: np.ndarray) -> int:
-    """Slots per chunk of a stack given as ``(B, S, K + 1)`` capped
-    arrival rows: as many as keep the chunk's ``(B, c, K + 1, K + 1)``
-    blocks within ``_CHUNK_BYTES``, and at least one."""
-    chains, _, count = rows.shape
-    return max(_CHUNK_BYTES // (chains * count * count * 8), 1)
+    """Entries per chunk along axis 1 of a stack's ``(B, n, ..., K + 1)``
+    capped arrival rows: as many as keep the chunk's blocks within
+    ``_CHUNK_BYTES``, and at least one."""
+    return max(_CHUNK_BYTES // (rows[:, :1].nbytes * rows.shape[-1]), 1)
 
 
-def _walk(rows: np.ndarray, tau: np.ndarray, blocks=None):
-    """The ``(B, K + 1, K + 1)`` slot blocks of a stack in slot order:
-    those of ``blocks``, the stack's blocks built whole, if given, else
-    built (:func:`_slot_blocks`) from the capped rows and departures a
-    chunk of consecutive slots at a time, as far as they are read."""
-    if blocks is not None:
-        return iter(blocks.swapaxes(0, 1))
+def _walk(rows: np.ndarray, tau: np.ndarray):
+    """The ``(B, K + 1, K + 1)`` slot blocks of a stack in slot order,
+    built (:func:`_slot_blocks`) from its ``(B, S, K + 1)`` capped rows
+    and ``(B, S)`` departures a chunk of consecutive slots at a time, as
+    far as they are read."""
     size = _chunk_slots(rows)
     chains, length, count = rows.shape
     # every chunk reuses one buffer: a new array per chunk would be paged
@@ -324,53 +325,37 @@ def _rotation(tau: np.ndarray) -> np.ndarray:
     return (np.arange(length) - back[:, None]) % length
 
 
-def _return_maps(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
-                 blocks=None) -> np.ndarray:
-    """Return maps ``B_0 B_1 ... B_{S-1}`` of a stack given in its frames
-    from s (:func:`_rotation`) as ``(B, S, K + 1)`` capped arrival rows and
-    ``(B, S)`` departures ``tau``, with the ``(B, T, 2, K + 1)`` factor
-    rows ``runs``, each as ``Y_1 ... Y_T``; ``blocks`` are the stack's
-    slot blocks if they were built whole.
+def _return_maps(runs: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Return maps at s, each as ``Y_1 ... Y_T``, of a stack given as its
+    ``(B, T, 3, K + 1)`` factor rows ``runs`` and ``(B, S)`` departures
+    ``tau``.
 
-    ``Y_t`` is quiet run t and the transmission slot ``X_t`` that ends
-    it. A queue of ``q >= 1`` packets is not empty when the slot comes,
-    so rows ``q >= 1`` are the transmission rows of the merged row
-    ``runs[:, t, 1]``; row 0 is the run's own row ``runs[:, t, 0]`` times
-    ``X_t``. A factor
-    that sends nothing is the quiet block of its merged row: the whole
-    frame of a chain without transmission slots, and the identity past a
-    chain's last, which keeps each chain's bits as they are alone. The
-    factors ``X_t`` are indexed from ``blocks``, or built from their
-    gathered rows a chunk at a time.
+    ``Y_t`` is quiet run t of the frame from s (:func:`_rotation`) and
+    the transmission slot that ends it, whose block ``X_t`` is that of
+    the slot's own row ``runs[:, t, 2]``. A queue of ``q >= 1`` packets is
+    not empty when the slot comes, so rows ``q >= 1`` are the transmission
+    rows of the merged row ``runs[:, t, 1]``; row 0 is the run's own row
+    ``runs[:, t, 0]`` times ``X_t``. A factor that sends nothing is the
+    quiet block of its merged row: the whole frame of a chain without
+    transmission slots, and the identity past a chain's last, which keeps
+    each chain's bits as they are alone. ``Y_t`` and ``X_t`` are built
+    from their rows a chunk of factors at a time, each chunk a new array.
     """
-    chains, _, count = rows.shape
-    sends = tau != 0
-    counts = sends.sum(axis=1)
-    widest = int(counts.max())
-    if not widest:
-        return _capped_blocks(runs[:, 0, 1])
-    # the slot of each chain's t-th transmission; past its last, a chain
-    # gets the identity factor
-    slots = np.argsort(~sends, axis=1, kind="stable")[:, :widest]
-    sending = counts[:, None] > np.arange(widest)
-    chain = np.arange(chains)[:, None]
-    if blocks is None:
-        # the row of no arrivals, without a departure, builds the identity
-        factors = rows[chain, slots]
-        factors[~sending] = np.eye(1, count)
-        factors = _walk(factors, sending)
-    else:
-        factors = blocks[chain, slots]
-        factors[~sending] = np.eye(count)
-        factors = iter(factors.swapaxes(0, 1))
+    width = runs.shape[1]
+    sending = tau.sum(axis=1)[:, None] > np.arange(width)
+    # both blocks of a factor send, or neither does
+    sends = np.repeat(sending[:, :, None], 2, axis=2)
+    size = _chunk_slots(runs[:, :, 1:])
     frame_map = None
-    for t, send in zip(range(widest), factors):
-        factor = _capped_blocks(runs[:, t, 1], sending[:, t])
-        # taken at once: a built X_t is a view of the walk's buffer, which
-        # the next chunk overwrites
-        np.matmul(runs[:, t, 0, None], send, out=factor[:, :1])
-        frame_map = (factor if frame_map is None
-                     else np.matmul(frame_map, factor))
+    for start in range(0, width, size):
+        chunk = slice(start, start + size)
+        # Y_t from the merged row, X_t from the transmission slot's own
+        blocks = _capped_blocks(runs[:, chunk, 1:], sends[:, chunk])
+        factors = blocks[:, :, 0]
+        factors[:, :, :1] = np.matmul(runs[:, chunk, :1], blocks[:, :, 1])
+        for factor in factors.swapaxes(0, 1):
+            frame_map = (factor if frame_map is None
+                         else np.matmul(frame_map, factor))
     return frame_map
 
 
@@ -399,7 +384,7 @@ def _carry(first: np.ndarray, blocks, length: int, level=None):
 def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
                  reach: bool = False):
     """Stationary distributions of a stack of queue chains given as
-    ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 2, K + 1)`` factor
+    ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K + 1)`` factor
     rows and ``(B, S)`` departures ``tau``, as ``(B, S, K + 1)``
     slot-by-level grids, with the residuals and the closed classes: the
     ``(B, K + 1)`` classes at each chain's frame start s, or with
@@ -410,17 +395,15 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
     once per group of chains with the same class, inside the band of the
     T levels a frame can lower the queue by, and carries the results
     through all S blocks, back to s, whose change is the residual; then
-    the grid goes back to slot order. Each slot block is built once, a
-    chunk at a time unless the whole stack fits in one chunk, and the T
-    factors of the return maps once more unless it does.
+    the grid goes back to slot order. Each slot block is built once, by
+    the chunked walk (:func:`_walk`), and the 2T factor blocks of the
+    return maps from the factor rows.
     """
     length = tau.shape[1]
     frame = _rotation(tau)
     chain = np.arange(len(tau))[:, None]
     rows, tau = rows[chain, frame], tau[chain, frame]
-    blocks = (_slot_blocks(rows, tau)
-              if _chunk_slots(rows) >= length else None)
-    frame_maps = _return_maps(rows, runs, tau, blocks)
+    frame_maps = _return_maps(runs, tau)
     # one search per distinct edge pattern, one GTH group per closed class
     level = np.empty(frame_maps.shape[:2], dtype=bool)
     classes, groups = {}, {}
@@ -444,7 +427,7 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
         if len(states) < high - low:
             maps = maps[:, states[:, None] - low, states - low]
         first[members[:, None], states] = _gth(maps, runs.shape[1])
-    walk = _walk(rows, tau, blocks)
+    walk = _walk(rows, tau)
     carried, reached = _carry(first[:, None], walk, length,
                               level[:, None] if reach else None)
     # back to slot order: slot i is step (i - s) mod S of the frame

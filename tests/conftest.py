@@ -46,6 +46,12 @@ def chain_cases():
     return cases
 
 
+def slot_links(schedule, slot):
+    """The links ``(transmitter, receiver)`` that send in ``slot``."""
+    return {(n, schedule.counterpart[n][slot])
+            for n in range(schedule.node_count) if slot in schedule.tx_slots[n]}
+
+
 def slot_blocks(chain):
     """The chain's read-only ``(S, K + 1, K + 1)`` slot blocks: block ``i``
     maps level ``q`` in slot ``i`` to each level in slot ``i + 1``."""

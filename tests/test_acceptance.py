@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import slot_links
 from slotmesh.network import (NetworkScenario, concentric_topology,
                               evaluate_network)
 from slotmesh.queuemodel import (TrafficSpec, build_chain, evaluate_node,
                                  expected_arrivals_per_slotframe)
-from slotmesh.schedule import active_links, validate
+from slotmesh.schedule import validate
 from slotmesh.schedulers import generate, proper_descendants
 from slotmesh.simulate import SimConfig, simulate_network, simulate_queue
 from slotmesh.stationary import solve
@@ -186,7 +187,7 @@ def test_schedule_properties():
                 assert len(schedule.tx_slots[n]) == info[n] + 1
     assert lengths == {"sbd": 19, "ta-sc": 31, "ta-mc": 19}
     tamc = generate("ta-mc", topology)
-    first_data_slot = {tamc.channel[v][1] for v, _ in active_links(tamc, 1)}
+    first_data_slot = {tamc.channel[v][1] for v, _ in slot_links(tamc, 1)}
     assert len(first_data_slot) == 3
 
 

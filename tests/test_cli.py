@@ -138,6 +138,10 @@ def _link(channel):
                   "nodes": [{"id": 0, "tx": [{**_TX, "slot": [0]}], "rx": []}]}),
     ("schedule", _DIRECTORY),
     ("schedule", b"\xff\xfe\x00"),
+    ("schedule", b'{"slotframe_length": 2, "slot_duration_s": 1e999, '
+                 b'"nodes": [{"id": 0, "tx": [], "rx": []}]}'),
+    ("schedule", {"slotframe_length": 2, "slot_duration_s": 10**400,
+                  "nodes": _NODES}),
     ("topology", []),
     ("topology", {"nodes": 3, "edges": []}),
     ("topology", {"nodes": 3, "edges": {}, "parents": [None, 0, 1]}),
@@ -156,7 +160,7 @@ def _link(channel):
         "slot_conflicting_peer", "slotframe_zero", "slotframe_float",
         "slot_duration_string", "channel_string", "channel_null", "id_bool",
         "slot_list", "schedule_directory", "schedule_not_utf8",
-        "topology_list", "topology_missing_key", "edges_not_list",
+        "slot_duration_infinite", "slot_duration_huge_int", "topology_list", "topology_missing_key", "edges_not_list",
         "edge_short", "parents_not_list", "parents_short", "nodes_float",
         "nodes_string", "edge_float", "edge_string", "edge_list",
         "topology_directory"])
@@ -462,6 +466,8 @@ _GRID = {"min": 0.0, "max": 0.01, "count": 3}
     {"grid": {**_GRID, "count": 2.5}, "topology": {"rings": 1}},
     {"grid": {**_GRID, "count": True}, "topology": {"rings": 1}},
     {"grid": {**_GRID, "min": "0"}, "topology": {"rings": 1}},
+    {"grid": {**_GRID, "max": 1e999}, "topology": {"rings": 1}},
+    {"grid": {**_GRID, "max": 10**400}, "topology": {"rings": 1}},
     {"grid": [0.0, 0.01, 3], "topology": {"rings": 1}},
     [1, 2],
     {"grid": _GRID, "topology": {"rings": "2"}},
@@ -489,7 +495,7 @@ _GRID = {"min": 0.0, "max": 0.01, "count": 3}
      "schedules": [{"file": "missing.json"}]},
 ], ids=["min_above_max", "capacity_string", "capacity_float",
         "capacity_bool", "count_missing", "count_float", "count_bool",
-        "min_string", "grid_list", "spec_list", "rings_string",
+        "min_string", "max_infinite", "max_huge_int", "grid_list", "spec_list", "rings_string",
         "topology_string", "slot_duration_string", "schedule_file_int",
         "topology_file_int", "variants_string", "schedules_string",
         "capacities_empty", "variants_empty", "schedules_empty",
@@ -634,6 +640,16 @@ def test_nonpositive_interval_is_domain_error(files, capsys, command, interval):
                  "--interval", interval, "--queue", "4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("duration", ["-1", "inf", "nan"])
+def test_bad_slot_duration_is_domain_error(tmp_path, capsys, duration):
+    out = tmp_path / "s.json"
+    assert main(["schedule", "--algorithm", "sbd", "--rings", "1",
+                 "--out", str(out), "--slot-duration", duration]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_negative_warmup_is_domain_error(files, capsys):

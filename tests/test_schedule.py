@@ -3,32 +3,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_tree
+from conftest import random_tree, slot_links
 from slotmesh.network import concentric_topology
 from slotmesh.schedule import (Schedule, ScheduleError, ScheduleFormatError,
-                               Topology, _disturbs, active_links,
-                               load_schedule, load_topology, save_schedule,
+                               Topology, _disturbs, load_schedule,
+                               load_topology, save_schedule,
                                save_topology, schedule_from_dict,
                                schedule_to_dict, topology_to_dict, validate)
-
-
-def test_active_links_example_schedule(three_node_schedule):
-    assert active_links(three_node_schedule, 0) == {(1, 0)}
-    assert active_links(three_node_schedule, 1) == {(1, 0)}
-    assert active_links(three_node_schedule, 2) == {(2, 1)}
-
-
-def test_active_links_empty_slot():
-    sched = Schedule(node_count=2, slotframe_length=4,
-                     tx_slots=((), (1,)), rx_slots=((1,), ()),
-                     counterpart=({1: 1}, {1: 0}), channel=({1: 11}, {1: 11}))
-    assert active_links(sched, 0) == set()
-    assert active_links(sched, 3) == set()
-
-
-def test_active_links_bad_slot(three_node_schedule):
-    with pytest.raises(ScheduleError):
-        active_links(three_node_schedule, 3)
 
 
 def _two_link_schedule(ch1=11, ch2=12):
@@ -310,7 +291,7 @@ def _random_scenario(draw):
 def test_disturbing_links_symmetric(scenario):
     schedule, topology = scenario
     for slot in range(schedule.slotframe_length):
-        links = sorted(active_links(schedule, slot))
+        links = sorted(slot_links(schedule, slot))
         for l1 in links:
             for l2 in links:
                 if l1 != l2:

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from conftest import random_tree
+from conftest import random_tree, slot_links
 from slotmesh.network import concentric_topology
-from slotmesh.schedule import (Schedule, Topology, _disturbs, active_links,
+from slotmesh.schedule import (Schedule, Topology, _disturbs,
                                schedule_to_dict, validate)
 from slotmesh.schedulers import (ALGORITHMS, ChannelExhaustionError,
                                  SchedulerError, generate, proper_descendants)
@@ -75,7 +75,7 @@ def test_sbd_structure():
     for n in range(1, 19):
         assert sched.tx_slots[n] == (n,)
         assert sched.counterpart[n][n] == topo.parents[n]
-    assert active_links(sched, 0) == set()
+    assert slot_links(sched, 0) == set()
     assert validate(sched, topo).ok
 
 
@@ -103,8 +103,8 @@ def test_ta_single_one_link_per_slot():
     topo = concentric_topology(2)
     sched = generate("ta-sc", topo)
     for slot in range(sched.slotframe_length):
-        assert len(active_links(sched, slot)) <= 1
-    assert active_links(sched, 0) == set()
+        assert len(slot_links(sched, slot)) <= 1
+    assert slot_links(sched, 0) == set()
 
 
 def test_ta_single_leaf_under_root():
@@ -147,7 +147,7 @@ def test_ta_multi_slot_counts_and_validity():
 
 def test_ta_multi_first_slot_coloring():
     sched = generate("ta-mc", concentric_topology(2))
-    channels = {sched.channel[v][1] for v, _ in active_links(sched, 1)}
+    channels = {sched.channel[v][1] for v, _ in slot_links(sched, 1)}
     assert len(channels) == 3
 
 
@@ -156,7 +156,7 @@ def test_ta_multi_first_slot_conflict_graph_shape():
     # its conflict graph is connected and contains triangles
     topo = concentric_topology(2)
     sched = generate("ta-mc", topo)
-    links = sorted(active_links(sched, 1))
+    links = sorted(slot_links(sched, 1))
     adj = {l: {other for other in links
                if other != l and _disturbs(topo, l, other)} for l in links}
     seen = {links[0]}
@@ -200,7 +200,7 @@ def test_shared_slot_left_free():
     topo = concentric_topology(2)
     for alg in ("sbd", "ta-sc", "ta-mc"):
         sched = generate(alg, topo)
-        assert active_links(sched, 0) == set()
+        assert slot_links(sched, 0) == set()
 
 
 GOLDEN_TOPOLOGIES = {

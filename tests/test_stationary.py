@@ -197,7 +197,7 @@ def stacked(chains):
     chains with the same S and K as one stack; a chain with fewer
     transmission slots gets factor rows of no arrivals."""
     runs = np.zeros((len(chains), max(len(chain.runs) for chain in chains),
-                     2, chains[0].capacity + 1))
+                     3, chains[0].capacity + 1))
     runs[..., 0] = 1.0
     for b, chain in enumerate(chains):
         runs[b, :len(chain.runs)] = chain.runs
@@ -246,18 +246,18 @@ def test_slot_blocks_are_built_in_chunks(monkeypatch):
 
 
 def test_each_slot_block_is_built_once_per_solve(monkeypatch):
-    # over the chunk budget (K = 512, S = 19) the carry builds each slot's
-    # block once and the return map only its T transmission factors: no
-    # quiet run is composed slot by slot. solve carries the closed class
-    # in the same walk as the grid.
+    # over the chunk budget (K = 512, S = 19) the walk builds each slot's
+    # block once, for the carry, and the return map the two blocks of each
+    # of its T factors: no quiet run is composed slot by slot. solve
+    # carries the closed class in the same walk as the grid.
     built = []
-    slot_blocks_of = stationary._slot_blocks
+    capped_blocks_of = stationary._capped_blocks
 
-    def counted(rows, tau, out=None):
-        built.append(rows.shape[1])
-        return slot_blocks_of(rows, tau, out)
+    def counted(rows, sends, out=None):
+        built.append(rows.shape[1:-1])
+        return capped_blocks_of(rows, sends, out)
 
-    monkeypatch.setattr(stationary, "_slot_blocks", counted)
+    monkeypatch.setattr(stationary, "_capped_blocks", counted)
     traffic = TrafficSpec.constant(19, rate=0.95 / 19)
     for tx_slots in ((0,), (3, 11), ()):
         chain = build_chain(512, 19, tx_slots, traffic)
@@ -265,8 +265,10 @@ def test_each_slot_block_is_built_once_per_solve(monkeypatch):
                        lambda: solve(chain)):
             built.clear()
             solved()
-            assert max(built) == 1  # one slot per chunk
-            assert sum(built) == 19 + len(tx_slots)
+            # one slot, or one factor's two blocks, per chunk
+            assert all(shape[0] == 1 for shape in built)
+            assert (sum(map(np.prod, built))
+                    == 19 + 2 * max(len(tx_slots), 1))
 
 
 # one slot per chunk, and chunks of three slots of the level stack
@@ -289,16 +291,18 @@ def test_chunks_give_the_bits_of_the_whole_stack(monkeypatch, budget):
 
 
 def test_large_capacity_solve_stays_small():
-    # the solver ladder's K = 512 node: its 19 slot blocks take 40 MB, and
+    # the solver ladder's K = 512 node, and one with ten transmission
+    # slots: its 19 slot blocks take 40 MB, its 20 factor blocks 42 MB, and
     # the solve holds a few of them at a time
     traffic = TrafficSpec.constant(19, rate=0.95 / 19)
-    tracemalloc.start()
-    try:
-        evaluate_node(512, 19, (0,), traffic)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 17 * 2**20
+    for tx_slots in ((0,), tuple(range(0, 19, 2))):
+        tracemalloc.start()
+        try:
+            evaluate_node(512, 19, tx_slots, traffic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * 2**20, tx_slots
 
 
 def test_perturbed_chain_names_its_node(monkeypatch):
@@ -315,10 +319,10 @@ def test_perturbed_chain_names_its_node(monkeypatch):
                           tuple(evaluate_network(scenario).rx_probability[target]))
     chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
     # the return map at the frame start s, on its closed class there
-    rows, runs, tau = in_frame(*stacked([chain]))
+    _, runs, tau = stacked([chain])
     start = stationary._rotation(chain.departures[None])[0, 0]
     level = solve(chain).reachable.reshape(length, capacity + 1)[start]
-    frame_map = stationary._return_maps(rows, runs, tau)[0][np.ix_(level, level)]
+    frame_map = stationary._return_maps(runs, tau)[0][np.ix_(level, level)]
     exact = stationary._gth
 
     def perturbed(dense, lower):
@@ -439,7 +443,7 @@ def plain_return_map(blocks):
 
 
 def stack_rows(capacity, tx_slots, rates, probs):
-    """The ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 2, K + 1)``
+    """The ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K + 1)``
     factor rows and ``(B, S)`` departures of a stack of chains."""
     tau = queuemodel._departures(len(rates[0]), tx_slots)
     return (*queuemodel._capped_rows(capacity, tau, np.array(rates, dtype=float),
@@ -448,8 +452,8 @@ def stack_rows(capacity, tx_slots, rates, probs):
 
 def in_frame(rows, runs, tau):
     """A stack's capped rows and departures in each chain's frame from s,
-    as :func:`stationary._return_maps` takes them, with its factor
-    rows."""
+    with its factor rows: the slot blocks taken from s multiply to the
+    return maps."""
     frame = stationary._rotation(tau)
     return (np.take_along_axis(rows, frame[:, :, None], axis=1), runs,
             np.take_along_axis(tau, frame, axis=1))
@@ -490,12 +494,23 @@ def test_return_map_matches_block_product(case):
     # run-then-send factors against the slot blocks taken from s
     rows, runs, tau = in_frame(*stack_rows(*case))
     blocks = stationary._slot_blocks(rows, tau)
-    # from the blocks built whole, and from chunks built as they are read
-    built = stationary._return_maps(rows, runs, tau, blocks)
-    assert np.array_equal(built, stationary._return_maps(rows, runs, tau))
-    # chunks of one slot each, in one reused buffer
+    built = stationary._return_maps(runs, tau)
+    # chunks of one factor each, every one a new array
     with mock.patch.object(stationary, "_CHUNK_BYTES", 0):
-        assert np.array_equal(built, stationary._return_maps(rows, runs, tau))
+        assert np.array_equal(built, stationary._return_maps(runs, tau))
+    # the bits of factors whose X_t is the slot block of their
+    # transmission slot, and the identity past a chain's last
+    chains, width, _, count = runs.shape
+    sending = tau.sum(axis=1)[:, None] > np.arange(width)
+    tx = np.argsort(tau == 0, axis=1, kind="stable")  # tx slots first
+    want = None
+    for t in range(width):
+        send = np.where(sending[:, t, None, None],
+                        blocks[np.arange(chains), tx[:, t]], np.eye(count))
+        factor = stationary._capped_blocks(runs[:, t, 1], sending[:, t])
+        factor[:, :1] = np.matmul(runs[:, t, :1], send)
+        want = factor if want is None else np.matmul(want, factor)
+    assert np.array_equal(built, want)
     for chain_blocks, frame_map in zip(blocks, built):
         assert np.abs(frame_map - plain_return_map(chain_blocks)).max() <= 1e-13
 
@@ -506,7 +521,7 @@ def test_transmission_blocks_are_shifted_quiet_blocks(case):
     # a packet leaving first moves rows q >= 1 of the quiet block one
     # column to the left, bit for bit
     rows, _, tau = stack_rows(*case)
-    quiet = stationary._capped_blocks(rows)
+    quiet = stationary._capped_blocks(rows, np.zeros(tau.shape, dtype=bool))
     want = quiet.copy()
     for b, i in zip(*np.nonzero(tau)):
         want[b, i, 1:, :-1] = quiet[b, i, 1:, 1:]
@@ -559,18 +574,23 @@ def long_double_run_row(rates, probs, capacity):
 @settings(max_examples=150, deadline=None)
 def test_run_rows_match_slot_composition(case):
     # row 0 of a factor holds the arrivals of its quiet run, row 1 those of
-    # the run and its transmission slot
+    # the run and its transmission slot, row 2 those of the slot alone
     capacity, _, rates, probs = case
     rows, runs, tau = stack_rows(*case)
-    arrivals = stationary._capped_blocks(rows)  # no packet leaves
+    # no packet leaves
+    arrivals = stationary._capped_blocks(rows, np.zeros(tau.shape, dtype=bool))
     assert runs.shape[1] == max(tau.sum(axis=1).max(), 1)
     for b, chain_runs in enumerate(runs):
         slots = factor_slots(tau[b])
-        for t, pair in enumerate(chain_runs):
+        for t, factor in enumerate(chain_runs):
             # factors past a chain's last are empty
             merged = slots[t] if t < len(slots) else []
-            alone = merged[:-1] if merged and tau[b, merged[-1]] else merged
-            for row, members in zip(pair, (alone, merged)):
+            sent = bool(merged) and tau[b, merged[-1]] != 0
+            alone = merged[:-1] if sent else merged
+            # the slot row's bits, or the row of no arrivals
+            own = rows[b, merged[-1]] if sent else np.eye(1, capacity + 1)[0]
+            assert np.array_equal(factor[2], own)
+            for row, members in zip(factor, (alone, merged)):
                 # row 0 of the slots' block product, the identity if empty
                 composed = plain_return_map(arrivals[b, members])[0]
                 assert np.abs(row - composed).max() <= 1e-13
@@ -652,7 +672,7 @@ def test_factors_in_one_slot_chunks_match_dense_solve(tx):
     chain = build_chain(300, 4, tx, TrafficSpec((0.5, 0, 0.1, 0), (0,) * 4))
     assert stationary._chunk_slots(chain.rows[None]) == 1
     rows, runs, tau = in_frame(*stacked([chain]))
-    frame_map = stationary._return_maps(rows, runs, tau)[0]
+    frame_map = stationary._return_maps(runs, tau)[0]
     want = plain_return_map(stationary._slot_blocks(rows, tau)[0])
     assert np.abs(frame_map - want).max() <= 1e-13
     matrix = dense_matrix(chain)
@@ -697,13 +717,12 @@ def test_return_maps_take_t_minus_one_dense_products(monkeypatch):
 
     monkeypatch.setattr(stationary, "np", CountingNumpy())
     ladder = build_chain(512, 19, (0,), TrafficSpec.constant(19, rate=0.05))
-    stacks = [(in_frame(*stacked([ladder])), 0)]
+    stacks = [(stacked([ladder])[1:], 0)]
     for tx_slots, widest in (([[2], [], [0, 3, 4]], 3), ([[], []], 0),
                              ([[1], [0, 1, 2, 3, 4, 5]], 6)):
         rates = [[0.2] * 6] * len(tx_slots)
         probs = [[0.3, 0, 0, 0.5, 0, 0]] * len(tx_slots)
-        stacks.append((in_frame(*stack_rows(4, tx_slots, rates, probs)),
-                       widest))
+        stacks.append((stack_rows(4, tx_slots, rates, probs)[1:], widest))
     for stack, widest in stacks:
         products.clear()
         stationary._return_maps(*stack)
@@ -739,7 +758,7 @@ def test_class_with_gaps_gives_gth_its_states(monkeypatch):
     # no queue chain tried has a closed class with gaps in its levels, so
     # drop a middle state from one: GTH must still get just its states
     chain = build_chain(6, 4, (1,), TrafficSpec.constant(4, rate=0.3))
-    frame_map = stationary._return_maps(*in_frame(*stacked([chain])))[0]
+    frame_map = stationary._return_maps(*stacked([chain])[1:])[0]
     closed = stationary._closed_class
 
     def gapped(edges, start):
