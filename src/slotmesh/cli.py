@@ -264,7 +264,7 @@ def _sweep_tasks(spec):
         points = [NetworkScenario.from_interval(schedule, topology, v, capacity)
                   if parameter == "interval" else
                   NetworkScenario(schedule=schedule, topology=topology,
-                                  generation_rate=float(v),
+                                  generation_rate=v,
                                   queue_capacity=capacity)
                   for capacity in capacities for v in grid]
         tasks += [(name, variant, scenario) for variant in variants

@@ -17,13 +17,12 @@ and the simulator accept the same scenarios.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .queuemodel import NodeMetrics, ModelError, _variant_stack
-from .schedule import Schedule, Topology, _ints, validate
+from .schedule import Schedule, Topology, _ints, _is_finite, validate
 from .stationary import StationaryError
 
 
@@ -54,21 +53,25 @@ class NetworkScenario:
     link_per: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0 <= self.generation_rate < math.inf:
+        if not (_is_finite(self.generation_rate) and self.generation_rate >= 0):
             raise NetworkModelError(
-                "generation_rate must be finite and non-negative")
+                "generation_rate must be a finite non-negative number")
         if not (_ints(self.queue_capacity) and self.queue_capacity >= 1):
             raise NetworkModelError(
                 "queue_capacity must be a positive integer")
         object.__setattr__(self, "link_per", dict(self.link_per))
         uplinks = set(enumerate(self.topology.parents[1:], start=1))
         for link, per in self.link_per.items():
-            if link not in uplinks:
+            if link not in uplinks or not _ints(*link):
                 raise NetworkModelError(
                     f"link {link} of link_per is not a routing uplink "
                     f"(node, parent)")
-            if not 0.0 <= per <= 1.0:
-                raise NetworkModelError(f"PER of link {link} outside [0, 1]")
+            if not (_is_finite(per) and 0 <= per <= 1):
+                raise NetworkModelError(f"PER of link {link} is not in [0, 1]")
+            self.link_per[link] = float(per)
+        # the checked numbers are kept as Python ones, as if given so
+        object.__setattr__(self, "generation_rate", float(self.generation_rate))
+        object.__setattr__(self, "queue_capacity", int(self.queue_capacity))
         report = validate(self.schedule, self.topology)
         if not report.ok:
             raise NetworkModelError("schedule does not validate:\n"
@@ -89,10 +92,10 @@ class NetworkScenario:
                       queue_capacity: int):
         """Build a scenario from a mean packet generation interval in
         seconds; the rate is slot_duration / interval."""
-        if not interval_s > 0:
-            raise NetworkModelError("interval must be positive")
+        if not (_is_finite(interval_s) and interval_s > 0):
+            raise NetworkModelError("interval must be a finite positive number")
         return cls(schedule=schedule, topology=topology,
-                   generation_rate=schedule.slot_duration / interval_s,
+                   generation_rate=schedule.slot_duration / float(interval_s),
                    queue_capacity=queue_capacity)
 
 
@@ -153,7 +156,7 @@ def evaluate_network(scenario: NetworkScenario, *,
         hop[n] = 1.0 - per
 
     for level in reversed(levels[1:]):
-        rates = np.full((len(level), length), float(scenario.generation_rate))
+        rates = np.full((len(level), length), scenario.generation_rate)
         try:
             solved = _variant_stack(variant, capacity, length,
                                     [schedule.tx_slots[n] for n in level],

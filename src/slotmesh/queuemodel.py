@@ -55,6 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import stationary
+from .schedule import _ints, _is_finite
 from .stationary import _at, _top_sums
 
 VARIANTS = ("md1k", "distributed", "full")
@@ -87,8 +88,10 @@ class TrafficSpec:
     bernoulli_prob: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "poisson_rate", tuple(float(x) for x in self.poisson_rate))
-        object.__setattr__(self, "bernoulli_prob", tuple(float(x) for x in self.bernoulli_prob))
+        if not all(map(_is_finite, (*self.poisson_rate, *self.bernoulli_prob))):
+            raise ModelError("poisson_rate and bernoulli_prob must hold finite numbers")
+        object.__setattr__(self, "poisson_rate", tuple(map(float, self.poisson_rate)))
+        object.__setattr__(self, "bernoulli_prob", tuple(map(float, self.bernoulli_prob)))
         if len(self.poisson_rate) != len(self.bernoulli_prob) or not self.poisson_rate:
             raise ModelError("poisson_rate and bernoulli_prob must have equal, "
                              "non-zero length")
@@ -96,6 +99,8 @@ class TrafficSpec:
 
     @classmethod
     def constant(cls, length: int, rate: float = 0.0, prob: float = 0.0):
+        if not _ints(length):
+            raise ModelError(f"length must be an integer, not {length!r}")
         return cls((rate,) * length, (prob,) * length)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -136,24 +141,29 @@ def expected_arrivals_per_slotframe(traffic: TrafficSpec) -> float:
     return float(_offered(*traffic._arrays())[0])
 
 
-def _integers(*values) -> bool:
-    """Whether every one of ``values`` is a Python or numpy integer; a
-    bool is not one, though Python counts it as one."""
-    return all(issubclass(kind, (int, np.integer)) and kind is not bool
-               for kind in set(map(type, values)))
+def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
+                probs: np.ndarray) -> np.ndarray:
+    """Check the node inputs of a stack and return its ``(B, S)``
+    departures: one on each chain's transmission slots, zero elsewhere.
 
-
-def _departures(length: int, tx_slots) -> np.ndarray:
-    """``(B, S)`` departures of a stack: one on each chain's transmission
-    slots, zero elsewhere; ``tx_slots`` holds one collection of distinct
-    integer slots per chain."""
-    if not _integers(length):
-        raise ModelError(f"slotframe_length must be an integer, not {length!r}")
+    ``tx_slots`` holds one collection of slots per chain, and ``rates``
+    and ``probs`` are the ``(B, S)`` traffic. K and S must be positive
+    integers (:func:`slotmesh.schedule._ints`), the traffic valid and one
+    frame long, and each chain's slots distinct integers within the
+    frame; anything else raises :class:`ModelError`. This is the one
+    check of node inputs, run by :func:`build_chain`, by every stack of
+    :func:`evaluate_node` and by :func:`slotmesh.simulate.simulate_queue`.
+    """
+    for name, value in (("capacity", capacity), ("slotframe_length", length)):
+        if not (_ints(value) and value >= 1):
+            raise ModelError(f"{name} must be a positive integer, not {value!r}")
+    if rates.shape != (len(tx_slots), length) or probs.shape != rates.shape:
+        raise ModelError("traffic spec length must equal the slotframe length")
+    _check_traffic(rates, probs)
     rows = [b for b, slots in enumerate(tx_slots) for _ in slots]
     slots = [s for chain in tx_slots for s in chain]
-    if not _integers(*slots):
-        b, slot = next((b, slot) for b, slot in zip(rows, slots)
-                       if not _integers(slot))
+    if not _ints(*slots):
+        b, slot = next((b, s) for b, s in zip(rows, slots) if not _ints(s))
         raise _at(ModelError(f"tx slot {slot!r} is not an integer"), b)
     slots = np.array(slots, dtype=int)
     outside = np.flatnonzero((slots < 0) | (slots >= length))
@@ -187,17 +197,9 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     Rows 0 and 1 are a Poisson row of the summed rate, then one Bernoulli
     packet per forwarded slot. A chain without transmission slots has its
     whole frame in rows 0 and 1 of factor 0, and every other row without
-    a slot is the row of no arrivals.
+    a slot is the row of no arrivals. The inputs are those of a stack
+    that :func:`_check_node` accepted, or derived from them.
     """
-    if not _integers(capacity):
-        raise ModelError(f"capacity must be an integer, not {capacity!r}")
-    if capacity < 1:
-        raise ModelError("capacity must be at least 1")
-    if tau.shape[1] < 1:
-        raise ModelError("slotframe_length must be at least 1")
-    if rates.shape != tau.shape or probs.shape != tau.shape:
-        raise ModelError("traffic spec length must equal the slotframe length")
-    _check_traffic(rates, probs)
     chains, length = tau.shape
     sends = tau != 0
     sent = np.add.accumulate(sends, axis=1)
@@ -313,9 +315,10 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
 
     ``capacity``, ``slotframe_length`` and each of ``tx_slots`` must be a
     Python or numpy integer, not a bool, and the slots distinct; anything
-    else raises :class:`ModelError`, here and in :func:`evaluate_node`.
+    else raises :class:`ModelError` (:func:`_check_node`), here, in
+    :func:`evaluate_node` and in :func:`slotmesh.simulate.simulate_queue`.
     """
-    tau = _departures(slotframe_length, [tx_slots])
+    tau = _check_node(capacity, slotframe_length, [tx_slots], *traffic._arrays())
     rows, runs = _capped_rows(capacity, tau, *traffic._arrays())
     return QueueChain(capacity=capacity, slotframe_length=slotframe_length,
                       rows=rows[0], runs=runs[0], departures=tau[0])
@@ -424,7 +427,7 @@ def _variant_stack(variant: str, capacity: int, slotframe_length: int,
     ``(B, S)`` rates and probabilities."""
     if variant not in VARIANTS:
         raise ModelError(f"unknown variant {variant!r} (expected one of {VARIANTS})")
-    tau = _departures(slotframe_length, tx_slots)
+    tau = _check_node(capacity, slotframe_length, tx_slots, rates, probs)
     if variant == "full":
         return _evaluate_stack(capacity, tau, rates, probs)
     offered = _offered(rates, probs)

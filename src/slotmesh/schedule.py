@@ -6,6 +6,10 @@ the frequency channel of each assignment. Validation files every
 transmission under its (slot, channel) and checks that no two links in
 one group can disturb each other: an endpoint of one is a neighbour of an
 endpoint of the other.
+
+The module also owns the two number rules, :func:`_ints` and
+:func:`_is_finite`, with which every entry point of the package checks
+the numbers it is given.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from operator import index
+
+import numpy as np
 
 # IEEE 802.15.4 channel numbers in the 2.4 GHz band.
 CHANNELS_2_4GHZ = tuple(range(11, 27))
@@ -32,16 +39,21 @@ class ScheduleFormatError(ScheduleError):
 
 
 def _ints(*values) -> bool:
-    """Whether every one of ``values`` is an integer; a bool is not one,
-    though Python counts it as one."""
-    return {int}.issuperset(map(type, values))
+    """Whether every one of ``values`` is a Python or numpy integer; a
+    bool, Python's or numpy's, is not one, though Python counts its own
+    as one. This and :func:`_is_finite` are the number rules of every
+    slotmesh entry point."""
+    # all Python ints, the common case, skip the subclass tests
+    return {int}.issuperset(map(type, values)) or all(
+        issubclass(kind, (int, np.integer)) and kind is not bool
+        for kind in set(map(type, values)))
 
 
 def _is_finite(value) -> bool:
-    """Whether ``value`` is an integer or float that converts to a finite
-    float; a bool is neither."""
-    return ((_ints(value) or isinstance(value, float))
-            and abs(value) <= sys.float_info.max)
+    """Whether ``value`` is a Python or numpy integer or float (a bool is
+    neither) that converts to a finite float."""
+    return (isinstance(value, (float, np.floating)) and np.isfinite(value)
+            or _ints(value) and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _check_slot_tuple(slots, length, what):
@@ -85,6 +97,7 @@ class Schedule:
             raise ScheduleError("slotframe_length must be a positive integer")
         if not (_is_finite(self.slot_duration) and self.slot_duration > 0):
             raise ScheduleError("slot_duration must be a finite positive number")
+        object.__setattr__(self, "slot_duration", float(self.slot_duration))
         object.__setattr__(self, "tx_slots", tuple(tuple(t) for t in self.tx_slots))
         object.__setattr__(self, "rx_slots", tuple(tuple(r) for r in self.rx_slots))
         object.__setattr__(self, "counterpart", tuple(dict(c) for c in self.counterpart))
@@ -284,17 +297,20 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:
+    # the fields may hold numpy integers, which json does not write;
+    # ``index`` makes them Python ints at a quarter of the cost of ``int``
     nodes = []
     for n in range(schedule.node_count):
+        peer, channel = schedule.counterpart[n], schedule.channel[n]
         nodes.append({
             "id": n,
-            "tx": [{"slot": i, "peer": schedule.counterpart[n][i],
-                    "channel": schedule.channel[n][i]} for i in schedule.tx_slots[n]],
-            "rx": [{"slot": i, "peer": schedule.counterpart[n][i],
-                    "channel": schedule.channel[n][i]} for i in schedule.rx_slots[n]],
+            "tx": [{"slot": index(i), "peer": index(peer[i]),
+                    "channel": index(channel[i])} for i in schedule.tx_slots[n]],
+            "rx": [{"slot": index(i), "peer": index(peer[i]),
+                    "channel": index(channel[i])} for i in schedule.rx_slots[n]],
         })
     return {
-        "slotframe_length": schedule.slotframe_length,
+        "slotframe_length": index(schedule.slotframe_length),
         "slot_duration_s": schedule.slot_duration,
         "nodes": nodes,
     }
@@ -365,9 +381,9 @@ def schedule_from_dict(data: dict) -> Schedule:
 
 def topology_to_dict(topology: Topology) -> dict:
     return {
-        "nodes": topology.node_count,
-        "edges": sorted([list(e) for e in topology.edges]),
-        "parents": list(topology.parents),
+        "nodes": index(topology.node_count),
+        "edges": sorted([index(v), index(w)] for v, w in topology.edges),
+        "parents": [p if p is None else index(p) for p in topology.parents],
     }
 
 

@@ -48,6 +48,7 @@ from itertools import cycle
 import numpy as np
 
 from .network import NetworkScenario
+from .queuemodel import _check_node, _offered
 from .schedule import _ints
 
 Z95 = 1.96
@@ -227,11 +228,16 @@ def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
     Acceptance is the fraction of counted arrivals that were admitted;
     delays are measured from the arrival slot to the end of the
     transmitting slot, in slots.
+
+    Every node that :func:`~slotmesh.queuemodel.evaluate_node` refuses
+    is refused here with the model's
+    :class:`~slotmesh.queuemodel.ModelError`, by the model's own check. A
+    node offered traffic that it never transmits, which the model
+    accepts, raises :class:`SimulationError`: its queue would not drain.
     """
-    if len(traffic.poisson_rate) != slotframe_length:
-        raise SimulationError("traffic spec length must equal the slotframe length")
-    offered = sum(traffic.poisson_rate) + sum(traffic.bernoulli_prob)
-    if offered == 0:
+    rates, probs = traffic._arrays()
+    _check_node(capacity, slotframe_length, [tx_slots], rates, probs)
+    if _offered(rates, probs)[0] == 0:
         one = MetricSummary.from_runs([1.0] * config.runs)
         nan = MetricSummary.from_runs([math.nan] * config.runs)
         return QueueSimStats(acceptance=one, delay_slots=nan,

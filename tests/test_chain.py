@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import chain_cases, dense_matrix, slot_blocks
 from slotmesh.queuemodel import (ModelError, TrafficSpec, arrival_pmf,
                                  build_chain, evaluate_node)
+from slotmesh.simulate import SimConfig, simulate_queue
 
 
 def _row_sums(chain):
@@ -112,7 +113,8 @@ def test_build_chain_validation():
         build_chain(3, 0, (), TrafficSpec.constant(1))
 
 
-# (capacity, slotframe_length, tx_slots): each once read as a valid node
+# (capacity, slotframe_length, tx_slots) against traffic of 3 slots, each
+# refused by the model and so, with the model's error, by the simulator
 @pytest.mark.parametrize("node", [
     pytest.param((2, 3, (1.5,)), id="float_slot"),
     pytest.param((2, 3, ("1",)), id="string_slot"),
@@ -121,6 +123,11 @@ def test_build_chain_validation():
     pytest.param((True, 3, (1,)), id="bool_capacity"),
     pytest.param((4.0, 3, (1,)), id="float_capacity"),
     pytest.param((2, 3.0, (1,)), id="float_length"),
+    pytest.param((2, 3, (3,)), id="slot_outside_frame"),
+    pytest.param((2, 3, (-1,)), id="negative_slot"),
+    pytest.param((0, 3, (1,)), id="zero_capacity"),
+    pytest.param((-2, 3, (1,)), id="negative_capacity"),
+    pytest.param((4, 4, (1,)), id="traffic_length"),
 ])
 def test_bad_node_inputs_raise_model_error(node):
     traffic = TrafficSpec.constant(3, rate=0.1)
@@ -129,6 +136,8 @@ def test_bad_node_inputs_raise_model_error(node):
     for variant in ("full", "distributed", "md1k"):
         with pytest.raises(ModelError):
             evaluate_node(*node, traffic, variant=variant)
+    with pytest.raises(ModelError):
+        simulate_queue(*node, traffic, SimConfig(seed=0, runs=1, packets=10))
 
 
 def test_numpy_integers_are_node_inputs():

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree, slot_links
 from slotmesh.network import concentric_topology
+from slotmesh.schedulers import generate
 from slotmesh.schedule import (Schedule, ScheduleError, ScheduleFormatError,
                                Topology, _disturbs, load_schedule,
                                load_topology, save_schedule,
@@ -218,6 +220,36 @@ def test_topology_roundtrip(tmp_path, path_topology):
     path = tmp_path / "topo.json"
     save_topology(path_topology, path)
     assert load_topology(path) == path_topology
+
+
+def test_numpy_built_files_match_python_built(tmp_path):
+    # json writes no numpy integer; the files must not tell the two apart
+    topology = concentric_topology(2)
+    schedule = generate("ta-mc", topology)
+    ints = np.int64, np.int32, np.int16
+    np_topology = Topology(
+        node_count=np.int64(topology.node_count),
+        edges=frozenset((np.int32(v), np.int64(w)) for v, w in topology.edges),
+        parents=tuple(p if p is None else ints[p % 3](p)
+                      for p in topology.parents))
+    np_schedule = Schedule(
+        node_count=np.int64(schedule.node_count),
+        slotframe_length=np.int32(schedule.slotframe_length),
+        tx_slots=tuple(tuple(map(np.int64, t)) for t in schedule.tx_slots),
+        rx_slots=tuple(tuple(map(np.int16, r)) for r in schedule.rx_slots),
+        counterpart=tuple({np.int64(i): np.int32(m) for i, m in c.items()}
+                          for c in schedule.counterpart),
+        channel=tuple({np.int16(i): np.int64(ch) for i, ch in c.items()}
+                      for c in schedule.channel),
+        slot_duration=np.float64(schedule.slot_duration))
+    for save, load, python_built, numpy_built in (
+            (save_schedule, load_schedule, schedule, np_schedule),
+            (save_topology, load_topology, topology, np_topology)):
+        save(python_built, tmp_path / "python.json")
+        save(numpy_built, tmp_path / "numpy.json")
+        assert ((tmp_path / "numpy.json").read_bytes()
+                == (tmp_path / "python.json").read_bytes())
+        assert load(tmp_path / "numpy.json") == python_built == numpy_built
 
 
 def test_load_reads_indented_files(tmp_path, three_node_schedule,

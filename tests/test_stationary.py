@@ -445,9 +445,9 @@ def plain_return_map(blocks):
 def stack_rows(capacity, tx_slots, rates, probs):
     """The ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K + 1)``
     factor rows and ``(B, S)`` departures of a stack of chains."""
-    tau = queuemodel._departures(len(rates[0]), tx_slots)
-    return (*queuemodel._capped_rows(capacity, tau, np.array(rates, dtype=float),
-                                     np.array(probs, dtype=float)), tau)
+    rates, probs = np.array(rates, dtype=float), np.array(probs, dtype=float)
+    tau = queuemodel._check_node(capacity, len(rates[0]), tx_slots, rates, probs)
+    return (*queuemodel._capped_rows(capacity, tau, rates, probs), tau)
 
 
 def in_frame(rows, runs, tau):
