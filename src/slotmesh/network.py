@@ -59,7 +59,10 @@ class NetworkScenario:
         if not (_ints(self.queue_capacity) and self.queue_capacity >= 1):
             raise NetworkModelError(
                 "queue_capacity must be a positive integer")
-        object.__setattr__(self, "link_per", dict(self.link_per))
+        try:
+            object.__setattr__(self, "link_per", dict(self.link_per))
+        except (TypeError, ValueError):
+            raise NetworkModelError("link_per must map uplinks to PERs") from None
         uplinks = set(enumerate(self.topology.parents[1:], start=1))
         for link, per in self.link_per.items():
             if link not in uplinks or not _ints(*link):

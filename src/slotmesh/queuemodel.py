@@ -88,10 +88,15 @@ class TrafficSpec:
     bernoulli_prob: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(map(_is_finite, (*self.poisson_rate, *self.bernoulli_prob))):
+        try:
+            rates, probs = tuple(self.poisson_rate), tuple(self.bernoulli_prob)
+        except TypeError:
+            raise ModelError("poisson_rate and bernoulli_prob must be "
+                             "sequences") from None
+        if not all(map(_is_finite, (*rates, *probs))):
             raise ModelError("poisson_rate and bernoulli_prob must hold finite numbers")
-        object.__setattr__(self, "poisson_rate", tuple(map(float, self.poisson_rate)))
-        object.__setattr__(self, "bernoulli_prob", tuple(map(float, self.bernoulli_prob)))
+        object.__setattr__(self, "poisson_rate", tuple(map(float, rates)))
+        object.__setattr__(self, "bernoulli_prob", tuple(map(float, probs)))
         if len(self.poisson_rate) != len(self.bernoulli_prob) or not self.poisson_rate:
             raise ModelError("poisson_rate and bernoulli_prob must have equal, "
                              "non-zero length")
@@ -149,14 +154,21 @@ def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
     ``tx_slots`` holds one collection of slots per chain, and ``rates``
     and ``probs`` are the ``(B, S)`` traffic. K and S must be positive
     integers (:func:`slotmesh.schedule._ints`), the traffic valid and one
-    frame long, and each chain's slots distinct integers within the
-    frame; anything else raises :class:`ModelError`. This is the one
-    check of node inputs, run by :func:`build_chain`, by every stack of
-    :func:`evaluate_node` and by :func:`slotmesh.simulate.simulate_queue`.
+    frame long, and each chain's slots a collection of distinct integers
+    within the frame; anything else raises :class:`ModelError`. This is
+    the one check of node inputs, run by :func:`build_chain`, by every
+    stack of :func:`evaluate_node` and by
+    :func:`slotmesh.simulate.simulate_queue`.
     """
     for name, value in (("capacity", capacity), ("slotframe_length", length)):
         if not (_ints(value) and value >= 1):
             raise ModelError(f"{name} must be a positive integer, not {value!r}")
+    for b, chain in enumerate(tx_slots):
+        try:
+            iter(chain)
+        except TypeError:
+            raise _at(ModelError(f"tx slots {chain!r} are not a collection"),
+                      b) from None
     if rates.shape != (len(tx_slots), length) or probs.shape != rates.shape:
         raise ModelError("traffic spec length must equal the slotframe length")
     _check_traffic(rates, probs)

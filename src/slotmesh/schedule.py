@@ -98,13 +98,17 @@ class Schedule:
         if not (_is_finite(self.slot_duration) and self.slot_duration > 0):
             raise ScheduleError("slot_duration must be a finite positive number")
         object.__setattr__(self, "slot_duration", float(self.slot_duration))
-        object.__setattr__(self, "tx_slots", tuple(tuple(t) for t in self.tx_slots))
-        object.__setattr__(self, "rx_slots", tuple(tuple(r) for r in self.rx_slots))
-        object.__setattr__(self, "counterpart", tuple(dict(c) for c in self.counterpart))
-        object.__setattr__(self, "channel", tuple(dict(c) for c in self.channel))
-        for name in ("tx_slots", "rx_slots", "counterpart", "channel"):
-            if len(getattr(self, name)) != self.node_count:
+        for name, kind, what in (("tx_slots", tuple, "collection"),
+                                 ("rx_slots", tuple, "collection"),
+                                 ("counterpart", dict, "mapping"),
+                                 ("channel", dict, "mapping")):
+            try:
+                value = tuple(map(kind, getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ScheduleError(f"{name} must hold one {what} per node") from None
+            if len(value) != self.node_count:
                 raise ScheduleError(f"{name} must have one entry per node")
+            object.__setattr__(self, name, value)
         for n in range(self.node_count):
             if not _ints(*self.tx_slots[n], *self.rx_slots[n],
                          *self.counterpart[n].values(), *self.channel[n].values()):
@@ -153,8 +157,12 @@ class Topology:
     def __post_init__(self):
         if not _ints(self.node_count) or self.node_count < 1:
             raise ScheduleError("node_count must be a positive integer")
+        try:
+            edges = tuple(self.edges)
+        except TypeError:
+            raise ScheduleError("edges must be a collection of node pairs") from None
         norm = set()
-        for e in self.edges:
+        for e in edges:
             if not (isinstance(e, tuple) and len(e) == 2 and _ints(*e)
                     and 0 <= min(e) < max(e) < self.node_count):
                 raise ScheduleError(f"invalid edge {e}")
@@ -166,7 +174,10 @@ class Topology:
             nbrs[w].add(v)
         object.__setattr__(self, "_neighbor_sets", tuple(map(frozenset, nbrs)))
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(s)) for s in nbrs))
-        parents = tuple(self.parents)
+        try:
+            parents = tuple(self.parents)
+        except TypeError:
+            raise ScheduleError("parents must have one entry per node") from None
         object.__setattr__(self, "parents", parents)
         if len(parents) != self.node_count:
             raise ScheduleError("parents must have one entry per node")

@@ -37,7 +37,16 @@ Heyman, Oper. Res. 33(5), 1985): Gaussian elimination that replaces the
 pivot ``1 - p_kk`` by the row sum ``s_k`` it equals, so it never
 subtracts, gives a non-negative answer and stays accurate near
 saturation. Eliminating state k scales its row by ``1 / s_k``, and the
-pivot columns are divided by their ``s_k`` once, after the loop.
+pivot columns are divided by their ``s_k`` in the back-substitution.
+That runs a block of up to ``_STATES`` (32) states at a time: ``x_j`` is
+the sum over ``i < j`` of ``x_i a_ij / s_j``, so a block is the share of
+the states above it times ``(I - U)^-1 = (I + U)(I + U^2)(I + U^4)...``,
+``U`` the strictly upper part of the block's square over the pivots, a
+few small products of non-negative terms in place of three numpy calls
+per state. Each chain's block has its rows and columns scaled by exact
+powers of two, from bounds on the growth along the block, so that
+nothing overflows at any load; the scaling is per chain and the blocks
+fixed, so a chain's bits never depend on the chains stacked with it.
 
 A chain only needs its return map at s, ``G = B_s ... B_{S-1} B_0 ...
 B_{s-1}``, just ``(K + 1) x (K + 1)``. In the frame from s every quiet
@@ -60,34 +69,45 @@ slot is composed on its own.
 Chains are solved as stacks of B chains with the same S and K: a chain
 with fewer transmission slots than the widest gets identity factors,
 which keep its bits as they are alone, and a chain without any gets the
-quiet block of its whole frame. GTH runs once over all chains whose
-closed classes coincide. A slotframe lowers the queue by at most T
-levels, T the stack's widest transmission count, so ``G`` has lower
-bandwidth at most T, which GTH from the top state keeps: state k is
-eliminated over the T columns below it only, ``O(n^2 T)`` work instead of
-``O(n^3)``, with the bits of the full elimination since the entries it
-skips are exact zeros. In a band of one, the ladder node's and every
+quiet block of its whole frame. Chains whose slot rows, factor rows and
+departures are byte-equal in their frames from s are one chain, solved
+once, as the outer ring of a network and often its relays are: the
+factor rows count too, as two chains with equal rotated traffic can sum
+a factor's rates in different orders. GTH runs once over all distinct
+chains whose closed classes coincide. A slotframe lowers the queue by
+at most T levels, T the stack's widest transmission count, so ``G`` has
+lower bandwidth at most T, which GTH from the top state keeps: state k
+is eliminated over the T columns below it only, ``O(n^2 T)`` work
+instead of ``O(n^3)``, with the bits of the full elimination since the
+entries it skips are exact zeros. In a band of one, the ladder node's and every
 stack of one-slot senders, the scaled row is exactly one and the
 elimination is the suffix sums of the columns, one accumulation. The
 solutions at s are carried through the real blocks of the frame
 (:func:`_carry`) and gathered back into a ``(B, S, K + 1)`` grid in slot
-order, one chain's states flattened as ``i * (K + 1) + q``. Every
-chain's answer is checked against ``max |c P - c| <= RESIDUAL_BOUND``:
+order, one chain's states flattened as ``i * (K + 1) + q``: each chain
+gathers its distinct chain's solution in its own slot order and is
+normalized there, so it keeps the bits it has alone. Every chain's
+answer is checked against ``max |c P - c| <= RESIDUAL_BOUND``:
 each slot is the one before it times its block, so only the wrap-around
 term ``c_{s-1} B_{s-1} - c_s``, taken from the normalized grid, can be
 non-zero; since the carry never reads the factor rows, it also checks
 their closed form. An error raised for one chain of a stack carries that
-chain's position as ``index``. :func:`solve` is the stack of one chain;
-its carry also takes the closed class at s along the edges of the blocks
-to mark the class in every slot.
+chain's position as ``index``; where chains share a solve, the first of
+them. :func:`solve` is the stack of one chain; its carry also takes the
+closed class at s along the edges of the blocks to mark the class in
+every slot.
 
 The carry and the wrap-around term read the blocks one slot at a time,
 so a stack never holds all its ``B S (K + 1)^2`` block entries:
-:func:`_walk`, the one place that builds slot blocks, builds them a chunk
-of consecutive slots at a time, each chunk within ``_CHUNK_BYTES`` (one
-MiB) or a single slot, into one buffer, and a chunk is still in the cache
-when its slots are read. Each slot block is built once per solve. The
-return maps build their 2T factor blocks, ``Y_t`` and ``X_t``, from the
+:func:`_walk`, the one place that builds slot blocks, builds one block
+per run of consecutive slots whose rows and departures are equal in
+every chain of the stack, once per solve, and yields it for each slot of
+the run: the solver ladder's node builds 2 of its 19 blocks, and the
+quiet run of any chain with one transmission slot under uniform traffic
+is one block. It builds them a chunk of runs at a time, each chunk
+within ``_CHUNK_BYTES`` (one MiB) or a single block, into one buffer,
+and a chunk is still in the cache when its slots are read. The return
+maps build their 2T factor blocks, ``Y_t`` and ``X_t``, from the
 factor rows alone, a chunk of factors at a time within the same budget or
 a single factor; each chunk is a new array, so no factor is overwritten
 while a later one is built.
@@ -116,6 +136,10 @@ RESIDUAL_BOUND = 1e-10
 # bytes of slot blocks built at once: a chunk of slots small enough to be
 # read again from the cache by the next consumer
 _CHUNK_BYTES = 1 << 20
+# states back-substituted at once by GTH, and the strictly upper part of
+# such a block
+_STATES = 32
+_UPPER = np.triu(np.ones((_STATES, _STATES), dtype=bool), 1)
 
 
 class StationaryError(RuntimeError):
@@ -198,17 +222,22 @@ def _gth(dense: np.ndarray, lower: int) -> np.ndarray:
     and so is every entry of a band wider than the matrices need: the
     answer has the bits of the elimination over all columns. Eliminating
     ``k`` scales its row band by ``1 / s_k``, ``s_k`` the row sum over the
-    states left, and the pivot columns are divided by their ``s_k`` once,
-    after the loop. In a band of one the scaled band is exactly one, so
-    the elimination adds each column to the one before it: column ``k``
-    ends as the suffix sum of the columns from ``k`` on, taken in one
-    accumulation with the same bits.
+    states left. In a band of one the scaled band is exactly one, so the
+    elimination adds each column to the one before it: column ``k`` ends
+    as the suffix sum of the columns from ``k`` on, taken in one
+    accumulation with the same bits. The back-substitution takes
+    ``_STATES`` states at a time, dividing by the pivots ``s_k`` there,
+    and scales each chain's block by powers of two of its own.
     """
     n = dense.shape[-1]
     if lower == 1:
         # s_k is the one entry below the diagonal, never changed
         sums = np.diagonal(dense, offset=-1, axis1=1, axis2=2)
-        a = np.add.accumulate(dense[:, :, ::-1], axis=2)[:, :, ::-1]
+        # written through a reversed view, so that a itself is in order:
+        # the back-substitution's products then take the same path as for
+        # a wider band
+        a = np.empty(dense.shape)
+        np.add.accumulate(dense[:, :, ::-1], axis=2, out=a[:, :, ::-1])
     else:
         a = np.array(dense, dtype=float, order="C")
         sums = np.empty((len(a), n - 1))
@@ -223,14 +252,45 @@ def _gth(dense: np.ndarray, lower: int) -> np.ndarray:
             update = a[:, :k, band]
             np.add(update, np.multiply(a[:, :k, k, None], row[:, None]),
                    out=update)
-    # only the entries above the diagonal are read on
-    np.divide(a[:, :, 1:], sums[:, None], out=a[:, :, 1:])
+    # back-substitution a block of states at a time: x_j is the sum over
+    # i < j of x_i a_ij / s_j, so a block is its share c from the states
+    # above it times (I - u)^-1, u its square's strictly upper part over s_j
     x = np.zeros((len(a), 1, n))
     x[:, 0, 0] = 1.0
-    for k in range(1, n):
-        np.matmul(x[:, :, :k], a[:, :k, k, None], out=x[:, :, k:k + 1])
-        # keep the partial vector normalized: unnormalized it can overflow
-        head = x[:, :, :k + 1]
+    for low in range(1, n, _STATES):
+        high = min(low + _STATES, n)
+        pivots = sums[:, None, low - 1:high - 1]
+        c = np.matmul(x[:, :, :low], a[:, :low, low:high])
+        np.divide(c, pivots, out=c)
+        u = a[:, low:high, low:high] * _UPPER[:high - low, :high - low]
+        np.divide(u, pivots, out=u)
+        # 2^grow[j] bounds the product along any path through the block to
+        # state j, 2^shift[j] that and the largest share from above. With
+        # its rows and columns so scaled, u has no entry above one and the
+        # block's answer none above 2^_STATES, and the scaling is exact
+        grow = np.frexp(np.maximum.reduce(u, axis=1, initial=0.5))[1]
+        np.cumsum(grow, axis=1, out=grow)
+        shift = np.frexp(np.maximum.reduce(c, axis=2))[1] + grow
+        u = np.ldexp(u, grow[:, :, None] - grow[:, None, :])
+        r = np.ldexp(c, -shift[:, None])
+        # r (I - u)^-1 = r (I + u)(I + u^2)(I + u^4)..., as u^(high - low)
+        # is zero; every term is non-negative
+        power = 1
+        while True:
+            np.add(r, np.matmul(r, u), out=r)
+            power *= 2
+            if power >= high - low:
+                break
+            u = np.matmul(u, u)
+        # scale the head and the block so that no entry is far above one,
+        # then normalize: unscaled the vector can overflow
+        mantissa, exponent = np.frexp(r)
+        exponent += shift[:, None]
+        top = np.maximum.reduce(exponent, axis=2, where=mantissa > 0.0,
+                                initial=0, keepdims=True)
+        np.ldexp(x[:, :, :low], -top, out=x[:, :, :low])
+        np.ldexp(r, shift[:, None] - top, out=x[:, :, low:high])
+        head = x[:, :, :high]
         np.divide(head, np.add.reduce(head, axis=2, keepdims=True), out=head)
     return x[:, 0]
 
@@ -300,17 +360,27 @@ def _chunk_slots(rows: np.ndarray) -> int:
 def _walk(rows: np.ndarray, tau: np.ndarray):
     """The ``(B, K + 1, K + 1)`` slot blocks of a stack in slot order,
     built (:func:`_slot_blocks`) from its ``(B, S, K + 1)`` capped rows
-    and ``(B, S)`` departures a chunk of consecutive slots at a time, as
-    far as they are read."""
-    size = _chunk_slots(rows)
+    and ``(B, S)`` departures as far as they are read: one block per run
+    of consecutive slots whose rows and departures are equal in every
+    chain, yielded for each slot of the run, a chunk of runs at a time."""
     chains, length, count = rows.shape
+    # the slots that start a run, and S to close the last one
+    bounds = np.ones(length + 1, dtype=bool)
+    np.logical_or(np.logical_or.reduce(rows[:, 1:] != rows[:, :-1], axis=(0, 2)),
+                  np.logical_or.reduce(tau[:, 1:] != tau[:, :-1], axis=0),
+                  out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    starts, repeats = bounds[:-1], bounds[1:] - bounds[:-1]
+    size = _chunk_slots(rows)
     # every chunk reuses one buffer: a new array per chunk would be paged
     # in afresh whenever the allocator has handed the last one back
-    buffer = np.empty((chains, min(size, length), count, count))
-    return itertools.chain.from_iterable(
-        _slot_blocks(rows[:, start:start + size], tau[:, start:start + size],
-                     buffer[:, :length - start]).swapaxes(0, 1)
-        for start in range(0, length, size))
+    buffer = np.empty((chains, min(size, len(starts)), count, count))
+    for at in range(0, len(starts), size):
+        picked = starts[at:at + size]
+        blocks = _slot_blocks(rows[:, picked], tau[:, picked],
+                              buffer[:, :len(picked)])
+        for block, times in zip(blocks.swapaxes(0, 1), repeats[at:at + size]):
+            yield from itertools.repeat(block, times)
 
 
 def _rotation(tau: np.ndarray) -> np.ndarray:
@@ -395,56 +465,76 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
     once per group of chains with the same class, inside the band of the
     T levels a frame can lower the queue by, and carries the results
     through all S blocks, back to s, whose change is the residual; then
-    the grid goes back to slot order. Each slot block is built once, by
-    the chunked walk (:func:`_walk`), and the 2T factor blocks of the
-    return maps from the factor rows.
+    the grid goes back to slot order. Chains equal in their frames from s
+    are solved once and each gets the grid back in its own slot order,
+    normalized and checked there. One block per run of equal slots is
+    built, by the chunked walk (:func:`_walk`), and the 2T factor blocks
+    of the return maps from the factor rows.
     """
     length = tau.shape[1]
     frame = _rotation(tau)
     chain = np.arange(len(tau))[:, None]
     rows, tau = rows[chain, frame], tau[chain, frame]
+    # one solve per distinct chain in its frame from s, in the order of
+    # their first chains; chain b is distinct chain inverse[b]
+    firsts = {}
+    owners = [firsts.setdefault((r.tobytes(), f.tobytes(), t.tobytes()), b)
+              for b, (r, f, t) in enumerate(zip(rows, runs, tau))]
+    distinct = np.array(list(firsts.values()))
+    inverse = np.searchsorted(distinct, owners)
+    rows, runs, tau = rows[distinct], runs[distinct], tau[distinct]
     frame_maps = _return_maps(runs, tau)
     # one search per distinct edge pattern, one GTH group per closed class
     level = np.empty(frame_maps.shape[:2], dtype=bool)
     classes, groups = {}, {}
-    for b, pattern in enumerate(frame_maps != 0):
+    for d, pattern in enumerate(frame_maps != 0):
         key = pattern.tobytes()
         if key not in classes:
             try:
                 classes[key] = _closed_class(pattern, 0)
             except StationaryError as exc:
-                raise _at(exc, b)
-        level[b] = classes[key]
-        groups.setdefault(level[b].tobytes(), []).append(b)
+                raise _at(exc, distinct[d])
+        level[d] = classes[key]
+        groups.setdefault(level[d].tobytes(), []).append(d)
     first = np.zeros(level.shape)
     for members in groups.values():
         states = np.flatnonzero(level[members[0]])
         members = np.array(members)
-        # the class's span as a slice, often the whole class: indexing
-        # every entry costs many times more
+        # the members and the class's span as slices where they can be, as
+        # they often are: a copy of the maps is paged in afresh, and
+        # indexing every entry costs many times more
+        batch = members
+        if members[-1] - members[0] == len(members) - 1:
+            batch = slice(members[0], members[-1] + 1)
         low, high = states[0], states[-1] + 1
-        maps = frame_maps[members, low:high, low:high]
+        maps = frame_maps[batch, low:high, low:high]
         if len(states) < high - low:
             maps = maps[:, states[:, None] - low, states - low]
         first[members[:, None], states] = _gth(maps, runs.shape[1])
     walk = _walk(rows, tau)
     carried, reached = _carry(first[:, None], walk, length,
                               level[:, None] if reach else None)
-    # back to slot order: slot i is step (i - s) mod S of the frame
+    # back to each chain's slot order: slot i is step (i - s) mod S of its
+    # frame
     steps = (np.arange(length) - frame[:, :1]) % length
-    grid = carried[steps, chain, 0]
+    grid = carried[steps, inverse[:, None], 0]
     grid /= grid.sum(axis=(1, 2), keepdims=True)
-    # s carried once round the slotframe, from the normalized grid
-    wrap = (grid[chain, frame[:, -1:]] @ next(walk))[:, 0]
-    residual = np.abs(wrap - grid[chain[:, 0], frame[:, 0]]).max(axis=1)
+    # s carried once round the slotframe, from each chain's normalized
+    # grid, by the last block of its distinct chain
+    ends = grid[chain, frame[:, -1:]]
+    wrap = np.empty(ends.shape)
+    for d, block in enumerate(next(walk)):
+        members = inverse == d
+        wrap[members] = ends[members] @ block
+    residual = np.abs(wrap[:, 0] - grid[chain[:, 0], frame[:, 0]]).max(axis=1)
     failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))  # nan fails too
     if failed.size:
         raise _at(StationaryError(
             f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
             failed[0])
     if reach:
-        level = reached[steps, chain, 0] != 0
-    return grid, residual, level
+        return grid, residual, reached[steps, inverse[:, None], 0] != 0
+    return grid, residual, level[inverse]
 
 
 def solve(chain) -> StationaryResult:

@@ -3,7 +3,8 @@ the two rules of ``slotmesh.schedule``: ``_ints`` (a Python or numpy
 integer, not a bool) and ``_is_finite`` (such an integer or a Python or
 numpy float, finite). A numpy number gives what the Python one gives,
 and anything else raises the entry point's own error: never a raw
-``TypeError`` or ``ValueError``, and no bool is stored."""
+``TypeError`` or ``ValueError``, and no bool is stored. The same holds
+for a scalar given where an entry point takes a sequence or a mapping."""
 
 import math
 
@@ -12,7 +13,8 @@ import pytest
 
 from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology)
-from slotmesh.queuemodel import ModelError, TrafficSpec, evaluate_node
+from slotmesh.queuemodel import (ModelError, TrafficSpec, build_chain,
+                                 evaluate_node)
 from slotmesh.schedule import Schedule, ScheduleError, Topology
 from slotmesh.schedulers import generate
 from slotmesh.simulate import (SimConfig, SimulationError, simulate_network,
@@ -127,3 +129,34 @@ def test_checked_numbers_are_stored_as_python_numbers():
     traffic = TrafficSpec((np.int64(1),), (np.float32(0.5),))
     assert {type(x) for x in (*traffic.poisson_rate,
                               *traffic.bernoulli_prob)} == {float}
+
+
+# a scalar, or a mapping's item that is no pair, where an entry point takes
+# a collection: (call, its error)
+NOT_COLLECTIONS = {
+    "TrafficSpec rates": (lambda: TrafficSpec(0.1, 0.0), ModelError),
+    "Topology edges": (lambda: Topology(2, 5, (None, 0)), ScheduleError),
+    "Topology parents": (
+        lambda: Topology(2, frozenset({(0, 1)}), 5), ScheduleError),
+    "Schedule tx_slots": (
+        lambda: Schedule(1, 3, 5, ((),), ({},), ({},)), ScheduleError),
+    "Schedule tx_slots of a node": (
+        lambda: Schedule(1, 3, (5,), ((),), ({},), ({},)), ScheduleError),
+    "Schedule counterpart of a node": (
+        lambda: Schedule(1, 3, ((),), ((),), (5,), ({},)), ScheduleError),
+    "NetworkScenario link_per": (lambda: scenario(link_per=5), NetworkModelError),
+    "NetworkScenario link_per item": (
+        lambda: scenario(link_per=[((1, 0),)]), NetworkModelError),
+    "evaluate_node tx_slots": (
+        lambda: evaluate_node(4, 3, 1, TRAFFIC), ModelError),
+    "build_chain tx_slots": (lambda: build_chain(4, 3, 1, TRAFFIC), ModelError),
+    "simulate_queue tx_slots": (
+        lambda: simulate_queue(4, 3, 1, TRAFFIC, CONFIG), ModelError),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_COLLECTIONS)
+def test_scalar_collections_raise_the_entry_points_error(entry):
+    call, error = NOT_COLLECTIONS[entry]
+    with pytest.raises(error):
+        call()

@@ -205,15 +205,16 @@ def stacked(chains):
             np.stack([chain.departures for chain in chains]))
 
 
-def level_stack(rings, algorithm, capacity, rate):
-    """The capped rows, factor rows and departures of the outer level of a concentric
-    network, with the traffic its children forward."""
+def level_stack(rings, algorithm, capacity, rate, depth=-1):
+    """The capped rows, factor rows and departures of the level at
+    ``depth`` of a concentric network, the outer one by default, with the
+    traffic its children forward."""
     topo = concentric_topology(rings)
     sched = generate(algorithm, topo)
     result = evaluate_network(NetworkScenario(
         schedule=sched, topology=topo, generation_rate=rate,
         queue_capacity=capacity))
-    level = topo.levels[-1]
+    level = topo.levels[depth]
     rates = [[rate] * sched.slotframe_length] * len(level)
     return stack_rows(capacity, [sched.tx_slots[n] for n in level], rates,
                       result.rx_probability[list(level)])
@@ -221,9 +222,11 @@ def level_stack(rings, algorithm, capacity, rate):
 
 def test_slot_blocks_are_built_in_chunks(monkeypatch):
     # a stack within the byte budget builds its blocks in one call; a
-    # larger one builds chunks of consecutive slots, none above the budget
-    # unless it is a single slot
-    rows, runs, tau = level_stack(2, "ta-sc", 16, 0.01)
+    # larger one builds chunks of runs of equal slots, none above the
+    # budget unless it is a single block. The ta-mc relays are distinct
+    # chains, and the slots in which they receive break their frames into
+    # several runs
+    rows, runs, tau = level_stack(2, "ta-mc", 16, 0.01, depth=1)
     calls = []
     slot_blocks_of = stationary._slot_blocks
 
@@ -234,9 +237,11 @@ def test_slot_blocks_are_built_in_chunks(monkeypatch):
 
     monkeypatch.setattr(stationary, "_slot_blocks", counted)
     stationary._solve_stack(rows, runs, tau)
-    assert calls == [(rows.shape[1], rows.nbytes * rows.shape[-1])]
+    assert len(calls) == 1 and 1 < calls[0][0] < rows.shape[1]
     for capacity, length in ((128, 19), (512, 19)):
-        traffic = TrafficSpec.constant(length, rate=0.95 / length)
+        # every slot a run of its own: neighbouring rates differ
+        traffic = TrafficSpec(tuple(0.04 + 0.02 * (i % 2) for i in range(length)),
+                              (0.0,) * length)
         chain = build_chain(capacity, length, (0,), traffic)
         calls.clear()
         stationary._solve_stack(*stacked([chain]))
@@ -246,10 +251,12 @@ def test_slot_blocks_are_built_in_chunks(monkeypatch):
 
 
 def test_each_slot_block_is_built_once_per_solve(monkeypatch):
-    # over the chunk budget (K = 512, S = 19) the walk builds each slot's
-    # block once, for the carry, and the return map the two blocks of each
-    # of its T factors: no quiet run is composed slot by slot. solve
-    # carries the closed class in the same walk as the grid.
+    # over the chunk budget (K = 512, S = 19) the walk builds one block per
+    # run of equal slots of the frame from s, for the carry, and the return
+    # map the two blocks of each of its T factors: no quiet run is composed
+    # slot by slot. solve carries the closed class in the same walk as the
+    # grid. Under a uniform load one transmission slot makes two runs, a
+    # quiet run and the slot; two make four; none makes one
     built = []
     capped_blocks_of = stationary._capped_blocks
 
@@ -259,7 +266,7 @@ def test_each_slot_block_is_built_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(stationary, "_capped_blocks", counted)
     traffic = TrafficSpec.constant(19, rate=0.95 / 19)
-    for tx_slots in ((0,), (3, 11), ()):
+    for tx_slots, runs in (((0,), 2), ((3, 11), 4), ((), 1)):
         chain = build_chain(512, 19, tx_slots, traffic)
         for solved in (lambda: stationary._solve_stack(*stacked([chain])),
                        lambda: solve(chain)):
@@ -268,7 +275,7 @@ def test_each_slot_block_is_built_once_per_solve(monkeypatch):
             # one slot, or one factor's two blocks, per chunk
             assert all(shape[0] == 1 for shape in built)
             assert (sum(map(np.prod, built))
-                    == 19 + 2 * max(len(tx_slots), 1))
+                    == runs + 2 * max(len(tx_slots), 1))
 
 
 # one slot per chunk, and chunks of three slots of the level stack
@@ -338,21 +345,25 @@ def test_perturbed_chain_names_its_node(monkeypatch):
 
 
 def test_failed_md1k_chain_names_its_node(monkeypatch):
-    # under md1k the level collapses to one stack of nodes 1-4, node 1
-    # (no tx slots) included; spoiling its third chain must name node 3
+    # under md1k the level collapses to one stack of nodes 1-4. At rate 0
+    # it is two distinct chains, one without tx slots (nodes 1, 2 and 4)
+    # and one with (node 3 alone), solved in the order of their first
+    # nodes; spoiling the second must name node 3
     topo = Topology(5, frozenset({(0, n) for n in range(1, 5)}),
                     (None, 0, 0, 0, 0))
     sched = Schedule(node_count=5, slotframe_length=4,
-                     tx_slots=((), (), (1,), (2,), (3,)),
-                     rx_slots=((1, 2, 3), (), (), (), ()),
-                     counterpart=({1: 2, 2: 3, 3: 4}, {}, {1: 0}, {2: 0}, {3: 0}),
-                     channel=({1: 11, 2: 11, 3: 11}, {}, {1: 11}, {2: 11}, {3: 11}))
+                     tx_slots=((), (), (), (2,), ()),
+                     rx_slots=((2,), (), (), (), ()),
+                     counterpart=({2: 3}, {}, {}, {2: 0}, {}),
+                     channel=({2: 11}, {}, {}, {2: 11}, {}))
     exact = stationary._gth
+    taken = []
 
     def spoiled(dense, lower):
+        taken.append(len(dense))
         x = exact(dense, lower)
-        if len(x) == 4:
-            x[2] = np.nan
+        if len(x) == 2:
+            x[1] = np.nan
         return x
 
     monkeypatch.setattr(stationary, "_gth", spoiled)
@@ -360,6 +371,7 @@ def test_failed_md1k_chain_names_its_node(monkeypatch):
         evaluate_network(NetworkScenario(schedule=sched, topology=topo,
                                          generation_rate=0.0, queue_capacity=3),
                          variant="md1k")
+    assert taken == [2]
 
 
 def _assert_matches_oracle(chain):
@@ -604,9 +616,12 @@ def test_run_rows_match_slot_composition(case):
 
 def dense_gth(matrix):
     """GTH elimination over all columns, as the solver did before it used
-    the band: each eliminated row scaled by its sum, each pivot column
-    divided by that sum after the loop. The reference for the banded
-    elimination."""
+    the band: each eliminated row scaled by its sum. The reference for the
+    banded elimination, with the solver's back-substitution written out
+    for one matrix: a block of 32 states at a time, from the share of the
+    states above it, through ``(I + u)(I + u^2)...`` on the block's
+    strictly upper square over the pivot sums, the rows and columns scaled
+    by powers of two."""
     a = np.array(matrix, dtype=float)
     n = len(a)
     sums = np.ones(n)
@@ -614,21 +629,37 @@ def dense_gth(matrix):
         sums[k] = a[k, :k].sum()
         a[k, :k] /= sums[k]
         a[:k, :k] += a[:k, k, None] * a[None, k, :k]
-    a /= sums
     x = np.zeros(n)
     x[0] = 1.0
-    for k in range(1, n):
-        x[k] = x[:k] @ a[:k, k]
-        x[:k + 1] /= x[:k + 1].sum()
+    for low in range(1, n, 32):
+        high = min(low + 32, n)
+        c = (x[:low] @ a[:low, low:high]) / sums[low:high]
+        u = np.triu(a[low:high, low:high] / sums[low:high], 1)
+        grow = np.cumsum(np.maximum(np.frexp(u.max(axis=0))[1], 0))
+        shift = np.frexp(c.max())[1] + grow
+        u = np.ldexp(u, grow[:, None] - grow[None, :])
+        r = np.ldexp(c, -shift)
+        power = 1
+        while True:
+            r = r + r @ u
+            power *= 2
+            if power >= high - low:
+                break
+            u = u @ u
+        mantissa, exponent = np.frexp(r)
+        top = max([0, *(exponent + shift)[mantissa > 0]])
+        x[:low] = np.ldexp(x[:low], -top)
+        x[low:high] = np.ldexp(r, shift - top)
+        x[:high] /= x[:high].sum()
     return x
 
 
 @st.composite
-def banded_matrices(draw):
+def banded_matrices(draw, max_states=30):
     """Irreducible stochastic matrices that move at most ``L`` states
     down, ``L`` from 1 to ``n - 1``, with random zeros above the band's
     first subdiagonal."""
-    n = draw(st.integers(min_value=2, max_value=30))
+    n = draw(st.integers(min_value=2, max_value=max_states))
     width = draw(st.integers(min_value=1, max_value=n - 1))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     levels = np.arange(n)
@@ -651,6 +682,17 @@ def test_banded_gth_matches_dense_elimination(case):
     b = np.zeros(len(matrix))
     b[-1] = 1.0
     assert x == pytest.approx(np.linalg.solve(a, b), rel=1e-9, abs=1e-15)
+
+
+@given(banded_matrices(max_states=100))
+@settings(max_examples=100, deadline=None)
+def test_blocked_back_substitution_matches_dense_gth(case):
+    # several blocks of 32 states, the last one often partial; the
+    # np.linalg.solve reference above loses the smallest entries of such
+    # matrices, so the bits alone are compared
+    matrix, width = case
+    assert np.array_equal(stationary._gth(matrix[None], width)[0],
+                          dense_gth(matrix))
 
 
 @given(banded_matrices(), st.data())
@@ -681,23 +723,155 @@ def test_factors_in_one_slot_chunks_match_dense_solve(tx):
                   - dense_null_space_oracle(matrix, res.reachable)).max() <= 1e-10
 
 
+# (tx slots, shift, even): one transmission slot, none, adjacent ones,
+# every slot and ten; then a byte-equal copy, the first chain's pattern six
+# and three slots earlier (the forwarding pattern repeats every three
+# slots) and one slot earlier with its forwarding moved along, all equal to
+# the first chain in their frames from s. Last, uneven rates, and the same
+# two slots later: its slot rows and departures are the first one's in the
+# frame from s, but its factor rows sum the rates in another order
+SHARED_STACK = [([5], 0, True), ([], 0, True), ([0, 1], 0, True),
+                (list(range(12)), 0, True),
+                ([1, 2, 3, 4, 5, 6, 7, 8, 9, 11], 0, True), ([11], 0, True),
+                ([3, 7], 0, True), ([3, 7], 0, True), ([2], 0, True),
+                ([4], -1, True), ([5], 0, False), ([7], 2, False)]
+
+
+def shared_stack(capacity=20):
+    """The stack of twelve-slot chains of :data:`SHARED_STACK`, its
+    ``(K, tx slots, rates, probs)`` and its number of distinct chains."""
+    length = 12
+    tx_slots, rates, probs = [], [], []
+    for slots, shift, even in SHARED_STACK:
+        tx_slots.append(slots)
+        rates.append([0.06 * (1 + (not even) * 0.1 * ((i - shift) % length % 5))
+                      for i in range(length)])
+        probs.append([0.2 * ((i - shift) % 3 == 0) for i in range(length)])
+    stack = stack_rows(capacity, tx_slots, rates, probs)
+    rows, runs, tau = in_frame(*stack)
+    keys = {(r.tobytes(), f.tobytes(), t.tobytes())
+            for r, f, t in zip(rows, runs, tau)}
+    assert np.array_equal(rows[-1], rows[-2]) and np.array_equal(tau[-1], tau[-2])
+    return stack, (capacity, tx_slots, rates, probs), len(keys)
+
+
 def test_stacked_chain_solves_as_alone():
-    # one transmission slot, none, adjacent ones, every slot and ten: the
-    # stack pads every chain to ten transmission factors and solves it in a
-    # band of ten levels; alone, a chain has its own factors and band
-    length, capacity = 12, 20
-    tx_slots = [[5], [], [0, 1], list(range(length)), [1, 2, 3, 4, 5, 6, 7, 8, 9, 11],
-                [11], [3, 7]]
-    rates = [[0.06] * length] * len(tx_slots)
-    probs = [[0.2 * (i % 3 == 0) for i in range(length)]] * len(tx_slots)
-    rows, runs, tau = stack_rows(capacity, tx_slots, rates, probs)
-    grids, residuals, levels = stationary._solve_stack(rows, runs, tau)
+    # the stack pads every chain to ten transmission factors and solves it
+    # in a band of ten levels, each distinct chain once; alone, a chain has
+    # its own factors and band
+    stack, (capacity, tx_slots, rates, probs), distinct = shared_stack()
+    assert distinct == 8
+    grids, residuals, levels = stationary._solve_stack(*stack)
     for b in range(len(tx_slots)):
         grid, residual, level = stationary._solve_stack(*stack_rows(
             capacity, tx_slots[b:b + 1], rates[b:b + 1], probs[b:b + 1]))
         assert np.array_equal(grids[b], grid[0])
         assert residuals[b] == residual[0]
         assert np.array_equal(levels[b], level[0])
+
+
+def test_each_distinct_chain_is_solved_once(monkeypatch):
+    # the return maps, the closed-class searches and GTH see one chain per
+    # distinct chain of the stack
+    stack, _, distinct = shared_stack()
+    seen = {"maps": 0, "gth": 0}
+    return_maps, gth = stationary._return_maps, stationary._gth
+
+    def counted_maps(runs, tau):
+        seen["maps"] += len(runs)
+        return return_maps(runs, tau)
+
+    def counted_gth(dense, lower):
+        seen["gth"] += len(dense)
+        return gth(dense, lower)
+
+    monkeypatch.setattr(stationary, "_return_maps", counted_maps)
+    monkeypatch.setattr(stationary, "_gth", counted_gth)
+    stationary._solve_stack(*stack)
+    assert seen == {"maps": distinct, "gth": distinct}
+
+
+@pytest.mark.parametrize("where", ["class", "residual"])
+def test_failing_shared_chain_names_its_first_chain(monkeypatch, where):
+    # spoil the chain of tx slots [3, 7], chains 6 and 7 of the stack: a
+    # failed class search names the first chain with its edge pattern, a
+    # failed residual the first with its return map, chain 6
+    stack, _, _ = shared_stack()
+    _, runs, tau = in_frame(*stack)
+    maps = stationary._return_maps(runs, tau)
+    spoiled_map = maps[6]
+    if where == "class":
+        closed = stationary._closed_class
+
+        def split(edges, start):
+            if np.array_equal(edges, spoiled_map != 0):
+                raise StationaryError("spoiled: more than one closed class")
+            return closed(edges, start)
+
+        monkeypatch.setattr(stationary, "_closed_class", split)
+        first = next(b for b, frame_map in enumerate(maps)
+                     if np.array_equal(frame_map != 0, spoiled_map != 0))
+    else:
+        exact = stationary._gth
+
+        def spoiled(dense, lower):
+            x = exact(dense, lower)
+            for b, matrix in enumerate(dense):
+                if np.array_equal(matrix, spoiled_map):
+                    x[b] *= np.linspace(0.9, 1.1, x.shape[1])
+            return x
+
+        monkeypatch.setattr(stationary, "_gth", spoiled)
+        first = 6
+        assert not any(np.array_equal(frame_map, spoiled_map)
+                       for frame_map in maps[:6])
+    with pytest.raises(StationaryError) as failed:
+        stationary._solve_stack(*stack)
+    assert failed.value.index == first
+
+
+# overload and light load: (K, S, tx slots, Poisson arrivals per
+# slotframe, spread evenly over its slots)
+EXTREME_LOADS = [(64, 1, (0,), 50.0), (512, 19, (0,), 5.0),
+                 (512, 19, (0,), 40.0), (512, 19, (0,), 1e-7),
+                 (256, 19, (0, 5, 9), 30.0), (16, 3, (0,), 700.0)]
+
+
+@pytest.mark.parametrize("case", EXTREME_LOADS, ids=str)
+def test_extreme_loads_match_null_space(case):
+    # the back-substitution scales each block so that nothing overflows:
+    # at 50 arrivals per slot a level is e^50 times as likely as the one
+    # below it, at 1e-7 per frame about 1e-7 times
+    capacity, length, tx, load = case
+    chain = build_chain(capacity, length, tx,
+                        TrafficSpec.constant(length, rate=load / length))
+    res = solve(chain)
+    assert np.isfinite(res.distribution).all()
+    assert res.residual <= stationary.RESIDUAL_BOUND
+    # the oracle on the return map at the frame start s, against the
+    # solution's share at s scaled to one
+    rows, _, tau = in_frame(*stacked([chain]))
+    frame_map = plain_return_map(stationary._slot_blocks(rows, tau)[0])
+    start = stationary._rotation(chain.departures[None])[0, 0]
+    at_start = res.distribution.reshape(length, -1)[start]
+    oracle = dense_null_space_oracle(
+        frame_map, res.reachable.reshape(length, -1)[start])
+    assert np.abs(at_start / at_start.sum() - oracle).max() <= 1e-8
+
+
+def test_extreme_load_in_a_stack_keeps_its_bits():
+    # one GTH call takes both chains, whose blocks scale by far different
+    # powers of two; each gets its bits alone
+    capacity, tx_slots = 64, [[0], [0]]
+    rates, probs = [[50.0], [0.5]], [[0.0], [0.0]]
+    grids, residuals, levels = stationary._solve_stack(
+        *stack_rows(capacity, tx_slots, rates, probs))
+    assert np.array_equal(levels[0], levels[1])
+    for b in range(2):
+        grid, residual, level = stationary._solve_stack(*stack_rows(
+            capacity, tx_slots[b:b + 1], rates[b:b + 1], probs[b:b + 1]))
+        assert np.array_equal(grids[b], grid[0])
+        assert residuals[b] == residual[0]
 
 
 def test_return_maps_take_t_minus_one_dense_products(monkeypatch):
