@@ -39,9 +39,11 @@ keeps the leading chain axis: :func:`transmission_probability`,
 :func:`acceptance_probability`, :func:`expected_delay` and
 :func:`queue_marginals`. :func:`build_chain` and :func:`evaluate_node`
 (under any ``variant``) are the stack of one chain, and a network
-evaluates each tree level as one stack under every variant. An error
-raised for one chain of a stack carries that chain's position as
-``index``.
+evaluates each tree level as one stack under every variant. Chains
+whose inputs are byte-equal in their frames from s, as a network's outer
+ring and often its relays are, are built, solved and summarized once
+(:func:`_evaluate_stack`). An error raised for one chain of a stack
+carries that chain's position as ``index``, the first of a shared chain.
 
 For a slotframe of length one with a single transmission slot the chain
 reduces exactly to an M/D/1/K queue.
@@ -56,7 +58,7 @@ import numpy as np
 
 from . import stationary
 from .schedule import _ints, _is_finite
-from .stationary import _at, _top_sums
+from .stationary import StationaryError, _at, _top_sums
 
 VARIANTS = ("md1k", "distributed", "full")
 
@@ -415,20 +417,40 @@ class NodeMetrics:
 def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
                     probs: np.ndarray) -> list[NodeMetrics]:
     """Build, solve and summarize a stack of chains given as ``(B, S)``
-    departures, Poisson rates and Bernoulli probabilities."""
+    departures, Poisson rates and Bernoulli probabilities.
+
+    Chains whose inputs are byte-equal in their frames from s
+    (:func:`slotmesh.stationary._rotation`) are built, solved and
+    summarized once, in that frame; each gets arrays of its own, its
+    distribution and transmission probabilities back in its own slot
+    order, and an error names the first of them.
+    """
+    frame, back = stationary._rotation(tau)
+    chain = np.arange(len(tau))[:, None]
+    tau, rates, probs = (x[chain, frame] for x in (tau, rates, probs))
+    # chain b is distinct chain d = owner[b], whose first is chain firsts[d]
+    keys = {}
+    owner = [keys.setdefault(tuple(x.tobytes() for x in inputs), len(keys))
+             for inputs in zip(tau, rates, probs)]
+    firsts = [owner.index(d) for d in range(len(keys))]
+    tau, rates, probs = tau[firsts], rates[firsts], probs[firsts]
     rows, runs = _capped_rows(capacity, tau, rates, probs)
-    grid = stationary._solve_stack(rows, runs, tau)[0]
     offered = _offered(rates, probs)
-    paccept = acceptance_probability(grid, rows, offered)
+    try:
+        grid = stationary._solve_stack(rows, runs, tau)[0]
+        paccept = acceptance_probability(grid, rows, offered)
+    except (ModelError, StationaryError) as exc:
+        raise _at(exc, firsts[exc.index])
     tx = transmission_probability(grid, tau)
     delay = expected_delay(grid, tau)
-    marginals = queue_marginals(grid)
-    return [NodeMetrics(distribution=grid[b].ravel(), tx_probability=tx[b],
-                        acceptance=float(paccept[b]),
-                        expected_delay_slots=float(delay[b]),
+    marginals = queue_marginals(grid)[owner]
+    return [NodeMetrics(distribution=grid[d, back[b]].ravel(),
+                        tx_probability=tx[d, back[b]],
+                        acceptance=float(paccept[d]),
+                        expected_delay_slots=float(delay[d]),
                         queue_marginals=marginals[b],
-                        total_arrivals=float(offered[b]))
-            for b in range(len(tau))]
+                        total_arrivals=float(offered[d]))
+            for b, d in enumerate(owner)]
 
 
 def _variant_stack(variant: str, capacity: int, slotframe_length: int,

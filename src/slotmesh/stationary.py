@@ -69,33 +69,29 @@ slot is composed on its own.
 Chains are solved as stacks of B chains with the same S and K: a chain
 with fewer transmission slots than the widest gets identity factors,
 which keep its bits as they are alone, and a chain without any gets the
-quiet block of its whole frame. Chains whose slot rows, factor rows and
-departures are byte-equal in their frames from s are one chain, solved
-once, as the outer ring of a network and often its relays are: the
-factor rows count too, as two chains with equal rotated traffic can sum
-a factor's rates in different orders. GTH runs once over all distinct
-chains whose closed classes coincide. A slotframe lowers the queue by
-at most T levels, T the stack's widest transmission count, so ``G`` has
-lower bandwidth at most T, which GTH from the top state keeps: state k
-is eliminated over the T columns below it only, ``O(n^2 T)`` work
-instead of ``O(n^3)``, with the bits of the full elimination since the
-entries it skips are exact zeros. In a band of one, the ladder node's and every
+quiet block of its whole frame. Every chain given is solved;
+:func:`slotmesh.queuemodel._evaluate_stack` gives each once, keyed on
+its inputs in its frame from s. GTH runs once over all chains whose
+closed classes coincide. A slotframe lowers the queue by at most T
+levels, T the stack's widest transmission count, so ``G`` has lower
+bandwidth at most T, which GTH from the top state keeps: state k is
+eliminated over the T columns below it only, ``O(n^2 T)`` work instead
+of ``O(n^3)``, with the bits of the full elimination since the entries
+it skips are exact zeros. In a band of one, the ladder node's and every
 stack of one-slot senders, the scaled row is exactly one and the
 elimination is the suffix sums of the columns, one accumulation. The
 solutions at s are carried through the real blocks of the frame
-(:func:`_carry`) and gathered back into a ``(B, S, K + 1)`` grid in slot
-order, one chain's states flattened as ``i * (K + 1) + q``: each chain
-gathers its distinct chain's solution in its own slot order and is
-normalized there, so it keeps the bits it has alone. Every chain's
-answer is checked against ``max |c P - c| <= RESIDUAL_BOUND``:
-each slot is the one before it times its block, so only the wrap-around
-term ``c_{s-1} B_{s-1} - c_s``, taken from the normalized grid, can be
-non-zero; since the carry never reads the factor rows, it also checks
-their closed form. An error raised for one chain of a stack carries that
-chain's position as ``index``; where chains share a solve, the first of
-them. :func:`solve` is the stack of one chain; its carry also takes the
-closed class at s along the edges of the blocks to mark the class in
-every slot.
+(:func:`_carry`), gathered back into a ``(B, S, K + 1)`` grid in each
+chain's slot order, one chain's states flattened as ``i * (K + 1) + q``,
+and normalized. Every chain's answer is checked against
+``max |c P - c| <= RESIDUAL_BOUND``: each slot is the one before it
+times its block, so only the wrap-around term ``c_{s-1} B_{s-1} - c_s``,
+taken from the normalized grid, can be non-zero; since the carry never
+reads the factor rows, it also checks their closed form. An error raised
+for one chain of a stack carries that chain's position as ``index``.
+:func:`solve` is the stack of one chain; its carry also takes the closed
+class at s along the edges of the blocks to mark the class in every
+slot.
 
 The carry and the wrap-around term read the blocks one slot at a time,
 so a stack never holds all its ``B S (K + 1)^2`` block entries:
@@ -383,16 +379,16 @@ def _walk(rows: np.ndarray, tau: np.ndarray):
             yield from itertools.repeat(block, times)
 
 
-def _rotation(tau: np.ndarray) -> np.ndarray:
-    """``(B, S)`` slots of each chain of a stack given as ``(B, S)``
-    departures, zero or one, in the order of its frame from s, the slot
-    after its last transmission slot (slot 0 without one): every quiet run
-    of that frame ends in a transmission slot."""
-    length = tau.shape[1]
-    # the last transmission slot is slot S - 1 - back, and back is 0 when
-    # there is none
-    back = np.argmax(tau[:, ::-1], axis=1)
-    return (np.arange(length) - back[:, None]) % length
+def _rotation(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frame from s of each chain of a stack given as ``(B, S)``
+    departures, zero or one, and the index back: step ``j`` of chain b's
+    frame is slot ``frame[b, j]``, and slot ``i`` is step ``back[b, i]``.
+    s is the slot after the last transmission slot (slot 0 without one),
+    so every quiet run of the frame ends in a transmission slot."""
+    slots = np.arange(tau.shape[1])
+    # the last transmission slot is S - 1 - last, and last is 0 without one
+    last = np.argmax(tau[:, ::-1], axis=1)[:, None]
+    return (slots - last) % len(slots), (slots + last) % len(slots)
 
 
 def _return_maps(runs: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -465,37 +461,28 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
     once per group of chains with the same class, inside the band of the
     T levels a frame can lower the queue by, and carries the results
     through all S blocks, back to s, whose change is the residual; then
-    the grid goes back to slot order. Chains equal in their frames from s
-    are solved once and each gets the grid back in its own slot order,
-    normalized and checked there. One block per run of equal slots is
-    built, by the chunked walk (:func:`_walk`), and the 2T factor blocks
-    of the return maps from the factor rows.
+    the grid goes back to each chain's slot order, normalized and checked
+    there. Every chain given is solved: equal chains are deduplicated
+    before, by :func:`slotmesh.queuemodel._evaluate_stack`. One block per
+    run of equal slots is built, by the chunked walk (:func:`_walk`), and
+    the 2T factor blocks of the return maps from the factor rows.
     """
-    length = tau.shape[1]
-    frame = _rotation(tau)
+    frame, back = _rotation(tau)
     chain = np.arange(len(tau))[:, None]
     rows, tau = rows[chain, frame], tau[chain, frame]
-    # one solve per distinct chain in its frame from s, in the order of
-    # their first chains; chain b is distinct chain inverse[b]
-    firsts = {}
-    owners = [firsts.setdefault((r.tobytes(), f.tobytes(), t.tobytes()), b)
-              for b, (r, f, t) in enumerate(zip(rows, runs, tau))]
-    distinct = np.array(list(firsts.values()))
-    inverse = np.searchsorted(distinct, owners)
-    rows, runs, tau = rows[distinct], runs[distinct], tau[distinct]
     frame_maps = _return_maps(runs, tau)
     # one search per distinct edge pattern, one GTH group per closed class
     level = np.empty(frame_maps.shape[:2], dtype=bool)
     classes, groups = {}, {}
-    for d, pattern in enumerate(frame_maps != 0):
+    for b, pattern in enumerate(frame_maps != 0):
         key = pattern.tobytes()
         if key not in classes:
             try:
                 classes[key] = _closed_class(pattern, 0)
             except StationaryError as exc:
-                raise _at(exc, distinct[d])
-        level[d] = classes[key]
-        groups.setdefault(level[d].tobytes(), []).append(d)
+                raise _at(exc, b)
+        level[b] = classes[key]
+        groups.setdefault(level[b].tobytes(), []).append(b)
     first = np.zeros(level.shape)
     for members in groups.values():
         states = np.flatnonzero(level[members[0]])
@@ -512,29 +499,19 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
             maps = maps[:, states[:, None] - low, states - low]
         first[members[:, None], states] = _gth(maps, runs.shape[1])
     walk = _walk(rows, tau)
-    carried, reached = _carry(first[:, None], walk, length,
+    carried, reached = _carry(first[:, None], walk, tau.shape[1],
                               level[:, None] if reach else None)
-    # back to each chain's slot order: slot i is step (i - s) mod S of its
-    # frame
-    steps = (np.arange(length) - frame[:, :1]) % length
-    grid = carried[steps, inverse[:, None], 0]
+    grid = carried[back, chain, 0]
     grid /= grid.sum(axis=(1, 2), keepdims=True)
-    # s carried once round the slotframe, from each chain's normalized
-    # grid, by the last block of its distinct chain
-    ends = grid[chain, frame[:, -1:]]
-    wrap = np.empty(ends.shape)
-    for d, block in enumerate(next(walk)):
-        members = inverse == d
-        wrap[members] = ends[members] @ block
+    # s carried round the frame by its last block, from the normalized grid
+    wrap = np.matmul(grid[chain, frame[:, -1:]], next(walk))
     residual = np.abs(wrap[:, 0] - grid[chain[:, 0], frame[:, 0]]).max(axis=1)
     failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))  # nan fails too
     if failed.size:
         raise _at(StationaryError(
             f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
             failed[0])
-    if reach:
-        return grid, residual, reached[steps, inverse[:, None], 0] != 0
-    return grid, residual, level[inverse]
+    return grid, residual, (reached[back, chain, 0] != 0) if reach else level
 
 
 def solve(chain) -> StationaryResult:

@@ -327,7 +327,7 @@ def test_perturbed_chain_names_its_node(monkeypatch):
     chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
     # the return map at the frame start s, on its closed class there
     _, runs, tau = stacked([chain])
-    start = stationary._rotation(chain.departures[None])[0, 0]
+    start = stationary._rotation(chain.departures[None])[0][0, 0]
     level = solve(chain).reachable.reshape(length, capacity + 1)[start]
     frame_map = stationary._return_maps(runs, tau)[0][np.ix_(level, level)]
     exact = stationary._gth
@@ -466,7 +466,7 @@ def in_frame(rows, runs, tau):
     """A stack's capped rows and departures in each chain's frame from s,
     with its factor rows: the slot blocks taken from s multiply to the
     return maps."""
-    frame = stationary._rotation(tau)
+    frame = stationary._rotation(tau)[0]
     return (np.take_along_axis(rows, frame[:, :, None], axis=1), runs,
             np.take_along_axis(tau, frame, axis=1))
 
@@ -546,7 +546,7 @@ def factor_slots(tau):
     order: a quiet run and, last, the transmission slot that ends it; the
     whole frame without transmission slots."""
     factors = [[]]
-    for i in stationary._rotation(np.asarray(tau)[None])[0]:
+    for i in stationary._rotation(np.asarray(tau)[None])[0][0]:
         factors[-1].append(int(i))
         if tau[i]:
             factors.append([])
@@ -728,8 +728,9 @@ def test_factors_in_one_slot_chunks_match_dense_solve(tx):
 # and three slots earlier (the forwarding pattern repeats every three
 # slots) and one slot earlier with its forwarding moved along, all equal to
 # the first chain in their frames from s. Last, uneven rates, and the same
-# two slots later: its slot rows and departures are the first one's in the
-# frame from s, but its factor rows sum the rates in another order
+# two slots later: equal inputs in their frames from s, but built from
+# their slot order the two sum a factor's rates in different orders, so
+# their factor rows differ
 SHARED_STACK = [([5], 0, True), ([], 0, True), ([0, 1], 0, True),
                 (list(range(12)), 0, True),
                 ([1, 2, 3, 4, 5, 6, 7, 8, 9, 11], 0, True), ([11], 0, True),
@@ -738,8 +739,9 @@ SHARED_STACK = [([5], 0, True), ([], 0, True), ([0, 1], 0, True),
 
 
 def shared_stack(capacity=20):
-    """The stack of twelve-slot chains of :data:`SHARED_STACK`, its
-    ``(K, tx slots, rates, probs)`` and its number of distinct chains."""
+    """The stack of twelve-slot chains of :data:`SHARED_STACK`, built from
+    each chain's slot order, its ``(K, tx slots, rates, probs)`` and its
+    number of chains whose rows differ in their frames from s."""
     length = 12
     tx_slots, rates, probs = [], [], []
     for slots, shift, even in SHARED_STACK:
@@ -755,10 +757,17 @@ def shared_stack(capacity=20):
     return stack, (capacity, tx_slots, rates, probs), len(keys)
 
 
+def evaluate_stack(capacity, tx_slots, rates, probs):
+    """The node metrics of a stack of chains, given as :func:`stack_rows`
+    takes it, from :func:`slotmesh.queuemodel._evaluate_stack`."""
+    rates, probs = np.array(rates, dtype=float), np.array(probs, dtype=float)
+    tau = queuemodel._check_node(capacity, len(rates[0]), tx_slots, rates, probs)
+    return queuemodel._evaluate_stack(capacity, tau, rates, probs)
+
+
 def test_stacked_chain_solves_as_alone():
     # the stack pads every chain to ten transmission factors and solves it
-    # in a band of ten levels, each distinct chain once; alone, a chain has
-    # its own factors and band
+    # in a band of ten levels; alone, a chain has its own factors and band
     stack, (capacity, tx_slots, rates, probs), distinct = shared_stack()
     assert distinct == 8
     grids, residuals, levels = stationary._solve_stack(*stack)
@@ -770,36 +779,79 @@ def test_stacked_chain_solves_as_alone():
         assert np.array_equal(levels[b], level[0])
 
 
+def recorded(monkeypatch, module, name, arg=0):
+    """Patch ``module.name`` to record the length of its argument ``arg``,
+    the chains it is given, per call, in the list returned."""
+    function, sizes = getattr(module, name), []
+
+    def counted(*args):
+        sizes.append(len(args[arg]))
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return sizes
+
+
 def test_each_distinct_chain_is_solved_once(monkeypatch):
-    # the return maps, the closed-class searches and GTH see one chain per
-    # distinct chain of the stack
-    stack, _, distinct = shared_stack()
-    seen = {"maps": 0, "gth": 0}
-    return_maps, gth = stationary._return_maps, stationary._gth
-
-    def counted_maps(runs, tau):
-        seen["maps"] += len(runs)
-        return return_maps(runs, tau)
-
-    def counted_gth(dense, lower):
-        seen["gth"] += len(dense)
-        return gth(dense, lower)
-
-    monkeypatch.setattr(stationary, "_return_maps", counted_maps)
-    monkeypatch.setattr(stationary, "_gth", counted_gth)
-    stationary._solve_stack(*stack)
-    assert seen == {"maps": distinct, "gth": distinct}
+    # the rows, the return maps and GTH see one chain per distinct chain of
+    # the stack, keyed on its inputs in its frame from s: seven, where the
+    # rows built from each chain's slot order count eight
+    stack, inputs, distinct = shared_stack()
+    assert distinct == 8
+    seen = {"rows": recorded(monkeypatch, queuemodel, "_capped_rows", 1),
+            "maps": recorded(monkeypatch, stationary, "_return_maps"),
+            "gth": recorded(monkeypatch, stationary, "_gth")}
+    evaluate_stack(*inputs)
+    assert {key: sum(sizes) for key, sizes in seen.items()} == {
+        "rows": 7, "maps": 7, "gth": 7}
 
 
-@pytest.mark.parametrize("where", ["class", "residual"])
-def test_failing_shared_chain_names_its_first_chain(monkeypatch, where):
-    # spoil the chain of tx slots [3, 7], chains 6 and 7 of the stack: a
-    # failed class search names the first chain with its edge pattern, a
-    # failed residual the first with its return map, chain 6
-    stack, _, _ = shared_stack()
-    _, runs, tau = in_frame(*stack)
-    maps = stationary._return_maps(runs, tau)
-    spoiled_map = maps[6]
+@pytest.mark.parametrize("algorithm, built", [("ta-sc", [1, 1]),
+                                              ("sbd", [1, 6]),
+                                              ("ta-mc", [1, 6])])
+def test_network_levels_build_each_distinct_chain_once(monkeypatch, algorithm,
+                                                       built):
+    # rings 2 at p_gen 0.01, levels deepest first: the twelve outer-ring
+    # nodes are one chain in their frames from s under every generator,
+    # and so are the six relays under ta-sc
+    topo = concentric_topology(2)
+    assert [len(level) for level in reversed(topo.levels[1:])] == [12, 6]
+    sizes = recorded(monkeypatch, queuemodel, "_capped_rows", 1)
+    evaluate_network(NetworkScenario(schedule=generate(algorithm, topo),
+                                     topology=topo, generation_rate=0.01,
+                                     queue_capacity=16))
+    assert sizes == built
+
+
+def test_chains_equal_up_to_rotation_are_built_once(monkeypatch):
+    # a node with uneven traffic and the same node three slots later, its
+    # last transmission slot still the last in the slotframe, are one chain
+    # in their frames from s: one set of rows is built, and each chain gets
+    # the other's distribution and transmission probabilities rolled by
+    # three, with the bits it has alone
+    capacity, length, shift = 8, 7, 3
+    tx_slots = [[0, 2], [shift, 2 + shift]]
+    rates = [0.05 + 0.01 * i for i in range(length)]
+    probs = [0.0, 0.3, 0.0, 0.0, 0.6, 0.2, 0.0]
+    rates = [rates, list(np.roll(rates, shift))]
+    probs = [probs, list(np.roll(probs, shift))]
+    sizes = recorded(monkeypatch, queuemodel, "_capped_rows", 1)
+    nodes = evaluate_stack(capacity, tx_slots, rates, probs)
+    assert sizes == [1]
+    grids = [node.distribution.reshape(length, capacity + 1) for node in nodes]
+    assert np.array_equal(grids[1], np.roll(grids[0], shift, axis=0))
+    assert np.array_equal(nodes[1].tx_probability,
+                          np.roll(nodes[0].tx_probability, shift))
+    for b, node in enumerate(nodes):
+        alone = evaluate_node(capacity, length, tx_slots[b],
+                              TrafficSpec(rates[b], probs[b]))
+        assert np.array_equal(node.distribution, alone.distribution)
+        assert np.array_equal(node.tx_probability, alone.tx_probability)
+
+
+def spoil(monkeypatch, where, spoiled_map):
+    """Make the solver fail on the chains whose return map at s is
+    ``spoiled_map``: their closed-class search, or their residual check."""
     if where == "class":
         closed = stationary._closed_class
 
@@ -809,8 +861,6 @@ def test_failing_shared_chain_names_its_first_chain(monkeypatch, where):
             return closed(edges, start)
 
         monkeypatch.setattr(stationary, "_closed_class", split)
-        first = next(b for b, frame_map in enumerate(maps)
-                     if np.array_equal(frame_map != 0, spoiled_map != 0))
     else:
         exact = stationary._gth
 
@@ -822,12 +872,47 @@ def test_failing_shared_chain_names_its_first_chain(monkeypatch, where):
             return x
 
         monkeypatch.setattr(stationary, "_gth", spoiled)
+
+
+@pytest.mark.parametrize("where", ["class", "residual"])
+def test_failing_shared_chain_names_its_first_chain(monkeypatch, where):
+    # spoil the chain of tx slots [3, 7], chains 6 and 7 of the stack: a
+    # failed class search names the first chain with its edge pattern, a
+    # failed residual the first with its return map, chain 6
+    stack, inputs, _ = shared_stack()
+    _, runs, tau = in_frame(*stack)
+    maps = stationary._return_maps(runs, tau)
+    spoiled_map = maps[6]
+    spoil(monkeypatch, where, spoiled_map)
+    if where == "class":
+        first = next(b for b, frame_map in enumerate(maps)
+                     if np.array_equal(frame_map != 0, spoiled_map != 0))
+    else:
         first = 6
         assert not any(np.array_equal(frame_map, spoiled_map)
                        for frame_map in maps[:6])
     with pytest.raises(StationaryError) as failed:
-        stationary._solve_stack(*stack)
+        evaluate_stack(*inputs)
     assert failed.value.index == first
+    # in a network: node 1 sends twice a frame, nodes 2 and 3 once each,
+    # one slot apart, and are one chain; its failure names node 2
+    monkeypatch.undo()
+    topo = Topology(4, frozenset({(0, n) for n in range(1, 4)}),
+                    (None, 0, 0, 0))
+    sched = Schedule(node_count=4, slotframe_length=4,
+                     tx_slots=((), (0, 1), (2,), (3,)),
+                     rx_slots=((0, 1, 2, 3), (), (), ()),
+                     counterpart=({0: 1, 1: 1, 2: 2, 3: 3}, {0: 0, 1: 0},
+                                  {2: 0}, {3: 0}),
+                     channel=({0: 11, 1: 11, 2: 11, 3: 11}, {0: 11, 1: 11},
+                              {2: 11}, {3: 11}))
+    capacity, rate = 3, 0.1
+    _, runs, tau = stack_rows(capacity, [[3]], [[rate] * 4], [[0.0] * 4])
+    spoil(monkeypatch, where, stationary._return_maps(runs, tau)[0])
+    with pytest.raises(NetworkModelError, match="^node 2: "):
+        evaluate_network(NetworkScenario(schedule=sched, topology=topo,
+                                         generation_rate=rate,
+                                         queue_capacity=capacity))
 
 
 # overload and light load: (K, S, tx slots, Poisson arrivals per
@@ -852,7 +937,7 @@ def test_extreme_loads_match_null_space(case):
     # solution's share at s scaled to one
     rows, _, tau = in_frame(*stacked([chain]))
     frame_map = plain_return_map(stationary._slot_blocks(rows, tau)[0])
-    start = stationary._rotation(chain.departures[None])[0, 0]
+    start = stationary._rotation(chain.departures[None])[0][0, 0]
     at_start = res.distribution.reshape(length, -1)[start]
     oracle = dense_null_space_oracle(
         frame_map, res.reachable.reshape(length, -1)[start])
@@ -917,7 +1002,7 @@ def test_frame_start_reaches_the_classes_of_slot_0():
             chain = build_chain(capacity, length, tx,
                                 TrafficSpec((rate,) * length, probs))
             matrix = dense_matrix(chain)
-            start = stationary._rotation(chain.departures[None])[0, 0]
+            start = stationary._rotation(chain.departures[None])[0][0, 0]
             classes = [csgraph_closed_classes(matrix, state) for state in
                        (0, chain.state_index(0, start))]
             assert np.array_equal(classes[0], classes[1]), (tx, probs, rate)
