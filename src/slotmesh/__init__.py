@@ -9,7 +9,7 @@ discrete-event simulation make the results independently checkable.
 from .network import (NetworkModelError, NetworkResult, NetworkScenario,
                       concentric_topology, evaluate_network)
 from .queuemodel import (ModelError, NodeMetrics, TrafficSpec, build_chain,
-                         evaluate_node, expected_arrivals_per_slotframe)
+                         evaluate_node)
 from .schedule import (CHANNELS_2_4GHZ, ConflictReport, Schedule,
                        ScheduleError, ScheduleFormatError, Topology,
                        load_schedule, load_topology, save_schedule,

@@ -15,11 +15,11 @@ probabilities and departures, checked in one vector step. A stack is its
 ``(B, S, K + 1)`` slot rows from :func:`arrival_pmf`, each capped once so
 that entry K holds the mass at K and beyond, its departures, and three
 factor rows per transmission slot, ``(B, T, 3, K + 1)`` for the stack's
-widest transmission count T (at least one). The solver takes each chain
-in its frame from s, the slot after its last transmission slot, where
-every quiet run ends in a transmission slot; a factor is one such run
-and the slot that ends it. Its row 0 holds the arrivals of the run
-alone, its row 1 those of the run and the transmission slot together,
+widest transmission count T (at least one). Every stack is built in
+its chains' frames from s, the slot after a chain's last transmission
+slot, where every quiet run ends in a transmission slot; a factor is one
+such run and the slot that ends it. Its row 0 holds the arrivals of the
+run alone, its row 1 those of the run and the transmission slot together,
 and its row 2 those of the transmission slot alone. A quiet slot only
 adds arrivals, so rows 0 and 1 are a Poisson of the summed rate plus
 one Bernoulli packet per forwarded slot: the capped Poisson row of that
@@ -27,6 +27,10 @@ rate, built in the same :func:`arrival_pmf` call and tail pass as the
 slot rows, then one non-negative two-term step per forwarded slot. Row
 2 is built in that pass as its slot row is, with the slot's rate and
 Bernoulli probability, and has the slot row's bits.
+:func:`_capped_rows` takes no other order: :func:`_evaluate_stack`
+rotates each stack into it, and :func:`build_chain` rotates its node in
+and its slot rows back. So chains equal in their frames get the same
+rows, stacked together or each from :func:`build_chain`.
 :mod:`slotmesh.stationary` alone builds the blocks from these rows, and
 its docstring gives their format, the tail rule and how the factors
 make up a frame. The Poisson terms
@@ -143,11 +147,6 @@ def _offered(rates: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
-def expected_arrivals_per_slotframe(traffic: TrafficSpec) -> float:
-    """Expected number of packets offered to the queue per slotframe."""
-    return float(_offered(*traffic._arrays())[0])
-
-
 def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
                 probs: np.ndarray) -> np.ndarray:
     """Check the node inputs of a stack and return its ``(B, S)``
@@ -198,16 +197,17 @@ def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
 def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
                  probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The read-only capped arrival rows of a stack of chains given as
-    ``(B, S)`` departures, Poisson rates and Bernoulli probabilities,
-    entry K holding the mass at K and beyond: ``(B, S, K + 1)`` slot rows
-    and ``(B, T, 3, K + 1)`` factor rows, T the most transmission slots of
-    any chain and at least one.
+    ``(B, S)`` departures, Poisson rates and Bernoulli probabilities, each
+    chain in its frame from s (:func:`slotmesh.stationary._rotation`):
+    its last slot is a transmission slot, or it has none. Entry K holds
+    the mass at K and beyond: ``(B, S, K + 1)`` slot rows and ``(B, T, 3,
+    K + 1)`` factor rows, T the most transmission slots of any chain and
+    at least one.
 
-    Factor t covers quiet run t of a chain's frame from s, the slot after
-    its last transmission slot (:func:`slotmesh.stationary._rotation`),
-    and the transmission slot that ends it: row 0 holds the arrivals of
-    the run alone, row 1 those of the run and its transmission slot, and
-    row 2 those of the transmission slot alone, the bits of its slot row.
+    Factor t covers quiet run t of a chain's frame and the transmission
+    slot that ends it, contiguous slots: row 0 holds the arrivals of the
+    run alone, row 1 those of the run and its transmission slot, and row
+    2 those of the transmission slot alone, the bits of its slot row.
     Rows 0 and 1 are a Poisson row of the summed rate, then one Bernoulli
     packet per forwarded slot. A chain without transmission slots has its
     whole frame in rows 0 and 1 of factor 0, and every other row without
@@ -218,13 +218,10 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     sends = tau != 0
     sent = np.add.accumulate(sends, axis=1)
     width = max(int(sent[:, -1].max()), 1)
-    # factor[b, i]: the factor of slot i, numbered over the whole stack.
-    # It counts the transmission slots before slot i in the frame from s,
-    # so none for the slots after the last one, which open that frame.
-    # Factor row 3 factor is its run row, the next two its merged row and
-    # its transmission slot's row.
-    factor = 3 * ((sent - sends) % np.maximum(sent[:, -1:], 1)
-                  + np.arange(0, chains * width, width)[:, None])
+    # factor[b, i]: the factor of slot i, numbered over the whole stack:
+    # the transmission slots before slot i. Factor row 3 factor is its run
+    # row, the next two its merged row and its transmission slot's row.
+    factor = 3 * (sent - sends + np.arange(0, chains * width, width)[:, None])
     own = factor[sends] + 2
     # a transmission slot's rate counts in its merged row and its own row;
     # the latter sums one rate, so it is that slot's rate exactly
@@ -294,13 +291,14 @@ class QueueChain:
     """Queue chain over the states ``(q, i)`` at ``i * (K + 1) + q``.
 
     ``rows[i, k]`` is the probability of ``k`` arrivals in slot ``i`` for
-    ``k < K``, ``rows[i, K]`` that of K or more. ``runs[t, 0]`` is the
-    same for the t-th quiet run of the frame from s, the slot after the
-    last transmission slot, ``runs[t, 1]`` for that run and the
-    transmission slot that ends it, and ``runs[t, 2]`` for that slot
-    alone. ``departures[i]`` is one on
-    transmission slots, zero elsewhere. The three are the whole chain:
-    only :mod:`slotmesh.stationary` builds its slot blocks from them.
+    ``k < K``, ``rows[i, K]`` that of K or more, in slot order.
+    ``runs[t, 0]`` is the same for the t-th quiet run of the frame from
+    s, the slot after the last transmission slot, ``runs[t, 1]`` for that
+    run and the transmission slot that ends it, and ``runs[t, 2]`` for
+    that slot alone, in frame order. ``departures[i]`` is one on
+    transmission slots, zero elsewhere, in slot order. The three are the
+    whole chain: only :mod:`slotmesh.stationary` builds its slot blocks
+    from them.
     """
 
     capacity: int
@@ -331,11 +329,21 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     Python or numpy integer, not a bool, and the slots distinct; anything
     else raises :class:`ModelError` (:func:`_check_node`), here, in
     :func:`evaluate_node` and in :func:`slotmesh.simulate.simulate_queue`.
+
+    The rows are built in the node's frame from s
+    (:func:`slotmesh.stationary._rotation`), as every stack is, and the
+    slot rows rotated back to slot order, read-only: a node and the same
+    node shifted round the slotframe get the same factor rows.
     """
-    tau = _check_node(capacity, slotframe_length, [tx_slots], *traffic._arrays())
-    rows, runs = _capped_rows(capacity, tau, *traffic._arrays())
+    rates, probs = traffic._arrays()
+    tau = _check_node(capacity, slotframe_length, [tx_slots], rates, probs)
+    (frame,), (back,) = stationary._rotation(tau)
+    rows, runs = _capped_rows(capacity, tau[:, frame], rates[:, frame],
+                              probs[:, frame])
+    rows = rows[0, back]
+    rows.flags.writeable = False
     return QueueChain(capacity=capacity, slotframe_length=slotframe_length,
-                      rows=rows[0], runs=runs[0], departures=tau[0])
+                      rows=rows, runs=runs[0], departures=tau[0])
 
 
 def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:

@@ -485,10 +485,7 @@ def _simulate_network_run(scenario: NetworkScenario, packets_per_node, warmup,
                        residual=sum(level))
     if not counts.conserved():
         raise SimulationError(f"packet ledger does not balance: {counts}")
-    if window_end is None:
-        window_end = slots
-    window_slots = max(window_end - warmup, 1)
-    throughput = sink_window / (window_slots * schedule.slot_duration)
+    throughput = sink_window / ((window_end - warmup) * schedule.slot_duration)
     delivered_tracked = np.array(delivered_tracked)
     pdr = delivered_tracked / packets_per_node
     pdr[0] = 1.0

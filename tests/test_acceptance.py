@@ -13,8 +13,8 @@ import pytest
 from conftest import slot_links
 from slotmesh.network import (NetworkScenario, concentric_topology,
                               evaluate_network)
-from slotmesh.queuemodel import (TrafficSpec, build_chain, evaluate_node,
-                                 expected_arrivals_per_slotframe)
+from slotmesh.queuemodel import (TrafficSpec, _offered, build_chain,
+                                 evaluate_node)
 from slotmesh.schedule import validate
 from slotmesh.schedulers import generate, proper_descendants
 from slotmesh.simulate import SimConfig, simulate_network, simulate_queue
@@ -238,7 +238,7 @@ def test_expected_arrivals_identity():
         totals = (rng.poisson(rates, size=(frames, length))
                   + (rng.random((frames, length)) < probs)).sum(axis=1)
         se = totals.std(ddof=1) / math.sqrt(frames)
-        gap = abs(expected_arrivals_per_slotframe(spec) - totals.mean())
+        gap = abs(_offered(*spec._arrays())[0] - totals.mean())
         assert gap <= 3 * se, (rates, probs, gap, se)
 
 

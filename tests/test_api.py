@@ -12,10 +12,9 @@ PUBLIC = [
     "Schedule", "ScheduleError", "ScheduleFormatError", "SchedulerError",
     "SimConfig", "SimulationError", "StationaryError", "Topology",
     "TrafficSpec", "build_chain", "concentric_topology", "evaluate_network",
-    "evaluate_node", "expected_arrivals_per_slotframe", "generate",
-    "load_schedule", "load_topology", "proper_descendants", "save_schedule",
-    "save_topology", "simulate_network", "simulate_queue", "solve",
-    "validate",
+    "evaluate_node", "generate", "load_schedule", "load_topology",
+    "proper_descendants", "save_schedule", "save_topology",
+    "simulate_network", "simulate_queue", "solve", "validate",
 ]
 
 
@@ -24,4 +23,4 @@ def test_public_names():
     assert sorted(name for name, value in vars(slotmesh).items()
                   if not name.startswith("_")
                   and not isinstance(value, types.ModuleType)) == PUBLIC
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 34

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import chain_cases
-from slotmesh.queuemodel import (ModelError, TrafficSpec, arrival_pmf,
-                                 build_chain, evaluate_node,
-                                 expected_arrivals_per_slotframe)
+from slotmesh.queuemodel import (ModelError, TrafficSpec, _offered,
+                                 arrival_pmf, build_chain, evaluate_node)
 from slotmesh.simulate import SimConfig, simulate_queue
 
 
@@ -25,7 +24,7 @@ def _loop_acceptance(chain, traffic, c):
             head = math.fsum(k * pmf[k] for k in range(room))
             tail = max(0.0, 1.0 - math.fsum(pmf[:room]))
             accepted += grid[i, q] * (head + tail * room)
-    return length * accepted / expected_arrivals_per_slotframe(traffic)
+    return length * accepted / _offered(*traffic._arrays())[0]
 
 
 def _loop_delay(chain, tx_slots, c):

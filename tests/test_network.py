@@ -5,8 +5,7 @@ import pytest
 
 from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network)
-from slotmesh.queuemodel import (TrafficSpec, evaluate_node,
-                                 expected_arrivals_per_slotframe)
+from slotmesh.queuemodel import TrafficSpec, _offered, evaluate_node
 from slotmesh.schedule import Schedule, Topology, validate
 from slotmesh.schedulers import generate
 
@@ -208,7 +207,7 @@ def test_single_hop_variants_match_node_models(algorithm):
     length, capacity = sched.slotframe_length, 5
     scenario = NetworkScenario(schedule=sched, topology=topo,
                                generation_rate=0.08, queue_capacity=capacity)
-    offered = expected_arrivals_per_slotframe(TrafficSpec.constant(length, rate=0.08))
+    offered = _offered(*TrafficSpec.constant(length, rate=0.08)._arrays())[0]
     # md1k: one step of the collapsed model is a whole slotframe
     md1k = evaluate_network(scenario, variant="md1k")
     collapsed = evaluate_node(capacity, 1, (0,), TrafficSpec((offered,), (0.0,)))
@@ -243,8 +242,8 @@ def test_distributed_variant_spreads_forwarded_load():
         schedule=sched, topology=topo, generation_rate=rate,
         queue_capacity=capacity), variant="distributed")
     for n in range(1, topo.node_count):
-        offered = expected_arrivals_per_slotframe(TrafficSpec(
-            (rate,) * length, tuple(result.rx_probability[n])))
+        offered = _offered(*TrafficSpec(
+            (rate,) * length, tuple(result.rx_probability[n]))._arrays())[0]
         want = evaluate_node(capacity, length, sched.tx_slots[n],
                              TrafficSpec.constant(length, rate=offered / length))
         got = result.node_metrics[n]

@@ -15,8 +15,7 @@ from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network)
 from slotmesh import queuemodel
 from slotmesh.queuemodel import (TrafficSpec, acceptance_probability,
-                                 build_chain, evaluate_node,
-                                 expected_arrivals_per_slotframe)
+                                 build_chain, evaluate_node)
 from slotmesh.schedule import Schedule, Topology
 from slotmesh.schedulers import generate
 from slotmesh.stationary import StationaryError, solve
@@ -420,7 +419,7 @@ def test_critical_load_large_capacity():
     grid[0] = np.linalg.solve(a, b)
     for i in range(length - 1):
         grid[i + 1] = grid[i] @ blocks[i]
-    offered = np.array([expected_arrivals_per_slotframe(traffic)])
+    offered = queuemodel._offered(*traffic._arrays())
     want = acceptance_probability(grid[None] / length, chain.rows[None],
                                   offered)[0]
     assert evaluate_node(256, length, (0,), traffic).acceptance == pytest.approx(
@@ -454,18 +453,29 @@ def plain_return_map(blocks):
     return frame_map
 
 
-def stack_rows(capacity, tx_slots, rates, probs):
-    """The ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K + 1)``
-    factor rows and ``(B, S)`` departures of a stack of chains."""
+def frame_inputs(capacity, tx_slots, rates, probs):
+    """The ``(B, S)`` departures, Poisson rates and Bernoulli
+    probabilities of a stack of chains, each in its frame from s."""
     rates, probs = np.array(rates, dtype=float), np.array(probs, dtype=float)
     tau = queuemodel._check_node(capacity, len(rates[0]), tx_slots, rates, probs)
+    frame = stationary._rotation(tau)[0]
+    return tuple(np.take_along_axis(x, frame, axis=1) for x in (tau, rates, probs))
+
+
+def stack_rows(capacity, tx_slots, rates, probs):
+    """The ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K + 1)``
+    factor rows and ``(B, S)`` departures of a stack of chains, built in
+    each chain's frame from s, as every stack is: :func:`in_frame` leaves
+    them as they are."""
+    tau, rates, probs = frame_inputs(capacity, tx_slots, rates, probs)
     return (*queuemodel._capped_rows(capacity, tau, rates, probs), tau)
 
 
 def in_frame(rows, runs, tau):
     """A stack's capped rows and departures in each chain's frame from s,
     with its factor rows: the slot blocks taken from s multiply to the
-    return maps."""
+    return maps. Chains from :func:`build_chain` keep their slot rows in
+    slot order."""
     frame = stationary._rotation(tau)[0]
     return (np.take_along_axis(rows, frame[:, :, None], axis=1), runs,
             np.take_along_axis(tau, frame, axis=1))
@@ -504,7 +514,7 @@ def chain_stacks(draw, max_length=8, max_capacity=12):
 @settings(max_examples=150, deadline=None)
 def test_return_map_matches_block_product(case):
     # run-then-send factors against the slot blocks taken from s
-    rows, runs, tau = in_frame(*stack_rows(*case))
+    rows, runs, tau = stack_rows(*case)
     blocks = stationary._slot_blocks(rows, tau)
     built = stationary._return_maps(runs, tau)
     # chunks of one factor each, every one a new array
@@ -586,9 +596,11 @@ def long_double_run_row(rates, probs, capacity):
 @settings(max_examples=150, deadline=None)
 def test_run_rows_match_slot_composition(case):
     # row 0 of a factor holds the arrivals of its quiet run, row 1 those of
-    # the run and its transmission slot, row 2 those of the slot alone
-    capacity, _, rates, probs = case
+    # the run and its transmission slot, row 2 those of the slot alone, all
+    # read in each chain's frame from s
+    capacity = case[0]
     rows, runs, tau = stack_rows(*case)
+    _, rates, probs = frame_inputs(*case)
     # no packet leaves
     arrivals = stationary._capped_blocks(rows, np.zeros(tau.shape, dtype=bool))
     assert runs.shape[1] == max(tau.sum(axis=1).max(), 1)
@@ -728,9 +740,9 @@ def test_factors_in_one_slot_chunks_match_dense_solve(tx):
 # and three slots earlier (the forwarding pattern repeats every three
 # slots) and one slot earlier with its forwarding moved along, all equal to
 # the first chain in their frames from s. Last, uneven rates, and the same
-# two slots later: equal inputs in their frames from s, but built from
-# their slot order the two sum a factor's rates in different orders, so
-# their factor rows differ
+# two slots later: equal inputs in their frames from s, so built there they
+# get the same rows too. Built from their slot order, the two summed a
+# factor's rates in different orders and counted an eighth set of rows
 SHARED_STACK = [([5], 0, True), ([], 0, True), ([0, 1], 0, True),
                 (list(range(12)), 0, True),
                 ([1, 2, 3, 4, 5, 6, 7, 8, 9, 11], 0, True), ([11], 0, True),
@@ -739,9 +751,9 @@ SHARED_STACK = [([5], 0, True), ([], 0, True), ([0, 1], 0, True),
 
 
 def shared_stack(capacity=20):
-    """The stack of twelve-slot chains of :data:`SHARED_STACK`, built from
-    each chain's slot order, its ``(K, tx slots, rates, probs)`` and its
-    number of chains whose rows differ in their frames from s."""
+    """The stack of twelve-slot chains of :data:`SHARED_STACK`, built in
+    each chain's frame from s, its ``(K, tx slots, rates, probs)`` in slot
+    order and its number of chains whose rows differ."""
     length = 12
     tx_slots, rates, probs = [], [], []
     for slots, shift, even in SHARED_STACK:
@@ -750,9 +762,8 @@ def shared_stack(capacity=20):
                       for i in range(length)])
         probs.append([0.2 * ((i - shift) % 3 == 0) for i in range(length)])
     stack = stack_rows(capacity, tx_slots, rates, probs)
-    rows, runs, tau = in_frame(*stack)
-    keys = {(r.tobytes(), f.tobytes(), t.tobytes())
-            for r, f, t in zip(rows, runs, tau)}
+    rows, _, tau = stack
+    keys = {tuple(x.tobytes() for x in chain) for chain in zip(*stack)}
     assert np.array_equal(rows[-1], rows[-2]) and np.array_equal(tau[-1], tau[-2])
     return stack, (capacity, tx_slots, rates, probs), len(keys)
 
@@ -769,7 +780,7 @@ def test_stacked_chain_solves_as_alone():
     # the stack pads every chain to ten transmission factors and solves it
     # in a band of ten levels; alone, a chain has its own factors and band
     stack, (capacity, tx_slots, rates, probs), distinct = shared_stack()
-    assert distinct == 8
+    assert distinct == 7
     grids, residuals, levels = stationary._solve_stack(*stack)
     for b in range(len(tx_slots)):
         grid, residual, level = stationary._solve_stack(*stack_rows(
@@ -794,16 +805,33 @@ def recorded(monkeypatch, module, name, arg=0):
 
 def test_each_distinct_chain_is_solved_once(monkeypatch):
     # the rows, the return maps and GTH see one chain per distinct chain of
-    # the stack, keyed on its inputs in its frame from s: seven, where the
-    # rows built from each chain's slot order count eight
+    # the stack, keyed on its inputs in its frame from s: seven, as many as
+    # the stack built in those frames has sets of rows
     stack, inputs, distinct = shared_stack()
-    assert distinct == 8
+    assert distinct == 7
     seen = {"rows": recorded(monkeypatch, queuemodel, "_capped_rows", 1),
             "maps": recorded(monkeypatch, stationary, "_return_maps"),
             "gth": recorded(monkeypatch, stationary, "_gth")}
     evaluate_stack(*inputs)
     assert {key: sum(sizes) for key, sizes in seen.items()} == {
         "rows": 7, "maps": 7, "gth": 7}
+
+
+def test_build_chain_gives_chains_equal_in_their_frames_one_set_of_runs():
+    # the uneven pair of SHARED_STACK, two slots apart: build_chain builds
+    # each in its frame from s, so their factor rows have the same bytes,
+    # their slot rows are each other's rolled by two, and so are their
+    # solutions, up to the order of the normalizing sum
+    _, (capacity, tx_slots, rates, probs), _ = shared_stack()
+    first, later = (build_chain(capacity, 12, tx_slots[b],
+                                TrafficSpec(rates[b], probs[b]))
+                    for b in (-2, -1))
+    assert first.runs.tobytes() == later.runs.tobytes()
+    assert np.array_equal(later.rows, np.roll(first.rows, 2, axis=0))
+    assert not later.rows.flags.writeable
+    grids = [solve(chain).distribution.reshape(12, capacity + 1)
+             for chain in (first, later)]
+    assert grids[1] == pytest.approx(np.roll(grids[0], 2, axis=0), rel=1e-15)
 
 
 @pytest.mark.parametrize("algorithm, built", [("ta-sc", [1, 1]),
@@ -880,7 +908,7 @@ def test_failing_shared_chain_names_its_first_chain(monkeypatch, where):
     # failed class search names the first chain with its edge pattern, a
     # failed residual the first with its return map, chain 6
     stack, inputs, _ = shared_stack()
-    _, runs, tau = in_frame(*stack)
+    _, runs, tau = stack
     maps = stationary._return_maps(runs, tau)
     spoiled_map = maps[6]
     spoil(monkeypatch, where, spoiled_map)

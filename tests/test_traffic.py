@@ -13,7 +13,7 @@ import slotmesh
 from conftest import slot_blocks
 from slotmesh.queuemodel import (ModelError, TrafficSpec,
                                  acceptance_probability, arrival_pmf,
-                                 build_chain, expected_arrivals_per_slotframe)
+                                 build_chain, _offered)
 
 
 def test_spec_validation():
@@ -128,19 +128,19 @@ def test_tails_and_room_table_match_long_double():
 
 
 def test_expected_arrivals_trivial():
-    assert expected_arrivals_per_slotframe(TrafficSpec.constant(7)) == 0.0
+    assert _offered(*TrafficSpec.constant(7)._arrays())[0] == 0.0
 
 
 def test_expected_arrivals_uniform_rate():
     # five slots at rate 1/5 offer one packet per slotframe
     spec = TrafficSpec.constant(5, rate=0.2)
-    assert expected_arrivals_per_slotframe(spec) == pytest.approx(1.0, abs=1e-15)
+    assert _offered(*spec._arrays())[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_expected_arrivals_closed_form():
     spec = TrafficSpec((0.1, 0.7, 0.0), (0.5, 0.0, 0.9))
     expected = (0.1 + 0.7 + 0.0) + (0.5 + 0.0 + 0.9)
-    assert expected_arrivals_per_slotframe(spec) == pytest.approx(expected, abs=1e-15)
+    assert _offered(*spec._arrays())[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_expected_arrivals_matches_sampling():
@@ -153,7 +153,7 @@ def test_expected_arrivals_matches_sampling():
     totals = (rng.poisson(lam, size=(frames, 3))
               + (rng.random((frames, 3)) < prob)).sum(axis=1)
     se = totals.std(ddof=1) / math.sqrt(frames)
-    assert abs(expected_arrivals_per_slotframe(spec) - totals.mean()) < 3 * se
+    assert abs(_offered(*spec._arrays())[0] - totals.mean()) < 3 * se
 
 
 _RUNTIME_WORK = """
