@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate as sim
-from .network import (NetworkModelError, NetworkScenario, _check_variant,
-                      concentric_topology, evaluate_network)
-from .queuemodel import VARIANTS, ModelError
+from .network import (NetworkModelError, NetworkScenario, concentric_topology,
+                      evaluate_network)
+from .queuemodel import VARIANTS, ModelError, _check_variant
 from .schedule import (DEFAULT_SLOT_DURATION, ScheduleError,
                        ScheduleFormatError, _ints, _is_finite, _read_json,
                        load_schedule, load_topology, save_schedule,
@@ -256,7 +256,7 @@ def _sweep_tasks(spec):
     for variant in variants:
         if variant not in VARIANTS:
             raise _InputError(f"unknown variant {variant!r}")
-        _check_variant(variant, topology)
+        _check_variant(variant, len(topology.levels) - 1)
     tasks = []
     for name, schedule in schedules:
         # the variants share a point's scenario; a schedule file converts

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .queuemodel import NodeMetrics, ModelError, _variant_stack
+from .queuemodel import NodeMetrics, ModelError, _check_variant, _variant_stack
 from .schedule import Schedule, Topology, _ints, _is_finite, validate
 from .stationary import StationaryError
 
@@ -102,16 +102,6 @@ class NetworkScenario:
                    queue_capacity=queue_capacity)
 
 
-def _check_variant(variant: str, topology: Topology) -> None:
-    """Raise :class:`NetworkModelError` if the model ``variant`` cannot
-    evaluate ``topology``: ``md1k`` has no slot structure to carry
-    forwarded traffic and is therefore restricted to single-hop trees."""
-    if variant == "md1k" and len(topology.levels) > 2:
-        raise NetworkModelError(
-            "the md1k variant has no slot structure and cannot model "
-            "forwarding; it is limited to single-hop topologies")
-
-
 @dataclass(frozen=True)
 class NetworkResult:
     """Per-node metrics plus network-wide delivery figures."""
@@ -140,8 +130,15 @@ def evaluate_network(scenario: NetworkScenario, *,
 
     The scenario is valid by construction. ``variant`` selects the
     per-node model, as in :func:`~slotmesh.queuemodel.evaluate_node`, and
-    each tree level is solved as one stack under it; ``md1k`` is
-    restricted to single-hop trees (:func:`_check_variant`).
+    each tree level is solved as one stack under it. The variant is
+    checked once, before any level, by
+    :func:`~slotmesh.queuemodel._check_variant` at the tree's depth
+    (``md1k`` is restricted to single-hop trees), and a refusal is a
+    :class:`NetworkModelError` that names no node; an error of a chain
+    names its node. Each solved node adds its transmission
+    probabilities, thinned by its uplink's PER, to its parent's reception
+    row in one write: siblings never share a reception slot, and a node's
+    probabilities are zero outside its transmission slots.
     """
     schedule = scenario.schedule
     topology = scenario.topology
@@ -149,7 +146,10 @@ def evaluate_network(scenario: NetworkScenario, *,
     length = schedule.slotframe_length
     n_nodes = topology.node_count
     levels = topology.levels
-    _check_variant(variant, topology)
+    try:
+        _check_variant(variant, len(levels) - 1)
+    except ModelError as exc:
+        raise NetworkModelError(str(exc)) from exc
 
     rx_prob = np.zeros((n_nodes, length))
     metrics: list[NodeMetrics | None] = [None] * n_nodes
@@ -168,9 +168,7 @@ def evaluate_network(scenario: NetworkScenario, *,
             raise NetworkModelError(f"node {level[exc.index]}: {exc}") from exc
         for n, node in zip(level, solved):
             metrics[n] = node
-            p = topology.parents[n]
-            for i in schedule.tx_slots[n]:
-                rx_prob[p, i] = node.tx_probability[i] * hop[n]
+            rx_prob[topology.parents[n]] += node.tx_probability * hop[n]
 
     sink_arrivals = float(rx_prob[topology.ROOT].sum())
     sink_marginals = np.zeros(capacity + 1)

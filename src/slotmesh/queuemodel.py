@@ -10,10 +10,13 @@ per-slot transmission probabilities, the packet acceptance probability,
 queue-level marginals and the expected queuing delay.
 
 Chains are built, solved and summarized as stacks: B chains with the same
-S and K come from ``(B, S)`` arrays of Poisson rates, Bernoulli
-probabilities and departures, checked in one vector step. A stack is its
-``(B, S, K + 1)`` slot rows from :func:`arrival_pmf`, each capped once so
-that entry K holds the mass at K and beyond, its departures, and three
+S and K come from ``(B, S)`` arrays of Poisson rates and Bernoulli
+probabilities and one collection of transmission slots per chain,
+checked in one vector step (:func:`_check_node`) that turns the slots
+into the stack's ``(B, S)`` boolean transmission mask, its departures,
+read as built by every layer below. A stack is its ``(B, S, K + 1)``
+slot rows from :func:`arrival_pmf`, each capped once so that entry K
+holds the mass at K and beyond, its transmission mask, and three
 factor rows per transmission slot, ``(B, T, 3, K + 1)`` for the stack's
 widest transmission count T (at least one). Every stack is built in
 its chains' frames from s, the slot after a chain's last transmission
@@ -43,7 +46,9 @@ keeps the leading chain axis: :func:`transmission_probability`,
 :func:`acceptance_probability`, :func:`expected_delay` and
 :func:`queue_marginals`. :func:`build_chain` and :func:`evaluate_node`
 (under any ``variant``) are the stack of one chain, and a network
-evaluates each tree level as one stack under every variant. Chains
+evaluates each tree level as one stack under every variant.
+:data:`VARIANTS` names the variants and :func:`_check_variant` is their
+one rule, md1k's single hop included, checked once per call. Chains
 whose inputs are byte-equal in their frames from s, as a network's outer
 ring and often its relays are, are built, solved and summarized once
 (:func:`_evaluate_stack`). An error raised for one chain of a stack
@@ -147,10 +152,25 @@ def _offered(rates: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
+def _check_variant(variant: str, hops: int = 1) -> None:
+    """Raise :class:`ModelError` unless ``variant`` is one of
+    :data:`VARIANTS` and can evaluate a tree ``hops`` deep: ``md1k`` has
+    no slot structure to carry forwarded traffic and is therefore
+    restricted to single-hop trees. The one variant rule, of
+    :func:`evaluate_node`, of :func:`slotmesh.network.evaluate_network`
+    and of a sweep spec."""
+    if variant not in VARIANTS:
+        raise ModelError(f"unknown variant {variant!r} (expected one of {VARIANTS})")
+    if variant == "md1k" and hops > 1:
+        raise ModelError("the md1k variant has no slot structure and cannot model "
+                         "forwarding; it is limited to single-hop topologies")
+
+
 def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
                 probs: np.ndarray) -> np.ndarray:
-    """Check the node inputs of a stack and return its ``(B, S)``
-    departures: one on each chain's transmission slots, zero elsewhere.
+    """Check the node inputs of a stack and return its read-only ``(B,
+    S)`` boolean transmission mask, set on each chain's transmission
+    slots: the departures that every layer reads as they are.
 
     ``tx_slots`` holds one collection of slots per chain, and ``rates``
     and ``probs`` are the ``(B, S)`` traffic. K and S must be positive
@@ -158,7 +178,8 @@ def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
     frame long, and each chain's slots a collection of distinct integers
     within the frame; anything else raises :class:`ModelError`. This is
     the one check of node inputs, run by :func:`build_chain`, by every
-    stack of :func:`evaluate_node` and by
+    stack of :func:`evaluate_node` and
+    :func:`slotmesh.network.evaluate_network` and by
     :func:`slotmesh.simulate.simulate_queue`.
     """
     for name, value in (("capacity", capacity), ("slotframe_length", length)):
@@ -184,8 +205,8 @@ def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
         first = outside[0]
         raise _at(ModelError(f"tx slot {slots[first]} outside [0, {length})"),
                   rows[first])
-    tau = np.zeros((len(tx_slots), length), dtype=int)
-    tau[rows, slots] = 1
+    tau = np.zeros((len(tx_slots), length), dtype=bool)
+    tau[rows, slots] = True
     if tau.sum() < len(slots):
         b, chain = next((b, chain) for b, chain in enumerate(tx_slots)
                         if len(set(chain)) < len(chain))
@@ -194,12 +215,13 @@ def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
     return tau
 
 
-def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
+def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
                  probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The read-only capped arrival rows of a stack of chains given as
-    ``(B, S)`` departures, Poisson rates and Bernoulli probabilities, each
-    chain in its frame from s (:func:`slotmesh.stationary._rotation`):
-    its last slot is a transmission slot, or it has none. Entry K holds
+    ``(B, S)`` boolean transmission masks ``sends``, Poisson rates and
+    Bernoulli probabilities, each chain in its frame from s
+    (:func:`slotmesh.stationary._rotation`): its last slot is a
+    transmission slot, or it has none. Entry K holds
     the mass at K and beyond: ``(B, S, K + 1)`` slot rows and ``(B, T, 3,
     K + 1)`` factor rows, T the most transmission slots of any chain and
     at least one.
@@ -214,8 +236,7 @@ def _capped_rows(capacity: int, tau: np.ndarray, rates: np.ndarray,
     a slot is the row of no arrivals. The inputs are those of a stack
     that :func:`_check_node` accepted, or derived from them.
     """
-    chains, length = tau.shape
-    sends = tau != 0
+    chains, length = sends.shape
     sent = np.add.accumulate(sends, axis=1)
     width = max(int(sent[:, -1].max()), 1)
     # factor[b, i]: the factor of slot i, numbered over the whole stack:
@@ -295,10 +316,10 @@ class QueueChain:
     ``runs[t, 0]`` is the same for the t-th quiet run of the frame from
     s, the slot after the last transmission slot, ``runs[t, 1]`` for that
     run and the transmission slot that ends it, and ``runs[t, 2]`` for
-    that slot alone, in frame order. ``departures[i]`` is one on
-    transmission slots, zero elsewhere, in slot order. The three are the
-    whole chain: only :mod:`slotmesh.stationary` builds its slot blocks
-    from them.
+    that slot alone, in frame order. ``departures`` is the read-only
+    boolean transmission mask of :func:`_check_node`, set on transmission
+    slots, in slot order. The three are the whole chain: only
+    :mod:`slotmesh.stationary` builds its slot blocks from them.
     """
 
     capacity: int
@@ -321,9 +342,10 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
 
     From state ``(q, i)`` and ``k`` accepted arrivals, the chain moves to
     ``(max(q - tau_i, 0) + k, (i + 1) % S)`` where ``tau_i`` is one on
-    transmission slots. At most ``K - q`` arrivals are accepted; the last
-    level absorbs the tail so every row sums to one. For ``q = K`` nothing
-    can be accepted, leaving a single transition of probability one.
+    transmission slots, where the chain's ``departures`` mask is set. At
+    most ``K - q`` arrivals are accepted; the last level absorbs the tail
+    so every row sums to one. For ``q = K`` nothing can be accepted,
+    leaving a single transition of probability one.
 
     ``capacity``, ``slotframe_length`` and each of ``tx_slots`` must be a
     Python or numpy integer, not a bool, and the slots distinct; anything
@@ -392,7 +414,7 @@ def expected_delay(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """
     chains, length, levels = grid.shape
     count = np.maximum(tau.sum(axis=1), 1)[:, None, None]
-    tx = np.argsort(tau == 0, axis=1, kind="stable")  # tx slots first, in order
+    tx = np.argsort(~tau, axis=1, kind="stable")  # tx slots first, in order
     k = (np.cumsum(tau, axis=1)[:, :, None]
          + np.maximum(np.arange(levels) - tau[:, :, None], 0))
     leave = tx[np.arange(chains)[:, None, None], k % count] + k // count * length
@@ -425,7 +447,8 @@ class NodeMetrics:
 def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
                     probs: np.ndarray) -> list[NodeMetrics]:
     """Build, solve and summarize a stack of chains given as ``(B, S)``
-    departures, Poisson rates and Bernoulli probabilities.
+    boolean transmission masks, Poisson rates and Bernoulli
+    probabilities.
 
     Chains whose inputs are byte-equal in their frames from s
     (:func:`slotmesh.stationary._rotation`) are built, solved and
@@ -466,9 +489,8 @@ def _variant_stack(variant: str, capacity: int, slotframe_length: int,
                    probs: np.ndarray) -> list[NodeMetrics]:
     """:func:`evaluate_node` for a stack of nodes that share the slotframe
     and K, given as one transmission slot collection per node and
-    ``(B, S)`` rates and probabilities."""
-    if variant not in VARIANTS:
-        raise ModelError(f"unknown variant {variant!r} (expected one of {VARIANTS})")
+    ``(B, S)`` rates and probabilities, under a ``variant`` that
+    :func:`_check_variant` accepted."""
     tau = _check_node(capacity, slotframe_length, tx_slots, rates, probs)
     if variant == "full":
         return _evaluate_stack(capacity, tau, rates, probs)
@@ -479,7 +501,7 @@ def _variant_stack(variant: str, capacity: int, slotframe_length: int,
         return _evaluate_stack(capacity, tau, uniform, np.zeros_like(uniform))
     # one model step per slotframe, with one departure if the node has any
     counts = tau.sum(axis=1)
-    collapsed = _evaluate_stack(capacity, (counts > 0).astype(int)[:, None],
+    collapsed = _evaluate_stack(capacity, (counts > 0)[:, None],
                                 offered[:, None], np.zeros((len(tau), 1)))
     return [replace(node,
                     tx_probability=tau[b] * (node.tx_probability[0]
@@ -506,7 +528,9 @@ def evaluate_node(capacity: int, slotframe_length: int, tx_slots,
 
     Nodes without offered traffic are defined to accept everything
     (vacuously); the chain is still solved for the delay and transmission
-    figures of the empty system.
+    figures of the empty system. A ``variant`` outside :data:`VARIANTS`
+    raises :class:`ModelError` (:func:`_check_variant`).
     """
+    _check_variant(variant)
     return _variant_stack(variant, capacity, slotframe_length, [tx_slots],
                           *traffic._arrays())[0]

@@ -161,16 +161,27 @@ class QueueSimStats:
     accepted: int
 
 
+def _poisson(rng, lam, size=None):
+    """``rng.poisson(lam, size)``, with numpy's refusal of a rate too large
+    to draw from (above about 9.2e18 per slot) raised as a
+    :class:`SimulationError` that names the rate."""
+    try:
+        return rng.poisson(lam, size)
+    except ValueError:
+        raise SimulationError(f"Poisson rate {np.max(lam):g} per slot is too "
+                              f"large to simulate") from None
+
+
 def _arrival_arrays(rng, traffic, start_slot, count):
     idx = (start_slot + np.arange(count)) % len(traffic.poisson_rate)
     lam = np.asarray(traffic.poisson_rate)[idx]
     prob = np.asarray(traffic.bernoulli_prob)[idx]
-    arrivals = rng.poisson(lam)
+    arrivals = _poisson(rng, lam)
     arrivals += rng.random(count) < prob
     return arrivals
 
 
-def _simulate_queue_run(capacity, slotframe_length, tx_set, traffic, rng,
+def _simulate_queue_run(capacity, slotframe_length, sends, traffic, rng,
                         packets, warmup):
     queue = deque()  # (arrival_slot, counted)
     hist = [0] * (capacity + 1)
@@ -202,7 +213,7 @@ def _simulate_queue_run(capacity, slotframe_length, tx_set, traffic, rng,
         counting = t >= warmup and arrived < packets
         if counting:
             hist[q_start] += 1
-        if q_start and t % slotframe_length in tx_set:
+        if q_start and sends[t % slotframe_length]:
             arrival_slot, counted = queue.popleft()
             if counted:
                 delays.append(t - arrival_slot)
@@ -233,10 +244,12 @@ def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
     is refused here with the model's
     :class:`~slotmesh.queuemodel.ModelError`, by the model's own check. A
     node offered traffic that it never transmits, which the model
-    accepts, raises :class:`SimulationError`: its queue would not drain.
+    accepts, raises :class:`SimulationError`: its queue would not drain,
+    and so does a Poisson rate too large to draw from.
     """
     rates, probs = traffic._arrays()
-    _check_node(capacity, slotframe_length, [tx_slots], rates, probs)
+    sends = _check_node(capacity, slotframe_length, [tx_slots], rates,
+                        probs)[0].tolist()
     if _offered(rates, probs)[0] == 0:
         one = MetricSummary.from_runs([1.0] * config.runs)
         nan = MetricSummary.from_runs([math.nan] * config.runs)
@@ -245,8 +258,7 @@ def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
                              arrived=0, accepted=0)
     warmup = (config.warmup_slots if config.warmup_slots is not None
               else SINGLE_NODE_WARMUP_FRAMES * slotframe_length)
-    tx_set = frozenset(tx_slots)
-    if not tx_set:
+    if not any(sends):
         raise SimulationError("node never transmits; simulation would not drain")
     hist = np.zeros(capacity + 1, dtype=np.int64)
     ratios, delay_means = [], []
@@ -254,7 +266,7 @@ def simulate_queue(capacity: int, slotframe_length: int, tx_slots,
     for run in range(config.runs):
         rng = np.random.default_rng([config.seed, run])
         arrived, accepted, delays, h = _simulate_queue_run(
-            capacity, slotframe_length, tx_set, traffic, rng,
+            capacity, slotframe_length, sends, traffic, rng,
             config.packets, warmup)
         hist += h
         arrived_total += arrived
@@ -321,7 +333,7 @@ def _generation_events(rng, p_gen, n_nodes):
     ``events[row_start[r]:row_start[r + 1]]`` in node order, and ``total``
     packets are generated in the whole block.
     """
-    counts = rng.poisson(p_gen, size=(_BLOCK, n_nodes - 1))
+    counts = _poisson(rng, p_gen, (_BLOCK, n_nodes - 1))
     # the flat indices of a C-ordered block, split by row length, are the
     # (slot, node) pairs of np.nonzero at about half its cost
     flat = np.flatnonzero(counts != 0)

@@ -2,8 +2,9 @@
 
 A queue chain of :mod:`slotmesh.queuemodel` comes here as ``(S, K + 1)``
 capped arrival rows, ``(T, 3, K + 1)`` factor rows, three per
-transmission slot (:func:`_return_maps`), and ``(S,)`` departures, one on
-transmission slots.
+transmission slot (:func:`_return_maps`), and ``(S,)`` departures, the
+boolean transmission mask of :func:`slotmesh.queuemodel._check_node`,
+set on transmission slots and read as it is.
 Entry ``k < K`` of row ``i`` is the probability of ``k`` arrivals in slot
 ``i``, and entry K the mass at K and beyond: one minus the head where
 that is at least 1/2, the pmf's upper sum below it. Every tail
@@ -338,10 +339,11 @@ def _capped_blocks(rows: np.ndarray, sends: np.ndarray,
 
 def _slot_blocks(rows: np.ndarray, tau: np.ndarray, out=None) -> np.ndarray:
     """Read-only ``(..., S, K + 1, K + 1)`` slot blocks of chains given as
-    ``(..., S, K + 1)`` capped arrival rows and ``(..., S)`` departures
-    ``tau``: the blocks of :func:`_capped_blocks`, written into ``out`` if
-    given, a packet leaving first on transmission slots."""
-    blocks = _capped_blocks(rows, tau != 0, out)
+    ``(..., S, K + 1)`` capped arrival rows and ``(..., S)`` boolean
+    transmission masks ``tau``: the blocks of :func:`_capped_blocks`,
+    written into ``out`` if given, a packet leaving first where ``tau``
+    is set."""
+    blocks = _capped_blocks(rows, tau, out)
     blocks.flags.writeable = False
     return blocks
 
@@ -356,9 +358,10 @@ def _chunk_slots(rows: np.ndarray) -> int:
 def _walk(rows: np.ndarray, tau: np.ndarray):
     """The ``(B, K + 1, K + 1)`` slot blocks of a stack in slot order,
     built (:func:`_slot_blocks`) from its ``(B, S, K + 1)`` capped rows
-    and ``(B, S)`` departures as far as they are read: one block per run
-    of consecutive slots whose rows and departures are equal in every
-    chain, yielded for each slot of the run, a chunk of runs at a time."""
+    and ``(B, S)`` boolean transmission masks as far as they are read:
+    one block per run of consecutive slots whose rows and masks are equal
+    in every chain, yielded for each slot of the run, a chunk of runs at
+    a time."""
     chains, length, count = rows.shape
     # the slots that start a run, and S to close the last one
     bounds = np.ones(length + 1, dtype=bool)
@@ -381,8 +384,9 @@ def _walk(rows: np.ndarray, tau: np.ndarray):
 
 def _rotation(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The frame from s of each chain of a stack given as ``(B, S)``
-    departures, zero or one, and the index back: step ``j`` of chain b's
-    frame is slot ``frame[b, j]``, and slot ``i`` is step ``back[b, i]``.
+    boolean transmission masks, and the index back: step ``j`` of chain
+    b's frame is slot ``frame[b, j]``, and slot ``i`` is step ``back[b,
+    i]``.
     s is the slot after the last transmission slot (slot 0 without one),
     so every quiet run of the frame ends in a transmission slot."""
     slots = np.arange(tau.shape[1])
@@ -393,8 +397,8 @@ def _rotation(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _return_maps(runs: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Return maps at s, each as ``Y_1 ... Y_T``, of a stack given as its
-    ``(B, T, 3, K + 1)`` factor rows ``runs`` and ``(B, S)`` departures
-    ``tau``.
+    ``(B, T, 3, K + 1)`` factor rows ``runs`` and ``(B, S)`` boolean
+    transmission masks ``tau``.
 
     ``Y_t`` is quiet run t of the frame from s (:func:`_rotation`) and
     the transmission slot that ends it, whose block ``X_t`` is that of
@@ -451,10 +455,10 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
                  reach: bool = False):
     """Stationary distributions of a stack of queue chains given as
     ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K + 1)`` factor
-    rows and ``(B, S)`` departures ``tau``, as ``(B, S, K + 1)``
-    slot-by-level grids, with the residuals and the closed classes: the
-    ``(B, K + 1)`` classes at each chain's frame start s, or with
-    ``reach`` the ``(B, S, K + 1)`` classes in every slot.
+    rows and ``(B, S)`` boolean transmission masks ``tau``, as ``(B, S,
+    K + 1)`` slot-by-level grids, with the residuals and the closed
+    classes: the ``(B, K + 1)`` classes at each chain's frame start s, or
+    with ``reach`` the ``(B, S, K + 1)`` classes in every slot.
 
     Solves each chain in its frame from s (:func:`_rotation`): the return
     maps on their closed classes, which the empty queue at s reaches, GTH

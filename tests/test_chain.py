@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chain_cases, dense_matrix, slot_blocks
-from slotmesh.queuemodel import (ModelError, TrafficSpec, arrival_pmf,
-                                 build_chain, evaluate_node)
+from slotmesh.queuemodel import (ModelError, TrafficSpec, _check_node,
+                                 _check_variant, arrival_pmf, build_chain,
+                                 evaluate_node)
 from slotmesh.simulate import SimConfig, simulate_queue
 
 
@@ -100,6 +101,31 @@ def test_chain_tables_are_read_only_and_blocks_derived():
             with pytest.raises(ValueError):
                 table[0] = 0
         assert not hasattr(chain, "blocks")
+
+
+def test_transmission_slots_are_one_read_only_mask():
+    # the node check turns the slots into the boolean mask that every layer
+    # reads as built, the chain's departures included
+    rates, probs = TrafficSpec.constant(5, rate=0.3)._arrays()
+    sends = _check_node(2, 5, [(1, 4)], rates, probs)
+    assert sends.dtype == bool and not sends.flags.writeable
+    assert sends.tolist() == [[False, True, False, False, True]]
+    chain = build_chain(2, 5, (4, 1), TrafficSpec.constant(5, rate=0.3))
+    assert chain.departures.dtype == bool
+    assert np.array_equal(chain.departures, sends[0])
+
+
+@pytest.mark.parametrize("variant", ["full", "distributed", "md1k"])
+@pytest.mark.parametrize("hops", [0, 1, 2])
+def test_check_variant_is_the_variant_rule(variant, hops):
+    # md1k has no slot structure to carry forwarded traffic: one hop at most
+    if variant == "md1k" and hops > 1:
+        with pytest.raises(ModelError, match="single-hop"):
+            _check_variant(variant, hops)
+    else:
+        _check_variant(variant, hops)
+    with pytest.raises(ModelError, match="unknown variant"):
+        _check_variant(variant.upper(), hops)
 
 
 def test_build_chain_validation():

@@ -632,6 +632,20 @@ def test_simulate_rejects_invalid_scenario(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_simulate_rate_too_large_to_draw_is_domain_error(tmp_path, capsys):
+    topo = concentric_topology(2)
+    sched_path, topo_path = tmp_path / "tamc.json", tmp_path / "topo.json"
+    save_schedule(generate("ta-mc", topo), sched_path)
+    save_topology(topo, topo_path)
+    code = main(["simulate", "--schedule", str(sched_path),
+                 "--topology", str(topo_path), "--rate", "1e20",
+                 "--queue", "16", "--runs", "1", "--packets", "10"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "1e+20" in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 @pytest.mark.parametrize("interval", ["0", "-1"])
 def test_nonpositive_interval_is_domain_error(files, capsys, command, interval):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slotmesh import queuemodel
 from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network)
 from slotmesh.queuemodel import TrafficSpec, _offered, evaluate_node
@@ -185,6 +186,26 @@ def test_md1k_variant_restricted_to_single_hop():
                                generation_rate=0.01, queue_capacity=4)
     with pytest.raises(NetworkModelError):
         evaluate_network(scenario, variant="md1k")
+
+
+@pytest.mark.parametrize("variant,message", [("bogus", "unknown variant"),
+                                             ("md1k", "single-hop")])
+def test_variant_is_refused_before_any_level(monkeypatch, variant, message):
+    # the variant is checked once, for the whole tree: no node is named and
+    # no chain is built
+    built = []
+    capped_rows = queuemodel._capped_rows
+    monkeypatch.setattr(queuemodel, "_capped_rows",
+                        lambda *args: built.append(args) or capped_rows(*args))
+    topo = concentric_topology(2)
+    scenario = NetworkScenario(schedule=generate("sbd", topo), topology=topo,
+                               generation_rate=0.01, queue_capacity=4)
+    with pytest.raises(NetworkModelError, match=message) as caught:
+        evaluate_network(scenario, variant=variant)
+    assert "node" not in str(caught.value)
+    assert built == []
+    evaluate_network(scenario)
+    assert built  # the recorder sees the chains that are built
 
 
 def _uneven_star_schedule():

@@ -36,6 +36,20 @@ def test_queue_sim_rejects_node_that_never_transmits():
                        SimConfig(seed=0, runs=1, packets=10))
 
 
+@pytest.mark.parametrize("simulate_at", [
+    lambda rate: simulate_queue(4, 3, (0,), TrafficSpec.constant(3, rate=rate),
+                                SimConfig(runs=1, packets=2)),
+    lambda rate: simulate_network(_two_node_scenario(rate=rate),
+                                  SimConfig(runs=1, packets=2, warmup_slots=0),
+                                  workers=1),
+], ids=["queue", "network"])
+def test_rate_too_large_to_draw_is_a_simulation_error(simulate_at):
+    # numpy refuses a Poisson rate above about 9.2e18; both simulators
+    # say so with the rate
+    with pytest.raises(SimulationError, match=r"1e\+20"):
+        simulate_at(1e20)
+
+
 def test_queue_sim_no_traffic():
     stats = simulate_queue(4, 3, (1,), TrafficSpec.constant(3),
                            SimConfig(seed=0, runs=3, packets=100))
