@@ -28,8 +28,7 @@ adds arrivals, so rows 0 and 1 are a Poisson of the summed rate plus
 one Bernoulli packet per forwarded slot: the capped Poisson row of that
 rate, built in the same :func:`arrival_pmf` call and tail pass as the
 slot rows, then one non-negative two-term step per forwarded slot. Row
-2 is built in that pass as its slot row is, with the slot's rate and
-Bernoulli probability, and has the slot row's bits.
+2 is a copy of the transmission slot's finished slot row.
 :func:`_capped_rows` takes no other order: :func:`_evaluate_stack`
 rotates each stack into it, and :func:`build_chain` rotates its node in
 and its slot rows back. So chains equal in their frames get the same
@@ -61,6 +60,7 @@ reduces exactly to an M/D/1/K queue.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,7 +229,7 @@ def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
     Factor t covers quiet run t of a chain's frame and the transmission
     slot that ends it, contiguous slots: row 0 holds the arrivals of the
     run alone, row 1 those of the run and its transmission slot, and row
-    2 those of the transmission slot alone, the bits of its slot row.
+    2 is a copy of that transmission slot's row.
     Rows 0 and 1 are a Poisson row of the summed rate, then one Bernoulli
     packet per forwarded slot. A chain without transmission slots has its
     whole frame in rows 0 and 1 of factor 0, and every other row without
@@ -241,22 +241,17 @@ def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
     width = max(int(sent[:, -1].max()), 1)
     # factor[b, i]: the factor of slot i, numbered over the whole stack:
     # the transmission slots before slot i. Factor row 3 factor is its run
-    # row, the next two its merged row and its transmission slot's row.
+    # row, the next two its merged row and the copy of its transmission
+    # slot's row.
     factor = 3 * (sent - sends + np.arange(0, chains * width, width)[:, None])
-    own = factor[sends] + 2
-    # a transmission slot's rate counts in its merged row and its own row;
-    # the latter sums one rate, so it is that slot's rate exactly
+    # a transmission slot's rate counts in its merged row only
     summed = np.bincount(
-        np.concatenate((factor.ravel(), factor.ravel() + 1, own)),
-        weights=np.concatenate(((rates * ~sends).ravel(), rates.ravel(),
-                                rates[sends])),
+        np.concatenate((factor.ravel(), factor.ravel() + 1)),
+        weights=np.concatenate(((rates * ~sends).ravel(), rates.ravel())),
         minlength=3 * chains * width)
-    # one row per (chain, slot) pair, then the factor rows, in one pass. A
-    # transmission slot's own row takes its Bernoulli packet here, as its
-    # slot row does, so the two get the same bits
+    # one row per (chain, slot) pair, then the factor rows, in one pass
     lam = np.concatenate((rates.ravel(), summed))
     p = np.concatenate((probs.ravel(), np.zeros(summed.size)))
-    p[chains * length + own] = probs[sends]
     rows = arrival_pmf(lam, p, capacity + 1)
     # the mass at K and beyond: one minus the head summed in order while
     # that is at least 1/2; a smaller complement would be mostly the head's
@@ -282,29 +277,30 @@ def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
     with np.errstate(divide="ignore"):
         at_cap = np.exp(capacity * np.log(lam) - math.lgamma(capacity + 1) - lam)
     rows[upper, -1] += at_cap * (p + series)
+    # a factor's row 2 is a copy of its transmission slot's finished row
+    base = chains * length
+    rows[base + factor[sends] + 2] = rows[:base][sends.ravel()]
     # each forwarded slot adds a Bernoulli packet to its factor's run and
     # merged rows h: (1 - p) h + p h shifted one level up, entry K
     # h[K] + p h[K - 1]. Step j takes the j-th tap of every chain, so no
     # row twice.
     taps = probs != 0
-    if taps.any():
-        rank = np.add.accumulate(taps, axis=1)
-        base = chains * length
-        for j in range(1, int(rank[:, -1].max()) + 1):
-            on = taps & (rank == j)
-            # a quiet slot's packet joins both rows, a transmission slot's
-            # the merged row only
-            alone = on & ~sends
-            ids = base + np.concatenate((factor[alone], factor[on] + 1))
-            q = np.concatenate((probs[alone], probs[on]))[:, None]
-            h = rows[ids]
-            step = (1.0 - q) * h
-            step[:, 1:] += q * h[:, :-1]
-            step[:, -1] = h[:, -1] + q[:, 0] * h[:, -2]
-            rows[ids] = step
+    rank = np.add.accumulate(taps, axis=1)
+    for j in range(1, int(rank[:, -1].max()) + 1):
+        on = taps & (rank == j)
+        # a quiet slot's packet joins both rows, a transmission slot's the
+        # merged row only
+        alone = on & ~sends
+        ids = base + np.concatenate((factor[alone], factor[on] + 1))
+        q = np.concatenate((probs[alone], probs[on]))[:, None]
+        h = rows[ids]
+        step = (1.0 - q) * h
+        step[:, 1:] += q * h[:, :-1]
+        step[:, -1] = h[:, -1] + q[:, 0] * h[:, -2]
+        rows[ids] = step
     rows.flags.writeable = False
-    return (rows[:chains * length].reshape(chains, length, capacity + 1),
-            rows[chains * length:].reshape(chains, width, 3, capacity + 1))
+    return (rows[:base].reshape(chains, length, capacity + 1),
+            rows[base:].reshape(chains, width, 3, capacity + 1))
 
 
 @dataclass(frozen=True)
@@ -465,8 +461,15 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
              for inputs in zip(tau, rates, probs)]
     firsts = [owner.index(d) for d in range(len(keys))]
     tau, rates, probs = tau[firsts], rates[firsts], probs[firsts]
-    rows, runs = _capped_rows(capacity, tau, rates, probs)
     offered = _offered(rates, probs)
+    # below the smallest normal float the Poisson terms keep too few bits
+    # to match the offered load
+    tiny = np.flatnonzero((offered > 0.0) & (offered < sys.float_info.min))
+    if tiny.size:
+        raise _at(ModelError(f"offered load {offered[tiny[0]]:g} packets per "
+                             f"slotframe is below the smallest normal float"),
+                  firsts[tiny[0]])
+    rows, runs = _capped_rows(capacity, tau, rates, probs)
     try:
         grid = stationary._solve_stack(rows, runs, tau)[0]
         paccept = acceptance_probability(grid, rows, offered)

@@ -55,6 +55,9 @@ Z95 = 1.96
 _BLOCK = 4096
 SINGLE_NODE_WARMUP_FRAMES = 10
 NETWORK_WARMUP_SECONDS = 900.0  # 15 simulated minutes
+# the largest network generation rate, packets per slot: a node whose
+# bucket overflows shuffles a list of about that many entries (8 MB)
+_MAX_NETWORK_RATE = 2**20
 
 
 class SimulationError(RuntimeError):
@@ -520,13 +523,17 @@ def simulate_network(scenario: NetworkScenario, config: SimConfig, *,
     up to ``workers`` processes (``1``: this process). ``None`` gives one
     process per run up to the usable CPUs when the runs are long enough to
     pay for the pool's start (``_default_workers``), else this process.
+    A generation rate above ``_MAX_NETWORK_RATE`` packets per slot, or one
+    at which ``config.packets`` packets take 2**62 slots or more, raises
+    :class:`SimulationError` before any run.
     """
     if workers is not None:
         check_workers(workers)
     n_nodes = scenario.topology.node_count
+    rate = scenario.generation_rate
     # nothing to track: no generation, or a sink alone, whose slots would
     # all be quiet, and a quiet slot never ends the run
-    if scenario.generation_rate == 0 or n_nodes == 1:
+    if rate == 0 or n_nodes == 1:
         delivery = np.ones((config.runs, n_nodes))
         delay = np.full((config.runs, n_nodes), math.nan)
         delay[:, 0] = 0.0  # no deliveries, no delay; a run sets the sink to 0
@@ -534,13 +541,21 @@ def simulate_network(scenario: NetworkScenario, config: SimConfig, *,
         return NetworkSimStats(delivery=delivery, delay_slots=delay,
                                throughput_pps=np.zeros(config.runs),
                                counts=counts)
+    if rate > _MAX_NETWORK_RATE:
+        raise SimulationError(f"generation rate {rate:g} packets per slot is "
+                              f"above the simulated limit of {_MAX_NETWORK_RATE}")
+    # the run's slot bound, an int, counts twenty windows of packets / rate
+    if config.packets / rate >= 2**62:
+        raise SimulationError(f"generation rate {rate:g} packets per slot is "
+                              f"too small to generate {config.packets} "
+                              f"packets per node")
     warmup = (config.warmup_slots if config.warmup_slots is not None
               else int(round(NETWORK_WARMUP_SECONDS
                              / scenario.schedule.slot_duration)))
     if workers is None:
         workers = _default_workers(
             config.runs,
-            (warmup + config.packets / scenario.generation_rate) * n_nodes)
+            (warmup + config.packets / rate) * n_nodes)
     runs = map_in_processes(
         partial(_simulate_network_run, scenario, config.packets, warmup),
         [[config.seed, run] for run in range(config.runs)], workers)

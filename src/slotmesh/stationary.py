@@ -61,8 +61,8 @@ the arrivals of run t and of its transmission slot, which
 Poisson row of the summed rate, one Bernoulli packet per forwarded
 slot). Only the empty queue can stay empty through the run and send
 nothing: row 0 is the run's own row times the transmission block
-``X_t``, built from the factor's third row, the transmission slot's own
-arrivals with the bits of its slot row. Row 0 of the ``Y_t`` is one
+``X_t``, built from the factor's third row, a copy of the transmission
+slot's row. Row 0 of the ``Y_t`` is one
 batched product per chunk of factors (below), and the rest T - 1 dense
 products, none for a node with one transmission slot per frame: no quiet
 slot is composed on its own.

@@ -646,6 +646,26 @@ def test_simulate_rate_too_large_to_draw_is_domain_error(tmp_path, capsys):
     assert "1e+20" in err
 
 
+def test_analyze_load_below_smallest_normal_float_is_domain_error(files,
+                                                                  capsys):
+    _, sched, topo = files
+    assert main(["analyze", "--schedule", sched, "--topology", topo,
+                 "--rate", "5e-324", "--queue", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("rate", ["1e-310", "1e7"])
+def test_simulate_rate_it_cannot_run_is_domain_error(files, capsys, rate):
+    _, sched, topo = files
+    assert main(["simulate", "--schedule", sched, "--topology", topo,
+                 "--rate", rate, "--queue", "16", "--runs", "1",
+                 "--packets", "10", "--warmup-slots", "0",
+                 "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 @pytest.mark.parametrize("interval", ["0", "-1"])
 def test_nonpositive_interval_is_domain_error(files, capsys, command, interval):

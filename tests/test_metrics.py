@@ -201,6 +201,15 @@ def test_variant_rejects_tx_slot_outside_frame(variant):
             evaluate_node(3, 5, tx, traffic, variant=variant)
 
 
+@pytest.mark.parametrize("rate,load", [(1e-315, "5e-315"),
+                                       (5e-324, "2.47033e-323")])
+def test_load_below_smallest_normal_float_rejected(rate, load):
+    # the Poisson terms of such a load keep too few bits: at 1e-315 the
+    # acceptance read 1.00000001, at 5e-324 it read 0
+    with pytest.raises(ModelError, match=load):
+        evaluate_node(16, 5, (2,), TrafficSpec.constant(5, rate=rate))
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(ModelError):
         evaluate_node(3, 2, (0,), TrafficSpec.constant(2, rate=0.1),

@@ -208,6 +208,19 @@ def test_variant_is_refused_before_any_level(monkeypatch, variant, message):
     assert built  # the recorder sees the chains that are built
 
 
+def test_load_below_smallest_normal_float_is_refused_before_any_row(
+        monkeypatch):
+    built = []
+    monkeypatch.setattr(queuemodel, "_capped_rows",
+                        lambda *args: built.append(args))
+    topo = concentric_topology(2)
+    scenario = NetworkScenario(schedule=generate("sbd", topo), topology=topo,
+                               generation_rate=5e-324, queue_capacity=16)
+    with pytest.raises(NetworkModelError, match="^node 7: offered load"):
+        evaluate_network(scenario)
+    assert built == []
+
+
 def _uneven_star_schedule():
     # one slot per node on a single channel, nodes 1 and 3 get a second one
     tx = {1: (1, 7), 2: (2,), 3: (3, 8), 4: (4,), 5: (5,), 6: (6,)}

@@ -50,6 +50,26 @@ def test_rate_too_large_to_draw_is_a_simulation_error(simulate_at):
         simulate_at(1e20)
 
 
+@pytest.mark.parametrize("rate,shown", [(1e-310, "1e-310"), (1e7, r"1e\+07")])
+def test_network_sim_refuses_rates_it_cannot_run(rate, shown):
+    # 1e-310 would overflow the run's slot bound; above 2**20 a full node
+    # would shuffle a list as long as its bucket
+    with pytest.raises(SimulationError, match=shown):
+        simulate_network(_two_node_scenario(rate=rate),
+                         SimConfig(runs=1, packets=1, warmup_slots=0), workers=1)
+
+
+def test_network_sim_saturated_below_rate_bound_balances():
+    topo = concentric_topology(1)
+    scenario = NetworkScenario(schedule=generate("sbd", topo), topology=topo,
+                               generation_rate=4.0, queue_capacity=4)
+    stats = simulate_network(scenario,
+                             SimConfig(runs=1, packets=2, warmup_slots=0),
+                             workers=1)
+    (counts,) = stats.counts
+    assert counts.conserved() and counts.dropped > 0
+
+
 def test_queue_sim_no_traffic():
     stats = simulate_queue(4, 3, (1,), TrafficSpec.constant(3),
                            SimConfig(seed=0, runs=3, packets=100))
