@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from operator import index
+from operator import index, lt
 
 import numpy as np
 
@@ -109,23 +109,30 @@ class Schedule:
             if len(value) != self.node_count:
                 raise ScheduleError(f"{name} must have one entry per node")
             object.__setattr__(self, name, value)
-        for n in range(self.node_count):
-            if not _ints(*self.tx_slots[n], *self.rx_slots[n],
-                         *self.counterpart[n].values(), *self.channel[n].values()):
+        length, count = self.slotframe_length, self.node_count
+        for n, (tx, rx, peer, channel) in enumerate(zip(
+                self.tx_slots, self.rx_slots, self.counterpart, self.channel)):
+            if not _ints(*tx, *rx, *peer.values(), *channel.values()):
                 raise ScheduleError(
                     f"node {n}: slots, peers and channels must be integers")
-            _check_slot_tuple(self.tx_slots[n], self.slotframe_length, f"node {n} tx")
-            _check_slot_tuple(self.rx_slots[n], self.slotframe_length, f"node {n} rx")
-            active = set(self.tx_slots[n]) | set(self.rx_slots[n])
-            for label, mapping in (("counterpart", self.counterpart[n]),
-                                   ("channel", self.channel[n])):
-                if set(mapping) != active:
+            # a tuple is strictly ascending inside [0, length) when its ends
+            # are and each slot is below the next; it is walked slot by
+            # slot only to word the error
+            for slots, what in ((tx, "tx"), (rx, "rx")):
+                if slots and not (0 <= slots[0] and slots[-1] < length
+                                  and all(map(lt, slots, slots[1:]))):
+                    _check_slot_tuple(slots, length, f"node {n} {what}")
+            active = {*tx, *rx}
+            for label, mapping in (("counterpart", peer), ("channel", channel)):
+                if mapping.keys() != active:
                     raise ScheduleError(
                         f"node {n}: {label} must be defined exactly on its "
                         f"TX and RX slots")
-            for i, peer in self.counterpart[n].items():
-                if not 0 <= peer < self.node_count or peer == n:
-                    raise ScheduleError(f"node {n} slot {i}: invalid peer {peer}")
+            peers = peer.values()
+            if peers and (min(peers) < 0 or max(peers) >= count or n in peers):
+                for i, p in peer.items():
+                    if not 0 <= p < count or p == n:
+                        raise ScheduleError(f"node {n} slot {i}: invalid peer {p}")
 
 
 @dataclass(frozen=True)
@@ -168,12 +175,8 @@ class Topology:
                 raise ScheduleError(f"invalid edge {e}")
             norm.add((min(e), max(e)))
         object.__setattr__(self, "edges", frozenset(norm))
-        nbrs = [set() for _ in range(self.node_count)]
-        for v, w in norm:
-            nbrs[v].add(w)
-            nbrs[w].add(v)
-        object.__setattr__(self, "_neighbor_sets", tuple(map(frozenset, nbrs)))
-        object.__setattr__(self, "neighbors", tuple(tuple(sorted(s)) for s in nbrs))
+        # before anything is built per node: a count the parents do not
+        # match may be far too large to build for
         try:
             parents = tuple(self.parents)
         except TypeError:
@@ -181,6 +184,12 @@ class Topology:
         object.__setattr__(self, "parents", parents)
         if len(parents) != self.node_count:
             raise ScheduleError("parents must have one entry per node")
+        nbrs = [set() for _ in range(self.node_count)]
+        for v, w in norm:
+            nbrs[v].add(w)
+            nbrs[w].add(v)
+        object.__setattr__(self, "_neighbor_sets", tuple(map(frozenset, nbrs)))
+        object.__setattr__(self, "neighbors", tuple(tuple(sorted(s)) for s in nbrs))
         if parents[self.ROOT] is not None:
             raise ScheduleError("root (node 0) must have no parent")
         children = [[] for _ in range(self.node_count)]
@@ -245,13 +254,17 @@ class ConflictReport:
         return "\n".join(lines)
 
 
+def _link_range(topology: Topology, link: Link) -> frozenset[int]:
+    """The nodes within radio range of either endpoint of ``link``."""
+    return topology._near(link[0]) | topology._near(link[1])
+
+
 def _disturbs(topology: Topology, l1: Link, l2: Link) -> bool:
     # Link 2 can disturb link 1 when either of its endpoints is a neighbour
     # of either endpoint of link 1 (data and acknowledgment directions both
-    # considered). The callers pass links of distinct transmitters.
-    v2, w2 = l2
-    near_v1, near_w1 = topology._near(l1[0]), topology._near(l1[1])
-    return v2 in near_v1 or v2 in near_w1 or w2 in near_v1 or w2 in near_w1
+    # considered). The callers pass links of distinct transmitters;
+    # validate applies this a group at a time, taking each link's range once.
+    return not _link_range(topology, l1).isdisjoint(l2)
 
 
 def validate(schedule: Schedule, topology: Topology) -> ConflictReport:
@@ -288,9 +301,13 @@ def validate(schedule: Schedule, topology: Topology) -> ConflictReport:
             m = peer[i]
             if i not in tx_sets[m] or schedule.counterpart[m].get(i) != n:
                 violations.append(f"link_consistency: node {n} rx slot {i} <- {m}")
-    collisions = sorted((slot, l1, l2) for (slot, _), links in groups.items()
-                        for a, l1 in enumerate(links) for l2 in links[a + 1:]
-                        if _disturbs(topology, l1, l2))
+    collisions = []
+    for (slot, _), links in groups.items():
+        for a, l1 in enumerate(links[:-1]):
+            near = _link_range(topology, l1)
+            collisions += [(slot, l1, l2) for l2 in links[a + 1:]
+                           if not near.isdisjoint(l2)]
+    collisions.sort()
     return ConflictReport(channel_collisions=tuple(collisions),
                           invariant_violations=tuple(violations))
 
@@ -305,6 +322,10 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
     if not required <= obj.keys():
         raise ScheduleFormatError(
             f"{where}: missing keys {sorted(required - obj.keys())}")
+
+
+_NODE_KEYS = {"id", "tx", "rx"}
+_CELL_KEYS = {"slot", "peer", "channel"}
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:
@@ -340,42 +361,46 @@ def schedule_from_dict(data: dict) -> Schedule:
     rx = [None] * count
     cp = [None] * count
     ch = [None] * count
+    # each entry and cell is tested by one comparison of its keys; the
+    # checks that word an error run only on a failure
     for entry in nodes:
-        if not isinstance(entry, dict):
-            raise ScheduleFormatError("schedule: node entries must be objects")
-        _require_keys(entry, {"id", "tx", "rx"}, {"id", "tx", "rx"}, "schedule node")
+        if not (isinstance(entry, dict) and entry.keys() == _NODE_KEYS):
+            if not isinstance(entry, dict):
+                raise ScheduleFormatError("schedule: node entries must be objects")
+            _require_keys(entry, _NODE_KEYS, _NODE_KEYS, "schedule node")
         n = entry["id"]
         if not _ints(n) or not 0 <= n < count or tx[n] is not None:
             raise ScheduleFormatError(
                 f"schedule: node ids must cover 0..{count - 1} exactly once (got {n!r})")
-        tx[n], rx[n] = [], []
-        cells = []
-        for kind, target in (("tx", tx[n]), ("rx", rx[n])):
+        for kind in ("tx", "rx"):
             listed = entry[kind]
             if not isinstance(listed, list):
                 raise ScheduleFormatError(f"schedule node {n}: '{kind}' must be a list")
             for cell in listed:
-                if not isinstance(cell, dict):
-                    raise ScheduleFormatError(f"schedule node {n}: {kind} cells must be objects")
-                _require_keys(cell, {"slot", "peer", "channel"},
-                              {"slot", "peer", "channel"}, f"schedule node {n} {kind} cell")
-                target.append(cell["slot"])
-            cells += listed
+                if not (isinstance(cell, dict) and cell.keys() == _CELL_KEYS):
+                    if not isinstance(cell, dict):
+                        raise ScheduleFormatError(
+                            f"schedule node {n}: {kind} cells must be objects")
+                    _require_keys(cell, _CELL_KEYS, _CELL_KEYS,
+                                  f"schedule node {n} {kind} cell")
+        cells = entry["tx"] + entry["rx"]
+        tx[n] = [cell["slot"] for cell in entry["tx"]]
+        rx[n] = [cell["slot"] for cell in entry["rx"]]
         # slots are dict keys below, so they are checked first
         if not _ints(*tx[n], *rx[n]):
             raise ScheduleFormatError(f"schedule node {n}: slots must be integers")
-        peers = cp[n] = {}
-        channels = ch[n] = {}
-        for cell in cells:
-            i = cell["slot"]
-            if i in peers and (peers[i], channels[i]) != (cell["peer"], cell["channel"]):
-                # a slot listed under both tx and rx is representable (and
-                # reported by validate) only while peer and channel agree
-                raise ScheduleFormatError(
-                    f"schedule node {n}: slot {i} assigned twice with "
-                    f"conflicting peer or channel")
-            peers[i] = cell["peer"]
-            channels[i] = cell["channel"]
+        cp[n] = {cell["slot"]: cell["peer"] for cell in cells}
+        ch[n] = {cell["slot"]: cell["channel"] for cell in cells}
+        if len(cp[n]) < len(cells):
+            # a slot listed under both tx and rx is representable (and
+            # reported by validate) only while peer and channel agree
+            first = {}
+            for cell in cells:
+                i, pair = cell["slot"], (cell["peer"], cell["channel"])
+                if first.setdefault(i, pair) != pair:
+                    raise ScheduleFormatError(
+                        f"schedule node {n}: slot {i} assigned twice with "
+                        f"conflicting peer or channel")
     try:
         return Schedule(
             node_count=count,

@@ -10,12 +10,16 @@ slot per node in its subtree, so forwarding capacity matches offered load.
 The traffic-aware algorithms are executed as deterministic message-driven
 procedures: nodes exchange messages over an in-process FIFO queue with
 reliable, ordered delivery, and children are always visited in ascending
-node id, so identical inputs produce byte-identical schedules.
+node id, so identical inputs produce byte-identical schedules. In
+``ta-mc`` the ``block`` messages of one announcement are sent back to
+back, as are the forwards they set off, so each group is one queue entry,
+handled in one call; the trace still has one line per message, written
+where each is sent, so it reads as if each had been queued alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 
 from .schedule import CHANNELS_2_4GHZ, DEFAULT_SLOT_DURATION, Schedule, Topology
 
@@ -29,17 +33,36 @@ class ChannelExhaustionError(SchedulerError):
 
 
 class _MessageQueue:
-    """FIFO message transport shared by the distributed algorithms."""
+    """FIFO message transport shared by the distributed algorithms.
+
+    ``send`` queues one message from ``src`` to ``dst``. ``send_each``
+    queues the messages ``kind payload`` from each of ``srcs`` to the
+    matching one of ``dsts`` as one entry: nothing can run between
+    messages sent back to back, so the handler takes them in one call,
+    with the two sequences in place of sender and receiver. Either way
+    ``trace`` gets one line per message when it is sent."""
 
     def __init__(self, trace=None):
         self._pending = deque()
         self.trace = trace
+        if trace is None:
+            # untraced, sending is queueing: no trace test per message
+            self.send = self.send_each = self._queue
+
+    def _queue(self, kind, src, dst, payload=()):
+        self._pending.append((kind, src, dst, payload))
+
+    def _log(self, kind, links, payload):
+        rendered = "".join(f" {p}" for p in payload)
+        self.trace.extend(f"{kind} {src}->{dst}{rendered}" for src, dst in links)
 
     def send(self, kind, src, dst, payload=()):
-        if self.trace is not None:
-            rendered = " ".join(str(p) for p in payload)
-            self.trace.append(f"{kind} {src}->{dst}" + (f" {rendered}" if rendered else ""))
-        self._pending.append((kind, src, dst, payload))
+        self._log(kind, ((src, dst),), payload)
+        self._queue(kind, src, dst, payload)
+
+    def send_each(self, kind, srcs, dsts, payload=()):
+        self._log(kind, zip(srcs, dsts), payload)
+        self._queue(kind, srcs, dsts, payload)
 
     def run(self, handler):
         while self._pending:
@@ -173,24 +196,24 @@ def _ta_multi(topology, trace, slot_duration) -> Schedule:
     # a list, so that a one-node tree (no gamma[1:]) still has a maximum
     length = 1 + max([gamma[0], *(2 * g + 1 for g in gamma[1:])])
     cells = _Cells(topology.node_count)
-    # per node: slot -> channels blocked there
-    blocked = [{} for _ in range(topology.node_count)]
+    # per slot: channel -> nodes where it is blocked in that slot
+    blocked = [defaultdict(set) for _ in range(length)]
     children = [iter(c) for c in topology.children]
     queue = _MessageQueue(trace)
 
     def pick_channel(n, i):
-        taken = blocked[n].get(i, ())
+        taken = blocked[i]
         for c in CHANNELS_2_4GHZ:
-            if c not in taken:
+            if n not in taken.get(c, ()):
                 return c
         raise ChannelExhaustionError(
             f"no free channel for node {n} in slot {i}; "
             f"all {len(CHANNELS_2_4GHZ)} channels are blocked")
 
     def announce(n, peer, i, c):
-        for v in topology.neighbors[n]:
-            if v != peer:
-                queue.send("block", n, v, (i, c, True))
+        # one entry for the announcement to every neighbour but the peer
+        targets = [v for v in topology.neighbors[n] if v != peer]
+        queue.send_each("block", (n,) * len(targets), targets, (i, c, True))
 
     def dispatch(kind, src, n, payload):
         if kind == "track":
@@ -220,10 +243,14 @@ def _ta_multi(topology, trace, slot_duration) -> Schedule:
             cells.add(cells.tx, n, i, src, c)
             announce(n, src, i, c)
         elif kind == "block":
+            # n holds the receivers of one announcement or of its forwards
             i, c, forward = payload
-            blocked[n].setdefault(i, set()).add(c)
-            if forward and n != topology.ROOT:
-                queue.send("block", n, topology.parents[n], (i, c, False))
+            blocked[i][c].update(n)
+            if forward:
+                senders = [v for v in n if v != topology.ROOT]
+                queue.send_each("block", senders,
+                                [topology.parents[v] for v in senders],
+                                (i, c, False))
 
     dispatch("track", -1, topology.ROOT, ())
     queue.run(dispatch)

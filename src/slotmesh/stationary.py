@@ -80,7 +80,8 @@ eliminated over the T columns below it only, ``O(n^2 T)`` work instead
 of ``O(n^3)``, with the bits of the full elimination since the entries
 it skips are exact zeros. In a band of one, the ladder node's and every
 stack of one-slot senders, the scaled row is exactly one and the
-elimination is the suffix sums of the columns, one accumulation. The
+elimination is the suffix sums of the columns, accumulated a block of
+rows at a time from the first column the back-substitution reads. The
 solutions at s are carried through the real blocks of the frame
 (:func:`_carry`), gathered back into a ``(B, S, K + 1)`` grid in each
 chain's slot order, one chain's states flattened as ``i * (K + 1) + q``,
@@ -221,8 +222,9 @@ def _gth(dense: np.ndarray, lower: int) -> np.ndarray:
     ``k`` scales its row band by ``1 / s_k``, ``s_k`` the row sum over the
     states left. In a band of one the scaled band is exactly one, so the
     elimination adds each column to the one before it: column ``k`` ends
-    as the suffix sum of the columns from ``k`` on, taken in one
-    accumulation with the same bits. The back-substitution takes
+    as the suffix sum of the columns from ``k`` on, accumulated from the
+    last column with the same bits, and only where the back-substitution
+    reads it. The back-substitution takes
     ``_STATES`` states at a time, dividing by the pivots ``s_k`` there,
     and scales each chain's block by powers of two of its own.
     """
@@ -232,9 +234,14 @@ def _gth(dense: np.ndarray, lower: int) -> np.ndarray:
         sums = np.diagonal(dense, offset=-1, axis1=1, axis2=2)
         # written through a reversed view, so that a itself is in order:
         # the back-substitution's products then take the same path as for
-        # a wider band
+        # a wider band. It reads a block's rows from the block's first
+        # column on, the square included, which the product with _UPPER
+        # needs finite; row 0 goes with the first block
         a = np.empty(dense.shape)
-        np.add.accumulate(dense[:, :, ::-1], axis=2, out=a[:, :, ::-1])
+        for low in range(1, n, _STATES):
+            rows = slice(low if low > 1 else 0, low + _STATES)
+            np.add.accumulate(dense[:, rows, :low - 1:-1], axis=2,
+                              out=a[:, rows, :low - 1:-1])
     else:
         a = np.array(dense, dtype=float, order="C")
         sums = np.empty((len(a), n - 1))

@@ -148,6 +148,8 @@ def _link(channel):
     ("topology", {"nodes": 3, "edges": [[0]], "parents": [None, 0, 1]}),
     ("topology", {"nodes": 3, "edges": [[0, 1], [1, 2]], "parents": None}),
     ("topology", {"nodes": 3, "edges": [[0, 1], [1, 2]], "parents": [None, 0]}),
+    # refused before a neighbour set is built per node
+    ("topology", {"nodes": 10**30, "edges": [[0, 1]], "parents": [None, 0]}),
     ("topology", {"nodes": 7.0, "edges": [], "parents": [None]}),
     ("topology", {"nodes": "7", "edges": [], "parents": [None]}),
     ("topology", {"nodes": 2, "edges": [[0.0, 1]], "parents": [None, 0]}),
@@ -161,7 +163,8 @@ def _link(channel):
         "slot_duration_string", "channel_string", "channel_null", "id_bool",
         "slot_list", "schedule_directory", "schedule_not_utf8",
         "slot_duration_infinite", "slot_duration_huge_int", "topology_list", "topology_missing_key", "edges_not_list",
-        "edge_short", "parents_not_list", "parents_short", "nodes_float",
+        "edge_short", "parents_not_list", "parents_short", "nodes_huge",
+        "nodes_float",
         "nodes_string", "edge_float", "edge_string", "edge_list",
         "topology_directory"])
 def test_malformed_file_is_input_error(files, capsys, kind, content):
@@ -202,6 +205,17 @@ def test_unwritable_output_is_input_error(files, capsys, command, option):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert repr(str(target)) in err
+
+
+def test_schedule_error_words_reach_validate(files, capsys):
+    tmp_path, _, topo = files
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"slotframe_length": 3, "nodes": [
+        {"id": 0, "tx": [5], "rx": []}]}))
+    assert main(["validate", "--schedule", str(path), "--topology", topo]) == 2
+    assert capsys.readouterr().err == (
+        f"error: schedule file {str(path)!r}: "
+        f"schedule node 0: tx cells must be objects\n")
 
 
 def test_malformed_json_is_input_error(files, capsys):

@@ -11,7 +11,8 @@ from slotmesh.schedule import (Schedule, ScheduleError, ScheduleFormatError,
                                Topology, _disturbs, load_schedule,
                                load_topology, save_schedule,
                                save_topology, schedule_from_dict,
-                               schedule_to_dict, topology_to_dict, validate)
+                               schedule_to_dict, topology_from_dict,
+                               topology_to_dict, validate)
 
 
 def _two_link_schedule(ch1=11, ch2=12):
@@ -274,6 +275,49 @@ def test_schedule_file_rejects_unknown_keys(three_node_schedule):
     data["nodes"][0]["tx"] = [{"slot": 1, "peer": 1, "channel": 11, "x": 0}]
     with pytest.raises(ScheduleFormatError):
         schedule_from_dict(data)
+
+
+_CELL = {"slot": 0, "peer": 1, "channel": 11}
+
+
+def _two_nodes(tx0, rx0=(), ids=(0, 1)):
+    """A two-node schedule file body whose node 0 lists ``tx0`` and
+    ``rx0``; node 1 lists nothing."""
+    return {"slotframe_length": 3, "nodes": [
+        {"id": ids[0], "tx": tx0, "rx": list(rx0)},
+        {"id": ids[1], "tx": [], "rx": []}]}
+
+
+@pytest.mark.parametrize("data,message", [
+    (_two_nodes([5]), "schedule node 0: tx cells must be objects"),
+    (_two_nodes([{**_CELL, "x": 0}]),
+     "schedule node 0 tx cell: unknown keys ['x']"),
+    (_two_nodes([], [{"slot": 0, "peer": 1}]),
+     "schedule node 0 rx cell: missing keys ['channel']"),
+    (_two_nodes({}), "schedule node 0: 'tx' must be a list"),
+    (_two_nodes([], ids=(0, 0)),
+     "schedule: node ids must cover 0..1 exactly once (got 0)"),
+    (_two_nodes([_CELL], [{**_CELL, "peer": 0}]),
+     "schedule node 0: slot 0 assigned twice with conflicting peer or channel"),
+    # the first conflict in file order is named, not the first slot listed
+    (_two_nodes([_CELL, {**_CELL, "slot": 1}],
+                [{**_CELL, "slot": 1, "channel": 12}, {**_CELL, "peer": 0}]),
+     "schedule node 0: slot 1 assigned twice with conflicting peer or channel"),
+], ids=["cell_not_object", "cell_unknown_key", "cell_missing_channel",
+        "tx_not_list", "node_id_twice", "slot_conflicting_peer",
+        "first_conflict_named"])
+def test_schedule_file_error_words(data, message):
+    with pytest.raises(ScheduleFormatError) as exc:
+        schedule_from_dict(data)
+    assert str(exc.value) == message
+
+
+def test_topology_count_checked_against_parents_before_building():
+    # ten to the thirty neighbour sets would never finish building
+    with pytest.raises(ScheduleFormatError) as exc:
+        topology_from_dict({"nodes": 10**30, "edges": [[0, 1]],
+                            "parents": [None, 0]})
+    assert str(exc.value) == "topology: parents must have one entry per node"
 
 
 def test_topology_file_rejects_bad_content(tmp_path):

@@ -207,10 +207,13 @@ GOLDEN_TOPOLOGIES = {
     "rings1": lambda: concentric_topology(1),
     "rings2": lambda: concentric_topology(2),
     "rings3": lambda: concentric_topology(3),
+    "rings6": lambda: concentric_topology(6),
+    "rings8": lambda: concentric_topology(8),
     "single": lambda: Topology(1, frozenset(), (None,)),
     "tree12": lambda: random_tree(1, 12),
     "tree25": lambda: random_tree(2, 25),
     "tree40": lambda: random_tree(3, 40),
+    "tree120": lambda: random_tree(4, 120),
 }
 
 
@@ -258,6 +261,26 @@ GOLDEN = {
         "ta-mc":
             "038bdb40538d4efb9a892814367a7990d358036bcce77998399ac24028a81198",
     },
+    "rings6": {
+        "descendants":
+            "04f7443cf4d2a3810edefcc6f5c5d3ed2e0f8fe021ab7f3fc11150a753045d62",
+        "sbd":
+            "42c4e9d9da60feae52d2a94f47accd9f54c07c315018fc35f4de491e302a41e0",
+        "ta-sc":
+            "bee835cdf40fdd68aee8800ab1cad00fbcb5f8d5e45f1fe53366a51fb2c59840",
+        "ta-mc":
+            "83b1ef2be6471f80fb5e0d7f7e35f65abd289c9b7cc3662c0f1e56714ac48186",
+    },
+    "rings8": {
+        "descendants":
+            "c51ae481ccd133847d69b8a41d5feb1e8a9f03cc0459a312164dd5eadb659eca",
+        "sbd":
+            "91bfb308d4e9579a69c597ab4462f8dcfceb7b62bc7557a6f6e7efcd58a547fb",
+        "ta-sc":
+            "51993545cc876a40ae52781ced7006ed56eaceae73ceb1f402ecaa5f0510e8fd",
+        "ta-mc":
+            "72a533871d3a20d39fa67e26432cc6234e37fe4ea903e28bda2fcdf3dbdbe077",
+    },
     "single": {
         "descendants":
             "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
@@ -298,6 +321,16 @@ GOLDEN = {
         "ta-mc":
             "32d28ef3de89e7d85755f93280aa78d9508653917a03c4361c43df326141fd78",
     },
+    "tree120": {
+        "descendants":
+            "64848c178a2a9de159f2c0a07223d2571d2c20e450564258c6228e8f02de7392",
+        "sbd":
+            "3e1af1146a05a01a27e3c69b24eabe8a30521a464bbea88510f47882592f6265",
+        "ta-sc":
+            "707b8f6681dd7f1a54cbdf97b38bb8201aad10867c90394ca8357a7950da794d",
+        "ta-mc":
+            "797b1ae955b189ee6119f8d351f5645aa1605321f460ed5f1f1e2303e0bfcc48",
+    },
 }
 
 
@@ -306,3 +339,12 @@ def test_generators_golden(case):
     topology = GOLDEN_TOPOLOGIES[case]()
     assert {algorithm: golden_digest(algorithm, topology)
             for algorithm in ("descendants", *ALGORITHMS)} == GOLDEN[case]
+
+
+def test_untraced_generation_matches_traced():
+    # without a trace the transport only queues, a path of its own
+    for case in sorted(GOLDEN):
+        topology = GOLDEN_TOPOLOGIES[case]()
+        for algorithm in ALGORITHMS:
+            assert (generate(algorithm, topology)
+                    == generate(algorithm, topology, trace=[]))

@@ -667,12 +667,12 @@ def dense_gth(matrix):
 
 
 @st.composite
-def banded_matrices(draw, max_states=30):
+def banded_matrices(draw, max_states=30, max_width=None):
     """Irreducible stochastic matrices that move at most ``L`` states
-    down, ``L`` from 1 to ``n - 1``, with random zeros above the band's
-    first subdiagonal."""
+    down, ``L`` from 1 to ``n - 1`` (or ``max_width``), with random zeros
+    above the band's first subdiagonal."""
     n = draw(st.integers(min_value=2, max_value=max_states))
-    width = draw(st.integers(min_value=1, max_value=n - 1))
+    width = draw(st.integers(min_value=1, max_value=min(n - 1, max_width or n)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     levels = np.arange(n)
     down = levels[:, None] - levels
@@ -705,6 +705,18 @@ def test_blocked_back_substitution_matches_dense_gth(case):
     matrix, width = case
     assert np.array_equal(stationary._gth(matrix[None], width)[0],
                           dense_gth(matrix))
+
+
+@given(banded_matrices(max_states=100, max_width=1))
+@settings(max_examples=50, deadline=None)
+def test_band_one_gth_reads_only_entries_it_writes(case):
+    # the band-one path accumulates only where the back-substitution
+    # reads; with every other entry of the array it fills NaN, a read
+    # elsewhere shows, as NaN times the zeros of _UPPER is NaN
+    matrix, _ = case
+    with mock.patch.object(np, "empty", lambda shape: np.full(shape, np.nan)):
+        x = stationary._gth(matrix[None], 1)[0]
+    assert np.array_equal(x, dense_gth(matrix))
 
 
 @given(banded_matrices(), st.data())
