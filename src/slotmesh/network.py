@@ -174,7 +174,8 @@ def evaluate_network(scenario: NetworkScenario, *,
     sink_marginals = np.zeros(capacity + 1)
     sink_marginals[0] = 1.0
     metrics[topology.ROOT] = NodeMetrics(
-        distribution=None,
+        grid=None,
+        shift=0,
         tx_probability=np.zeros(length),
         acceptance=1.0,
         expected_delay_slots=0.0,

@@ -31,16 +31,20 @@ slot rows, then one non-negative two-term step per forwarded slot. Row
 2 is a copy of the transmission slot's finished slot row.
 :func:`_capped_rows` takes no other order: :func:`_evaluate_stack`
 rotates each stack into it, and :func:`build_chain` rotates its node in
-and its slot rows back. So chains equal in their frames get the same
-rows, stacked together or each from :func:`build_chain`.
+and its slot rows back, which :func:`slotmesh.stationary.solve` rotates
+in again. So chains equal in their frames get the same rows, stacked
+together or each from :func:`build_chain`.
 :mod:`slotmesh.stationary` alone builds the blocks from these rows, and
 its docstring gives their format, the tail rule and how the factors
 make up a frame. The Poisson terms
 are ``exp(k log(lambda) - log(k!) - lambda)`` in numpy, ``log(k!)`` from
 one cumulative sum of logarithms and the ``k = 0`` term ``exp(-lambda)``,
 so that a zero rate gives exactly one and zeros. The solved stack is a
-``(B, S, K + 1)`` grid, slot-major (:meth:`QueueChain.state_index`).
-Each per-node metric has one function, a reduction of that grid that
+``(B, S, K + 1)`` grid in the same frames, slot-major, and results stay
+there: each node's :class:`NodeMetrics` holds a read-only view of its
+distinct chain's grid and the slot its frame starts at, and rotates its
+``distribution`` back to slot order only when it is read. Each per-node
+metric has one function, a reduction of that grid that
 keeps the leading chain axis: :func:`transmission_probability`,
 :func:`acceptance_probability`, :func:`expected_delay` and
 :func:`queue_marginals`. :func:`build_chain` and :func:`evaluate_node`
@@ -352,6 +356,8 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     (:func:`slotmesh.stationary._rotation`), as every stack is, and the
     slot rows rotated back to slot order, read-only: a node and the same
     node shifted round the slotframe get the same factor rows.
+    :func:`slotmesh.stationary.solve` rotates the slot rows into that
+    frame again, since the solver takes no other order.
     """
     rates, probs = traffic._arrays()
     tau = _check_node(capacity, slotframe_length, [tx_slots], rates, probs)
@@ -428,16 +434,29 @@ def queue_marginals(grid: np.ndarray) -> np.ndarray:
 class NodeMetrics:
     """Stationary metrics of one node's queue.
 
-    ``distribution`` is ``None`` for nodes that are not modeled by a chain
-    (the sink consumes packets immediately).
+    ``grid`` is the node's ``(S, K + 1)`` step-by-level stationary grid in
+    its frame from s, which starts at slot ``shift``: a read-only view of
+    the one grid its stack solved for every node with the same chain in
+    that frame. ``distribution`` rotates it back to slot order when read.
+    ``grid`` and ``distribution`` are ``None`` for nodes that are not
+    modeled by a chain (the sink consumes packets immediately).
+    ``tx_probability`` is in slot order.
     """
 
-    distribution: np.ndarray | None
+    grid: np.ndarray | None
+    shift: int
     tx_probability: np.ndarray
     acceptance: float
     expected_delay_slots: float
     queue_marginals: np.ndarray
     total_arrivals: float
+
+    @property
+    def distribution(self) -> np.ndarray | None:
+        """The stationary distribution over the states ``(q, i)`` at ``i *
+        (K + 1) + q``, in slot order: ``grid`` rotated back, a new array
+        on each read; ``None`` without a chain."""
+        return None if self.grid is None else np.roll(self.grid, self.shift, 0).ravel()
 
 
 def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
@@ -448,13 +467,14 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
 
     Chains whose inputs are byte-equal in their frames from s
     (:func:`slotmesh.stationary._rotation`) are built, solved and
-    summarized once, in that frame; each gets arrays of its own, its
-    distribution and transmission probabilities back in its own slot
-    order, and an error names the first of them.
+    summarized once, in that frame, and an error names the first of
+    them. Each gets a view of its distinct chain's read-only frame-order
+    grid with the slot its frame starts at, and its transmission
+    probabilities in its own slot order, all from one gather.
     """
     frame, back = stationary._rotation(tau)
-    chain = np.arange(len(tau))[:, None]
-    tau, rates, probs = (x[chain, frame] for x in (tau, rates, probs))
+    tau, rates, probs = (np.take_along_axis(x, frame, axis=1)
+                         for x in (tau, rates, probs))
     # chain b is distinct chain d = owner[b], whose first is chain firsts[d]
     keys = {}
     owner = [keys.setdefault(tuple(x.tobytes() for x in inputs), len(keys))
@@ -475,12 +495,12 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
         paccept = acceptance_probability(grid, rows, offered)
     except (ModelError, StationaryError) as exc:
         raise _at(exc, firsts[exc.index])
-    tx = transmission_probability(grid, tau)
+    grid.flags.writeable = False
+    tx = transmission_probability(grid, tau)[np.array(owner)[:, None], back]
     delay = expected_delay(grid, tau)
     marginals = queue_marginals(grid)[owner]
-    return [NodeMetrics(distribution=grid[d, back[b]].ravel(),
-                        tx_probability=tx[d, back[b]],
-                        acceptance=float(paccept[d]),
+    return [NodeMetrics(grid=grid[d], shift=int(frame[b, 0]),
+                        tx_probability=tx[b], acceptance=float(paccept[d]),
                         expected_delay_slots=float(delay[d]),
                         queue_marginals=marginals[b],
                         total_arrivals=float(offered[d]))

@@ -4,7 +4,8 @@ A queue chain of :mod:`slotmesh.queuemodel` comes here as ``(S, K + 1)``
 capped arrival rows, ``(T, 3, K + 1)`` factor rows, three per
 transmission slot (:func:`_return_maps`), and ``(S,)`` departures, the
 boolean transmission mask of :func:`slotmesh.queuemodel._check_node`,
-set on transmission slots and read as it is.
+set on transmission slots and read as it is, all in the chain's frame
+from s (below).
 Entry ``k < K`` of row ``i`` is the probability of ``k`` arrivals in slot
 ``i``, and entry K the mass at K and beyond: one minus the head where
 that is at least 1/2, the pmf's upper sum below it. Every tail
@@ -83,17 +84,21 @@ stack of one-slot senders, the scaled row is exactly one and the
 elimination is the suffix sums of the columns, accumulated a block of
 rows at a time from the first column the back-substitution reads. The
 solutions at s are carried through the real blocks of the frame
-(:func:`_carry`), gathered back into a ``(B, S, K + 1)`` grid in each
-chain's slot order, one chain's states flattened as ``i * (K + 1) + q``,
-and normalized. Every chain's answer is checked against
-``max |c P - c| <= RESIDUAL_BOUND``: each slot is the one before it
-times its block, so only the wrap-around term ``c_{s-1} B_{s-1} - c_s``,
-taken from the normalized grid, can be non-zero; since the carry never
-reads the factor rows, it also checks their closed form. An error raised
-for one chain of a stack carries that chain's position as ``index``.
-:func:`solve` is the stack of one chain; its carry also takes the closed
-class at s along the edges of the blocks to mark the class in every
-slot.
+(:func:`_carry`) into a ``(B, S, K + 1)`` grid in each chain's frame
+from s, step ``j`` of chain b at slot ``(s_b + j) mod S``, and
+normalized there: the solver has no other order. Every chain's answer
+is checked against ``max |c P - c| <= RESIDUAL_BOUND``: each slot is the
+one before it times its block, so only the wrap-around term ``c_{s-1}
+B_{s-1} - c_s``, taken from the normalized grid, can be non-zero; since
+the carry never reads the factor rows, it also checks their closed form.
+An error raised for one chain of a stack carries that chain's position
+as ``index``.
+:func:`solve` is the stack of one chain, the one place here that
+rotates: it takes its chain's slot rows and departures into the frame
+from s, and gives the grid back in slot order, states flattened as ``i *
+(K + 1) + q``. Its carry also takes the closed class at s along the
+edges of the blocks to mark the class in every slot, rotated back with
+the grid.
 
 The carry and the wrap-around term read the blocks one slot at a time,
 so a stack never holds all its ``B S (K + 1)^2`` block entries:
@@ -363,9 +368,9 @@ def _chunk_slots(rows: np.ndarray) -> int:
 
 
 def _walk(rows: np.ndarray, tau: np.ndarray):
-    """The ``(B, K + 1, K + 1)`` slot blocks of a stack in slot order,
-    built (:func:`_slot_blocks`) from its ``(B, S, K + 1)`` capped rows
-    and ``(B, S)`` boolean transmission masks as far as they are read:
+    """The ``(B, K + 1, K + 1)`` slot blocks of a stack in the order of its
+    rows, built (:func:`_slot_blocks`) from its ``(B, S, K + 1)`` capped
+    rows and ``(B, S)`` boolean transmission masks as far as they are read:
     one block per run of consecutive slots whose rows and masks are equal
     in every chain, yielded for each slot of the run, a chunk of runs at
     a time."""
@@ -437,50 +442,47 @@ def _return_maps(runs: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def _carry(first: np.ndarray, blocks, length: int, level=None):
-    """Slot-major ``(S, B, 1, K + 1)`` grid of a stack whose ``(B, K + 1,
-    K + 1)`` slot blocks the iterator ``blocks`` yields in slot order:
-    slot 0 is the ``(B, 1, K + 1)`` ``first``, slot ``i + 1`` slot ``i``
-    times block ``i``. Given the boolean ``level`` of ``first``'s shape,
-    also the states it reaches in each slot along the blocks' non-zero
-    entries, in a second such grid of zeros and ones. Reads the first
-    S - 1 blocks only."""
-    grid = np.empty((length, *first.shape))
-    grid[0] = first
-    reach = None
-    if level is not None:
-        reach = np.empty(grid.shape)
-        reach[0] = level
-    for i, block in zip(range(length - 1), blocks):
-        np.matmul(grid[i], block, out=grid[i + 1])
+    """``(B, S, K + 1)`` grid of a stack whose ``(B, K + 1, K + 1)`` slot
+    blocks the iterator ``blocks`` yields in order: step 0 is the ``(B,
+    K + 1)`` ``first``, step ``j + 1`` step ``j`` times block ``j``. Given
+    the boolean ``level`` of ``first``'s shape, also the states it
+    reaches at each step along the blocks' non-zero entries, in a second
+    such grid of zeros and ones. Reads the first S - 1 blocks only."""
+    grid = np.empty((len(first), length, first.shape[-1]))
+    grid[:, 0] = first
+    reach = None if level is None else np.empty(grid.shape)
+    if reach is not None:
+        reach[:, 0] = level
+    # step j of every chain as one (B, 1, K + 1) view, as matmul takes it
+    steps = grid[:, :, None].swapaxes(0, 1)
+    for j, block in zip(range(length - 1), blocks):
+        np.matmul(steps[j], block, out=steps[j + 1])
         if reach is not None:
             # a sum of non-negative terms is positive if any term is
-            np.greater(np.matmul(reach[i], block), 0.0, out=reach[i + 1])
+            np.greater(np.matmul(reach[:, j, None], block), 0.0, out=reach[:, j + 1, None])
     return grid, reach
 
 
 def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
                  reach: bool = False):
-    """Stationary distributions of a stack of queue chains given as
-    ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K + 1)`` factor
-    rows and ``(B, S)`` boolean transmission masks ``tau``, as ``(B, S,
-    K + 1)`` slot-by-level grids, with the residuals and the closed
-    classes: the ``(B, K + 1)`` classes at each chain's frame start s, or
-    with ``reach`` the ``(B, S, K + 1)`` classes in every slot.
+    """Stationary distributions of a stack of queue chains given in each
+    chain's frame from s (:func:`_rotation`), a transmission slot last or
+    none at all, as ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K +
+    1)`` factor rows and ``(B, S)`` boolean transmission masks ``tau``:
+    ``(B, S, K + 1)`` step-by-level grids in the same frames, with the
+    residuals and the closed classes, the ``(B, K + 1)`` classes at s, or
+    with ``reach`` the ``(B, S, K + 1)`` classes at every step.
 
-    Solves each chain in its frame from s (:func:`_rotation`): the return
-    maps on their closed classes, which the empty queue at s reaches, GTH
-    once per group of chains with the same class, inside the band of the
-    T levels a frame can lower the queue by, and carries the results
-    through all S blocks, back to s, whose change is the residual; then
-    the grid goes back to each chain's slot order, normalized and checked
-    there. Every chain given is solved: equal chains are deduplicated
+    Solves the return maps on their closed classes, which the empty queue
+    at s reaches, GTH once per group of chains with the same class,
+    inside the band of the T levels a frame can lower the queue by, and
+    carries the results through all S blocks, back to s, whose change is
+    the residual; the grid is normalized and checked in that frame, and
+    nothing is rotated. Every chain given is solved: equal chains are deduplicated
     before, by :func:`slotmesh.queuemodel._evaluate_stack`. One block per
     run of equal slots is built, by the chunked walk (:func:`_walk`), and
     the 2T factor blocks of the return maps from the factor rows.
     """
-    frame, back = _rotation(tau)
-    chain = np.arange(len(tau))[:, None]
-    rows, tau = rows[chain, frame], tau[chain, frame]
     frame_maps = _return_maps(runs, tau)
     # one search per distinct edge pattern, one GTH group per closed class
     level = np.empty(frame_maps.shape[:2], dtype=bool)
@@ -510,25 +512,27 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
             maps = maps[:, states[:, None] - low, states - low]
         first[members[:, None], states] = _gth(maps, runs.shape[1])
     walk = _walk(rows, tau)
-    carried, reached = _carry(first[:, None], walk, tau.shape[1],
-                              level[:, None] if reach else None)
-    grid = carried[back, chain, 0]
+    grid, reached = _carry(first, walk, tau.shape[1], level if reach else None)
     grid /= grid.sum(axis=(1, 2), keepdims=True)
     # s carried round the frame by its last block, from the normalized grid
-    wrap = np.matmul(grid[chain, frame[:, -1:]], next(walk))
-    residual = np.abs(wrap[:, 0] - grid[chain[:, 0], frame[:, 0]]).max(axis=1)
+    wrap = np.matmul(grid[:, -1:], next(walk))
+    residual = np.abs(wrap[:, 0] - grid[:, 0]).max(axis=1)
     failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))  # nan fails too
     if failed.size:
         raise _at(StationaryError(
             f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
             failed[0])
-    return grid, residual, (reached[back, chain, 0] != 0) if reach else level
+    return grid, residual, reached != 0 if reach else level
 
 
 def solve(chain) -> StationaryResult:
-    """Stationary distribution of a queue chain: the stack of one."""
-    grid, residual, reachable = _solve_stack(
-        chain.rows[None], chain.runs[None], chain.departures[None], reach=True)
+    """Stationary distribution of a queue chain: the stack of one, its
+    slot rows and departures rotated into its frame from s
+    (:func:`_rotation`), and its grid and closed classes back to slot
+    order."""
+    (frame,), (back,) = _rotation(chain.departures[None])
+    grid, residual, reachable = _solve_stack(chain.rows[None, frame], chain.runs[None],
+                                             chain.departures[None, frame], reach=True)
     return StationaryResult(
-        distribution=grid[0].ravel(), residual=float(residual[0]),
-        reachable=reachable[0].ravel())
+        distribution=grid[0, back].ravel(), residual=float(residual[0]),
+        reachable=reachable[0, back].ravel())
