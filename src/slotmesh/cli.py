@@ -191,9 +191,9 @@ def _outer_ring_means(result):
     }
 
 
-def _sweep_point(task):
+def _sweep_point(task, solved):
     name, variant, scenario = task
-    result = evaluate_network(scenario, variant=variant)
+    result = evaluate_network(scenario, variant=variant, solved=solved)
     non_root = list(range(1, scenario.topology.node_count))
     values = _outer_ring_means(result)
     values["pdr_mean"] = (float(result.delivery_ratio[non_root].mean())
@@ -276,7 +276,10 @@ def cmd_sweep(args):
     sim.check_workers(args.workers)
     tasks = _sweep_tasks(_load(_read_json, args.spec, "sweep spec"))
     rows = []
-    for block in sim.map_in_processes(_sweep_point, tasks, args.workers):
+    # in this process the points share one memo of solved chains; a pool
+    # sends each point its own empty copy
+    point = partial(_sweep_point, solved={})
+    for block in sim.map_in_processes(point, tasks, args.workers):
         for name, variant, capacity, rate, metric, value in block:
             rows.append((name, variant, capacity, f"{rate:.9g}", metric,
                          f"{value:.9g}"))

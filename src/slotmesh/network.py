@@ -124,8 +124,8 @@ class NetworkResult:
         return float(self.rx_probability[0].sum()) / frame_seconds
 
 
-def evaluate_network(scenario: NetworkScenario, *,
-                     variant: str = "full") -> NetworkResult:
+def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
+                     solved: dict | None = None) -> NetworkResult:
     """Solve all node models and compose network-wide metrics.
 
     The scenario is valid by construction. ``variant`` selects the
@@ -139,6 +139,16 @@ def evaluate_network(scenario: NetworkScenario, *,
     probabilities, thinned by its uplink's PER, to its parent's reception
     row in one write: siblings never share a reception slot, and a node's
     probabilities are zero outside its transmission slots.
+
+    ``solved`` is a memo of solved chains, a dict that the caller creates
+    empty and passes to every call that may share chains, as ``slotmesh
+    sweep`` does for its points; ``None`` gives this call a memo of its
+    own, shared by its levels. A chain whose K and inputs in its frame
+    from s are already in the memo is not solved again, and every result
+    has the bits it has without the memo. Past a fixed budget of bytes,
+    the memo drops the chains it solved first. A result shares only its
+    read-only grids with the memo and gets its own copies of every
+    other array.
     """
     schedule = scenario.schedule
     topology = scenario.topology
@@ -151,6 +161,7 @@ def evaluate_network(scenario: NetworkScenario, *,
     except ModelError as exc:
         raise NetworkModelError(str(exc)) from exc
 
+    solved = {} if solved is None else solved
     rx_prob = np.zeros((n_nodes, length))
     metrics: list[NodeMetrics | None] = [None] * n_nodes
     # the share of a node's transmissions that reaches its parent
@@ -161,12 +172,12 @@ def evaluate_network(scenario: NetworkScenario, *,
     for level in reversed(levels[1:]):
         rates = np.full((len(level), length), scenario.generation_rate)
         try:
-            solved = _variant_stack(variant, capacity, length,
-                                    [schedule.tx_slots[n] for n in level],
-                                    rates, rx_prob[list(level)])
+            nodes = _variant_stack(variant, capacity, length,
+                                   [schedule.tx_slots[n] for n in level],
+                                   rates, rx_prob[list(level)], solved)
         except (ModelError, StationaryError) as exc:
             raise NetworkModelError(f"node {level[exc.index]}: {exc}") from exc
-        for n, node in zip(level, solved):
+        for n, node in zip(level, nodes):
             metrics[n] = node
             rx_prob[topology.parents[n]] += node.tx_probability * hop[n]
 

@@ -52,10 +52,13 @@ keeps the leading chain axis: :func:`transmission_probability`,
 evaluates each tree level as one stack under every variant.
 :data:`VARIANTS` names the variants and :func:`_check_variant` is their
 one rule, md1k's single hop included, checked once per call. Chains
-whose inputs are byte-equal in their frames from s, as a network's outer
-ring and often its relays are, are built, solved and summarized once
-(:func:`_evaluate_stack`). An error raised for one chain of a stack
-carries that chain's position as ``index``, the first of a shared chain.
+whose K and inputs are byte-equal in their frames from s, as a network's
+outer ring and often its relays are, are built, solved and summarized
+once, and a memo of their results serves them to later stacks, such as
+the other points of a sweep (:func:`_evaluate_stack`). Each chain's rows,
+and so its results, have the same bits in any stack. An error raised
+for one chain of a stack carries that chain's position as ``index``, the
+first of a shared chain.
 
 For a slotframe of length one with a single transmission slot the chain
 reduces exactly to an M/D/1/K queue.
@@ -66,6 +69,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,6 +78,9 @@ from .schedule import _ints, _is_finite
 from .stationary import StationaryError, _at, _top_sums
 
 VARIANTS = ("md1k", "distributed", "full")
+# bytes of arrays that the solved chains of one memo hold
+# (:func:`_evaluate_stack`); the chains solved first are dropped past it
+_MEMO_BYTES = 1 << 22
 
 
 class ModelError(ValueError):
@@ -265,17 +272,15 @@ def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
     rows[~upper, -1] = 1.0 - head[~upper]
     # there the upper sum from the top: P(A >= K) is the pmf at K plus
     # P(Poisson = K) (p + sum over j >= 1 of prod_{i <= j} lam / (K + i)).
-    # A head above 1/2 means lam < K + 1, so rho = lam / (K + 1) < 1 for
-    # the largest lam. Term j is at most rho^j and the sum at least rho:
-    # after n terms the rest is at most rho^n / (1 - rho) of the sum, less
-    # than e^-37 < 2^-53 for the n below. 12 sqrt(K + 1) terms are always
+    # A head above 1/2 means lam < K + 1, so rho = lam / (K + 1) < 1. Term
+    # j is at most rho^j and the sum at least rho: after n terms the rest
+    # is at most rho^n / (1 - rho) of the sum, less than e^-37 < 2^-53 for
+    # n >= (37 - log(1 - rho)) / -log(rho). 12 sqrt(K + 1) terms are always
     # enough (11.6 sqrt(K + 1) at lam = K = 4, the most any K from 1 to
-    # 16384 needs); a zero rate needs none.
+    # 16384 needs), and every row takes that many, so its bits do not
+    # depend on the rows stacked with it.
     lam, p = lam[upper], p[upper]
-    rho = lam.max(initial=0.0) / (capacity + 1)
-    terms = 0 if rho == 0.0 else min(
-        math.ceil(12 * math.sqrt(capacity + 1)),
-        math.ceil((37 - math.log1p(-rho)) / -math.log(rho)))
+    terms = math.ceil(12 * math.sqrt(capacity + 1))
     steps = capacity + np.arange(1, terms + 1)
     series = np.cumprod(lam[:, None] / steps, axis=1).sum(axis=1)
     with np.errstate(divide="ignore"):
@@ -286,11 +291,13 @@ def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
     rows[base + factor[sends] + 2] = rows[:base][sends.ravel()]
     # each forwarded slot adds a Bernoulli packet to its factor's run and
     # merged rows h: (1 - p) h + p h shifted one level up, entry K
-    # h[K] + p h[K - 1]. Step j takes the j-th tap of every chain, so no
-    # row twice.
+    # h[K] + p h[K - 1]. Step j takes the j-th tap of every factor, so no
+    # row twice, and each row its taps in slot order.
     taps = probs != 0
     rank = np.add.accumulate(taps, axis=1)
-    for j in range(1, int(rank[:, -1].max()) + 1):
+    # less the taps up to the transmission slot that ends the factor before
+    rank[:, 1:] -= np.maximum.accumulate(rank * sends, axis=1)[:, :-1]
+    for j in range(1, int(rank.max()) + 1):
         on = taps & (rank == j)
         # a quiet slot's packet joins both rows, a transmission slot's the
         # merged row only
@@ -460,26 +467,58 @@ class NodeMetrics:
 
 
 def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
-                    probs: np.ndarray) -> list[NodeMetrics]:
+                    probs: np.ndarray, solved: dict | None = None
+                    ) -> list[NodeMetrics]:
     """Build, solve and summarize a stack of chains given as ``(B, S)``
     boolean transmission masks, Poisson rates and Bernoulli
     probabilities.
 
-    Chains whose inputs are byte-equal in their frames from s
-    (:func:`slotmesh.stationary._rotation`) are built, solved and
-    summarized once, in that frame, and an error names the first of
-    them. Each gets a view of its distinct chain's read-only frame-order
-    grid with the slot its frame starts at, and its transmission
-    probabilities in its own slot order, all from one gather.
+    Each chain is keyed on K and its inputs' bytes in its frame from s
+    (:func:`slotmesh.stationary._rotation`), and ``solved``, a fresh dict
+    if ``None``, maps each key to the chain's results in that frame: its
+    read-only grid, transmission probabilities, marginals, acceptance,
+    delay and offered load. The keys ``solved`` lacks are built, solved
+    and summarized as one stack, once each, and an error names the first
+    chain of a key. Each key holds copies of its own rows, and past
+    ``_MEMO_BYTES`` of them the keys solved first are dropped, never one
+    of this stack. A chain's results have the same bits alone, in any
+    stack and from ``solved``. Each chain gets a view of its key's grid
+    with the slot its frame starts at, and copies that ``solved`` does
+    not hold of its marginals and of its transmission probabilities, put
+    back in its own slot order in one gather.
     """
     frame, back = stationary._rotation(tau)
     tau, rates, probs = (np.take_along_axis(x, frame, axis=1)
                          for x in (tau, rates, probs))
-    # chain b is distinct chain d = owner[b], whose first is chain firsts[d]
+    solved = {} if solved is None else solved
+    # chain b has the key at position owner[b] of keys
     keys = {}
-    owner = [keys.setdefault(tuple(x.tobytes() for x in inputs), len(keys))
+    owner = [keys.setdefault((capacity, *(x.tobytes() for x in inputs)),
+                             len(keys))
              for inputs in zip(tau, rates, probs)]
-    firsts = [owner.index(d) for d in range(len(keys))]
+    # the first chain of each key not solved yet
+    new = {key: owner.index(d) for key, d in keys.items() if key not in solved}
+    if new:
+        _solve_new(capacity, tau, rates, probs, new, solved)
+        _evict(solved, keys)
+    distinct = [solved[key] for key in keys]
+    tx = np.array([d[1] for d in distinct])[np.array(owner)[:, None], back]
+    marginals = np.array([d[2] for d in distinct])[owner]
+    return [NodeMetrics(grid=grid, shift=int(frame[b, 0]),
+                        tx_probability=tx[b], acceptance=paccept,
+                        expected_delay_slots=delay,
+                        queue_marginals=marginals[b], total_arrivals=offered)
+            for b, (grid, _, _, paccept, delay, offered, _)
+            in enumerate(distinct[d] for d in owner)]
+
+
+def _solve_new(capacity: int, tau: np.ndarray, rates: np.ndarray,
+               probs: np.ndarray, new: dict, solved: dict) -> None:
+    """Build, solve and summarize as one stack the chains, in their frames
+    from s, at the positions of the stack that ``new`` maps their keys
+    to, and add each key's results to ``solved``
+    (:func:`_evaluate_stack`); an error names that position."""
+    firsts = list(new.values())
     tau, rates, probs = tau[firsts], rates[firsts], probs[firsts]
     offered = _offered(rates, probs)
     # below the smallest normal float the Poisson terms keep too few bits
@@ -495,37 +534,52 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
         paccept = acceptance_probability(grid, rows, offered)
     except (ModelError, StationaryError) as exc:
         raise _at(exc, firsts[exc.index])
-    grid.flags.writeable = False
-    tx = transmission_probability(grid, tau)[np.array(owner)[:, None], back]
+    tx, marginals = transmission_probability(grid, tau), queue_marginals(grid)
     delay = expected_delay(grid, tau)
-    marginals = queue_marginals(grid)[owner]
-    return [NodeMetrics(grid=grid[d], shift=int(frame[b, 0]),
-                        tx_probability=tx[b], acceptance=float(paccept[d]),
-                        expected_delay_slots=float(delay[d]),
-                        queue_marginals=marginals[b],
-                        total_arrivals=float(offered[d]))
-            for b, d in enumerate(owner)]
+    # each key holds copies of its own rows, so the stack's arrays go when
+    # this returns, and a key holds the bytes that _evict counts for it
+    for d, key in enumerate(new):
+        own = grid[d].copy()
+        own.flags.writeable = False
+        arrays = own, tx[d].copy(), marginals[d].copy()
+        solved[key] = (*arrays, float(paccept[d]), float(delay[d]),
+                       float(offered[d]), sum(x.nbytes for x in arrays))
+
+
+def _evict(solved: dict, keep: dict) -> None:
+    """Drop the keys of ``solved`` added first, except those in ``keep``,
+    until its arrays hold at most ``_MEMO_BYTES``; each key's last entry
+    is the bytes its arrays hold."""
+    used = sum(map(itemgetter(-1), solved.values()))
+    for key in list(solved):
+        if used <= _MEMO_BYTES:
+            break
+        if key not in keep:
+            used -= solved.pop(key)[-1]
 
 
 def _variant_stack(variant: str, capacity: int, slotframe_length: int,
-                   tx_slots, rates: np.ndarray,
-                   probs: np.ndarray) -> list[NodeMetrics]:
+                   tx_slots, rates: np.ndarray, probs: np.ndarray,
+                   solved: dict | None = None) -> list[NodeMetrics]:
     """:func:`evaluate_node` for a stack of nodes that share the slotframe
     and K, given as one transmission slot collection per node and
     ``(B, S)`` rates and probabilities, under a ``variant`` that
-    :func:`_check_variant` accepted."""
+    :func:`_check_variant` accepted, with the chains that ``solved``
+    holds taken from it (:func:`_evaluate_stack`)."""
     tau = _check_node(capacity, slotframe_length, tx_slots, rates, probs)
     if variant == "full":
-        return _evaluate_stack(capacity, tau, rates, probs)
+        return _evaluate_stack(capacity, tau, rates, probs, solved)
     offered = _offered(rates, probs)
     if variant == "distributed":
         uniform = np.repeat(offered[:, None] / slotframe_length,
                             slotframe_length, axis=1)
-        return _evaluate_stack(capacity, tau, uniform, np.zeros_like(uniform))
+        return _evaluate_stack(capacity, tau, uniform, np.zeros_like(uniform),
+                               solved)
     # one model step per slotframe, with one departure if the node has any
     counts = tau.sum(axis=1)
     collapsed = _evaluate_stack(capacity, (counts > 0)[:, None],
-                                offered[:, None], np.zeros((len(tau), 1)))
+                                offered[:, None], np.zeros((len(tau), 1)),
+                                solved)
     return [replace(node,
                     tx_probability=tau[b] * (node.tx_probability[0]
                                              / max(counts[b], 1)),

@@ -72,8 +72,9 @@ Chains are solved as stacks of B chains with the same S and K: a chain
 with fewer transmission slots than the widest gets identity factors,
 which keep its bits as they are alone, and a chain without any gets the
 quiet block of its whole frame. Every chain given is solved;
-:func:`slotmesh.queuemodel._evaluate_stack` gives each once, keyed on
-its inputs in its frame from s. GTH runs once over all chains whose
+:func:`slotmesh.queuemodel._evaluate_stack` gives only the chains its
+memo lacks, each once, keyed on K and its inputs in its frame from s,
+and takes the others from the memo. GTH runs once over all chains whose
 closed classes coincide. A slotframe lowers the queue by at most T
 levels, T the stack's widest transmission count, so ``G`` has lower
 bandwidth at most T, which GTH from the top state keeps: state k is
@@ -478,8 +479,9 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
     inside the band of the T levels a frame can lower the queue by, and
     carries the results through all S blocks, back to s, whose change is
     the residual; the grid is normalized and checked in that frame, and
-    nothing is rotated. Every chain given is solved: equal chains are deduplicated
-    before, by :func:`slotmesh.queuemodel._evaluate_stack`. One block per
+    nothing is rotated. Every chain given is solved: equal chains, and
+    chains solved before, are left out by
+    :func:`slotmesh.queuemodel._evaluate_stack`. One block per
     run of equal slots is built, by the chunked walk (:func:`_walk`), and
     the 2T factor blocks of the return maps from the factor rows.
     """

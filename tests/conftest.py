@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -105,3 +106,33 @@ def random_tree(seed, n):
         v, w = sorted(rng.sample(range(n), 2))
         edges.add((v, w))
     return Topology(n, frozenset(edges), tuple(parents))
+
+
+def recorded(monkeypatch, module, name, arg=0):
+    """Patch ``module.name`` to record the length of its argument ``arg``,
+    the chains it is given, per call, in the list returned."""
+    function, sizes = getattr(module, name), []
+
+    def counted(*args):
+        sizes.append(len(args[arg]))
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return sizes
+
+
+def node_fields(node):
+    """Each field of a :class:`NodeMetrics` as bytes, ``None`` as it is,
+    so that two nodes compare bit by bit."""
+    return [None if value is None else np.asarray(value).tobytes()
+            for value in (getattr(node, field.name)
+                          for field in dataclasses.fields(node))]
+
+
+def result_fields(result):
+    """The arrays of a :class:`NetworkResult` and the fields of each of its
+    nodes (:func:`node_fields`) as bytes."""
+    return ([array.tobytes() for array in (result.delivery_ratio,
+                                          result.delay_slots,
+                                          result.rx_probability)]
+            + [node_fields(node) for node in result.node_metrics])

@@ -364,12 +364,13 @@ def test_sweep(tmp_path):
 
 
 def test_sweep_workers_match_serial(tmp_path):
-    # the process pool returns the points in task order
+    # the process pool returns the points in task order; in one process the
+    # points share one memo of solved chains, in the pool none
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps({
         "grid": {"min": 0.0, "max": 0.1, "count": 3},
         "schedules": ["sbd", "ta-mc"],
-        "variants": ["full", "md1k"],
+        "variants": ["full", "distributed", "md1k"],
         "topology": {"rings": 1},
     }))
     outputs = []
@@ -379,7 +380,7 @@ def test_sweep_workers_match_serial(tmp_path):
                      "--workers", workers]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 1 + 2 * 2 * 3 * 4
+    assert len(outputs[0].splitlines()) == 1 + 2 * 3 * 3 * 4
 
 
 def test_cli_import_leaves_process_pool_out():

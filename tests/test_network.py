@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from slotmesh import queuemodel
+from conftest import result_fields
+from slotmesh import queuemodel, stationary
 from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network)
 from slotmesh.queuemodel import TrafficSpec, _offered, evaluate_node
 from slotmesh.schedule import Schedule, Topology, validate
 from slotmesh.schedulers import generate
+from slotmesh.stationary import StationaryError
 
 
 def _two_node():
@@ -219,6 +221,53 @@ def test_load_below_smallest_normal_float_is_refused_before_any_row(
     with pytest.raises(NetworkModelError, match="^node 7: offered load"):
         evaluate_network(scenario)
     assert built == []
+
+
+@pytest.mark.parametrize("rings", [1, 2, 3])
+def test_a_shared_memo_gives_every_point_its_bits_alone(rings):
+    # a sweep's points share one memo of solved chains: each point has the
+    # bits it has evaluated alone, in every field of every node
+    topo = concentric_topology(rings)
+    variants = ("full", "distributed") + (("md1k",) if rings == 1 else ())
+    solved = {}
+    for algorithm in ("sbd", "ta-sc", "ta-mc"):
+        schedule = generate(algorithm, topo)
+        for variant in variants:
+            for capacity in (6, 16):
+                for rate in (0.0, 0.004, 0.02, 0.2):
+                    scenario = NetworkScenario(
+                        schedule=schedule, topology=topo,
+                        generation_rate=rate, queue_capacity=capacity)
+                    shared = evaluate_network(scenario, variant=variant,
+                                              solved=solved)
+                    alone = evaluate_network(scenario, variant=variant)
+                    assert result_fields(shared) == result_fields(alone)
+
+
+def test_a_failing_new_chain_names_its_node(monkeypatch):
+    # a lossy uplink changes only the chain of the node's parent: the other
+    # chains come from the memo, and the one chain solved, which fails,
+    # names that parent, not the first node of its level
+    topo = concentric_topology(2)
+    schedule = generate("sbd", topo)
+    scenario = NetworkScenario(schedule=schedule, topology=topo,
+                               generation_rate=0.01, queue_capacity=16)
+    solved = {}
+    evaluate_network(scenario, solved=solved)
+    node = topo.levels[-1][-1]
+    parent = topo.parents[node]
+    assert topo.levels[1].index(parent) > 0
+
+    def failing(rows, runs, tau):
+        raise StationaryError(f"no solution for {len(rows)} chain")
+
+    monkeypatch.setattr(stationary, "_solve_stack", failing)
+    lossy = NetworkScenario(schedule=schedule, topology=topo,
+                            generation_rate=0.01, queue_capacity=16,
+                            link_per={(node, parent): 0.5})
+    with pytest.raises(NetworkModelError,
+                       match=f"^node {parent}: no solution for 1 chain$"):
+        evaluate_network(lossy, solved=solved)
 
 
 def _uneven_star_schedule():

@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import itertools
+import json
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -10,8 +13,9 @@ from scipy import sparse
 from scipy.linalg import null_space
 from scipy.sparse import csgraph
 
-from conftest import chain_cases, dense_matrix, slot_blocks
-from slotmesh import stationary
+from conftest import (chain_cases, dense_matrix, node_fields, recorded,
+                      slot_blocks)
+from slotmesh import cli, stationary
 from slotmesh.network import (NetworkModelError, NetworkScenario,
                               concentric_topology, evaluate_network)
 from slotmesh import queuemodel
@@ -798,12 +802,13 @@ def shared_stack(capacity=20):
     return stack, (capacity, tx_slots, rates, probs), len(keys)
 
 
-def evaluate_stack(capacity, tx_slots, rates, probs):
+def evaluate_stack(capacity, tx_slots, rates, probs, solved=None):
     """The node metrics of a stack of chains, given as :func:`stack_rows`
-    takes it, from :func:`slotmesh.queuemodel._evaluate_stack`."""
+    takes it, from :func:`slotmesh.queuemodel._evaluate_stack` with the
+    memo ``solved``."""
     rates, probs = np.array(rates, dtype=float), np.array(probs, dtype=float)
     tau = queuemodel._check_node(capacity, len(rates[0]), tx_slots, rates, probs)
-    return queuemodel._evaluate_stack(capacity, tau, rates, probs)
+    return queuemodel._evaluate_stack(capacity, tau, rates, probs, solved)
 
 
 def test_stacked_chain_solves_as_alone():
@@ -818,19 +823,6 @@ def test_stacked_chain_solves_as_alone():
         assert np.array_equal(grids[b], grid[0])
         assert residuals[b] == residual[0]
         assert np.array_equal(levels[b], level[0])
-
-
-def recorded(monkeypatch, module, name, arg=0):
-    """Patch ``module.name`` to record the length of its argument ``arg``,
-    the chains it is given, per call, in the list returned."""
-    function, sizes = getattr(module, name), []
-
-    def counted(*args):
-        sizes.append(len(args[arg]))
-        return function(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return sizes
 
 
 def test_each_distinct_chain_is_solved_once(monkeypatch):
@@ -905,6 +897,162 @@ def test_chains_equal_up_to_rotation_are_built_once(monkeypatch):
                               TrafficSpec(rates[b], probs[b]))
         assert np.array_equal(node.distribution, alone.distribution)
         assert np.array_equal(node.tx_probability, alone.tx_probability)
+
+
+@given(chain_stacks(max_capacity=20))
+# the light chain's rows move in their last bits if its tail takes as
+# many terms as the heavy one's needs
+@example((6, [[0], [0]], [[0.43], [3.0]], [[0.0], [0.0]]))
+@settings(max_examples=100, deadline=None)
+def test_each_chain_has_its_rows_alone_in_any_stack(case):
+    # a memo serves a chain solved in one stack to any later stack, so
+    # its rows, and with them its results, must not depend on the chains
+    # stacked with it
+    capacity, tx_slots, rates, probs = case
+    rows, runs, _ = stack_rows(*case)
+    for b in range(len(tx_slots)):
+        alone, factors, _ = stack_rows(capacity, tx_slots[b:b + 1],
+                                       rates[b:b + 1], probs[b:b + 1])
+        assert rows[b].tobytes() == alone[0].tobytes()
+        assert runs[b, :factors.shape[1]].tobytes() == factors[0].tobytes()
+
+
+def tapped_one_at_a_time(capacity, tau, rates, probs):
+    """Factor rows 0 and 1 of a stack in its frames from s, each forwarded
+    slot's packet added on a step of its own, chain by chain in slot
+    order, to the rows built without forwarding."""
+    runs = queuemodel._capped_rows(capacity, tau, rates,
+                                   np.zeros_like(probs))[1].copy()
+    factor = np.cumsum(tau, axis=1) - tau
+    for b, i in zip(*np.nonzero(probs)):
+        q = probs[b, i]
+        for row in (1,) if tau[b, i] else (0, 1):
+            h = runs[b, factor[b, i], row]
+            step = (1.0 - q) * h
+            step[1:] += q * h[:-1]
+            step[-1] = h[-1] + q * h[-2]
+            runs[b, factor[b, i], row] = step
+    return runs[:, :, :2]
+
+
+def test_factors_take_their_taps_in_slot_order(monkeypatch):
+    # step j takes the j-th tap of every factor: each factor's rows get
+    # the bits of one tap per step, on the tapped chain cases and on every
+    # level of the README's rings-2 networks
+    stacks = [(capacity, *frame_inputs(capacity, [slots], [traffic.poisson_rate],
+                                       [traffic.bernoulli_prob]))
+              for capacity, _, slots, traffic in chain_cases()
+              if any(traffic.bernoulli_prob)]
+    capped_rows = queuemodel._capped_rows
+    monkeypatch.setattr(queuemodel, "_capped_rows",
+                        lambda *args: stacks.append(args) or capped_rows(*args))
+    topo = concentric_topology(2)
+    for algorithm in ("sbd", "ta-sc", "ta-mc"):
+        evaluate_network(NetworkScenario(schedule=generate(algorithm, topo),
+                                         topology=topo, generation_rate=0.01,
+                                         queue_capacity=16))
+    monkeypatch.undo()
+    assert len(stacks) == 4 + 6
+    for stack in stacks:
+        built = capped_rows(*stack)[1][:, :, :2]
+        assert built.tobytes() == tapped_one_at_a_time(*stack).tobytes()
+
+
+def test_a_stack_solves_only_the_chains_its_memo_lacks(monkeypatch):
+    # the light chain is known, the heavy one new: only the heavy one is
+    # built, and every node has the bits it has alone
+    solved = {}
+    evaluate_stack(6, [[0]], [[0.43]], [[0.0]], solved)
+    sizes = recorded(monkeypatch, queuemodel, "_capped_rows", 1)
+    rates = [[0.43], [3.0], [0.43]]
+    nodes = evaluate_stack(6, [[0]] * 3, rates, [[0.0]] * 3, solved)
+    assert sizes == [1]
+    assert len(solved) == 2
+    for node, (rate,) in zip(nodes, rates):
+        alone = evaluate_node(6, 1, (0,), TrafficSpec((rate,), (0.0,)))
+        assert node_fields(node) == node_fields(alone)
+
+
+def test_memo_drops_the_chains_solved_first_past_its_budget(monkeypatch):
+    # a K = 6, one-slot chain holds 56 + 8 + 56 bytes: the budget keeps two
+    # of them, but never drops a chain of the stack in progress
+    monkeypatch.setattr(queuemodel, "_MEMO_BYTES", 250)
+    solved = {}
+    for rate in (0.1, 0.2, 0.3):
+        evaluate_stack(6, [[0]], [[rate]], [[0.0]], solved)
+    assert [key[2] for key in solved] == [np.array([r]).tobytes()
+                                          for r in (0.2, 0.3)]
+    rates = [[0.4], [0.5], [0.6], [0.3]]
+    nodes = evaluate_stack(6, [[0]] * 4, rates, [[0.0]] * 4, solved)
+    assert len(solved) == 4
+    for node, (rate,) in zip(nodes, rates):
+        alone = evaluate_node(6, 1, (0,), TrafficSpec((rate,), (0.0,)))
+        assert node_fields(node) == node_fields(alone)
+
+
+def test_a_dropped_key_frees_its_arrays(monkeypatch):
+    # each key holds copies of its own rows: once part of a stack is
+    # dropped, the key that stays pins none of the stack's arrays, so the
+    # budget counts all that the memo holds
+    made = []
+    for module, name in ((stationary, "_solve_stack"),
+                         (queuemodel, "transmission_probability"),
+                         (queuemodel, "queue_marginals")):
+        function = getattr(module, name)
+
+        def kept(*args, function=function):
+            out = function(*args)
+            made.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+            return out
+
+        monkeypatch.setattr(module, name, kept)
+    solved = {}
+    evaluate_stack(6, [[0]] * 3, [[0.1], [0.2], [0.3]], [[0.0]] * 3, solved)
+    monkeypatch.undo()
+    monkeypatch.setattr(queuemodel, "_MEMO_BYTES", 250)
+    evaluate_stack(6, [[0]], [[0.4]], [[0.0]], solved)
+    assert [key[2] for key in solved] == [np.array([r]).tobytes()
+                                          for r in (0.3, 0.4)]
+    gc.collect()
+    assert len(made) == 3 and all(ref() is None for ref in made)
+    for grid, tx, marginals, *_, held in solved.values():
+        assert held == grid.nbytes + tx.nbytes + marginals.nbytes
+
+
+def test_no_result_can_spoil_the_memo():
+    # a node's grid is a read-only view of the memo's, its transmission
+    # probabilities and marginals copies the memo does not hold
+    solved = {}
+    first = evaluate_stack(6, [[1, 3]], [[0.2] * 4], [[0.1] * 4], solved)[0]
+    want = node_fields(first)
+    assert not first.grid.flags.writeable
+    first.tx_probability[:] = 7.0
+    first.queue_marginals[:] = 7.0
+    again = evaluate_stack(6, [[1, 3]], [[0.2] * 4], [[0.1] * 4], solved)[0]
+    assert node_fields(again) == want
+
+
+SWEEP_SMALL = {
+    "parameter": "p_gen",
+    "grid": {"min": 0.0, "max": 0.3, "count": 7, "scale": "linear"},
+    "queue_capacities": [6, 16],
+    "schedules": ["sbd", "ta-sc", "ta-mc"],
+    "variants": ["full", "distributed", "md1k"],
+    "topology": {"rings": 1},
+}
+
+
+def test_a_sweep_solves_each_distinct_chain_once(monkeypatch, tmp_path):
+    # the benchmark's sweep-small spec: 126 points of 6 chains each, 28
+    # distinct ones. On rings 1 every generator gives each node the same
+    # chain in its frame from s, full and distributed are one chain on a
+    # leaf, and the rate-0 chain is the same in every group
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps(SWEEP_SMALL))
+    sizes = recorded(monkeypatch, queuemodel, "_capped_rows", 1)
+    assert cli.main(["sweep", "--spec", str(spec),
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert sum(sizes) == 28
 
 
 def test_solve_gives_the_bits_of_evaluate_node():
