@@ -145,10 +145,11 @@ def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
     sweep`` does for its points; ``None`` gives this call a memo of its
     own, shared by its levels. A chain whose K and inputs in its frame
     from s are already in the memo is not solved again, and every result
-    has the bits it has without the memo. Past a fixed budget of bytes,
-    the memo drops the chains it solved first. A result shares only its
-    read-only grids with the memo and gets its own copies of every
-    other array.
+    has the bits it has without the memo. The memo holds each chain's
+    :class:`~slotmesh.queuemodel.NodeMetrics` in its frame from s; past a
+    fixed budget of bytes it drops the chains served least recently. A
+    result shares only its read-only grids with the memo and gets its own
+    copies of every other array.
     """
     schedule = scenario.schedule
     topology = scenario.topology

@@ -29,11 +29,12 @@ one Bernoulli packet per forwarded slot: the capped Poisson row of that
 rate, built in the same :func:`arrival_pmf` call and tail pass as the
 slot rows, then one non-negative two-term step per forwarded slot. Row
 2 is a copy of the transmission slot's finished slot row.
-:func:`_capped_rows` takes no other order: :func:`_evaluate_stack`
-rotates each stack into it, and :func:`build_chain` rotates its node in
-and its slot rows back, which :func:`slotmesh.stationary.solve` rotates
-in again. So chains equal in their frames get the same rows, stacked
-together or each from :func:`build_chain`.
+:func:`_capped_rows` takes no other order, and this module alone
+rotates (:func:`_rotation`): :func:`_evaluate_stack` rotates each stack
+into that order, and :func:`build_chain` its node, which its
+:class:`QueueChain` keeps with ``shift``, the slot the frame starts at.
+So chains equal in their frames get the same rows, stacked together or
+each from :func:`build_chain`.
 :mod:`slotmesh.stationary` alone builds the blocks from these rows, and
 its docstring gives their format, the tail rule and how the factors
 make up a frame. The Poisson terms
@@ -54,8 +55,10 @@ evaluates each tree level as one stack under every variant.
 one rule, md1k's single hop included, checked once per call. Chains
 whose K and inputs are byte-equal in their frames from s, as a network's
 outer ring and often its relays are, are built, solved and summarized
-once, and a memo of their results serves them to later stacks, such as
-the other points of a sweep (:func:`_evaluate_stack`). Each chain's rows,
+once, and a memo of their results, the :class:`NodeMetrics` of each in
+its frame, serves them to later stacks, such as the other points of a
+sweep, and drops those served least recently past a budget
+(:func:`_evaluate_stack`). Each chain's rows,
 and so its results, have the same bits in any stack. An error raised
 for one chain of a stack carries that chain's position as ``index``, the
 first of a shared chain.
@@ -69,7 +72,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -79,7 +81,7 @@ from .stationary import StationaryError, _at, _top_sums
 
 VARIANTS = ("md1k", "distributed", "full")
 # bytes of arrays that the solved chains of one memo hold
-# (:func:`_evaluate_stack`); the chains solved first are dropped past it
+# (:func:`_evaluate_stack`); the least recently served are dropped past it
 _MEMO_BYTES = 1 << 22
 
 
@@ -226,16 +228,28 @@ def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
     return tau
 
 
+def _rotation(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frame from s of each chain of a stack given as ``(B, S)``
+    boolean transmission masks, and the index back: step ``j`` of chain
+    b's frame is slot ``frame[b, j]``, and slot ``i`` is step ``back[b,
+    i]``.
+    s is the slot after the last transmission slot (slot 0 without one),
+    so every quiet run of the frame ends in a transmission slot."""
+    slots = np.arange(tau.shape[1])
+    # the last transmission slot is S - 1 - last, and last is 0 without one
+    last = np.argmax(tau[:, ::-1], axis=1)[:, None]
+    return (slots - last) % len(slots), (slots + last) % len(slots)
+
+
 def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
                  probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The read-only capped arrival rows of a stack of chains given as
     ``(B, S)`` boolean transmission masks ``sends``, Poisson rates and
     Bernoulli probabilities, each chain in its frame from s
-    (:func:`slotmesh.stationary._rotation`): its last slot is a
-    transmission slot, or it has none. Entry K holds
-    the mass at K and beyond: ``(B, S, K + 1)`` slot rows and ``(B, T, 3,
-    K + 1)`` factor rows, T the most transmission slots of any chain and
-    at least one.
+    (:func:`_rotation`): its last slot is a transmission slot, or it has
+    none. Entry K holds the mass at K and beyond: ``(B, S, K + 1)`` slot
+    rows and ``(B, T, 3, K + 1)`` factor rows, T the most transmission
+    slots of any chain and at least one.
 
     Factor t covers quiet run t of a chain's frame and the transmission
     slot that ends it, contiguous slots: row 0 holds the arrivals of the
@@ -316,21 +330,24 @@ def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
 
 @dataclass(frozen=True)
 class QueueChain:
-    """Queue chain over the states ``(q, i)`` at ``i * (K + 1) + q``.
+    """Queue chain over the states ``(q, i)`` at ``i * (K + 1) + q``, held
+    in its frame from s, which starts at slot ``shift``: the slot after
+    the last transmission slot, slot 0 without one (:func:`_rotation`).
 
-    ``rows[i, k]`` is the probability of ``k`` arrivals in slot ``i`` for
-    ``k < K``, ``rows[i, K]`` that of K or more, in slot order.
-    ``runs[t, 0]`` is the same for the t-th quiet run of the frame from
-    s, the slot after the last transmission slot, ``runs[t, 1]`` for that
-    run and the transmission slot that ends it, and ``runs[t, 2]`` for
-    that slot alone, in frame order. ``departures`` is the read-only
-    boolean transmission mask of :func:`_check_node`, set on transmission
-    slots, in slot order. The three are the whole chain: only
-    :mod:`slotmesh.stationary` builds its slot blocks from them.
+    ``rows[j, k]`` is the probability of ``k`` arrivals in step ``j`` of
+    that frame, slot ``(shift + j) mod S``, for ``k < K``, ``rows[j, K]``
+    that of K or more. ``runs[t, 0]`` is the same for the t-th quiet run
+    of the frame, ``runs[t, 1]`` for that run and the transmission slot
+    that ends it, and ``runs[t, 2]`` for that slot alone. ``departures``
+    is the read-only boolean transmission mask of :func:`_check_node`,
+    set on transmission slots, in the frame too: ``np.roll(x, shift, 0)``
+    puts it and ``rows`` in slot order. The three are the whole chain:
+    only :mod:`slotmesh.stationary` builds its slot blocks from them.
     """
 
     capacity: int
     slotframe_length: int
+    shift: int
     rows: np.ndarray
     runs: np.ndarray
     departures: np.ndarray
@@ -359,22 +376,21 @@ def build_chain(capacity: int, slotframe_length: int, tx_slots,
     else raises :class:`ModelError` (:func:`_check_node`), here, in
     :func:`evaluate_node` and in :func:`slotmesh.simulate.simulate_queue`.
 
-    The rows are built in the node's frame from s
-    (:func:`slotmesh.stationary._rotation`), as every stack is, and the
-    slot rows rotated back to slot order, read-only: a node and the same
-    node shifted round the slotframe get the same factor rows.
-    :func:`slotmesh.stationary.solve` rotates the slot rows into that
-    frame again, since the solver takes no other order.
+    The chain is built and kept in the node's frame from s
+    (:func:`_rotation`), read-only, as every stack is and as
+    :func:`slotmesh.stationary.solve` takes it: a node and the same node
+    shifted round the slotframe get the same rows and differ in
+    ``shift`` alone.
     """
     rates, probs = traffic._arrays()
     tau = _check_node(capacity, slotframe_length, [tx_slots], rates, probs)
-    (frame,), (back,) = stationary._rotation(tau)
-    rows, runs = _capped_rows(capacity, tau[:, frame], rates[:, frame],
-                              probs[:, frame])
-    rows = rows[0, back]
-    rows.flags.writeable = False
+    (frame,), _ = _rotation(tau)
+    tau = tau[:, frame]
+    tau.flags.writeable = False
+    rows, runs = _capped_rows(capacity, tau, rates[:, frame], probs[:, frame])
     return QueueChain(capacity=capacity, slotframe_length=slotframe_length,
-                      rows=rows, runs=runs[0], departures=tau[0])
+                      shift=int(frame[0]), rows=rows[0], runs=runs[0],
+                      departures=tau[0])
 
 
 def transmission_probability(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -442,12 +458,13 @@ class NodeMetrics:
     """Stationary metrics of one node's queue.
 
     ``grid`` is the node's ``(S, K + 1)`` step-by-level stationary grid in
-    its frame from s, which starts at slot ``shift``: a read-only view of
-    the one grid its stack solved for every node with the same chain in
-    that frame. ``distribution`` rotates it back to slot order when read.
-    ``grid`` and ``distribution`` are ``None`` for nodes that are not
-    modeled by a chain (the sink consumes packets immediately).
-    ``tx_probability`` is in slot order.
+    its frame from s, which starts at slot ``shift``: the one read-only
+    grid that the memo of :func:`_evaluate_stack` holds for every node
+    with the same chain in that frame. ``distribution`` rotates it back
+    to slot order when read. ``grid`` and ``distribution`` are ``None``
+    for nodes that are not modeled by a chain (the sink consumes packets
+    immediately). ``tx_probability`` is in slot order: the memo's own
+    records, ``shift`` 0, hold it in the frame.
     """
 
     grid: np.ndarray | None
@@ -474,20 +491,21 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
     probabilities.
 
     Each chain is keyed on K and its inputs' bytes in its frame from s
-    (:func:`slotmesh.stationary._rotation`), and ``solved``, a fresh dict
-    if ``None``, maps each key to the chain's results in that frame: its
-    read-only grid, transmission probabilities, marginals, acceptance,
-    delay and offered load. The keys ``solved`` lacks are built, solved
-    and summarized as one stack, once each, and an error names the first
-    chain of a key. Each key holds copies of its own rows, and past
-    ``_MEMO_BYTES`` of them the keys solved first are dropped, never one
-    of this stack. A chain's results have the same bits alone, in any
-    stack and from ``solved``. Each chain gets a view of its key's grid
-    with the slot its frame starts at, and copies that ``solved`` does
-    not hold of its marginals and of its transmission probabilities, put
-    back in its own slot order in one gather.
+    (:func:`_rotation`), and ``solved``, a fresh dict if ``None``, maps
+    each key to the chain's :class:`NodeMetrics` in that frame, ``shift``
+    0, with read-only copies of its own grid, transmission probabilities
+    and marginals. The keys ``solved`` lacks are built, solved and
+    summarized as one stack, once each, and an error names the first
+    chain of a key. Every key of the stack then moves to the end of
+    ``solved``, and past ``_MEMO_BYTES`` of arrays the keys at its front,
+    served least recently and none of this stack, are dropped. A chain's
+    results have the same bits alone, in any stack and from ``solved``.
+    Each chain gets a view of its key's grid with the slot its frame
+    starts at, and copies that ``solved`` does not hold of its marginals
+    and of its transmission probabilities, put back in its own slot order
+    in one gather.
     """
-    frame, back = stationary._rotation(tau)
+    frame, back = _rotation(tau)
     tau, rates, probs = (np.take_along_axis(x, frame, axis=1)
                          for x in (tau, rates, probs))
     solved = {} if solved is None else solved
@@ -499,63 +517,54 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
     # the first chain of each key not solved yet
     new = {key: owner.index(d) for key, d in keys.items() if key not in solved}
     if new:
-        _solve_new(capacity, tau, rates, probs, new, solved)
-        _evict(solved, keys)
-    distinct = [solved[key] for key in keys]
-    tx = np.array([d[1] for d in distinct])[np.array(owner)[:, None], back]
-    marginals = np.array([d[2] for d in distinct])[owner]
-    return [NodeMetrics(grid=grid, shift=int(frame[b, 0]),
-                        tx_probability=tx[b], acceptance=paccept,
-                        expected_delay_slots=delay,
-                        queue_marginals=marginals[b], total_arrivals=offered)
-            for b, (grid, _, _, paccept, delay, offered, _)
-            in enumerate(distinct[d] for d in owner)]
-
-
-def _solve_new(capacity: int, tau: np.ndarray, rates: np.ndarray,
-               probs: np.ndarray, new: dict, solved: dict) -> None:
-    """Build, solve and summarize as one stack the chains, in their frames
-    from s, at the positions of the stack that ``new`` maps their keys
-    to, and add each key's results to ``solved``
-    (:func:`_evaluate_stack`); an error names that position."""
-    firsts = list(new.values())
-    tau, rates, probs = tau[firsts], rates[firsts], probs[firsts]
-    offered = _offered(rates, probs)
-    # below the smallest normal float the Poisson terms keep too few bits
-    # to match the offered load
-    tiny = np.flatnonzero((offered > 0.0) & (offered < sys.float_info.min))
-    if tiny.size:
-        raise _at(ModelError(f"offered load {offered[tiny[0]]:g} packets per "
-                             f"slotframe is below the smallest normal float"),
-                  firsts[tiny[0]])
-    rows, runs = _capped_rows(capacity, tau, rates, probs)
-    try:
-        grid = stationary._solve_stack(rows, runs, tau)[0]
-        paccept = acceptance_probability(grid, rows, offered)
-    except (ModelError, StationaryError) as exc:
-        raise _at(exc, firsts[exc.index])
-    tx, marginals = transmission_probability(grid, tau), queue_marginals(grid)
-    delay = expected_delay(grid, tau)
-    # each key holds copies of its own rows, so the stack's arrays go when
-    # this returns, and a key holds the bytes that _evict counts for it
-    for d, key in enumerate(new):
-        own = grid[d].copy()
-        own.flags.writeable = False
-        arrays = own, tx[d].copy(), marginals[d].copy()
-        solved[key] = (*arrays, float(paccept[d]), float(delay[d]),
-                       float(offered[d]), sum(x.nbytes for x in arrays))
-
-
-def _evict(solved: dict, keep: dict) -> None:
-    """Drop the keys of ``solved`` added first, except those in ``keep``,
-    until its arrays hold at most ``_MEMO_BYTES``; each key's last entry
-    is the bytes its arrays hold."""
-    used = sum(map(itemgetter(-1), solved.values()))
-    for key in list(solved):
-        if used <= _MEMO_BYTES:
-            break
-        if key not in keep:
-            used -= solved.pop(key)[-1]
+        firsts = list(new.values())
+        tau, rates, probs = tau[firsts], rates[firsts], probs[firsts]
+        offered = _offered(rates, probs)
+        # below the smallest normal float the Poisson terms keep too few
+        # bits to match the offered load
+        tiny = np.flatnonzero((offered > 0.0) & (offered < sys.float_info.min))
+        if tiny.size:
+            raise _at(ModelError(f"offered load {offered[tiny[0]]:g} packets "
+                                 f"per slotframe is below the smallest normal "
+                                 f"float"), firsts[tiny[0]])
+        rows, runs = _capped_rows(capacity, tau, rates, probs)
+        try:
+            grid = stationary._solve_stack(rows, runs, tau)[0]
+            paccept = acceptance_probability(grid, rows, offered)
+        except (ModelError, StationaryError) as exc:
+            raise _at(exc, firsts[exc.index])
+        tx, marginals = transmission_probability(grid, tau), queue_marginals(grid)
+        delay = expected_delay(grid, tau)
+        # copies of its own rows, so the stack's arrays go when this
+        # returns and the memo holds the bytes it counts
+        for d, key in enumerate(new):
+            own = grid[d].copy(), tx[d].copy(), marginals[d].copy()
+            for x in own:
+                x.flags.writeable = False
+            solved[key] = NodeMetrics(
+                grid=own[0], shift=0, tx_probability=own[1],
+                acceptance=float(paccept[d]), expected_delay_slots=float(delay[d]),
+                queue_marginals=own[2], total_arrivals=float(offered[d]))
+    # the stack's keys go to the end, after the others, least recently
+    # served first, which are dropped past the budget
+    distinct = [solved.pop(key) for key in keys]
+    if new:
+        held = [node.grid.nbytes + node.tx_probability.nbytes
+                + node.queue_marginals.nbytes for node in (*solved.values(), *distinct)]
+        over = sum(held) - _MEMO_BYTES
+        for key, size in zip(list(solved), held):
+            if over <= 0:
+                break
+            del solved[key]
+            over -= size
+    solved.update(zip(keys, distinct))
+    tx = np.array([d.tx_probability for d in distinct])[np.array(owner)[:, None], back]
+    marginals = np.array([d.queue_marginals for d in distinct])[owner]
+    return [NodeMetrics(grid=d.grid, shift=int(frame[b, 0]), tx_probability=tx[b],
+                        acceptance=d.acceptance,
+                        expected_delay_slots=d.expected_delay_slots,
+                        queue_marginals=marginals[b], total_arrivals=d.total_arrivals)
+            for b, d in enumerate(distinct[d] for d in owner)]
 
 
 def _variant_stack(variant: str, capacity: int, slotframe_length: int,

@@ -12,7 +12,7 @@ that is at least 1/2, the pmf's upper sum below it. Every tail
 ``P(A >= r)`` is a top sum of a capped row (:func:`_top_sums`), so small
 tails keep their size. The slot index only advances from ``i`` to
 ``i + 1``, so the chain is its S per-slot ``(K + 1) x (K + 1)`` blocks,
-built (:func:`_slot_blocks`) and read only here: block ``i`` holds the
+built (:func:`_walk`) and read only here: block ``i`` holds the
 probabilities of moving from level ``q`` in slot ``i`` to each level in
 slot ``i + 1``. Without a departure, row ``q`` is the capped row moved
 ``q`` levels up, ending in ``P(A >= K - q)`` (:func:`_capped_blocks`). A
@@ -28,11 +28,11 @@ visited and carries exactly zero mass. If the start state reaches more
 than one closed class the distribution is not unique and
 :class:`StationaryError` is raised. Each chain is solved in its frame
 from s, the slot after its last transmission slot (slot 0 without one,
-:func:`_rotation`), and the start state is the empty queue at s. It
-reaches the closed classes that the empty queue at slot 0 reaches on
-every chain a test tries: up to three slots, K one or three, any
-transmission slots, a rate of 0 or 0.7 and forwarding probabilities 0,
-1/2 and 1 in any slot.
+:func:`slotmesh.queuemodel._rotation`), and the start state is the empty
+queue at s. It reaches the closed classes that the empty queue at slot
+0 reaches on every chain a test tries: up to three slots, K one or
+three, any transmission slots, a rate of 0 or 0.7 and forwarding
+probabilities 0, 1/2 and 1 in any slot.
 
 The closed class is solved by the GTH elimination (Grassmann, Taksar and
 Heyman, Oper. Res. 33(5), 1985): Gaussian elimination that replaces the
@@ -94,12 +94,13 @@ B_{s-1} - c_s``, taken from the normalized grid, can be non-zero; since
 the carry never reads the factor rows, it also checks their closed form.
 An error raised for one chain of a stack carries that chain's position
 as ``index``.
-:func:`solve` is the stack of one chain, the one place here that
-rotates: it takes its chain's slot rows and departures into the frame
-from s, and gives the grid back in slot order, states flattened as ``i *
-(K + 1) + q``. Its carry also takes the closed class at s along the
-edges of the blocks to mark the class in every slot, rotated back with
-the grid.
+:func:`solve` is the stack of one chain, which a
+:class:`slotmesh.queuemodel.QueueChain` holds in its frame from s with
+``shift``, the slot that frame starts at; it rolls the grid back to slot
+order by ``shift``, states flattened as ``i * (K + 1) + q``. Its carry
+also takes the closed class at s along the edges of the blocks to mark
+the class in every slot, rolled back with the grid. Nothing else here
+knows slot order.
 
 The carry and the wrap-around term read the blocks one slot at a time,
 so a stack never holds all its ``B S (K + 1)^2`` block entries:
@@ -350,17 +351,6 @@ def _capped_blocks(rows: np.ndarray, sends: np.ndarray,
     return out
 
 
-def _slot_blocks(rows: np.ndarray, tau: np.ndarray, out=None) -> np.ndarray:
-    """Read-only ``(..., S, K + 1, K + 1)`` slot blocks of chains given as
-    ``(..., S, K + 1)`` capped arrival rows and ``(..., S)`` boolean
-    transmission masks ``tau``: the blocks of :func:`_capped_blocks`,
-    written into ``out`` if given, a packet leaving first where ``tau``
-    is set."""
-    blocks = _capped_blocks(rows, tau, out)
-    blocks.flags.writeable = False
-    return blocks
-
-
 def _chunk_slots(rows: np.ndarray) -> int:
     """Entries per chunk along axis 1 of a stack's ``(B, n, ..., K + 1)``
     capped arrival rows: as many as keep the chunk's blocks within
@@ -369,12 +359,12 @@ def _chunk_slots(rows: np.ndarray) -> int:
 
 
 def _walk(rows: np.ndarray, tau: np.ndarray):
-    """The ``(B, K + 1, K + 1)`` slot blocks of a stack in the order of its
-    rows, built (:func:`_slot_blocks`) from its ``(B, S, K + 1)`` capped
-    rows and ``(B, S)`` boolean transmission masks as far as they are read:
-    one block per run of consecutive slots whose rows and masks are equal
-    in every chain, yielded for each slot of the run, a chunk of runs at
-    a time."""
+    """The read-only ``(B, K + 1, K + 1)`` slot blocks of a stack in the
+    order of its rows, built (:func:`_capped_blocks`) from its ``(B, S, K +
+    1)`` capped rows and ``(B, S)`` boolean transmission masks as far as
+    they are read: one block per run of consecutive slots whose rows and
+    masks are equal in every chain, yielded for each slot of the run, a
+    chunk of runs at a time."""
     chains, length, count = rows.shape
     # the slots that start a run, and S to close the last one
     bounds = np.ones(length + 1, dtype=bool)
@@ -389,23 +379,11 @@ def _walk(rows: np.ndarray, tau: np.ndarray):
     buffer = np.empty((chains, min(size, len(starts)), count, count))
     for at in range(0, len(starts), size):
         picked = starts[at:at + size]
-        blocks = _slot_blocks(rows[:, picked], tau[:, picked],
-                              buffer[:, :len(picked)])
+        blocks = _capped_blocks(rows[:, picked], tau[:, picked],
+                                buffer[:, :len(picked)])
+        blocks.flags.writeable = False
         for block, times in zip(blocks.swapaxes(0, 1), repeats[at:at + size]):
             yield from itertools.repeat(block, times)
-
-
-def _rotation(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The frame from s of each chain of a stack given as ``(B, S)``
-    boolean transmission masks, and the index back: step ``j`` of chain
-    b's frame is slot ``frame[b, j]``, and slot ``i`` is step ``back[b,
-    i]``.
-    s is the slot after the last transmission slot (slot 0 without one),
-    so every quiet run of the frame ends in a transmission slot."""
-    slots = np.arange(tau.shape[1])
-    # the last transmission slot is S - 1 - last, and last is 0 without one
-    last = np.argmax(tau[:, ::-1], axis=1)[:, None]
-    return (slots - last) % len(slots), (slots + last) % len(slots)
 
 
 def _return_maps(runs: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -413,11 +391,11 @@ def _return_maps(runs: np.ndarray, tau: np.ndarray) -> np.ndarray:
     ``(B, T, 3, K + 1)`` factor rows ``runs`` and ``(B, S)`` boolean
     transmission masks ``tau``.
 
-    ``Y_t`` is quiet run t of the frame from s (:func:`_rotation`) and
-    the transmission slot that ends it, whose block ``X_t`` is that of
-    the slot's own row ``runs[:, t, 2]``. A queue of ``q >= 1`` packets is
-    not empty when the slot comes, so rows ``q >= 1`` are the transmission
-    rows of the merged row ``runs[:, t, 1]``; row 0 is the run's own row
+    ``Y_t`` is quiet run t of the frame from s and the transmission slot
+    that ends it, whose block ``X_t`` is that of the slot's own row
+    ``runs[:, t, 2]``. A queue of ``q >= 1`` packets is not empty when
+    the slot comes, so rows ``q >= 1`` are the transmission rows of the
+    merged row ``runs[:, t, 1]``; row 0 is the run's own row
     ``runs[:, t, 0]`` times ``X_t``. A factor that sends nothing is the
     quiet block of its merged row: the whole frame of a chain without
     transmission slots, and the identity past a chain's last, which keeps
@@ -467,7 +445,7 @@ def _carry(first: np.ndarray, blocks, length: int, level=None):
 def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
                  reach: bool = False):
     """Stationary distributions of a stack of queue chains given in each
-    chain's frame from s (:func:`_rotation`), a transmission slot last or
+    chain's frame from s, a transmission slot last or
     none at all, as ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K +
     1)`` factor rows and ``(B, S)`` boolean transmission masks ``tau``:
     ``(B, S, K + 1)`` step-by-level grids in the same frames, with the
@@ -528,13 +506,12 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
 
 
 def solve(chain) -> StationaryResult:
-    """Stationary distribution of a queue chain: the stack of one, its
-    slot rows and departures rotated into its frame from s
-    (:func:`_rotation`), and its grid and closed classes back to slot
-    order."""
-    (frame,), (back,) = _rotation(chain.departures[None])
-    grid, residual, reachable = _solve_stack(chain.rows[None, frame], chain.runs[None],
-                                             chain.departures[None, frame], reach=True)
+    """Stationary distribution of a queue chain: the stack of one, in the
+    chain's frame from s as it holds it, its grid and closed classes
+    rolled back to slot order by the chain's ``shift``."""
+    grid, residual, reachable = _solve_stack(chain.rows[None], chain.runs[None],
+                                             chain.departures[None], reach=True)
     return StationaryResult(
-        distribution=grid[0, back].ravel(), residual=float(residual[0]),
-        reachable=reachable[0, back].ravel())
+        distribution=np.roll(grid[0], chain.shift, 0).ravel(),
+        residual=float(residual[0]),
+        reachable=np.roll(reachable[0], chain.shift, 0).ravel())

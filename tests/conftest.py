@@ -54,9 +54,11 @@ def slot_links(schedule, slot):
 
 
 def slot_blocks(chain):
-    """The chain's read-only ``(S, K + 1, K + 1)`` slot blocks: block ``i``
-    maps level ``q`` in slot ``i`` to each level in slot ``i + 1``."""
-    return stationary._slot_blocks(chain.rows, chain.departures)
+    """The chain's ``(S, K + 1, K + 1)`` slot blocks in slot order, built
+    from its rows and departures rolled by its ``shift``: block ``i`` maps
+    level ``q`` in slot ``i`` to each level in slot ``i + 1``."""
+    return stationary._capped_blocks(np.roll(chain.rows, chain.shift, 0),
+                                     np.roll(chain.departures, chain.shift))
 
 
 def dense_matrix(chain):

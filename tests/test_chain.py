@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chain_cases, dense_matrix, slot_blocks
+from slotmesh import stationary
 from slotmesh.queuemodel import (ModelError, TrafficSpec, _check_node,
                                  _check_variant, arrival_pmf, build_chain,
                                  evaluate_node)
@@ -91,12 +92,12 @@ def test_no_traffic_stays_empty():
 
 
 def test_chain_tables_are_read_only_and_blocks_derived():
-    # a chain is its capped rows and departures; only the solver derives
-    # the slot blocks from the two, read-only
+    # a chain is its capped rows and departures; only the solver's walk
+    # derives the slot blocks from the two, read-only
     for capacity, length, tx, traffic in chain_cases():
         chain = build_chain(capacity, length, tx, traffic)
-        for table in (chain.rows, chain.runs, chain.departures,
-                      slot_blocks(chain)):
+        walked = next(stationary._walk(chain.rows[None], chain.departures[None]))
+        for table in (chain.rows, chain.runs, chain.departures, walked):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
@@ -112,7 +113,26 @@ def test_transmission_slots_are_one_read_only_mask():
     assert sends.tolist() == [[False, True, False, False, True]]
     chain = build_chain(2, 5, (4, 1), TrafficSpec.constant(5, rate=0.3))
     assert chain.departures.dtype == bool
-    assert np.array_equal(chain.departures, sends[0])
+    assert np.array_equal(np.roll(chain.departures, chain.shift), sends[0])
+
+
+def test_chain_is_held_in_its_frame_from_s():
+    # shift is the slot after the last transmission slot; rolled by it,
+    # the rows are each slot's capped row alone and the departures the
+    # transmission mask, in slot order. Without transmission slots the
+    # frame starts at slot 0, with the same slot rows
+    for capacity, length, tx, traffic in chain_cases():
+        chain = build_chain(capacity, length, tx, traffic)
+        assert chain.shift == (max(tx) + 1) % length
+        rates, probs = traffic._arrays()
+        sends = _check_node(capacity, length, [tx], rates, probs)[0]
+        assert np.array_equal(np.roll(chain.departures, chain.shift), sends)
+        rows = np.roll(chain.rows, chain.shift, 0)
+        alone = [build_chain(capacity, 1, (), TrafficSpec((rate,), (prob,))).rows[0]
+                 for rate, prob in zip(traffic.poisson_rate, traffic.bernoulli_prob)]
+        assert rows.tobytes() == np.array(alone).tobytes()
+        quiet = build_chain(capacity, length, (), traffic)
+        assert quiet.shift == 0 and quiet.rows.tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["full", "distributed", "md1k"])
@@ -173,6 +193,7 @@ def test_numpy_integers_are_node_inputs():
     for got, expected in ((chain.rows, want.rows), (chain.runs, want.runs),
                           (chain.departures, want.departures)):
         assert np.array_equal(got, expected)
+    assert chain.shift == want.shift == 2
     assert (evaluate_node(np.int64(2), np.int64(3), [np.int16(1)], traffic)
             .acceptance == evaluate_node(2, 3, (1,), traffic).acceptance)
 

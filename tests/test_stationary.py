@@ -204,25 +204,24 @@ def test_mixed_stack_matches_single_solves():
 
 def stacked(chains):
     """The capped rows, factor rows and departures of separately built
-    chains with the same S and K as one stack, in each chain's frame from
-    s (:func:`in_frame`); a chain with fewer transmission slots gets
-    factor rows of no arrivals."""
+    chains with the same S and K as one stack, each in its frame from s as
+    the chain holds it; a chain with fewer transmission slots gets factor
+    rows of no arrivals."""
     runs = np.zeros((len(chains), max(len(chain.runs) for chain in chains),
                      3, chains[0].capacity + 1))
     runs[..., 0] = 1.0
     for b, chain in enumerate(chains):
         runs[b, :len(chain.runs)] = chain.runs
-    return in_frame(np.stack([chain.rows for chain in chains]), runs,
-                    np.stack([chain.departures for chain in chains]))
+    return (np.stack([chain.rows for chain in chains]), runs,
+            np.stack([chain.departures for chain in chains]))
 
 
 def in_slot_order(grids, chains):
     """The ``(B, S, K + 1)`` frame-order grids that
-    :func:`stationary._solve_stack` gives for :func:`stacked` chains, in
-    each chain's slot order."""
-    back = stationary._rotation(np.stack([chain.departures
-                                          for chain in chains]))[1]
-    return np.take_along_axis(grids, back[:, :, None], axis=1)
+    :func:`stationary._solve_stack` gives for :func:`stacked` chains, each
+    rolled to its chain's slot order."""
+    return np.array([np.roll(grid, chain.shift, 0)
+                     for grid, chain in zip(grids, chains)])
 
 
 def level_stack(rings, algorithm, capacity, rate, depth=-1):
@@ -248,14 +247,17 @@ def test_slot_blocks_are_built_in_chunks(monkeypatch):
     # several runs
     rows, runs, tau = level_stack(2, "ta-mc", 16, 0.01, depth=1)
     calls = []
-    slot_blocks_of = stationary._slot_blocks
+    capped_blocks_of = stationary._capped_blocks
 
     def counted(rows, tau, out=None):
-        blocks = slot_blocks_of(rows, tau, out)
-        calls.append((blocks.shape[1], blocks.nbytes))
+        blocks = capped_blocks_of(rows, tau, out)
+        # the walk's chunks, which it builds into its buffer; the return
+        # maps build new arrays
+        if out is not None:
+            calls.append((blocks.shape[1], blocks.nbytes))
         return blocks
 
-    monkeypatch.setattr(stationary, "_slot_blocks", counted)
+    monkeypatch.setattr(stationary, "_capped_blocks", counted)
     stationary._solve_stack(rows, runs, tau)
     assert len(calls) == 1 and 1 < calls[0][0] < rows.shape[1]
     for capacity, length in ((128, 19), (512, 19)):
@@ -347,8 +349,7 @@ def test_perturbed_chain_names_its_node(monkeypatch):
     chain = build_chain(capacity, length, sched.tx_slots[target], traffic)
     # the return map at the frame start s, on its closed class there
     _, runs, tau = stacked([chain])
-    start = stationary._rotation(chain.departures[None])[0][0, 0]
-    level = solve(chain).reachable.reshape(length, capacity + 1)[start]
+    level = solve(chain).reachable.reshape(length, capacity + 1)[chain.shift]
     frame_map = stationary._return_maps(runs, tau)[0][np.ix_(level, level)]
     exact = stationary._gth
 
@@ -441,8 +442,8 @@ def test_critical_load_large_capacity():
     for i in range(length - 1):
         grid[i + 1] = grid[i] @ blocks[i]
     offered = queuemodel._offered(*traffic._arrays())
-    want = acceptance_probability(grid[None] / length, chain.rows[None],
-                                  offered)[0]
+    rows = np.roll(chain.rows, chain.shift, 0)
+    want = acceptance_probability(grid[None] / length, rows[None], offered)[0]
     assert evaluate_node(256, length, (0,), traffic).acceptance == pytest.approx(
         want, abs=1e-8)
 
@@ -479,28 +480,16 @@ def frame_inputs(capacity, tx_slots, rates, probs):
     probabilities of a stack of chains, each in its frame from s."""
     rates, probs = np.array(rates, dtype=float), np.array(probs, dtype=float)
     tau = queuemodel._check_node(capacity, len(rates[0]), tx_slots, rates, probs)
-    frame = stationary._rotation(tau)[0]
+    frame = queuemodel._rotation(tau)[0]
     return tuple(np.take_along_axis(x, frame, axis=1) for x in (tau, rates, probs))
 
 
 def stack_rows(capacity, tx_slots, rates, probs):
     """The ``(B, S, K + 1)`` capped arrival rows, ``(B, T, 3, K + 1)``
     factor rows and ``(B, S)`` departures of a stack of chains, built in
-    each chain's frame from s, as every stack is: :func:`in_frame` leaves
-    them as they are."""
+    each chain's frame from s, as every stack is."""
     tau, rates, probs = frame_inputs(capacity, tx_slots, rates, probs)
     return (*queuemodel._capped_rows(capacity, tau, rates, probs), tau)
-
-
-def in_frame(rows, runs, tau):
-    """A stack's capped rows and departures in each chain's frame from s,
-    with its factor rows: the slot blocks taken from s multiply to the
-    return maps, and :func:`stationary._solve_stack` takes no other
-    order. Chains from :func:`build_chain` keep their slot rows in slot
-    order."""
-    frame = stationary._rotation(tau)[0]
-    return (np.take_along_axis(rows, frame[:, :, None], axis=1), runs,
-            np.take_along_axis(tau, frame, axis=1))
 
 
 @st.composite
@@ -537,7 +526,7 @@ def chain_stacks(draw, max_length=8, max_capacity=12):
 def test_return_map_matches_block_product(case):
     # run-then-send factors against the slot blocks taken from s
     rows, runs, tau = stack_rows(*case)
-    blocks = stationary._slot_blocks(rows, tau)
+    blocks = stationary._capped_blocks(rows, tau)
     built = stationary._return_maps(runs, tau)
     # chunks of one factor each, every one a new array
     with mock.patch.object(stationary, "_CHUNK_BYTES", 0):
@@ -570,7 +559,7 @@ def test_transmission_blocks_are_shifted_quiet_blocks(case):
     for b, i in zip(*np.nonzero(tau)):
         want[b, i, 1:, :-1] = quiet[b, i, 1:, 1:]
         want[b, i, 1:, -1] = 0.0
-    assert np.array_equal(stationary._slot_blocks(rows, tau), want)
+    assert np.array_equal(stationary._capped_blocks(rows, tau), want)
 
 
 def factor_slots(tau):
@@ -578,7 +567,7 @@ def factor_slots(tau):
     order: a quiet run and, last, the transmission slot that ends it; the
     whole frame without transmission slots."""
     factors = [[]]
-    for i in stationary._rotation(np.asarray(tau)[None])[0][0]:
+    for i in queuemodel._rotation(np.asarray(tau)[None])[0][0]:
         factors[-1].append(int(i))
         if tau[i]:
             factors.append([])
@@ -761,7 +750,7 @@ def test_factors_in_one_slot_chunks_match_dense_solve(tx):
     assert stationary._chunk_slots(chain.rows[None]) == 1
     rows, runs, tau = stacked([chain])
     frame_map = stationary._return_maps(runs, tau)[0]
-    want = plain_return_map(stationary._slot_blocks(rows, tau)[0])
+    want = plain_return_map(stationary._capped_blocks(rows, tau)[0])
     assert np.abs(frame_map - want).max() <= 1e-13
     matrix = dense_matrix(chain)
     res = solve(chain)
@@ -841,19 +830,20 @@ def test_each_distinct_chain_is_solved_once(monkeypatch):
 
 def test_build_chain_gives_chains_equal_in_their_frames_one_set_of_runs():
     # the uneven pair of SHARED_STACK, two slots apart: build_chain builds
-    # each in its frame from s, so their factor rows have the same bytes,
-    # their slot rows are each other's rolled by two, and so are their
-    # solutions, up to the order of the normalizing sum
+    # and keeps each in its frame from s, so they have the same bytes and
+    # differ in shift alone, by two, and so their solutions are each
+    # other's rolled by two, bit for bit
     _, (capacity, tx_slots, rates, probs), _ = shared_stack()
     first, later = (build_chain(capacity, 12, tx_slots[b],
                                 TrafficSpec(rates[b], probs[b]))
                     for b in (-2, -1))
-    assert first.runs.tobytes() == later.runs.tobytes()
-    assert np.array_equal(later.rows, np.roll(first.rows, 2, axis=0))
+    for table in ("rows", "runs", "departures"):
+        assert getattr(first, table).tobytes() == getattr(later, table).tobytes()
+    assert (first.shift, later.shift) == (6, 8)
     assert not later.rows.flags.writeable
     grids = [solve(chain).distribution.reshape(12, capacity + 1)
              for chain in (first, later)]
-    assert grids[1] == pytest.approx(np.roll(grids[0], 2, axis=0), rel=1e-15)
+    assert np.array_equal(grids[1], np.roll(grids[0], 2, axis=0))
 
 
 @pytest.mark.parametrize("algorithm, built", [("ta-sc", [1, 1]),
@@ -973,27 +963,48 @@ def test_a_stack_solves_only_the_chains_its_memo_lacks(monkeypatch):
         assert node_fields(node) == node_fields(alone)
 
 
+def memo_rates(solved):
+    """The offered load of each record of a memo of one-slot chains, their
+    rate, from the front, where the least recently served are dropped."""
+    return [node.total_arrivals for node in solved.values()]
+
+
 def test_memo_drops_the_chains_solved_first_past_its_budget(monkeypatch):
     # a K = 6, one-slot chain holds 56 + 8 + 56 bytes: the budget keeps two
-    # of them, but never drops a chain of the stack in progress
+    # of them, but never drops a chain of the stack in progress. A served
+    # chain, 0.3, moves to the end with the stack's new ones
     monkeypatch.setattr(queuemodel, "_MEMO_BYTES", 250)
     solved = {}
     for rate in (0.1, 0.2, 0.3):
         evaluate_stack(6, [[0]], [[rate]], [[0.0]], solved)
-    assert [key[2] for key in solved] == [np.array([r]).tobytes()
-                                          for r in (0.2, 0.3)]
+    assert memo_rates(solved) == [0.2, 0.3]
     rates = [[0.4], [0.5], [0.6], [0.3]]
     nodes = evaluate_stack(6, [[0]] * 4, rates, [[0.0]] * 4, solved)
-    assert len(solved) == 4
+    assert memo_rates(solved) == [0.4, 0.5, 0.6, 0.3]
     for node, (rate,) in zip(nodes, rates):
         alone = evaluate_node(6, 1, (0,), TrafficSpec((rate,), (0.0,)))
         assert node_fields(node) == node_fields(alone)
+    for key, record in solved.items():
+        assert key[2] == np.array([record.total_arrivals]).tobytes()
+        assert record.shift == 0
+
+
+def test_a_served_chain_outlives_later_chains_never_served(monkeypatch):
+    # 0.1 is served again after 0.2 was added: past the budget of two
+    # chains, 0.2 goes, not 0.1, and 0.1 is not solved again
+    monkeypatch.setattr(queuemodel, "_MEMO_BYTES", 250)
+    solved = {}
+    sizes = recorded(monkeypatch, queuemodel, "_capped_rows", 1)
+    for rate in (0.1, 0.2, 0.1, 0.3, 0.1):
+        evaluate_stack(6, [[0]], [[rate]], [[0.0]], solved)
+    assert sizes == [1, 1, 1]
+    assert memo_rates(solved) == [0.3, 0.1]
 
 
 def test_a_dropped_key_frees_its_arrays(monkeypatch):
-    # each key holds copies of its own rows: once part of a stack is
-    # dropped, the key that stays pins none of the stack's arrays, so the
-    # budget counts all that the memo holds
+    # each record holds read-only copies of its own rows: once part of a
+    # stack is dropped, the record that stays pins none of the stack's
+    # arrays, so the budget counts all that the memo holds
     made = []
     for module, name in ((stationary, "_solve_stack"),
                          (queuemodel, "transmission_probability"),
@@ -1011,12 +1022,12 @@ def test_a_dropped_key_frees_its_arrays(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(queuemodel, "_MEMO_BYTES", 250)
     evaluate_stack(6, [[0]], [[0.4]], [[0.0]], solved)
-    assert [key[2] for key in solved] == [np.array([r]).tobytes()
-                                          for r in (0.3, 0.4)]
+    assert memo_rates(solved) == [0.3, 0.4]
     gc.collect()
     assert len(made) == 3 and all(ref() is None for ref in made)
-    for grid, tx, marginals, *_, held in solved.values():
-        assert held == grid.nbytes + tx.nbytes + marginals.nbytes
+    for record in solved.values():
+        for array in (record.grid, record.tx_probability, record.queue_marginals):
+            assert array.base is None and not array.flags.writeable
 
 
 def test_no_result_can_spoil_the_memo():
@@ -1193,11 +1204,10 @@ def test_extreme_loads_match_null_space(case):
     # the oracle on the return map at the frame start s, against the
     # solution's share at s scaled to one
     rows, _, tau = stacked([chain])
-    frame_map = plain_return_map(stationary._slot_blocks(rows, tau)[0])
-    start = stationary._rotation(chain.departures[None])[0][0, 0]
-    at_start = res.distribution.reshape(length, -1)[start]
+    frame_map = plain_return_map(stationary._capped_blocks(rows, tau)[0])
+    at_start = res.distribution.reshape(length, -1)[chain.shift]
     oracle = dense_null_space_oracle(
-        frame_map, res.reachable.reshape(length, -1)[start])
+        frame_map, res.reachable.reshape(length, -1)[chain.shift])
     assert np.abs(at_start / at_start.sum() - oracle).max() <= 1e-8
 
 
@@ -1259,9 +1269,8 @@ def test_frame_start_reaches_the_classes_of_slot_0():
             chain = build_chain(capacity, length, tx,
                                 TrafficSpec((rate,) * length, probs))
             matrix = dense_matrix(chain)
-            start = stationary._rotation(chain.departures[None])[0][0, 0]
             classes = [csgraph_closed_classes(matrix, state) for state in
-                       (0, chain.state_index(0, start))]
+                       (0, chain.state_index(0, chain.shift))]
             assert np.array_equal(classes[0], classes[1]), (tx, probs, rate)
             if len(classes[0]) > 1:
                 with pytest.raises(StationaryError, match="closed class"):
