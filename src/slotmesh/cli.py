@@ -184,9 +184,10 @@ def _outer_ring_means(result):
     """The SIM_METRICS of a model result: means over the outer ring and
     the sink throughput."""
     outer = list(result.scenario.topology.levels[-1])
+    # sums over the count: the bits of ndarray.mean, without its wrapper
     return {
-        "pdr_outer_mean": float(result.delivery_ratio[outer].mean()),
-        "delay_outer_mean_s": float(result.delay_seconds[outer].mean()),
+        "pdr_outer_mean": float(result.delivery_ratio[outer].sum()) / len(outer),
+        "delay_outer_mean_s": float(result.delay_seconds[outer].sum()) / len(outer),
         "throughput_pps": result.throughput_pps,
     }
 
@@ -194,9 +195,9 @@ def _outer_ring_means(result):
 def _sweep_point(task, solved):
     name, variant, scenario = task
     result = evaluate_network(scenario, variant=variant, solved=solved)
-    non_root = list(range(1, scenario.topology.node_count))
+    non_root = scenario.topology.node_count - 1
     values = _outer_ring_means(result)
-    values["pdr_mean"] = (float(result.delivery_ratio[non_root].mean())
+    values["pdr_mean"] = (float(result.delivery_ratio[1:].sum()) / non_root
                           if non_root else 1.0)
     return [(name, variant, scenario.queue_capacity, scenario.generation_rate,
              metric, values[metric]) for metric in SWEEP_METRICS]

@@ -135,10 +135,12 @@ def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
     :func:`~slotmesh.queuemodel._check_variant` at the tree's depth
     (``md1k`` is restricted to single-hop trees), and a refusal is a
     :class:`NetworkModelError` that names no node; an error of a chain
-    names its node. Each solved node adds its transmission
-    probabilities, thinned by its uplink's PER, to its parent's reception
-    row in one write: siblings never share a reception slot, and a node's
-    probabilities are zero outside its transmission slots.
+    names its node. Each solved level adds its nodes' transmission
+    probabilities, thinned by their uplinks' PERs, to their parents'
+    reception rows in one scatter: siblings never share a reception
+    slot, and a node's probabilities are zero outside its transmission
+    slots. Delivery ratios and delays are then composed from the sink
+    outward, one gather of the parents' figures per level.
 
     ``solved`` is a memo of solved chains, a dict that the caller creates
     empty and passes to every call that may share chains, as ``slotmesh
@@ -169,18 +171,23 @@ def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
     hop = np.ones(n_nodes)
     for (n, _), per in scenario.link_per.items():
         hop[n] = 1.0 - per
+    # each level below the sink, with its node ids and their parents' ids
+    # as index arrays
+    steps = [(level, np.array(level), np.array([topology.parents[n] for n in level]))
+             for level in levels[1:]]
 
-    for level in reversed(levels[1:]):
+    for level, ids, up in reversed(steps):
         rates = np.full((len(level), length), scenario.generation_rate)
         try:
             nodes = _variant_stack(variant, capacity, length,
                                    [schedule.tx_slots[n] for n in level],
-                                   rates, rx_prob[list(level)], solved)
+                                   rates, rx_prob[ids], solved)
         except (ModelError, StationaryError) as exc:
             raise NetworkModelError(f"node {level[exc.index]}: {exc}") from exc
         for n, node in zip(level, nodes):
             metrics[n] = node
-            rx_prob[topology.parents[n]] += node.tx_probability * hop[n]
+        tx = np.array([node.tx_probability for node in nodes])
+        np.add.at(rx_prob, up, tx * hop[ids, None])
 
     sink_arrivals = float(rx_prob[topology.ROOT].sum())
     sink_marginals = np.zeros(capacity + 1)
@@ -197,11 +204,9 @@ def evaluate_network(scenario: NetworkScenario, *, variant: str = "full",
 
     delivery = np.ones(n_nodes)
     delay = np.zeros(n_nodes)
-    for level in levels[1:]:
-        for n in level:
-            p = topology.parents[n]
-            delivery[n] = delivery[p] * metrics[n].acceptance * hop[n]
-            delay[n] = delay[p] + metrics[n].expected_delay_slots
+    for level, ids, up in steps:
+        delivery[ids] = delivery[up] * [metrics[n].acceptance for n in level] * hop[ids]
+        delay[ids] = delay[up] + [metrics[n].expected_delay_slots for n in level]
 
     return NetworkResult(
         scenario=scenario,

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +189,8 @@ def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
     and ``probs`` are the ``(B, S)`` traffic. K and S must be positive
     integers (:func:`slotmesh.schedule._ints`), the traffic valid and one
     frame long, and each chain's slots a collection of distinct integers
-    within the frame; anything else raises :class:`ModelError`. This is
+    within the frame, read once, so that an iterator serves as a tuple
+    does; anything else raises :class:`ModelError`. This is
     the one check of node inputs, run by :func:`build_chain`, by every
     stack of :func:`evaluate_node` and
     :func:`slotmesh.network.evaluate_network` and by
@@ -204,26 +205,25 @@ def _check_node(capacity: int, length: int, tx_slots, rates: np.ndarray,
         except TypeError:
             raise _at(ModelError(f"tx slots {chain!r} are not a collection"),
                       b) from None
-    if rates.shape != (len(tx_slots), length) or probs.shape != rates.shape:
+    # each chain's slots read once, so that an iterator keeps them
+    chains = [list(chain) for chain in tx_slots]
+    if rates.shape != (len(chains), length) or probs.shape != rates.shape:
         raise ModelError("traffic spec length must equal the slotframe length")
     _check_traffic(rates, probs)
-    rows = [b for b, slots in enumerate(tx_slots) for _ in slots]
-    slots = [s for chain in tx_slots for s in chain]
+    rows = [b for b, chain in enumerate(chains) for _ in chain]
+    slots = [s for chain in chains for s in chain]
     if not _ints(*slots):
         b, slot = next((b, s) for b, s in zip(rows, slots) if not _ints(s))
         raise _at(ModelError(f"tx slot {slot!r} is not an integer"), b)
-    slots = np.array(slots, dtype=int)
-    outside = np.flatnonzero((slots < 0) | (slots >= length))
-    if outside.size:
-        first = outside[0]
-        raise _at(ModelError(f"tx slot {slots[first]} outside [0, {length})"),
-                  rows[first])
-    tau = np.zeros((len(tx_slots), length), dtype=bool)
+    if slots and not (min(slots) >= 0 and max(slots) < length):
+        b, slot = next((b, s) for b, s in zip(rows, slots) if not 0 <= s < length)
+        raise _at(ModelError(f"tx slot {slot} outside [0, {length})"), b)
+    tau = np.zeros((len(chains), length), dtype=bool)
     tau[rows, slots] = True
-    if tau.sum() < len(slots):
-        b, chain = next((b, chain) for b, chain in enumerate(tx_slots)
+    if np.count_nonzero(tau) < len(slots):
+        b, chain = next((b, chain) for b, chain in enumerate(chains)
                         if len(set(chain)) < len(chain))
-        raise _at(ModelError(f"tx slots {list(chain)} repeat a slot"), b)
+        raise _at(ModelError(f"tx slots {chain} repeat a slot"), b)
     tau.flags.writeable = False
     return tau
 
@@ -237,7 +237,7 @@ def _rotation(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so every quiet run of the frame ends in a transmission slot."""
     slots = np.arange(tau.shape[1])
     # the last transmission slot is S - 1 - last, and last is 0 without one
-    last = np.argmax(tau[:, ::-1], axis=1)[:, None]
+    last = tau[:, ::-1].argmax(axis=1)[:, None]
     return (slots - last) % len(slots), (slots + last) % len(slots)
 
 
@@ -490,30 +490,32 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
     boolean transmission masks, Poisson rates and Bernoulli
     probabilities.
 
-    Each chain is keyed on K and its inputs' bytes in its frame from s
-    (:func:`_rotation`), and ``solved``, a fresh dict if ``None``, maps
-    each key to the chain's :class:`NodeMetrics` in that frame, ``shift``
-    0, with read-only copies of its own grid, transmission probabilities
-    and marginals. The keys ``solved`` lacks are built, solved and
-    summarized as one stack, once each, and an error names the first
-    chain of a key. Every key of the stack then moves to the end of
-    ``solved``, and past ``_MEMO_BYTES`` of arrays the keys at its front,
-    served least recently and none of this stack, are dropped. A chain's
-    results have the same bits alone, in any stack and from ``solved``.
-    Each chain gets a view of its key's grid with the slot its frame
-    starts at, and copies that ``solved`` does not hold of its marginals
-    and of its transmission probabilities, put back in its own slot order
-    in one gather.
+    The stack is rotated into its chains' frames from s
+    (:func:`_rotation`) by one row-indexed gather per array. Each chain is
+    keyed on K and its inputs' bytes in that frame, and ``solved``, a
+    fresh dict if ``None``, maps each key to the chain's
+    :class:`NodeMetrics` in that frame, ``shift`` 0, with read-only copies
+    of its own grid, transmission probabilities and marginals. The keys
+    ``solved`` lacks are built, solved and summarized as one stack, once
+    each, and an error names the first chain of a key. Every key of the
+    stack then moves to the end of ``solved``, and past ``_MEMO_BYTES`` of
+    arrays the keys at its front, served least recently and none of this
+    stack, are dropped. A chain's results have the same bits alone, in any
+    stack and from ``solved``. Each chain gets a view of its key's grid
+    with the slot its frame starts at, and copies that ``solved`` does not
+    hold of its marginals and of its transmission probabilities, put back
+    in its own slot order in one gather.
     """
     frame, back = _rotation(tau)
-    tau, rates, probs = (np.take_along_axis(x, frame, axis=1)
-                         for x in (tau, rates, probs))
+    chain = np.arange(len(tau))[:, None]
+    tau, rates, probs = tau[chain, frame], rates[chain, frame], probs[chain, frame]
     solved = {} if solved is None else solved
-    # chain b has the key at position owner[b] of keys
+    # chain b has the key at position owner[b] of keys; each array's rows
+    # read as one bytes object per row, in one step
+    row_bytes = [x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel().tolist()
+                 for x in (tau, rates, probs)]
     keys = {}
-    owner = [keys.setdefault((capacity, *(x.tobytes() for x in inputs)),
-                             len(keys))
-             for inputs in zip(tau, rates, probs)]
+    owner = [keys.setdefault((capacity, *rows), len(keys)) for rows in zip(*row_bytes)]
     # the first chain of each key not solved yet
     new = {key: owner.index(d) for key, d in keys.items() if key not in solved}
     if new:
@@ -560,11 +562,12 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
     solved.update(zip(keys, distinct))
     tx = np.array([d.tx_probability for d in distinct])[np.array(owner)[:, None], back]
     marginals = np.array([d.queue_marginals for d in distinct])[owner]
-    return [NodeMetrics(grid=d.grid, shift=int(frame[b, 0]), tx_probability=tx[b],
+    return [NodeMetrics(grid=d.grid, shift=shift, tx_probability=row,
                         acceptance=d.acceptance,
                         expected_delay_slots=d.expected_delay_slots,
-                        queue_marginals=marginals[b], total_arrivals=d.total_arrivals)
-            for b, d in enumerate(distinct[d] for d in owner)]
+                        queue_marginals=held, total_arrivals=d.total_arrivals)
+            for d, shift, row, held in zip((distinct[d] for d in owner),
+                                           frame[:, 0].tolist(), tx, marginals)]
 
 
 def _variant_stack(variant: str, capacity: int, slotframe_length: int,
@@ -574,7 +577,10 @@ def _variant_stack(variant: str, capacity: int, slotframe_length: int,
     and K, given as one transmission slot collection per node and
     ``(B, S)`` rates and probabilities, under a ``variant`` that
     :func:`_check_variant` accepted, with the chains that ``solved``
-    holds taken from it (:func:`_evaluate_stack`)."""
+    holds taken from it (:func:`_evaluate_stack`). Under ``md1k`` each
+    node's :class:`NodeMetrics` is built from its collapsed chain's, with
+    the transmission probability of the whole stack spread over its
+    transmission slots in one step."""
     tau = _check_node(capacity, slotframe_length, tx_slots, rates, probs)
     if variant == "full":
         return _evaluate_stack(capacity, tau, rates, probs, solved)
@@ -589,12 +595,16 @@ def _variant_stack(variant: str, capacity: int, slotframe_length: int,
     collapsed = _evaluate_stack(capacity, (counts > 0)[:, None],
                                 offered[:, None], np.zeros((len(tau), 1)),
                                 solved)
-    return [replace(node,
-                    tx_probability=tau[b] * (node.tx_probability[0]
-                                             / max(counts[b], 1)),
-                    expected_delay_slots=node.expected_delay_slots
-                    * slotframe_length)
-            for b, node in enumerate(collapsed)]
+    # the collapsed step's probability spread over the transmission slots
+    share = np.concatenate([node.tx_probability for node in collapsed])
+    tx = tau * (share / np.maximum(counts, 1))[:, None]
+    return [NodeMetrics(grid=node.grid, shift=node.shift, tx_probability=row,
+                        acceptance=node.acceptance,
+                        expected_delay_slots=node.expected_delay_slots
+                        * slotframe_length,
+                        queue_marginals=node.queue_marginals,
+                        total_arrivals=node.total_arrivals)
+            for node, row in zip(collapsed, tx)]
 
 
 def evaluate_node(capacity: int, slotframe_length: int, tx_slots,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chain_cases, dense_matrix, slot_blocks
+from conftest import chain_cases, dense_matrix, node_fields, slot_blocks
 from slotmesh import stationary
 from slotmesh.queuemodel import (ModelError, TrafficSpec, _check_node,
                                  _check_variant, arrival_pmf, build_chain,
@@ -171,6 +171,7 @@ def test_build_chain_validation():
     pytest.param((2, 3.0, (1,)), id="float_length"),
     pytest.param((2, 3, (3,)), id="slot_outside_frame"),
     pytest.param((2, 3, (-1,)), id="negative_slot"),
+    pytest.param((2, 3, (2 ** 70,)), id="slot_beyond_int64"),
     pytest.param((0, 3, (1,)), id="zero_capacity"),
     pytest.param((-2, 3, (1,)), id="negative_capacity"),
     pytest.param((4, 4, (1,)), id="traffic_length"),
@@ -196,6 +197,44 @@ def test_numpy_integers_are_node_inputs():
     assert chain.shift == want.shift == 2
     assert (evaluate_node(np.int64(2), np.int64(3), [np.int16(1)], traffic)
             .acceptance == evaluate_node(2, 3, (1,), traffic).acceptance)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (5, "tx slots 5 are not a collection"),
+    ((1.5,), "tx slot 1.5 is not an integer"),
+    ((0, np.int64(7)), r"tx slot 7 outside \[0, 7\)"),
+    ((-1,), r"tx slot -1 outside \[0, 7\)"),
+    ((2, 0, 2), r"tx slots \[2, 0, 2\] repeat a slot"),
+])
+def test_a_bad_chain_of_a_stack_is_named_by_its_position(bad, message):
+    # the check names the first bad chain of the stack, here the second
+    rates, probs = np.zeros((3, 7)), np.zeros((3, 7))
+    with pytest.raises(ModelError, match=f"^{message}$") as caught:
+        _check_node(4, 7, [(1,), bad, (2, 2)], rates, probs)
+    assert caught.value.index == 1
+
+
+def test_an_iterator_of_slots_is_read_once():
+    # the check reads each chain's slots once, so a one-shot iterator
+    # keeps them: the node is the node of its tuple, bit for bit
+    traffic = TrafficSpec.constant(5, rate=0.1)
+    for variant in ("full", "distributed", "md1k"):
+        got = evaluate_node(4, 5, (x for x in [2]), traffic, variant=variant)
+        want = evaluate_node(4, 5, (2,), traffic, variant=variant)
+        assert node_fields(got) == node_fields(want)
+    assert evaluate_node(4, 5, iter([2]), traffic).tx_probability[2] > 0
+    chain = build_chain(4, 5, iter([2]), traffic)
+    want = build_chain(4, 5, (2,), traffic)
+    assert chain.shift == want.shift
+    for got, expected in ((chain.rows, want.rows), (chain.runs, want.runs),
+                          (chain.departures, want.departures)):
+        assert got.tobytes() == expected.tobytes()
+    config = SimConfig(seed=3, runs=2, packets=50)
+    got = simulate_queue(4, 5, iter([2]), traffic, config)
+    want = simulate_queue(4, 5, (2,), traffic, config)
+    assert (got.acceptance, got.delay_slots, got.arrived, got.accepted) == (
+        want.acceptance, want.delay_slots, want.arrived, want.accepted)
+    assert np.array_equal(got.queue_histogram, want.queue_histogram)
 
 
 @given(st.integers(min_value=1, max_value=6),

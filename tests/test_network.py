@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -226,22 +227,57 @@ def test_load_below_smallest_normal_float_is_refused_before_any_row(
 @pytest.mark.parametrize("rings", [1, 2, 3])
 def test_a_shared_memo_gives_every_point_its_bits_alone(rings):
     # a sweep's points share one memo of solved chains: each point has the
-    # bits it has evaluated alone, in every field of every node
+    # bits it has evaluated alone, in every field of every node, lossy
+    # uplinks (PER 0.3 on every other node) included
     topo = concentric_topology(rings)
     variants = ("full", "distributed") + (("md1k",) if rings == 1 else ())
+    lossy = {(n, topo.parents[n]): 0.3 for n in range(1, topo.node_count, 2)}
     solved = {}
     for algorithm in ("sbd", "ta-sc", "ta-mc"):
         schedule = generate(algorithm, topo)
+        for variant, capacity, link_per in itertools.product(
+                variants, (6, 16), ({}, lossy)):
+            for rate in (0.0, 0.004, 0.02, 0.2):
+                scenario = NetworkScenario(
+                    schedule=schedule, topology=topo, generation_rate=rate,
+                    queue_capacity=capacity, link_per=link_per)
+                shared = evaluate_network(scenario, variant=variant,
+                                          solved=solved)
+                alone = evaluate_network(scenario, variant=variant)
+                assert result_fields(shared) == result_fields(alone)
+
+
+@pytest.mark.parametrize("rings", [1, 2, 3])
+def test_levels_compose_as_the_per_node_recursion(rings):
+    # each level is added to its parents' reception rows and composed along
+    # the routes in array steps; recomputed node by node from the node
+    # metrics, every figure has the same bits, lossy uplinks included
+    topo = concentric_topology(rings)
+    parents = topo.parents
+    lossy = {(n, parents[n]): 0.3 for n in range(1, topo.node_count, 2)}
+    variants = ("full", "distributed") + (("md1k",) if rings == 1 else ())
+    for algorithm in ("sbd", "ta-sc", "ta-mc"):
+        schedule = generate(algorithm, topo)
         for variant in variants:
-            for capacity in (6, 16):
-                for rate in (0.0, 0.004, 0.02, 0.2):
-                    scenario = NetworkScenario(
-                        schedule=schedule, topology=topo,
-                        generation_rate=rate, queue_capacity=capacity)
-                    shared = evaluate_network(scenario, variant=variant,
-                                              solved=solved)
-                    alone = evaluate_network(scenario, variant=variant)
-                    assert result_fields(shared) == result_fields(alone)
+            for rate in (0.004, 0.06):
+                result = evaluate_network(NetworkScenario(
+                    schedule=schedule, topology=topo, generation_rate=rate,
+                    queue_capacity=16, link_per=lossy), variant=variant)
+                metrics = result.node_metrics
+                hop = [1.0 - lossy.get((n, parents[n]), 0.0)
+                       for n in range(topo.node_count)]
+                rx = np.zeros_like(result.rx_probability)
+                delivery = np.ones(topo.node_count)
+                delay = np.zeros(topo.node_count)
+                # the concentric layout numbers every parent before its children
+                for n in range(1, topo.node_count):
+                    p = parents[n]
+                    rx[p] += metrics[n].tx_probability * hop[n]
+                    delivery[n] = delivery[p] * metrics[n].acceptance * hop[n]
+                    delay[n] = delay[p] + metrics[n].expected_delay_slots
+                assert np.array_equal(result.rx_probability, rx)
+                assert np.array_equal(result.delivery_ratio, delivery)
+                assert np.array_equal(result.delay_slots, delay)
 
 
 def test_a_failing_new_chain_names_its_node(monkeypatch):
