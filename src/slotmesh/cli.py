@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -335,7 +335,10 @@ def _add_rate_arguments(parser):
                        help="mean packet generation interval in seconds")
 
 
+@cache
 def build_parser():
+    """The command line's parser, built once per process: parsing leaves
+    it as it was."""
     parser = argparse.ArgumentParser(
         prog="slotmesh",
         description="Analytical evaluation of collision-free TDMA mesh schedules")
@@ -396,8 +399,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _InputError as exc:

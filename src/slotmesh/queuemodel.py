@@ -258,8 +258,11 @@ def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
     Rows 0 and 1 are a Poisson row of the summed rate, then one Bernoulli
     packet per forwarded slot. A chain without transmission slots has its
     whole frame in rows 0 and 1 of factor 0, and every other row without
-    a slot is the row of no arrivals. The inputs are those of a stack
-    that :func:`_check_node` accepted, or derived from them.
+    a slot is the row of no arrivals. Each distinct pair of rate and
+    probability is built once, as a row's bits depend on its pair alone:
+    a uniform load without forwarding gives all of a chain's slots one
+    pair. The inputs are those of a stack that :func:`_check_node`
+    accepted, or derived from them.
     """
     chains, length = sends.shape
     sent = np.add.accumulate(sends, axis=1)
@@ -277,6 +280,10 @@ def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
     # one row per (chain, slot) pair, then the factor rows, in one pass
     lam = np.concatenate((rates.ravel(), summed))
     p = np.concatenate((probs.ravel(), np.zeros(summed.size)))
+    # each distinct pair of rate and probability once, as a complex number
+    # with both parts exact; every row with that pair takes its row below
+    pairs, inverse = np.unique(lam + 1j * p, return_inverse=True)
+    lam, p = pairs.real, pairs.imag
     rows = arrival_pmf(lam, p, capacity + 1)
     # the mass at K and beyond: one minus the head summed in order while
     # that is at least 1/2; a smaller complement would be mostly the head's
@@ -300,6 +307,7 @@ def _capped_rows(capacity: int, sends: np.ndarray, rates: np.ndarray,
     with np.errstate(divide="ignore"):
         at_cap = np.exp(capacity * np.log(lam) - math.lgamma(capacity + 1) - lam)
     rows[upper, -1] += at_cap * (p + series)
+    rows = rows[inverse]
     # a factor's row 2 is a copy of its transmission slot's finished row
     base = chains * length
     rows[base + factor[sends] + 2] = rows[:base][sends.ravel()]
@@ -438,12 +446,16 @@ def expected_delay(grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
     misses the simulated multi-hop delay (see the README).
     """
     chains, length, levels = grid.shape
-    count = np.maximum(tau.sum(axis=1), 1)[:, None, None]
+    count = np.maximum(tau.sum(axis=1), 1)[:, None]
     tx = np.argsort(~tau, axis=1, kind="stable")  # tx slots first, in order
-    k = (np.cumsum(tau, axis=1)[:, :, None]
-         + np.maximum(np.arange(levels) - tau[:, :, None], 0))
-    leave = tx[np.arange(chains)[:, None, None], k % count] + k // count * length
-    drain = leave - np.arange(length)[:, None]
+    # the slot of each transmission k = 0 .. T + K, once per chain
+    k = np.arange(count.max() + levels)
+    leave = tx[np.arange(chains)[:, None], k % count] + k // count * length
+    # transmission cumsum(tau) - tau + q at level q >= 1, cumsum(tau) at 0
+    first = np.cumsum(tau, axis=1)
+    at = (first - tau)[:, :, None] + np.arange(levels)
+    at[:, :, 0] = first
+    drain = leave[np.arange(chains)[:, None, None], at] - np.arange(length)[:, None]
     return np.where(tau.any(axis=1), (grid * drain).sum(axis=(1, 2)), 0.0)
 
 
@@ -484,8 +496,7 @@ class NodeMetrics:
 
 
 def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
-                    probs: np.ndarray, solved: dict | None = None
-                    ) -> list[NodeMetrics]:
+                    probs: np.ndarray, solved: dict | None = None):
     """Build, solve and summarize a stack of chains given as ``(B, S)``
     boolean transmission masks, Poisson rates and Bernoulli
     probabilities.
@@ -501,10 +512,10 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
     stack then moves to the end of ``solved``, and past ``_MEMO_BYTES`` of
     arrays the keys at its front, served least recently and none of this
     stack, are dropped. A chain's results have the same bits alone, in any
-    stack and from ``solved``. Each chain gets a view of its key's grid
-    with the slot its frame starts at, and copies that ``solved`` does not
-    hold of its marginals and of its transmission probabilities, put back
-    in its own slot order in one gather.
+    stack and from ``solved``. Returns each chain's record in ``solved``,
+    the slot its frame starts at, and copies that ``solved`` does not
+    hold of its transmission probabilities, put back in its own slot
+    order in one gather, and of its marginals, one row per chain.
     """
     frame, back = _rotation(tau)
     chain = np.arange(len(tau))[:, None]
@@ -562,12 +573,7 @@ def _evaluate_stack(capacity: int, tau: np.ndarray, rates: np.ndarray,
     solved.update(zip(keys, distinct))
     tx = np.array([d.tx_probability for d in distinct])[np.array(owner)[:, None], back]
     marginals = np.array([d.queue_marginals for d in distinct])[owner]
-    return [NodeMetrics(grid=d.grid, shift=shift, tx_probability=row,
-                        acceptance=d.acceptance,
-                        expected_delay_slots=d.expected_delay_slots,
-                        queue_marginals=held, total_arrivals=d.total_arrivals)
-            for d, shift, row, held in zip((distinct[d] for d in owner),
-                                           frame[:, 0].tolist(), tx, marginals)]
+    return [distinct[d] for d in owner], frame[:, 0].tolist(), tx, marginals
 
 
 def _variant_stack(variant: str, capacity: int, slotframe_length: int,
@@ -577,34 +583,34 @@ def _variant_stack(variant: str, capacity: int, slotframe_length: int,
     and K, given as one transmission slot collection per node and
     ``(B, S)`` rates and probabilities, under a ``variant`` that
     :func:`_check_variant` accepted, with the chains that ``solved``
-    holds taken from it (:func:`_evaluate_stack`). Under ``md1k`` each
-    node's :class:`NodeMetrics` is built from its collapsed chain's, with
-    the transmission probability of the whole stack spread over its
+    holds taken from it (:func:`_evaluate_stack`). Under ``md1k`` the
+    stack is of the nodes' collapsed chains, and each node's
+    :class:`NodeMetrics` is built once, from its collapsed chain's record,
+    with the transmission probability of the whole stack spread over its
     transmission slots in one step."""
     tau = _check_node(capacity, slotframe_length, tx_slots, rates, probs)
+    slots = 1
     if variant == "full":
-        return _evaluate_stack(capacity, tau, rates, probs, solved)
-    offered = _offered(rates, probs)
-    if variant == "distributed":
-        uniform = np.repeat(offered[:, None] / slotframe_length,
+        records, shifts, tx, marginals = _evaluate_stack(capacity, tau, rates,
+                                                         probs, solved)
+    elif variant == "distributed":
+        uniform = np.repeat(_offered(rates, probs)[:, None] / slotframe_length,
                             slotframe_length, axis=1)
-        return _evaluate_stack(capacity, tau, uniform, np.zeros_like(uniform),
-                               solved)
-    # one model step per slotframe, with one departure if the node has any
-    counts = tau.sum(axis=1)
-    collapsed = _evaluate_stack(capacity, (counts > 0)[:, None],
-                                offered[:, None], np.zeros((len(tau), 1)),
-                                solved)
-    # the collapsed step's probability spread over the transmission slots
-    share = np.concatenate([node.tx_probability for node in collapsed])
-    tx = tau * (share / np.maximum(counts, 1))[:, None]
-    return [NodeMetrics(grid=node.grid, shift=node.shift, tx_probability=row,
-                        acceptance=node.acceptance,
-                        expected_delay_slots=node.expected_delay_slots
-                        * slotframe_length,
-                        queue_marginals=node.queue_marginals,
-                        total_arrivals=node.total_arrivals)
-            for node, row in zip(collapsed, tx)]
+        records, shifts, tx, marginals = _evaluate_stack(
+            capacity, tau, uniform, np.zeros_like(uniform), solved)
+    else:
+        # one model step per slotframe, with one departure if the node has
+        # any, its probability spread over the transmission slots
+        records, shifts, tx, marginals = _evaluate_stack(
+            capacity, tau.any(axis=1)[:, None], _offered(rates, probs)[:, None],
+            np.zeros((len(tau), 1)), solved)
+        tx = tau * (tx / np.maximum(tau.sum(axis=1), 1)[:, None])
+        slots = slotframe_length
+    return [NodeMetrics(grid=d.grid, shift=shift, tx_probability=row,
+                        acceptance=d.acceptance,
+                        expected_delay_slots=d.expected_delay_slots * slots,
+                        queue_marginals=held, total_arrivals=d.total_arrivals)
+            for d, shift, row, held in zip(records, shifts, tx, marginals)]
 
 
 def evaluate_node(capacity: int, slotframe_length: int, tx_slots,

@@ -63,10 +63,9 @@ Poisson row of the summed rate, one Bernoulli packet per forwarded
 slot). Only the empty queue can stay empty through the run and send
 nothing: row 0 is the run's own row times the transmission block
 ``X_t``, built from the factor's third row, a copy of the transmission
-slot's row. Row 0 of the ``Y_t`` is one
-batched product per chunk of factors (below), and the rest T - 1 dense
-products, none for a node with one transmission slot per frame: no quiet
-slot is composed on its own.
+slot's row. Row 0 of each ``Y_t`` is one vector-block product, and the
+rest T - 1 dense products, none for a node with one transmission slot
+per frame: no quiet slot is composed on its own.
 
 Chains are solved as stacks of B chains with the same S and K: a chain
 with fewer transmission slots than the widest gets identity factors,
@@ -102,20 +101,27 @@ also takes the closed class at s along the edges of the blocks to mark
 the class in every slot, rolled back with the grid. Nothing else here
 knows slot order.
 
-The carry and the wrap-around term read the blocks one slot at a time,
-so a stack never holds all its ``B S (K + 1)^2`` block entries:
-:func:`_walk`, the one place that builds slot blocks, builds one block
-per run of consecutive slots whose rows and departures are equal in
-every chain of the stack, once per solve, and yields it for each slot of
-the run: the solver ladder's node builds 2 of its 19 blocks, and the
-quiet run of any chain with one transmission slot under uniform traffic
-is one block. It builds them a chunk of runs at a time, each chunk
-within ``_CHUNK_BYTES`` (one MiB) or a single block, into one buffer,
-and a chunk is still in the cache when its slots are read. The return
-maps build their 2T factor blocks, ``Y_t`` and ``X_t``, from the
-factor rows alone, a chunk of factors at a time within the same budget or
-a single factor; each chunk is a new array, so no factor is overwritten
-while a later one is built.
+Every block a solve reads comes from one walk (:func:`_walk`), the one
+place that builds blocks, so a stack never holds all its ``B S (K +
+1)^2`` block entries. It takes the stack's blocks as one stack of rows,
+built in order: first each factor's ``X_t`` and ``Y_t``
+(:func:`_factors`), from which the return maps are multiplied, then one
+block per run of consecutive slots whose rows and departures are equal
+in every chain of the stack, which the carry applies to each slot of
+the run and the wrap-around term reads once more: the solver ladder's
+node builds 2 of its 19 slot blocks, and the quiet run of any chain with
+one transmission slot under uniform traffic is one block. Each block is
+built once per solve, a chunk at a time, each chunk within
+``_CHUNK_BYTES`` (one MiB) or a single block, into one buffer, so a
+stack within the budget, as every stack of a 19-node network at K = 16
+is, takes one call; a chunk is still in the cache when its blocks are
+read. The buffer is at most the larger of one chunk and two blocks: at
+least two, so that glibc malloc does not trim the heap top and page
+the solve's largest arrays in afresh on every solve. A block holds
+until the walk moves past its chunk: the return maps take row 0 of
+``Y_t`` from ``X_t`` before the walk builds ``Y_t``, and copy the first
+factor only when more follow; the carry makes each run's block
+read-only before it reads it.
 
 The closed class is found by a dense boolean reachability search on the
 return map, whose rows are held as Python ints used as bitsets: reach
@@ -132,7 +138,6 @@ such entries.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,9 +147,9 @@ RESIDUAL_BOUND = 1e-10
 # read again from the cache by the next consumer
 _CHUNK_BYTES = 1 << 20
 # states back-substituted at once by GTH, and the strictly upper part of
-# such a block
+# such a block, as floats so that masking a block casts nothing
 _STATES = 32
-_UPPER = np.triu(np.ones((_STATES, _STATES), dtype=bool), 1)
+_UPPER = np.triu(np.ones((_STATES, _STATES)), 1)
 
 
 class StationaryError(RuntimeError):
@@ -280,7 +285,7 @@ def _gth(dense: np.ndarray, lower: int) -> np.ndarray:
         # its rows and columns so scaled, u has no entry above one and the
         # block's answer none above 2^_STATES, and the scaling is exact
         grow = np.frexp(np.maximum.reduce(u, axis=1, initial=0.5))[1]
-        np.cumsum(grow, axis=1, out=grow)
+        np.add.accumulate(grow, axis=1, out=grow)
         shift = np.frexp(np.maximum.reduce(c, axis=2))[1] + grow
         u = np.ldexp(u, grow[:, :, None] - grow[:, None, :])
         r = np.ldexp(c, -shift[:, None])
@@ -340,10 +345,8 @@ def _capped_blocks(rows: np.ndarray, sends: np.ndarray,
     view = np.ndarray((*rows.shape, count), buffer=padded,
                       offset=(count - 1) * step,
                       strides=(*padded.strides[:-1], -step, step))
-    if out is None:
-        out = view.copy()
-    else:
-        out[...] = view
+    out = np.empty(view.shape) if out is None else out
+    out[...] = view
     out[..., -1] = top
     out[sends, 0] = sent
     out[sends, 1:, -2] = top[sends, 1:]
@@ -358,88 +361,100 @@ def _chunk_slots(rows: np.ndarray) -> int:
     return max(_CHUNK_BYTES // (rows[:, :1].nbytes * rows.shape[-1]), 1)
 
 
-def _walk(rows: np.ndarray, tau: np.ndarray):
-    """The read-only ``(B, K + 1, K + 1)`` slot blocks of a stack in the
-    order of its rows, built (:func:`_capped_blocks`) from its ``(B, S, K +
-    1)`` capped rows and ``(B, S)`` boolean transmission masks as far as
-    they are read: one block per run of consecutive slots whose rows and
-    masks are equal in every chain, yielded for each slot of the run, a
-    chunk of runs at a time."""
+def _walk(rows: np.ndarray, sends: np.ndarray):
+    """The ``(B, K + 1, K + 1)`` blocks of a stack's ``(B, n, K + 1)``
+    capped rows and ``(B, n)`` boolean sends (:func:`_capped_blocks`), one
+    per row, in order: a solve's factor blocks (:func:`_factors`), then one
+    block per run of equal slots. They are built a chunk of rows at a
+    time, each chunk within ``_CHUNK_BYTES`` or a single block, into one
+    buffer, so a block holds until the walk moves past its chunk. The
+    buffer, the walk's memory, is at most the larger of one chunk and two
+    blocks."""
     chains, length, count = rows.shape
-    # the slots that start a run, and S to close the last one
-    bounds = np.ones(length + 1, dtype=bool)
-    np.logical_or(np.logical_or.reduce(rows[:, 1:] != rows[:, :-1], axis=(0, 2)),
-                  np.logical_or.reduce(tau[:, 1:] != tau[:, :-1], axis=0),
-                  out=bounds[1:-1])
-    bounds = np.flatnonzero(bounds)
-    starts, repeats = bounds[:-1], bounds[1:] - bounds[:-1]
     size = _chunk_slots(rows)
     # every chunk reuses one buffer: a new array per chunk would be paged
-    # in afresh whenever the allocator has handed the last one back
-    buffer = np.empty((chains, min(size, len(starts)), count, count))
-    for at in range(0, len(starts), size):
-        picked = starts[at:at + size]
-        blocks = _capped_blocks(rows[:, picked], tau[:, picked],
-                                buffer[:, :len(picked)])
-        blocks.flags.writeable = False
-        for block, times in zip(blocks.swapaxes(0, 1), repeats[at:at + size]):
-            yield from itertools.repeat(block, times)
+    # in afresh whenever the allocator has handed the last one back. It
+    # holds two blocks at least, for glibc malloc's heap trimming: it and
+    # GTH's matrix are the largest arrays a solve frees, and glibc hands a
+    # freed heap top back to the system once it passes twice the largest
+    # block freed before, which with a one-block buffer paged both in
+    # afresh on every solve of the ladder's K = 512 node
+    buffer = np.empty((chains, max(min(size, length), 2), count, count))
+    for at in range(0, length, size):
+        chunk = slice(at, at + size)
+        blocks = _capped_blocks(rows[:, chunk], sends[:, chunk],
+                                buffer[:, :min(size, length - at)])
+        yield from blocks.swapaxes(0, 1)
 
 
-def _return_maps(runs: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _factors(runs: np.ndarray, tau: np.ndarray):
+    """The ``(B, 2T, K + 1)`` rows and ``(B, 2T)`` sends of the blocks of
+    a stack's factors, ``X_t`` from the transmission slot's own row
+    ``runs[:, t, 2]`` and ``Y_t`` from the merged row ``runs[:, t, 1]`` in
+    turn, from its ``(B, T, 3, K + 1)`` factor rows and ``(B, S)`` boolean
+    transmission masks: both blocks of a factor send, or neither does."""
+    width = runs.shape[1]
+    sending = tau.sum(axis=1)[:, None] > np.arange(width)
+    return (runs[:, :, :0:-1].reshape(len(runs), 2 * width, -1),
+            np.repeat(sending, 2, axis=1))
+
+
+def _return_maps(runs: np.ndarray, blocks) -> np.ndarray:
     """Return maps at s, each as ``Y_1 ... Y_T``, of a stack given as its
-    ``(B, T, 3, K + 1)`` factor rows ``runs`` and ``(B, S)`` boolean
-    transmission masks ``tau``.
+    ``(B, T, 3, K + 1)`` factor rows ``runs`` and an iterator ``blocks``
+    that yields each factor's ``(B, K + 1, K + 1)`` blocks ``X_t`` and
+    ``Y_t`` in turn, the walk of :func:`_factors`' rows.
 
     ``Y_t`` is quiet run t of the frame from s and the transmission slot
     that ends it, whose block ``X_t`` is that of the slot's own row
     ``runs[:, t, 2]``. A queue of ``q >= 1`` packets is not empty when
     the slot comes, so rows ``q >= 1`` are the transmission rows of the
     merged row ``runs[:, t, 1]``; row 0 is the run's own row
-    ``runs[:, t, 0]`` times ``X_t``. A factor that sends nothing is the
-    quiet block of its merged row: the whole frame of a chain without
-    transmission slots, and the identity past a chain's last, which keeps
-    each chain's bits as they are alone. ``Y_t`` and ``X_t`` are built
-    from their rows a chunk of factors at a time, each chunk a new array.
+    ``runs[:, t, 0]`` times ``X_t``, taken before the walk builds ``Y_t``,
+    perhaps over ``X_t``, and written into it there. A factor that sends
+    nothing is the quiet block of its merged row: the whole frame of a
+    chain without transmission slots, and the identity past a chain's
+    last, which keeps each chain's bits as they are alone. A single
+    factor is the return map as the walk built it; of more, the first is
+    copied, as the walk may build the next over it.
     """
-    width = runs.shape[1]
-    sending = tau.sum(axis=1)[:, None] > np.arange(width)
-    # both blocks of a factor send, or neither does
-    sends = np.repeat(sending[:, :, None], 2, axis=2)
-    size = _chunk_slots(runs[:, :, 1:])
-    frame_map = None
-    for start in range(0, width, size):
-        chunk = slice(start, start + size)
-        # Y_t from the merged row, X_t from the transmission slot's own
-        blocks = _capped_blocks(runs[:, chunk, 1:], sends[:, chunk])
-        factors = blocks[:, :, 0]
-        factors[:, :, :1] = np.matmul(runs[:, chunk, :1], blocks[:, :, 1])
-        for factor in factors.swapaxes(0, 1):
-            frame_map = (factor if frame_map is None
-                         else np.matmul(frame_map, factor))
+    frame_map, width = None, runs.shape[1]
+    for t in range(width):
+        head = np.matmul(runs[:, t, None, 0], next(blocks))
+        factor = next(blocks)
+        factor[:, :1] = head
+        frame_map = (np.matmul(frame_map, factor) if t
+                     else factor.copy() if width > 1 else factor)
     return frame_map
 
 
-def _carry(first: np.ndarray, blocks, length: int, level=None):
-    """``(B, S, K + 1)`` grid of a stack whose ``(B, K + 1, K + 1)`` slot
-    blocks the iterator ``blocks`` yields in order: step 0 is the ``(B,
-    K + 1)`` ``first``, step ``j + 1`` step ``j`` times block ``j``. Given
-    the boolean ``level`` of ``first``'s shape, also the states it
+def _carry(first: np.ndarray, blocks, bounds: list, level=None):
+    """``(B, S, K + 1)`` grid of a stack whose slot blocks the iterator
+    ``blocks`` yields one per run of equal slots, run r from slot
+    ``bounds[r]`` to ``bounds[r + 1]``, ``bounds[-1]`` S: step 0 is the
+    ``(B, K + 1)`` ``first``, step ``j + 1`` step ``j`` times block ``j``.
+    Given the boolean ``level`` of ``first``'s shape, also the states it
     reaches at each step along the blocks' non-zero entries, in a second
-    such grid of zeros and ones. Reads the first S - 1 blocks only."""
+    such grid of zeros and ones. Each block is made read-only before it
+    is read. Returns both and the last block, that of slot S - 1, which
+    it does not read."""
+    length = bounds[-1]
     grid = np.empty((len(first), length, first.shape[-1]))
     grid[:, 0] = first
     reach = None if level is None else np.empty(grid.shape)
     if reach is not None:
         reach[:, 0] = level
-    # step j of every chain as one (B, 1, K + 1) view, as matmul takes it
-    steps = grid[:, :, None].swapaxes(0, 1)
-    for j, block in zip(range(length - 1), blocks):
-        np.matmul(steps[j], block, out=steps[j + 1])
-        if reach is not None:
-            # a sum of non-negative terms is positive if any term is
-            np.greater(np.matmul(reach[:, j, None], block), 0.0, out=reach[:, j + 1, None])
-    return grid, reach
+    # step j of every chain as one (B, 1, K + 1) view, as matmul takes it,
+    # all made in one pass
+    steps = list(grid[:, :, None].swapaxes(0, 1))
+    for start, end, block in zip(bounds, bounds[1:], blocks):
+        block.flags.writeable = False
+        for j in range(start, min(end, length - 1)):
+            np.matmul(steps[j], block, out=steps[j + 1])
+            if reach is not None:
+                # a sum of non-negative terms is positive if any term is
+                np.greater(np.matmul(reach[:, j, None], block), 0.0, out=reach[:, j + 1, None])
+    return grid, reach, block
 
 
 def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
@@ -452,34 +467,47 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
     residuals and the closed classes, the ``(B, K + 1)`` classes at s, or
     with ``reach`` the ``(B, S, K + 1)`` classes at every step.
 
-    Solves the return maps on their closed classes, which the empty queue
-    at s reaches, GTH once per group of chains with the same class,
-    inside the band of the T levels a frame can lower the queue by, and
-    carries the results through all S blocks, back to s, whose change is
-    the residual; the grid is normalized and checked in that frame, and
-    nothing is rotated. Every chain given is solved: equal chains, and
-    chains solved before, are left out by
-    :func:`slotmesh.queuemodel._evaluate_stack`. One block per
-    run of equal slots is built, by the chunked walk (:func:`_walk`), and
-    the 2T factor blocks of the return maps from the factor rows.
+    One walk (:func:`_walk`) builds every block the solve reads: the 2T
+    factor blocks, from which the return maps are multiplied
+    (:func:`_return_maps`), then one block per run of consecutive slots
+    whose rows and masks are equal in every chain. The return maps are
+    solved on their closed classes, which the empty queue at s reaches,
+    GTH once per group of chains with the same class, inside the band of
+    the T levels a frame can lower the queue by; the rest of the walk
+    carries the results through all S slots, run by run, and back to s,
+    whose change is the residual. The grid is normalized and checked in
+    that frame, and nothing is rotated. Every chain given is solved: equal
+    chains, and chains solved before, are left out by
+    :func:`slotmesh.queuemodel._evaluate_stack`.
     """
-    frame_maps = _return_maps(runs, tau)
-    # one search per distinct edge pattern, one GTH group per closed class
-    level = np.empty(frame_maps.shape[:2], dtype=bool)
+    # the slots that start a run, and S to close the last one
+    bounds = np.ones(tau.shape[1] + 1, dtype=bool)
+    np.logical_or(np.logical_or.reduce(rows[:, 1:] != rows[:, :-1], axis=(0, 2)),
+                  np.logical_or.reduce(tau[:, 1:] != tau[:, :-1], axis=0),
+                  out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    factor_rows, factor_sends = _factors(runs, tau)
+    walk = _walk(np.concatenate((factor_rows, rows[:, bounds[:-1]]), axis=1),
+                 np.concatenate((factor_sends, tau[:, bounds[:-1]]), axis=1))
+    frame_maps = _return_maps(runs, walk)
+    # one search per distinct edge pattern, each chain's read as one bytes
+    # object in one step, and one GTH group per closed class
+    edges = frame_maps != 0
+    keys = edges.reshape(len(edges), -1).view(np.dtype((np.void, edges[0].size)))
     classes, groups = {}, {}
-    for b, pattern in enumerate(frame_maps != 0):
-        key = pattern.tobytes()
+    for b, key in enumerate(keys.ravel().tolist()):
         if key not in classes:
             try:
-                classes[key] = _closed_class(pattern, 0)
+                mask = _closed_class(edges[b], 0)
             except StationaryError as exc:
                 raise _at(exc, b)
-        level[b] = classes[key]
-        groups.setdefault(level[b].tobytes(), []).append(b)
+            classes[key] = groups.setdefault(mask.tobytes(), (mask, []))[1]
+        classes[key].append(b)
+    level = np.empty(edges.shape[:2], dtype=bool)
     first = np.zeros(level.shape)
-    for members in groups.values():
-        states = np.flatnonzero(level[members[0]])
-        members = np.array(members)
+    for mask, members in groups.values():
+        states, members = np.flatnonzero(mask), np.array(members)
+        level[members] = mask
         # the members and the class's span as slices where they can be, as
         # they often are: a copy of the maps is paged in afresh, and
         # indexing every entry costs many times more
@@ -491,17 +519,16 @@ def _solve_stack(rows: np.ndarray, runs: np.ndarray, tau: np.ndarray,
         if len(states) < high - low:
             maps = maps[:, states[:, None] - low, states - low]
         first[members[:, None], states] = _gth(maps, runs.shape[1])
-    walk = _walk(rows, tau)
-    grid, reached = _carry(first, walk, tau.shape[1], level if reach else None)
+    grid, reached, last = _carry(first, walk, bounds.tolist(),
+                                 level if reach else None)
     grid /= grid.sum(axis=(1, 2), keepdims=True)
     # s carried round the frame by its last block, from the normalized grid
-    wrap = np.matmul(grid[:, -1:], next(walk))
+    wrap = np.matmul(grid[:, -1:], last)
     residual = np.abs(wrap[:, 0] - grid[:, 0]).max(axis=1)
-    failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))  # nan fails too
-    if failed.size:
+    if not residual.max() <= RESIDUAL_BOUND:  # nan fails too
+        failed = np.flatnonzero(~(residual <= RESIDUAL_BOUND))[0]
         raise _at(StationaryError(
-            f"residual {residual[failed[0]]:.3e} above {RESIDUAL_BOUND:.0e}"),
-            failed[0])
+            f"residual {residual[failed]:.3e} above {RESIDUAL_BOUND:.0e}"), failed)
     return grid, residual, reached != 0 if reach else level
 
 

@@ -93,10 +93,18 @@ def test_no_traffic_stays_empty():
 
 def test_chain_tables_are_read_only_and_blocks_derived():
     # a chain is its capped rows and departures; only the solver's walk
-    # derives the slot blocks from the two, read-only
+    # derives the blocks from the two, into a scratch buffer of its own in
+    # which the return maps finish each Y_t, so writing to a block leaves
+    # the chain as it was. The carry makes each slot block it reads
+    # read-only, and the wrap-around residual reads the last one so
     for capacity, length, tx, traffic in chain_cases():
         chain = build_chain(capacity, length, tx, traffic)
-        walked = next(stationary._walk(chain.rows[None], chain.departures[None]))
+        rows = chain.rows.copy()
+        next(stationary._walk(chain.rows[None], chain.departures[None]))[...] = -1.0
+        assert np.array_equal(chain.rows, rows)
+        # the frame's blocks carried as one run, the first slot's
+        walk = stationary._walk(chain.rows[None], chain.departures[None])
+        walked = stationary._carry(np.ones((1, capacity + 1)), walk, [0, length])[2]
         for table in (chain.rows, chain.runs, chain.departures, walked):
             assert not table.flags.writeable
             with pytest.raises(ValueError):

@@ -37,6 +37,17 @@ def test_validate_ok(files, capsys):
     assert "conflict-free" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_per_process(files, capsys):
+    # main parses every command line with one parser, which parsing leaves
+    # as it was: a second command gets its own defaults
+    _, sched, topo = files
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["validate", "--schedule", sched, "--topology", topo]) == 0
+    args = cli.build_parser().parse_args(["sweep", "--spec", "s.json"])
+    assert (args.func, args.workers, args.out) == (cli.cmd_sweep, 1, None)
+    capsys.readouterr()
+
+
 def test_validate_reports_violation(files, capsys):
     tmp_path, _, topo = files
     bad = {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import chain_cases
+from slotmesh import queuemodel
 from slotmesh.queuemodel import (ModelError, TrafficSpec, _offered,
                                  arrival_pmf, build_chain, evaluate_node)
 from slotmesh.simulate import SimConfig, simulate_queue
@@ -183,6 +184,24 @@ def test_md1k_variant_collapses_schedule():
     idle = evaluate_node(4, 5, (), TrafficSpec.constant(5), variant="md1k")
     assert np.array_equal(idle.tx_probability, np.zeros(5))
     assert idle.queue_marginals[0] == 1.0 and idle.acceptance == 1.0
+
+
+def test_md1k_builds_each_node_metrics_once(monkeypatch):
+    # the memo's record of the collapsed chain, and the node's own: the
+    # collapsed chain's per-node metrics are not built and dropped
+    built = []
+    node_metrics = queuemodel.NodeMetrics
+
+    def counted(**fields):
+        built.append(fields["shift"])
+        return node_metrics(**fields)
+
+    monkeypatch.setattr(queuemodel, "NodeMetrics", counted)
+    traffic = TrafficSpec((0.2,) * 5, (0.0,) * 5)
+    node = evaluate_node(4, 5, (1, 3), traffic, variant="md1k")
+    assert len(built) == 2
+    want = node.tx_probability[1]
+    assert np.array_equal(node.tx_probability, [0.0, want, 0.0, want, 0.0])
 
 
 def test_md1k_loaded_node_without_tx_slots_fills_up():

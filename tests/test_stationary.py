@@ -240,26 +240,27 @@ def level_stack(rings, algorithm, capacity, rate, depth=-1):
 
 
 def test_slot_blocks_are_built_in_chunks(monkeypatch):
-    # a stack within the byte budget builds its blocks in one call; a
-    # larger one builds chunks of runs of equal slots, none above the
-    # budget unless it is a single block. The ta-mc relays are distinct
-    # chains, and the slots in which they receive break their frames into
-    # several runs
+    # one walk builds every block of a solve: a stack within the byte
+    # budget in one call, its factor blocks and its runs of equal slots
+    # together; a larger one in chunks, none above the budget unless it is
+    # a single block, into one buffer no larger than a chunk or two
+    # blocks. The ta-mc relays are distinct chains, and the slots in which
+    # they receive break their frames into several runs
     rows, runs, tau = level_stack(2, "ta-mc", 16, 0.01, depth=1)
     calls = []
     capped_blocks_of = stationary._capped_blocks
 
     def counted(rows, tau, out=None):
         blocks = capped_blocks_of(rows, tau, out)
-        # the walk's chunks, which it builds into its buffer; the return
-        # maps build new arrays
-        if out is not None:
-            calls.append((blocks.shape[1], blocks.nbytes))
+        calls.append((blocks.shape[1], blocks.nbytes))
+        assert out.base.nbytes <= max(stationary._CHUNK_BYTES,
+                                      2 * blocks[:, :1].nbytes)
         return blocks
 
     monkeypatch.setattr(stationary, "_capped_blocks", counted)
     stationary._solve_stack(rows, runs, tau)
-    assert len(calls) == 1 and 1 < calls[0][0] < rows.shape[1]
+    assert len(calls) == 1
+    assert 2 * runs.shape[1] + 1 < calls[0][0] < 2 * runs.shape[1] + rows.shape[1]
     for capacity, length in ((128, 19), (512, 19)):
         # every slot a run of its own: neighbouring rates differ
         traffic = TrafficSpec(tuple(0.04 + 0.02 * (i % 2) for i in range(length)),
@@ -270,15 +271,16 @@ def test_slot_blocks_are_built_in_chunks(monkeypatch):
         assert len(calls) > 1
         assert all(nbytes <= stationary._CHUNK_BYTES or slots == 1
                    for slots, nbytes in calls)
+        assert sum(slots for slots, _ in calls) == 2 + length
 
 
 def test_each_slot_block_is_built_once_per_solve(monkeypatch):
-    # over the chunk budget (K = 512, S = 19) the walk builds one block per
-    # run of equal slots of the frame from s, for the carry, and the return
-    # map the two blocks of each of its T factors: no quiet run is composed
-    # slot by slot. solve carries the closed class in the same walk as the
-    # grid. Under a uniform load one transmission slot makes two runs, a
-    # quiet run and the slot; two make four; none makes one
+    # over the chunk budget (K = 512, S = 19) the walk builds the two
+    # blocks of each of the return map's T factors, then one block per
+    # run of equal slots of the frame from s, for the carry: no quiet run
+    # is composed slot by slot. solve carries the closed class in the same
+    # walk as the grid. Under a uniform load one transmission slot makes
+    # two runs, a quiet run and the slot; two make four; none makes one
     built = []
     capped_blocks_of = stationary._capped_blocks
 
@@ -294,25 +296,39 @@ def test_each_slot_block_is_built_once_per_solve(monkeypatch):
                        lambda: solve(chain)):
             built.clear()
             solved()
-            # one slot, or one factor's two blocks, per chunk
+            # one block per chunk
             assert all(shape[0] == 1 for shape in built)
             assert (sum(map(np.prod, built))
                     == runs + 2 * max(len(tx_slots), 1))
 
 
-# one slot per chunk, and chunks of three slots of the level stack
-@pytest.mark.parametrize("budget", [0, 100_000])
+def chunk_budget(budget, stack):
+    """``_CHUNK_BYTES`` for a stack's walk: ``budget`` bytes as given, or
+    a chunk of the stack's blocks: ``"factors"`` ends the first chunk with
+    the last factor block, ``"mixed"`` puts every factor block and the
+    first run's block in it."""
+    rows, runs, _ = stack
+    block = rows[:, :1].nbytes * rows.shape[-1]
+    factors = 2 * runs.shape[1]
+    return {"factors": factors * block,
+            "mixed": (factors + 1) * block}.get(budget, budget)
+
+
+# one block per chunk, 100 kB chunks, and chunks that end at the last
+# factor block or hold both kinds
+@pytest.mark.parametrize("budget", [0, 100_000, "factors", "mixed"])
 def test_chunks_give_the_bits_of_the_whole_stack(monkeypatch, budget):
     chains = [build_chain(*case) for case in chain_cases()]
     stacks = [stacked([chain]) for chain in chains]
     stacks.append(level_stack(2, "ta-mc", 16, 0.03))
     whole = [stationary._solve_stack(*stack) for stack in stacks]
     solved = [solve(chain) for chain in chains]
-    monkeypatch.setattr(stationary, "_CHUNK_BYTES", budget)
     for stack, want in zip(stacks, whole):
+        monkeypatch.setattr(stationary, "_CHUNK_BYTES", chunk_budget(budget, stack))
         for got, expected in zip(stationary._solve_stack(*stack), want):
             assert np.array_equal(got, expected)
-    for chain, want in zip(chains, solved):
+    for chain, stack, want in zip(chains, stacks, solved):
+        monkeypatch.setattr(stationary, "_CHUNK_BYTES", chunk_budget(budget, stack))
         got = solve(chain)
         assert np.array_equal(got.distribution, want.distribution)
         assert got.residual == want.residual
@@ -350,7 +366,7 @@ def test_perturbed_chain_names_its_node(monkeypatch):
     # the return map at the frame start s, on its closed class there
     _, runs, tau = stacked([chain])
     level = solve(chain).reachable.reshape(length, capacity + 1)[chain.shift]
-    frame_map = stationary._return_maps(runs, tau)[0][np.ix_(level, level)]
+    frame_map = return_maps(runs, tau)[0][np.ix_(level, level)]
     exact = stationary._gth
 
     def perturbed(dense, lower):
@@ -466,6 +482,13 @@ def test_critical_load_capacity_1024(monkeypatch):
     assert metrics.acceptance == pytest.approx(0.99951185256, abs=1e-9)
 
 
+def return_maps(runs, tau):
+    """The return maps at s of a stack given as its factor rows and
+    departures, from the walk of its factor blocks alone."""
+    return stationary._return_maps(
+        runs, stationary._walk(*stationary._factors(runs, tau)))
+
+
 def plain_return_map(blocks):
     """The product of a chain's blocks in the order given: its return map
     at the first block's slot when they are a whole frame."""
@@ -527,10 +550,10 @@ def test_return_map_matches_block_product(case):
     # run-then-send factors against the slot blocks taken from s
     rows, runs, tau = stack_rows(*case)
     blocks = stationary._capped_blocks(rows, tau)
-    built = stationary._return_maps(runs, tau)
-    # chunks of one factor each, every one a new array
+    built = return_maps(runs, tau)
+    # chunks of one block each, every one built over the last
     with mock.patch.object(stationary, "_CHUNK_BYTES", 0):
-        assert np.array_equal(built, stationary._return_maps(runs, tau))
+        assert np.array_equal(built, return_maps(runs, tau))
     # the bits of factors whose X_t is the slot block of their
     # transmission slot, and the identity past a chain's last
     chains, width, _, count = runs.shape
@@ -742,14 +765,14 @@ def test_wider_gth_band_gives_the_same_bits(case, data):
 
 
 # transmission slots 0 and 2 around a run without arrivals, and adjacent
-# ones: at K = 300 each factor is a chunk of its own, built into the
-# buffer of the one before
+# ones: at K = 300 each factor block is a chunk of its own, Y_t built
+# into the buffer over X_t, and the next X_t over the first factor
 @pytest.mark.parametrize("tx", [(0, 2), (0, 1)])
 def test_factors_in_one_slot_chunks_match_dense_solve(tx):
     chain = build_chain(300, 4, tx, TrafficSpec((0.5, 0, 0.1, 0), (0,) * 4))
     assert stationary._chunk_slots(chain.rows[None]) == 1
     rows, runs, tau = stacked([chain])
-    frame_map = stationary._return_maps(runs, tau)[0]
+    frame_map = return_maps(runs, tau)[0]
     want = plain_return_map(stationary._capped_blocks(rows, tau)[0])
     assert np.abs(frame_map - want).max() <= 1e-13
     matrix = dense_matrix(chain)
@@ -794,10 +817,10 @@ def shared_stack(capacity=20):
 def evaluate_stack(capacity, tx_slots, rates, probs, solved=None):
     """The node metrics of a stack of chains, given as :func:`stack_rows`
     takes it, from :func:`slotmesh.queuemodel._evaluate_stack` with the
-    memo ``solved``."""
+    memo ``solved``, by way of the ``full`` variant."""
     rates, probs = np.array(rates, dtype=float), np.array(probs, dtype=float)
-    tau = queuemodel._check_node(capacity, len(rates[0]), tx_slots, rates, probs)
-    return queuemodel._evaluate_stack(capacity, tau, rates, probs, solved)
+    return queuemodel._variant_stack("full", capacity, len(rates[0]), tx_slots,
+                                     rates, probs, solved)
 
 
 def test_stacked_chain_solves_as_alone():
@@ -1149,7 +1172,7 @@ def test_failing_shared_chain_names_its_first_chain(monkeypatch, where):
     # failed residual the first with its return map, chain 6
     stack, inputs, _ = shared_stack()
     _, runs, tau = stack
-    maps = stationary._return_maps(runs, tau)
+    maps = return_maps(runs, tau)
     spoiled_map = maps[6]
     spoil(monkeypatch, where, spoiled_map)
     if where == "class":
@@ -1176,7 +1199,7 @@ def test_failing_shared_chain_names_its_first_chain(monkeypatch, where):
                               {2: 11}, {3: 11}))
     capacity, rate = 3, 0.1
     _, runs, tau = stack_rows(capacity, [[3]], [[rate] * 4], [[0.0] * 4])
-    spoil(monkeypatch, where, stationary._return_maps(runs, tau)[0])
+    spoil(monkeypatch, where, return_maps(runs, tau)[0])
     with pytest.raises(NetworkModelError, match="^node 2: "):
         evaluate_network(NetworkScenario(schedule=sched, topology=topo,
                                          generation_rate=rate,
@@ -1251,7 +1274,7 @@ def test_return_maps_take_t_minus_one_dense_products(monkeypatch):
         stacks.append((stack_rows(4, tx_slots, rates, probs)[1:], widest))
     for stack, widest in stacks:
         products.clear()
-        stationary._return_maps(*stack)
+        return_maps(*stack)
         assert len(products) == max(widest - 1, 0)
 
 
@@ -1283,7 +1306,7 @@ def test_class_with_gaps_gives_gth_its_states(monkeypatch):
     # no queue chain tried has a closed class with gaps in its levels, so
     # drop a middle state from one: GTH must still get just its states
     chain = build_chain(6, 4, (1,), TrafficSpec.constant(4, rate=0.3))
-    frame_map = stationary._return_maps(*stacked([chain])[1:])[0]
+    frame_map = return_maps(*stacked([chain])[1:])[0]
     closed = stationary._closed_class
 
     def gapped(edges, start):

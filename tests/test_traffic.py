@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import slotmesh
 from conftest import slot_blocks
+from slotmesh import queuemodel
 from slotmesh.queuemodel import (ModelError, TrafficSpec,
                                  acceptance_probability, arrival_pmf,
                                  build_chain, _offered)
@@ -237,3 +238,23 @@ def test_arrival_table_matches_lgamma_reference(capacity):
         assert np.all(np.abs(row[large] - want[large]) <= 1e-10 * want[large])
         assert np.all(row[~large] <= 2e-250)
     assert table[0, 0] == 1.0 and np.all(table[0, 1:] == 0.0)
+
+
+def test_each_distinct_arrival_row_is_built_once(monkeypatch):
+    # a uniform load on one transmission slot: 19 slot rows of one rate,
+    # then the quiet run, the run with the slot, and the slot's own row,
+    # whose copy starts as the row of no arrivals: four distinct rows
+    # from arrival_pmf, and every row as a chain built row by row has it
+    sizes = []
+    pmf = queuemodel.arrival_pmf
+
+    def counted(rates, probs, count):
+        sizes.append(len(rates))
+        return pmf(rates, probs, count)
+
+    monkeypatch.setattr(queuemodel, "arrival_pmf", counted)
+    chain = build_chain(16, 19, (0,), TrafficSpec.constant(19, rate=0.05))
+    assert sizes == [4]
+    assert len(np.unique(chain.rows, axis=0)) == 1
+    quiet = build_chain(16, 1, (), TrafficSpec.constant(1, rate=0.05))
+    assert np.array_equal(chain.rows[0], quiet.rows[0])
